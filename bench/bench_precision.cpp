@@ -4,7 +4,8 @@
 /// fig5b-style 150 bp read-pair workload (plus a short-read panel where
 /// the int8 window admits the whole batch).  Emits BENCH_precision.json
 /// with per-row GCUPS and speedup-vs-int32 so CI can watch the narrow
-/// routes earn their keep.
+/// routes earn their keep.  The run records the host's core count and
+/// never uses more threads than cores.
 
 #include <algorithm>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "anyseq/anyseq.hpp"
@@ -35,6 +37,37 @@ std::uint64_t total_cells(std::span<const seq_pair> pairs) {
   return c;
 }
 
+/// Scores of `out` must equal the int32 reference's, else the bench dies.
+void check_scores(const char* what, std::span<const alignment_result> out,
+                  std::span<const alignment_result> ref) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out[i].score != ref[i].score) {
+      std::fprintf(stderr, "bench_precision: %s pair %zu score %lld != "
+                   "int32 %lld\n", what, i,
+                   static_cast<long long>(out[i].score),
+                   static_cast<long long>(ref[i].score));
+      std::exit(2);
+    }
+  }
+}
+
+/// A panel's auto-route GCUPS on the two vector variants (0 = not run).
+struct vector_gcups {
+  double avx2 = 0.0, avx512 = 0.0;
+  void set(int lanes, double g) { (lanes == 32 ? avx512 : avx2) = g; }
+};
+
+/// The 32-lane variant must not lose to the 16-lane one on a host that
+/// runs both: that would mean its packs fell back to generic lane loops.
+void require_avx512_not_slower(const char* panel, vector_gcups g) {
+  if (g.avx2 > 0.0 && g.avx512 > 0.0 && g.avx512 < g.avx2) {
+    std::fprintf(stderr,
+                 "bench_precision: %s avx512/auto %.3f GCUPS < avx2/auto "
+                 "%.3f\n", panel, g.avx512, g.avx2);
+    std::exit(2);
+  }
+}
+
 /// One measured row through the public dispatcher: `opt` selects the
 /// route (precision hint, scoring).  Scores are checked against `ref`
 /// (the forced-int32 run of the same workload) — a bench that drifted
@@ -46,17 +79,7 @@ double run_route(const std::string& row, std::span<const seq_pair> pairs,
   const double t = median_seconds(repeats, [&] {
     out = align_batch(pairs, opt);
   });
-  if (ref != nullptr) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].score != (*ref)[i].score) {
-        std::fprintf(stderr, "bench_precision: %s pair %zu score %lld != "
-                     "int32 %lld\n", row.c_str(), i,
-                     static_cast<long long>(out[i].score),
-                     static_cast<long long>((*ref)[i].score));
-        std::exit(2);
-      }
-    }
-  }
+  if (ref != nullptr) check_scores(row.c_str(), out, *ref);
   const double g = gcups(total_cells(pairs), t);
   const double speedup = int32_gcups > 0.0 ? g / int32_gcups : 0.0;
   if (g_report != nullptr)
@@ -89,10 +112,12 @@ align_options unit_opts(backend exec, int threads, score_precision p) {
 }
 
 /// One workload panel: for every runnable SIMD width, the int32 rolling
-/// baseline and each admissible narrow/bit-parallel route.
-void panel(const char* title, const char* tag,
-           std::span<const seq_pair> pairs, bool int8_admissible,
-           const args& a) {
+/// baseline and each admissible narrow/bit-parallel route.  Returns the
+/// auto route's GCUPS on the vector variants.
+vector_gcups panel(const char* title, const char* tag,
+                   std::span<const seq_pair> pairs, bool int8_admissible,
+                   const args& a) {
+  vector_gcups auto_gcups;
   g_tag = tag;
   print_header(title, "adaptive-precision batch score routes");
   for (const int lanes : {1, 16, 32}) {
@@ -117,6 +142,7 @@ void panel(const char* title, const char* tag,
         g32, &ref);
     print_row({"auto narrow", v, gauto, -1.0,
                int8_admissible ? "selects int8" : "selects int16"});
+    if (lanes > 1) auto_gcups.set(lanes, gauto);
 
     // Forced narrow: the checked kernels with sticky overflow masks.
     const double g16 = run_route(
@@ -155,6 +181,7 @@ void panel(const char* title, const char* tag,
     print_row({"bitpar (unit cost)", v, gbp, -1.0, "vs unit int32"});
   }
   print_footer();
+  return auto_gcups;
 }
 
 /// Length-jitter panel: 150 bp ± 15 uniform jitter on both mates — the
@@ -186,14 +213,7 @@ void jitter_panel(std::span<const seq_pair> pairs, const args& a) {
     const double t = median_seconds(a.repeats, [&] {
       al.align_batch_into(pairs, out);
     });
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (out[i].score != ref[i].score) {
-        std::fprintf(stderr, "bench_precision: jitter pair %zu score %lld != "
-                     "int32 %lld\n", i, static_cast<long long>(out[i].score),
-                     static_cast<long long>(ref[i].score));
-        std::exit(2);
-      }
-    }
+    check_scores("jitter", out, ref);
     const batch_stats st = al.last_batch_stats();
     const double n = static_cast<double>(pairs.size());
     const double simd_frac = static_cast<double>(st.simd_pairs) / n;
@@ -225,12 +245,70 @@ void jitter_panel(std::span<const seq_pair> pairs, const args& a) {
   print_footer();
 }
 
+/// Tail panel: the 150 bp pairs in batches of 36 — one full 32-lane
+/// chunk plus a 4-pair remainder on avx512, two 16-lane chunks plus 4 on
+/// avx2.  On avx512 the remainder reaches the tail floor and runs as one
+/// lane-padded chunk (it used to roll in int32), so every pair scores on
+/// SIMD lanes; avx2's floor is 5, so its 4-pair remainder still rolls.
+vector_gcups tail_panel(std::span<const seq_pair> pairs, const args& a) {
+  constexpr std::size_t kBatch = 36;
+  g_tag = "tail150";
+  print_header("150 bp pairs in batches of 36 (sub-width tails)",
+               "one full chunk + a lane-padded tail per batch");
+  pairs = pairs.first(pairs.size() / kBatch * kBatch);
+  vector_gcups auto_gcups;
+  for (const int lanes : {1, 16, 32}) {
+    if (!lanes_runnable_now(lanes)) continue;
+    const backend exec = backend_for_lanes(lanes);
+    const std::string v = to_string(exec);
+    const std::vector<alignment_result> ref = align_batch(
+        pairs, scored_opts(exec, a.threads, score_precision::int32));
+
+    aligner al(scored_opts(exec, a.threads, score_precision::auto_select));
+    std::vector<alignment_result> out;
+    std::uint64_t simd_pairs = 0;
+    for (std::size_t lo = 0; lo < pairs.size(); lo += kBatch) {
+      al.align_batch_into(pairs.subspan(lo, kBatch), out);
+      check_scores("tail", out,
+                   std::span<const alignment_result>(ref).subspan(lo, kBatch));
+      simd_pairs += al.last_batch_stats().simd_pairs;
+    }
+    const double t = median_seconds(a.repeats, [&] {
+      for (std::size_t lo = 0; lo < pairs.size(); lo += kBatch)
+        al.align_batch_into(pairs.subspan(lo, kBatch), out);
+    });
+    const double simd_frac = static_cast<double>(simd_pairs) /
+                             static_cast<double>(pairs.size());
+    const double g = gcups(total_cells(pairs), t);
+    if (g_report != nullptr)
+      g_report->add(std::string(g_tag) + "/" + v + "/auto", t, pairs.size(),
+                    {{"gcups", g}, {"simd_pair_fraction", simd_frac}});
+    char note[64];
+    std::snprintf(note, sizeof note, "simd %.1f%%", simd_frac * 100.0);
+    print_row({"auto, batches of 36", v, g, -1.0, note});
+    if (lanes > 1) {
+      auto_gcups.set(lanes, g);
+      if (lanes == 32 && simd_frac < 1.0) {
+        std::fprintf(stderr,
+                     "bench_precision: tail simd fraction %.3f < 1 on %s\n",
+                     simd_frac, v.c_str());
+        std::exit(2);
+      }
+    }
+  }
+  print_footer();
+  return auto_gcups;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto a = args::parse(argc, argv, /*scale=*/0, /*pairs=*/3000);
-  std::printf("bench_precision: %zu read pairs, %d threads\n", a.pairs,
-              a.threads);
+  auto a = args::parse(argc, argv, /*scale=*/0, /*pairs=*/3000);
+  const int cores =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  a.threads = std::clamp(a.threads, 1, cores);
+  std::printf("bench_precision: %zu read pairs, %d threads, %d cores\n",
+              a.pairs, a.threads, cores);
 
   bio::genome_params gp;
   gp.length = 1 << 20;
@@ -240,6 +318,7 @@ int main(int argc, char** argv) {
   json_report report("precision", a.repeats);
   report.set_meta("pairs", static_cast<long long>(a.pairs));
   report.set_meta("threads", static_cast<long long>(a.threads));
+  report.set_meta("cores", static_cast<long long>(cores));
   g_report = &report;
 
   // Fig. 5b-style panel: 150 bp Illumina pairs.  Worst-case bound at
@@ -250,7 +329,11 @@ int main(int argc, char** argv) {
   pairs150.reserve(data150.size());
   for (const auto& p : data150)
     pairs150.push_back({p.first.view(), p.second.view()});
-  panel("150 bp read pairs (fig5b workload)", "reads150", pairs150, false, a);
+  require_avx512_not_slower(
+      "reads150",
+      panel("150 bp read pairs (fig5b workload)", "reads150", pairs150,
+            false, a));
+  require_avx512_not_slower("tail150", tail_panel(pairs150, a));
 
   // Short-read panel: 20 bp, bound (20+20+2)*2 = 84 < 96 — the whole
   // batch fits the int8 window.

@@ -221,8 +221,11 @@ class dynamic_wavefront {
 
     const std::size_t l =
         static_cast<std::size_t>(std::max(1, kernel.batch_width()));
-    const auto workers =
-        static_cast<std::size_t>(n_threads < 1 ? 1 : n_threads);
+    // Never more workers than tiles: a one-tile problem runs inline on
+    // the caller instead of spawning (and allocating) idle threads.
+    n_threads = static_cast<int>(
+        std::clamp<index_t>(n_threads, 1, total));
+    const auto workers = static_cast<std::size_t>(n_threads);
 
     mpmc_queue<tile_coord> queue;
     std::vector<tile_coord> own_scratch;

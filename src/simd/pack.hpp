@@ -8,11 +8,15 @@
 /// that the vectorize generator supports several SIMD instruction sets").
 ///
 /// The generic implementation is a fixed-size loop the compiler's
-/// auto-vectorizer maps onto whatever ISA the TU's flags enable; for the
-/// paper's AVX2 configuration (16-bit scores, 16 lanes) hand-written
-/// AVX2 intrinsic overloads are provided as well.  `pack<int16_t, 32>`
-/// models the paper's AVX-512 variant (GCC lowers the 32-lane loops to
-/// AVX-512BW when available).
+/// auto-vectorizer maps onto whatever ISA the TU's flags enable.  The
+/// auto-vectorizer is not enough for the saturating 16-bit lanes: GCC 12
+/// at -O3 -mavx512bw lowers the generic 32-lane `vadd` to a
+/// widen-to-int32 / clamp / narrow sequence, about 3x slower per cell
+/// than the AVX2 16-lane kernel.  So every configuration the engines
+/// run has hand-written intrinsic overloads: AVX2 for the paper's
+/// 16 x int16 variant (and 32 x int8), AVX-512BW for its 32 x int16
+/// AVX-512 variant (and 64 x int8).  The generic loops remain for the
+/// scalar variant and for builds without the ISA flags.
 ///
 /// Masks are packs of the same shape holding 0 / all-ones lanes, so
 /// `vselect` is a bitwise blend exactly as on real vector units.
@@ -298,6 +302,109 @@ using s8x32 = pack<score8_t, 32>;
 }
 
 #endif  // __AVX2__
+
+// ---------------------------------------------------------------------------
+// AVX-512BW intrinsic overloads for the paper's AVX-512 configuration:
+// 32 lanes x 16-bit scores, and the int8 route's 64 lanes x 8-bit scores
+// (one 512-bit register each).  Comparisons produce k-masks; they are
+// widened back to 0 / all-ones lanes (vpmovm2w / vpmovm2b) so masks keep
+// the pack representation every kernel already uses, and vselect turns
+// them back into a k-mask from the lane sign bits.
+// ---------------------------------------------------------------------------
+#if defined(__AVX512BW__)
+
+using s16x32 = pack<score16_t, 32>;
+using s8x64 = pack<score8_t, 64>;
+
+[[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s16x32& p) noexcept {
+  return _mm512_load_si512(p.v);
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 from_reg(__m512i r) noexcept {
+  s16x32 p;
+  _mm512_store_si512(p.v, r);
+  return p;
+}
+
+[[nodiscard]] ANYSEQ_INLINE s16x32 vmax(s16x32 a, s16x32 b) noexcept {
+  return from_reg(_mm512_max_epi16(to_reg(a), to_reg(b)));
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 vmin(s16x32 a, s16x32 b) noexcept {
+  return from_reg(_mm512_min_epi16(to_reg(a), to_reg(b)));
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 vadd(s16x32 a, s16x32 b) noexcept {
+  return from_reg(_mm512_adds_epi16(to_reg(a), to_reg(b)));  // saturating
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 vgt(s16x32 a, s16x32 b) noexcept {
+  return from_reg(
+      _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(to_reg(a), to_reg(b))));
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 veq(s16x32 a, s16x32 b) noexcept {
+  return from_reg(
+      _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(to_reg(a), to_reg(b))));
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 vselect(s16x32 m, s16x32 a,
+                                           s16x32 b) noexcept {
+  // mask_blend takes its second operand where the k-bit is clear.
+  return from_reg(_mm512_mask_blend_epi16(_mm512_movepi16_mask(to_reg(m)),
+                                          to_reg(b), to_reg(a)));
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 vor(s16x32 a, s16x32 b) noexcept {
+  return from_reg(_mm512_or_si512(to_reg(a), to_reg(b)));
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 vand(s16x32 a, s16x32 b) noexcept {
+  return from_reg(_mm512_and_si512(to_reg(a), to_reg(b)));
+}
+/// a & ~b as one vpternlog (truth table 0x30 = A & ~B).  GCC 12's
+/// _mm512_andnot_si512 trips -Wmaybe-uninitialized inside its own header.
+[[nodiscard]] ANYSEQ_INLINE __m512i andnot512(__m512i a, __m512i b) noexcept {
+  return _mm512_ternarylogic_epi64(a, b, b, 0x30);
+}
+[[nodiscard]] ANYSEQ_INLINE s16x32 vandnot(s16x32 a, s16x32 b) noexcept {
+  return from_reg(andnot512(to_reg(a), to_reg(b)));
+}
+
+[[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s8x64& p) noexcept {
+  return _mm512_load_si512(p.v);
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 from_reg8(__m512i r) noexcept {
+  s8x64 p;
+  _mm512_store_si512(p.v, r);
+  return p;
+}
+
+[[nodiscard]] ANYSEQ_INLINE s8x64 vmax(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(_mm512_max_epi8(to_reg(a), to_reg(b)));
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 vmin(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(_mm512_min_epi8(to_reg(a), to_reg(b)));
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 vadd(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(_mm512_adds_epi8(to_reg(a), to_reg(b)));  // saturating
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 vgt(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(
+      _mm512_movm_epi8(_mm512_cmpgt_epi8_mask(to_reg(a), to_reg(b))));
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 veq(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(
+      _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(to_reg(a), to_reg(b))));
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 vselect(s8x64 m, s8x64 a,
+                                          s8x64 b) noexcept {
+  return from_reg8(_mm512_mask_blend_epi8(_mm512_movepi8_mask(to_reg(m)),
+                                          to_reg(b), to_reg(a)));
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 vor(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(_mm512_or_si512(to_reg(a), to_reg(b)));
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 vand(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(_mm512_and_si512(to_reg(a), to_reg(b)));
+}
+[[nodiscard]] ANYSEQ_INLINE s8x64 vandnot(s8x64 a, s8x64 b) noexcept {
+  return from_reg8(andnot512(to_reg(a), to_reg(b)));
+}
+
+#endif  // __AVX512BW__
 
 }  // namespace simd
 }  // namespace ANYSEQ_TARGET_NS

@@ -124,6 +124,10 @@ template <class E, int W>
 /// to the int32 rolling engine (always 0 when !Checked — the caller has
 /// proven the worst-case bound fits E).
 ///
+/// `live < W` runs a sub-width *tail*: only pairs [lo, lo + live) exist,
+/// the dead lanes replay the last live pair (so every lane relaxes real,
+/// in-window characters), and their results never reach `sink`.
+///
 /// Checked mode maintains a sticky per-lane mask: a lane is flagged the
 /// moment any H value (or, for affine gaps, any E/F value) leaves the
 /// window [sentinel + step, max(E) - step].  Inside that window every
@@ -138,13 +142,13 @@ template <align_kind K, class E, int W, bool Checked, class Gap,
 std::uint64_t narrow_chunk_score(std::span<const Pair> pairs, std::size_t lo,
                                  index_t n, index_t m, const Gap& gap,
                                  const Scoring& scoring, workspace& ws,
-                                 Sink&& sink) {
+                                 Sink&& sink, int live = W) {
   using P = simd::pack<E, W>;
   constexpr E kSentinel = sizeof(E) == 1 ? static_cast<E>(neg_inf8())
                                          : static_cast<E>(neg_inf16());
   constexpr score_t kMax = std::numeric_limits<E>::max();
   const std::uint64_t all =
-      W >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << W) - 1);
+      live >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << live) - 1);
   const score_t step = unit_step(gap, scoring);
   const score_t hi_w = kMax - step;
   const score_t lo_w = static_cast<score_t>(kSentinel) + step;
@@ -160,6 +164,9 @@ std::uint64_t narrow_chunk_score(std::span<const Pair> pairs, std::size_t lo,
     if constexpr (K != align_kind::global)
       if (n > kMax || m > kMax) return all;  // lane-typed end indices
   }
+  const auto lane_pair = [&](int l) -> const Pair& {
+    return pairs[lo + static_cast<std::size_t>(l < live ? l : live - 1)];
+  };
 
   workspace::frame fr(ws);
   auto h = ws.make<P>(static_cast<std::size_t>(m + 1));
@@ -172,8 +179,7 @@ std::uint64_t narrow_chunk_score(std::span<const Pair> pairs, std::size_t lo,
     P sv = P::broadcast(0);
     if (j > 0) {
       for (int l = 0; l < W; ++l)
-        sv.v[l] = static_cast<E>(pairs[lo + static_cast<std::size_t>(l)]
-                                     .s[j - 1]);
+        sv.v[l] = static_cast<E>(lane_pair(l).s[j - 1]);
     }
     schars[j] = sv;
   }
@@ -205,8 +211,7 @@ std::uint64_t narrow_chunk_score(std::span<const Pair> pairs, std::size_t lo,
   for (index_t i = 1; i <= n; ++i) {
     P qc;
     for (int l = 0; l < W; ++l)
-      qc.v[l] =
-          static_cast<E>(pairs[lo + static_cast<std::size_t>(l)].q[i - 1]);
+      qc.v[l] = static_cast<E>(lane_pair(l).q[i - 1]);
     P diag = h[0];
     h[0] = P::broadcast(static_cast<E>(init_h_col0<K>(i, gap)));
     P f = P::broadcast(kSentinel);
@@ -261,10 +266,10 @@ std::uint64_t narrow_chunk_score(std::span<const Pair> pairs, std::size_t lo,
 
   std::uint64_t esc = 0;
   if constexpr (Checked) {
-    for (int l = 0; l < W; ++l)
+    for (int l = 0; l < live; ++l)
       if (sticky.v[l] != 0) esc |= std::uint64_t{1} << l;
   }
-  for (int l = 0; l < W; ++l) {
+  for (int l = 0; l < live; ++l) {
     if ((esc >> l) & 1) continue;
     score_result r;
     r.cells = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(m);
@@ -498,6 +503,18 @@ class batch_engine {
   /// int8 runs twice the lanes of the 16-bit kernel on the same vector
   /// width (and stays width 1 on the scalar variant).
   static constexpr int kLanes8 = Lanes > 1 ? 2 * Lanes : 1;
+  /// Fewest live pairs a sub-width uniform tail needs to run as one
+  /// lane-padded chunk instead of rolling each pair in int32.  A padded
+  /// chunk costs the same whatever its live count, so the tail pays off
+  /// once c int32 pairs cost more than one chunk.  Measured at 150 x 150,
+  /// affine gaps, one thread (Xeon with AVX-512BW, GCC 12): a 32-lane
+  /// AVX-512 chunk costs ~200 us and an int32 pair ~73 us — break-even
+  /// c ~ 2.7, and Lanes/8 = 4 wins ~1.45x.  A 16-lane AVX2 chunk costs
+  /// ~345 us against ~70 us per pair (its kernel runs ~15 ns per step,
+  /// not the ~9 ns of a 32-lane step) — break-even c ~ 4.9, where
+  /// Lanes/8 = 2 would lose 2.5x, so 16 lanes need 5.  Both costs scale
+  /// with n*m, so the floors hold at any uniform shape.
+  static constexpr int kTailMinLive = Lanes >= 32 ? Lanes / 8 : 5;
 
   batch_engine(Gap gap, Scoring scoring, batch_config cfg = {})
       : gap_(gap), scoring_(scoring), cfg_(cfg) {
@@ -592,10 +609,10 @@ class batch_engine {
   /// Decide the widest/narrowest execution for the group starting at
   /// `lo`: a full uniform group at the narrow width when the (possibly
   /// forced) precision allows it; a lane-padded *ragged* group when the
-  /// shapes differ but the padding waste stays within the cap; otherwise
-  /// the rolling fallback over the classic Lanes-wide stride (identical
-  /// chunking to the pre-precision engine for every non-narrow
-  /// workload).  Deterministic in (pairs, lo) alone — the MT fan-out
+  /// shapes differ but the padding waste stays within the cap; under
+  /// auto, a sub-width uniform *tail* of the last c >= kTailMinLive
+  /// pairs; otherwise the rolling fallback over the classic Lanes-wide
+  /// stride.  Deterministic in (pairs, lo) alone — the MT fan-out
   /// relies on workers re-deriving identical boundaries.
   template <class Pair>
   [[nodiscard]] chunk_plan group_plan(std::span<const Pair> pairs,
@@ -616,8 +633,10 @@ class batch_engine {
     // Ragged admission: w consecutive non-empty pairs, padded to the
     // chunk-max shape, admitted while the padding waste
     // sum(nbar*mbar - n_l*m_l) stays within pad_waste_cap_pct percent of
-    // the padded chunk w*nbar*mbar (past that the lanes burn more cells
-    // on garbage than the scalar fallback would cost).
+    // the padded chunk w*nbar*mbar.  The cap is a conservative policy,
+    // not the break-even: a padded chunk stays cheaper than rolling its
+    // lanes in int32 up to ~90% waste on 32 lanes and ~70% on 16 (from
+    // the per-chunk and per-pair costs at kTailMinLive).
     const auto ragged_shape = [&](std::size_t w, index_t& nb, index_t& mb) {
       if (cfg_.pad_waste_cap_pct <= 0 || lo + w > pairs.size())
         return false;
@@ -671,6 +690,17 @@ class batch_engine {
     if (ragged_shape(static_cast<std::size_t>(Lanes), nb, mb) &&
         fits_score_window(nb, mb, unit, int16_score_window()))
       return {lo + Lanes, score_precision::int16, true, nb, mb};
+    // Sub-width uniform tail: the last c < Lanes pairs run as one
+    // lane-padded narrow chunk (dead lanes replay a live pair) once c
+    // reaches kTailMinLive — see narrow_group.
+    const std::size_t left = pairs.size() - lo;
+    if (left < static_cast<std::size_t>(Lanes) &&
+        left >= static_cast<std::size_t>(kTailMinLive) && uniform(left)) {
+      if (fits_score_window(n, m, unit, int8_score_window()))
+        return {pairs.size(), score_precision::int8};
+      if (fits_score_window(n, m, unit, int16_score_window()))
+        return {pairs.size(), score_precision::int16};
+    }
     return {tail, score_precision::int32};
   }
 
@@ -745,13 +775,13 @@ class batch_engine {
         if (g.ragged)
           ragged_group<score8_t, kLanes8>(pairs, lo, g, *ws, sink, stats);
         else
-          narrow_group<score8_t, kLanes8>(pairs, lo, *ws, sink, stats);
+          narrow_group<score8_t, kLanes8>(pairs, lo, g.hi, *ws, sink, stats);
         return;
       case score_precision::int16:
         if (g.ragged)
           ragged_group<score16_t, Lanes>(pairs, lo, g, *ws, sink, stats);
         else
-          narrow_group<score16_t, Lanes>(pairs, lo, *ws, sink, stats);
+          narrow_group<score16_t, Lanes>(pairs, lo, g.hi, *ws, sink, stats);
         return;
       case score_precision::bitpar:
         bitpar_pair(pairs, lo, *ws, sink, stats);
@@ -766,26 +796,33 @@ class batch_engine {
     }
   }
 
-  /// One full uniform group through the narrow kernel; flagged lanes are
+  /// One uniform group through the narrow kernel; flagged lanes are
   /// shed to the rolling engine in the same workspace pass.  auto mode
   /// proved the bound, so it runs unchecked; a forced precision runs the
-  /// checked kernel.
+  /// checked kernel.  A group shorter than W is an auto-mode tail: its
+  /// W - live dead lanes relax real cells that no result uses, so they
+  /// count as padding.
   template <class E, int W, class Pair, class Sink>
   void narrow_group(std::span<const Pair> pairs, std::size_t lo,
-                    workspace& ws, Sink& sink, batch_stats& stats) {
+                    std::size_t hi, workspace& ws, Sink& sink,
+                    batch_stats& stats) {
     const index_t n = pairs[lo].q.size(), m = pairs[lo].s.size();
+    const int live = static_cast<int>(hi - lo);
     std::uint64_t esc = 0;
     if (cfg_.precision == score_precision::auto_select)
       esc = narrow_chunk_score<K, E, W, false>(pairs, lo, n, m, gap_,
-                                               scoring_, ws, sink);
+                                               scoring_, ws, sink, live);
     else
       esc = narrow_chunk_score<K, E, W, true>(pairs, lo, n, m, gap_,
-                                              scoring_, ws, sink);
+                                              scoring_, ws, sink, live);
     const auto shed = static_cast<std::uint64_t>(std::popcount(esc));
-    const std::uint64_t ok = static_cast<std::uint64_t>(W) - shed;
+    const std::uint64_t ok = static_cast<std::uint64_t>(live) - shed;
     (sizeof(E) == 1 ? stats.int8_pairs : stats.int16_pairs) += ok;
-    stats.simd_pairs += ok;
-    for (int l = 0; l < W; ++l) {
+    if constexpr (W > 1) stats.simd_pairs += ok;
+    stats.padded_cells += static_cast<std::uint64_t>(W - live) *
+                          static_cast<std::uint64_t>(n) *
+                          static_cast<std::uint64_t>(m);
+    for (int l = 0; l < live; ++l) {
       if (!((esc >> l) & 1)) continue;
       const std::size_t i = lo + static_cast<std::size_t>(l);
       sink(i, rolling_score<K>(pairs[i].q, pairs[i].s, gap_, scoring_, ws));
@@ -814,8 +851,10 @@ class batch_engine {
     const auto shed = static_cast<std::uint64_t>(std::popcount(esc));
     const std::uint64_t ok = static_cast<std::uint64_t>(W) - shed;
     (sizeof(E) == 1 ? stats.int8_pairs : stats.int16_pairs) += ok;
-    stats.simd_pairs += ok;
-    stats.ragged_pairs += ok;
+    if constexpr (W > 1) {
+      stats.simd_pairs += ok;
+      stats.ragged_pairs += ok;
+    }
     std::uint64_t used = 0;
     for (int l = 0; l < W; ++l) {
       const auto& p = pairs[lo + static_cast<std::size_t>(l)];

@@ -284,6 +284,35 @@ TEST(AllocSteadyState, BatchRaggedSteadyState) {
   EXPECT_EQ(n, 0u) << "ragged batch allocated in steady state";
 }
 
+TEST(AllocSteadyState, BatchTailSteadyState) {
+  // 21 uniform pairs on 16 lanes: one full chunk plus a 5-pair tail the
+  // planner runs as one lane-padded chunk.  The tail carves the same
+  // arena rows as a full chunk, so warm passes allocate nothing.
+  std::vector<std::vector<char_t>> qs, ss;
+  std::vector<tiled::pair_view> pairs;
+  for (int i = 0; i < 21; ++i) {
+    qs.push_back(test::random_codes(90, 1300 + i));
+    ss.push_back(test::random_codes(96, 1400 + i));
+  }
+  for (int i = 0; i < 21; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
+  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
+      eng(linear_gap{-1}, simple_scoring{2, -1}, {1});
+  workspace ws;
+  std::vector<score_result> out(pairs.size());
+  auto pass = [&] {
+    ws.begin_pass();
+    eng.score_into(std::span<const tiled::pair_view>(pairs), ws,
+                   std::span<score_result>(out));
+  };
+  for (int i = 0; i < 3; ++i) pass();
+  ASSERT_EQ(eng.last_stats().simd_pairs, 21u);
+  ASSERT_EQ(eng.last_stats().padded_cells, 11u * 90u * 96u);
+  const auto n = allocs_during([&] {
+    for (int i = 0; i < 5; ++i) pass();
+  });
+  EXPECT_EQ(n, 0u) << "tail batch allocated in steady state";
+}
+
 TEST(AllocSteadyState, FullMatrixTracebackRoute) {
   const auto q = test::random_codes(200, 7);
   const auto s = test::random_codes(180, 8);

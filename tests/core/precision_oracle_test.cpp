@@ -560,6 +560,100 @@ TEST(RaggedOracle, WasteCapSplitsOrAdmitsAtBoundary) {
   }
 }
 
+// --- sub-width uniform tails -------------------------------------------
+
+/// Lane width the public dispatcher runs on backend `b`.
+int lanes_of(backend b) {
+  return b == backend::simd_avx512 ? 32 : b == backend::simd_avx2 ? 16 : 1;
+}
+
+/// Uniform batches of L + t pairs on each runnable backend (L its lane
+/// width; the scalar backend reuses L = 16 sizes): one full chunk, then a
+/// t-pair remainder that must run as one lane-padded tail chunk once t
+/// reaches the batch engine's floor for L lanes.  Score and end cell
+/// stay byte-identical to the int32 rolling route, and the path
+/// accounting is exact — the scalar variant's width-1 chunks count as
+/// int16 pairs but never as SIMD pairs.
+class TailOracle : public ::testing::TestWithParam<precision_case> {};
+
+TEST_P(TailOracle, SubWidthTailsMatchInt32Rolling) {
+  const auto p = GetParam();
+  constexpr index_t n = 40, m = 44;  // int16 window, not int8, for all p
+  for (backend b : runnable_backends()) {
+    const int w = lanes_of(b);
+    const std::size_t L = static_cast<std::size_t>(w > 1 ? w : 16);
+    const auto min_live = static_cast<std::size_t>(
+        w == 32 ? tiled::batch_engine<align_kind::global, linear_gap,
+                                      simple_scoring, 32>::kTailMinLive
+                : tiled::batch_engine<align_kind::global, linear_gap,
+                                      simple_scoring, 16>::kTailMinLive);
+    for (const std::size_t t :
+         {std::size_t{1}, min_live - 1, min_live, L - 1}) {
+      const std::size_t count = L + t;
+      std::vector<std::vector<char_t>> qs, ss;
+      std::vector<seq_pair> pairs;
+      for (std::size_t i = 0; i < count; ++i) {
+        qs.push_back(test::random_codes(n, 7100 + i));
+        ss.push_back(test::random_codes(m, 7300 + i));
+      }
+      for (std::size_t i = 0; i < count; ++i)
+        pairs.push_back({view(qs[i]), view(ss[i])});
+      for (const int threads : {1, 2}) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(b) << " count " << count << " threads "
+                     << threads);
+        align_options o;
+        o.kind = p.kind;
+        o.match = p.match;
+        o.mismatch = p.mismatch;
+        o.gap_open = p.open;
+        o.gap_extend = p.extend;
+        o.exec = b;
+        o.threads = threads;
+        o.precision = score_precision::int32;
+        aligner ref_a(o);
+        std::vector<alignment_result> ref;
+        ref_a.align_batch_into(pairs, ref);
+        o.precision = score_precision::auto_select;
+        aligner a(o);
+        std::vector<alignment_result> got;
+        a.align_batch_into(pairs, got);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i].score, ref[i].score) << "pair " << i;
+          ASSERT_EQ(got[i].q_end, ref[i].q_end) << "pair " << i;
+          ASSERT_EQ(got[i].s_end, ref[i].s_end) << "pair " << i;
+        }
+        const batch_stats st = a.last_batch_stats();
+        if (w == 1) {
+          EXPECT_EQ(st.simd_pairs, 0u);
+          EXPECT_EQ(st.int16_pairs, count);
+          EXPECT_EQ(st.padded_cells, 0u);
+          continue;
+        }
+        const bool simd_tail = t >= min_live;
+        EXPECT_EQ(st.simd_pairs, L + (simd_tail ? t : 0));
+        EXPECT_EQ(st.int16_pairs, st.simd_pairs);
+        EXPECT_EQ(st.scalar_pairs, simd_tail ? 0 : t);
+        EXPECT_EQ(st.padded_cells,
+                  simd_tail ? (L - t) * static_cast<std::uint64_t>(n * m)
+                            : 0);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, TailOracle,
+    ::testing::Values(
+        precision_case{align_kind::global, 2, -1, 0, -1},
+        precision_case{align_kind::global, 2, -1, -2, -1},
+        precision_case{align_kind::local, 2, -1, 0, -1},
+        precision_case{align_kind::local, 2, -1, -2, -1},
+        precision_case{align_kind::semiglobal, 2, -1, 0, -1},
+        precision_case{align_kind::semiglobal, 2, -1, -2, -1},
+        precision_case{align_kind::extension, 2, -1, 0, -1},
+        precision_case{align_kind::extension, 2, -1, -2, -1}));
+
 TEST(RaggedOracle, WasteCapValidation) {
   align_options o;
   o.pad_waste_cap_pct = -1;

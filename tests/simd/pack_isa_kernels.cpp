@@ -1,0 +1,60 @@
+/// \file pack_isa_kernels.cpp
+/// Built with -mavx512bw -mavx2 (tests/simd/CMakeLists.txt) and compiled
+/// into the `v_avx512` target namespace — the namespace whose library TU
+/// carries the same flags — so every pack symbol emitted here matches the
+/// library's codegen.  Overload resolution picks the exact-type intrinsic
+/// overloads over the generic lane-loop templates.
+
+#include "pack_isa_kernels.hpp"
+
+#include "simd/targets.hpp"
+#define ANYSEQ_TARGET ANYSEQ_TARGET_AVX512
+#include "simd/pack.hpp"
+
+#if !defined(__AVX512BW__) || !defined(__AVX2__)
+#error "pack_isa_kernels.cpp must be compiled with -mavx512bw -mavx2"
+#endif
+
+namespace anyseq::test::pack_isa {
+namespace {
+
+using namespace ::anyseq::v_avx512::simd;
+
+template <class P, class T = typename P::value_type>
+void apply(op o, const T* m, const T* a, const T* b, T* out) {
+  const P pm = P::load(m), pa = P::load(a), pb = P::load(b);
+  P r = pa;
+  switch (o) {
+    case op::max: r = vmax(pa, pb); break;
+    case op::min: r = vmin(pa, pb); break;
+    case op::add: r = vadd(pa, pb); break;
+    case op::gt: r = vgt(pa, pb); break;
+    case op::eq: r = veq(pa, pb); break;
+    case op::select: r = vselect(pm, pa, pb); break;
+    case op::or_: r = vor(pa, pb); break;
+    case op::and_: r = vand(pa, pb); break;
+    case op::andnot: r = vandnot(pa, pb); break;
+  }
+  r.store(out);
+}
+
+}  // namespace
+
+void apply_s16x16(op o, const std::int16_t* m, const std::int16_t* a,
+                  const std::int16_t* b, std::int16_t* out) {
+  apply<s16x16>(o, m, a, b, out);
+}
+void apply_s16x32(op o, const std::int16_t* m, const std::int16_t* a,
+                  const std::int16_t* b, std::int16_t* out) {
+  apply<s16x32>(o, m, a, b, out);
+}
+void apply_s8x32(op o, const std::int8_t* m, const std::int8_t* a,
+                 const std::int8_t* b, std::int8_t* out) {
+  apply<s8x32>(o, m, a, b, out);
+}
+void apply_s8x64(op o, const std::int8_t* m, const std::int8_t* a,
+                 const std::int8_t* b, std::int8_t* out) {
+  apply<s8x64>(o, m, a, b, out);
+}
+
+}  // namespace anyseq::test::pack_isa

@@ -1,0 +1,27 @@
+#pragma once
+/// \file pack_isa_kernels.hpp
+/// Plain-function window onto the intrinsic pack overloads, defined in
+/// pack_isa_kernels.cpp — the only TU compiled with -mavx512bw -mavx2.
+/// The gtest TU stays unflagged, so no gtest or std inline function it
+/// shares with the library is ever emitted with AVX-512 code, and it can
+/// skip cleanly on a CPU without AVX-512BW before calling in here.
+
+#include <cstdint>
+
+namespace anyseq::test::pack_isa {
+
+enum class op { max, min, add, gt, eq, select, or_, and_, andnot };
+
+/// out = op(a, b) lane-wise through the intrinsic overloads of one pack
+/// type (`select` computes m ? a : b; the other ops ignore m).  Every
+/// array holds exactly the pack's lane count.
+void apply_s16x16(op o, const std::int16_t* m, const std::int16_t* a,
+                  const std::int16_t* b, std::int16_t* out);
+void apply_s16x32(op o, const std::int16_t* m, const std::int16_t* a,
+                  const std::int16_t* b, std::int16_t* out);
+void apply_s8x32(op o, const std::int8_t* m, const std::int8_t* a,
+                 const std::int8_t* b, std::int8_t* out);
+void apply_s8x64(op o, const std::int8_t* m, const std::int8_t* a,
+                 const std::int8_t* b, std::int8_t* out);
+
+}  // namespace anyseq::test::pack_isa

@@ -135,24 +135,5 @@ TEST(PackLookup, GathersPerLane) {
   }
 }
 
-#if defined(__AVX2__)
-TEST(PackAvx2, IntrinsicAndGenericAgree) {
-  // The AVX2 overloads must agree with the generic loops on random data;
-  // compare against the 32-lane generic type on the shared low lanes.
-  pack<score16_t, 16> a, b;
-  for (int i = 0; i < 16; ++i) {
-    a.v[i] = static_cast<score16_t>(i * 1000 - 7000);
-    b.v[i] = static_cast<score16_t>(5000 - i * 900);
-  }
-  auto m = vmax(a, b);
-  auto s = vadd(a, b);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(m[i], std::max(a[i], b[i]));
-    const int wide = a[i] + b[i];
-    EXPECT_EQ(s[i], std::clamp(wide, -32768, 32767));
-  }
-}
-#endif
-
 }  // namespace
 }  // namespace anyseq::simd

@@ -104,6 +104,100 @@ TEST(BatchEngine, StatsCountSimdPath) {
   for (score_t v : got) EXPECT_EQ(v, 100);  // self-alignment, all matches
 }
 
+// --- sub-width uniform tails -------------------------------------------
+
+/// `Lanes + t` uniform (n x m) pairs: one full int16 chunk, then a t-pair
+/// tail that runs as one lane-padded chunk once t reaches the floor
+/// kTailMinLive (int8 at 2*Lanes lanes when that window fits the shape)
+/// and rolls in int32 below it.  Scores must equal the int32 rolling
+/// engine's and the path accounting must be exact.  (End cells of every
+/// kind are pinned through the public API by precision_oracle_test's
+/// TailOracle.)
+template <align_kind K, class Gap, int Lanes>
+void tail_matches_rolling(std::size_t t, index_t n, index_t m,
+                          const Gap& gap, int threads) {
+  const std::size_t count = static_cast<std::size_t>(Lanes) + t;
+  SCOPED_TRACE(::testing::Message()
+               << to_string(K) << " lanes " << Lanes << " count " << count
+               << " shape " << n << "x" << m << " threads " << threads);
+  std::vector<std::vector<char_t>> qs, ss;
+  std::vector<pair_view> pairs;
+  for (std::size_t i = 0; i < count; ++i) {
+    qs.push_back(test::random_codes(static_cast<std::size_t>(n), 40 + i));
+    ss.push_back(test::random_codes(static_cast<std::size_t>(m), 90 + i));
+  }
+  for (std::size_t i = 0; i < count; ++i)
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  const simple_scoring sc{2, -1};
+  using engine = batch_engine<K, Gap, simple_scoring, Lanes>;
+  engine eng(gap, sc, {threads});
+  const auto got = eng.scores(pairs);
+  for (std::size_t i = 0; i < count; ++i)
+    ASSERT_EQ(got[i], rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc).score)
+        << "pair " << i;
+  const bool simd_tail = t >= static_cast<std::size_t>(engine::kTailMinLive);
+  const bool int8 =
+      fits_score_window(n, m, unit_step(gap, sc), int8_score_window());
+  const std::uint64_t lanes = static_cast<std::uint64_t>(Lanes);
+  const std::uint64_t tail_w = int8 ? 2 * lanes : lanes;
+  const auto st = eng.last_stats();
+  EXPECT_EQ(st.simd_pairs, lanes + (simd_tail ? t : 0));
+  EXPECT_EQ(st.scalar_pairs, simd_tail ? 0 : t);
+  EXPECT_EQ(st.int16_pairs, lanes + (simd_tail && !int8 ? t : 0));
+  EXPECT_EQ(st.int8_pairs, simd_tail && int8 ? t : 0);
+  EXPECT_EQ(st.ragged_pairs, 0u);
+  EXPECT_EQ(st.escalated_pairs, 0u);
+  EXPECT_EQ(st.padded_cells,
+            simd_tail ? (tail_w - t) * static_cast<std::uint64_t>(n) *
+                            static_cast<std::uint64_t>(m)
+                      : 0);
+}
+
+/// Batch sizes Lanes+1, Lanes+min_live-1, Lanes+min_live and 2*Lanes-1
+/// (min_live = kTailMinLive) at an int16 shape and an int8 shape, 1 and 2
+/// threads.
+template <align_kind K, class Gap, int Lanes>
+void tail_sweep(const Gap& gap) {
+  constexpr auto min_live = static_cast<std::size_t>(
+      batch_engine<K, Gap, simple_scoring, Lanes>::kTailMinLive);
+  for (const std::size_t t :
+       {std::size_t{1}, min_live - 1, min_live, std::size_t{Lanes - 1}})
+    for (const int threads : {1, 2}) {
+      tail_matches_rolling<K, Gap, Lanes>(t, 30, 34, gap, threads);
+      tail_matches_rolling<K, Gap, Lanes>(t, 12, 14, gap, threads);
+    }
+}
+
+// Runs on the engine instantiations the suite already compiles: each new
+// (kind, gap, lanes) instantiation costs ~20 s of build time, and
+// TailOracle sweeps every kind x gap through the dispatched variants.
+TEST(BatchEngineTail, Lanes16MatchesRollingWithExactStats) {
+  tail_sweep<align_kind::global, linear_gap, 16>(linear_gap{-1});
+  tail_sweep<align_kind::global, affine_gap, 16>(affine_gap{-2, -1});
+  tail_sweep<align_kind::local, affine_gap, 16>(affine_gap{-3, -1});
+  tail_sweep<align_kind::semiglobal, linear_gap, 16>(linear_gap{-1});
+}
+
+TEST(BatchEngineTail, Lanes32MatchesRollingWithExactStats) {
+  tail_sweep<align_kind::global, affine_gap, 32>(affine_gap{-2, -1});
+}
+
+TEST(BatchEngineTail, ForcedPrecisionTailRollsScalar) {
+  // Tails are an auto-mode plan: a forced precision keeps the checked
+  // kernel on full chunks only and rolls the remainder.
+  auto qs = make_reads(20, 30, 11);
+  std::vector<pair_view> pairs;
+  for (std::size_t i = 0; i < 20; ++i)
+    pairs.push_back({view(qs[i]), view(qs[(i + 1) % 20])});
+  const simple_scoring sc{2, -1};
+  batch_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
+      linear_gap{-1}, sc, {1, score_precision::int16});
+  (void)eng.scores(pairs);
+  EXPECT_EQ(eng.last_stats().simd_pairs, 16u);
+  EXPECT_EQ(eng.last_stats().scalar_pairs, 4u);
+  EXPECT_EQ(eng.last_stats().padded_cells, 0u);
+}
+
 TEST(BatchEngine, AlignAllProducesValidTracebacks) {
   bio::genome_params gp;
   gp.length = 20000;
