@@ -6,12 +6,14 @@
 ///      of distinct pairs sized for ~0%, ~50%, and ~95% response-cache
 ///      hit rates.  Hits bypass the admission ring and the batcher
 ///      entirely (lookup + copy-out), so throughput should rise steeply
-///      with the hit rate.
+///      with the hit rate.  The cache-cold stream is also set against a
+///      synchronous one-call-per-request loop over the same pairs
+///      (`sync_baseline`), whose checksum it must reproduce.
 ///   2. **Shard scaling** — all-distinct (cache-cold) requests through
 ///      1, 2, and 4 shards.  Each shard owns its own admission mutex
 ///      and batcher thread; scaling is bounded by physical cores, so
 ///      the meta records `cores` and the numbers are whatever this host
-///      honestly delivers.
+///      honestly delivers.  Producer threads are clamped to the cores.
 ///   3. **Adaptive vs fixed linger** — a bulk flood plus an interactive
 ///      trickle under a deliberately generous max_linger.  The fixed
 ///      service pays the full linger on every interactive request; the
@@ -100,8 +102,10 @@ int main(int argc, char** argv) {
   const std::size_t total = a.pairs;
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("bench_serving: %zu requests, %u cores, %d repeats\n", total,
-              cores, a.repeats);
+  const int producers = std::clamp(a.threads, 1, static_cast<int>(cores));
+  std::printf("bench_serving: %zu requests, %u cores, %d producers, %d "
+              "repeats\n",
+              total, cores, producers, a.repeats);
 
   const auto pairs = make_pairs(total, /*seed=*/10);
 
@@ -109,6 +113,7 @@ int main(int argc, char** argv) {
   report.set_meta("cpu", simd::describe(simd::detect()));
   report.set_meta("dispatched", backend_name());
   report.set_meta("cores", static_cast<long long>(cores));
+  report.set_meta("threads", static_cast<long long>(producers));
   report.set_meta("requests", static_cast<long long>(total));
 
   // ---- 1. hit-rate sweep --------------------------------------------
@@ -118,7 +123,7 @@ int main(int argc, char** argv) {
   // deltas over the measured stream only; warmup is not timed.
   const struct { const char* name; double rate; } sweeps[] = {
       {"hit_rate_0", 0.0}, {"hit_rate_50", 0.5}, {"hit_rate_95", 0.95}};
-  double rps_hit0 = 0.0, rps_hit95 = 0.0;
+  double rps_hit0 = 0.0, rps_hit95 = 0.0, sum_hit0 = 0.0;
   for (const auto& sweep : sweeps) {
     // Warm set sized to the miss count so total distinct pairs <= total.
     const auto warm = static_cast<std::size_t>(
@@ -145,8 +150,9 @@ int main(int argc, char** argv) {
       }
       const auto before = group.stats();
       stopwatch sw;
-      (void)stream_mixed(group, pairs, warm, sweep.rate, total);
+      const double sum = stream_mixed(group, pairs, warm, sweep.rate, total);
       times.push_back(sw.seconds());
+      if (sweep.rate == 0.0) sum_hit0 = sum;
       group.shutdown(true);
       const auto st = group.stats();
       const auto hits = st.cache_hits - before.cache_hits;
@@ -170,6 +176,35 @@ int main(int argc, char** argv) {
   }
   if (rps_hit0 > 0.0)
     report.set_meta("speedup_95_vs_0", rps_hit95 / rps_hit0);
+
+  // ---- 1a. synchronous baseline -------------------------------------
+  // The hit_rate_0 pairs again, one public-dispatcher call per request:
+  // every call pays a full dispatch and engine set-up, which is what the
+  // service's coalescing into SIMD batches saves.  The checksums must
+  // agree — the service promises results identical to synchronous align.
+  {
+    const auto opt = request_options();
+    double sync_sum = 0.0;
+    const double s = median_seconds(a.repeats, [&] {
+      long long sum = 0;
+      for (std::size_t i = 0; i < total; ++i)
+        sum += align(pairs[i].first.view(), pairs[i].second.view(), opt)
+                   .score;
+      sync_sum = static_cast<double>(sum);
+    });
+    const double rps = static_cast<double>(total) / s;
+    report.add("sync_baseline", s, total,
+               {{"requests_per_s", rps},
+                {"speedup_service_vs_sync", rps_hit0 / rps}});
+    std::printf("%-12s : %10.1f req/s  (service hit_rate_0 %.2fx)\n",
+                "sync", rps, rps_hit0 / rps);
+    if (sync_sum != sum_hit0) {
+      std::fprintf(stderr,
+                   "FAIL: service checksum %.0f != synchronous %.0f\n",
+                   sum_hit0, sync_sum);
+      return 1;
+    }
+  }
 
   // ---- 1b. deadline/hook happy-path overhead ------------------------
   // The hit_rate_0 stream again, but every request carries a (far-
@@ -319,8 +354,8 @@ int main(int argc, char** argv) {
 
   // ---- 2. shard scaling ---------------------------------------------
   // Cache disabled, all-distinct pairs: every request is real work.
-  // `--threads` producers (default 4) drive N shards concurrently.
-  const int producers = std::max(1, a.threads);
+  // `producers` (--threads, default 4, at most the cores) drive N
+  // shards concurrently.
   double rps_shard1 = 0.0;
   for (const std::size_t shards : {1u, 2u, 4u}) {
     std::vector<double> times;

@@ -15,7 +15,7 @@ Exits non-zero with a message naming the first problem found.
 import json
 import sys
 
-EXPECTED_META = ["bench", "cpu", "cores", "requests",
+EXPECTED_META = ["bench", "cpu", "cores", "threads", "requests",
                  "deadline_expired", "quarantined"]
 
 # row name -> extra keys that must ride along with the standard triple.
@@ -23,6 +23,7 @@ EXPECTED_ROWS = {
     "hit_rate_0": ["requests_per_s", "hit_rate"],
     "hit_rate_50": ["requests_per_s", "hit_rate"],
     "hit_rate_95": ["requests_per_s", "hit_rate"],
+    "sync_baseline": ["requests_per_s", "speedup_service_vs_sync"],
     "hit_rate_0_deadline": ["requests_per_s", "overhead_vs_plain"],
     "hit_rate_0_tracing": ["requests_per_s", "overhead_vs_plain"],
     "hit_rate_0_ragged": ["requests_per_s", "simd_pair_fraction",
@@ -57,6 +58,9 @@ def main():
             fail(f"missing meta key {key!r}")
     if doc["bench"] != "serving":
         fail(f"bench is {doc['bench']!r}, expected 'serving'")
+
+    if not 1 <= doc["threads"] <= doc["cores"]:
+        fail(f"threads {doc['threads']!r} not in [1, cores={doc['cores']}]")
 
     rows = {r.get("name"): r for r in doc.get("runs", [])}
     for name, extra in EXPECTED_ROWS.items():

@@ -11,7 +11,12 @@ Two checks, each against the external format's actual grammar:
   * A metrics dump must parse as Prometheus text exposition: every line
     a comment or a ``name{labels} value`` sample, every sample preceded
     by matching # HELP/# TYPE lines, histogram ``_bucket`` series
-    cumulative with the ``+Inf`` bucket equal to ``_count``.
+    cumulative with the ``+Inf`` bucket equal to ``_count``.  The
+    latency quantile gauges must agree with the latency histogram:
+    per class they rise from 0.5 to 0.999, and each value v at quantile
+    q sits at the right octave edge — the cumulative count at the
+    smallest ``le`` >= v reaches ceil(q * count) and the edge below
+    stays under it (``class="all"`` against the sum of the classes).
 
 Usage:
 
@@ -27,6 +32,7 @@ problem found.
 import argparse
 import json
 import math
+from fractions import Fraction
 import os
 import re
 import subprocess
@@ -191,8 +197,74 @@ def check_metrics(path):
         if (f"{family}_sum", labels) not in samples:
             fail(f"{where}: missing {family}_sum")
 
+    check_quantiles(path, buckets, samples)
+
     print(f"check_observability: metrics OK "
           f"({n_samples} samples, {len(buckets)} histogram series, {path})")
+
+
+def check_quantiles(path, buckets, samples):
+    """Cross-check the quantile gauges against the latency histogram.
+
+    A quantile is the upper edge of the log-linear bucket holding the
+    nearest-rank sample, and those buckets nest inside the exposition's
+    octaves, so for rank = ceil(q * count) the octave edge at or above
+    the value must have reached the rank and the edge below must not.
+    """
+    family = "anyseq_request_latency_seconds"
+    series = {labels: s for (fam, labels), s in buckets.items()
+              if fam == family}
+    gauges = {}  # class -> [(q as Fraction, value in ns)]
+    for (name, labels), value in samples.items():
+        if name != "anyseq_request_latency_quantile_seconds":
+            continue
+        kv = dict(p.split("=", 1) for p in labels.split(","))
+        gauges.setdefault(kv["class"].strip('"'), []).append(
+            (Fraction(kv["quantile"].strip('"')), round(value * 1e9)))
+    if not gauges:
+        fail(f"{path}: no anyseq_request_latency_quantile_seconds gauges")
+
+    def ns_edges(s):  # [(le in ns, cumulative count)], +Inf dropped
+        return [(round(le * 1e9), c) for le, c in s if le != math.inf]
+
+    classes = [c for c in gauges if c != "all"]
+    for cls, qs in sorted(gauges.items()):
+        where = f"{path}: quantiles{{class={cls!r}}}"
+        if cls == "all":
+            parts = []
+            for c in classes:
+                if f'class="{c}"' not in series:
+                    fail(f"{where}: no histogram for class {c!r}")
+                parts.append(series[f'class="{c}"'])
+            counts = [sum(p[i][1] for p in parts)
+                      for i in range(len(parts[0]))]
+            merged = [(le, n) for (le, _), n in zip(parts[0], counts)]
+        elif f'class="{cls}"' in series:
+            merged = series[f'class="{cls}"']
+        else:
+            fail(f"{where}: no matching histogram series")
+        total = merged[-1][1]
+        edges = ns_edges(merged)
+        qs.sort()
+        values = [v for _, v in qs]
+        if values != sorted(values):
+            fail(f"{where}: not monotone in q: {values}")
+        for q, v in qs:
+            rank = math.ceil(q * int(total))
+            if total == 0:
+                if v != 0:
+                    fail(f"{where}: q={q} is {v} ns with no completions")
+                continue
+            at = next((i for i, (le, _) in enumerate(edges) if le >= v),
+                      None)
+            if at is None:
+                fail(f"{where}: q={q} value {v} ns beyond the last edge")
+            if edges[at][1] < rank:
+                fail(f"{where}: q={q} value {v} ns: count {edges[at][1]} "
+                     f"at le={edges[at][0]} ns < rank {rank}")
+            if at > 0 and edges[at - 1][1] >= rank:
+                fail(f"{where}: q={q} value {v} ns: rank {rank} already "
+                     f"reached at le={edges[at - 1][0]} ns")
 
 
 def run_server(binary):

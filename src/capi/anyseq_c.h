@@ -424,10 +424,12 @@ typedef enum anyseq_request_class {
  * Counters are cumulative over the service lifetime and, for a sharded
  * service, summed across shards.  `failed` includes shed and
  * shutdown-failed requests; `shed` counts that subset separately.
- * Latency percentiles are sampled from fixed-size reservoirs of
- * submit-to-completion times; for a sharded service they are ranked
- * over the pooled samples of every shard (never a sum of per-shard
- * percentiles).  The `interactive_*` / `bulk_*` fields resolve
+ * Latency percentiles are nearest-rank over every completion's
+ * submit-to-completion time, reported as the upper edge of the
+ * log-linear histogram bucket holding the rank (relative error
+ * <= 1/32); for a sharded service they rank the bucket-wise sum of
+ * every shard's histograms (never a sum of per-shard percentiles).
+ * The `interactive_*` / `bulk_*` fields resolve
  * admission failures and tail latency per priority class.
  */
 typedef struct anyseq_service_stats {
@@ -646,7 +648,7 @@ int anyseq_service_get_stats(const anyseq_service* svc,
  * exposition needs, excluding the NUL — call once with `(NULL, 0)` to
  * size a buffer, then again to render.  For a sharded service the
  * merged series follow the statistically correct rules (histogram
- * buckets sum, sampled percentiles re-rank over pooled samples) and a
+ * buckets sum, quantiles rank the merged histograms) and a
  * trailing `anyseq_shard_*{shard="i"}` section preserves the per-shard
  * breakdown.  Metric names are documented in docs/OBSERVABILITY.md.
  *

@@ -43,17 +43,22 @@ namespace {
 
 using u64 = unsigned long long;
 
+/// One `_bucket` series per octave, `le` = 2^(o+1) - 1 ns: sub-buckets
+/// nest inside octaves, so each edge's cumulative count sums every
+/// sub-bucket at or below it and the series match a plain log2
+/// histogram's for the same latencies.
 void render_class_histogram(text_buffer& out, const char* cls,
                             const histogram_snapshot& h) {
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < n_latency_buckets; ++i) {
-    cumulative += h.buckets[i];
+  std::size_t i = 0;
+  for (std::size_t o = 0; o < n_latency_octaves; ++o) {
+    const std::uint64_t le = (std::uint64_t{2} << o) - 1;
+    for (; i <= latency_histogram::bucket_of(le); ++i)
+      cumulative += h.buckets[i];
     out.printf(
         "anyseq_request_latency_seconds_bucket{class=\"%s\",le=\"%.16g\"} "
         "%llu\n",
-        cls,
-        static_cast<double>(latency_histogram::bucket_upper_ns(i)) * 1e-9,
-        static_cast<u64>(cumulative));
+        cls, static_cast<double>(le) * 1e-9, static_cast<u64>(cumulative));
   }
   out.printf(
       "anyseq_request_latency_seconds_bucket{class=\"%s\",le=\"+Inf\"} %llu\n",
@@ -183,7 +188,7 @@ void render_prometheus(const service_stats& s, text_buffer& out) {
       "anyseq_exec_gcups %.6f\n",
       s.exec.total_gcups());
 
-  // -- Latency: exact histogram per class (shard-mergeable) ...
+  // -- Latency: histogram per class (shard-mergeable) ...
   out.printf(
       "# HELP anyseq_request_latency_seconds Submit-to-complete latency.\n"
       "# TYPE anyseq_request_latency_seconds histogram\n");
@@ -191,11 +196,12 @@ void render_prometheus(const service_stats& s, text_buffer& out) {
     render_class_histogram(out, to_string(static_cast<request_class>(c)),
                            s.per_class[c].latency_hist);
 
-  // ... plus the sampled reservoir quantiles ("all" = union-rank over
-  // every class's reservoir, never a combination of per-class ranks).
+  // ... plus the nearest-rank quantiles of those histograms ("all"
+  // ranks the classes' bucket-wise merge, never a combination of
+  // per-class ranks).
   out.printf(
-      "# HELP anyseq_request_latency_quantile_seconds Sampled latency "
-      "quantiles from the reservoirs.\n"
+      "# HELP anyseq_request_latency_quantile_seconds Nearest-rank latency "
+      "quantiles, upper edge of the log-linear histogram bucket.\n"
       "# TYPE anyseq_request_latency_quantile_seconds gauge\n");
   for (std::size_t c = 0; c < n_request_classes; ++c) {
     const class_stats& cs = s.per_class[c];

@@ -1,24 +1,21 @@
 #pragma once
 /// \file metrics.hpp
-/// Fixed-shape metric primitives for the serving tier: log2 latency
-/// histograms, per-route x per-variant execution accounting, and the
-/// bounded text buffer the exporters render into.
+/// Fixed-shape metric primitives for the serving tier: log-linear
+/// latency histograms, per-route x per-variant execution accounting, and
+/// the bounded text buffer the exporters render into.
 ///
 /// Everything here obeys the service's zero-steady-state-allocation
 /// contract: a `latency_histogram` is a fixed array of relaxed atomics
-/// (record = two fetch_adds and one indexed fetch_add, no lock, no
-/// allocation), the execution tables are fixed 2-D atomic arrays, and
-/// `text_buffer` writes into caller-owned storage with the snprintf
-/// contract (reports bytes *needed* even when the buffer is too small,
-/// always NUL-terminates what fits).
+/// (record = two fetch_adds, no lock, no allocation), the execution
+/// tables are fixed 2-D atomic arrays, and `text_buffer` writes into
+/// caller-owned storage with the snprintf contract (reports bytes
+/// *needed* even when the buffer is too small, always NUL-terminates
+/// what fits).
 ///
-/// Histograms exist *alongside* the reservoirs in telemetry.hpp, not
-/// instead of them: a reservoir answers "what is p99 right now" from a
-/// bounded uniform sample, while a histogram is exact over the full
-/// request population and — crucially — merges across shards by plain
-/// bucket-wise addition, which the Prometheus exposition format
-/// requires (`_bucket{le=...}` series from different shards sum; sampled
-/// percentiles never do, they merge by union-rank only).
+/// The histogram is the service's only latency mechanism.  It counts
+/// every completion, its percentiles carry a bounded relative error
+/// (<= 1/32), and it merges across shards by plain bucket-wise addition
+/// — the property the Prometheus `_bucket{le=...}` series need.
 
 #include <atomic>
 #include <bit>
@@ -29,63 +26,107 @@
 
 namespace anyseq::service {
 
-/// Bucket i of a log2 histogram covers latencies in [2^i, 2^(i+1)) ns
-/// (bucket 0 also absorbs 0).  48 buckets reach ~3.26 days — everything
-/// above clamps into the last bucket.
-inline constexpr std::size_t n_latency_buckets = 48;
+/// Log-linear latency buckets (the HdrHistogram scheme): each octave
+/// [2^e, 2^(e+1)) ns splits into 32 equal sub-buckets, so every value
+/// below 32 ns has a bucket of its own and above that a bucket is at
+/// most 1/32 of its lower bound wide.  Values clamp at 2^48 ns (~3.26
+/// days) into the last bucket.
+inline constexpr unsigned latency_sub_bits = 5;  ///< 32 sub-buckets/octave
+/// Octaves up to the clamp; octave o ends at 2^(o+1) - 1 ns, which is
+/// also the Prometheus `le` edge of its exposition bucket.
+inline constexpr std::size_t n_latency_octaves = 48;
+inline constexpr std::size_t n_latency_buckets =
+    (n_latency_octaves - latency_sub_bits + 1) << latency_sub_bits;  // 1408
 
 /// Point-in-time copy of a histogram, mergeable across shards.
 struct histogram_snapshot {
   std::uint64_t buckets[n_latency_buckets] = {};
-  std::uint64_t count = 0;
+  std::uint64_t count = 0;  ///< sum of `buckets`
   std::uint64_t sum_ns = 0;
 
-  /// Bucket-wise sum — the shard-merge operation.  Exact: unlike
-  /// reservoir percentiles, histogram merging loses nothing.
+  /// Bucket-wise sum — the shard-merge operation.  Exact: merging loses
+  /// nothing, so a merged quantile is the quantile of the union.
   void merge(const histogram_snapshot& other) noexcept {
     for (std::size_t i = 0; i < n_latency_buckets; ++i)
       buckets[i] += other.buckets[i];
     count += other.count;
     sum_ns += other.sum_ns;
   }
+
+  /// Nearest-rank quantile num/den (exact rationals — 999/1000 for
+  /// p99.9 — so no floating-point rounding can move a rank): the
+  /// inclusive upper edge of the bucket holding the ceil(num/den *
+  /// count)-th smallest latency (rank >= 1), 0 when empty.  One pass
+  /// over the buckets; never allocates.
+  [[nodiscard]] std::uint64_t quantile_ns(std::uint64_t num,
+                                          std::uint64_t den) const noexcept;
 };
 
-/// Thread-safe fixed-bucket log2 latency histogram.  `record` is three
-/// relaxed fetch_adds; never allocates, never locks.
+/// Thread-safe fixed-bucket log-linear latency histogram.  `record` is
+/// two relaxed fetch_adds; never allocates, never locks.
 class latency_histogram {
  public:
   /// Index of the bucket holding a latency of `ns` nanoseconds.
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t ns) noexcept {
-    const auto w = static_cast<std::size_t>(std::bit_width(ns));
-    const std::size_t b = w == 0 ? 0 : w - 1;
-    return b < n_latency_buckets ? b : n_latency_buckets - 1;
+    constexpr std::uint64_t clamp = std::uint64_t{1} << n_latency_octaves;
+    if (ns >= clamp) return n_latency_buckets - 1;
+    if (ns < (std::uint64_t{2} << latency_sub_bits)) return ns;
+    // ns >> shift keeps the leading 1 plus 5 sub-bucket bits: [32, 64).
+    const auto shift = static_cast<unsigned>(std::bit_width(ns)) - 1 -
+                       latency_sub_bits;
+    return (std::size_t{shift} << latency_sub_bits) + (ns >> shift);
   }
 
-  /// Inclusive upper bound of bucket i in ns (the Prometheus `le` edge).
+  /// Inclusive lower bound of bucket i in ns.
+  [[nodiscard]] static std::uint64_t bucket_lower_ns(std::size_t i) noexcept {
+    if (i < (std::size_t{2} << latency_sub_bits)) return i;
+    const std::size_t shift = (i >> latency_sub_bits) - 1;
+    const std::size_t sub = i & ((std::size_t{1} << latency_sub_bits) - 1);
+    return ((std::uint64_t{1} << latency_sub_bits) + sub) << shift;
+  }
+
+  /// Inclusive upper bound of bucket i in ns.  At the last sub-bucket of
+  /// octave o this is 2^(o+1) - 1, the Prometheus `le` edge.
   [[nodiscard]] static std::uint64_t bucket_upper_ns(std::size_t i) noexcept {
-    return (2ull << i) - 1;
+    return i + 1 < n_latency_buckets
+               ? bucket_lower_ns(i + 1) - 1
+               : (std::uint64_t{1} << n_latency_octaves) - 1;
   }
 
   void record(std::uint64_t ns) noexcept {
     buckets_[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
+  /// `count` is the bucket sum, so the `+Inf` bucket equals `_count`
+  /// by construction even while other threads record.
   [[nodiscard]] histogram_snapshot snapshot() const noexcept {
     histogram_snapshot s;
-    for (std::size_t i = 0; i < n_latency_buckets; ++i)
+    for (std::size_t i = 0; i < n_latency_buckets; ++i) {
       s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-    s.count = count_.load(std::memory_order_relaxed);
+      s.count += s.buckets[i];
+    }
     s.sum_ns = sum_ns_.load(std::memory_order_relaxed);
     return s;
   }
 
  private:
   std::atomic<std::uint64_t> buckets_[n_latency_buckets] = {};
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_ns_{0};
 };
+
+inline std::uint64_t histogram_snapshot::quantile_ns(
+    std::uint64_t num, std::uint64_t den) const noexcept {
+  if (count == 0) return 0;
+  const std::uint64_t r = (num * count + den - 1) / den;
+  const std::uint64_t rank = r > 0 ? r : 1;
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < n_latency_buckets; ++i) {
+    seen += buckets[i];
+    if (seen >= rank) return latency_histogram::bucket_upper_ns(i);
+  }
+  return latency_histogram::bucket_upper_ns(n_latency_buckets - 1);
+}
 
 /// Execution accounting axes.  Routes mirror `service::route`
 /// (batch_score, batch_traceback, solo); variants are the engine names

@@ -76,7 +76,7 @@ service_stats service_group::stats() const {
 
   // Sum counters shard-wise; percentile fields of the per-shard
   // snapshots are ignored on purpose — they are re-ranked below from
-  // the raw samples.
+  // the merged histograms.
   for (const auto& sh : shards_) {
     const service_stats s = sh->stats();
     out.accepted += s.accepted;
@@ -104,7 +104,7 @@ service_stats service_group::stats() const {
     out.effective_linger_us =
         std::max(out.effective_linger_us, s.effective_linger_us);
     // Histograms and execution tables merge exactly: bucket-wise /
-    // cell-wise sums (unlike the sampled percentiles below).
+    // cell-wise sums.
     out.exec.merge(s.exec);
     for (std::size_t c = 0; c < n_request_classes; ++c) {
       class_stats& dst = out.per_class[c];
@@ -126,29 +126,7 @@ service_stats service_group::stats() const {
                             static_cast<double>(out.batches)
                       : 0.0;
 
-  // Percentiles over the union of every shard's reservoir, per class
-  // and aggregate.  A merged p99 is a rank of the pooled samples; it is
-  // NOT derivable from per-shard p99s (one hot shard's tail would
-  // vanish into any mean, and a sum is meaningless).
-  std::vector<std::uint64_t> merged, all;
-  for (std::size_t c = 0; c < n_request_classes; ++c) {
-    merged.clear();
-    for (const auto& sh : shards_)
-      sh->collect_latency(static_cast<request_class>(c), merged);
-    all.insert(all.end(), merged.begin(), merged.end());
-    const auto p = nearest_rank_percentiles(merged);
-    out.per_class[c].p50_latency_ns = p.p50;
-    out.per_class[c].p90_latency_ns = p.p90;
-    out.per_class[c].p99_latency_ns = p.p99;
-    out.per_class[c].p999_latency_ns = p.p999;
-    out.per_class[c].latency_samples = p.samples;
-  }
-  const auto p = nearest_rank_percentiles(all);
-  out.p50_latency_ns = p.p50;
-  out.p90_latency_ns = p.p90;
-  out.p99_latency_ns = p.p99;
-  out.p999_latency_ns = p.p999;
-  out.latency_samples = p.samples;
+  fill_latency_percentiles(out);
 
   // Cache hit/miss counters above are the shards' local views (summed);
   // evictions live only in the shared cache itself.

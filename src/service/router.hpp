@@ -25,9 +25,10 @@
 ///     inserted.  (Per-shard caches would re-misse on every spill.)
 ///
 /// `stats()` merges per-shard telemetry the only correct way: counters
-/// are summed, but latency percentiles are re-ranked over the *union*
-/// of all shards' reservoir samples (`nearest_rank_percentiles`) —
-/// summing or averaging per-shard p99s is statistically meaningless.
+/// are summed, latency histograms are summed bucket-wise, and the
+/// percentiles are ranked on the merged histograms
+/// (`fill_latency_percentiles`) — summing or averaging per-shard p99s
+/// is statistically meaningless.
 ///
 /// Tickets returned by the group are ordinary `service::ticket`s bound
 /// to the shard that owns the request; the group must outlive them,
@@ -86,8 +87,8 @@ class service_group {
                                       const align_options& opt = {},
                                       const submit_options& so = {});
 
-  /// Merged snapshot: counters summed across shards, percentiles
-  /// re-ranked over the union of all shards' latency samples, cache
+  /// Merged snapshot: counters and latency histograms summed across
+  /// shards, percentiles ranked on the merged histograms, cache
   /// figures from the shared cache.  `effective_linger_us` reports the
   /// maximum across shards (the most conservative figure).
   [[nodiscard]] service_stats stats() const;
@@ -95,8 +96,8 @@ class service_group {
   /// Render the group's merged metrics as Prometheus text exposition
   /// into `buf` (snprintf contract: returns bytes needed excluding the
   /// NUL, writes at most `cap - 1` plus a NUL).  Merged series follow
-  /// the single-service rules — histograms sum bucket-wise, reservoir
-  /// percentiles re-rank over the pooled samples — and a trailing
+  /// the single-service rules — histograms sum bucket-wise, quantiles
+  /// rank the merged histograms — and a trailing
   /// per-shard section (`anyseq_shard_*{shard="i"}`) keeps the shard
   /// breakdown visible after the merge.
   std::size_t dump_metrics(char* buf, std::size_t cap) const;

@@ -175,16 +175,8 @@ alignment_result ticket::get() {
 // aligner: construction / configuration
 // ---------------------------------------------------------------------
 
-static_assert(n_request_classes == 2,
-              "aligner's reservoir array init assumes two request classes");
-
 aligner::aligner(config cfg)
-    : cfg_(cfg),
-      pool_(&parallel::thread_pool::global()),
-      latency_{latency_reservoir(
-                   std::max<std::size_t>(1, cfg.latency_reservoir)),
-               latency_reservoir(
-                   std::max<std::size_t>(1, cfg.latency_reservoir))} {
+    : cfg_(cfg), pool_(&parallel::thread_pool::global()) {
   if (cfg_.max_batch < 1)
     throw invalid_argument_error("service: max_batch must be >= 1");
   if (cfg_.queue_capacity < 1)
@@ -222,7 +214,6 @@ aligner::aligner(config cfg)
   if (cfg_.max_inflight_batches == 0)
     cfg_.max_inflight_batches =
         static_cast<std::size_t>(std::max(1, pool_->size()));
-  if (cfg_.latency_reservoir == 0) cfg_.latency_reservoir = 1;
 
   slots_ = std::vector<slot>(cfg_.max_outstanding);
   free_.reserve(cfg_.max_outstanding);
@@ -584,9 +575,7 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
       cache_hits_[ci].fetch_add(1, std::memory_order_relaxed);
       accepted_[ci].fetch_add(1, std::memory_order_relaxed);
       completed_[ci].fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t lat = ns_between(sl.t_submit, clock::now());
-      latency_[ci].record(lat);
-      hist_[ci].record(lat);
+      hist_[ci].record(ns_between(sl.t_submit, clock::now()));
       ANYSEQ_TRACE_EMIT(submit, idx, tr_submit, 1);
       return ticket(this, idx, gen);
     }
@@ -861,8 +850,8 @@ bool aligner::batcher_iteration(std::uint64_t gen,
                     static_cast<std::int64_t>(batch.size()));
   ws.items.assign(batch.begin(), batch.end());
   batch.clear();  // dispatched: no longer the loop's to fail
-  // Adapt under mu_ (reservoir locks are leaves): a superseded
-  // predecessor can then never race its replacement on controller state.
+  // Adapt under mu_: a superseded predecessor can then never race its
+  // replacement on controller state.
   if (cfg_.adaptive_linger) adapt_linger(clock::now());
   lock.unlock();
 
@@ -874,9 +863,10 @@ void aligner::adapt_linger(clock::time_point now) {
   if (now < next_adapt_) return;
   next_adapt_ = now + std::chrono::milliseconds(5);
 
-  const auto p = latency_[static_cast<std::size_t>(
-                              request_class::interactive)]
-                     .snapshot();  // allocation-free (member scratch)
+  // Lifetime interactive p99, ranked on the class histogram.
+  const histogram_snapshot h =
+      hist_[static_cast<std::size_t>(request_class::interactive)].snapshot();
+  const std::uint64_t p99 = h.quantile_ns(99, 100);
   const auto target =
       static_cast<std::uint64_t>(to_ns(cfg_.interactive_p99_target));
   const std::int64_t lo = to_ns(cfg_.min_linger);
@@ -895,12 +885,12 @@ void aligner::adapt_linger(clock::time_point now) {
       db > 0 ? static_cast<double>(dbr) / static_cast<double>(db)
              : static_cast<double>(cfg_.max_batch);
 
-  if (p.samples > 0 && p.p99 > target) {
+  if (h.count > 0 && p99 > target) {
     // Tail above target: shrink multiplicatively so the controller
     // converges in a handful of ticks even from max_linger.
     cur = std::max(lo, cur - std::max<std::int64_t>(cur / 4, 1000));
   } else if (occupancy < 0.5 * static_cast<double>(cfg_.max_batch) &&
-             (p.samples == 0 || p.p99 * 2 <= target)) {
+             (h.count == 0 || p99 * 2 <= target)) {
     // Comfortable tail but under-full batches: more linger buys
     // occupancy.  The target/2 band leaves hysteresis so the linger
     // does not oscillate around the threshold.
@@ -933,7 +923,6 @@ void aligner::complete(std::uint32_t idx, alignment_result&& r,
       sl.result = std::move(r);
       sl.st = slot_state::done;
       completed_[ci].fetch_add(1, std::memory_order_relaxed);
-      latency_[ci].record(lat);
       hist_[ci].record(lat);
     }
     if (sl.abandoned) {
@@ -1215,11 +1204,6 @@ void aligner::shutdown(bool drain) {
   shut_down_ = true;
 }
 
-void aligner::collect_latency(request_class c,
-                              std::vector<std::uint64_t>& out) const {
-  latency_[static_cast<std::size_t>(c)].collect(out);
-}
-
 service_stats aligner::stats() const {
   service_stats out;
   for (std::size_t c = 0; c < n_cls; ++c) {
@@ -1234,12 +1218,6 @@ service_stats aligner::stats() const {
     cs.deadline_expired =
         deadline_expired_[c].load(std::memory_order_relaxed);
     cs.quarantined = quarantined_[c].load(std::memory_order_relaxed);
-    const auto p = latency_[c].snapshot();
-    cs.p50_latency_ns = p.p50;
-    cs.p90_latency_ns = p.p90;
-    cs.p99_latency_ns = p.p99;
-    cs.p999_latency_ns = p.p999;
-    cs.latency_samples = p.samples;
     cs.latency_hist = hist_[c].snapshot();
     out.accepted += cs.accepted;
     out.rejected += cs.rejected;
@@ -1266,16 +1244,7 @@ service_stats aligner::stats() const {
       out.batches > 0 ? static_cast<double>(out.batched_requests) /
                             static_cast<double>(out.batches)
                       : 0.0;
-  // Aggregate percentiles rank the union of both class reservoirs —
-  // never a combination of per-class ranks (see telemetry.hpp).
-  std::vector<std::uint64_t> merged;
-  for (const auto& res : latency_) res.collect(merged);
-  const auto p = nearest_rank_percentiles(merged);
-  out.p50_latency_ns = p.p50;
-  out.p90_latency_ns = p.p90;
-  out.p99_latency_ns = p.p99;
-  out.p999_latency_ns = p.p999;
-  out.latency_samples = p.samples;
+  fill_latency_percentiles(out);
   for (std::size_t r = 0; r < n_exec_routes; ++r)
     for (std::size_t v = 0; v < n_exec_variants; ++v) {
       exec_cell& e = out.exec.at[r][v];

@@ -1,36 +1,15 @@
 #include "service/telemetry.hpp"
 
-#include <algorithm>
-
 namespace anyseq::service {
 namespace {
 
-/// xorshift64* — tiny, fast, good enough for reservoir admission.
-std::uint64_t next_random(std::uint64_t& state) {
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 0x2545F4914F6CDD1Dull;
-}
-
-/// Nearest-rank quantile of a sorted, non-empty range:
-/// index ceil(num/den * n) - 1.  Quantiles are passed as exact
-/// rationals (999/1000 for p99.9) so no floating-point rounding can
-/// move a rank.
-[[nodiscard]] std::uint64_t rank_of(const std::vector<std::uint64_t>& sorted,
-                                    std::size_t num, std::size_t den) {
-  const std::size_t n = sorted.size();
-  const std::size_t r = (num * n + den - 1) / den;
-  return sorted[std::max<std::size_t>(1, r) - 1];
-}
-
-/// Fill all four tracked quantiles from one sorted sample.
-void fill_ranks(const std::vector<std::uint64_t>& sorted,
-                latency_reservoir::percentiles& out) {
-  out.p50 = rank_of(sorted, 50, 100);
-  out.p90 = rank_of(sorted, 90, 100);
-  out.p99 = rank_of(sorted, 99, 100);
-  out.p999 = rank_of(sorted, 999, 1000);
+template <class Stats>
+void fill_from(Stats& dst, const histogram_snapshot& h) noexcept {
+  dst.p50_latency_ns = h.quantile_ns(50, 100);
+  dst.p90_latency_ns = h.quantile_ns(90, 100);
+  dst.p99_latency_ns = h.quantile_ns(99, 100);
+  dst.p999_latency_ns = h.quantile_ns(999, 1000);
+  dst.latency_samples = h.count;
 }
 
 }  // namespace
@@ -43,50 +22,13 @@ const char* to_string(request_class c) noexcept {
   return "?";
 }
 
-latency_reservoir::latency_reservoir(std::size_t capacity)
-    : buffer_(std::max<std::size_t>(1, capacity), 0),
-      rng_state_(0x9E3779B97F4A7C15ull) {
-  scratch_.reserve(buffer_.size());
-}
-
-void latency_reservoir::record(std::uint64_t ns) {
-  std::lock_guard lock(mutex_);
-  ++seen_;
-  if (filled_ < buffer_.size()) {
-    buffer_[filled_++] = ns;
-    return;
+void fill_latency_percentiles(service_stats& s) noexcept {
+  histogram_snapshot all;
+  for (class_stats& cs : s.per_class) {
+    fill_from(cs, cs.latency_hist);
+    all.merge(cs.latency_hist);
   }
-  // Algorithm R: keep the new sample with probability capacity/seen.
-  const std::uint64_t j = next_random(rng_state_) % seen_;
-  if (j < buffer_.size()) buffer_[static_cast<std::size_t>(j)] = ns;
-}
-
-latency_reservoir::percentiles latency_reservoir::snapshot() const {
-  percentiles out;
-  std::lock_guard lock(mutex_);
-  out.samples = filled_;
-  if (filled_ == 0) return out;
-  scratch_.assign(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(filled_));
-  std::sort(scratch_.begin(), scratch_.end());
-  fill_ranks(scratch_, out);
-  return out;
-}
-
-void latency_reservoir::collect(std::vector<std::uint64_t>& out) const {
-  std::lock_guard lock(mutex_);
-  out.insert(out.end(), buffer_.begin(),
-             buffer_.begin() + static_cast<std::ptrdiff_t>(filled_));
-}
-
-latency_reservoir::percentiles nearest_rank_percentiles(
-    std::vector<std::uint64_t>& samples) {
-  latency_reservoir::percentiles out;
-  out.samples = samples.size();
-  if (samples.empty()) return out;
-  std::sort(samples.begin(), samples.end());
-  fill_ranks(samples, out);
-  return out;
+  fill_from(s, all);
 }
 
 }  // namespace anyseq::service

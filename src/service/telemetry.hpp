@@ -1,29 +1,21 @@
 #pragma once
 /// \file telemetry.hpp
 /// Telemetry for the asynchronous alignment service: lifetime counters
-/// plus fixed-size latency reservoirs, broken out per request class.
+/// and latency percentiles, broken out per request class.
 ///
-/// Each reservoir keeps a uniform random sample of request latencies in a
-/// buffer sized once at construction (steady-state recording never
-/// allocates), so p50/p99 stay meaningful over unbounded request streams
-/// without unbounded memory.  Randomness comes from a private xorshift
-/// state — no global RNG, no syscalls on the hot path.  `snapshot()`
-/// sorts into a pre-sized scratch buffer, so even the percentile scan is
-/// allocation-free — the adaptive-linger controller polls it from the
-/// batcher thread without perturbing the zero-allocation contract.
-///
-/// Percentile aggregation across shards goes through `collect()` +
-/// `nearest_rank_percentiles()`: a `service_group` pools the raw samples
-/// of every shard's reservoir and ranks the merged set.  Summing or
-/// averaging per-shard p99s would be wrong — the p99 of a union is not a
+/// Every latency figure comes from one mechanism, the per-class
+/// log-linear `latency_histogram` (metrics.hpp): each completion is
+/// counted, and a percentile is the upper edge of the bucket holding
+/// the exact nearest-rank sample (relative error <= 1/32).  Aggregates
+/// never combine per-part percentiles — the p99 of a union is not a
 /// function of the parts' p99s (one hot shard's tail disappears into a
-/// mean; a sum is meaningless) — so the merged form is the only one the
-/// router exposes.
+/// mean; a sum is meaningless).  They merge the histograms bucket-wise
+/// and rank the merged counts instead: the class-wide `all` figures and
+/// a `service_group`'s cross-shard figures alike, through
+/// `fill_latency_percentiles`.
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "service/metrics.hpp"
 
@@ -53,15 +45,17 @@ struct class_stats {
   std::uint64_t deadline_expired = 0;  ///< shed because the deadline passed
   std::uint64_t quarantined = 0;  ///< refused at submit as repeat offenders
 
-  std::uint64_t p50_latency_ns = 0;  ///< submit -> completion, sampled
+  /// Submit -> completion, nearest-rank over `latency_hist`: the upper
+  /// edge of the bucket holding the exact rank (see
+  /// fill_latency_percentiles).
+  std::uint64_t p50_latency_ns = 0;
   std::uint64_t p90_latency_ns = 0;
   std::uint64_t p99_latency_ns = 0;
   std::uint64_t p999_latency_ns = 0;
-  std::uint64_t latency_samples = 0;
+  std::uint64_t latency_samples = 0;  ///< completions ranked (hist count)
 
-  /// Exact log2 latency histogram of every completion in this class
-  /// (unlike the sampled percentiles above, merges across shards by
-  /// bucket-wise addition).
+  /// Log-linear latency histogram of every completion in this class;
+  /// merges across shards by bucket-wise addition.
   histogram_snapshot latency_hist;
 };
 
@@ -104,11 +98,13 @@ struct service_stats {
   std::uint64_t batch_ragged_pairs = 0;
   std::uint64_t batch_padded_cells = 0;
 
-  std::uint64_t p50_latency_ns = 0;  ///< submit -> completion, sampled
+  /// Submit -> completion over both classes, ranked on the bucket-wise
+  /// merge of the per-class histograms.
+  std::uint64_t p50_latency_ns = 0;
   std::uint64_t p90_latency_ns = 0;
   std::uint64_t p99_latency_ns = 0;
   std::uint64_t p999_latency_ns = 0;
-  std::uint64_t latency_samples = 0;  ///< samples currently in the reservoirs
+  std::uint64_t latency_samples = 0;  ///< completions ranked, all classes
 
   /// Response-cache counters (all zero when no cache is attached).
   /// Hits complete at submit() and never enter the admission ring.
@@ -144,48 +140,12 @@ struct service_stats {
   }
 };
 
-/// Thread-safe uniform reservoir of latency samples (Vitter's algorithm
-/// R).  `record` is O(1), lock-held for a few instructions; nothing
-/// allocates after construction — including `snapshot()`, which ranks
-/// inside a pre-sized scratch buffer.
-class latency_reservoir {
- public:
-  /// `capacity` is clamped to >= 1; all memory is allocated here, once.
-  explicit latency_reservoir(std::size_t capacity);
-
-  /// Offer one latency sample (nanoseconds).
-  void record(std::uint64_t ns);
-
-  struct percentiles {
-    std::uint64_t p50 = 0;
-    std::uint64_t p90 = 0;
-    std::uint64_t p99 = 0;
-    std::uint64_t p999 = 0;  ///< p99.9
-    std::uint64_t samples = 0;  ///< how many samples back the numbers
-  };
-
-  /// Nearest-rank p50/p90/p99/p99.9 over the current sample (zeros when
-  /// empty).  Allocation-free: sorts a pre-sized member scratch buffer.
-  [[nodiscard]] percentiles snapshot() const;
-
-  /// Append the raw samples to `out` (for cross-shard merging).
-  void collect(std::vector<std::uint64_t>& out) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<std::uint64_t> buffer_;  ///< pre-sized; first `filled_` live
-  mutable std::vector<std::uint64_t> scratch_;  ///< snapshot sort space
-  std::size_t filled_ = 0;
-  std::uint64_t seen_ = 0;  ///< total samples offered
-  std::uint64_t rng_state_;
-};
-
-/// Nearest-rank p50/p90/p99/p99.9 of a merged sample set (sorts in
-/// place; zeros when empty).  This is how `service_group::stats()`
-/// aggregates per-shard reservoirs — rank the union, never combine
-/// per-shard ranks.
-[[nodiscard]] latency_reservoir::percentiles nearest_rank_percentiles(
-    std::vector<std::uint64_t>& samples);
+/// Fill every p50/p90/p99/p999_latency_ns and latency_samples field of
+/// `s` from its per-class `latency_hist`: each class from its own
+/// histogram, the top-level figures from the bucket-wise merge of both.
+/// `aligner::stats()` and `service_group::stats()` (after merging its
+/// shards' histograms) both end here.  Allocation-free.
+void fill_latency_percentiles(service_stats& s) noexcept;
 
 /// Render `s` as Prometheus text exposition (HELP/TYPE/sample lines,
 /// histogram `_bucket{le=...}` series in seconds) into `out`.  Stable

@@ -672,6 +672,9 @@ class batch_engine {
         return {lo + Lanes, score_precision::int16, true, nb, mb};
       return {tail, score_precision::int32};
     }
+    // auto_select at one lane: the narrow kernels only emulate lanes
+    // there and run at ~0.5x the int32 rolling engine, so auto rolls.
+    if constexpr (Lanes == 1) return {tail, score_precision::int32};
     // auto_select: narrowest element type whose worst-case bound fits
     // AND that can fill all its lanes — exactly-uniform groups first
     // (no masking overhead), lane-padded ragged groups second (the

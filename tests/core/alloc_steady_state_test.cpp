@@ -23,6 +23,7 @@
 #include "anyseq/anyseq.hpp"
 #include "capi/anyseq_c.h"
 #include "parallel/thread_pool.hpp"
+#include "service/router.hpp"
 #include "service/service.hpp"
 #include "service/trace.hpp"
 #include "testutil.hpp"
@@ -515,6 +516,46 @@ TEST(AllocSteadyState, ServiceDeadlinesAndFaultHooksStayBranchOnly) {
     for (int i = 0; i < 5; ++i) cycle();
   });
   EXPECT_EQ(n, 0u) << "deadline/hook machinery allocated in steady state";
+}
+
+/// stats() is what a metrics scrape polls: once warm, neither a single
+/// service's nor a sharded group's snapshot may allocate — percentiles
+/// rank the fixed-size per-class histograms (and, for the group, their
+/// bucket-wise merge) in place.
+TEST(AllocSteadyState, ServiceAndGroupStatsAllocateNothing) {
+  const auto q = test::random_codes(96, 47);
+  const auto s = test::random_codes(96, 53);
+  service::config cfg;
+  cfg.max_batch = 8;
+  cfg.queue_capacity = 64;
+  cfg.max_inflight_batches = 1;
+  service::aligner svc(cfg);
+  service::service_group::config gcfg;
+  gcfg.shards = 2;
+  gcfg.cache_capacity = 32;
+  gcfg.shard = cfg;
+  service::service_group group(gcfg);
+
+  align_options o = serial_opts();
+  service::submit_options bulk;
+  bulk.cls = service::request_class::bulk;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(svc.submit(view(q), view(s), o).get().q_end, 96);
+    ASSERT_EQ(svc.submit(view(q), view(s), o, bulk).get().q_end, 96);
+    ASSERT_EQ(group.submit(view(q), view(s), o).get().q_end, 96);
+    ASSERT_EQ(group.submit(view(q), view(s), o, bulk).get().q_end, 96);
+  }
+  (void)svc.stats();
+  (void)group.stats();
+  std::uint64_t ranked = 0;
+  const auto n = allocs_during([&] {
+    for (int i = 0; i < 4; ++i) {
+      ranked += svc.stats().latency_samples;
+      ranked += group.stats().latency_samples;
+    }
+  });
+  EXPECT_EQ(n, 0u) << "stats() allocated in steady state";
+  EXPECT_EQ(ranked, 4u * (8u + 8u));
 }
 
 /// Cache-hit path: once the response cache holds an entry, a hit cycle

@@ -1,7 +1,7 @@
 /// Tests for the sharded service router: byte-identity across shards,
 /// the shared response cache serving hits across shard boundaries,
-/// affinity + spill routing, and merged telemetry (counters summed,
-/// percentiles ranked over the pooled reservoir samples).
+/// affinity + spill routing, and merged telemetry (counters and latency
+/// histograms summed, percentiles ranked on the merged histograms).
 
 #include "service/router.hpp"
 
@@ -133,32 +133,36 @@ TEST(ServiceRouter, SpillBalancesHotQueryAndAffinityPinsIt) {
               (pinned[0] == 0 && pinned[1] == 64));
 }
 
-/// Merged percentiles are the nearest-rank of the pooled samples — not
-/// any combination of per-shard percentiles.  Verified exactly on the
-/// helper the router uses, with shard-like partitions whose per-shard
-/// p99s would give a very different (wrong) answer.
-TEST(ServiceRouter, MergedPercentilesRankThePooledSamples) {
+/// Merged percentiles are the nearest-rank of the bucket-merged
+/// histograms — not any combination of per-shard percentiles.  Verified
+/// exactly on the helper the router uses, with shard-like partitions
+/// whose per-shard p99s would give a very different (wrong) answer.
+TEST(ServiceRouter, MergedPercentilesRankTheBucketMergedHistograms) {
   // "Shard A": 99 fast samples.  "Shard B": 99 slow samples.
-  std::vector<std::uint64_t> a, b;
+  latency_histogram a, b;
   for (std::uint64_t i = 1; i <= 99; ++i) {
-    a.push_back(i);            // 1..99
-    b.push_back(1000 + i);     // 1001..1099
+    a.record(i);         // 1..99
+    b.record(1000 + i);  // 1001..1099
   }
-  // Pooled: 198 samples.  nearest-rank p50 = 99th smallest -> 99;
-  // p99 = ceil(0.99*198) = 197th smallest -> 1098.
-  std::vector<std::uint64_t> merged = a;
-  merged.insert(merged.end(), b.begin(), b.end());
-  const auto p = nearest_rank_percentiles(merged);
-  EXPECT_EQ(p.samples, 198u);
-  EXPECT_EQ(p.p50, 99u);
-  EXPECT_EQ(p.p99, 1098u);
+  // Merged: 198 samples.  nearest-rank p50 = 99th smallest -> 99 (bucket
+  // [98, 99]); p99 = ceil(0.99*198) = 197th smallest -> 1098, reported
+  // as its bucket's upper edge (bucket [1088, 1119]).
+  service_stats st;
+  st.per_class[0].latency_hist = a.snapshot();
+  st.per_class[0].latency_hist.merge(b.snapshot());
+  fill_latency_percentiles(st);
+  EXPECT_EQ(st.latency_samples, 198u);
+  EXPECT_EQ(st.p50_latency_ns, 99u);
+  EXPECT_EQ(st.p99_latency_ns, 1119u);
+  EXPECT_EQ(st.p99_latency_ns, latency_histogram::bucket_upper_ns(
+                                   latency_histogram::bucket_of(1098)));
   // Averaging the per-shard p99s (99 and 1099 -> 599) or summing them
   // (1198) would both be far off the true pooled tail.
 }
 
-/// group.stats() pools the real reservoirs: sample counts add up across
-/// shards and the merged percentiles are bracketed by the samples.
-TEST(ServiceRouter, GroupStatsMergeShardReservoirs) {
+/// group.stats() merges the real shard histograms: sample counts add up
+/// across shards and the merged percentiles rank the bucket-wise sum.
+TEST(ServiceRouter, GroupStatsMergeShardHistograms) {
   service_group::config cfg;
   cfg.shards = 2;
   cfg.cache_capacity = 0;
@@ -175,10 +179,16 @@ TEST(ServiceRouter, GroupStatsMergeShardReservoirs) {
 
   const auto st = group.stats();
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < group.shard_count(); ++i)
-    sum += group.shard(i).stats().latency_samples;
+  histogram_snapshot merged;
+  for (std::size_t i = 0; i < group.shard_count(); ++i) {
+    const auto sh = group.shard(i).stats();
+    sum += sh.latency_samples;
+    for (const auto& cs : sh.per_class) merged.merge(cs.latency_hist);
+  }
   EXPECT_EQ(st.latency_samples, sum);
   EXPECT_EQ(st.latency_samples, 16u);
+  EXPECT_EQ(st.p50_latency_ns, merged.quantile_ns(50, 100));
+  EXPECT_EQ(st.p99_latency_ns, merged.quantile_ns(99, 100));
   EXPECT_GT(st.p99_latency_ns, 0u);
   EXPECT_LE(st.p50_latency_ns, st.p99_latency_ns);
 }
