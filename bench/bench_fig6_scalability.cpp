@@ -29,17 +29,16 @@ constexpr linear_gap kLinear{-1};
 double measure_tile_cost_us(stage::seq_view a, stage::seq_view b,
                             index_t tile) {
   tiled::tile_geometry geom(a.size(), b.size(), tile, tile);
-  tiled::border_lattice lat(geom, false);
-  for (index_t j = 0; j <= b.size(); ++j)
-    lat.h_row(0)[j] = init_h_row0<align_kind::global>(j, kLinear);
-  for (index_t i = 0; i <= a.size(); ++i)
-    lat.h_col(0)[i] = init_h_col0<align_kind::global>(i, kLinear);
+  tiled::border_frontier fr(geom, false);
+  fr.init(
+      [](index_t j) { return init_h_row0<align_kind::global>(j, kLinear); },
+      [](index_t i) { return init_h_col0<align_kind::global>(i, kLinear); });
   std::vector<score_t> h(tile + 1), e(tile + 1);
   const index_t reps = std::min<index_t>(geom.tiles_x, 16);
   stopwatch sw;
   for (index_t tx = 0; tx < reps; ++tx)
     (void)tiled::relax_tile_scalar<align_kind::global>(
-        a, b, lat, 0, tx, kLinear, kScoring, h.data(), e.data());
+        a, b, fr, 0, tx, kLinear, kScoring, h.data(), e.data());
   return sw.seconds() / static_cast<double>(reps) * 1e6;
 }
 

@@ -318,8 +318,8 @@ void validate(const align_options& opt) {
     throw validation_error("gap_open must be <= 0");
   if (opt.threads < 0)
     throw validation_error("threads must be >= 0");
-  if (opt.tile < 1)
-    throw validation_error("tile must be >= 1");
+  if (opt.tile < 0)
+    throw validation_error("tile must be >= 0 (0 = derive at plan time)");
   if (opt.kind == align_kind::local && !opt.matrix.has_value() &&
       opt.match <= 0)
     throw validation_error(
@@ -356,7 +356,8 @@ aligner::aligner(aligner&& other) noexcept
       exec_(other.exec_),
       ops_(other.ops_),
       batch_score_scratch_(std::move(other.batch_score_scratch_)),
-      last_batch_stats_(other.last_batch_stats_) {
+      last_batch_stats_(other.last_batch_stats_),
+      last_wavefront_stats_(other.last_wavefront_stats_) {
   for (int i = 0; i < 3; ++i) {
     ws_[i] = other.ws_[i];
     other.ws_[i] = nullptr;
@@ -371,6 +372,7 @@ aligner& aligner::operator=(aligner&& other) noexcept {
     ops_ = other.ops_;
     batch_score_scratch_ = std::move(other.batch_score_scratch_);
     last_batch_stats_ = other.last_batch_stats_;
+    last_wavefront_stats_ = other.last_wavefront_stats_;
     for (int i = 0; i < 3; ++i) {
       ws_[i] = other.ws_[i];
       other.ws_[i] = nullptr;
@@ -427,6 +429,7 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
           break;
         default:
           r = eng.tiled_score(q, s, opt_, ws);
+          last_wavefront_stats_ = eng.last_wavefront(ws);
           break;
       }
       out.reset();
@@ -442,9 +445,11 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
       return;
     case engine::route_kind::hirschberg:
       eng.hirschberg_global(q, s, opt_, ws, out);
+      last_wavefront_stats_ = eng.last_wavefront(ws);
       return;
     case engine::route_kind::locate:
       eng.locate(q, s, opt_, ws, out);
+      last_wavefront_stats_ = eng.last_wavefront(ws);
       return;
     case engine::route_kind::unsupported:
     default:
@@ -457,6 +462,7 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
 
 void aligner::align_into(stage::seq_view q, stage::seq_view s,
                          alignment_result& out) {
+  last_wavefront_stats_ = {};
   if (!is_cpu(exec_)) {
     out = simulator_align(q, s, opt_, exec_);
     return;
@@ -473,6 +479,7 @@ alignment_result aligner::align(stage::seq_view q, stage::seq_view s) {
 void aligner::align_batch_into(std::span<const seq_pair> pairs,
                                std::vector<alignment_result>& out) {
   last_batch_stats_ = {};
+  last_wavefront_stats_ = {};
   // Empty batch: defined no-op (options were validated by set_options).
   if (pairs.empty()) {
     out.clear();
@@ -518,6 +525,7 @@ std::vector<alignment_result> aligner::align_batch(
 
 void aligner::align_banded_into(stage::seq_view q, stage::seq_view s,
                                 band b, alignment_result& out) {
+  last_wavefront_stats_ = {};
   if (opt_.kind != align_kind::global)
     throw invalid_argument_error(
         "align_banded supports global alignment only");
@@ -547,6 +555,7 @@ aligner::plan_info aligner::plan(index_t n, index_t m) const {
   p.route = engine::to_string(engine::classify_route(n, m, opt_));
   p.workspace_bytes = ops_->plan_bytes(n, m, opt_);
   p.precision = engine::classify_plan_precision(n, m, opt_);
+  p.tile = ops_->plan_tile(n, m, opt_);
   return p;
 }
 

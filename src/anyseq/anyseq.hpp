@@ -72,7 +72,10 @@ struct align_options {
 
   backend exec = backend::auto_select;
   int threads = 0;          ///< 0 = hardware concurrency
-  index_t tile = 512;       ///< tile extent for the wavefront engines
+  /// Tile extent for the wavefront engines; 0 derives it at plan time
+  /// from the shape, the variant's lane count and the scores (see
+  /// `aligner::plan_info::tile`).
+  index_t tile = 0;
   bool dynamic_schedule = true;  ///< false = static wavefront (baseline)
 
   /// Score precision for score-only routes (ignored with tracebacks,
@@ -190,6 +193,15 @@ class aligner {
     return last_batch_stats_;
   }
 
+  /// Tile accounting for the most recent `align`/`align_into` call on
+  /// this handle: SIMD blocks (full and partial), their live lanes, and
+  /// scalar single tiles, summed over a traceback's tiled passes.  Zero
+  /// for routes that run no wavefront (small/bitpar/precision scores,
+  /// full-matrix tracebacks, simulators) and for batch calls.
+  [[nodiscard]] wavefront_stats last_wavefront_stats() const noexcept {
+    return last_wavefront_stats_;
+  }
+
   /// Banded forms (see `anyseq::align_banded` for semantics).
   [[nodiscard]] alignment_result align_banded(stage::seq_view q,
                                               stage::seq_view s, band b);
@@ -209,6 +221,9 @@ class aligner {
     /// on the bit-parallel route, the forced narrow type on the checked
     /// precision route, `int32` everywhere else (including tracebacks).
     score_precision precision;
+    /// Tile extent the wavefront routes use for this shape (`tile`, or
+    /// the plan-time derivation when it is 0); 0 for simulators.
+    index_t tile;
   };
   [[nodiscard]] plan_info plan(index_t n, index_t m) const;
 
@@ -236,6 +251,7 @@ class aligner {
   void* ws_[3] = {nullptr, nullptr, nullptr};  ///< one arena per variant
   std::vector<score_result> batch_score_scratch_;
   batch_stats last_batch_stats_{};  ///< filled by the batch score route
+  wavefront_stats last_wavefront_stats_{};  ///< filled by tiled routes
 };
 
 /// Align two encoded sequences (codes from dna_encode / bio::sequence).

@@ -67,9 +67,46 @@ inline int resolve_threads(int threads) {
   return threads > 0 ? threads : parallel::hardware_threads();
 }
 
-inline tiled::tiled_config make_tiled_config(const align_options& opt) {
-  return {opt.tile, opt.tile, resolve_threads(opt.threads),
-          opt.dynamic_schedule};
+/// Largest per-cell score step under `opt` (the 16-bit span's unit).
+inline score_t unit_of(const align_options& opt) {
+  return with_gap(opt, [&](auto gap) {
+    return with_scoring(opt, [&](const auto& scoring) {
+      return tiled::unit_step(gap, scoring);
+    });
+  });
+}
+
+/// The plan-time tile for an (n x m) problem when `opt.tile` is 0: the
+/// largest of 512, 256, 128 whose 16-bit span fits and whose longest
+/// anti-diagonal fills a block of kLanes tiles — two blocks on one
+/// thread, whose single worker pops whole diagonals.  When none fills,
+/// 128 if its diagonal still reaches the partial-block floor, else 512
+/// (small inputs form no blocks).  The scalar variant keeps 512.  From
+/// the measured sweep in DESIGN.md "Long-genome wavefront".
+inline index_t derive_tile(index_t n, index_t m, int threads, score_t unit) {
+  constexpr index_t kMaxTile = 512, kMinTile = 128;
+  if (kLanes == 1) return kMaxTile;
+  const auto usable = [&](index_t t, index_t min_diagonal) {
+    return fits_score_window(t, t, unit, int16_score_window()) &&
+           std::min(stage::tile_count(n, t), stage::tile_count(m, t)) >=
+               min_diagonal;
+  };
+  const index_t fill = threads == 1 ? 2 * kLanes : kLanes;
+  for (index_t t = kMaxTile; t >= kMinTile; t /= 2)
+    if (usable(t, fill)) return t;
+  return usable(kMinTile, parallel::block_floor(kLanes)) ? kMinTile
+                                                         : kMaxTile;
+}
+
+/// Wavefront configuration of one call, derived once from the top-level
+/// (n x m) shape: plan_bytes_impl and every tiled route (tiled score,
+/// tiled Hirschberg, locate) use the same tile.
+inline tiled::tiled_config make_tiled_config(const align_options& opt,
+                                             index_t n, index_t m) {
+  const int threads = resolve_threads(opt.threads);
+  const index_t tile =
+      opt.tile > 0 ? opt.tile : derive_tile(n, m, threads, unit_of(opt));
+  return {tile, tile, threads, opt.dynamic_schedule};
 }
 
 // ---------------------------------------------------------------------
@@ -83,6 +120,7 @@ inline tiled::tiled_config make_tiled_config(const align_options& opt) {
 struct ws_handle {
   workspace main;
   std::vector<workspace> workers;
+  wavefront_stats wavefront;  ///< accounting of the last tiled pass
 };
 
 inline ws_handle& handle_of(void* ws) {
@@ -129,7 +167,7 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
         (void)scoring;
         using Gap = std::decay_t<decltype(gap)>;
         using Scoring = std::decay_t<decltype(scoring)>;
-        const tiled::tiled_config cfg = make_tiled_config(opt);
+        const tiled::tiled_config cfg = make_tiled_config(opt, n, m);
 
         switch (rt) {
           case route_kind::small_score:
@@ -167,6 +205,14 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
   });
 }
 
+index_t plan_tile_impl(index_t n, index_t m, const align_options& opt) {
+  return make_tiled_config(opt, n, m).tile_h;
+}
+
+wavefront_stats last_wavefront_impl(const void* ws) noexcept {
+  return static_cast<const ws_handle*>(ws)->wavefront;
+}
+
 /// Stamp the variant that actually produced a result; called from inside
 /// the variant namespace, so a stamped result is a runtime proof that
 /// this clone executed.
@@ -180,6 +226,7 @@ score_result tiled_score_impl(stage::seq_view q, stage::seq_view s,
                               const align_options& opt, void* ws) {
   workspace& w = ws_of(ws);
   w.begin_pass();
+  wavefront_stats& stats = handle_of(ws).wavefront;
   return with_kind(opt.kind, [&](auto kc) {
     constexpr align_kind K = decltype(kc)::value;
     return with_gap(opt, [&](auto gap) {
@@ -187,8 +234,10 @@ score_result tiled_score_impl(stage::seq_view q, stage::seq_view s,
         using Gap = std::decay_t<decltype(gap)>;
         using Scoring = std::decay_t<decltype(scoring)>;
         tiled::tiled_engine<K, Gap, Scoring, kLanes> eng(
-            gap, scoring, make_tiled_config(opt));
-        return eng.score(q, s, w);
+            gap, scoring, make_tiled_config(opt, q.size(), s.size()));
+        const score_result r = eng.score(q, s, w);
+        stats = eng.last_stats();
+        return r;
       });
     });
   });
@@ -251,11 +300,13 @@ void hirschberg_global_impl(stage::seq_view q, stage::seq_view s,
                             alignment_result& out) {
   workspace& w = ws_of(ws);
   w.begin_pass();
+  wavefront_stats& stats = handle_of(ws).wavefront;
+  stats = {};
   with_gap(opt, [&](auto gap) {
     with_scoring(opt, [&](const auto& scoring) {
       tiled::tiled_hirschberg_align_into<kLanes>(
-          q, s, gap, scoring, make_tiled_config(opt), kHirschbergBaseCells,
-          w, out);
+          q, s, gap, scoring, make_tiled_config(opt, q.size(), s.size()),
+          kHirschbergBaseCells, w, out, &stats);
       stamp(out);
     });
   });
@@ -284,13 +335,16 @@ void locate_impl(stage::seq_view q, stage::seq_view s,
                  const align_options& opt, void* ws, alignment_result& out) {
   workspace& w = ws_of(ws);
   w.begin_pass();
+  wavefront_stats& stats = handle_of(ws).wavefront;
+  stats = {};
+  const tiled::tiled_config cfg = make_tiled_config(opt, q.size(), s.size());
   with_gap(opt, [&](auto gap) {
     with_scoring(opt, [&](const auto& scoring) {
       auto galign_into = [&](stage::seq_view subq, stage::seq_view subs,
                              alignment_result& r) {
         tiled::tiled_hirschberg_align_into<kLanes>(
-            subq, subs, gap, scoring, make_tiled_config(opt),
-            kHirschbergBaseCells, w, r);
+            subq, subs, gap, scoring, cfg, kHirschbergBaseCells, w, r,
+            &stats);
       };
       switch (opt.kind) {
         case align_kind::local:
@@ -385,6 +439,7 @@ void batch_align_impl(std::span<const seq_pair> pairs,
                                            &ws_capacity_impl,
                                            &ws_reserve_impl,
                                            &plan_bytes_impl,
+                                           &plan_tile_impl,
                                            &tiled_score_impl,
                                            &small_score_impl,
                                            &bitpar_score_impl,
@@ -394,7 +449,8 @@ void batch_align_impl(std::span<const seq_pair> pairs,
                                            &locate_impl,
                                            &banded_align_impl,
                                            &batch_scores_impl,
-                                           &batch_align_impl};
+                                           &batch_align_impl,
+                                           &last_wavefront_impl};
   return table;
 }
 

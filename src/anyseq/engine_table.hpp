@@ -111,6 +111,9 @@ struct ops {
   /// Exact arena footprint of the route `opt` selects for an (n x m)
   /// problem — what `aligner::reserve` feeds into ws_reserve.
   std::size_t (*plan_bytes)(index_t n, index_t m, const align_options& opt);
+  /// Tile extent the tiled routes use for an (n x m) problem under `opt`
+  /// (`opt.tile`, or the plan-time derivation when it is 0).
+  index_t (*plan_tile)(index_t n, index_t m, const align_options& opt);
 
   // --- execute entries (all carve from `ws`, never allocate after
   //     warm-up; traceback entries recycle `out`'s buffers) -----------
@@ -172,6 +175,10 @@ struct ops {
   void (*batch_align)(std::span<const seq_pair> pairs,
                       const align_options& opt, void* ws,
                       std::span<alignment_result> out);
+
+  /// Wavefront accounting of the last tiled score, tiled Hirschberg or
+  /// locate call on `ws` (summed over a traceback's tiled passes).
+  wavefront_stats (*last_wavefront)(const void* ws) noexcept;
 };
 
 /// The three variants are always present; `native` records whether their

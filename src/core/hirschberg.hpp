@@ -80,7 +80,7 @@ class hirschberg_engine {
   /// releases each level's last-row quadruple *before* recursing, so the
   /// peak is one quadruple plus the larger of the full-DP base case and
   /// whatever the last-row strategy itself carves (`last_row_extra`,
-  /// e.g. the tiled engine's lattice + worker scratch; 0 for the serial
+  /// e.g. the tiled engine's frontier + worker scratch; 0 for the serial
   /// strategy).
   [[nodiscard]] static std::size_t plan_bytes(
       index_t n, index_t m, index_t base_cells,

@@ -91,6 +91,17 @@ struct batch_stats {
   std::uint64_t padded_cells = 0;
 };
 
+/// Tile accounting of the most recent dynamic/static wavefront run (the
+/// tiled score, tiled Hirschberg and locate routes).  Shared baseline
+/// type for the same reason as batch_stats: `aligner` surfaces it.
+struct wavefront_stats {
+  std::uint64_t blocks = 0;          ///< SIMD blocks run (full + partial)
+  std::uint64_t partial_blocks = 0;  ///< blocks with dead lanes
+  std::uint64_t live_lanes = 0;      ///< tiles relaxed inside blocks
+  std::uint64_t singles = 0;         ///< tiles relaxed one by one (scalar)
+  std::uint64_t peak_ready = 0;      ///< most tiles queued at once
+};
+
 /// Build a compact CIGAR string (run-length encoded) from gapped strings.
 [[nodiscard]] std::string cigar_from_aligned(std::string_view q_aligned,
                                              std::string_view s_aligned);

@@ -3,7 +3,7 @@
 ///
 /// Every alignment pass used to heap-allocate its DP buffers on entry
 /// (rolling rows, full matrices, Hirschberg last-row quadruples, border
-/// lattices, SIMD block scratch).  A `workspace` replaces all of that
+/// frontiers, SIMD block scratch).  A `workspace` replaces all of that
 /// with one bump arena the caller owns and reuses: *plan* decides the
 /// route and footprint, *execute* carves spans out of the arena.  After
 /// warm-up (the arena has grown to the working set of the largest shape

@@ -9,7 +9,7 @@
 ///  * inside a stripe, threads sweep anti-diagonals in lockstep phases;
 ///  * sequence segments and the row above the stripe live in shared
 ///    memory; tile border rows/columns round-trip through global memory
-///    (the same border_lattice the CPU backend uses — here it plays the
+///    (the same border_frontier the CPU backend uses — here it plays the
 ///    role of GPU global memory, with every access counted);
 ///  * scores are 32-bit ("alignment computation on the GPU relies on
 ///    32-bit integer arithmetic", §V).
@@ -137,17 +137,14 @@ class gpu_engine {
     }
 
     tiled::tile_geometry geom(n, m, cfg_.tile_h, cfg_.tile_w);
-    tiled::border_lattice lat(geom, Gap::kind == gap_kind::affine);
-    for (index_t j = 0; j <= m; ++j)
-      lat.h_row(0)[j] = init_h_row0<K>(j, gap_);
-    for (index_t i = 0; i <= n; ++i) {
-      if constexpr (K == align_kind::global) {
-        lat.h_col(0)[i] =
-            i == 0 ? 0 : static_cast<score_t>(tb + gap_.extend() * i);
-      } else {
-        lat.h_col(0)[i] = init_h_col0<K>(i, gap_);
-      }
-    }
+    tiled::border_frontier fr(geom, Gap::kind == gap_kind::affine);
+    const auto h_col0 = [&](index_t i) -> score_t {
+      if constexpr (K == align_kind::global)
+        return i == 0 ? 0 : static_cast<score_t>(tb + gap_.extend() * i);
+      else
+        return init_h_col0<K>(i, gap_);
+    };
+    fr.init([&](index_t j) { return init_h_row0<K>(j, gap_); }, h_col0);
 
     tiled::tile_best best;
     std::mutex best_mutex;
@@ -160,7 +157,7 @@ class gpu_engine {
       launch(dev_, blocks, cfg_.block_threads, [&](block_context& ctx) {
         const index_t ty = ty_lo + ctx.block_idx();
         const index_t tx = d - ty;
-        const auto b = tile_block(ctx, q, s, lat, geom, ty, tx);
+        const auto b = tile_block(ctx, q, s, fr, ty, tx);
         if constexpr (K != align_kind::global) {
           std::lock_guard lock(best_mutex);
           best.merge(b);
@@ -168,16 +165,16 @@ class gpu_engine {
       });
     }
 
-    collect(n, m, geom, lat, best, out, hh_out, ee_out);
+    collect(n, m, fr, best, h_col0(n), out, hh_out, ee_out);
     return out;
   }
 
   /// One thread block computing one tile in stripes.
   template <class QV, class SV>
   tiled::tile_best tile_block(block_context& ctx, const QV& q, const SV& s,
-                              tiled::border_lattice& lat,
-                              const tiled::tile_geometry& geom, index_t ty,
+                              tiled::border_frontier& fr, index_t ty,
                               index_t tx) {
+    const tiled::tile_geometry& geom = fr.geometry();
     const index_t y0 = geom.y0(ty), y1 = geom.y1(ty);
     const index_t x0 = geom.x0(tx), x1 = geom.x1(tx);
     const index_t h_rows = y1 - y0, w = x1 - x0;
@@ -194,17 +191,20 @@ class gpu_engine {
     dev_.log_range_access(0, static_cast<std::uint64_t>(h_rows + w), 1, 1,
                           false);
 
-    // Load the top border (coalesced: contiguous 4-byte words).
-    for (index_t j = 0; j <= w; ++j) {
-      row_h[j] = lat.h_row(ty)[x0 + j];
-      row_e[j] = affine ? lat.e_row(ty)[x0 + j] : neg_inf();
+    // Load the corner and the top border (coalesced: contiguous 4-byte
+    // words).
+    row_h[0] = fr.corner(ty, tx);
+    row_e[0] = neg_inf();
+    for (index_t j = 1; j <= w; ++j) {
+      row_h[j] = fr.h_row()[x0 + j];
+      row_e[j] = affine ? fr.e_row()[x0 + j] : neg_inf();
     }
     dev_.log_range_access(0, static_cast<std::uint64_t>(w + 1), 4, 4, false);
     if (affine)
       dev_.log_range_access(0, static_cast<std::uint64_t>(w + 1), 4, 4,
                             false);
     // Left border (one element per row: strided, poorly coalesced — the
-    // lattice column is contiguous though, so it coalesces fine).
+    // frontier column is contiguous though, so it coalesces fine).
     dev_.log_range_access(0, static_cast<std::uint64_t>(h_rows), 4, 4, false);
     if (affine)
       dev_.log_range_access(0, static_cast<std::uint64_t>(h_rows), 4, 4,
@@ -225,13 +225,13 @@ class gpu_engine {
         sh_h[j] = row_h[j];
         sh_e[j] = row_e[j];
       }
-      // Column 0 from the left border lattice (E has no column-0 values;
-      // keep the sentinel so the reported last row stays consistent).
+      // Column 0 from the left border (E has no column-0 values; keep
+      // the sentinel so the reported last row stays consistent).
       for (index_t r = 1; r <= rows; ++r) {
-        sh_h[r * (w + 1)] = lat.h_col(tx)[y0 + stripe0 + r];
+        sh_h[r * (w + 1)] = fr.h_col()[y0 + stripe0 + r];
         sh_e[r * (w + 1)] = neg_inf();
         sh_f[r * (w + 1)] =
-            affine ? lat.f_col(tx)[y0 + stripe0 + r] : neg_inf();
+            affine ? fr.f_col()[y0 + stripe0 + r] : neg_inf();
       }
 
       // Anti-diagonal phases: thread t computes stripe row t+1.
@@ -253,7 +253,7 @@ class gpu_engine {
           sh_f[at] = nx.f;
           dev_.log_shared(6);
           if constexpr (tracks_running_max(K))
-            best.consider(nx.h, y0 + stripe0 + r, x0 + j);
+            best.consider<K>(nx.h, y0 + stripe0 + r, x0 + j, geom);
         });
       }
 
@@ -263,53 +263,54 @@ class gpu_engine {
         row_h[j] = sh_h[rows * (w + 1) + j];
         row_e[j] = sh_e[rows * (w + 1) + j];
       }
-      // Right border column out.
+      // Right border column out (in place over the left border: each
+      // row was read above, before this stripe overwrites it).
       for (index_t r = 1; r <= rows; ++r) {
-        lat.h_col(tx + 1)[y0 + stripe0 + r] = sh_h[r * (w + 1) + w];
-        if (affine)
-          lat.f_col(tx + 1)[y0 + stripe0 + r] = sh_f[r * (w + 1) + w];
+        fr.h_col()[y0 + stripe0 + r] = sh_h[r * (w + 1) + w];
+        if (affine) fr.f_col()[y0 + stripe0 + r] = sh_f[r * (w + 1) + w];
       }
       dev_.log_range_access(0, static_cast<std::uint64_t>(rows), 4, 4, true);
       if constexpr (K == align_kind::semiglobal) {
         if (x1 == geom.m)
           for (index_t r = 1; r <= rows; ++r)
-            best.consider(sh_h[r * (w + 1) + w], y0 + stripe0 + r, x1);
+            best.consider<K>(sh_h[r * (w + 1) + w], y0 + stripe0 + r, x1,
+                             geom);
       }
     }
 
-    // Bottom border out (coalesced write through the rotated view).
+    // Bottom border and corner out (coalesced write through the rotated
+    // view).
     for (index_t j = tx > 0 ? 1 : 0; j <= w; ++j) {
-      lat.h_row(ty + 1)[x0 + j] = row_h[j];
-      if (affine) lat.e_row(ty + 1)[x0 + j] = row_e[j];
+      fr.h_row()[x0 + j] = row_h[j];
+      if (affine) fr.e_row()[x0 + j] = row_e[j];
     }
+    fr.corner(ty + 1, tx + 1) = row_h[w];
     dev_.log_range_access(0, static_cast<std::uint64_t>(w + 1), 4, 4, true);
     if (affine)
       dev_.log_range_access(0, static_cast<std::uint64_t>(w + 1), 4, 4, true);
     if constexpr (K == align_kind::semiglobal) {
       if (y1 == geom.n)
         for (index_t j = 0; j <= w; ++j)
-          best.consider(row_h[j], y1, x0 + j);
+          best.consider<K>(row_h[j], y1, x0 + j, geom);
     }
     return best;
   }
 
-  void collect(index_t n, index_t m, const tiled::tile_geometry& geom,
-               tiled::border_lattice& lat, const tiled::tile_best& best,
-               score_result& out, std::span<score_t>* hh_out,
-               std::span<score_t>* ee_out) {
+  void collect(index_t n, index_t m, tiled::border_frontier& fr,
+               const tiled::tile_best& best, score_t h_n0, score_result& out,
+               std::span<score_t>* hh_out, std::span<score_t>* ee_out) {
+    const tiled::tile_geometry& geom = fr.geometry();
     if constexpr (K == align_kind::global) {
-      out.score = lat.h_row(geom.tiles_y)[m];
+      out.score = fr.h_row()[m];
       out.end_i = n;
       out.end_j = m;
     } else {
       tiled::tile_best b = best;
-      if constexpr (K == align_kind::local) {
-        b.consider(0, 0, 0);
-      } else if constexpr (K == align_kind::semiglobal) {
-        b.consider(lat.h_row(0)[m], 0, m);
-        b.consider(lat.h_col(0)[n], n, 0);
+      if constexpr (K == align_kind::semiglobal) {
+        b.consider<K>(init_h_row0<K>(m, gap_), 0, m, geom);
+        b.consider<K>(h_n0, n, 0, geom);
       } else {
-        b.consider(0, 0, 0);
+        b.consider<K>(0, 0, 0, geom);
       }
       out.score = b.score;
       out.end_i = b.i;
@@ -317,10 +318,10 @@ class gpu_engine {
       dev_.log_atomic();
     }
     if (hh_out != nullptr) {
-      const score_t* hrow = lat.h_row(geom.tiles_y);
+      const score_t* hrow = fr.h_row();
       for (index_t j = 0; j <= m; ++j) (*hh_out)[j] = hrow[j];
-      if (lat.affine()) {
-        const score_t* erow = lat.e_row(geom.tiles_y);
+      if (fr.affine()) {
+        const score_t* erow = fr.e_row();
         for (index_t j = 0; j <= m; ++j) (*ee_out)[j] = erow[j];
       } else {
         for (index_t j = 0; j <= m; ++j) (*ee_out)[j] = neg_inf();

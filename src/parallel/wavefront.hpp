@@ -8,7 +8,9 @@
 ///  * `dynamic_wavefront` — the paper's contribution: ready tiles live in
 ///    a thread-safe queue; a worker pops up to `l` tiles at once and
 ///    relaxes them as one SIMD block (vectorization *across* independent
-///    tiles), falling back to scalar singles when fewer are ready.
+///    tiles) whenever it got at least `block_floor(l)` of them — a
+///    partial block with dead lanes beats that many scalar tiles — and
+///    as scalar singles below the floor.
 ///    Several alignments' grids can be in flight simultaneously, which is
 ///    where the dynamic scheme shines (Fig. 3 shows 4 alignments).
 ///
@@ -20,7 +22,10 @@
 /// Kernels are passed as objects with
 ///   `int batch_width() const`                        — l (1 = scalar only)
 ///   `void run_single(tile_coord, int worker)`
-///   `void run_block(std::span<const tile_coord>, int worker)` — l tiles
+///   `std::size_t run_block(std::span<const tile_coord>, int worker)`
+///        — block_floor(l)..l tiles; returns how many of them ran inside
+///          the SIMD block (the kernel runs the others, e.g. clipped edge
+///          tiles, as singles)
 /// mirroring the paper's composition of iteration strategy and tile code.
 /// `worker` is the scheduler's worker id (0 <= worker < n_threads) so
 /// kernels index into pre-carved per-worker workspace scratch instead of
@@ -47,6 +52,7 @@
 #include <vector>
 
 #include "core/macros.hpp"
+#include "core/result.hpp"
 #include "core/types.hpp"
 #include "core/workspace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -184,33 +190,85 @@ class dep_tracker {
   std::vector<std::int8_t> own_deps_;
 };
 
-/// Execution statistics (exposed for tests and the ablation bench).
-struct wavefront_stats {
-  std::uint64_t blocks = 0;   ///< SIMD blocks of l tiles
-  std::uint64_t singles = 0;  ///< scalar tiles
+/// Execution statistics: the shared `anyseq::wavefront_stats`
+/// (core/result.hpp), re-exported because `aligner` surfaces it.
+using ::anyseq::wavefront_stats;
+
+/// Fold run `o` into the running totals `into` (the peak is a maximum).
+inline void accumulate(wavefront_stats& into,
+                       const wavefront_stats& o) noexcept {
+  into.blocks += o.blocks;
+  into.partial_blocks += o.partial_blocks;
+  into.live_lanes += o.live_lanes;
+  into.singles += o.singles;
+  into.peak_ready = std::max(into.peak_ready, o.peak_ready);
+}
+
+/// Fewest popped tiles worth one SIMD block of `l` lanes.  A block costs
+/// about the same whatever its live-lane count, so the floor is the
+/// measured break-even (block cost / scalar-tile cost, rounded up) of
+/// relax_tile_block vs relax_tile_scalar at tiles of 128..512 on an
+/// AVX-512BW Xeon: 3.3..4.2 for 32 lanes, 10.2..10.4 for 16 (DESIGN.md
+/// "Long-genome wavefront").  Other widths (the schedulers' tests) only
+/// run full blocks.
+[[nodiscard]] constexpr int block_floor(int l) noexcept {
+  return l >= 32 ? 5 : l == 16 ? 11 : l;
+}
+
+/// Upper bound on the tiles ever queued at once: ready tiles are
+/// pairwise incomparable in the grid order, so each grid contributes at
+/// most its longest anti-diagonal.
+[[nodiscard]] inline index_t max_ready_tiles(
+    std::span<const grid_dims> grids) noexcept {
+  index_t sum = 0;
+  for (const auto& g : grids) sum += std::min(g.tiles_y, g.tiles_x);
+  return sum;
+}
+
+/// Fold one popped set's outcome into the counters: `live` of `got`
+/// tiles ran inside one SIMD block of `l` lanes, the rest as singles.
+struct stat_counters {
+  std::atomic<std::uint64_t> blocks{0}, partial_blocks{0}, live_lanes{0},
+      singles{0};
+
+  void add(std::size_t got, std::size_t live, std::size_t l) noexcept {
+    if (live > 0) {
+      blocks.fetch_add(1, std::memory_order_relaxed);
+      if (live < l) partial_blocks.fetch_add(1, std::memory_order_relaxed);
+      live_lanes.fetch_add(live, std::memory_order_relaxed);
+    }
+    if (got > live) singles.fetch_add(got - live, std::memory_order_relaxed);
+  }
+  [[nodiscard]] wavefront_stats snapshot() const noexcept {
+    return {blocks.load(), partial_blocks.load(), live_lanes.load(),
+            singles.load(), 0};
+  }
 };
 
 /// Dynamic wavefront scheduler.
 class dynamic_wavefront {
  public:
   /// Arena bytes one workspace-backed run carves (the plan side).
-  [[nodiscard]] static std::size_t plan_bytes(std::size_t n_grids,
-                                              index_t total_tiles,
+  [[nodiscard]] static std::size_t plan_bytes(std::span<const grid_dims> grids,
                                               int n_threads, int l) noexcept {
     const auto workers = static_cast<std::size_t>(n_threads < 1 ? 1
                                                                 : n_threads);
     const auto lanes = static_cast<std::size_t>(l < 1 ? 1 : l);
-    return dep_tracker::plan_bytes(n_grids, total_tiles) +
-           carve_bytes<tile_coord>(static_cast<std::size_t>(total_tiles)) +
+    index_t total = 0;
+    for (const auto& g : grids) total += g.total();
+    return dep_tracker::plan_bytes(grids.size(), total) +
+           carve_bytes<tile_coord>(
+               static_cast<std::size_t>(max_ready_tiles(grids))) +
            workers * (carve_bytes<tile_coord>(lanes) +
                       carve_bytes<tile_coord>(2 * lanes));
   }
 
   /// Execute the grids' tile DAG.  With `ws` set, the dependency
-  /// counters, the ready-queue ring (one slot per tile — each tile is
-  /// enqueued exactly once), and the per-worker batch/ready buffers are
-  /// all carved from the workspace: a warm pass performs zero heap
-  /// allocations.  Without it, the scheduler owns throwaway buffers.
+  /// counters, the ready-queue ring (max_ready_tiles slots — never
+  /// outgrown, so the queue never migrates to owned storage), and the
+  /// per-worker batch/ready buffers are all carved from the workspace: a
+  /// warm pass performs zero heap allocations.  Without it, the
+  /// scheduler owns throwaway buffers.
   template <class Kernel>
   static wavefront_stats run(int n_threads,
                              std::span<const grid_dims> grids,
@@ -221,6 +279,9 @@ class dynamic_wavefront {
 
     const std::size_t l =
         static_cast<std::size_t>(std::max(1, kernel.batch_width()));
+    const std::size_t floor =
+        static_cast<std::size_t>(block_floor(static_cast<int>(l)));
+    const auto slots = static_cast<std::size_t>(max_ready_tiles(grids));
     // Never more workers than tiles: a one-tile problem runs inline on
     // the caller instead of spawning (and allocating) idle threads.
     n_threads = static_cast<int>(
@@ -231,18 +292,15 @@ class dynamic_wavefront {
     std::vector<tile_coord> own_scratch;
     std::span<tile_coord> ring, batch_all, ready_all;
     if (ws != nullptr) {
-      ring = ws->make<tile_coord>(static_cast<std::size_t>(total));
+      ring = ws->make<tile_coord>(slots);
       batch_all = ws->make<tile_coord>(workers * l);
       ready_all = ws->make<tile_coord>(workers * 2 * l);
     } else {
-      own_scratch.resize(static_cast<std::size_t>(total) + workers * 3 * l);
-      ring = std::span(own_scratch).subspan(0,
-                                            static_cast<std::size_t>(total));
-      batch_all = std::span(own_scratch)
-                      .subspan(static_cast<std::size_t>(total), workers * l);
-      ready_all = std::span(own_scratch)
-                      .subspan(static_cast<std::size_t>(total) + workers * l,
-                               workers * 2 * l);
+      own_scratch.resize(slots + workers * 3 * l);
+      ring = std::span(own_scratch).subspan(0, slots);
+      batch_all = std::span(own_scratch).subspan(slots, workers * l);
+      ready_all =
+          std::span(own_scratch).subspan(slots + workers * l, workers * 2 * l);
     }
     queue.bind(ring);
     for (std::size_t g = 0; g < grids.size(); ++g)
@@ -250,7 +308,7 @@ class dynamic_wavefront {
         queue.push({static_cast<std::int32_t>(g), 0, 0});
 
     std::atomic<index_t> remaining{total};
-    std::atomic<std::uint64_t> blocks{0}, singles{0};
+    stat_counters stats;
 
     run_workers(n_threads, [&](int tid) {
       tile_coord* batch =
@@ -261,14 +319,15 @@ class dynamic_wavefront {
         const std::size_t got = queue.pop_n(batch, l);
         if (got == 0) return;  // closed and drained
 
-        if (got == l && l > 1) {
-          kernel.run_block(std::span<const tile_coord>(batch, got), tid);
-          blocks.fetch_add(1, std::memory_order_relaxed);
+        std::size_t live = 0;
+        if (l > 1 && got >= floor) {
+          live = kernel.run_block(std::span<const tile_coord>(batch, got),
+                                  tid);
         } else {
           for (std::size_t k = 0; k < got; ++k)
             kernel.run_single(batch[k], tid);
-          singles.fetch_add(got, std::memory_order_relaxed);
         }
+        stats.add(got, live, l);
 
         std::size_t n_ready = 0;
         for (std::size_t k = 0; k < got; ++k)
@@ -280,7 +339,9 @@ class dynamic_wavefront {
           queue.close();  // last tiles done: wake all waiters
       }
     });
-    return {blocks.load(), singles.load()};
+    wavefront_stats out = stats.snapshot();
+    out.peak_ready = queue.peak_size();
+    return out;
   }
 };
 
@@ -309,7 +370,7 @@ class static_wavefront {
   template <class Kernel>
   static wavefront_stats run(int n_threads, std::span<const grid_dims> grids,
                              Kernel& kernel, workspace* ws = nullptr) {
-    std::atomic<std::uint64_t> blocks{0}, singles{0};
+    stat_counters stats;
     const int workers = std::max(1, n_threads);
     const index_t l = std::max(1, kernel.batch_width());
 
@@ -353,23 +414,22 @@ class static_wavefront {
             chunk[n_chunk++] = {static_cast<std::int32_t>(g),
                                static_cast<std::int32_t>(ty),
                                static_cast<std::int32_t>(d - ty)};
+          const auto lanes = static_cast<std::size_t>(l);
           index_t i = 0;
-          for (; i + l <= n_chunk; i += l) {
-            kernel.run_block(
-                std::span<const tile_coord>(chunk + i,
-                                            static_cast<std::size_t>(l)),
-                tid);
-            blocks.fetch_add(1, std::memory_order_relaxed);
-          }
+          for (; l > 1 && i + l <= n_chunk; i += l)
+            stats.add(lanes,
+                      kernel.run_block(
+                          std::span<const tile_coord>(chunk + i, lanes), tid),
+                      lanes);
           for (; i < n_chunk; ++i) {
             kernel.run_single(chunk[i], tid);
-            singles.fetch_add(1, std::memory_order_relaxed);
+            stats.add(1, 0, lanes);
           }
           if (sync.has_value()) sync->arrive_and_wait();
         }
       });
     }
-    return {blocks.load(), singles.load()};
+    return stats.snapshot();
   }
 };
 
@@ -379,12 +439,13 @@ class static_wavefront {
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq::parallel {
+using v_scalar::parallel::block_floor;
 using v_scalar::parallel::dep_tracker;
 using v_scalar::parallel::dynamic_wavefront;
 using v_scalar::parallel::grid_dims;
+using v_scalar::parallel::max_ready_tiles;
 using v_scalar::parallel::static_wavefront;
 using v_scalar::parallel::tile_coord;
-using v_scalar::parallel::wavefront_stats;
 }  // namespace anyseq::parallel
 #endif  // scalar exports
 

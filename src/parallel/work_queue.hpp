@@ -21,6 +21,7 @@
 #define ANYSEQ_PARALLEL_WORK_QUEUE_HPP_
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -49,11 +50,11 @@ using ::anyseq::parallel::thread_pool;
 ///
 /// Storage is a ring, either self-owned (grows to the peak backlog) or
 /// bound to caller-carved workspace memory (`bind`): the wavefront
-/// scheduler binds a span of one slot per tile — each tile is enqueued
-/// exactly once, so a bound queue never grows and a steady-state pass
-/// performs zero allocations.  If a bound ring ever would overflow, it
+/// scheduler binds a span sized by the most tiles that can ever be ready
+/// at once, so a bound queue never grows and a steady-state pass performs
+/// zero allocations.  If a bound ring ever would overflow, it
 /// transparently migrates to owned storage (defensive; not reachable
-/// from the scheduler).
+/// from the scheduler — `peak_size` lets tests check the bound).
 template <class T>
 class mpmc_queue {
  public:
@@ -66,6 +67,7 @@ class mpmc_queue {
     ext_ = backing;
     head_ = 0;
     count_ = 0;
+    peak_ = 0;
   }
 
   void push(T item) {
@@ -142,6 +144,18 @@ class mpmc_queue {
     return count_;
   }
 
+  /// Most items ever queued at once since construction or `bind`.
+  [[nodiscard]] std::size_t peak_size() const {
+    std::lock_guard lock(mutex_);
+    return peak_;
+  }
+
+  /// True while the ring still lives in the bound external storage.
+  [[nodiscard]] bool uses_bound_storage() const {
+    std::lock_guard lock(mutex_);
+    return !ext_.empty();
+  }
+
  private:
   [[nodiscard]] std::size_t capacity() const noexcept {
     return ext_.empty() ? own_.size() : ext_.size();
@@ -162,6 +176,7 @@ class mpmc_queue {
     }
     slot((head_ + count_) % capacity()) = x;
     ++count_;
+    peak_ = std::max(peak_, count_);
   }
 
   T pop_locked() {
@@ -177,6 +192,7 @@ class mpmc_queue {
   std::span<T> ext_;    ///< bound external ring storage (never grows)
   std::size_t head_ = 0;
   std::size_t count_ = 0;
+  std::size_t peak_ = 0;
   bool closed_ = false;
 };
 

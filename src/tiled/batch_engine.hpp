@@ -68,6 +68,7 @@
 #include "core/workspace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/pack.hpp"
+#include "tiled/tile_kernel.hpp"
 
 namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
@@ -100,17 +101,6 @@ struct batch_config {
 /// struct itself is the shared-baseline `anyseq::batch_stats`
 /// (core/result.hpp) — it crosses the engine::ops dispatch boundary.
 using batch_stats = ::anyseq::batch_stats;
-
-/// Worst per-cell score delta of one relax step under (gap, scoring) —
-/// the `unit` of the (n + m + 2) * unit bound and of the checked
-/// kernel's saturation watermarks.
-template <class Gap, class Scoring>
-[[nodiscard]] inline score_t unit_step(const Gap& gap,
-                                       const Scoring& scoring) noexcept {
-  return std::max(scoring.max_abs_unit(),
-                  std::max<score_t>(std::abs(gap.open_extend()),
-                                    std::abs(gap.extend())));
-}
 
 /// Arena bytes one narrow chunk pass carves (h + e + subject-char rows).
 template <class E, int W>
@@ -923,7 +913,6 @@ using v_scalar::tiled::narrow_chunk_score;
 using v_scalar::tiled::pair_view;
 using v_scalar::tiled::ragged_chunk_plan_bytes;
 using v_scalar::tiled::ragged_chunk_score;
-using v_scalar::tiled::unit_step;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
 

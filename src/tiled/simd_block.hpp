@@ -6,13 +6,15 @@
 /// Lane `l` of every vector computes tile `l` of the block; because the
 /// tiles are mutually independent (ready at the same time in the dynamic
 /// wavefront), the lanes never interact and core::relax instantiated with
-/// pack types computes all of them per instruction.
+/// pack types computes all of them per instruction.  A partial block
+/// leaves its last lanes dead: they recompute lane 0's tile and their
+/// results are dropped.
 ///
 /// Scores inside the block are 16-bit offsets from each tile's entry
 /// corner ("only differences to the global score are relevant", §IV-A);
 /// borders are rebased on load and restored on store.  The caller
 /// guarantees (tile_h + tile_w) * max_unit stays inside the int16 range —
-/// tiled_engine validates this at construction.
+/// tiled_engine runs tiles beyond it as int32 singles instead.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
 /// once per engine variant — see simd/foreach_target.hpp)
@@ -94,42 +96,52 @@ namespace detail {
 
 }  // namespace detail
 
-/// Relax `W` independent full-size tiles as one SIMD block.
-/// `tiles[l]` gives lane l's (ty, tx); all tiles must have full extents.
-/// Returns each lane's tile_best merged (local/semiglobal tracking).
+/// Relax `live` (2 <= live <= W) independent full-size tiles as one SIMD
+/// block.  `tiles[l]` gives lane l's (ty, tx) for l < live; the dead
+/// lanes live..W-1 replay lane 0's tile and never write borders or merge
+/// bests.  Returns the live lanes' tile_best merged (local/semiglobal
+/// tracking).
 template <align_kind K, class Gap, class Scoring, int W, class QV, class SV>
-tile_best relax_tile_block(const QV& q, const SV& s, border_lattice& lat,
-                           const parallel::tile_coord* tiles, const Gap& gap,
-                           const Scoring& scoring, block_scratch<W>& scr) {
+tile_best relax_tile_block(const QV& q, const SV& s, border_frontier& fr,
+                           const parallel::tile_coord* tiles, int live,
+                           const Gap& gap, const Scoring& scoring,
+                           block_scratch<W>& scr) {
   using p16 = simd::pack<score16_t, W>;
-  const auto& g = lat.geometry();
+  const auto& g = fr.geometry();
   const index_t th = g.tile_h, tw = g.tile_w;
   const bool affine = Gap::kind == gap_kind::affine;
+  score_t* const row_h = fr.h_row();
+  score_t* const row_e = fr.e_row();
+  score_t* const col_h = fr.h_col();
+  score_t* const col_f = fr.f_col();
 
   ANYSEQ_ASSERT(static_cast<index_t>(scr.h.size()) == tw + 1,
                 "block_scratch must be bound to this geometry's tile width");
+  ANYSEQ_ASSERT(live >= 2 && live <= W, "a block needs 2..W live tiles");
 
-  // Per-lane geometry and rebasing corners.
+  // Per-lane geometry and rebasing corners (dead lanes copy lane 0).
   index_t y0[W], x0[W];
   score_t base[W];
   for (int l = 0; l < W; ++l) {
-    y0[l] = g.y0(tiles[l].ty);
-    x0[l] = g.x0(tiles[l].tx);
-    ANYSEQ_ASSERT(g.full(tiles[l].ty, tiles[l].tx),
-                  "SIMD blocks require full-size tiles");
-    base[l] = lat.h_row(tiles[l].ty)[x0[l]];
+    const parallel::tile_coord t = tiles[l < live ? l : 0];
+    ANYSEQ_ASSERT(g.full(t.ty, t.tx), "SIMD blocks require full-size tiles");
+    y0[l] = g.y0(t.ty);
+    x0[l] = g.x0(t.tx);
+    base[l] = fr.corner(t.ty, t.tx);
   }
 
-  // Interleave top borders and subject characters (lane-major packs).
-  for (index_t jj = 0; jj <= tw; ++jj) {
+  // Interleave top segments and subject characters (lane-major packs);
+  // column 0 is each lane's own corner, rebased to 0.
+  scr.h[0] = p16::broadcast(0);
+  scr.e[0] = p16::broadcast(neg_inf16());
+  scr.schars[0] = p16::broadcast(0);
+  for (index_t jj = 1; jj <= tw; ++jj) {
     p16 hv, ev, sv;
     for (int l = 0; l < W; ++l) {
-      hv.v[l] = detail::rebase16(lat.h_row(tiles[l].ty)[x0[l] + jj], base[l]);
-      ev.v[l] = affine ? detail::rebase16(lat.e_row(tiles[l].ty)[x0[l] + jj],
-                                          base[l])
+      hv.v[l] = detail::rebase16(row_h[x0[l] + jj], base[l]);
+      ev.v[l] = affine ? detail::rebase16(row_e[x0[l] + jj], base[l])
                        : neg_inf16();
-      sv.v[l] =
-          jj > 0 ? static_cast<score16_t>(s[x0[l] + jj - 1]) : score16_t{0};
+      sv.v[l] = static_cast<score16_t>(s[x0[l] + jj - 1]);
     }
     scr.h[jj] = hv;
     scr.e[jj] = ev;
@@ -150,10 +162,8 @@ tile_best relax_tile_block(const QV& q, const SV& s, border_lattice& lat,
     p16 qc, left_h, left_f;
     for (int l = 0; l < W; ++l) {
       qc.v[l] = static_cast<score16_t>(q[y0[l] + i - 1]);
-      left_h.v[l] =
-          detail::rebase16(lat.h_col(tiles[l].tx)[y0[l] + i], base[l]);
-      left_f.v[l] = affine ? detail::rebase16(
-                                 lat.f_col(tiles[l].tx)[y0[l] + i], base[l])
+      left_h.v[l] = detail::rebase16(col_h[y0[l] + i], base[l]);
+      left_f.v[l] = affine ? detail::rebase16(col_f[y0[l] + i], base[l])
                            : neg_inf16();
     }
     p16 diag = scr.h[0];
@@ -179,49 +189,46 @@ tile_best relax_tile_block(const QV& q, const SV& s, border_lattice& lat,
       }
     }
 
-    // Right border out (absolute values).
-    for (int l = 0; l < W; ++l) {
-      lat.h_col(tiles[l].tx + 1)[y0[l] + i] =
-          detail::debase16(scr.h[tw].v[l], base[l]);
-      if (affine)
-        lat.f_col(tiles[l].tx + 1)[y0[l] + i] =
-            detail::debase16(f.v[l], base[l]);
+    // Right segment out (absolute values, live lanes only).
+    for (int l = 0; l < live; ++l) {
+      col_h[y0[l] + i] = detail::debase16(scr.h[tw].v[l], base[l]);
+      if (affine) col_f[y0[l] + i] = detail::debase16(f.v[l], base[l]);
     }
   }
 
-  // Bottom border out (jj = 0 corner skipped when a left neighbor exists —
-  // see the matching comment in relax_tile_scalar).
-  for (index_t jj = 0; jj <= tw; ++jj) {
-    for (int l = 0; l < W; ++l) {
-      if (jj == 0 && tiles[l].tx > 0) continue;
-      lat.h_row(tiles[l].ty + 1)[x0[l] + jj] =
-          detail::debase16(scr.h[jj].v[l], base[l]);
+  // Bottom segment and corner out (slot x0 only for tile column 0 — see
+  // relax_tile_scalar).
+  for (int l = 0; l < live; ++l) {
+    for (index_t jj = tiles[l].tx > 0 ? 1 : 0; jj <= tw; ++jj) {
+      row_h[x0[l] + jj] = detail::debase16(scr.h[jj].v[l], base[l]);
       if (affine)
-        lat.e_row(tiles[l].ty + 1)[x0[l] + jj] =
-            detail::debase16(scr.e[jj].v[l], base[l]);
+        row_e[x0[l] + jj] = detail::debase16(scr.e[jj].v[l], base[l]);
     }
+    fr.corner(tiles[l].ty + 1, tiles[l].tx + 1) =
+        detail::debase16(scr.h[tw].v[l], base[l]);
   }
 
-  // Merge per-lane bests (local); semiglobal border maxima are handled by
-  // the engine's final lattice scan, and full-size tiles never touch the
-  // true last row/column when clipping exists — but when the sequence
-  // lengths divide evenly the last tiles ARE full, so account for them.
+  // Merge the live lanes' bests.  Inside a tile the strict `vgt` keeps
+  // the first cell in row-major order, i.e. the lowest rank; semiglobal
+  // candidates on the true last row/column are read back from the
+  // frontier segments this block just wrote.
   tile_best best;
   if constexpr (tracks_running_max(K)) {
-    for (int l = 0; l < W; ++l)
-      best.consider(detail::debase16(best_v.v[l], base[l]),
-                    y0[l] + static_cast<index_t>(best_i.v[l]),
-                    x0[l] + static_cast<index_t>(best_j.v[l]));
+    for (int l = 0; l < live; ++l)
+      best.consider<K>(detail::debase16(best_v.v[l], base[l]),
+                       y0[l] + static_cast<index_t>(best_i.v[l]),
+                       x0[l] + static_cast<index_t>(best_j.v[l]), g);
   } else if constexpr (K == align_kind::semiglobal) {
-    for (int l = 0; l < W; ++l) {
+    for (int l = 0; l < live; ++l) {
       if (x0[l] + tw == g.m)  // lane's tile ends at the true last column
         for (index_t i = 1; i <= th; ++i)
-          best.consider(lat.h_col(tiles[l].tx + 1)[y0[l] + i], y0[l] + i,
-                        g.m);
-      if (y0[l] + th == g.n)  // true last row
-        for (index_t jj = 0; jj <= tw; ++jj)
-          best.consider(lat.h_row(tiles[l].ty + 1)[x0[l] + jj], g.n,
-                        x0[l] + jj);
+          best.consider<K>(col_h[y0[l] + i], y0[l] + i, g.m, g);
+      if (y0[l] + th == g.n) {  // true last row
+        best.consider<K>(detail::debase16(scr.h[0].v[l], base[l]), g.n,
+                         x0[l], g);
+        for (index_t jj = 1; jj <= tw; ++jj)
+          best.consider<K>(row_h[x0[l] + jj], g.n, x0[l] + jj, g);
+      }
     }
   }
   return best;

@@ -1,5 +1,5 @@
 /// \file tile_kernel.hpp
-/// Scalar relaxation of one DP tile against the border lattice
+/// Scalar relaxation of one DP tile against the border frontier
 /// (paper §IV-A: "In the non-vectorized version, cells within a submatrix
 /// will be relaxed in row-major order").
 
@@ -15,6 +15,8 @@
 #define ANYSEQ_TILED_TILE_KERNEL_HPP_
 #endif
 
+#include <limits>
+
 #include "core/init.hpp"
 #include "core/relax.hpp"
 #include "stage/views.hpp"
@@ -24,58 +26,86 @@ namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
 namespace tiled {
 
-/// Best cell seen inside a tile (used for local/semiglobal optima).
+/// Worst per-cell score delta of one relax step under (gap, scoring) —
+/// the `unit` of the (n + m + 2) * unit bound and of the checked
+/// kernel's saturation watermarks.
+template <class Gap, class Scoring>
+[[nodiscard]] inline score_t unit_step(const Gap& gap,
+                                       const Scoring& scoring) noexcept {
+  return std::max(scoring.max_abs_unit(),
+                  std::max<score_t>(std::abs(gap.open_extend()),
+                                    std::abs(gap.extend())));
+}
+
+/// Best end-cell candidate seen so far (local/semiglobal/extension
+/// optima).  Equal scores resolve to the lower `tile_geometry::rank`,
+/// i.e. to the cell rolling_score visits first, so merging per-tile
+/// bests in any order reproduces the serial engine's end cell.
 struct tile_best {
   score_t score = neg_inf();
   index_t i = 0, j = 0;
+  std::int64_t rank = std::numeric_limits<std::int64_t>::max();
 
-  void consider(score_t v, index_t ci, index_t cj) noexcept {
-    if (v > score) {
+  void consider(score_t v, index_t ci, index_t cj, std::int64_t r) noexcept {
+    if (v > score || (v == score && r < rank)) {
       score = v;
       i = ci;
       j = cj;
+      rank = r;
     }
   }
-  void merge(const tile_best& o) noexcept { consider(o.score, o.i, o.j); }
+  /// Candidate (v, ci, cj) ranked in `g`'s order for kind K.
+  template <align_kind K>
+  void consider(score_t v, index_t ci, index_t cj,
+                const tile_geometry& g) noexcept {
+    if (v >= score) consider(v, ci, cj, g.rank<K>(ci, cj));
+  }
+  void merge(const tile_best& o) noexcept {
+    consider(o.score, o.i, o.j, o.rank);
+  }
 };
 
-/// Relax tile (ty, tx): consume boundary row `ty` / column `tx`, produce
-/// boundary row `ty+1` / column `tx+1`.  Returns the tile's best cell
-/// according to the alignment kind (meaningless for global — the engine
-/// reads the final lattice corner instead).
+/// Relax tile (ty, tx) in place on the frontier: consume its top/left
+/// segments and corner, produce its bottom/right segments and corner
+/// (ty+1, tx+1).  Returns the tile's best cell according to the
+/// alignment kind (meaningless for global — the engine reads the final
+/// frontier instead).
 ///
 /// Scratch buffers (h, e of size tile_w+1) are caller-provided so worker
 /// threads reuse them across tiles.
 template <align_kind K, class Gap, class Scoring, class QV, class SV>
-tile_best relax_tile_scalar(const QV& q, const SV& s, border_lattice& lat,
+tile_best relax_tile_scalar(const QV& q, const SV& s, border_frontier& fr,
                             index_t ty, index_t tx, const Gap& gap,
                             const Scoring& scoring, score_t* ANYSEQ_RESTRICT h,
                             score_t* ANYSEQ_RESTRICT e) {
-  const auto& g = lat.geometry();
+  const auto& g = fr.geometry();
   const index_t y0 = g.y0(ty), y1 = g.y1(ty);
   const index_t x0 = g.x0(tx), x1 = g.x1(tx);
   const index_t w = x1 - x0;
   const bool affine = Gap::kind == gap_kind::affine;
 
-  // Load the top boundary into the rolling buffers (local index 0..w).
-  const score_t* top_h = lat.h_row(ty) + x0;
-  const score_t* top_e = affine ? lat.e_row(ty) + x0 : nullptr;
-  for (index_t jj = 0; jj <= w; ++jj) {
-    h[jj] = top_h[jj];
-    e[jj] = affine ? top_e[jj] : neg_inf();
+  // Load the top segment into the rolling buffers (local index 0..w);
+  // index 0 is the tile's own corner.
+  score_t* row_h = fr.h_row() + x0;
+  score_t* row_e = affine ? fr.e_row() + x0 : nullptr;
+  h[0] = fr.corner(ty, tx);
+  e[0] = neg_inf();
+  for (index_t jj = 1; jj <= w; ++jj) {
+    h[jj] = row_h[jj];
+    e[jj] = affine ? row_e[jj] : neg_inf();
   }
 
-  score_t* left_h = lat.h_col(tx);
-  score_t* left_f = affine ? lat.f_col(tx) : nullptr;
-  score_t* out_h_col = lat.h_col(tx + 1);
-  score_t* out_f_col = affine ? lat.f_col(tx + 1) : nullptr;
+  // The left segment is read and overwritten row by row: H(i, x0) in,
+  // H(i, x1) out.
+  score_t* col_h = fr.h_col();
+  score_t* col_f = affine ? fr.f_col() : nullptr;
 
   tile_best best;
 
   for (index_t i = y0 + 1; i <= y1; ++i) {
     score_t diag = h[0];
-    h[0] = left_h[i];
-    score_t f = affine ? left_f[i] : neg_inf();
+    h[0] = col_h[i];
+    score_t f = affine ? col_f[i] : neg_inf();
     const char_t qc = q[i - 1];
     for (index_t jj = 1; jj <= w; ++jj) {
       const prev_cells<score_t> prev{diag, h[jj], h[jj - 1], e[jj], f};
@@ -85,28 +115,28 @@ tile_best relax_tile_scalar(const QV& q, const SV& s, border_lattice& lat,
       h[jj] = nx.h;
       e[jj] = nx.e;
       f = nx.f;
-      if constexpr (tracks_running_max(K)) best.consider(nx.h, i, x0 + jj);
+      if constexpr (tracks_running_max(K))
+        best.consider<K>(nx.h, i, x0 + jj, g);
     }
-    out_h_col[i] = h[w];
-    if (affine) out_f_col[i] = f;
+    col_h[i] = h[w];
+    if (affine) col_f[i] = f;
     if constexpr (K == align_kind::semiglobal) {
-      if (x1 == g.m) best.consider(h[w], i, x1);  // true last column
+      if (x1 == g.m) best.consider<K>(h[w], i, x1, g);  // true last column
     }
   }
 
-  // Bottom boundary out.  The jj = 0 corner is skipped when a left
-  // neighbor exists: that tile already wrote the identical value, and
-  // writing it again here would race with a concurrent lower-left tile's
-  // read of the same lattice slot.
-  score_t* bot_h = lat.h_row(ty + 1) + x0;
-  score_t* bot_e = affine ? lat.e_row(ty + 1) + x0 : nullptr;
+  // Bottom segment out.  Slot x0 belongs to the left neighbour's segment
+  // and is written only by tile column 0 (slot 0, so the finished row
+  // frontier carries H(n, 0) too).
   for (index_t jj = tx > 0 ? 1 : 0; jj <= w; ++jj) {
-    bot_h[jj] = h[jj];
-    if (affine) bot_e[jj] = e[jj];
+    row_h[jj] = h[jj];
+    if (affine) row_e[jj] = e[jj];
   }
+  fr.corner(ty + 1, tx + 1) = h[w];
   if constexpr (K == align_kind::semiglobal) {
     if (y1 == g.n)  // true last row: every cell competes
-      for (index_t jj = 0; jj <= w; ++jj) best.consider(h[jj], y1, x0 + jj);
+      for (index_t jj = 0; jj <= w; ++jj)
+        best.consider<K>(h[jj], y1, x0 + jj, g);
   }
   return best;
 }
@@ -119,6 +149,7 @@ tile_best relax_tile_scalar(const QV& q, const SV& s, border_lattice& lat,
 namespace anyseq::tiled {
 using v_scalar::tiled::relax_tile_scalar;
 using v_scalar::tiled::tile_best;
+using v_scalar::tiled::unit_step;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
 

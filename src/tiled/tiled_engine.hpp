@@ -1,13 +1,15 @@
 /// \file tiled_engine.hpp
 /// Multi-threaded tiled score engine for long sequences — the paper's CPU
 /// backend: dynamic (or static, for the Fig. 6 baseline) wavefront over
-/// the tile grid, scalar tiles or SIMD blocks of `Lanes` independent
-/// tiles, border-lattice storage (linear space).
+/// the tile grid, scalar tiles or SIMD blocks of up to `Lanes`
+/// independent tiles, border-frontier storage (O(n + m) space).
 ///
-/// `Lanes` selects the benchmark variants: 1 = scalar multithreaded
-/// "CPU", 16 = "AVX2" (16-bit x 16), 32 = "AVX512" (16-bit x 32).
+/// `Lanes` is the variant's 16-bit lane count: 1 = the scalar variant
+/// (scalar tiles on many threads), 16 = AVX2, 32 = AVX-512BW.  Tile sizes
+/// whose 16-bit differential span does not fit run every tile as an
+/// exact int32 single instead.
 ///
-/// Plan/execute split: the border lattice and all per-worker tile
+/// Plan/execute split: the border frontier and all per-worker tile
 /// scratch (rolling rows + SIMD block rows) are carved from a
 /// caller-owned `workspace` on the driving thread before the wavefront
 /// starts — workers only index their pre-carved slice.  This replaces
@@ -40,7 +42,8 @@ namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
 namespace tiled {
 
-/// Tuning/scheduling configuration (bench_ablation sweeps these).
+/// Tuning/scheduling configuration (bench_ablation sweeps these; the
+/// dispatcher derives the tile at plan time, engine_impl.hpp).
 struct tiled_config {
   index_t tile_h = 512;
   index_t tile_w = 512;
@@ -60,24 +63,17 @@ class tiled_engine {
       throw invalid_argument_error("tile extents must be >= 1");
     if (cfg_.threads < 1)
       throw invalid_argument_error("threads must be >= 1");
-    if constexpr (Lanes > 1) {
-      const score_t unit =
-          std::max(scoring_.max_abs_unit(),
-                   std::max(std::abs(gap_.open_extend()),
-                            std::abs(gap_.extend())));
-      const score_t span = static_cast<score_t>(
-          (cfg_.tile_h + cfg_.tile_w + 2) * unit);
-      if (span > 28000)
-        throw invalid_argument_error(
-            "tile too large for 16-bit differential scores: "
-            "(tile_h + tile_w) * max_unit must stay below 28000");
-    }
     if (gap_.extend() > 0)
       throw invalid_argument_error("gap penalties must be <= 0");
+    // Oversize tiles are not an error: their tiles run as int32 singles.
+    simd_ = Lanes > 1 &&
+            fits_score_window(cfg_.tile_h, cfg_.tile_w,
+                              unit_step(gap_, scoring_),
+                              int16_score_window());
   }
 
   /// Arena bytes one pass carves for an (n x m) problem (the plan side):
-  /// the border lattice plus per-worker scalar rows and SIMD block rows.
+  /// the border frontier plus per-worker scalar rows and SIMD block rows.
   [[nodiscard]] static std::size_t plan_bytes(index_t n, index_t m,
                                               const tiled_config& cfg) {
     if (n == 0 || m == 0) return 0;
@@ -91,11 +87,11 @@ class tiled_engine {
     const parallel::grid_dims dims{geom.tiles_y, geom.tiles_x};
     const std::size_t sched =
         cfg.dynamic_schedule
-            ? parallel::dynamic_wavefront::plan_bytes(
-                  1, geom.tiles_y * geom.tiles_x, cfg.threads, Lanes)
+            ? parallel::dynamic_wavefront::plan_bytes(std::span(&dims, 1),
+                                                      cfg.threads, Lanes)
             : parallel::static_wavefront::plan_bytes(std::span(&dims, 1),
                                                      cfg.threads);
-    return border_lattice::plan_bytes(geom, affine) +
+    return border_frontier::plan_bytes(geom, affine) +
            workers * per_worker +
            carve_bytes<block_scratch<Lanes>>(workers) + sched;
   }
@@ -133,6 +129,8 @@ class tiled_engine {
   }
 
   [[nodiscard]] const tiled_config& config() const noexcept { return cfg_; }
+  /// False when the tile exceeds the 16-bit span: tiles run as singles.
+  [[nodiscard]] bool simd_blocks() const noexcept { return simd_; }
   [[nodiscard]] parallel::wavefront_stats last_stats() const noexcept {
     return stats_;
   }
@@ -146,14 +144,14 @@ class tiled_engine {
     tiled_engine& eng;
     const QV& q;
     const SV& s;
-    border_lattice& lat;
+    border_frontier& fr;
     std::span<score_t> h_rows;  ///< threads x (tile_w+1) scalar H scratch
     std::span<score_t> e_rows;  ///< threads x (tile_w+1) scalar E scratch
     std::span<block_scratch<Lanes>> blocks;  ///< threads SIMD scratches
     std::mutex best_mutex;
     tile_best best;
 
-    [[nodiscard]] int batch_width() const { return Lanes; }
+    [[nodiscard]] int batch_width() const { return eng.simd_ ? Lanes : 1; }
 
     void merge(const tile_best& b) {
       if (b.score <= neg_inf() / 2) return;
@@ -165,24 +163,33 @@ class tiled_engine {
       const auto pitch = static_cast<std::size_t>(eng.cfg_.tile_w + 1);
       score_t* h = h_rows.data() + static_cast<std::size_t>(tid) * pitch;
       score_t* e = e_rows.data() + static_cast<std::size_t>(tid) * pitch;
-      merge(relax_tile_scalar<K>(q, s, lat, t.ty, t.tx, eng.gap_,
+      merge(relax_tile_scalar<K>(q, s, fr, t.ty, t.tx, eng.gap_,
                                  eng.scoring_, h, e));
     }
 
-    void run_block(std::span<const parallel::tile_coord> tiles, int tid) {
+    /// Full tiles run as one (possibly partial) block, clipped edge tiles
+    /// as singles; returns the block's live-lane count.
+    std::size_t run_block(std::span<const parallel::tile_coord> tiles,
+                          int tid) {
+      std::size_t live = 0;
       if constexpr (Lanes > 1) {
-        const auto& g = lat.geometry();
-        bool all_full = true;
+        const auto& g = fr.geometry();
+        parallel::tile_coord full[Lanes];
         for (const auto& t : tiles)
-          all_full = all_full && g.full(t.ty, t.tx);
-        if (all_full) {
+          if (g.full(t.ty, t.tx)) full[live++] = t;
+        if (live >= static_cast<std::size_t>(parallel::block_floor(Lanes))) {
           merge(relax_tile_block<K, Gap, Scoring, Lanes>(
-              q, s, lat, tiles.data(), eng.gap_, eng.scoring_,
-              blocks[static_cast<std::size_t>(tid)]));
-          return;
+              q, s, fr, full, static_cast<int>(live), eng.gap_,
+              eng.scoring_, blocks[static_cast<std::size_t>(tid)]));
+        } else {
+          live = 0;
         }
+        for (const auto& t : tiles)
+          if (live == 0 || !g.full(t.ty, t.tx)) run_single(t, tid);
+      } else {
+        for (const auto& t : tiles) run_single(t, tid);
       }
-      for (const auto& t : tiles) run_single(t, tid);  // clipped edge tiles
+      return live;
     }
   };
 
@@ -196,25 +203,20 @@ class tiled_engine {
 
     if (n == 0 || m == 0) {
       degenerate(n, m, tb, out, hh_out, ee_out);
+      stats_ = {};
       return out;
     }
 
-    workspace::frame fr(ws);
+    workspace::frame frame(ws);
     tile_geometry geom(n, m, cfg_.tile_h, cfg_.tile_w);
-    border_lattice lat(geom, Gap::kind == gap_kind::affine, ws);
-
-    // Boundary initialization (H row 0 / col 0; E and F planes are
-    // already -inf from construction).
-    score_t* h0 = lat.h_row(0);
-    for (index_t j = 0; j <= m; ++j) h0[j] = init_h_row0<K>(j, gap_);
-    score_t* c0 = lat.h_col(0);
-    for (index_t i = 0; i <= n; ++i) {
-      if constexpr (K == align_kind::global) {
-        c0[i] = i == 0 ? 0 : static_cast<score_t>(tb + gap_.extend() * i);
-      } else {
-        c0[i] = init_h_col0<K>(i, gap_);
-      }
-    }
+    border_frontier fr(geom, Gap::kind == gap_kind::affine, ws);
+    const auto h_col0 = [&](index_t i) -> score_t {
+      if constexpr (K == align_kind::global)
+        return i == 0 ? 0 : static_cast<score_t>(tb + gap_.extend() * i);
+      else
+        return init_h_col0<K>(i, gap_);
+    };
+    fr.init([&](index_t j) { return init_h_row0<K>(j, gap_); }, h_col0);
 
     // Per-worker scratch, carved on the driving thread (plan) so the
     // workers never touch the arena (execute).
@@ -228,7 +230,7 @@ class tiled_engine {
       for (auto& b : blocks) b.bind(ws, cfg_.tile_w);
     }
 
-    kernel_adapter<QV, SV> kernel{*this, q,      s,  lat, h_rows,
+    kernel_adapter<QV, SV> kernel{*this, q,      s,  fr, h_rows,
                                   e_rows, blocks, {}, {}};
     const parallel::grid_dims dims{geom.tiles_y, geom.tiles_x};
     stats_ = cfg_.dynamic_schedule
@@ -239,24 +241,18 @@ class tiled_engine {
 
     // Collect the optimum.
     if constexpr (K == align_kind::global) {
-      out.score = lat.h_row(geom.tiles_y)[m];
+      out.score = fr.h_row()[m];
       out.end_i = n;
       out.end_j = m;
-    } else if constexpr (K == align_kind::local) {
-      tile_best b = kernel.best;
-      b.consider(0, 0, 0);  // the empty alignment
-      out.score = b.score;
-      out.end_i = b.i;
-      out.end_j = b.j;
     } else {
-      // semiglobal / extension: kernels tracked interior candidates; add
-      // the boundary cells they cannot see.
+      // Kernels tracked interior candidates; add the boundary cells they
+      // cannot see, ranked like the serial engine visits them.
       tile_best b = kernel.best;
       if constexpr (K == align_kind::semiglobal) {
-        b.consider(lat.h_row(0)[m], 0, m);   // (0, m) on the last column
-        b.consider(lat.h_col(0)[n], n, 0);   // (n, 0) on the last row
+        b.consider<K>(init_h_row0<K>(m, gap_), 0, m, geom);  // (0, m)
+        b.consider<K>(h_col0(n), n, 0, geom);                // (n, 0)
       } else {
-        b.consider(0, 0, 0);  // extension: the empty prefix at (0,0)
+        b.consider<K>(0, 0, 0, geom);  // the empty alignment / prefix
       }
       out.score = b.score;
       out.end_i = b.i;
@@ -267,10 +263,10 @@ class tiled_engine {
       ANYSEQ_CHECK(static_cast<index_t>(hh_out->size()) == m + 1 &&
                        static_cast<index_t>(ee_out->size()) == m + 1,
                    "last_row spans must have m+1 entries");
-      const score_t* hrow = lat.h_row(geom.tiles_y);
+      const score_t* hrow = fr.h_row();
       for (index_t j = 0; j <= m; ++j) (*hh_out)[j] = hrow[j];
-      if (lat.affine()) {
-        const score_t* erow = lat.e_row(geom.tiles_y);
+      if (fr.affine()) {
+        const score_t* erow = fr.e_row();
         for (index_t j = 0; j <= m; ++j) (*ee_out)[j] = erow[j];
       } else {
         for (index_t j = 0; j <= m; ++j) (*ee_out)[j] = neg_inf();
@@ -309,6 +305,7 @@ class tiled_engine {
   Gap gap_;
   Scoring scoring_;
   tiled_config cfg_;
+  bool simd_ = false;  ///< tiles fit the 16-bit block span
   parallel::wavefront_stats stats_{};
   workspace own_ws_;  ///< backs the one-shot convenience overloads
 };

@@ -27,9 +27,10 @@ namespace tiled {
 /// (below `serial_cells`) run serially — spawning workers for tiny passes
 /// costs more than it saves ("recursion cutoff points", paper §V).
 ///
-/// When `ws` is set, the tiled engine carves its lattice and worker
+/// When `ws` is set, the tiled engine carves its frontier and worker
 /// scratch from that workspace (nested inside the enclosing Hirschberg
-/// frame); otherwise each pass owns a throwaway engine workspace.
+/// frame); otherwise each pass owns a throwaway engine workspace.  With
+/// `stats` set, every tiled pass adds its wavefront accounting there.
 template <class Gap, class Scoring, int Lanes>
 struct tiled_last_row {
   Gap gap;
@@ -37,6 +38,7 @@ struct tiled_last_row {
   tiled_config cfg;
   index_t serial_cells = 1 << 16;
   workspace* ws = nullptr;
+  wavefront_stats* stats = nullptr;
 
   template <stage::sequence_view QV, stage::sequence_view SV>
   void operator()(const QV& q, const SV& s, score_t tb,
@@ -51,6 +53,7 @@ struct tiled_last_row {
       eng.last_row(q, s, tb, hh, ee, *ws);
     else
       eng.last_row(q, s, tb, hh, ee);
+    if (stats != nullptr) parallel::accumulate(*stats, eng.last_stats());
   }
 };
 
@@ -76,10 +79,12 @@ template <int Lanes, class Gap, class Scoring>
 void tiled_hirschberg_align_into(stage::seq_view q, stage::seq_view s,
                                  const Gap& gap, const Scoring& scoring,
                                  tiled_config cfg, index_t base_cells,
-                                 workspace& ws, alignment_result& out) {
+                                 workspace& ws, alignment_result& out,
+                                 wavefront_stats* stats = nullptr) {
   using lr = tiled_last_row<Gap, Scoring, Lanes>;
   lr last_row{gap, scoring, cfg};  // serial_cells keeps its ONE default
   last_row.ws = &ws;
+  last_row.stats = stats;
   hirschberg_engine<Gap, Scoring, lr> eng(gap, scoring, last_row,
                                           {base_cells});
   eng.align_into(q, s, ws, out);

@@ -186,12 +186,48 @@ TEST(AlignApi, ValidatesOptions) {
   opt.threads = -1;
   EXPECT_THROW(validate(opt), invalid_argument_error);
   opt = {};
-  opt.tile = 0;
+  opt.tile = -1;
   EXPECT_THROW(validate(opt), invalid_argument_error);
   opt = {};
   opt.kind = align_kind::local;
   opt.match = 0;
   EXPECT_THROW(validate(opt), invalid_argument_error);
+}
+
+TEST(AlignApi, LargeScoresOnALongPairEqualScalarInt32) {
+  // match = 30 passes validate(), so no tile may make the SIMD variants
+  // throw: the derived tile meets the 16-bit span, and an explicit
+  // oversize tile runs its tiles as exact int32 singles.
+  const auto q = test::random_codes(4096, 81);
+  const auto s = test::mutate(q, 82);
+  align_options ref;
+  ref.kind = align_kind::local;
+  ref.match = 30;
+  ref.mismatch = -20;
+  ref.gap_open = -40;
+  ref.gap_extend = -10;
+  ref.exec = backend::scalar;
+  ref.precision = score_precision::int32;
+  const auto want = align(view(q), view(s), ref);
+  for (backend b : {backend::simd_avx2, backend::simd_avx512}) {
+    if (!test::backend_runnable(b)) continue;
+    for (index_t tile : {index_t{0}, index_t{512}}) {
+      align_options opt = ref;
+      opt.exec = b;
+      opt.precision = score_precision::auto_select;
+      opt.threads = 2;
+      opt.tile = tile;
+      aligner a(opt);
+      EXPECT_STREQ(a.plan(4096, static_cast<index_t>(s.size())).route,
+                   "tiled_score");
+      alignment_result got;
+      ASSERT_NO_THROW(a.align_into(view(q), view(s), got))
+          << to_string(b) << " tile " << tile;
+      EXPECT_EQ(got.score, want.score) << to_string(b) << " tile " << tile;
+      EXPECT_EQ(got.q_end, want.q_end) << to_string(b) << " tile " << tile;
+      EXPECT_EQ(got.s_end, want.s_end) << to_string(b) << " tile " << tile;
+    }
+  }
 }
 
 TEST(AlignApi, BatchMatchesSingleAlignments) {

@@ -23,10 +23,11 @@ struct recording_kernel {
     order[{t.grid, t.ty, t.tx}] = counter++;
   }
   void run_single(tile_coord t, int /*worker*/) { note(t); }
-  void run_block(std::span<const tile_coord> tiles, int /*worker*/) {
+  std::size_t run_block(std::span<const tile_coord> tiles, int /*worker*/) {
     for (const auto& t : tiles) note(t);
     std::lock_guard lock(m);
     batched_tiles += tiles.size();
+    return tiles.size();
   }
 
   void verify_dependencies(std::span<const grid_dims> grids) {
@@ -146,6 +147,41 @@ TEST(DynamicWavefront, BatchesFormWhenManyGridsInFlight) {
   auto stats = dynamic_wavefront::run(2, std::span(grids), k);
   EXPECT_GT(stats.blocks, 0u);
   EXPECT_EQ(stats.blocks * 4 + stats.singles, 16u * 16u);
+}
+
+TEST(DynamicWavefront, ReadyRingBoundedByTheAntichain) {
+  // Ready tiles are pairwise incomparable, so the queue never holds more
+  // than the longest anti-diagonal of each grid — the ring's size — and
+  // therefore never migrates to owned storage.
+  const std::vector<std::vector<grid_dims>> shapes = {
+      {{17, 18}}, {{1, 40}}, {{40, 1}}, {{9, 9}}, {{3, 5}, {4, 4}, {6, 2}}};
+  for (const auto& grids : shapes)
+    for (int threads : {1, 2, 4, 8})
+      for (int l : {1, 4}) {
+        recording_kernel k;
+        k.l = l;
+        const auto stats = dynamic_wavefront::run(threads, std::span(grids), k);
+        EXPECT_LE(stats.peak_ready,
+                  static_cast<std::uint64_t>(max_ready_tiles(grids)))
+            << "threads " << threads << " l " << l;
+        EXPECT_GT(stats.peak_ready, 0u);
+      }
+}
+
+TEST(DynamicWavefront, PartialBlocksAboveTheFloor) {
+  // A 32-lane kernel on a grid whose diagonals never hold 32 tiles: pops
+  // of at least block_floor(32) tiles still run as (partial) blocks.
+  const grid_dims g{8, 8};
+  recording_kernel k;
+  k.l = 32;
+  const auto stats = dynamic_wavefront::run(1, std::span(&g, 1), k);
+  EXPECT_GT(stats.partial_blocks, 0u);
+  EXPECT_EQ(stats.blocks, stats.partial_blocks);
+  EXPECT_EQ(stats.live_lanes + stats.singles, 64u);
+  EXPECT_EQ(stats.live_lanes, k.batched_tiles);
+  EXPECT_GE(stats.live_lanes,
+            stats.blocks * static_cast<std::uint64_t>(block_floor(32)));
+  k.verify_dependencies(std::span(&g, 1));
 }
 
 }  // namespace

@@ -214,6 +214,24 @@ TEST(MpmcQueue, ManyProducersManyConsumersDeliverEverything) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
+TEST(MpmcQueue, BoundRingHoldsItsCapacityThenMigrates) {
+  // The wavefront sizes its ring by the most tiles ever ready, so a
+  // peak at or below the bound means the ring was never outgrown.
+  std::vector<int> ring(4);
+  mpmc_queue<int> q;
+  q.bind(ring);
+  for (int i = 0; i < 4; ++i) q.push(i);
+  EXPECT_EQ(q.peak_size(), 4u);
+  EXPECT_TRUE(q.uses_bound_storage());
+  EXPECT_EQ(q.pop().value(), 0);
+  q.push(4);
+  EXPECT_TRUE(q.uses_bound_storage());  // wrapped, still 4 queued
+  q.push(5);
+  EXPECT_EQ(q.peak_size(), 5u);
+  EXPECT_FALSE(q.uses_bound_storage());
+  for (int i = 1; i <= 5; ++i) EXPECT_EQ(q.pop().value(), i);
+}
+
 TEST(TreiberStack, LifoOrderSingleThread) {
   treiber_stack<int> s(8);
   EXPECT_TRUE(s.empty());

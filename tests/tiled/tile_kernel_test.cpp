@@ -11,7 +11,7 @@ namespace {
 using test::view;
 
 /// Drive the scalar tile kernel over a whole grid serially (row-major
-/// covers dependencies) and compare the lattice against the full engine.
+/// covers dependencies) and compare the frontier against the full engine.
 template <align_kind K, class Gap>
 void grid_matches_full(index_t n, index_t m, index_t th, index_t tw,
                        const Gap& gap, std::uint64_t seed) {
@@ -20,30 +20,33 @@ void grid_matches_full(index_t n, index_t m, index_t th, index_t tw,
   const simple_scoring sc{2, -1};
 
   tile_geometry geom(n, m, th, tw);
-  border_lattice lat(geom, Gap::kind == gap_kind::affine);
-  for (index_t j = 0; j <= m; ++j)
-    lat.h_row(0)[j] = init_h_row0<K>(j, gap);
-  for (index_t i = 0; i <= n; ++i)
-    lat.h_col(0)[i] = init_h_col0<K>(i, gap);
+  border_frontier fr(geom, Gap::kind == gap_kind::affine);
+  fr.init([&](index_t j) { return init_h_row0<K>(j, gap); },
+          [&](index_t i) { return init_h_col0<K>(i, gap); });
 
   std::vector<score_t> h(tw + 1), e(tw + 1);
   tile_best best;
   for (index_t ty = 0; ty < geom.tiles_y; ++ty)
     for (index_t tx = 0; tx < geom.tiles_x; ++tx)
-      best.merge(relax_tile_scalar<K>(view(q), view(s), lat, ty, tx, gap, sc,
+      best.merge(relax_tile_scalar<K>(view(q), view(s), fr, ty, tx, gap, sc,
                                       h.data(), e.data()));
 
   full_engine<K, Gap, simple_scoring> ref(gap, sc);
   auto r = ref.align(view(q), view(s), false);
   auto hm = ref.h_matrix(n, m);
 
-  // Bottom lattice row equals the full engine's last DP row.
+  // The finished row frontier equals the full engine's last DP row.
   for (index_t j = 0; j <= m; ++j)
-    ASSERT_EQ(lat.h_row(geom.tiles_y)[j], hm.read(n, j)) << "col " << j;
-  // Right lattice column equals the last DP column.
-  for (index_t i = 0; i <= n; ++i)
-    if (i > 0)  // the (0, m) corner slot of h_col is never written
-      ASSERT_EQ(lat.h_col(geom.tiles_x)[i], hm.read(i, m)) << "row " << i;
+    ASSERT_EQ(fr.h_row()[j], hm.read(n, j)) << "col " << j;
+  // The finished column frontier equals the last DP column.
+  for (index_t i = 1; i <= n; ++i)  // slot 0 keeps H(0, 0)
+    ASSERT_EQ(fr.h_col()[i], hm.read(i, m)) << "row " << i;
+  // Every interior grid-point corner holds H at that point.
+  for (index_t r = 1; r <= geom.tiles_y; ++r)
+    for (index_t c = 1; c <= geom.tiles_x; ++c)
+      ASSERT_EQ(fr.corner(r, c), hm.read(std::min(geom.y0(r), n),
+                                         std::min(geom.x0(c), m)))
+          << "corner " << r << "," << c;
 
   if constexpr (K != align_kind::global) {
     score_t want = r.score;
@@ -107,12 +110,25 @@ TEST(TileGeometry, ClippingAndFullness) {
   EXPECT_EQ(g.x1(2), 13);
 }
 
-TEST(BorderLattice, AffineAllocatesPlanes) {
+TEST(BorderFrontier, AffineAllocatesPlanes) {
   tile_geometry g(100, 100, 10, 10);
-  border_lattice lin(g, false), aff(g, true);
+  border_frontier lin(g, false), aff(g, true);
   EXPECT_FALSE(lin.affine());
   EXPECT_TRUE(aff.affine());
   EXPECT_GT(aff.bytes(), lin.bytes());
+}
+
+TEST(BorderFrontier, BordersDoNotGrowWithTheTileCount) {
+  // One row and one column per plane, whatever the tile: only the
+  // corner array (one score per grid point) depends on the tiling.
+  const tile_geometry coarse(4000, 6000, 500, 500), fine(4000, 6000, 50, 50);
+  const border_frontier a(coarse, true), b(fine, true);
+  const auto corners = [](const tile_geometry& g) {
+    return static_cast<std::size_t>((g.tiles_y + 1) * (g.tiles_x + 1)) *
+           sizeof(score_t);
+  };
+  EXPECT_EQ(a.bytes() - corners(coarse), b.bytes() - corners(fine));
+  EXPECT_EQ(a.bytes() - corners(coarse), 2 * (4001 + 6001) * sizeof(score_t));
 }
 
 }  // namespace

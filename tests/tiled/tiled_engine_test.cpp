@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "anyseq/anyseq.hpp"
 #include "core/rolling.hpp"
 #include "testutil.hpp"
 
@@ -9,6 +12,10 @@ namespace anyseq::tiled {
 namespace {
 
 using test::view;
+
+index_t plan_n(const std::vector<char_t>& v) {
+  return static_cast<index_t>(v.size());
+}
 
 struct engine_param {
   int threads;
@@ -36,6 +43,14 @@ void check_scores(const engine_param& p, const Gap& gap, std::uint64_t seed,
   const auto want = rolling_score<K>(view(q), view(s), gap, sc);
   ASSERT_EQ(got.score, want.score)
       << to_string(K) << " lanes " << Lanes << " seed " << seed;
+  EXPECT_EQ(got.end_i, want.end_i) << to_string(K) << " lanes " << Lanes;
+  EXPECT_EQ(got.end_j, want.end_j) << to_string(K) << " lanes " << Lanes;
+  // The ready ring holds the longest anti-diagonal and is never outgrown.
+  const auto diagonal = std::min(
+      stage::tile_count(static_cast<index_t>(q.size()), p.tile),
+      stage::tile_count(static_cast<index_t>(s.size()), p.tile));
+  EXPECT_LE(eng.last_stats().peak_ready,
+            static_cast<std::uint64_t>(diagonal));
 }
 
 TEST_P(TiledEngineGrid, GlobalLinearScalar) {
@@ -113,15 +128,33 @@ TEST(TiledEngine, RejectsBadConfig) {
   EXPECT_THROW((tiled_engine<align_kind::global, linear_gap, simple_scoring,
                              1>(linear_gap{-1}, sc, {64, 64, 0, true})),
                invalid_argument_error);
-  // 16-bit range violation: huge tiles x large scores.
-  EXPECT_THROW((tiled_engine<align_kind::global, linear_gap, simple_scoring,
-                             16>(linear_gap{-100}, simple_scoring{100, -100},
-                                 {512, 512, 1, true})),
-               invalid_argument_error);
   // Positive gap penalties are rejected.
   EXPECT_THROW((tiled_engine<align_kind::global, linear_gap, simple_scoring,
                              1>(linear_gap{1}, sc)),
                invalid_argument_error);
+}
+
+TEST(TiledEngine, OversizeTilesRunAsExactInt32Singles) {
+  // (tile_h + tile_w) * unit beyond the 16-bit span is not an error: the
+  // tiles run as int32 singles and the result equals the serial pass.
+  auto q = test::random_codes(700, 61);
+  auto s = test::mutate(q, 62);
+  const simple_scoring sc{100, -100};
+  const linear_gap gap{-100};
+  tiled_engine<align_kind::local, linear_gap, simple_scoring, 16> eng(
+      gap, sc, {256, 256, 2, true});
+  EXPECT_FALSE(eng.simd_blocks());
+  const auto got = eng.score(view(q), view(s));
+  const auto want =
+      rolling_score<align_kind::local>(view(q), view(s), gap, sc);
+  EXPECT_EQ(got.score, want.score);
+  EXPECT_EQ(got.end_i, want.end_i);
+  EXPECT_EQ(got.end_j, want.end_j);
+  EXPECT_EQ(eng.last_stats().blocks, 0u);
+  EXPECT_EQ(eng.last_stats().singles,
+            static_cast<std::uint64_t>(
+                stage::tile_count(static_cast<index_t>(q.size()), 256) *
+                stage::tile_count(static_cast<index_t>(s.size()), 256)));
 }
 
 TEST(TiledEngine, LastRowMatchesSerialPass) {
@@ -150,27 +183,83 @@ TEST(TiledEngine, SimdBlocksActuallyForm) {
       linear_gap{-1}, sc, {64, 64, 2, true});
   (void)eng.score(view(q), view(s));
   EXPECT_GT(eng.last_stats().blocks, 0u);
+
+  // A genome-shaped pair through the public API at default options: the
+  // plan-time tile gives the grid diagonals a block's worth of tiles, and
+  // pops short of a full block still run as partial blocks.
+  q = test::random_codes(4300, 43);
+  s = test::mutate(q, 44);
+  align_options opt;
+  opt.threads = 4;
+  aligner a(opt);
+  const auto plan = a.plan(static_cast<index_t>(q.size()),
+                           static_cast<index_t>(s.size()));
+  EXPECT_STREQ(plan.route, "tiled_score");
+  const auto r = a.align(view(q), view(s));
+  align_options ref = opt;
+  ref.precision = score_precision::int32;  // the serial rolling route
+  EXPECT_EQ(r.score, align(view(q), view(s), ref).score);
+  const wavefront_stats st = a.last_wavefront_stats();
+  const std::uint64_t tiles =
+      static_cast<std::uint64_t>(stage::tile_count(plan_n(q), plan.tile) *
+                                 stage::tile_count(plan_n(s), plan.tile));
+  EXPECT_EQ(st.live_lanes + st.singles, tiles);
+  if (std::string_view(plan.variant) == "scalar") {
+    EXPECT_EQ(plan.tile, 512);
+    EXPECT_EQ(st.blocks, 0u);
+  } else {
+    EXPECT_LT(plan.tile, 512);
+    EXPECT_GT(st.partial_blocks, 0u);
+    EXPECT_GT(st.live_lanes, st.singles);
+  }
 }
 
-TEST(TiledEngine, LocalEndPositionIsAnOptimalCell) {
-  // SIMD and scalar may break score ties differently, but the reported
-  // end cell must carry the optimal score (verified via a scalar rerun).
-  auto q = test::random_codes(500, 51);
-  auto s = test::mutate(q, 52);
+/// Tie-heavy input: a short motif repeated, so many cells share the
+/// optimal score and only the tie rule decides the reported end cell.
+std::vector<char_t> repeats(std::size_t n, std::size_t period,
+                            std::uint64_t seed) {
+  const auto motif = test::random_codes(period, seed);
+  std::vector<char_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = motif[i % period];
+  return out;
+}
+
+template <align_kind K, class Gap, int Lanes>
+void end_cells_match_rolling(const Gap& gap, const simple_scoring& sc) {
+  const auto q = repeats(260, 4, 71);
+  const auto s = repeats(291, 4, 71);
+  const auto want = rolling_score<K>(view(q), view(s), gap, sc);
+  for (int threads : {1, 2, 4})
+    for (index_t tile : {16, 23, 64}) {
+      tiled_engine<K, Gap, simple_scoring, Lanes> eng(
+          gap, sc, {tile, tile, threads, true});
+      const auto got = eng.score(view(q), view(s));
+      ASSERT_EQ(got.score, want.score) << to_string(K) << " lanes " << Lanes
+                                       << " t" << threads << " tile " << tile;
+      ASSERT_EQ(got.end_i, want.end_i) << to_string(K) << " lanes " << Lanes
+                                       << " t" << threads << " tile " << tile;
+      ASSERT_EQ(got.end_j, want.end_j) << to_string(K) << " lanes " << Lanes
+                                       << " t" << threads << " tile " << tile;
+    }
+}
+
+TEST(TiledEngine, EndCellsMatchRollingOnTies) {
+  // Exact score AND end cell against the int32 rolling pass, over
+  // threads x tile x kind x lanes, on repeats where ties are everywhere.
   const simple_scoring sc{2, -1};
-  tiled_engine<align_kind::local, affine_gap, simple_scoring, 16> eng(
-      affine_gap{-2, -1}, sc, {48, 48, 2, true});
-  const auto got = eng.score(view(q), view(s));
-  const auto want =
-      rolling_score<align_kind::local>(view(q), view(s), affine_gap{-2, -1},
-                                       sc);
-  EXPECT_EQ(got.score, want.score);
-  // Rerun restricted to the reported end cell's prefix: its local best
-  // must equal the global best (the end cell is genuinely optimal).
-  const auto prefix = rolling_score<align_kind::local>(
-      view(q).sub(0, got.end_i), view(s).sub(0, got.end_j),
-      affine_gap{-2, -1}, sc);
-  EXPECT_EQ(prefix.score, want.score);
+  const linear_gap lin{-1};
+  const affine_gap aff{-2, -1};
+  end_cells_match_rolling<align_kind::local, affine_gap, 1>(aff, sc);
+  end_cells_match_rolling<align_kind::local, linear_gap, 16>(lin, sc);
+  end_cells_match_rolling<align_kind::local, affine_gap, 32>(aff, sc);
+  end_cells_match_rolling<align_kind::semiglobal, linear_gap, 1>(lin, sc);
+  end_cells_match_rolling<align_kind::semiglobal, affine_gap, 16>(aff, sc);
+  end_cells_match_rolling<align_kind::semiglobal, linear_gap, 32>(lin, sc);
+  end_cells_match_rolling<align_kind::extension, linear_gap, 1>(lin, sc);
+  end_cells_match_rolling<align_kind::extension, affine_gap, 16>(aff, sc);
+  end_cells_match_rolling<align_kind::extension, linear_gap, 32>(lin, sc);
+  // Zero match: every cell ties at score 0 with the empty alignment.
+  end_cells_match_rolling<align_kind::local, linear_gap, 16>(lin, {0, -1});
 }
 
 }  // namespace
