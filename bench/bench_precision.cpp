@@ -51,6 +51,19 @@ void check_scores(const char* what, std::span<const alignment_result> out,
   }
 }
 
+/// Scores AND end cells of `out` must equal the int32 reference's.
+void check_cells(const char* what, std::span<const alignment_result> out,
+                 std::span<const alignment_result> ref) {
+  check_scores(what, out, ref);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out[i].q_end != ref[i].q_end || out[i].s_end != ref[i].s_end) {
+      std::fprintf(stderr, "bench_precision: %s pair %zu end cell differs "
+                   "from int32\n", what, i);
+      std::exit(2);
+    }
+  }
+}
+
 /// A panel's auto-route GCUPS on the two vector variants (0 = not run).
 struct vector_gcups {
   double avx2 = 0.0, avx512 = 0.0;
@@ -247,9 +260,9 @@ void jitter_panel(std::span<const seq_pair> pairs, const args& a) {
 
 /// Tail panel: the 150 bp pairs in batches of 36 — one full 32-lane
 /// chunk plus a 4-pair remainder on avx512, two 16-lane chunks plus 4 on
-/// avx2.  On avx512 the remainder reaches the tail floor and runs as one
-/// lane-padded chunk (it used to roll in int32), so every pair scores on
-/// SIMD lanes; avx2's floor is 5, so its 4-pair remainder still rolls.
+/// avx2.  The remainder sits below both tail floors, so its pairs run one
+/// by one through the striped kernel (they rolled in int32, or ran as a
+/// padded 32-lane chunk, before) and every pair scores on SIMD lanes.
 vector_gcups tail_panel(std::span<const seq_pair> pairs, const args& a) {
   constexpr std::size_t kBatch = 36;
   g_tag = "tail150";
@@ -288,7 +301,7 @@ vector_gcups tail_panel(std::span<const seq_pair> pairs, const args& a) {
     print_row({"auto, batches of 36", v, g, -1.0, note});
     if (lanes > 1) {
       auto_gcups.set(lanes, g);
-      if (lanes == 32 && simd_frac < 1.0) {
+      if (simd_frac < 1.0) {
         std::fprintf(stderr,
                      "bench_precision: tail simd fraction %.3f < 1 on %s\n",
                      simd_frac, v.c_str());
@@ -298,6 +311,91 @@ vector_gcups tail_panel(std::span<const seq_pair> pairs, const args& a) {
   }
   print_footer();
   return auto_gcups;
+}
+
+/// Solo panel: score requests that find no batchmates, one thread each
+/// (the serving tier's per-request setting).  `lone` aligns the 150 bp
+/// pairs one call at a time through a reused aligner; `pair2` sends the
+/// ragged 135-165 bp pairs two per batch call.  Each runs under auto
+/// (the striped int16 kernel on vector variants) and forced int32 (the
+/// rolling engine); scores and end cells must match int32.
+void solo_panel(std::span<const seq_pair> lone,
+                std::span<const seq_pair> ragged, const args& a) {
+  g_tag = "solo150";
+  print_header("lone 150 bp pairs and ragged pairs of two (no batchmates)",
+               "intra-pair striped int16 vs int32 rolling, one thread");
+  ragged = ragged.first(ragged.size() / 2 * 2);
+  for (const int lanes : {1, 16, 32}) {
+    if (!lanes_runnable_now(lanes)) continue;
+    const backend exec = backend_for_lanes(lanes);
+    const std::string v = to_string(exec);
+    double int32_lone = 0.0, int32_pair2 = 0.0;
+    std::vector<alignment_result> ref_lone, ref_pair2;
+    for (const score_precision p :
+         {score_precision::int32, score_precision::auto_select}) {
+      const bool is32 = p == score_precision::int32;
+      align_options o = paper_opts(affine_gap{-2, -1}, exec, 1, false);
+      o.precision = p;
+      aligner al(o);
+      const std::string route =
+          al.plan(lone[0].q.size(), lone[0].s.size()).route;
+
+      std::vector<alignment_result> out(lone.size());
+      const double t_lone = median_seconds(a.repeats, [&] {
+        for (std::size_t i = 0; i < lone.size(); ++i)
+          al.align_into(lone[i].q, lone[i].s, out[i]);
+      });
+      if (is32) ref_lone = out;
+      check_cells("solo lone", out, ref_lone);
+
+      std::vector<alignment_result> got(ragged.size()), two;
+      std::uint64_t striped = 0;
+      const double t_pair2 = median_seconds(a.repeats, [&] {
+        striped = 0;
+        for (std::size_t i = 0; i < ragged.size(); i += 2) {
+          al.align_batch_into(ragged.subspan(i, 2), two);
+          got[i] = two[0];
+          got[i + 1] = two[1];
+          striped += al.last_batch_stats().striped_pairs;
+        }
+      });
+      if (is32) ref_pair2 = got;
+      check_cells("solo pair2", got, ref_pair2);
+
+      const double g_lone = gcups(total_cells(lone), t_lone);
+      const double g_pair2 = gcups(total_cells(ragged), t_pair2);
+      if (is32) {
+        int32_lone = g_lone;
+        int32_pair2 = g_pair2;
+      }
+      const std::string tag = is32 ? "int32" : "auto";
+      const double striped_frac =
+          static_cast<double>(striped) / static_cast<double>(ragged.size());
+      g_report->add(std::string(g_tag) + "/" + v + "/lone_" + tag, t_lone,
+                    lone.size(),
+                    {{"gcups", g_lone},
+                     {"us_per_pair", t_lone * 1e6 / lone.size()},
+                     {"speedup_vs_int32", is32 ? 0.0 : g_lone / int32_lone},
+                     {"threads", 1}});
+      g_report->add(std::string(g_tag) + "/" + v + "/pair2_" + tag, t_pair2,
+                    ragged.size(),
+                    {{"gcups", g_pair2},
+                     {"us_per_pair", t_pair2 * 1e6 / ragged.size()},
+                     {"speedup_vs_int32", is32 ? 0.0 : g_pair2 / int32_pair2},
+                     {"striped_pair_fraction", striped_frac},
+                     {"threads", 1}});
+      print_row({"lone " + tag, v, g_lone, -1.0, route});
+      print_row({"pairs of 2 " + tag, v, g_pair2, -1.0,
+                 striped_frac > 0 ? "striped" : "rolling"});
+      if (!is32 && lanes > 1 && striped_frac < 1.0) {
+        std::fprintf(stderr,
+                     "bench_precision: solo150 striped fraction %.3f < 1 "
+                     "on %s\n", striped_frac, v.c_str());
+        std::exit(2);
+      }
+    }
+  }
+  print_footer();
 }
 
 }  // namespace
@@ -365,6 +463,7 @@ int main(int argc, char** argv) {
                       stage::seq_view(sv.data(), sl)});
   }
   jitter_panel(pairsj, a);
+  solo_panel(pairs150, pairsj, a);
 
   return report.write(a.out) ? 0 : 1;
 }

@@ -17,6 +17,8 @@ Two checks, each against the external format's actual grammar:
     q sits at the right octave edge — the cumulative count at the
     smallest ``le`` >= v reaches ceil(q * count) and the edge below
     stays under it (``class="all"`` against the sum of the classes).
+    The batch score-path pair counters carry every path, and their
+    ragged and striped subsets never exceed the SIMD pairs.
 
 Usage:
 
@@ -198,9 +200,26 @@ def check_metrics(path):
             fail(f"{where}: missing {family}_sum")
 
     check_quantiles(path, buckets, samples)
+    check_batch_paths(path, samples)
 
     print(f"check_observability: metrics OK "
           f"({n_samples} samples, {len(buckets)} histogram series, {path})")
+
+
+def check_batch_paths(path, samples):
+    """The batch score-path counters partition the batch-scored pairs:
+    every path is present, and the ragged and striped subsets each fit
+    inside the SIMD pairs."""
+    family = "anyseq_batch_pairs_total"
+    paths = {labels.split("=", 1)[1].strip('"'): v
+             for (name, labels), v in samples.items() if name == family}
+    want = {"simd", "scalar", "ragged", "striped"}
+    if set(paths) != want:
+        fail(f"{path}: {family} paths {sorted(paths)} != {sorted(want)}")
+    for sub in ("ragged", "striped"):
+        if paths[sub] > paths["simd"]:
+            fail(f"{path}: {family}{{path={sub!r}}} {paths[sub]} exceeds "
+                 f"the simd pairs {paths['simd']}")
 
 
 def check_quantiles(path, buckets, samples):

@@ -215,11 +215,13 @@ class aligner {
     const char* variant;  ///< "scalar" / "avx2" / "avx512" / simulator
     const char* route;    ///< "tiled_score", "small_score", "full_matrix",
                           ///< "hirschberg", "locate", "bitpar_score",
-                          ///< "precision_score", or "unsupported"
+                          ///< "precision_score", "striped_score", or
+                          ///< "unsupported"
     std::size_t workspace_bytes;  ///< exact arena footprint of the route
     /// Score accumulator the route commits to for this shape: `bitpar`
     /// on the bit-parallel route, the forced narrow type on the checked
-    /// precision route, `int32` everywhere else (including tracebacks).
+    /// precision route, `int16` on the striped route, `int32` everywhere
+    /// else (including tracebacks).
     score_precision precision;
     /// Tile extent the wavefront routes use for this shape (`tile`, or
     /// the plan-time derivation when it is 0); 0 for simulators.

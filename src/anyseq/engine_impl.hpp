@@ -41,6 +41,7 @@
 #include "core/workspace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tiled/batch_engine.hpp"
+#include "tiled/striped.hpp"
 #include "tiled/tiled_engine.hpp"
 #include "tiled/tiled_hirschberg.hpp"
 
@@ -58,6 +59,7 @@ using ::anyseq::engine::classify_batch_precision;
 using ::anyseq::engine::classify_route;
 using ::anyseq::engine::kHirschbergBaseCells;
 using ::anyseq::engine::route_kind;
+using ::anyseq::engine::score_unit;
 
 // The with_kind/with_gap/with_scoring specialization steps are shared
 // (anyseq/option_dispatch.hpp): their instantiations are keyed on this
@@ -65,15 +67,6 @@ using ::anyseq::engine::route_kind;
 
 inline int resolve_threads(int threads) {
   return threads > 0 ? threads : parallel::hardware_threads();
-}
-
-/// Largest per-cell score step under `opt` (the 16-bit span's unit).
-inline score_t unit_of(const align_options& opt) {
-  return with_gap(opt, [&](auto gap) {
-    return with_scoring(opt, [&](const auto& scoring) {
-      return tiled::unit_step(gap, scoring);
-    });
-  });
 }
 
 /// The plan-time tile for an (n x m) problem when `opt.tile` is 0: the
@@ -105,7 +98,7 @@ inline tiled::tiled_config make_tiled_config(const align_options& opt,
                                              index_t n, index_t m) {
   const int threads = resolve_threads(opt.threads);
   const index_t tile =
-      opt.tile > 0 ? opt.tile : derive_tile(n, m, threads, unit_of(opt));
+      opt.tile > 0 ? opt.tile : derive_tile(n, m, threads, score_unit(opt));
   return {tile, tile, threads, opt.dynamic_schedule};
 }
 
@@ -158,7 +151,7 @@ void ws_reserve_impl(void* ws, std::size_t bytes) {
 /// cpu_align, whose branches this mirrors).  Returns 0 for routes that
 /// carve nothing or are rejected at execute time.
 std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
-  const route_kind rt = classify_route(n, m, opt);
+  const route_kind rt = classify_route(n, m, opt, kLanes);
   return with_kind(opt.kind, [&](auto kc) -> std::size_t {
     constexpr align_kind K = decltype(kc)::value;
     return with_gap(opt, [&](auto gap) -> std::size_t {
@@ -174,6 +167,11 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
             return rolling_plan_bytes(m);
           case route_kind::bitpar_score:
             return bitpar_plan_bytes(n, m);
+          case route_kind::striped_score:
+            if constexpr (kLanes > 1)
+              return tiled::striped_plan_bytes<K, kLanes, Gap, Scoring>(n);
+            else
+              return rolling_plan_bytes(m);
           case route_kind::precision_score:
             // Checked narrow rows at width 1 PLUS the escalation rolling
             // rows, so reserve() covers the shed path too.
@@ -252,6 +250,23 @@ score_result small_score_impl(stage::seq_view q, stage::seq_view s,
     return with_gap(opt, [&](auto gap) {
       return with_scoring(opt, [&](const auto& scoring) {
         return rolling_score<K>(q, s, gap, scoring, w);
+      });
+    });
+  });
+}
+
+score_result striped_score_impl(stage::seq_view q, stage::seq_view s,
+                                const align_options& opt, void* ws) {
+  workspace& w = ws_of(ws);
+  w.begin_pass();
+  return with_kind(opt.kind, [&](auto kc) {
+    constexpr align_kind K = decltype(kc)::value;
+    return with_gap(opt, [&](auto gap) {
+      return with_scoring(opt, [&](const auto& scoring) {
+        if constexpr (kLanes > 1)
+          return tiled::striped_score<K, kLanes>(q, s, gap, scoring, w);
+        else
+          return rolling_score<K>(q, s, gap, scoring, w);
       });
     });
   });
@@ -443,6 +458,7 @@ void batch_align_impl(std::span<const seq_pair> pairs,
                                            &tiled_score_impl,
                                            &small_score_impl,
                                            &bitpar_score_impl,
+                                           &striped_score_impl,
                                            &precision_score_impl,
                                            &hirschberg_global_impl,
                                            &full_align_impl,

@@ -35,11 +35,13 @@
 
 namespace anyseq::engine {
 
-/// Cells at or below which the serial rolling pass beats the tiled
-/// engine for extension scoring — ONE definition shared by the
-/// dispatcher's route selection, `aligner::plan`, and every variant's
-/// plan_bytes (they must never drift apart: reserve() would otherwise
-/// pre-size for a route execute never runs).
+/// Cells at or below which a serial one-pair pass beats the tiled
+/// engine for score-only alignment (the striped int16 kernel on vector
+/// variants, the rolling pass for extension on the scalar one) — ONE
+/// definition shared by the dispatcher's route selection,
+/// `aligner::plan`, and every variant's plan_bytes (they must never
+/// drift apart: reserve() would otherwise pre-size for a route execute
+/// never runs).
 inline constexpr index_t kSmallScoreCells = index_t{1} << 16;
 
 /// Default Hirschberg full-DP recursion cutoff (the engines' default).
@@ -54,14 +56,22 @@ enum class route_kind : std::uint8_t {
   locate,
   bitpar_score,     ///< Myers bit-parallel scoring (unit-cost option sets)
   precision_score,  ///< forced int8/int16 checked kernel (+ escalation)
+  striped_score,    ///< intra-pair striped int16 kernel (vector variants)
   unsupported,  ///< oversized extension traceback: rejected at execute
 };
 
 /// The single route classifier (defined out-of-line in align.cpp so the
 /// ISA-flagged TUs can call it without emitting weak shared symbols).
-/// `opt` must already be validated.
+/// `opt` must already be validated; `lanes` is the SIMD width of the
+/// variant that will execute (`ops::lanes`) — the striped route exists
+/// on vector variants only.
 [[nodiscard]] route_kind classify_route(index_t n, index_t m,
-                                        const align_options& opt) noexcept;
+                                        const align_options& opt,
+                                        int lanes) noexcept;
+
+/// Largest per-cell score step under `opt` (tiled::unit_step of its gap
+/// and scoring policies) — the `unit` of the (n + m + 2) * unit bound.
+[[nodiscard]] score_t score_unit(const align_options& opt) noexcept;
 
 [[nodiscard]] const char* to_string(route_kind r) noexcept;
 
@@ -80,10 +90,11 @@ enum class route_kind : std::uint8_t {
 [[nodiscard]] score_precision classify_batch_precision(
     const align_options& opt) noexcept;
 
-/// Accumulator `classify_route` commits to for a single (n x m) pair —
-/// what `aligner::plan` reports as plan_info::precision.
+/// Accumulator `classify_route` commits to for a single (n x m) pair on
+/// a `lanes`-wide variant — what `aligner::plan` reports as
+/// plan_info::precision.
 [[nodiscard]] score_precision classify_plan_precision(
-    index_t n, index_t m, const align_options& opt) noexcept;
+    index_t n, index_t m, const align_options& opt, int lanes) noexcept;
 
 /// Function table of one compiled engine variant.  All entries
 /// re-dispatch (kind x gap x scoring) from `opt` internally; `opt` is
@@ -132,6 +143,11 @@ struct ops {
   /// inside the same workspace pass for alphabets beyond 32 codes.
   score_result (*bitpar_score)(stage::seq_view q, stage::seq_view s,
                                const align_options& opt, void* ws);
+
+  /// Intra-pair striped int16 score pass for one pair (vector variants;
+  /// the caller proved the int16 bound).  The scalar variant rolls.
+  score_result (*striped_score)(stage::seq_view q, stage::seq_view s,
+                                const align_options& opt, void* ws);
 
   /// Forced-narrow (int8/int16) checked score pass for one pair: runs
   /// the saturating kernel at width 1 with sticky overflow detection and

@@ -336,8 +336,8 @@ void anyseq_aligner_shrink(anyseq_aligner* a);
 typedef struct anyseq_plan {
   const char* variant;   /**< engine variant: "scalar" / "avx2" / "avx512" */
   const char* route;     /**< execution route, e.g. "bitpar_score",
-                              "precision_score", "small_score",
-                              "tiled_score" */
+                              "precision_score", "striped_score",
+                              "small_score", "tiled_score" */
   const char* precision; /**< score accumulator the route commits to:
                               "int8", "int16", "int32", or "bitpar" */
   size_t workspace_bytes; /**< exact arena bytes one pass of this shape

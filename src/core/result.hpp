@@ -68,9 +68,10 @@ struct score_result {
 /// Batch-engine path accounting: how much of a batch took which kernel.
 /// `simd_pairs` counts the narrow pairs scored on vector lanes (int8 +
 /// int16 chunks wider than one lane: uniform, sub-width tail and
-/// lane-padded ragged); the scalar variant's width-1 narrow chunks count
-/// only as int8/int16 pairs.  `scalar_pairs` counts rolling-engine pairs,
-/// escalations included.  Shared by every engine
+/// lane-padded ragged, plus striped single pairs); the scalar variant's
+/// width-1 narrow chunks count only as int8/int16 pairs.  `scalar_pairs`
+/// counts int32 rolling-engine pairs, escalations included.  Shared by
+/// every engine
 /// variant — this type crosses the `engine::ops` dispatch boundary
 /// (batch_scores' stats out-param) and therefore must not live in a
 /// per-target header.
@@ -85,6 +86,10 @@ struct batch_stats {
   /// groups that would have fallen back to the scalar engine before the
   /// retirement-mask kernels (subset of `simd_pairs`).
   std::uint64_t ragged_pairs = 0;
+  /// Pairs the planner could not put on lanes that ran the intra-pair
+  /// striped int16 kernel instead of int32 rolling (tiled/striped.hpp;
+  /// subset of `simd_pairs` and of `int16_pairs`, vector variants only).
+  std::uint64_t striped_pairs = 0;
   /// Padding overhead the lanes relaxed: sum over ragged chunks of
   /// W*nbar*mbar - sum(n_l*m_l) (what the waste cap bounds), plus the
   /// dead lanes of sub-width tail chunks, (W - live)*n*m each.

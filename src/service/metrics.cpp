@@ -130,6 +130,27 @@ void render_prometheus(const service_stats& s, text_buffer& out) {
       "anyseq_mean_batch_occupancy %.6f\n",
       s.mean_batch_occupancy);
 
+  // -- Batch score paths: pairs by kernel (ragged and striped are
+  // subsets of simd; scalar is int32 rolling).
+  out.printf(
+      "# HELP anyseq_batch_pairs_total Batch score-path pairs by kernel "
+      "path.\n"
+      "# TYPE anyseq_batch_pairs_total counter\n"
+      "anyseq_batch_pairs_total{path=\"simd\"} %llu\n"
+      "anyseq_batch_pairs_total{path=\"scalar\"} %llu\n"
+      "anyseq_batch_pairs_total{path=\"ragged\"} %llu\n"
+      "anyseq_batch_pairs_total{path=\"striped\"} %llu\n",
+      static_cast<u64>(s.batch_simd_pairs),
+      static_cast<u64>(s.batch_scalar_pairs),
+      static_cast<u64>(s.batch_ragged_pairs),
+      static_cast<u64>(s.batch_striped_pairs));
+  out.printf(
+      "# HELP anyseq_batch_padded_cells_total Padding cells the lane-padded "
+      "batch chunks relaxed.\n"
+      "# TYPE anyseq_batch_padded_cells_total counter\n"
+      "anyseq_batch_padded_cells_total %llu\n",
+      static_cast<u64>(s.batch_padded_cells));
+
   // -- Response cache.
   out.printf(
       "# HELP anyseq_cache_events_total Response-cache events.\n"

@@ -90,6 +90,7 @@ service_stats service_group::stats() const {
     out.batch_simd_pairs += s.batch_simd_pairs;
     out.batch_scalar_pairs += s.batch_scalar_pairs;
     out.batch_ragged_pairs += s.batch_ragged_pairs;
+    out.batch_striped_pairs += s.batch_striped_pairs;
     out.batch_padded_cells += s.batch_padded_cells;
     out.cache_hits += s.cache_hits;
     out.cache_misses += s.cache_misses;

@@ -956,14 +956,15 @@ void aligner::execute(std::uint32_t ws_index) {
   // selection as the synchronous API (so results stay byte-identical),
   // but every DP buffer comes from the unit's warm workspace arena.
   // run_span contains failures by bisection, so one poisoned request
-  // can never fail its whole batch.
+  // can never fail its whole batch.  The batch is counted before its
+  // tickets complete, so a caller that has every result sees it in
+  // stats().
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  batched_requests_.fetch_add(ws.items.size(), std::memory_order_relaxed);
   const std::int64_t tr_exec = ANYSEQ_TRACE_NOW();
   run_span(ws, 0, ws.items.size());
   ANYSEQ_TRACE_EMIT(kernel_execute, ws_index, tr_exec,
                     static_cast<std::int64_t>(ws.items.size()));
-
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(ws.items.size(), std::memory_order_relaxed);
 
   {
     std::lock_guard lock(mu_);
@@ -1020,6 +1021,8 @@ void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
                                     std::memory_order_relaxed);
       batch_ragged_pairs_.fetch_add(bst.ragged_pairs,
                                     std::memory_order_relaxed);
+      batch_striped_pairs_.fetch_add(bst.striped_pairs,
+                                     std::memory_order_relaxed);
       batch_padded_cells_.fetch_add(bst.padded_cells,
                                     std::memory_order_relaxed);
     }
@@ -1238,6 +1241,8 @@ service_stats aligner::stats() const {
       batch_scalar_pairs_.load(std::memory_order_relaxed);
   out.batch_ragged_pairs =
       batch_ragged_pairs_.load(std::memory_order_relaxed);
+  out.batch_striped_pairs =
+      batch_striped_pairs_.load(std::memory_order_relaxed);
   out.batch_padded_cells =
       batch_padded_cells_.load(std::memory_order_relaxed);
   out.mean_batch_occupancy =

@@ -598,6 +598,7 @@ class aligner {
   std::atomic<std::uint64_t> batch_simd_pairs_{0};
   std::atomic<std::uint64_t> batch_scalar_pairs_{0};
   std::atomic<std::uint64_t> batch_ragged_pairs_{0};
+  std::atomic<std::uint64_t> batch_striped_pairs_{0};
   std::atomic<std::uint64_t> batch_padded_cells_{0};
   std::atomic<std::size_t> depth_{0};  ///< mirror of queued_total()
   std::atomic<std::int64_t> linger_ns_{0};  ///< effective linger

@@ -90,12 +90,14 @@ struct service_stats {
 
   /// Batch score-path accounting aggregated over every executed batch
   /// (aligner::last_batch_stats sums): pairs scored on narrow SIMD lanes
-  /// vs the scalar rolling engine, the subset of SIMD pairs that ran in
-  /// lane-padded ragged chunks, and the padded-cell overhead those
-  /// chunks relaxed.  Traceback batches count toward none of these.
+  /// vs the int32 rolling engine, the subsets of SIMD pairs that ran in
+  /// lane-padded ragged chunks or alone through the striped kernel, and
+  /// the padded-cell overhead the chunks relaxed.  Traceback batches
+  /// count toward none of these.
   std::uint64_t batch_simd_pairs = 0;
   std::uint64_t batch_scalar_pairs = 0;
   std::uint64_t batch_ragged_pairs = 0;
+  std::uint64_t batch_striped_pairs = 0;
   std::uint64_t batch_padded_cells = 0;
 
   /// Submit -> completion over both classes, ranked on the bucket-wise

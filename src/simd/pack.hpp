@@ -196,6 +196,18 @@ template <class T, int W>
   return r;
 }
 
+/// Lane shift toward higher indices: lane i takes lane i - S, the S
+/// lowest lanes take `fill`.  The cross-lane carry of the striped kernel
+/// (tiled/striped.hpp); called qualified, `simd::vshift_up<S>(p, fill)`.
+template <int S, class T, int W>
+[[nodiscard]] ANYSEQ_INLINE pack<T, W> vshift_up(pack<T, W> a,
+                                                 T fill) noexcept {
+  static_assert(S > 0 && S < W, "shift must move lanes inside the pack");
+  pack<T, W> r;
+  for (int i = 0; i < W; ++i) r.v[i] = i < S ? fill : a.v[i - S];
+  return r;
+}
+
 /// Per-lane substitution-table gather (paper: matrix scoring on SIMD).
 template <any_pack P, class T, int W>
 [[nodiscard]] ANYSEQ_INLINE P vlookup(const score_t* table, int stride,
@@ -253,6 +265,25 @@ using s16x16 = pack<score16_t, 16>;
 [[nodiscard]] ANYSEQ_INLINE s16x16 vandnot(s16x16 a, s16x16 b) noexcept {
   // _mm256_andnot_si256 computes ~first & second; vandnot is a & ~b.
   return from_reg(_mm256_andnot_si256(to_reg(b), to_reg(a)));
+}
+/// vshift_up across the two 128-bit halves: `t` holds [fill | a.lo], and
+/// a per-half byte align pulls the low half's top lanes into the high
+/// half (and fill into the low half).
+template <int S>
+[[nodiscard]] ANYSEQ_INLINE s16x16 vshift_up(s16x16 a,
+                                             score16_t fill) noexcept {
+  static_assert(S > 0 && S < 16, "shift must move lanes inside the pack");
+  const __m256i r = to_reg(a);
+  const __m256i t =
+      _mm256_permute2x128_si256(r, _mm256_set1_epi16(fill), 0x02);
+  if constexpr (S == 8) {
+    return from_reg(t);
+  } else if constexpr (S < 8) {
+    return from_reg(_mm256_alignr_epi8(r, t, 16 - 2 * S));
+  } else {
+    return from_reg(_mm256_alignr_epi8(t, _mm256_set1_epi16(fill),
+                                       32 - 2 * S));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -361,6 +392,21 @@ using s8x64 = pack<score8_t, 64>;
 }
 [[nodiscard]] ANYSEQ_INLINE s16x32 vandnot(s16x32 a, s16x32 b) noexcept {
   return from_reg(andnot512(to_reg(a), to_reg(b)));
+}
+/// vshift_up as one two-table word permute (vpermt2w): lane i reads
+/// `a` lane i - S (table 2) or, below S, the broadcast fill (table 1).
+template <int S>
+[[nodiscard]] ANYSEQ_INLINE s16x32 vshift_up(s16x32 a,
+                                             score16_t fill) noexcept {
+  static_assert(S > 0 && S < 32, "shift must move lanes inside the pack");
+  alignas(64) static constexpr std::array<score16_t, 32> kIdx = [] {
+    std::array<score16_t, 32> idx{};
+    for (int i = 0; i < 32; ++i)
+      idx[i] = static_cast<score16_t>(i < S ? 0 : 32 + i - S);
+    return idx;
+  }();
+  return from_reg(_mm512_permutex2var_epi16(
+      _mm512_set1_epi16(fill), _mm512_load_si512(kIdx.data()), to_reg(a)));
 }
 
 [[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s8x64& p) noexcept {

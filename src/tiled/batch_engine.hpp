@@ -24,7 +24,9 @@
 /// the *ragged* kernel captures every lane's result at its own (n_l,
 /// m_l) boundary through per-lane retirement masks — byte-identical to
 /// the int32 rolling route in every mode, padded or not.  Only chunks
-/// past the waste cap (or containing empty sequences) still take the
+/// past the waste cap (or containing empty sequences) still fall back
+/// to one pair at a time — under auto on a vector variant through the
+/// intra-pair striped int16 kernel (tiled/striped.hpp), otherwise the
 /// paper's Fig. 3 scalar dichotomy.
 ///
 /// Plan/execute split: when run single-threaded (the service's
@@ -68,6 +70,7 @@
 #include "core/workspace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/pack.hpp"
+#include "tiled/striped.hpp"
 #include "tiled/tile_kernel.hpp"
 
 namespace anyseq {
@@ -494,17 +497,26 @@ class batch_engine {
   /// width (and stays width 1 on the scalar variant).
   static constexpr int kLanes8 = Lanes > 1 ? 2 * Lanes : 1;
   /// Fewest live pairs a sub-width uniform tail needs to run as one
-  /// lane-padded chunk instead of rolling each pair in int32.  A padded
-  /// chunk costs the same whatever its live count, so the tail pays off
-  /// once c int32 pairs cost more than one chunk.  Measured at 150 x 150,
-  /// affine gaps, one thread (Xeon with AVX-512BW, GCC 12): a 32-lane
-  /// AVX-512 chunk costs ~200 us and an int32 pair ~73 us — break-even
-  /// c ~ 2.7, and Lanes/8 = 4 wins ~1.45x.  A 16-lane AVX2 chunk costs
-  /// ~345 us against ~70 us per pair (its kernel runs ~15 ns per step,
-  /// not the ~9 ns of a 32-lane step) — break-even c ~ 4.9, where
-  /// Lanes/8 = 2 would lose 2.5x, so 16 lanes need 5.  Both costs scale
-  /// with n*m, so the floors hold at any uniform shape.
-  static constexpr int kTailMinLive = Lanes >= 32 ? Lanes / 8 : 5;
+  /// lane-padded chunk instead of running each pair through the striped
+  /// kernel (`lone_pair`).  A padded chunk costs the same whatever its
+  /// live count, so the tail pays off once c striped pairs cost more than
+  /// one chunk.  Measured on one thread (Xeon with AVX-512BW, GCC 12),
+  /// gap open -2 / extend -1 or linear -1, match 2 / mismatch -1; break-
+  /// even c = chunk / striped pair:
+  ///
+  ///   | lanes | gaps   | 100 x 100 | 150 x 150            | 250 x 250 |
+  ///   |-------|--------|-----------|----------------------|-----------|
+  ///   | 32    | linear | 11 - 15   | 14 - 20 (146 / 7.2)  | 18 - 26   |
+  ///   | 32    | affine | 21 - 24   | 27 - 29 (231 / 8.1)  | 34 - 37   |
+  ///   | 16    | either | 22 - 36   | 27 - 42 (402 / 10.3) | 32 - 53   |
+  ///
+  /// (ranges over global, local and semiglobal; the bracket is the
+  /// global chunk / pair cost in us).  So 32 lanes need 20 live pairs
+  /// with linear gaps and 28 with affine gaps, and a 16-lane tail never
+  /// pays: a full AVX2 chunk already costs more than 16 striped pairs,
+  /// so its floor is the lane count and the tail branch stays shut.
+  static constexpr int kTailMinLive =
+      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 28 : 20) : Lanes;
 
   batch_engine(Gap gap, Scoring scoring, batch_config cfg = {})
       : gap_(gap), scoring_(scoring), cfg_(cfg) {
@@ -591,7 +603,8 @@ class batch_engine {
   struct chunk_plan {
     std::size_t hi;        ///< group end (exclusive)
     score_precision prec;  ///< int8/int16 = narrow kernel at full width,
-                           ///< bitpar = per pair, int32 = rolling per pair
+                           ///< bitpar = per pair, int32 = one pair at a
+                           ///< time (striped or rolling, see lone_pair)
     bool ragged = false;   ///< lane-padded kernel at (nbar x mbar)
     index_t nbar = 0, mbar = 0;  ///< padded chunk-max shape (ragged only)
   };
@@ -601,9 +614,9 @@ class batch_engine {
   /// forced) precision allows it; a lane-padded *ragged* group when the
   /// shapes differ but the padding waste stays within the cap; under
   /// auto, a sub-width uniform *tail* of the last c >= kTailMinLive
-  /// pairs; otherwise the rolling fallback over the classic Lanes-wide
-  /// stride.  Deterministic in (pairs, lo) alone — the MT fan-out
-  /// relies on workers re-deriving identical boundaries.
+  /// pairs; otherwise the per-pair fallback (`lone_pair`) over the
+  /// classic Lanes-wide stride.  Deterministic in (pairs, lo) alone —
+  /// the MT fan-out relies on workers re-deriving identical boundaries.
   template <class Pair>
   [[nodiscard]] chunk_plan group_plan(std::span<const Pair> pairs,
                                       std::size_t lo) const {
@@ -623,10 +636,12 @@ class batch_engine {
     // Ragged admission: w consecutive non-empty pairs, padded to the
     // chunk-max shape, admitted while the padding waste
     // sum(nbar*mbar - n_l*m_l) stays within pad_waste_cap_pct percent of
-    // the padded chunk w*nbar*mbar.  The cap is a conservative policy,
-    // not the break-even: a padded chunk stays cheaper than rolling its
-    // lanes in int32 up to ~90% waste on 32 lanes and ~70% on 16 (from
-    // the per-chunk and per-pair costs at kTailMinLive).
+    // the padded chunk w*nbar*mbar.  The cap is a policy, not the
+    // break-even: from the chunk and striped-pair costs at kTailMinLive,
+    // a padded 32-lane chunk beats striping its lanes one by one up to
+    // ~35% waste with linear gaps but only ~10% with affine gaps, and a
+    // padded 16-lane chunk never does (against int32 rolling the
+    // break-evens were ~90% waste on 32 lanes and ~70% on 16).
     const auto ragged_shape = [&](std::size_t w, index_t& nb, index_t& mb) {
       if (cfg_.pad_waste_cap_pct <= 0 || lo + w > pairs.size())
         return false;
@@ -685,7 +700,7 @@ class batch_engine {
       return {lo + Lanes, score_precision::int16, true, nb, mb};
     // Sub-width uniform tail: the last c < Lanes pairs run as one
     // lane-padded narrow chunk (dead lanes replay a live pair) once c
-    // reaches kTailMinLive — see narrow_group.
+    // reaches kTailMinLive — see narrow_group; below it they go striped.
     const std::size_t left = pairs.size() - lo;
     if (left < static_cast<std::size_t>(Lanes) &&
         left >= static_cast<std::size_t>(kTailMinLive) && uniform(left)) {
@@ -754,6 +769,7 @@ class batch_engine {
           stats_.bitpar_pairs += local.bitpar_pairs;
           stats_.escalated_pairs += local.escalated_pairs;
           stats_.ragged_pairs += local.ragged_pairs;
+          stats_.striped_pairs += local.striped_pairs;
           stats_.padded_cells += local.padded_cells;
         },
         /*chunks_per_thread=*/1);
@@ -780,11 +796,8 @@ class batch_engine {
         bitpar_pair(pairs, lo, *ws, sink, stats);
         return;
       default:
-        for (std::size_t i = lo; i < g.hi; ++i) {
-          sink(i, rolling_score<K>(pairs[i].q, pairs[i].s, gap_, scoring_,
-                                   *ws));
-          ++stats.scalar_pairs;
-        }
+        for (std::size_t i = lo; i < g.hi; ++i)
+          lone_pair(pairs, i, *ws, sink, stats);
         return;
     }
   }
@@ -865,6 +878,30 @@ class batch_engine {
       ++stats.escalated_pairs;
       ++stats.scalar_pairs;
     }
+  }
+
+  /// One pair of a group the planner could not put on lanes.  Under auto
+  /// on a vector variant it runs the intra-pair striped kernel when its
+  /// own int16 bound holds; forced int32, the scalar variant, a bound past
+  /// the window and empty sequences roll in int32.
+  template <class Pair, class Sink>
+  void lone_pair(std::span<const Pair> pairs, std::size_t i, workspace& ws,
+                 Sink& sink, batch_stats& stats) {
+    const auto& p = pairs[i];
+    if constexpr (Lanes > 1) {
+      if (cfg_.precision == score_precision::auto_select &&
+          fits_score_window(p.q.size(), p.s.size(),
+                            unit_step(gap_, scoring_),
+                            int16_score_window())) {
+        sink(i, striped_score<K, Lanes>(p.q, p.s, gap_, scoring_, ws));
+        ++stats.int16_pairs;
+        ++stats.simd_pairs;
+        ++stats.striped_pairs;
+        return;
+      }
+    }
+    sink(i, rolling_score<K>(p.q, p.s, gap_, scoring_, ws));
+    ++stats.scalar_pairs;
   }
 
   /// One pair through the bit-parallel engine when this instantiation

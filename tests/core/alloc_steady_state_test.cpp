@@ -140,10 +140,13 @@ TEST(AllocSteadyState, TiledScoreRouteStaticSchedule) {
 }
 
 TEST(AllocSteadyState, SmallScoreRoute) {
+  // The scalar variant rolls small extension problems (vector variants
+  // stripe them: StripedScoreRoute).
   const auto q = test::random_codes(120, 5);
   const auto s = test::random_codes(110, 6);
   align_options o = serial_opts();
   o.kind = align_kind::extension;
+  o.exec = backend::scalar;
   aligner a(o);
   EXPECT_STREQ(a.plan(120, 110).route, "small_score");
   expect_steady_state(a, view(q), view(s));
@@ -286,18 +289,21 @@ TEST(AllocSteadyState, BatchRaggedSteadyState) {
 }
 
 TEST(AllocSteadyState, BatchTailSteadyState) {
-  // 21 uniform pairs on 16 lanes: one full chunk plus a 5-pair tail the
-  // planner runs as one lane-padded chunk.  The tail carves the same
-  // arena rows as a full chunk, so warm passes allocate nothing.
+  // 53 uniform pairs on 32 lanes: one full chunk plus a 21-pair tail (at
+  // least the linear-gap floor of 20) the planner runs as one lane-padded
+  // chunk.  The tail carves the same arena rows as a full chunk, so warm
+  // passes allocate nothing.
+  using engine =
+      tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 32>;
+  static_assert(engine::kTailMinLive <= 21);
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<tiled::pair_view> pairs;
-  for (int i = 0; i < 21; ++i) {
+  for (int i = 0; i < 53; ++i) {
     qs.push_back(test::random_codes(90, 1300 + i));
     ss.push_back(test::random_codes(96, 1400 + i));
   }
-  for (int i = 0; i < 21; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
-  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(linear_gap{-1}, simple_scoring{2, -1}, {1});
+  for (int i = 0; i < 53; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
+  engine eng(linear_gap{-1}, simple_scoring{2, -1}, {1});
   workspace ws;
   std::vector<score_result> out(pairs.size());
   auto pass = [&] {
@@ -306,12 +312,74 @@ TEST(AllocSteadyState, BatchTailSteadyState) {
                    std::span<score_result>(out));
   };
   for (int i = 0; i < 3; ++i) pass();
-  ASSERT_EQ(eng.last_stats().simd_pairs, 21u);
+  ASSERT_EQ(eng.last_stats().simd_pairs, 53u);
   ASSERT_EQ(eng.last_stats().padded_cells, 11u * 90u * 96u);
   const auto n = allocs_during([&] {
     for (int i = 0; i < 5; ++i) pass();
   });
   EXPECT_EQ(n, 0u) << "tail batch allocated in steady state";
+}
+
+/// Runnable vector backends (generic lane loops on builds without ISA
+/// flags) — the variants that carry the striped route.
+std::vector<backend> vector_backends() {
+  std::vector<backend> out;
+  for (backend b : {backend::simd_avx2, backend::simd_avx512})
+    if (test::backend_runnable(b)) out.push_back(b);
+  return out;
+}
+
+TEST(AllocSteadyState, StripedScoreRoute) {
+  // A lone 150 x 150 score request on a vector variant: the striped
+  // kernel carves its stripe rows (H, F, profile, row maxima) from the
+  // handle's arena, and reserve() pre-sizes exactly that, so even the
+  // first pass is allocation-free.
+  const auto q = test::random_codes(150, 61);
+  const auto s = test::mutate(q, 62);
+  for (const backend b : vector_backends())
+    for (const align_kind k : {align_kind::global, align_kind::local}) {
+      align_options o = serial_opts();
+      o.exec = b;
+      o.kind = k;
+      o.gap_open = -2;
+      aligner a(o);
+      const auto n = static_cast<index_t>(q.size());
+      const auto m = static_cast<index_t>(s.size());
+      EXPECT_STREQ(a.plan(n, m).route, "striped_score");
+      a.reserve(n, m);
+      alignment_result out;
+      EXPECT_EQ(allocs_during([&] { a.align_into(view(q), view(s), out); }),
+                0u)
+          << "striped plan_bytes under-estimated its footprint";
+      expect_steady_state(a, view(q), view(s));
+    }
+}
+
+TEST(AllocSteadyState, BatchStripedFallbackSteadyState) {
+  // Batches of three ragged pairs fill no chunk: under auto each pair
+  // runs the striped kernel inside the batch pass, carving from the
+  // same arena — warm passes allocate nothing.
+  std::vector<std::vector<char_t>> qs, ss;
+  std::vector<seq_pair> pairs;
+  for (int i = 0; i < 3; ++i) {
+    qs.push_back(test::random_codes(140 + 9 * i, 1500 + i));
+    ss.push_back(test::mutate(qs.back(), 1600 + i));
+  }
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  for (const backend b : vector_backends()) {
+    align_options o = serial_opts();
+    o.exec = b;
+    o.gap_open = -2;
+    aligner a(o);
+    std::vector<alignment_result> out;
+    for (int i = 0; i < 3; ++i) a.align_batch_into(pairs, out);
+    ASSERT_EQ(a.last_batch_stats().striped_pairs, 3u);
+    const auto n = allocs_during([&] {
+      for (int i = 0; i < 5; ++i) a.align_batch_into(pairs, out);
+    });
+    EXPECT_EQ(n, 0u) << "striped batch fallback allocated in steady state";
+  }
 }
 
 TEST(AllocSteadyState, FullMatrixTracebackRoute) {

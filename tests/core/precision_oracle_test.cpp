@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "anyseq/anyseq.hpp"
@@ -197,9 +198,15 @@ TEST(PrecisionOracle, ForcedPrecisionPlanReportsRoute) {
   aligner a32(o);
   EXPECT_STREQ(a32.plan(40, 40).route, "small_score");
   EXPECT_EQ(a32.plan(40, 40).precision, score_precision::int32);
+  // Auto reports what the dispatched variant runs: the striped int16
+  // kernel on a vector variant, the int32 tiled pass on scalar.
   o.precision = score_precision::auto_select;
   aligner aa(o);
-  EXPECT_EQ(aa.plan(40, 40).precision, score_precision::int32);
+  const auto p = aa.plan(40, 40);
+  const bool vector = std::string_view(p.variant) != "scalar";
+  EXPECT_STREQ(p.route, vector ? "striped_score" : "tiled_score");
+  EXPECT_EQ(p.precision,
+            vector ? score_precision::int16 : score_precision::int32);
 }
 
 TEST(PrecisionOracle, BitparOversizedAlphabetFallsBackToRolling) {
@@ -544,13 +551,15 @@ TEST(RaggedOracle, WasteCapSplitsOrAdmitsAtBoundary) {
       EXPECT_EQ(st.padded_cells, 300u);
       EXPECT_EQ(st.escalated_pairs, 0u);
     } else {
-      // The mixed chunk [0, 16) splits to the scalar fallback; the
-      // trailing 16 pairs are exactly uniform (20, 20) and still
-      // vectorize through the uniform (non-padded) int16 route.
+      // The mixed chunk [0, 16) splits to one pair at a time (the
+      // striped kernel under auto); the trailing 16 pairs are exactly
+      // uniform (20, 20) and still vectorize through the uniform
+      // (non-padded) int16 route.
       EXPECT_EQ(st.ragged_pairs, 0u);
       EXPECT_EQ(st.padded_cells, 0u);
-      EXPECT_EQ(st.scalar_pairs, 16u);
-      EXPECT_EQ(st.simd_pairs, 16u);
+      EXPECT_EQ(st.scalar_pairs, 0u);
+      EXPECT_EQ(st.striped_pairs, 16u);
+      EXPECT_EQ(st.simd_pairs, 32u);
     }
     for (int i = 0; i < 32; ++i) {
       const auto want = rolling_score<align_kind::global>(
@@ -567,13 +576,29 @@ int lanes_of(backend b) {
   return b == backend::simd_avx512 ? 32 : b == backend::simd_avx2 ? 16 : 1;
 }
 
+/// The batch engine's tail floor for `lanes` lanes under the gap model of
+/// `p` (the floor depends on linear vs affine gaps).
+std::size_t tail_floor(int lanes, const precision_case& p) {
+  using tiled::batch_engine;
+  if (p.open != 0)
+    return lanes == 32 ? batch_engine<align_kind::global, affine_gap,
+                                      simple_scoring, 32>::kTailMinLive
+                       : batch_engine<align_kind::global, affine_gap,
+                                      simple_scoring, 16>::kTailMinLive;
+  return lanes == 32 ? batch_engine<align_kind::global, linear_gap,
+                                    simple_scoring, 32>::kTailMinLive
+                     : batch_engine<align_kind::global, linear_gap,
+                                    simple_scoring, 16>::kTailMinLive;
+}
+
 /// Uniform batches of L + t pairs on each runnable backend (L its lane
 /// width; the scalar backend reuses L = 16 sizes): one full chunk, then a
 /// t-pair remainder that must run as one lane-padded tail chunk once t
-/// reaches the batch engine's floor for L lanes.  Score and end cell
-/// stay byte-identical to the int32 rolling route, and the path
-/// accounting is exact — on the scalar variant auto rolls every pair in
-/// int32, so the whole batch counts as scalar pairs.
+/// reaches the batch engine's floor for L lanes, and pair by pair
+/// through the striped kernel below it.  Score and end cell stay
+/// byte-identical to the int32 rolling route, and the path accounting is
+/// exact — on the scalar variant auto rolls every pair in int32, so the
+/// whole batch counts as scalar pairs.
 class TailOracle : public ::testing::TestWithParam<precision_case> {};
 
 TEST_P(TailOracle, SubWidthTailsMatchInt32Rolling) {
@@ -582,11 +607,7 @@ TEST_P(TailOracle, SubWidthTailsMatchInt32Rolling) {
   for (backend b : runnable_backends()) {
     const int w = lanes_of(b);
     const std::size_t L = static_cast<std::size_t>(w > 1 ? w : 16);
-    const auto min_live = static_cast<std::size_t>(
-        w == 32 ? tiled::batch_engine<align_kind::global, linear_gap,
-                                      simple_scoring, 32>::kTailMinLive
-                : tiled::batch_engine<align_kind::global, linear_gap,
-                                      simple_scoring, 16>::kTailMinLive);
+    const std::size_t min_live = tail_floor(w == 32 ? 32 : 16, p);
     for (const std::size_t t :
          {std::size_t{1}, min_live - 1, min_live, L - 1}) {
       const std::size_t count = L + t;
@@ -632,9 +653,10 @@ TEST_P(TailOracle, SubWidthTailsMatchInt32Rolling) {
           continue;
         }
         const bool simd_tail = t >= min_live;
-        EXPECT_EQ(st.simd_pairs, L + (simd_tail ? t : 0));
+        EXPECT_EQ(st.simd_pairs, L + t);
         EXPECT_EQ(st.int16_pairs, st.simd_pairs);
-        EXPECT_EQ(st.scalar_pairs, simd_tail ? 0 : t);
+        EXPECT_EQ(st.scalar_pairs, 0u);
+        EXPECT_EQ(st.striped_pairs, simd_tail ? 0 : t);
         EXPECT_EQ(st.padded_cells,
                   simd_tail ? (L - t) * static_cast<std::uint64_t>(n * m)
                             : 0);

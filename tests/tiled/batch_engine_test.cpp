@@ -70,7 +70,10 @@ TEST(BatchEngine, NonMultipleOfLanesGetsRemainder) {
       37, 50, linear_gap{-1}, 2, 6);
 }
 
-TEST(BatchEngine, RaggedLengthsFallBackToScalar) {
+TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
+  // 40 ragged pairs: two padded 16-lane chunks, then 8 pairs that fill no
+  // chunk.  Under auto those run one by one through the striped kernel;
+  // forced int32 rolls everything.
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<pair_view> pairs;
   for (std::size_t i = 0; i < 40; ++i) {
@@ -80,15 +83,85 @@ TEST(BatchEngine, RaggedLengthsFallBackToScalar) {
   for (std::size_t i = 0; i < 40; ++i)
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
-  batch_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
-      affine_gap{-2, -1}, sc, {2});
-  auto got = eng.scores(pairs);
-  for (std::size_t i = 0; i < 40; ++i) {
-    const auto want = rolling_score<align_kind::global>(
-        pairs[i].q, pairs[i].s, affine_gap{-2, -1}, sc);
-    ASSERT_EQ(got[i], want.score) << i;
+  for (const score_precision p :
+       {score_precision::auto_select, score_precision::int32}) {
+    batch_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
+        affine_gap{-2, -1}, sc, {2, p});
+    auto got = eng.scores(pairs);
+    for (std::size_t i = 0; i < 40; ++i) {
+      const auto want = rolling_score<align_kind::global>(
+          pairs[i].q, pairs[i].s, affine_gap{-2, -1}, sc);
+      ASSERT_EQ(got[i], want.score) << i;
+    }
+    const auto st = eng.last_stats();
+    if (p == score_precision::auto_select) {
+      EXPECT_EQ(st.ragged_pairs, 32u);
+      EXPECT_EQ(st.striped_pairs, 8u);
+      EXPECT_EQ(st.simd_pairs, 40u);
+      EXPECT_EQ(st.scalar_pairs, 0u);
+    } else {
+      EXPECT_EQ(st.scalar_pairs, 40u);
+      EXPECT_EQ(st.striped_pairs, 0u);
+    }
   }
-  EXPECT_GT(eng.last_stats().scalar_pairs, 0u);
+}
+
+/// Batches of 2 and 3 ragged pairs (the serving tier's typical batch):
+/// too few to fill lanes, so under auto every pair runs the striped
+/// kernel — score and end cell equal to int32 rolling, single- and
+/// multi-threaded — while the scalar variant and forced int32 roll.
+template <align_kind K, class Gap, int Lanes>
+void few_ragged_pairs_match_rolling(const Gap& gap) {
+  const simple_scoring sc{2, -1};
+  for (const std::size_t count : {std::size_t{2}, std::size_t{3}})
+    for (const int threads : {1, 2})
+      for (const score_precision p :
+           {score_precision::auto_select, score_precision::int32}) {
+        std::vector<std::vector<char_t>> qs, ss;
+        std::vector<pair_view> pairs;
+        for (std::size_t i = 0; i < count; ++i) {
+          qs.push_back(test::random_codes(135 + 13 * i, 300 + i));
+          ss.push_back(test::mutate(qs.back(), 400 + i));
+        }
+        for (std::size_t i = 0; i < count; ++i)
+          pairs.push_back({view(qs[i]), view(ss[i])});
+        batch_engine<K, Gap, simple_scoring, Lanes> eng(gap, sc,
+                                                        {threads, p});
+        workspace ws;
+        std::vector<score_result> got(count);
+        eng.score_into(std::span<const pair_view>(pairs), ws,
+                       std::span<score_result>(got));
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(K) << " lanes " << Lanes << " count "
+                     << count << " threads " << threads << " "
+                     << to_string(p));
+        for (std::size_t i = 0; i < count; ++i) {
+          const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc);
+          ASSERT_EQ(got[i].score, want.score) << "pair " << i;
+          ASSERT_EQ(got[i].end_i, want.end_i) << "pair " << i;
+          ASSERT_EQ(got[i].end_j, want.end_j) << "pair " << i;
+        }
+        const auto st = eng.last_stats();
+        const bool striped = Lanes > 1 && p == score_precision::auto_select;
+        EXPECT_EQ(st.striped_pairs, striped ? count : 0u);
+        EXPECT_EQ(st.simd_pairs, striped ? count : 0u);
+        EXPECT_EQ(st.int16_pairs, striped ? count : 0u);
+        EXPECT_EQ(st.scalar_pairs, striped ? 0u : count);
+        EXPECT_EQ(st.padded_cells, 0u);
+      }
+}
+
+TEST(BatchEngine, FewRaggedPairsRunStripedUnderAuto) {
+  few_ragged_pairs_match_rolling<align_kind::global, affine_gap, 16>(
+      affine_gap{-2, -1});
+  few_ragged_pairs_match_rolling<align_kind::local, affine_gap, 16>(
+      affine_gap{-3, -1});
+  few_ragged_pairs_match_rolling<align_kind::semiglobal, linear_gap, 16>(
+      linear_gap{-1});
+  few_ragged_pairs_match_rolling<align_kind::global, affine_gap, 32>(
+      affine_gap{-2, -1});
+  few_ragged_pairs_match_rolling<align_kind::global, affine_gap, 1>(
+      affine_gap{-2, -1});
 }
 
 TEST(BatchEngine, StatsCountSimdPath) {
@@ -109,8 +182,9 @@ TEST(BatchEngine, StatsCountSimdPath) {
 /// `Lanes + t` uniform (n x m) pairs: one full int16 chunk, then a t-pair
 /// tail that runs as one lane-padded chunk once t reaches the floor
 /// kTailMinLive (int8 at 2*Lanes lanes when that window fits the shape)
-/// and rolls in int32 below it.  Scores must equal the int32 rolling
-/// engine's and the path accounting must be exact.  (End cells of every
+/// and pair by pair through the striped kernel below it.  Scores must
+/// equal the int32 rolling engine's and the path accounting must be
+/// exact.  (End cells of every
 /// kind are pinned through the public API by precision_oracle_test's
 /// TailOracle.)
 template <align_kind K, class Gap, int Lanes>
@@ -141,9 +215,10 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
   const std::uint64_t lanes = static_cast<std::uint64_t>(Lanes);
   const std::uint64_t tail_w = int8 ? 2 * lanes : lanes;
   const auto st = eng.last_stats();
-  EXPECT_EQ(st.simd_pairs, lanes + (simd_tail ? t : 0));
-  EXPECT_EQ(st.scalar_pairs, simd_tail ? 0 : t);
-  EXPECT_EQ(st.int16_pairs, lanes + (simd_tail && !int8 ? t : 0));
+  EXPECT_EQ(st.simd_pairs, lanes + t);
+  EXPECT_EQ(st.scalar_pairs, 0u);
+  EXPECT_EQ(st.striped_pairs, simd_tail ? 0 : t);
+  EXPECT_EQ(st.int16_pairs, lanes + (simd_tail && int8 ? 0 : t));
   EXPECT_EQ(st.int8_pairs, simd_tail && int8 ? t : 0);
   EXPECT_EQ(st.ragged_pairs, 0u);
   EXPECT_EQ(st.escalated_pairs, 0u);
@@ -154,8 +229,8 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
 }
 
 /// Batch sizes Lanes+1, Lanes+min_live-1, Lanes+min_live and 2*Lanes-1
-/// (min_live = kTailMinLive) at an int16 shape and an int8 shape, 1 and 2
-/// threads.
+/// (min_live = kTailMinLive; sizes of 2*Lanes or more are no tails) at
+/// an int16 shape and an int8 shape, 1 and 2 threads.
 template <align_kind K, class Gap, int Lanes>
 void tail_sweep(const Gap& gap) {
   constexpr auto min_live = static_cast<std::size_t>(
@@ -163,6 +238,7 @@ void tail_sweep(const Gap& gap) {
   for (const std::size_t t :
        {std::size_t{1}, min_live - 1, min_live, std::size_t{Lanes - 1}})
     for (const int threads : {1, 2}) {
+      if (t >= static_cast<std::size_t>(Lanes)) continue;
       tail_matches_rolling<K, Gap, Lanes>(t, 30, 34, gap, threads);
       tail_matches_rolling<K, Gap, Lanes>(t, 12, 14, gap, threads);
     }
