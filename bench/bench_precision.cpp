@@ -197,6 +197,44 @@ vector_gcups panel(const char* title, const char* tag,
   return auto_gcups;
 }
 
+/// Alignment-kind panel: the 150 bp pairs under local, semiglobal and
+/// extension alignment on the auto route, the kinds whose padded chunks
+/// track each lane's optimum cell.  Score and end cell must equal the
+/// int32 rolling route's; the row's speedup is against that route.
+void kinds_panel(std::span<const seq_pair> pairs, const args& a) {
+  g_tag = "kinds150";
+  print_header("150 bp read pairs, local / semiglobal / extension",
+               "auto route vs int32 rolling, end cells checked");
+  for (const int lanes : {1, 16, 32}) {
+    if (!lanes_runnable_now(lanes)) continue;
+    const backend exec = backend_for_lanes(lanes);
+    const std::string v = to_string(exec);
+    for (const align_kind k :
+         {align_kind::local, align_kind::semiglobal, align_kind::extension}) {
+      align_options o = scored_opts(exec, a.threads, score_precision::int32);
+      o.kind = k;
+      std::vector<alignment_result> ref, out;
+      const double t32 = median_seconds(a.repeats, [&] {
+        ref = align_batch(pairs, o);
+      });
+      o.precision = score_precision::auto_select;
+      const double t = median_seconds(a.repeats, [&] {
+        out = align_batch(pairs, o);
+      });
+      const std::string row = v + "/" + to_string(k);
+      check_cells(row.c_str(), out, ref);
+      const double g = gcups(total_cells(pairs), t);
+      const double g32 = gcups(total_cells(pairs), t32);
+      g_report->add(std::string(g_tag) + "/" + row, t, pairs.size(),
+                    {{"gcups", g}, {"speedup_vs_int32", g / g32}});
+      char note[48];
+      std::snprintf(note, sizeof note, "%.2fx int32", g / g32);
+      print_row({std::string("auto ") + to_string(k), v, g, -1.0, note});
+    }
+  }
+  print_footer();
+}
+
 /// Length-jitter panel: 150 bp ± 15 uniform jitter on both mates — the
 /// mixed-length traffic that used to fall off the SIMD path entirely
 /// (any chunk with one odd length went scalar).  The auto route runs
@@ -432,6 +470,7 @@ int main(int argc, char** argv) {
       panel("150 bp read pairs (fig5b workload)", "reads150", pairs150,
             false, a));
   require_avx512_not_slower("tail150", tail_panel(pairs150, a));
+  kinds_panel(pairs150, a);
 
   // Short-read panel: 20 bp, bound (20+20+2)*2 = 84 < 96 — the whole
   // batch fits the int8 window.

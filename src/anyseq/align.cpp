@@ -346,8 +346,6 @@ void validate(const align_options& opt) {
         "local alignment needs a positive match score");
   if (opt.full_matrix_cells < 0)
     throw validation_error("full_matrix_cells must be >= 0");
-  if (opt.pad_waste_cap_pct < 0 || opt.pad_waste_cap_pct > 100)
-    throw validation_error("pad_waste_cap_pct must be in [0, 100]");
   if (opt.precision == score_precision::bitpar) {
     if (opt.want_alignment)
       throw validation_error(

@@ -89,14 +89,6 @@ struct align_options {
   /// byte-identical to the int32 path.
   score_precision precision = score_precision::auto_select;
 
-  /// Batch scoring: padding-waste cap (percent, 0..100) for lane-padded
-  /// ragged chunks.  A mixed-length group of W consecutive pairs runs
-  /// vectorized with each lane padded to the chunk-max shape while the
-  /// padded-cell overhead sum(nbar*mbar - n_l*m_l) stays within this
-  /// fraction of the padded chunk W*nbar*mbar; 0 restores the strict
-  /// uniform-shapes-only dichotomy (mixed-length groups score scalar).
-  int pad_waste_cap_pct = 25;
-
   /// Problems with at most this many cells take the full-matrix path for
   /// traceback; larger ones use divide & conquer in linear space.
   index_t full_matrix_cells = index_t{1} << 22;

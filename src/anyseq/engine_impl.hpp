@@ -173,11 +173,11 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
             else
               return rolling_plan_bytes(m);
           case route_kind::precision_score:
-            // Checked narrow rows at width 1 PLUS the escalation rolling
+            // Checked chunk rows at width 1 PLUS the escalation rolling
             // rows, so reserve() covers the shed path too.
             return (opt.precision == score_precision::int8
-                        ? tiled::narrow_chunk_plan_bytes<score8_t, 1>(m)
-                        : tiled::narrow_chunk_plan_bytes<score16_t, 1>(m)) +
+                        ? tiled::ragged_chunk_plan_bytes<score8_t, 1>(m)
+                        : tiled::ragged_chunk_plan_bytes<score16_t, 1>(m)) +
                    rolling_plan_bytes(m);
           case route_kind::tiled_score:
             return tiled::tiled_engine<K, Gap, Scoring, kLanes>::plan_bytes(
@@ -289,21 +289,16 @@ score_result precision_score_impl(stage::seq_view q, stage::seq_view s,
     constexpr align_kind K = decltype(kc)::value;
     return with_gap(opt, [&](auto gap) {
       return with_scoring(opt, [&](const auto& scoring) {
+        using Gap = std::decay_t<decltype(gap)>;
+        using Scoring = std::decay_t<decltype(scoring)>;
+        // A width-1 batch of one pair: the checked chunk kernel, with the
+        // batch engine's escalation to int32 rolling.
+        tiled::batch_engine<K, Gap, Scoring, 1> eng(
+            gap, scoring, tiled::batch_config{1, opt.precision});
         const tiled::pair_view pv[1] = {{q, s}};
         score_result out{};
-        const auto take = [&](std::size_t, const score_result& r) {
-          out = r;
-        };
-        std::uint64_t esc;
-        if (opt.precision == score_precision::int8)
-          esc = tiled::narrow_chunk_score<K, score8_t, 1, true>(
-              std::span<const tiled::pair_view>(pv), 0, q.size(), s.size(),
-              gap, scoring, w, take);
-        else
-          esc = tiled::narrow_chunk_score<K, score16_t, 1, true>(
-              std::span<const tiled::pair_view>(pv), 0, q.size(), s.size(),
-              gap, scoring, w, take);
-        if (esc != 0) out = rolling_score<K>(q, s, gap, scoring, w);
+        eng.score_into(std::span<const tiled::pair_view>(pv), w,
+                       std::span<score_result>(&out, 1));
         return out;
       });
     });
@@ -412,7 +407,6 @@ void batch_scores_impl(std::span<const seq_pair> pairs,
         tiled::batch_engine<K, Gap, Scoring, kLanes> eng(
             gap, scoring,
             tiled::batch_config{threads, classify_batch_precision(opt),
-                                opt.pad_waste_cap_pct,
                                 std::span<workspace>(h.workers)});
         eng.score_into(pairs, w, out);
         if (stats != nullptr) *stats = eng.last_stats();
@@ -424,8 +418,12 @@ void batch_scores_impl(std::span<const seq_pair> pairs,
 void batch_align_impl(std::span<const seq_pair> pairs,
                       const align_options& opt, void* ws,
                       std::span<alignment_result> out) {
-  workspace& w = ws_of(ws);
+  ws_handle& h = handle_of(ws);
+  workspace& w = h.main;
   w.begin_pass();
+  const int threads = resolve_threads(opt.threads);
+  if (threads > 1 && h.workers.size() < static_cast<std::size_t>(threads))
+    h.workers.resize(static_cast<std::size_t>(threads));
   with_kind(opt.kind, [&](auto kc) {
     constexpr align_kind K = decltype(kc)::value;
     with_gap(opt, [&](auto gap) {
@@ -433,7 +431,9 @@ void batch_align_impl(std::span<const seq_pair> pairs,
         using Gap = std::decay_t<decltype(gap)>;
         using Scoring = std::decay_t<decltype(scoring)>;
         tiled::batch_engine<K, Gap, Scoring, kLanes> eng(
-            gap, scoring, tiled::batch_config{resolve_threads(opt.threads)});
+            gap, scoring,
+            tiled::batch_config{.threads = threads,
+                                .worker_ws = std::span<workspace>(h.workers)});
         eng.align_into(pairs, w, out);
         for (auto& r : out) stamp(r);
       });

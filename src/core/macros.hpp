@@ -25,6 +25,17 @@
 #define ANYSEQ_UNLIKELY(x) (x)
 #endif
 
+/// Keeps a widely instantiated template out of GCC's local IPA clones.  A
+/// clone lands in its translation unit's .text between the per-variant
+/// entry points, so ~200 kernel clones would spread the entry points a
+/// call touches over many more text pages (and the process's resident
+/// set with them); the template itself stays in its own COMDAT section.
+#if defined(__GNUC__) && !defined(__clang__)
+#define ANYSEQ_NOCLONE __attribute__((noclone))
+#else
+#define ANYSEQ_NOCLONE
+#endif
+
 /// Internal invariant check.  Active in debug builds; compiled out of
 /// release hot loops.  API-boundary validation uses exceptions instead
 /// (see core/errors.hpp).

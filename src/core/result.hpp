@@ -82,17 +82,16 @@ struct batch_stats {
   std::uint64_t int16_pairs = 0;
   std::uint64_t bitpar_pairs = 0;
   std::uint64_t escalated_pairs = 0;  ///< checked-kernel overflow shed
-  /// SIMD pairs scored inside lane-padded (ragged) chunks — mixed-length
-  /// groups that would have fallen back to the scalar engine before the
-  /// retirement-mask kernels (subset of `simd_pairs`).
+  /// SIMD pairs scored in chunks whose live lanes differ in shape (lane
+  /// padding to the chunk-max shape; subset of `simd_pairs`).
   std::uint64_t ragged_pairs = 0;
   /// Pairs the planner could not put on lanes that ran the intra-pair
   /// striped int16 kernel instead of int32 rolling (tiled/striped.hpp;
   /// subset of `simd_pairs` and of `int16_pairs`, vector variants only).
   std::uint64_t striped_pairs = 0;
-  /// Padding overhead the lanes relaxed: sum over ragged chunks of
-  /// W*nbar*mbar - sum(n_l*m_l) (what the waste cap bounds), plus the
-  /// dead lanes of sub-width tail chunks, (W - live)*n*m each.
+  /// Padding overhead the lanes relaxed: sum over padded chunks of
+  /// W*nbar*mbar - sum(n_l*m_l) over the live lanes — ragged lanes'
+  /// padding plus a sub-width tail's dead lanes.
   std::uint64_t padded_cells = 0;
 };
 

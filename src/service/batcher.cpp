@@ -61,9 +61,6 @@ bool options_compatible(const align_options& a,
   // forced-int32 batch must not share an align_batch call, and unit-cost
   // auto batches route through the bit-parallel engine as a group.
   if (a.precision != b.precision) return false;
-  // The ragged waste cap changes which chunks lane-pad vs roll scalar —
-  // results stay byte-identical either way, but one batch takes ONE cap.
-  if (a.pad_waste_cap_pct != b.pad_waste_cap_pct) return false;
   return a.full_matrix_cells == b.full_matrix_cells;
 }
 

@@ -60,10 +60,9 @@ enum class route : std::uint8_t { batch_score, batch_traceback, solo };
 /// Strict weak order that groups pairs by their FULL (|q|, |s|) shape —
 /// query length first, subject length second — so the inter-sequence
 /// SIMD kernel sees uniform-shape chunks (lanes stay full) and any
-/// leftover jitter forms near-shape runs the ragged lane-padding kernel
-/// admits under a tiny padding waste, instead of falling back to scalar
-/// on mixed chunks.  Ties resolve on the stable key to keep execution
-/// deterministic.
+/// leftover jitter forms near-shape runs that fill the lane-padding
+/// kernel's chunks instead of running pair by pair.  Ties resolve on the
+/// stable key to keep execution deterministic.
 [[nodiscard]] bool lane_order_less(index_t q_len_a, index_t s_len_a,
                                    std::uint64_t key_a, index_t q_len_b,
                                    index_t s_len_b,

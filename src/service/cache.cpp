@@ -54,7 +54,6 @@ template <class T>
   h = fnv1a_value(h, o.tile);
   h = fnv1a_value(h, o.dynamic_schedule);
   h = fnv1a_value(h, o.precision);
-  h = fnv1a_value(h, o.pad_waste_cap_pct);
   h = fnv1a_value(h, o.full_matrix_cells);
   return h;
 }

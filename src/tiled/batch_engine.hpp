@@ -4,39 +4,35 @@
 /// instruction processes pair `l` of a chunk; chunks run in parallel on
 /// the thread pool.
 ///
-/// Adaptive precision: each uniform chunk picks the narrowest score
-/// element type whose worst-case bound (n + m + 2) * unit provably fits —
-/// int8 at twice the lane count when |score| <= 96, else the classic
-/// 16-bit kernel below 28000, else the scalar rolling engine.  Forcing a
-/// narrow precision through `batch_config` runs the *checked* kernel
-/// instead: a sticky per-lane overflow mask flags any value that drifts
-/// within one relax step of the representable window (where a saturating
-/// add could silently clamp), and flagged pairs are transparently
-/// re-scored by the int32 rolling engine inside the same workspace pass.
-/// Unit-cost option sets can additionally hint the Myers bit-parallel
-/// engine (core/bitpar.hpp) per pair.  Every mode returns results
-/// byte-identical to the int32 path.
+/// One kernel serves every chunk: `ragged_chunk_score` pads each lane to
+/// the chunk-max shape (nbar x mbar) and captures every lane's result at
+/// its own (n_l, m_l) boundary through per-lane retirement — a uniform
+/// chunk is the zero-waste case, a sub-width tail a chunk with dead
+/// lanes.  `group_plan` admits a window of pairs as one chunk by a single
+/// rule: the padded shape's worst-case bound (n + m + 2) * unit fits the
+/// element type (int8 at twice the lane count when |score| <= 96, else
+/// int16 below 28000) and the window's cells fill at least `kMinLive`
+/// full-shape pairs.  Every other pair runs on its own — under auto on a
+/// vector variant through the intra-pair striped int16 kernel
+/// (tiled/striped.hpp), otherwise through the int32 rolling engine.
 ///
-/// Mixed-length chunks no longer force the scalar fallback: when a group
-/// of W consecutive pairs is not exactly uniform, `group_plan` pads each
-/// lane to the chunk-max shape (nbar x mbar) as long as the padding
-/// waste sum(nbar*mbar - n_l*m_l) stays within a configurable cap, and
-/// the *ragged* kernel captures every lane's result at its own (n_l,
-/// m_l) boundary through per-lane retirement masks — byte-identical to
-/// the int32 rolling route in every mode, padded or not.  Only chunks
-/// past the waste cap (or containing empty sequences) still fall back
-/// to one pair at a time — under auto on a vector variant through the
-/// intra-pair striped int16 kernel (tiled/striped.hpp), otherwise the
-/// paper's Fig. 3 scalar dichotomy.
+/// Forcing a narrow precision through `batch_config` runs the *checked*
+/// kernel instead: a sticky per-lane overflow mask flags any value that
+/// drifts within one relax step of the representable window (where a
+/// saturating add could silently clamp), and flagged pairs are
+/// transparently re-scored by the int32 rolling engine inside the same
+/// workspace pass.  Unit-cost option sets can additionally hint the Myers
+/// bit-parallel engine (core/bitpar.hpp) per pair.  Every mode returns
+/// results byte-identical to the int32 path.
 ///
 /// Plan/execute split: when run single-threaded (the service's
 /// steady-state configuration on small hosts), every chunk's interleaved
 /// rows come from the caller-owned workspace and the `*_into` entry
 /// points write into caller-sized storage — zero allocations after
-/// warm-up.  Multi-threaded runs pull groups off a shared atomic cursor
-/// and carve from pooled per-worker arenas (caller-provided through
-/// `batch_config::worker_ws`, or engine-owned), so the warm parallel
-/// fan-out allocates nothing either.
+/// warm-up.  Multi-threaded runs (score and traceback alike) pull work
+/// off a shared atomic cursor and carve from pooled per-worker arenas
+/// (caller-provided through `batch_config::worker_ws`, or engine-owned),
+/// so the warm parallel fan-out allocates nothing either.
 ///
 /// The pair type is generic over anything with `.q`/`.s` views, so the
 /// public `seq_pair` batches dispatch straight through without being
@@ -54,6 +50,7 @@
 #define ANYSEQ_TILED_BATCH_ENGINE_HPP_
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <mutex>
@@ -89,12 +86,6 @@ struct batch_config {
   /// runs the checked kernel + escalation; bitpar runs the bit-parallel
   /// engine per pair (the caller guarantees a unit-cost option set).
   score_precision precision = score_precision::auto_select;
-  /// Padding-waste cap (percent) for ragged chunks: a mixed-length group
-  /// is lane-padded to its chunk-max shape while the padded-cell
-  /// overhead stays within this fraction of the padded chunk; 0 disables
-  /// lane padding (mixed-length groups roll scalar, the pre-ragged
-  /// behavior).
-  int pad_waste_cap_pct = 25;
   /// Per-worker arenas for the multi-threaded fan-out (one per thread).
   /// When empty (direct instantiation), the engine pools its own.
   std::span<workspace> worker_ws{};
@@ -105,193 +96,22 @@ struct batch_config {
 /// (core/result.hpp) — it crosses the engine::ops dispatch boundary.
 using batch_stats = ::anyseq::batch_stats;
 
-/// Arena bytes one narrow chunk pass carves (h + e + subject-char rows).
-template <class E, int W>
-[[nodiscard]] inline std::size_t narrow_chunk_plan_bytes(index_t m) noexcept {
-  return 3 * carve_bytes<simd::pack<E, W>>(static_cast<std::size_t>(m + 1));
-}
-
-/// Relax one uniform chunk of `W` equal-shape (n x m) pairs with score
-/// element type E, calling `sink(pair_index, result)` for every lane that
-/// completed safely.  Returns a bitmask of lanes the caller must escalate
-/// to the int32 rolling engine (always 0 when !Checked — the caller has
-/// proven the worst-case bound fits E).
-///
-/// `live < W` runs a sub-width *tail*: only pairs [lo, lo + live) exist,
-/// the dead lanes replay the last live pair (so every lane relaxes real,
-/// in-window characters), and their results never reach `sink`.
-///
-/// Checked mode maintains a sticky per-lane mask: a lane is flagged the
-/// moment any H value (or, for affine gaps, any E/F value) leaves the
-/// window [sentinel + step, max(E) - step].  Inside that window every
-/// saturating add is exact (its operands are at least one `step` away
-/// from both rails), so by induction an unflagged lane never clamped and
-/// its score is exact; everything else is shed.  Lane-uniform hazards —
-/// boundary inits outside the window, end-cell indices that do not fit
-/// E, a step wider than the window itself — escalate the whole chunk
-/// upfront.
-template <align_kind K, class E, int W, bool Checked, class Gap,
-          class Scoring, class Pair, class Sink>
-std::uint64_t narrow_chunk_score(std::span<const Pair> pairs, std::size_t lo,
-                                 index_t n, index_t m, const Gap& gap,
-                                 const Scoring& scoring, workspace& ws,
-                                 Sink&& sink, int live = W) {
-  using P = simd::pack<E, W>;
-  constexpr E kSentinel = sizeof(E) == 1 ? static_cast<E>(neg_inf8())
-                                         : static_cast<E>(neg_inf16());
-  constexpr score_t kMax = std::numeric_limits<E>::max();
-  const std::uint64_t all =
-      live >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << live) - 1);
-  const score_t step = unit_step(gap, scoring);
-  const score_t hi_w = kMax - step;
-  const score_t lo_w = static_cast<score_t>(kSentinel) + step;
-
-  if constexpr (Checked) {
-    if (hi_w < lo_w) return all;  // step wider than the usable window
-    const score_t bmin =
-        std::min(std::min(init_h_row0<K>(index_t{0}, gap),
-                          init_h_row0<K>(m, gap)),
-                 std::min(init_h_col0<K>(index_t{0}, gap),
-                          init_h_col0<K>(n, gap)));
-    if (bmin < lo_w) return all;  // boundary already in the shed zone
-    if constexpr (K != align_kind::global)
-      if (n > kMax || m > kMax) return all;  // lane-typed end indices
-  }
-  const auto lane_pair = [&](int l) -> const Pair& {
-    return pairs[lo + static_cast<std::size_t>(l < live ? l : live - 1)];
-  };
-
-  workspace::frame fr(ws);
-  auto h = ws.make<P>(static_cast<std::size_t>(m + 1));
-  auto e = ws.make<P>(static_cast<std::size_t>(m + 1),
-                      P::broadcast(kSentinel));
-  auto schars = ws.make<P>(static_cast<std::size_t>(m + 1));
-
-  for (index_t j = 0; j <= m; ++j) {
-    h[j] = P::broadcast(static_cast<E>(init_h_row0<K>(j, gap)));
-    P sv = P::broadcast(0);
-    if (j > 0) {
-      for (int l = 0; l < W; ++l)
-        sv.v[l] = static_cast<E>(lane_pair(l).s[j - 1]);
-    }
-    schars[j] = sv;
-  }
-
-  P sticky = P::broadcast(0);
-  P hi_p = P::broadcast(0), lo_p = P::broadcast(0);
-  if constexpr (Checked) {
-    hi_p = P::broadcast(static_cast<E>(hi_w));
-    lo_p = P::broadcast(static_cast<E>(lo_w));
-  }
-
-  P best_v = P::broadcast(kSentinel);
-  P best_i = P::broadcast(0), best_j = P::broadcast(0);
-  if constexpr (K == align_kind::semiglobal ||
-                K == align_kind::extension) {
-    // Row-0 boundary candidates: (0, m) for semiglobal, all j for
-    // extension (gap totals <= 0 make (0,0) = 0 the best boundary, but
-    // track exactly anyway).
-    if constexpr (K == align_kind::semiglobal) {
-      best_v = h[m];
-      best_j = P::broadcast(static_cast<E>(m));
-    } else {
-      best_v = P::broadcast(0);
-    }
-  } else if constexpr (K == align_kind::local) {
-    best_v = P::broadcast(0);
-  }
-
-  for (index_t i = 1; i <= n; ++i) {
-    P qc;
-    for (int l = 0; l < W; ++l)
-      qc.v[l] = static_cast<E>(lane_pair(l).q[i - 1]);
-    P diag = h[0];
-    h[0] = P::broadcast(static_cast<E>(init_h_col0<K>(i, gap)));
-    P f = P::broadcast(kSentinel);
-    const P row_i = P::broadcast(static_cast<E>(i));
-
-    for (index_t j = 1; j <= m; ++j) {
-      const prev_cells<P> prev{diag, h[j], h[j - 1], e[j], f};
-      const auto nx =
-          relax<K, false, P, P, P>(prev, qc, schars[j], gap, scoring);
-      diag = h[j];
-      h[j] = nx.h;
-      e[j] = nx.e;
-      f = nx.f;
-      if constexpr (Checked) {
-        // High rail: only H grows (gap penalties are <= 0, so E/F never
-        // exceed their H sources).  Low rail: any value near the
-        // sentinel may have clamped — for affine gaps E/F are carried
-        // across cells and must be watched too; for linear gaps they
-        // are consumed into this H immediately.
-        P bad = vgt(nx.h, hi_p);
-        bad = vor(bad, vgt(lo_p, nx.h));
-        if constexpr (Gap::kind == gap_kind::affine) {
-          bad = vor(bad, vgt(lo_p, nx.e));
-          bad = vor(bad, vgt(lo_p, nx.f));
-        }
-        sticky = vor(sticky, bad);
-      }
-      if constexpr (tracks_running_max(K)) {
-        const auto better = vgt(nx.h, best_v);
-        best_v = vselect(better, nx.h, best_v);
-        best_i = vselect(better, row_i, best_i);
-        best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
-      }
-    }
-    if constexpr (K == align_kind::semiglobal) {
-      const auto better = vgt(h[m], best_v);
-      best_v = vselect(better, h[m], best_v);
-      best_i = vselect(better, row_i, best_i);
-      best_j = vselect(better, P::broadcast(static_cast<E>(m)), best_j);
-    }
-  }
-
-  if constexpr (K == align_kind::semiglobal) {
-    const P row_n = P::broadcast(static_cast<E>(n));
-    for (index_t j = 0; j <= m; ++j) {
-      const auto better = vgt(h[j], best_v);
-      best_v = vselect(better, h[j], best_v);
-      best_i = vselect(better, row_n, best_i);
-      best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
-    }
-  }
-
-  std::uint64_t esc = 0;
-  if constexpr (Checked) {
-    for (int l = 0; l < live; ++l)
-      if (sticky.v[l] != 0) esc |= std::uint64_t{1} << l;
-  }
-  for (int l = 0; l < live; ++l) {
-    if ((esc >> l) & 1) continue;
-    score_result r;
-    r.cells = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(m);
-    if constexpr (K == align_kind::global) {
-      r.score = h[m].v[l];
-      r.end_i = n;
-      r.end_j = m;
-    } else {
-      r.score = best_v.v[l];
-      r.end_i = best_i.v[l];
-      r.end_j = best_j.v[l];
-    }
-    sink(lo + static_cast<std::size_t>(l), r);
-  }
-  return esc;
-}
-
-/// Arena bytes one ragged (lane-padded) chunk pass carves: the three
-/// narrow rows plus the per-column validity and last-column masks.
+/// Arena bytes one chunk pass carves: the h, e and subject-char rows plus
+/// the per-column validity and last-column masks.
 template <class E, int W>
 [[nodiscard]] inline std::size_t ragged_chunk_plan_bytes(index_t m) noexcept {
   return 5 * carve_bytes<simd::pack<E, W>>(static_cast<std::size_t>(m + 1));
 }
 
-/// Relax one *ragged* chunk of `W` non-empty pairs lane-padded to the
-/// chunk-max shape (nbar x mbar), with each lane's true shape (n_l, m_l)
-/// read from its pair.  Calls `sink(pair_index, result)` for every lane
-/// that completed safely; returns the bitmask of lanes to escalate,
-/// exactly like narrow_chunk_score.
+/// Relax one chunk of `live <= W` non-empty pairs [lo, lo + live) with
+/// score element type E, every lane padded to the chunk-max shape
+/// (nbar x mbar) and each lane's true shape (n_l, m_l) read from its
+/// pair.  A uniform chunk is the zero-waste case; a sub-width tail's dead
+/// lanes l >= live replay the last live pair and never reach `sink`.
+/// Calls `sink(pair_index, result)` for every live lane that completed
+/// safely and returns the bitmask of lanes the caller must escalate to
+/// the int32 rolling engine (always 0 when !Checked — the caller has
+/// proven the worst-case bound of the padded shape fits E).
 ///
 /// Correctness of padding: a DP cell (i, j) reads only cells with
 /// smaller indices and the lane-uniform boundary inits, so lane l's
@@ -302,30 +122,39 @@ template <class E, int W>
 /// after row i == n_l, before the padded rows beyond can touch anything:
 ///   * global: h[m_l] at retirement is exactly H(n_l, m_l).
 ///   * local/extension: the per-cell running max is masked to
-///     colmask[j] & alive, so the candidate visit order over *valid*
-///     cells is row-major — identical to rolling_score's, strict-> ties
-///     included.
-///   * semiglobal: last-column candidates fire per cell under the
-///     colend[j] mask (the lane whose subject ends at column j), the
-///     row-0 candidate is seeded per lane at (0, m_l), and the final-row
-///     sweep runs j-ascending at retirement — rolling_score's exact
-///     candidate order.
-/// Checked mode masks the sticky overflow test to colmask[j] & alive, so
-/// clamped garbage in the padded region never sheds a healthy lane; the
-/// lane-uniform upfront bails are judged on (nbar, mbar), which is
-/// conservative (never admits an unsafe lane).
+///     colmask[j] (all-ones up to column min m_l), so the candidate
+///     visit order over *valid* cells is row-major — identical to
+///     rolling_score's, strict-> ties included.  (Rows past n_l may move
+///     a retired lane's best; nothing reads it.)
+///   * semiglobal: after each row, one masked check per distinct m_l
+///     offers h[m_l] under colend[m_l] (the lanes whose subject ends
+///     there), the row-0 candidate is seeded per lane at (0, m_l), and
+///     at retirement one vector sweep runs j-ascending over the final
+///     row of the retiring lanes — rolling_score's exact candidate
+///     order.
+///
+/// Checked mode maintains a sticky per-lane mask: a lane is flagged the
+/// moment any H value (or, for affine gaps, any E/F value) of its valid
+/// columns leaves the window [sentinel + step, max(E) - step].  Inside
+/// that window every saturating add is exact (its operands are at least
+/// one `step` away from both rails), so by induction an unflagged lane
+/// never clamped and its score is exact; padded cells clamp freely and
+/// harmlessly.  Lane-uniform hazards — boundary inits outside the window,
+/// end-cell indices that do not fit E, a step wider than the window
+/// itself — escalate the whole chunk upfront, judged on (nbar, mbar),
+/// which is conservative (never admits an unsafe lane).
 template <align_kind K, class E, int W, bool Checked, class Gap,
           class Scoring, class Pair, class Sink>
-std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
-                                 index_t nbar, index_t mbar, const Gap& gap,
-                                 const Scoring& scoring, workspace& ws,
-                                 Sink&& sink) {
+ANYSEQ_NOCLONE std::uint64_t ragged_chunk_score(
+    std::span<const Pair> pairs, std::size_t lo, index_t nbar, index_t mbar,
+    const Gap& gap, const Scoring& scoring, workspace& ws, Sink&& sink,
+    int live = W) {
   using P = simd::pack<E, W>;
   constexpr E kSentinel = sizeof(E) == 1 ? static_cast<E>(neg_inf8())
                                          : static_cast<E>(neg_inf16());
   constexpr score_t kMax = std::numeric_limits<E>::max();
   const std::uint64_t all =
-      W >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << W) - 1);
+      live >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << live) - 1);
   const score_t step = unit_step(gap, scoring);
   const score_t hi_w = kMax - step;
   const score_t lo_w = static_cast<score_t>(kSentinel) + step;
@@ -342,10 +171,19 @@ std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
       if (nbar > kMax || mbar > kMax) return all;  // lane-typed indices
   }
 
+  const char_t* qp[W];
+  const char_t* sp[W];
   index_t nl[W], ml[W];
+  index_t nmin = nbar, mmin = mbar;
   for (int l = 0; l < W; ++l) {
-    nl[l] = pairs[lo + static_cast<std::size_t>(l)].q.size();
-    ml[l] = pairs[lo + static_cast<std::size_t>(l)].s.size();
+    const auto& p =
+        pairs[lo + static_cast<std::size_t>(std::min(l, live - 1))];
+    qp[l] = p.q.data();
+    sp[l] = p.s.data();
+    nl[l] = p.q.size();
+    ml[l] = p.s.size();
+    nmin = std::min(nmin, nl[l]);
+    mmin = std::min(mmin, ml[l]);
   }
 
   workspace::frame fr(ws);
@@ -363,9 +201,7 @@ std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
     for (int l = 0; l < W; ++l) {
       if (j <= ml[l]) {
         cm.v[l] = static_cast<E>(-1);
-        if (j > 0)
-          sv.v[l] = static_cast<E>(
-              pairs[lo + static_cast<std::size_t>(l)].s[j - 1]);
+        if (j > 0) sv.v[l] = static_cast<E>(sp[l][j - 1]);
       }
     }
     schars[j] = sv;
@@ -377,6 +213,15 @@ std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
     colend[j] = vandnot(colmask[j], colmask[j + 1]);
   colend[mbar] = colmask[mbar];
 
+  // The distinct subject lengths, for the semiglobal last-column checks.
+  index_t mdist[W];
+  int nd = 0;
+  if constexpr (K == align_kind::semiglobal) {
+    for (int l = 0; l < W; ++l)
+      if (std::find(mdist, mdist + nd, ml[l]) == mdist + nd)
+        mdist[nd++] = ml[l];
+  }
+
   P sticky = P::broadcast(0);
   P hi_p = P::broadcast(0), lo_p = P::broadcast(0);
   if constexpr (Checked) {
@@ -385,7 +230,8 @@ std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
   }
 
   // Per-lane bests, initialized exactly as rolling_score initializes
-  // them — per lane at that lane's true shape.
+  // them — per lane at that lane's true shape.  Extension's boundary
+  // totals are <= 0, so (0, 0) = 0 is its best boundary candidate.
   P best_v = P::broadcast(kSentinel);
   P best_i = P::broadcast(0), best_j = P::broadcast(0);
   if constexpr (K == align_kind::semiglobal) {
@@ -394,18 +240,16 @@ std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
       best_j.v[l] = static_cast<E>(ml[l]);
     }
   } else if constexpr (tracks_running_max(K)) {
-    best_v = P::broadcast(0);  // boundary totals are <= 0 (see narrow)
+    best_v = P::broadcast(0);
   }
-
-  P alive = P::broadcast(static_cast<E>(-1));  // lanes with i <= n_l
 
   std::uint64_t esc = 0;
   for (index_t i = 1; i <= nbar; ++i) {
-    P qc = P::broadcast(0);
+    // Branch-free gather: a lane past its own query re-reads its last
+    // character — padded rows are garbage either way.
+    P qc;
     for (int l = 0; l < W; ++l)
-      if (i <= nl[l])
-        qc.v[l] = static_cast<E>(
-            pairs[lo + static_cast<std::size_t>(l)].q[i - 1]);
+      qc.v[l] = static_cast<E>(qp[l][std::min(i, nl[l]) - 1]);
     P diag = h[0];
     h[0] = P::broadcast(static_cast<E>(init_h_col0<K>(i, gap)));
     P f = P::broadcast(kSentinel);
@@ -419,40 +263,67 @@ std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
       h[j] = nx.h;
       e[j] = nx.e;
       f = nx.f;
+      // Columns up to min m_l are valid in every lane; only those beyond
+      // need colmask on the sticky and best updates.
       if constexpr (Checked) {
+        // High rail: only H grows (gap penalties are <= 0, so E/F never
+        // exceed their H sources).  Low rail: any value near the
+        // sentinel may have clamped — for affine gaps E/F are carried
+        // across cells and must be watched too; for linear gaps they
+        // are consumed into this H immediately.
         P bad = vgt(nx.h, hi_p);
         bad = vor(bad, vgt(lo_p, nx.h));
         if constexpr (Gap::kind == gap_kind::affine) {
           bad = vor(bad, vgt(lo_p, nx.e));
           bad = vor(bad, vgt(lo_p, nx.f));
         }
-        // Only a lane's own valid region may shed it — padded cells
-        // clamp freely and harmlessly.
-        sticky = vor(sticky, vand(bad, vand(colmask[j], alive)));
+        if (j > mmin) bad = vand(bad, colmask[j]);
+        sticky = vor(sticky, bad);
       }
       if constexpr (tracks_running_max(K)) {
-        const auto better =
-            vand(vgt(nx.h, best_v), vand(colmask[j], alive));
-        best_v = vselect(better, nx.h, best_v);
-        best_i = vselect(better, row_i, best_i);
-        best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
-      }
-      if constexpr (K == align_kind::semiglobal) {
-        // Last-column candidate of the lane whose subject ends at j —
-        // the same visit point as rolling_score's per-row h[m] check.
-        const auto better =
-            vand(vgt(nx.h, best_v), vand(colend[j], alive));
+        auto better = vgt(nx.h, best_v);
+        if (j > mmin) better = vand(better, colmask[j]);
         best_v = vselect(better, nx.h, best_v);
         best_i = vselect(better, row_i, best_i);
         best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
       }
     }
+    if constexpr (K == align_kind::semiglobal) {
+      // Last-column candidate of the lanes whose subject ends at m_l —
+      // the same visit point as rolling_score's per-row h[m] check.
+      for (int d = 0; d < nd; ++d) {
+        const index_t j = mdist[d];
+        const auto better = vand(vgt(h[j], best_v), colend[j]);
+        best_v = vselect(better, h[j], best_v);
+        best_i = vselect(better, row_i, best_i);
+        best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
+      }
+    }
+    if (i < nmin) continue;
 
-    // Retirement: lanes whose query ends at this row capture their
+    // Retirement: live lanes whose query ends at this row capture their
     // result before the padded rows beyond n_l can touch anything.
-    for (int l = 0; l < W; ++l) {
+    P retiring = P::broadcast(0);
+    bool any = false;
+    for (int l = 0; l < live; ++l) {
       if (nl[l] != i) continue;
-      alive.v[l] = 0;
+      retiring.v[l] = static_cast<E>(-1);
+      any = true;
+    }
+    if (!any) continue;
+    if constexpr (K == align_kind::semiglobal) {
+      // Final-row sweep of the retiring lanes, j ascending with strict >,
+      // exactly as rolling_score orders its last-row candidates.
+      for (index_t j = 0; j <= mbar; ++j) {
+        const auto better =
+            vand(vgt(h[j], best_v), vand(colmask[j], retiring));
+        best_v = vselect(better, h[j], best_v);
+        best_i = vselect(better, row_i, best_i);
+        best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
+      }
+    }
+    for (int l = 0; l < live; ++l) {
+      if (nl[l] != i) continue;
       if (Checked && sticky.v[l] != 0) {
         esc |= std::uint64_t{1} << l;
         continue;
@@ -464,21 +335,6 @@ std::uint64_t ragged_chunk_score(std::span<const Pair> pairs, std::size_t lo,
         r.score = h[ml[l]].v[l];
         r.end_i = nl[l];
         r.end_j = ml[l];
-      } else if constexpr (K == align_kind::semiglobal) {
-        // Final-row sweep, j ascending with strict >, exactly as
-        // rolling_score orders its last-row candidates.
-        E bv = best_v.v[l];
-        index_t bi = best_i.v[l], bj = best_j.v[l];
-        for (index_t j = 0; j <= ml[l]; ++j) {
-          if (h[j].v[l] > bv) {
-            bv = h[j].v[l];
-            bi = nl[l];
-            bj = j;
-          }
-        }
-        r.score = bv;
-        r.end_i = bi;
-        r.end_j = bj;
       } else {
         r.score = best_v.v[l];
         r.end_i = best_i.v[l];
@@ -496,27 +352,35 @@ class batch_engine {
   /// int8 runs twice the lanes of the 16-bit kernel on the same vector
   /// width (and stays width 1 on the scalar variant).
   static constexpr int kLanes8 = Lanes > 1 ? 2 * Lanes : 1;
-  /// Fewest live pairs a sub-width uniform tail needs to run as one
-  /// lane-padded chunk instead of running each pair through the striped
-  /// kernel (`lone_pair`).  A padded chunk costs the same whatever its
-  /// live count, so the tail pays off once c striped pairs cost more than
-  /// one chunk.  Measured on one thread (Xeon with AVX-512BW, GCC 12),
-  /// gap open -2 / extend -1 or linear -1, match 2 / mismatch -1; break-
-  /// even c = chunk / striped pair:
+
+  /// What a padded chunk competes with: under auto on a vector variant,
+  /// its pairs run one by one through the striped kernel (`lone_pair`);
+  /// under a forced int8/int16 precision, through int32 rolling.
+  enum rival { vs_striped = 0, vs_rolling = 1 };
+
+  /// Admission floor of a padded chunk, in full-shape pairs: a window
+  /// runs as one chunk iff sum(n_l * m_l) >= kMinLive[rival] * nbar *
+  /// mbar.  A chunk costs the same whatever its fill (and an int8 chunk
+  /// of kLanes8 lanes about what an int16 chunk of Lanes lanes costs),
+  /// while its rival's cost scales with each pair's n_l * m_l, so the
+  /// break-even is chunk cost / full-shape rival pair cost.  Measured on
+  /// one thread (Xeon with AVX-512BW, GCC 12), gap open -2 / extend -1
+  /// or linear -1, match 2 / mismatch -1 (DESIGN.md section 8):
   ///
-  ///   | lanes | gaps   | 100 x 100 | 150 x 150            | 250 x 250 |
-  ///   |-------|--------|-----------|----------------------|-----------|
-  ///   | 32    | linear | 11 - 15   | 14 - 20 (146 / 7.2)  | 18 - 26   |
-  ///   | 32    | affine | 21 - 24   | 27 - 29 (231 / 8.1)  | 34 - 37   |
-  ///   | 16    | either | 22 - 36   | 27 - 42 (402 / 10.3) | 32 - 53   |
+  ///   | lanes | gaps   | vs striped (100/150/250 bp) | [0] | vs int32 | [1] |
+  ///   |-------|--------|-----------------------------|-----|----------|-----|
+  ///   | 32    | linear | 11-15 / 14-20 / 18-26       | 20  | 2.7      | 4   |
+  ///   | 32    | affine | 21-24 / 27-29 / 34-37       | 28  | 2.7      | 4   |
+  ///   | 16    | either | 22-36 / 27-42 / 32-53       | 16  | 4.9      | 5   |
   ///
-  /// (ranges over global, local and semiglobal; the bracket is the
-  /// global chunk / pair cost in us).  So 32 lanes need 20 live pairs
-  /// with linear gaps and 28 with affine gaps, and a 16-lane tail never
-  /// pays: a full AVX2 chunk already costs more than 16 striped pairs,
-  /// so its floor is the lane count and the tail branch stays shut.
-  static constexpr int kTailMinLive =
-      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 28 : 20) : Lanes;
+  /// A full 16-lane chunk already costs more than 16 striped pairs, so
+  /// under auto the AVX2 variant admits exactly-uniform windows only.
+  /// At width 1 (forced precisions on the scalar variant, and a lone
+  /// forced request on any variant) every non-empty pair is its own
+  /// chunk.
+  static constexpr int kMinLive[2] = {
+      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 28 : 20) : Lanes,
+      Lanes >= 32 ? 4 : std::min(Lanes, 5)};
 
   batch_engine(Gap gap, Scoring scoring, batch_config cfg = {})
       : gap_(gap), scoring_(scoring), cfg_(cfg) {
@@ -536,31 +400,28 @@ class batch_engine {
   }
 
   /// Align every pair with traceback into caller-sized `out` (order
-  /// preserved), recycling each slot's string capacity.
+  /// preserved), recycling each slot's string capacity.  Multi-threaded
+  /// runs claim pairs off a shared cursor, each worker carving from its
+  /// pooled arena like the score path.
   template <class Pair>
   void align_into(std::span<const Pair> pairs, workspace& ws,
                   std::span<alignment_result> out) {
     ANYSEQ_CHECK(out.size() == pairs.size(),
                  "align_into: out must have one slot per pair");
     stats_ = {};
-    const auto count = static_cast<index_t>(pairs.size());
-    if (cfg_.threads <= 1 || count <= 1) {
+    stats_.scalar_pairs = pairs.size();
+    std::atomic<std::size_t> next{0};
+    const auto align_from = [&](workspace& w) {
       full_engine<K, Gap, Scoring> eng(gap_, scoring_);
-      for (index_t i = 0; i < count; ++i)
-        eng.align_into(pairs[static_cast<std::size_t>(i)].q,
-                       pairs[static_cast<std::size_t>(i)].s, true, ws,
-                       out[static_cast<std::size_t>(i)]);
-      stats_.scalar_pairs = static_cast<std::uint64_t>(count);
-      return;
-    }
-    parallel::thread_pool pool(cfg_.threads);
-    pool.parallel_for(0, count, [&](index_t i) {
-      full_engine<K, Gap, Scoring> eng(gap_, scoring_);
-      out[static_cast<std::size_t>(i)] =
-          eng.align(pairs[static_cast<std::size_t>(i)].q,
-                    pairs[static_cast<std::size_t>(i)].s, true);
-    });
-    stats_.scalar_pairs = static_cast<std::uint64_t>(count);
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < pairs.size();
+           i = next.fetch_add(1, std::memory_order_relaxed))
+        eng.align_into(pairs[i].q, pairs[i].s, true, w, out[i]);
+    };
+    if (cfg_.threads <= 1 || pairs.size() <= 1)
+      align_from(ws);
+    else
+      fan_out(pairs.size(), align_from);
   }
 
   /// Score every pair (order preserved).
@@ -602,51 +463,45 @@ class batch_engine {
   /// How one group of consecutive pairs executes.
   struct chunk_plan {
     std::size_t hi;        ///< group end (exclusive)
-    score_precision prec;  ///< int8/int16 = narrow kernel at full width,
-                           ///< bitpar = per pair, int32 = one pair at a
-                           ///< time (striped or rolling, see lone_pair)
-    bool ragged = false;   ///< lane-padded kernel at (nbar x mbar)
-    index_t nbar = 0, mbar = 0;  ///< padded chunk-max shape (ragged only)
+    score_precision prec;  ///< int8/int16 = one padded chunk, bitpar = one
+                           ///< pair, int32 = one pair at a time (striped
+                           ///< or rolling, see lone_pair)
+    index_t nbar = 0, mbar = 0;  ///< padded chunk-max shape
   };
 
-  /// Decide the widest/narrowest execution for the group starting at
-  /// `lo`: a full uniform group at the narrow width when the (possibly
-  /// forced) precision allows it; a lane-padded *ragged* group when the
-  /// shapes differ but the padding waste stays within the cap; under
-  /// auto, a sub-width uniform *tail* of the last c >= kTailMinLive
-  /// pairs; otherwise the per-pair fallback (`lone_pair`) over the
-  /// classic Lanes-wide stride.  Deterministic in (pairs, lo) alone —
-  /// the MT fan-out relies on workers re-deriving identical boundaries.
+  /// Decide how the group starting at `lo` runs.  One rule covers full
+  /// chunks, ragged windows and sub-width tails: take the next
+  /// min(width, left) pairs — int8 at kLanes8 first, then int16 at Lanes,
+  /// as far as a forced precision allows — and admit them as one padded
+  /// chunk iff every pair is non-empty, auto mode's bound fits the padded
+  /// (nbar x mbar) shape (so the unchecked kernel stays exact for every
+  /// lane), and the fill reaches kMinLive.  Otherwise the next
+  /// min(Lanes, left) pairs run one at a time (`lone_pair`).
+  /// Deterministic in (pairs, lo) alone — the MT fan-out relies on
+  /// workers re-deriving identical boundaries.
   template <class Pair>
   [[nodiscard]] chunk_plan group_plan(std::span<const Pair> pairs,
                                       std::size_t lo) const {
-    const std::size_t tail =
-        std::min(pairs.size(), lo + static_cast<std::size_t>(Lanes));
-    if (cfg_.precision == score_precision::bitpar)
+    const std::size_t left = pairs.size() - lo;
+    const chunk_plan singles{
+        lo + std::min(left, static_cast<std::size_t>(Lanes)),
+        score_precision::int32};
+    const score_precision want = cfg_.precision;
+    if (want == score_precision::bitpar)
       return {lo + 1, score_precision::bitpar};
-    if (cfg_.precision == score_precision::int32)
-      return {tail, score_precision::int32};
-    const index_t n = pairs[lo].q.size(), m = pairs[lo].s.size();
-    const auto uniform = [&](std::size_t w) {
-      if (n <= 0 || m <= 0 || lo + w > pairs.size()) return false;
-      for (std::size_t i = lo; i < lo + w; ++i)
-        if (pairs[i].q.size() != n || pairs[i].s.size() != m) return false;
-      return true;
-    };
-    // Ragged admission: w consecutive non-empty pairs, padded to the
-    // chunk-max shape, admitted while the padding waste
-    // sum(nbar*mbar - n_l*m_l) stays within pad_waste_cap_pct percent of
-    // the padded chunk w*nbar*mbar.  The cap is a policy, not the
-    // break-even: from the chunk and striped-pair costs at kTailMinLive,
-    // a padded 32-lane chunk beats striping its lanes one by one up to
-    // ~35% waste with linear gaps but only ~10% with affine gaps, and a
-    // padded 16-lane chunk never does (against int32 rolling the
-    // break-evens were ~90% waste on 32 lanes and ~70% on 16).
-    const auto ragged_shape = [&](std::size_t w, index_t& nb, index_t& mb) {
-      if (cfg_.pad_waste_cap_pct <= 0 || lo + w > pairs.size())
-        return false;
-      nb = 0;
-      mb = 0;
+    // auto_select at one lane: the narrow kernels only emulate lanes
+    // there and run at ~0.5x the int32 rolling engine, so auto rolls.
+    if (want == score_precision::int32 ||
+        (want == score_precision::auto_select && Lanes == 1))
+      return singles;
+    const bool forced = want != score_precision::auto_select;
+    const auto floor = static_cast<std::uint64_t>(
+        kMinLive[forced ? vs_rolling : vs_striped]);
+    const score_t unit = unit_step(gap_, scoring_);
+    const auto fill = [&](int width, score_t window, score_precision p,
+                          chunk_plan& g) {
+      const std::size_t w = std::min(left, static_cast<std::size_t>(width));
+      index_t nb = 0, mb = 0;
       std::uint64_t used = 0;
       for (std::size_t i = lo; i < lo + w; ++i) {
         const index_t ni = pairs[i].q.size(), mi = pairs[i].s.size();
@@ -656,60 +511,45 @@ class batch_engine {
         used += static_cast<std::uint64_t>(ni) *
                 static_cast<std::uint64_t>(mi);
       }
-      const std::uint64_t padded = static_cast<std::uint64_t>(w) *
-                                   static_cast<std::uint64_t>(nb) *
-                                   static_cast<std::uint64_t>(mb);
-      return (padded - used) * 100 <=
-             padded * static_cast<std::uint64_t>(cfg_.pad_waste_cap_pct);
+      if (!forced && !fits_score_window(nb, mb, unit, window)) return false;
+      if (used < floor * static_cast<std::uint64_t>(nb) *
+                     static_cast<std::uint64_t>(mb))
+        return false;
+      g = {lo + w, p, nb, mb};
+      return true;
     };
-    index_t nb = 0, mb = 0;
-    if (cfg_.precision == score_precision::int8) {
-      if (uniform(static_cast<std::size_t>(kLanes8)))
-        return {lo + kLanes8, score_precision::int8};
-      if (ragged_shape(static_cast<std::size_t>(kLanes8), nb, mb))
-        return {lo + kLanes8, score_precision::int8, true, nb, mb};
-      return {tail, score_precision::int32};
+    chunk_plan g = singles;
+    if (want != score_precision::int16 &&
+        fill(kLanes8, int8_score_window(), score_precision::int8, g))
+      return g;
+    if (want != score_precision::int8 &&
+        fill(Lanes, int16_score_window(), score_precision::int16, g))
+      return g;
+    return singles;
+  }
+
+  /// Run `body(arena)` once on each of min(threads, want) workers of the
+  /// global pool, every worker with its own pooled arena (caller-provided
+  /// or engine-owned), which regrows to its high-water mark once and then
+  /// stays warm.
+  template <class Body>
+  void fan_out(std::size_t want, Body&& body) {
+    const auto workers = static_cast<index_t>(
+        std::min<std::size_t>(static_cast<std::size_t>(cfg_.threads), want));
+    std::span<workspace> pool_ws = cfg_.worker_ws;
+    if (pool_ws.size() < static_cast<std::size_t>(workers)) {
+      if (own_worker_ws_.size() < static_cast<std::size_t>(workers))
+        own_worker_ws_.resize(static_cast<std::size_t>(workers));
+      pool_ws = std::span<workspace>(own_worker_ws_);
     }
-    if (cfg_.precision == score_precision::int16) {
-      if (uniform(static_cast<std::size_t>(Lanes)))
-        return {lo + Lanes, score_precision::int16};
-      if (ragged_shape(static_cast<std::size_t>(Lanes), nb, mb))
-        return {lo + Lanes, score_precision::int16, true, nb, mb};
-      return {tail, score_precision::int32};
-    }
-    // auto_select at one lane: the narrow kernels only emulate lanes
-    // there and run at ~0.5x the int32 rolling engine, so auto rolls.
-    if constexpr (Lanes == 1) return {tail, score_precision::int32};
-    // auto_select: narrowest element type whose worst-case bound fits
-    // AND that can fill all its lanes — exactly-uniform groups first
-    // (no masking overhead), lane-padded ragged groups second (the
-    // bound is judged on the padded shape, so the unchecked kernel
-    // stays provably exact for every lane).
-    const score_t unit = unit_step(gap_, scoring_);
-    if (fits_score_window(n, m, unit, int8_score_window()) &&
-        uniform(static_cast<std::size_t>(kLanes8)))
-      return {lo + kLanes8, score_precision::int8};
-    if (fits_score_window(n, m, unit, int16_score_window()) &&
-        uniform(static_cast<std::size_t>(Lanes)))
-      return {lo + Lanes, score_precision::int16};
-    if (ragged_shape(static_cast<std::size_t>(kLanes8), nb, mb) &&
-        fits_score_window(nb, mb, unit, int8_score_window()))
-      return {lo + kLanes8, score_precision::int8, true, nb, mb};
-    if (ragged_shape(static_cast<std::size_t>(Lanes), nb, mb) &&
-        fits_score_window(nb, mb, unit, int16_score_window()))
-      return {lo + Lanes, score_precision::int16, true, nb, mb};
-    // Sub-width uniform tail: the last c < Lanes pairs run as one
-    // lane-padded narrow chunk (dead lanes replay a live pair) once c
-    // reaches kTailMinLive — see narrow_group; below it they go striped.
-    const std::size_t left = pairs.size() - lo;
-    if (left < static_cast<std::size_t>(Lanes) &&
-        left >= static_cast<std::size_t>(kTailMinLive) && uniform(left)) {
-      if (fits_score_window(n, m, unit, int8_score_window()))
-        return {pairs.size(), score_precision::int8};
-      if (fits_score_window(n, m, unit, int16_score_window()))
-        return {pairs.size(), score_precision::int16};
-    }
-    return {tail, score_precision::int32};
+    parallel::thread_pool::global().parallel_for(
+        0, workers,
+        [&](index_t t) {
+          workspace& wws = pool_ws[static_cast<std::size_t>(t)];
+          wws.begin_pass();
+          body(wws);
+        },
+        /*chunks_per_thread=*/1);
   }
 
   template <class Pair, class Sink>
@@ -730,49 +570,34 @@ class batch_engine {
     // Multi-threaded: workers claim groups off a shared cursor by CAS.
     // `group_plan` is a deterministic function of (pairs, lo), so a lost
     // race just re-derives the winner's boundary and moves on — no
-    // boundary vector, no per-chunk workspace: each worker carves every
-    // group from one pooled arena (caller-provided or engine-owned),
-    // which regrows to its high-water mark once and then stays warm.
-    const std::size_t want =
-        (pairs.size() + static_cast<std::size_t>(Lanes) - 1) /
-        static_cast<std::size_t>(Lanes);
-    const auto workers = static_cast<index_t>(
-        std::min<std::size_t>(static_cast<std::size_t>(cfg_.threads), want));
-    std::span<workspace> pool_ws = cfg_.worker_ws;
-    if (pool_ws.size() < static_cast<std::size_t>(workers)) {
-      if (own_worker_ws_.size() < static_cast<std::size_t>(workers))
-        own_worker_ws_.resize(static_cast<std::size_t>(workers));
-      pool_ws = std::span<workspace>(own_worker_ws_);
-    }
+    // boundary vector, no per-chunk workspace.
     std::atomic<std::size_t> cursor{0};
     std::mutex stats_mutex;
-    parallel::thread_pool::global().parallel_for(
-        0, workers,
-        [&](index_t t) {
-          workspace& wws = pool_ws[static_cast<std::size_t>(t)];
-          wws.begin_pass();
-          batch_stats local{};
-          std::size_t lo = cursor.load(std::memory_order_relaxed);
-          while (lo < pairs.size()) {
-            const chunk_plan g = group_plan(pairs, lo);
-            if (cursor.compare_exchange_weak(lo, g.hi,
-                                             std::memory_order_relaxed)) {
-              process_group(pairs, lo, g, &wws, sink, local);
-              lo = g.hi;
-            }
-          }
-          std::lock_guard lock(stats_mutex);
-          stats_.simd_pairs += local.simd_pairs;
-          stats_.scalar_pairs += local.scalar_pairs;
-          stats_.int8_pairs += local.int8_pairs;
-          stats_.int16_pairs += local.int16_pairs;
-          stats_.bitpar_pairs += local.bitpar_pairs;
-          stats_.escalated_pairs += local.escalated_pairs;
-          stats_.ragged_pairs += local.ragged_pairs;
-          stats_.striped_pairs += local.striped_pairs;
-          stats_.padded_cells += local.padded_cells;
-        },
-        /*chunks_per_thread=*/1);
+    const std::size_t groups =
+        (pairs.size() + static_cast<std::size_t>(Lanes) - 1) /
+        static_cast<std::size_t>(Lanes);
+    fan_out(groups, [&](workspace& wws) {
+      batch_stats local{};
+      std::size_t lo = cursor.load(std::memory_order_relaxed);
+      while (lo < pairs.size()) {
+        const chunk_plan g = group_plan(pairs, lo);
+        if (cursor.compare_exchange_weak(lo, g.hi,
+                                         std::memory_order_relaxed)) {
+          process_group(pairs, lo, g, &wws, sink, local);
+          lo = g.hi;
+        }
+      }
+      std::lock_guard lock(stats_mutex);
+      stats_.simd_pairs += local.simd_pairs;
+      stats_.scalar_pairs += local.scalar_pairs;
+      stats_.int8_pairs += local.int8_pairs;
+      stats_.int16_pairs += local.int16_pairs;
+      stats_.bitpar_pairs += local.bitpar_pairs;
+      stats_.escalated_pairs += local.escalated_pairs;
+      stats_.ragged_pairs += local.ragged_pairs;
+      stats_.striped_pairs += local.striped_pairs;
+      stats_.padded_cells += local.padded_cells;
+    });
   }
 
   template <class Pair, class Sink>
@@ -781,16 +606,10 @@ class batch_engine {
                      batch_stats& stats) {
     switch (g.prec) {
       case score_precision::int8:
-        if (g.ragged)
-          ragged_group<score8_t, kLanes8>(pairs, lo, g, *ws, sink, stats);
-        else
-          narrow_group<score8_t, kLanes8>(pairs, lo, g.hi, *ws, sink, stats);
+        padded_group<score8_t, kLanes8>(pairs, lo, g, *ws, sink, stats);
         return;
       case score_precision::int16:
-        if (g.ragged)
-          ragged_group<score16_t, Lanes>(pairs, lo, g, *ws, sink, stats);
-        else
-          narrow_group<score16_t, Lanes>(pairs, lo, g.hi, *ws, sink, stats);
+        padded_group<score16_t, Lanes>(pairs, lo, g, *ws, sink, stats);
         return;
       case score_precision::bitpar:
         bitpar_pair(pairs, lo, *ws, sink, stats);
@@ -802,76 +621,41 @@ class batch_engine {
     }
   }
 
-  /// One uniform group through the narrow kernel; flagged lanes are
-  /// shed to the rolling engine in the same workspace pass.  auto mode
-  /// proved the bound, so it runs unchecked; a forced precision runs the
-  /// checked kernel.  A group shorter than W is an auto-mode tail: its
-  /// W - live dead lanes relax real cells that no result uses, so they
-  /// count as padding.
-  template <class E, int W, class Pair, class Sink>
-  void narrow_group(std::span<const Pair> pairs, std::size_t lo,
-                    std::size_t hi, workspace& ws, Sink& sink,
-                    batch_stats& stats) {
-    const index_t n = pairs[lo].q.size(), m = pairs[lo].s.size();
-    const int live = static_cast<int>(hi - lo);
-    std::uint64_t esc = 0;
-    if (cfg_.precision == score_precision::auto_select)
-      esc = narrow_chunk_score<K, E, W, false>(pairs, lo, n, m, gap_,
-                                               scoring_, ws, sink, live);
-    else
-      esc = narrow_chunk_score<K, E, W, true>(pairs, lo, n, m, gap_,
-                                              scoring_, ws, sink, live);
-    const auto shed = static_cast<std::uint64_t>(std::popcount(esc));
-    const std::uint64_t ok = static_cast<std::uint64_t>(live) - shed;
-    (sizeof(E) == 1 ? stats.int8_pairs : stats.int16_pairs) += ok;
-    if constexpr (W > 1) stats.simd_pairs += ok;
-    stats.padded_cells += static_cast<std::uint64_t>(W - live) *
-                          static_cast<std::uint64_t>(n) *
-                          static_cast<std::uint64_t>(m);
-    for (int l = 0; l < live; ++l) {
-      if (!((esc >> l) & 1)) continue;
-      const std::size_t i = lo + static_cast<std::size_t>(l);
-      sink(i, rolling_score<K>(pairs[i].q, pairs[i].s, gap_, scoring_, ws));
-      ++stats.escalated_pairs;
-      ++stats.scalar_pairs;
-    }
-  }
-
-  /// One mixed-length group through the lane-padded kernel at the padded
-  /// shape (g.nbar x g.mbar); each lane retires at its own true boundary.
-  /// Same checked/unchecked split as `narrow_group` — auto mode proved
-  /// the bound on the *padded* shape (which dominates every lane), so it
+  /// One admitted group through the padded kernel at (g.nbar x g.mbar);
+  /// each live lane retires at its own true boundary.  auto mode proved
+  /// the bound on the padded shape (which dominates every lane), so it
   /// runs unchecked; a forced precision runs the checked kernel and
-  /// sheds flagged lanes to the rolling engine in the same pass.
+  /// sheds flagged lanes to the rolling engine in the same pass.  Every
+  /// relaxed cell outside a live pair's own matrix — ragged lanes'
+  /// padding and a tail's dead lanes — counts as a padded cell.
   template <class E, int W, class Pair, class Sink>
-  void ragged_group(std::span<const Pair> pairs, std::size_t lo,
+  void padded_group(std::span<const Pair> pairs, std::size_t lo,
                     const chunk_plan& g, workspace& ws, Sink& sink,
                     batch_stats& stats) {
+    const int live = static_cast<int>(g.hi - lo);
     std::uint64_t esc = 0;
     if (cfg_.precision == score_precision::auto_select)
       esc = ragged_chunk_score<K, E, W, false>(pairs, lo, g.nbar, g.mbar,
-                                               gap_, scoring_, ws, sink);
+                                               gap_, scoring_, ws, sink, live);
     else
       esc = ragged_chunk_score<K, E, W, true>(pairs, lo, g.nbar, g.mbar,
-                                              gap_, scoring_, ws, sink);
+                                              gap_, scoring_, ws, sink, live);
+    const std::uint64_t shape = static_cast<std::uint64_t>(g.nbar) *
+                                static_cast<std::uint64_t>(g.mbar);
+    std::uint64_t used = 0;
+    for (std::size_t i = lo; i < g.hi; ++i)
+      used += static_cast<std::uint64_t>(pairs[i].q.size()) *
+              static_cast<std::uint64_t>(pairs[i].s.size());
     const auto shed = static_cast<std::uint64_t>(std::popcount(esc));
-    const std::uint64_t ok = static_cast<std::uint64_t>(W) - shed;
+    const std::uint64_t ok = static_cast<std::uint64_t>(live) - shed;
     (sizeof(E) == 1 ? stats.int8_pairs : stats.int16_pairs) += ok;
     if constexpr (W > 1) {
       stats.simd_pairs += ok;
-      stats.ragged_pairs += ok;
+      if (used != static_cast<std::uint64_t>(live) * shape)
+        stats.ragged_pairs += ok;  // the live lanes differ in shape
     }
-    std::uint64_t used = 0;
-    for (int l = 0; l < W; ++l) {
-      const auto& p = pairs[lo + static_cast<std::size_t>(l)];
-      used += static_cast<std::uint64_t>(p.q.size()) *
-              static_cast<std::uint64_t>(p.s.size());
-    }
-    stats.padded_cells += static_cast<std::uint64_t>(W) *
-                              static_cast<std::uint64_t>(g.nbar) *
-                              static_cast<std::uint64_t>(g.mbar) -
-                          used;
-    for (int l = 0; l < W; ++l) {
+    stats.padded_cells += static_cast<std::uint64_t>(W) * shape - used;
+    for (int l = 0; l < live; ++l) {
       if (!((esc >> l) & 1)) continue;
       const std::size_t i = lo + static_cast<std::size_t>(l);
       sink(i, rolling_score<K>(pairs[i].q, pairs[i].s, gap_, scoring_, ws));
@@ -882,8 +666,8 @@ class batch_engine {
 
   /// One pair of a group the planner could not put on lanes.  Under auto
   /// on a vector variant it runs the intra-pair striped kernel when its
-  /// own int16 bound holds; forced int32, the scalar variant, a bound past
-  /// the window and empty sequences roll in int32.
+  /// own int16 bound holds; forced precisions, the scalar variant, a
+  /// bound past the window and empty sequences roll in int32.
   template <class Pair, class Sink>
   void lone_pair(std::span<const Pair> pairs, std::size_t i, workspace& ws,
                  Sink& sink, batch_stats& stats) {
@@ -945,8 +729,6 @@ namespace anyseq::tiled {
 using v_scalar::tiled::batch_config;
 using v_scalar::tiled::batch_engine;
 using v_scalar::tiled::batch_stats;
-using v_scalar::tiled::narrow_chunk_plan_bytes;
-using v_scalar::tiled::narrow_chunk_score;
 using v_scalar::tiled::pair_view;
 using v_scalar::tiled::ragged_chunk_plan_bytes;
 using v_scalar::tiled::ragged_chunk_score;

@@ -229,10 +229,11 @@ TEST(AllocSteadyState, BatchEscalationSteadyState) {
 TEST(AllocSteadyState, BatchMultiThreadedPooledWorkersSteadyState) {
   // The multi-threaded batch fan-out pulls groups off a shared atomic
   // cursor and carves every chunk from pooled per-worker arenas — no
-  // per-chunk workspace, no per-run pool spawn.  Every 16-pair chunk
-  // here has the identical ragged footprint, so pre-sizing the worker
-  // arenas to one chunk makes the warm path allocation-free no matter
-  // how the workers race over the cursor.
+  // per-chunk workspace, no per-run pool spawn.  Every 32-pair chunk
+  // here has the identical ragged footprint (and fills well past the
+  // 32-lane floor), so pre-sizing the worker arenas to one chunk makes
+  // the warm path allocation-free no matter how the workers race over
+  // the cursor.
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<tiled::pair_view> pairs;
   for (int i = 0; i < 64; ++i) {
@@ -243,11 +244,10 @@ TEST(AllocSteadyState, BatchMultiThreadedPooledWorkersSteadyState) {
   const simple_scoring sc{2, -1};
   std::vector<workspace> worker_ws(2);
   for (auto& w : worker_ws)
-    w.reserve_bytes(tiled::ragged_chunk_plan_bytes<score16_t, 16>(96));
-  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
+    w.reserve_bytes(tiled::ragged_chunk_plan_bytes<score16_t, 32>(96));
+  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 32>
       eng(linear_gap{-1}, sc,
-          {2, score_precision::auto_select, 25,
-           std::span<workspace>(worker_ws)});
+          {2, score_precision::auto_select, std::span<workspace>(worker_ws)});
   workspace main_ws;
   std::vector<score_result> out(pairs.size());
   auto pass = [&] {
@@ -268,7 +268,8 @@ TEST(AllocSteadyState, BatchMultiThreadedPooledWorkersSteadyState) {
 TEST(AllocSteadyState, BatchRaggedSteadyState) {
   // Single-threaded mixed-length batch through the public API: the
   // lane-padded chunks carve from the handle's arena like every other
-  // route — warm passes allocate nothing.
+  // route — warm passes allocate nothing.  Forced int16 pads these
+  // windows on every vector variant (its floor is the rolling one).
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<seq_pair> pairs;
   for (int i = 0; i < 32; ++i) {
@@ -278,6 +279,7 @@ TEST(AllocSteadyState, BatchRaggedSteadyState) {
   for (std::size_t i = 0; i < qs.size(); ++i)
     pairs.push_back({view(qs[i]), view(ss[i])});
   align_options o = serial_opts();
+  o.precision = score_precision::int16;
   aligner a(o);
   std::vector<alignment_result> out;
   for (int i = 0; i < 3; ++i) a.align_batch_into(pairs, out);
@@ -295,7 +297,7 @@ TEST(AllocSteadyState, BatchTailSteadyState) {
   // passes allocate nothing.
   using engine =
       tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 32>;
-  static_assert(engine::kTailMinLive <= 21);
+  static_assert(engine::kMinLive[engine::vs_striped] <= 21);
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<tiled::pair_view> pairs;
   for (int i = 0; i < 53; ++i) {
@@ -458,6 +460,27 @@ TEST(AllocSteadyState, BatchRoutes) {
     });
     EXPECT_EQ(n, 0u) << (traceback ? "batch traceback" : "batch score");
   }
+}
+
+TEST(AllocSteadyState, BatchTracebackMultiThreadedSteadyState) {
+  // threads = 2 traceback batch: workers claim pairs off a shared cursor
+  // on the global pool and align into their pooled arenas.  The pairs
+  // are identical, so whichever worker takes a pair needs the same arena
+  // rows and string capacity — warm passes allocate nothing.
+  const auto q = test::random_codes(96, 1700);
+  const auto s = test::mutate(q, 1701);
+  std::vector<seq_pair> pairs(24, seq_pair{view(q), view(s)});
+  align_options o = serial_opts();
+  o.threads = 2;
+  o.want_alignment = true;
+  aligner a(o);
+  std::vector<alignment_result> out;
+  for (int i = 0; i < 3; ++i) a.align_batch_into(pairs, out);
+  ASSERT_TRUE(out.front().has_alignment);
+  const auto n = allocs_during([&] {
+    for (int i = 0; i < 5; ++i) a.align_batch_into(pairs, out);
+  });
+  EXPECT_EQ(n, 0u) << "multi-threaded batch traceback allocated";
 }
 
 TEST(AllocSteadyState, ReserveMakesFirstScorePassAllocationFree) {

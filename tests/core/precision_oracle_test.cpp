@@ -414,8 +414,8 @@ TEST_P(RaggedOracle, JitteredBatchesMatchInt32Rolling) {
       test::oracle_affine(p.kind, p.match, p.mismatch, p.open, p.extend);
   for (const std::uint64_t seed : {1, 2, 3}) {
     // Near-shape run (what the service's shape sort produces): lengths
-    // jitter in [40, 50], so no chunk is uniform but the padding waste
-    // stays well under the default cap.
+    // jitter in [40, 50], so no chunk is uniform but every window fills
+    // well past the forced precisions' floor against int32 rolling.
     std::mt19937_64 rng(seed * 101);
     std::uniform_int_distribution<int> len(40, 50);
     std::vector<std::vector<char_t>> qs, ss;
@@ -459,12 +459,17 @@ TEST_P(RaggedOracle, JitteredBatchesMatchInt32Rolling) {
           ASSERT_EQ(got[i].q_end, ref[i].q_end);
           ASSERT_EQ(got[i].s_end, ref[i].s_end);
         }
-        // Vector variants must actually take the lane-padded path under
-        // auto (int16 window admits 50bp; the scalar variant's width-1
-        // chunks are trivially uniform and never pad).
+        // Vector variants keep every pair on SIMD lanes under auto
+        // (padded chunks or striped pairs), and forced int16 must take
+        // the lane-padded path (the scalar variant's width-1 chunks are
+        // trivially uniform and never pad).
         if (b != backend::scalar &&
-            prec == score_precision::auto_select)
+            prec == score_precision::auto_select) {
+          EXPECT_EQ(a.last_batch_stats().simd_pairs, 48u);
+        }
+        if (b != backend::scalar && prec == score_precision::int16) {
           EXPECT_GT(a.last_batch_stats().ragged_pairs, 0u);
+        }
       }
     }
   }
@@ -516,55 +521,79 @@ TEST(RaggedOracle, ForcedInt8RaggedShedsOnlyHotLanes) {
   }
 }
 
-TEST(RaggedOracle, WasteCapSplitsOrAdmitsAtBoundary) {
-  // 31 lanes (20, 20) + 1 lane (10, 10): padded chunk 32*20*20 = 12800
-  // cells, used 31*400 + 100 = 12500, waste 300.  Admission requires
-  // 300 * 100 <= 12800 * cap, i.e. cap >= 3 admits, cap <= 2 splits to
-  // the scalar fallback; cap 0 disables padding outright.  Results are
-  // byte-identical to rolling on both sides of the boundary.
-  std::vector<std::vector<char_t>> qs, ss;
-  std::vector<tiled::pair_view> pairs;
-  for (int i = 0; i < 32; ++i) {
-    const std::size_t l = i == 7 ? 10 : 20;
-    qs.push_back(test::random_codes(l, 5100 + i));
-    ss.push_back(test::random_codes(l, 6100 + i));
+/// `width` pairs whose cells fill exactly `floor` full (20, 20) shapes:
+/// floor - 1 lanes at (20, 20), width - floor lanes at (1, 20), and a last
+/// lane at (20 - (width - floor), 20) — or one column short of it when
+/// `short_by_one`, which leaves the window just under the floor.
+void floor_window(int width, int floor, bool short_by_one,
+                  std::vector<std::vector<char_t>>& qs,
+                  std::vector<std::vector<char_t>>& ss,
+                  std::vector<tiled::pair_view>& pairs) {
+  for (int i = 0; i < width; ++i) {
+    const bool last = i == width - 1;
+    const std::size_t n = i < floor - 1 ? 20 : last ? 20 - (width - floor) : 1;
+    const std::size_t m = last && short_by_one ? 19 : 20;
+    qs.push_back(test::random_codes(n, 5100 + i));
+    ss.push_back(test::random_codes(m, 6100 + i));
   }
-  for (int i = 0; i < 32; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
+  for (int i = 0; i < width; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
+}
+
+TEST(RaggedOracle, MinLiveFloorSplitsOrAdmitsAtBoundary) {
+  // A window runs as one padded chunk iff sum(n_l * m_l) >= kMinLive *
+  // nbar * mbar.  Filled exactly to the floor it pads; one cell short it
+  // splits into single pairs — striped under auto, rolled when forced.
+  // Results are byte-identical to rolling on both sides of the boundary.
+  using engine =
+      tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>;
   const simple_scoring sc{2, -1};
   struct boundary_case {
-    int cap;
-    bool ragged;
+    score_precision prec;
+    int width;  // the window: int8 at 32 lanes, int16 at 16
+    int floor;
+    bool short_by_one;
   };
+  constexpr int kAuto = engine::kMinLive[engine::vs_striped];
+  constexpr int kForced = engine::kMinLive[engine::vs_rolling];
   for (const boundary_case c :
-       {boundary_case{3, true}, boundary_case{2, false},
-        boundary_case{0, false}}) {
-    SCOPED_TRACE(::testing::Message() << "cap " << c.cap);
-    tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-        eng(linear_gap{-1}, sc,
-            {1, score_precision::auto_select, c.cap});
-    const auto got = eng.scores(pairs);
+       {boundary_case{score_precision::auto_select, 32, kAuto, false},
+        boundary_case{score_precision::auto_select, 32, kAuto, true},
+        boundary_case{score_precision::int16, 16, kForced, false},
+        boundary_case{score_precision::int16, 16, kForced, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << to_string(c.prec) << " floor " << c.floor
+                 << (c.short_by_one ? " short by one" : " at the floor"));
+    std::vector<std::vector<char_t>> qs, ss;
+    std::vector<tiled::pair_view> pairs;
+    floor_window(c.width, c.floor, c.short_by_one, qs, ss, pairs);
+    engine eng(linear_gap{-1}, sc, {1, c.prec});
+    const auto got = eng.score_results(pairs);
     const auto st = eng.last_stats();
-    if (c.ragged) {
-      // (20+20+2)*2 = 84 < 96: the auto planner runs the unchecked int8
-      // ragged kernel over the whole 32-lane chunk.
-      EXPECT_EQ(st.ragged_pairs, 32u);
-      EXPECT_EQ(st.padded_cells, 300u);
+    const auto w = static_cast<std::uint64_t>(c.width);
+    if (!c.short_by_one) {
+      // (20+20+2)*2 = 84 < 96: auto runs one unchecked int8 chunk over
+      // 32 lanes; forced int16 one checked 16-lane chunk.
+      EXPECT_EQ(st.ragged_pairs, w);
+      EXPECT_EQ(st.simd_pairs, w);
+      EXPECT_EQ(st.padded_cells,
+                w * 400u - static_cast<std::uint64_t>(c.floor) * 400u);
       EXPECT_EQ(st.escalated_pairs, 0u);
-    } else {
-      // The mixed chunk [0, 16) splits to one pair at a time (the
-      // striped kernel under auto); the trailing 16 pairs are exactly
-      // uniform (20, 20) and still vectorize through the uniform
-      // (non-padded) int16 route.
+    } else if (c.prec == score_precision::auto_select) {
       EXPECT_EQ(st.ragged_pairs, 0u);
       EXPECT_EQ(st.padded_cells, 0u);
-      EXPECT_EQ(st.scalar_pairs, 0u);
-      EXPECT_EQ(st.striped_pairs, 16u);
-      EXPECT_EQ(st.simd_pairs, 32u);
+      EXPECT_EQ(st.striped_pairs, w);
+      EXPECT_EQ(st.simd_pairs, w);
+    } else {
+      EXPECT_EQ(st.ragged_pairs, 0u);
+      EXPECT_EQ(st.padded_cells, 0u);
+      EXPECT_EQ(st.scalar_pairs, w);
     }
-    for (int i = 0; i < 32; ++i) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
       const auto want = rolling_score<align_kind::global>(
           pairs[i].q, pairs[i].s, linear_gap{-1}, sc);
-      EXPECT_EQ(got[i], want.score) << "lane " << i;
+      EXPECT_EQ(got[i].score, want.score) << "lane " << i;
+      EXPECT_EQ(got[i].end_i, want.end_i) << "lane " << i;
+      EXPECT_EQ(got[i].end_j, want.end_j) << "lane " << i;
     }
   }
 }
@@ -576,19 +605,24 @@ int lanes_of(backend b) {
   return b == backend::simd_avx512 ? 32 : b == backend::simd_avx2 ? 16 : 1;
 }
 
-/// The batch engine's tail floor for `lanes` lanes under the gap model of
-/// `p` (the floor depends on linear vs affine gaps).
+/// The batch engine's auto-mode floor (kMinLive against striped pairs)
+/// for `lanes` lanes under the gap model of `p` (the floor depends on
+/// linear vs affine gaps).
 std::size_t tail_floor(int lanes, const precision_case& p) {
   using tiled::batch_engine;
+  using affine32 =
+      batch_engine<align_kind::global, affine_gap, simple_scoring, 32>;
+  using affine16 =
+      batch_engine<align_kind::global, affine_gap, simple_scoring, 16>;
+  using linear32 =
+      batch_engine<align_kind::global, linear_gap, simple_scoring, 32>;
+  using linear16 =
+      batch_engine<align_kind::global, linear_gap, simple_scoring, 16>;
   if (p.open != 0)
-    return lanes == 32 ? batch_engine<align_kind::global, affine_gap,
-                                      simple_scoring, 32>::kTailMinLive
-                       : batch_engine<align_kind::global, affine_gap,
-                                      simple_scoring, 16>::kTailMinLive;
-  return lanes == 32 ? batch_engine<align_kind::global, linear_gap,
-                                    simple_scoring, 32>::kTailMinLive
-                     : batch_engine<align_kind::global, linear_gap,
-                                    simple_scoring, 16>::kTailMinLive;
+    return lanes == 32 ? affine32::kMinLive[affine32::vs_striped]
+                       : affine16::kMinLive[affine16::vs_striped];
+  return lanes == 32 ? linear32::kMinLive[linear32::vs_striped]
+                     : linear16::kMinLive[linear16::vs_striped];
 }
 
 /// Uniform batches of L + t pairs on each runnable backend (L its lane
@@ -676,16 +710,6 @@ INSTANTIATE_TEST_SUITE_P(
         precision_case{align_kind::semiglobal, 2, -1, -2, -1},
         precision_case{align_kind::extension, 2, -1, 0, -1},
         precision_case{align_kind::extension, 2, -1, -2, -1}));
-
-TEST(RaggedOracle, WasteCapValidation) {
-  align_options o;
-  o.pad_waste_cap_pct = -1;
-  EXPECT_THROW(aligner{o}, invalid_argument_error);
-  o.pad_waste_cap_pct = 101;
-  EXPECT_THROW(aligner{o}, invalid_argument_error);
-  o.pad_waste_cap_pct = 100;
-  EXPECT_NO_THROW(aligner{o});
-}
 
 }  // namespace
 }  // namespace anyseq

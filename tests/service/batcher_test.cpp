@@ -105,7 +105,6 @@ TEST(BatcherCompat, EveryDispatchFieldIsABoundary) {
       differs([](align_options& o) { o.matrix = dna_default_matrix(); }));
   EXPECT_TRUE(differs(
       [](align_options& o) { o.precision = score_precision::int16; }));
-  EXPECT_TRUE(differs([](align_options& o) { o.pad_waste_cap_pct = 0; }));
 }
 
 TEST(BatcherCompat, MatrixContentsMatter) {
@@ -129,9 +128,9 @@ TEST(BatcherLaneOrder, GroupsBySizeThenKey) {
 TEST(BatcherLaneOrder, FullShapeSortFormsNearShapeRunsDeterministically) {
   // Sorting batch members with lane_order_less must order by the FULL
   // (|q|, |s|) shape: equal shapes become adjacent (uniform SIMD chunks)
-  // and near-shapes become contiguous runs the ragged lane-padding
-  // kernel can admit under a small waste cap.  The key tie-break makes
-  // the result independent of input order.
+  // and near-shapes become contiguous runs the lane-padding kernel can
+  // admit as one chunk.  The key tie-break makes the result independent
+  // of input order.
   struct member {
     index_t q, s;
     std::uint64_t key;

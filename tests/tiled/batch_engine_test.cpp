@@ -32,11 +32,13 @@ void batch_matches_scalar(std::size_t pairs_n, index_t len, const Gap& gap,
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
   batch_engine<K, Gap, simple_scoring, Lanes> eng(gap, sc, {threads});
-  auto got = eng.scores(pairs);
+  auto got = eng.score_results(pairs);
   ASSERT_EQ(got.size(), pairs_n);
   for (std::size_t i = 0; i < pairs_n; ++i) {
     const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc);
-    ASSERT_EQ(got[i], want.score) << "pair " << i << " " << to_string(K);
+    ASSERT_EQ(got[i].score, want.score) << "pair " << i << " " << to_string(K);
+    ASSERT_EQ(got[i].end_i, want.end_i) << "pair " << i << " " << to_string(K);
+    ASSERT_EQ(got[i].end_j, want.end_j) << "pair " << i << " " << to_string(K);
   }
 }
 
@@ -71,9 +73,11 @@ TEST(BatchEngine, NonMultipleOfLanesGetsRemainder) {
 }
 
 TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
-  // 40 ragged pairs: two padded 16-lane chunks, then 8 pairs that fill no
-  // chunk.  Under auto those run one by one through the striped kernel;
-  // forced int32 rolls everything.
+  // 40 ragged pairs on 16 lanes.  Under auto a 16-lane chunk must be
+  // exactly uniform to beat striping (kMinLive), so every pair runs the
+  // striped kernel; forced int16 pads all three windows (16, 16, then
+  // the 8-pair tail, each above the rolling floor); forced int32 rolls
+  // everything.
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<pair_view> pairs;
   for (std::size_t i = 0; i < 40; ++i) {
@@ -84,7 +88,8 @@ TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
   for (const score_precision p :
-       {score_precision::auto_select, score_precision::int32}) {
+       {score_precision::auto_select, score_precision::int16,
+        score_precision::int32}) {
     batch_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
         affine_gap{-2, -1}, sc, {2, p});
     auto got = eng.scores(pairs);
@@ -95,10 +100,14 @@ TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
     }
     const auto st = eng.last_stats();
     if (p == score_precision::auto_select) {
-      EXPECT_EQ(st.ragged_pairs, 32u);
-      EXPECT_EQ(st.striped_pairs, 8u);
+      EXPECT_EQ(st.ragged_pairs, 0u);
+      EXPECT_EQ(st.striped_pairs, 40u);
       EXPECT_EQ(st.simd_pairs, 40u);
       EXPECT_EQ(st.scalar_pairs, 0u);
+    } else if (p == score_precision::int16) {
+      EXPECT_EQ(st.ragged_pairs, 40u);
+      EXPECT_EQ(st.simd_pairs, 40u);
+      EXPECT_EQ(st.escalated_pairs, 0u);
     } else {
       EXPECT_EQ(st.scalar_pairs, 40u);
       EXPECT_EQ(st.striped_pairs, 0u);
@@ -177,71 +186,89 @@ TEST(BatchEngine, StatsCountSimdPath) {
   for (score_t v : got) EXPECT_EQ(v, 100);  // self-alignment, all matches
 }
 
-// --- sub-width uniform tails -------------------------------------------
+// --- sub-width tails ---------------------------------------------------
 
-/// `Lanes + t` uniform (n x m) pairs: one full int16 chunk, then a t-pair
-/// tail that runs as one lane-padded chunk once t reaches the floor
-/// kTailMinLive (int8 at 2*Lanes lanes when that window fits the shape)
-/// and pair by pair through the striped kernel below it.  Scores must
-/// equal the int32 rolling engine's and the path accounting must be
-/// exact.  (End cells of every
-/// kind are pinned through the public API by precision_oracle_test's
-/// TailOracle.)
+/// `Lanes + t` pairs: Lanes at the (n x m) shape, then a t-pair
+/// remainder, uniform or — `ragged_tail` — mixed (n - k % 3, m - 2 (k % 2))
+/// for its k-th pair.  One rule decides every window: it runs as one
+/// padded chunk iff its cells fill kMinLive full-shape pairs.  At an int8
+/// shape the whole batch is one 2*Lanes-lane int8 window; at an int16
+/// shape a full chunk runs first and the remainder pads once it clears
+/// the floor, else runs pair by pair through the striped kernel.  Score
+/// and end cell must equal the int32 rolling engine's and the path
+/// accounting must be exact.
 template <align_kind K, class Gap, int Lanes>
 void tail_matches_rolling(std::size_t t, index_t n, index_t m,
-                          const Gap& gap, int threads) {
+                          bool ragged_tail, const Gap& gap, int threads) {
   const std::size_t count = static_cast<std::size_t>(Lanes) + t;
   SCOPED_TRACE(::testing::Message()
                << to_string(K) << " lanes " << Lanes << " count " << count
-               << " shape " << n << "x" << m << " threads " << threads);
+               << " shape " << n << "x" << m << (ragged_tail ? " ragged" : "")
+               << " threads " << threads);
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<pair_view> pairs;
+  std::uint64_t tail_cells = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    qs.push_back(test::random_codes(static_cast<std::size_t>(n), 40 + i));
-    ss.push_back(test::random_codes(static_cast<std::size_t>(m), 90 + i));
+    const std::size_t k = i - std::min(i, static_cast<std::size_t>(Lanes));
+    const bool shrink = ragged_tail && i >= static_cast<std::size_t>(Lanes);
+    const index_t ni = shrink ? n - static_cast<index_t>(k % 3) : n;
+    const index_t mi = shrink ? m - 2 * static_cast<index_t>(k % 2) : m;
+    qs.push_back(test::random_codes(static_cast<std::size_t>(ni), 40 + i));
+    ss.push_back(test::random_codes(static_cast<std::size_t>(mi), 90 + i));
+    if (i >= static_cast<std::size_t>(Lanes))
+      tail_cells += static_cast<std::uint64_t>(ni * mi);
   }
   for (std::size_t i = 0; i < count; ++i)
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
   using engine = batch_engine<K, Gap, simple_scoring, Lanes>;
   engine eng(gap, sc, {threads});
-  const auto got = eng.scores(pairs);
-  for (std::size_t i = 0; i < count; ++i)
-    ASSERT_EQ(got[i], rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc).score)
-        << "pair " << i;
-  const bool simd_tail = t >= static_cast<std::size_t>(engine::kTailMinLive);
-  const bool int8 =
-      fits_score_window(n, m, unit_step(gap, sc), int8_score_window());
+  const auto got = eng.score_results(pairs);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc);
+    ASSERT_EQ(got[i].score, want.score) << "pair " << i;
+    ASSERT_EQ(got[i].end_i, want.end_i) << "pair " << i;
+    ASSERT_EQ(got[i].end_j, want.end_j) << "pair " << i;
+  }
   const std::uint64_t lanes = static_cast<std::uint64_t>(Lanes);
-  const std::uint64_t tail_w = int8 ? 2 * lanes : lanes;
+  const std::uint64_t full = static_cast<std::uint64_t>(n * m);
+  const std::uint64_t floor = engine::kMinLive[engine::vs_striped];
+  const bool mixed = tail_cells != t * full;
   const auto st = eng.last_stats();
   EXPECT_EQ(st.simd_pairs, lanes + t);
   EXPECT_EQ(st.scalar_pairs, 0u);
-  EXPECT_EQ(st.striped_pairs, simd_tail ? 0 : t);
-  EXPECT_EQ(st.int16_pairs, lanes + (simd_tail && int8 ? 0 : t));
-  EXPECT_EQ(st.int8_pairs, simd_tail && int8 ? t : 0);
-  EXPECT_EQ(st.ragged_pairs, 0u);
   EXPECT_EQ(st.escalated_pairs, 0u);
-  EXPECT_EQ(st.padded_cells,
-            simd_tail ? (tail_w - t) * static_cast<std::uint64_t>(n) *
-                            static_cast<std::uint64_t>(m)
-                      : 0);
+  if (fits_score_window(n, m, unit_step(gap, sc), int8_score_window())) {
+    EXPECT_EQ(st.int8_pairs, lanes + t);
+    EXPECT_EQ(st.striped_pairs, 0u);
+    EXPECT_EQ(st.ragged_pairs, mixed ? lanes + t : 0);
+    EXPECT_EQ(st.padded_cells, lanes * full - tail_cells);
+    return;
+  }
+  const bool simd_tail = tail_cells >= floor * full;
+  EXPECT_EQ(st.int16_pairs, lanes + t);
+  EXPECT_EQ(st.striped_pairs, simd_tail ? 0 : t);
+  EXPECT_EQ(st.ragged_pairs, simd_tail && mixed ? t : 0);
+  EXPECT_EQ(st.padded_cells, simd_tail ? lanes * full - tail_cells : 0);
 }
 
-/// Batch sizes Lanes+1, Lanes+min_live-1, Lanes+min_live and 2*Lanes-1
-/// (min_live = kTailMinLive; sizes of 2*Lanes or more are no tails) at
-/// an int16 shape and an int8 shape, 1 and 2 threads.
+/// Batch sizes Lanes+1, Lanes+floor-1, Lanes+floor and 2*Lanes-1 (floor
+/// = kMinLive against striped pairs; sizes of 2*Lanes or more are no
+/// tails) at an int16 shape and an int8 shape, uniform and ragged
+/// remainders, 1 and 2 threads.
 template <align_kind K, class Gap, int Lanes>
 void tail_sweep(const Gap& gap) {
-  constexpr auto min_live = static_cast<std::size_t>(
-      batch_engine<K, Gap, simple_scoring, Lanes>::kTailMinLive);
+  using engine = batch_engine<K, Gap, simple_scoring, Lanes>;
+  constexpr auto min_live =
+      static_cast<std::size_t>(engine::kMinLive[engine::vs_striped]);
   for (const std::size_t t :
        {std::size_t{1}, min_live - 1, min_live, std::size_t{Lanes - 1}})
-    for (const int threads : {1, 2}) {
-      if (t >= static_cast<std::size_t>(Lanes)) continue;
-      tail_matches_rolling<K, Gap, Lanes>(t, 30, 34, gap, threads);
-      tail_matches_rolling<K, Gap, Lanes>(t, 12, 14, gap, threads);
-    }
+    for (const bool ragged : {false, true})
+      for (const int threads : {1, 2}) {
+        if (t >= static_cast<std::size_t>(Lanes)) continue;
+        tail_matches_rolling<K, Gap, Lanes>(t, 30, 34, ragged, gap, threads);
+        tail_matches_rolling<K, Gap, Lanes>(t, 12, 14, ragged, gap, threads);
+      }
 }
 
 // Runs on the engine instantiations the suite already compiles: each new
@@ -259,8 +286,8 @@ TEST(BatchEngineTail, Lanes32MatchesRollingWithExactStats) {
 }
 
 TEST(BatchEngineTail, ForcedPrecisionTailRollsScalar) {
-  // Tails are an auto-mode plan: a forced precision keeps the checked
-  // kernel on full chunks only and rolls the remainder.
+  // A forced precision's rival is int32 rolling: the 4-pair remainder
+  // sits below the 16-lane floor of 5 pairs, so it rolls.
   auto qs = make_reads(20, 30, 11);
   std::vector<pair_view> pairs;
   for (std::size_t i = 0; i < 20; ++i)
