@@ -2,7 +2,8 @@
 /// (int8/int16 with sticky overflow escalation) and the Myers
 /// bit-parallel route against the forced-int32 rolling baseline, on the
 /// fig5b-style 150 bp read-pair workload (plus a short-read panel where
-/// the int8 window admits the whole batch).  Emits BENCH_precision.json
+/// the int8 window admits the whole batch), and the global traceback
+/// route (band doubling) on ragged and divergent pairs.  Emits BENCH_precision.json
 /// with per-row GCUPS and speedup-vs-int32 so CI can watch the narrow
 /// routes earn their keep.  The run records the host's core count and
 /// never uses more threads than cores.
@@ -436,6 +437,53 @@ void solo_panel(std::span<const seq_pair> lone,
   print_footer();
 }
 
+/// Traceback panel: global affine tracebacks, one thread, through a
+/// reused aligner's batch call — on the ragged 135-165 bp read pairs and
+/// on 150 bp pairs about 35% apart.  Band doubling certifies most read
+/// pairs in the first radius-8 band; the divergent pairs double or fall
+/// back to the full matrix.  GCUPS count n*m cells per pair whichever
+/// way it ran (an effective rate), and every score must match the
+/// score-only route.
+void tb_panel(std::span<const seq_pair> reads,
+              std::span<const seq_pair> edit35, const args& a) {
+  g_tag = "tb150";
+  print_header("global affine tracebacks (band doubling), one thread",
+               "trimmed 135-165 bp read pairs and ~35%-edit pairs");
+  const std::pair<const char*, std::span<const seq_pair>> sets[] = {
+      {"reads", reads}, {"edit35", edit35}};
+  for (const int lanes : {1, 16, 32}) {
+    if (!lanes_runnable_now(lanes)) continue;
+    const backend exec = backend_for_lanes(lanes);
+    const std::string v = to_string(exec);
+    for (const auto& [name, pairs] : sets) {
+      const std::vector<alignment_result> ref =
+          align_batch(pairs, paper_opts(affine_gap{-2, -1}, exec, 1, false));
+      aligner al(paper_opts(affine_gap{-2, -1}, exec, 1, true));
+      std::vector<alignment_result> out;
+      const double t = median_seconds(a.repeats, [&] {
+        al.align_batch_into(pairs, out);
+      });
+      check_scores("tb150", out, ref);
+      const batch_stats st = al.last_batch_stats();
+      const double n = static_cast<double>(pairs.size());
+      const double banded_frac = static_cast<double>(st.banded_pairs) / n;
+      const double g = gcups(total_cells(pairs), t);
+      g_report->add(std::string(g_tag) + "/" + v + "/" + name, t,
+                    pairs.size(),
+                    {{"gcups", g},
+                     {"us_per_pair", t * 1e6 / n},
+                     {"banded_pair_fraction", banded_frac},
+                     {"band_passes_per_pair",
+                      static_cast<double>(st.band_passes) / n},
+                     {"threads", 1}});
+      char note[64];
+      std::snprintf(note, sizeof note, "banded %.1f%%", banded_frac * 100.0);
+      print_row({std::string("traceback ") + name, v, g, -1.0, note});
+    }
+  }
+  print_footer();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -503,6 +551,20 @@ int main(int argc, char** argv) {
   }
   jitter_panel(pairsj, a);
   solo_panel(pairs150, pairsj, a);
+
+  // Traceback panel: the ragged read pairs above, and 150 bp pairs whose
+  // mates each carry ~17.5% edited bases (12.5% substitutions, 2.5%
+  // indel events of 1-3 bases), so a pair sits about 35% apart.
+  bio::read_sim_params ep;
+  ep.sub_rate_begin = ep.sub_rate_end = 0.125;
+  ep.indel_rate = 0.025;
+  ep.seed = 35;
+  const auto data35 = bio::simulate_read_pairs(ref, a.pairs, ep);
+  std::vector<seq_pair> pairs35;
+  pairs35.reserve(data35.size());
+  for (const auto& p : data35)
+    pairs35.push_back({p.first.view(), p.second.view()});
+  tb_panel(pairsj, pairs35, a);
 
   return report.write(a.out) ? 0 : 1;
 }

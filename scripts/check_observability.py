@@ -18,7 +18,9 @@ Two checks, each against the external format's actual grammar:
     smallest ``le`` >= v reaches ceil(q * count) and the edge below
     stays under it (``class="all"`` against the sum of the classes).
     The batch score-path pair counters carry every path, and their
-    ragged and striped subsets never exceed the SIMD pairs.
+    ragged and striped subsets never exceed the SIMD pairs.  The
+    band-doubling counters carry both counts, and no more pairs are
+    certified than band passes ran.
 
 Usage:
 
@@ -201,6 +203,7 @@ def check_metrics(path):
 
     check_quantiles(path, buckets, samples)
     check_batch_paths(path, samples)
+    check_band_counts(path, samples)
 
     print(f"check_observability: metrics OK "
           f"({n_samples} samples, {len(buckets)} histogram series, {path})")
@@ -220,6 +223,19 @@ def check_batch_paths(path, samples):
         if paths[sub] > paths["simd"]:
             fail(f"{path}: {family}{{path={sub!r}}} {paths[sub]} exceeds "
                  f"the simd pairs {paths['simd']}")
+
+
+def check_band_counts(path, samples):
+    """Every certified traceback pair ran at least one band pass."""
+    family = "anyseq_batch_traceback_band_total"
+    counts = {labels.split("=", 1)[1].strip('"'): v
+              for (name, labels), v in samples.items() if name == family}
+    want = {"banded_pairs", "band_passes"}
+    if set(counts) != want:
+        fail(f"{path}: {family} counts {sorted(counts)} != {sorted(want)}")
+    if counts["banded_pairs"] > counts["band_passes"]:
+        fail(f"{path}: {family} banded_pairs {counts['banded_pairs']} "
+             f"exceeds band_passes {counts['band_passes']}")
 
 
 def check_quantiles(path, buckets, samples):

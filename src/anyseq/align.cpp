@@ -533,9 +533,11 @@ void aligner::align_batch_into(std::span<const seq_pair> pairs,
     }
     return;
   }
-  // Traceback: per-pair full-matrix alignment, compiled inside the
-  // selected variant's namespace (v_avx2/v_avx512 on capable hosts).
-  eng.batch_align(pairs, opt_, ws, std::span<alignment_result>(out));
+  // Traceback: per-pair full-matrix alignment (global pairs try band
+  // doubling first), compiled inside the selected variant's namespace
+  // (v_avx2/v_avx512 on capable hosts).
+  eng.batch_align(pairs, opt_, ws, std::span<alignment_result>(out),
+                  &last_batch_stats_);
 }
 
 std::vector<alignment_result> aligner::align_batch(

@@ -176,11 +176,13 @@ class aligner {
                         std::vector<alignment_result>& out);
 
   /// Path accounting for the most recent batch call on this handle:
-  /// how many pairs ran on narrow SIMD lanes (uniform and lane-padded
-  /// ragged chunks), scalar, bit-parallel, or were escalated.  Zeroed at
-  /// the start of every `align_batch`/`align_batch_into`; stays zero for
-  /// traceback batches and simulator backends (their per-pair routes do
-  /// not pass through the batch score engine).
+  /// for score batches, how many pairs ran on narrow SIMD lanes (uniform
+  /// and lane-padded ragged chunks), scalar, bit-parallel, or were
+  /// escalated; for traceback batches, how many global pairs a band
+  /// pass certified (`banded_pairs`) and how many band passes ran
+  /// (`band_passes`).  Zeroed at the start of every
+  /// `align_batch`/`align_batch_into`; stays zero for simulator
+  /// backends.
   [[nodiscard]] batch_stats last_batch_stats() const noexcept {
     return last_batch_stats_;
   }

@@ -183,7 +183,7 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
             return tiled::tiled_engine<K, Gap, Scoring, kLanes>::plan_bytes(
                 n, m, cfg);
           case route_kind::full_matrix:
-            return full_engine<K, Gap, Scoring>::plan_bytes(n, m);
+            return tiled::traceback_plan_bytes<K, Gap, Scoring>(n, m);
           case route_kind::hirschberg:
             return tiled::tiled_hirschberg_plan_bytes<kLanes, Gap, Scoring>(
                 n, m, cfg, kHirschbergBaseCells);
@@ -333,8 +333,11 @@ void full_align_impl(stage::seq_view q, stage::seq_view s,
       with_scoring(opt, [&](const auto& scoring) {
         using Gap = std::decay_t<decltype(gap)>;
         using Scoring = std::decay_t<decltype(scoring)>;
-        full_engine<K, Gap, Scoring> feng(gap, scoring);
-        feng.align_into(q, s, true, w, out);
+        if (K != align_kind::global ||
+            !doubling_global_into(q, s, gap, scoring, w, out).certified) {
+          full_engine<K, Gap, Scoring> feng(gap, scoring);
+          feng.align_into(q, s, true, w, out);
+        }
         stamp(out);
       });
     });
@@ -417,7 +420,7 @@ void batch_scores_impl(std::span<const seq_pair> pairs,
 
 void batch_align_impl(std::span<const seq_pair> pairs,
                       const align_options& opt, void* ws,
-                      std::span<alignment_result> out) {
+                      std::span<alignment_result> out, batch_stats* stats) {
   ws_handle& h = handle_of(ws);
   workspace& w = h.main;
   w.begin_pass();
@@ -436,6 +439,7 @@ void batch_align_impl(std::span<const seq_pair> pairs,
                                 .worker_ws = std::span<workspace>(h.workers)});
         eng.align_into(pairs, w, out);
         for (auto& r : out) stamp(r);
+        if (stats != nullptr) *stats = eng.last_stats();
       });
     });
   });

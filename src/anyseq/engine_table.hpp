@@ -161,7 +161,9 @@ struct ops {
                             alignment_result& out);
 
   /// Full-matrix alignment with traceback (any kind; quadratic memory —
-  /// the caller enforces opt.full_matrix_cells).
+  /// the caller enforces opt.full_matrix_cells).  Global pairs try band
+  /// doubling first and reach the full matrix only when no band is
+  /// certified (core/banded.hpp).
   void (*full_align)(stage::seq_view q, stage::seq_view s,
                      const align_options& opt, void* ws,
                      alignment_result& out);
@@ -186,11 +188,13 @@ struct ops {
                        std::span<score_result> out, batch_stats* stats);
 
   /// Batch alignment with traceback (order preserved): per-pair
-  /// full-matrix alignment compiled inside this variant's namespace.
-  /// `out` is caller-presized to pairs.size().
+  /// full-matrix alignment compiled inside this variant's namespace,
+  /// global pairs band-doubled first.  `out` is caller-presized to
+  /// pairs.size().  `stats`, when non-null, receives the banded_pairs /
+  /// band_passes accounting (an overwrite, like batch_scores).
   void (*batch_align)(std::span<const seq_pair> pairs,
                       const align_options& opt, void* ws,
-                      std::span<alignment_result> out);
+                      std::span<alignment_result> out, batch_stats* stats);
 
   /// Wavefront accounting of the last tiled score, tiled Hirschberg or
   /// locate call on `ws` (summed over a traceback's tiled passes).

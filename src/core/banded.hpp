@@ -5,11 +5,15 @@
 /// known to be similar — resequencing, read-vs-candidate verification —
 /// a band of width w reduces work from n*m to n*w cells.
 ///
-/// The band is stored row-compactly: cell (i, j) lives at column
-/// k = j - i - lo of row i, so the storage is (n+1) x (hi-lo+1).  Cells
-/// outside the band act as -inf walls; the band must contain both the
-/// start diagonal (0) and the end diagonal (m - n) or the global problem
-/// is infeasible and an exception is raised.
+/// H rolls in two rows and E in one; the predecessor bytes are stored
+/// row-compactly: cell (i, j) lives at column k = j - i - lo of row i,
+/// so the traceback storage is (n+1) x (hi-lo+1) bytes.  Cells outside
+/// the band act as -inf walls; the band must contain both the start
+/// diagonal (0) and the end diagonal (m - n) or the global problem is
+/// infeasible and an exception is raised.
+///
+/// `doubling_global_into` builds the exact global traceback on top:
+/// band doubling with a strict out-of-band score bound (DESIGN.md §11).
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS`, once per
 /// engine variant — see simd/foreach_target.hpp)
@@ -25,6 +29,9 @@
 #define ANYSEQ_CORE_BANDED_HPP_
 #endif
 
+#include <algorithm>
+#include <utility>
+
 #include "core/errors.hpp"
 #include "core/init.hpp"
 #include "core/relax.hpp"
@@ -35,6 +42,93 @@
 
 namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
+
+namespace detail {
+
+/// One banded forward pass.  When `accept(score)` holds, the result —
+/// and the traceback when `want_traceback` — goes into `out` and the
+/// pass returns true; otherwise `out` is left untouched.  Like
+/// full_engine, the relaxation reads H(i-1, j-1), H(i-1, j) and H(i, j-1)
+/// from memory — here two swapped rows of m+1 — and E from one row:
+/// carrying them in registers instead lets GCC's scalar-to-vector pass
+/// move the H -> F -> H chain into vector registers in the AVX TUs,
+/// which more than doubled the pass there.  Out-of-band cells read -inf:
+/// a slot right of the band was never written, and the slot left of it
+/// is set to -inf (or column 0's boundary value) before the row starts.
+/// Only the predecessor bytes are kept per in-band cell, row-compactly:
+/// (i, j) at i*w + j-i-lo.
+template <class Gap, class Scoring, stage::sequence_view QV,
+          stage::sequence_view SV, class Accept>
+bool banded_pass(const QV& q, const SV& s, const Gap& gap,
+                 const Scoring& scoring, band b, bool want_traceback,
+                 workspace& ws, alignment_result& out, Accept&& accept) {
+  const index_t n = q.size(), m = s.size(), w = b.width();
+  workspace::frame fr(ws);
+  const auto row_len = static_cast<std::size_t>(m + 1);
+  score_t* hp = ws.make<score_t>(row_len, neg_inf()).data();  // row i-1
+  score_t* hc = ws.make<score_t>(row_len, neg_inf()).data();  // row i
+  auto e = ws.make<score_t>(row_len, neg_inf());
+  // Every in-band cell is written before the walk reads it.
+  auto preds = ws.make<std::uint8_t>(
+      want_traceback ? static_cast<std::size_t>((n + 1) * w) : 1);
+  auto pidx = [&](index_t i, index_t j) { return i * w + (j - i - b.lo); };
+
+  for (index_t j = 0; j <= std::min(m, b.hi); ++j)
+    hp[j] = init_h_row0<align_kind::global>(j, gap);
+
+  std::uint64_t cells = 0;
+  for (index_t i = 1; i <= n; ++i) {
+    const index_t j_lo = std::max<index_t>(1, i + b.lo);
+    const index_t j_hi = std::min(m, i + b.hi);
+    const char_t qc = q[i - 1];
+    hc[j_lo - 1] = j_lo == 1 && i <= -b.lo
+                       ? init_h_col0<align_kind::global>(i, gap)
+                       : neg_inf();
+    score_t f = neg_inf();  // F never survives across the band edge
+    const index_t row = pidx(i, 0);
+    for (index_t j = j_lo; j <= j_hi; ++j) {
+      const prev_cells<score_t> prev{hp[j - 1], hp[j], hc[j - 1], e[j], f};
+      const auto nx = relax_scalar<align_kind::global, true>(
+          prev, qc, s[j - 1], gap, scoring);
+      hc[j] = nx.h;
+      e[j] = nx.e;
+      f = nx.f;
+      if (want_traceback) preds[row + j] = nx.pred;
+    }
+    cells += static_cast<std::uint64_t>(std::max<index_t>(0, j_hi - j_lo + 1));
+    std::swap(hp, hc);
+  }
+
+  if (!accept(hp[m])) return false;
+  out.reset();
+  out.score = hp[m];
+  out.q_end = n;
+  out.s_end = m;
+  out.cells = cells;
+
+  if (want_traceback) {
+    workspace::builder_lease lease(ws, out);
+    auto pred_at = [&](index_t i, index_t j) { return preds[pidx(i, j)]; };
+    auto [qb, sb] =
+        traceback_walk<align_kind::global>(q, s, n, m, pred_at, lease.get());
+    out.q_begin = qb;
+    out.s_begin = sb;
+    lease.get().take(out);
+  }
+  return true;
+}
+
+}  // namespace detail
+
+/// Arena bytes one banded pass over an n x m problem carves.
+[[nodiscard]] inline std::size_t banded_plan_bytes(index_t n, index_t m,
+                                                   band b,
+                                                   bool want_traceback) {
+  return 3 * carve_bytes<score_t>(static_cast<std::size_t>(m + 1)) +
+         carve_bytes<std::uint8_t>(
+             want_traceback ? static_cast<std::size_t>((n + 1) * b.width())
+                            : 1);
+}
 
 /// Banded global alignment with optional traceback, carving the band
 /// storage from `ws` and recycling `out`'s buffers.
@@ -55,63 +149,82 @@ void banded_global_into(const QV& q, const SV& s, const Gap& gap,
   if (b.lo > m - n || b.hi < m - n)
     throw invalid_argument_error(
         "band must contain diagonal m-n (the global end)");
+  detail::banded_pass(q, s, gap, scoring, b, want_traceback, ws, out,
+                      [](score_t) { return true; });
+}
 
-  const index_t w = b.width();
-  const index_t cols = w + 2;  // +2 sentinel columns of -inf either side
-  workspace::frame fr(ws);
-  const auto band_cells = static_cast<std::size_t>((n + 1) * cols);
-  auto h = ws.make<score_t>(band_cells, neg_inf());
-  auto e = ws.make<score_t>(band_cells, neg_inf());
-  auto preds = ws.make<std::uint8_t>(want_traceback ? band_cells : 1,
-                                     std::uint8_t{0});
+/// Starting radius of the band-doubling traceback; doubled per retry.
+inline constexpr index_t kDoublingRadius = 8;
 
-  // k-index of column j in row i (offset by 1 for the left sentinel).
-  auto kof = [&](index_t i, index_t j) { return j - i - b.lo + 1; };
-  auto at = [&](index_t i, index_t j) { return i * cols + kof(i, j); };
+/// Whether band `b` is still worth running instead of the full matrix:
+/// its (n+1) x width predecessor bytes stay within half of the
+/// (n+1)(m+1) cells.
+[[nodiscard]] inline bool doubling_admits(index_t m, band b) noexcept {
+  return 2 * b.width() <= m + 1;
+}
 
-  // Boundary cells inside the band.
-  for (index_t j = 0; j <= std::min(m, b.hi); ++j)
-    h[at(0, j)] = init_h_row0<align_kind::global>(j, gap);
-  for (index_t i = 0; i <= std::min(n, -b.lo); ++i)
-    h[at(i, 0)] = init_h_col0<align_kind::global>(i, gap);
-
-  std::uint64_t cells = 0;
-  for (index_t i = 1; i <= n; ++i) {
-    const index_t j_lo = std::max<index_t>(1, i + b.lo);
-    const index_t j_hi = std::min(m, i + b.hi);
-    const char_t qc = q[i - 1];
-    score_t f = neg_inf();  // F never survives across the band edge
-    for (index_t j = j_lo; j <= j_hi; ++j) {
-      // Row-compact addressing: (i-1, j) sits one k-slot to the right in
-      // the previous row; (i-1, j-1) at the same k; (i, j-1) one left.
-      const prev_cells<score_t> prev{
-          h[at(i - 1, j - 1)], h[at(i - 1, j)], h[at(i, j - 1)],
-          e[at(i - 1, j)], f};
-      const auto nx = relax_scalar<align_kind::global, true>(prev, qc,
-                                                             s[j - 1], gap,
-                                                             scoring);
-      h[at(i, j)] = nx.h;
-      e[at(i, j)] = nx.e;
-      f = nx.f;
-      if (want_traceback) preds[at(i, j)] = nx.pred;
-      ++cells;
-    }
+/// Arena peak of `doubling_global_into`: its widest admitted pass.
+[[nodiscard]] inline std::size_t doubling_plan_bytes(index_t n, index_t m) {
+  std::size_t peak = 0;
+  for (index_t r = kDoublingRadius;; r *= 2) {
+    const band b = band::around_main(n, m, r);
+    if (!doubling_admits(m, b)) return peak;
+    peak = banded_plan_bytes(n, m, b, true);
   }
+}
 
-  out.reset();
-  out.score = h[at(n, m)];
-  out.q_end = n;
-  out.s_end = m;
-  out.cells = cells;
+/// Outcome of `doubling_global_into`.
+struct doubling_result {
+  bool certified = false;  ///< `out` holds the exact global alignment
+  int passes = 0;          ///< band passes run, certified or not
+};
 
-  if (want_traceback) {
-    workspace::builder_lease lease(ws, out);
-    auto pred_at = [&](index_t i, index_t j) { return preds[at(i, j)]; };
-    auto [qb, sb] =
-        traceback_walk<align_kind::global>(q, s, n, m, pred_at, lease.get());
-    out.q_begin = qb;
-    out.s_begin = sb;
-    lease.get().take(out);
+/// Exact global traceback by band doubling (Ukkonen 1985, as in edlib).
+/// Runs banded passes at radius kDoublingRadius, 2x, 4x, ... around the
+/// main diagonal and keeps a pass only when its score is STRICTLY above
+/// every score a path leaving the band could reach, so every optimal
+/// path lies inside the band and the traceback — score, CIGAR, aligned
+/// strings, begin cell — is byte-identical to full_engine's (proof in
+/// DESIGN.md §11).  `out.cells` reports n*m like the full matrix.
+///
+/// A path touching diagonal d > hi >= max(0, D), D = m - n, has at
+/// least g = 2d - D gap symbols in at least 2 runs and at most
+/// floor((n+m-g)/2) substitutions, so it scores at most
+/// U = floor((n+m-g)/2)*smax + g*extend + 2*open; the lo side mirrors
+/// with g = 2|d| + D.  U does not increase with g (smax >= 0 >=
+/// 2*extend), so the check at hi+1 and lo-1 covers every farther
+/// diagonal; a side reaching the matrix edge (hi >= m, lo <= -n) is
+/// exact.  Returns `certified == false`, with `out` untouched, when the
+/// next band would exceed half the full matrix, when n or m is 0, or
+/// when the bound does not apply (smax < 0 or a positive gap score):
+/// the caller then runs full_engine.
+template <class Gap, class Scoring, stage::sequence_view QV,
+          stage::sequence_view SV>
+doubling_result doubling_global_into(const QV& q, const SV& s,
+                                     const Gap& gap, const Scoring& scoring,
+                                     workspace& ws, alignment_result& out) {
+  const index_t n = q.size(), m = s.size();
+  const std::int64_t smax = scoring.max_subst();
+  doubling_result r;
+  if (n == 0 || m == 0 || smax < 0 || gap.open() > 0 || gap.extend() > 0)
+    return r;
+  const std::int64_t d_end = m - n;
+  const auto bound = [&](std::int64_t g) {
+    return (n + m - g) / 2 * smax + g * gap.extend() + 2 * gap.open();
+  };
+  for (index_t radius = kDoublingRadius;; radius *= 2) {
+    const band b = band::around_main(n, m, radius);
+    if (!doubling_admits(m, b)) return r;
+    ++r.passes;
+    const auto certify = [&](score_t score) {
+      return (b.hi >= m || score > bound(2 * (b.hi + 1) - d_end)) &&
+             (b.lo <= -n || score > bound(2 * (1 - b.lo) + d_end));
+    };
+    if (detail::banded_pass(q, s, gap, scoring, b, true, ws, out, certify)) {
+      out.cells = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(m);
+      r.certified = true;
+      return r;
+    }
   }
 }
 
@@ -143,6 +256,10 @@ template <class Gap, class Scoring, stage::sequence_view QV,
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq {
+using v_scalar::doubling_global_into;
+using v_scalar::doubling_plan_bytes;
+using v_scalar::doubling_result;
+using v_scalar::kDoublingRadius;
 using v_scalar::banded_global;
 using v_scalar::banded_global_into;
 using v_scalar::banded_global_score;

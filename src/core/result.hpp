@@ -70,11 +70,11 @@ struct score_result {
 /// int16 chunks wider than one lane: uniform, sub-width tail and
 /// lane-padded ragged, plus striped single pairs); the scalar variant's
 /// width-1 narrow chunks count only as int8/int16 pairs.  `scalar_pairs`
-/// counts int32 rolling-engine pairs, escalations included.  Shared by
-/// every engine
-/// variant — this type crosses the `engine::ops` dispatch boundary
-/// (batch_scores' stats out-param) and therefore must not live in a
-/// per-target header.
+/// counts int32 rolling-engine pairs, escalations included.  Traceback
+/// batches fill only `banded_pairs` and `band_passes`.  Shared by every
+/// engine variant — this type crosses the `engine::ops` dispatch
+/// boundary (batch_scores' and batch_align's stats out-param) and
+/// therefore must not live in a per-target header.
 struct batch_stats {
   std::uint64_t simd_pairs = 0;
   std::uint64_t scalar_pairs = 0;
@@ -93,6 +93,11 @@ struct batch_stats {
   /// W*nbar*mbar - sum(n_l*m_l) over the live lanes — ragged lanes'
   /// padding plus a sub-width tail's dead lanes.
   std::uint64_t padded_cells = 0;
+  /// Traceback pairs whose global alignment a band-doubling pass
+  /// certified exact (core/banded.hpp); the rest ran the full matrix.
+  std::uint64_t banded_pairs = 0;
+  /// Band passes the traceback pairs ran, certified or not.
+  std::uint64_t band_passes = 0;
 };
 
 /// Tile accounting of the most recent dynamic/static wavefront run (the

@@ -6,6 +6,7 @@
 /// ```
 ///   template<class S, class C> S subst(C q, C s) const;   // lane-generic
 ///   score_t max_abs_unit() const;                          // 16-bit bound
+///   score_t max_subst() const;                 // band-doubling bound
 /// ```
 /// `S` is the score value type (scalar or SIMD pack), `C` the character
 /// value type of matching width.  The paper builds these with
@@ -39,6 +40,11 @@ struct simple_scoring {
   /// Largest |score| a single column can contribute (16-bit range check).
   [[nodiscard]] constexpr score_t max_abs_unit() const noexcept {
     return std::max(std::abs(match), std::abs(mismatch));
+  }
+
+  /// Largest substitution score (the band-doubling score bound).
+  [[nodiscard]] constexpr score_t max_subst() const noexcept {
+    return std::max(match, mismatch);
   }
 };
 
@@ -76,6 +82,10 @@ struct matrix_scoring {
     score_t m = 0;
     for (score_t v : table) m = std::max(m, std::abs(v));
     return m;
+  }
+
+  [[nodiscard]] constexpr score_t max_subst() const noexcept {
+    return *std::max_element(table.begin(), table.end());
   }
 };
 

@@ -92,6 +92,8 @@ service_stats service_group::stats() const {
     out.batch_ragged_pairs += s.batch_ragged_pairs;
     out.batch_striped_pairs += s.batch_striped_pairs;
     out.batch_padded_cells += s.batch_padded_cells;
+    out.batch_banded_pairs += s.batch_banded_pairs;
+    out.batch_band_passes += s.batch_band_passes;
     out.cache_hits += s.cache_hits;
     out.cache_misses += s.cache_misses;
     out.deadline_expired += s.deadline_expired;

@@ -1014,18 +1014,17 @@ void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
     // lead result's stamp names it for the whole span.
     note_exec(lead.rt, ws.results.empty() ? nullptr : ws.results[0].variant,
               hi - lo, cells, eng_ns);
-    if (lead.rt == route::batch_score) {
-      const batch_stats bst = ws.eng.last_batch_stats();
-      batch_simd_pairs_.fetch_add(bst.simd_pairs, std::memory_order_relaxed);
-      batch_scalar_pairs_.fetch_add(bst.scalar_pairs,
-                                    std::memory_order_relaxed);
-      batch_ragged_pairs_.fetch_add(bst.ragged_pairs,
-                                    std::memory_order_relaxed);
-      batch_striped_pairs_.fetch_add(bst.striped_pairs,
-                                     std::memory_order_relaxed);
-      batch_padded_cells_.fetch_add(bst.padded_cells,
-                                    std::memory_order_relaxed);
-    }
+    // Each batch route fills only its own fields (score paths or band
+    // doubling), so the sums need no route switch.
+    const batch_stats bst = ws.eng.last_batch_stats();
+    batch_simd_pairs_.fetch_add(bst.simd_pairs, std::memory_order_relaxed);
+    batch_scalar_pairs_.fetch_add(bst.scalar_pairs, std::memory_order_relaxed);
+    batch_ragged_pairs_.fetch_add(bst.ragged_pairs, std::memory_order_relaxed);
+    batch_striped_pairs_.fetch_add(bst.striped_pairs,
+                                   std::memory_order_relaxed);
+    batch_padded_cells_.fetch_add(bst.padded_cells, std::memory_order_relaxed);
+    batch_banded_pairs_.fetch_add(bst.banded_pairs, std::memory_order_relaxed);
+    batch_band_passes_.fetch_add(bst.band_passes, std::memory_order_relaxed);
     ANYSEQ_TRACE_EMIT(exec_batch, ws.items[lo], epoch_ns(eng_t0),
                       static_cast<std::int64_t>(hi - lo));
     for (std::size_t k = 0; k < hi - lo; ++k)
@@ -1245,6 +1244,9 @@ service_stats aligner::stats() const {
       batch_striped_pairs_.load(std::memory_order_relaxed);
   out.batch_padded_cells =
       batch_padded_cells_.load(std::memory_order_relaxed);
+  out.batch_banded_pairs =
+      batch_banded_pairs_.load(std::memory_order_relaxed);
+  out.batch_band_passes = batch_band_passes_.load(std::memory_order_relaxed);
   out.mean_batch_occupancy =
       out.batches > 0 ? static_cast<double>(out.batched_requests) /
                             static_cast<double>(out.batches)

@@ -594,12 +594,15 @@ class aligner {
   std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> batches_{0}, batched_requests_{0};
   // Batch score-path accounting (see telemetry.hpp): summed from the
-  // unit aligner's last_batch_stats after every batch_score run.
+  // unit aligner's last_batch_stats after every batch run (score paths
+  // from batch_score, band doubling from batch_traceback).
   std::atomic<std::uint64_t> batch_simd_pairs_{0};
   std::atomic<std::uint64_t> batch_scalar_pairs_{0};
   std::atomic<std::uint64_t> batch_ragged_pairs_{0};
   std::atomic<std::uint64_t> batch_striped_pairs_{0};
   std::atomic<std::uint64_t> batch_padded_cells_{0};
+  std::atomic<std::uint64_t> batch_banded_pairs_{0};
+  std::atomic<std::uint64_t> batch_band_passes_{0};
   std::atomic<std::size_t> depth_{0};  ///< mirror of queued_total()
   std::atomic<std::int64_t> linger_ns_{0};  ///< effective linger
   /// Per-class completion-latency histograms: the source of every

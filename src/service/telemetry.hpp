@@ -99,6 +99,11 @@ struct service_stats {
   std::uint64_t batch_ragged_pairs = 0;
   std::uint64_t batch_striped_pairs = 0;
   std::uint64_t batch_padded_cells = 0;
+  /// Traceback-batch accounting (aligner::last_batch_stats sums over
+  /// batch_traceback runs): pairs a band-doubling pass certified exact,
+  /// and the band passes run.  Solo tracebacks count toward neither.
+  std::uint64_t batch_banded_pairs = 0;
+  std::uint64_t batch_band_passes = 0;
 
   /// Submit -> completion over both classes, ranked on the bucket-wise
   /// merge of the per-class histograms.

@@ -57,6 +57,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/banded.hpp"
 #include "core/bitpar.hpp"
 #include "core/errors.hpp"
 #include "core/full_engine.hpp"
@@ -95,6 +96,17 @@ struct batch_config {
 /// struct itself is the shared-baseline `anyseq::batch_stats`
 /// (core/result.hpp) — it crosses the engine::ops dispatch boundary.
 using batch_stats = ::anyseq::batch_stats;
+
+/// Arena bytes aligning one (n x m) pair with traceback carves: the full
+/// matrix, or for a global pair the larger of it and the widest
+/// band-doubling pass (the passes and the fallback run one at a time).
+template <align_kind K, class Gap, class Scoring>
+[[nodiscard]] std::size_t traceback_plan_bytes(index_t n, index_t m) {
+  const std::size_t full = full_engine<K, Gap, Scoring>::plan_bytes(n, m);
+  if constexpr (K == align_kind::global)
+    return std::max(full, doubling_plan_bytes(n, m));
+  return full;
+}
 
 /// Arena bytes one chunk pass carves: the h, e and subject-char rows plus
 /// the per-column validity and last-column masks.
@@ -400,28 +412,55 @@ class batch_engine {
   }
 
   /// Align every pair with traceback into caller-sized `out` (order
-  /// preserved), recycling each slot's string capacity.  Multi-threaded
-  /// runs claim pairs off a shared cursor, each worker carving from its
-  /// pooled arena like the score path.
+  /// preserved), recycling each slot's string capacity.  Global pairs
+  /// try band doubling first (core/banded.hpp) and fall back to the full
+  /// matrix; `last_stats()` counts the certified pairs and the band
+  /// passes.  Multi-threaded runs claim pairs off a shared cursor, each
+  /// worker carving from its pooled arena like the score path.
   template <class Pair>
   void align_into(std::span<const Pair> pairs, workspace& ws,
                   std::span<alignment_result> out) {
     ANYSEQ_CHECK(out.size() == pairs.size(),
                  "align_into: out must have one slot per pair");
     stats_ = {};
-    stats_.scalar_pairs = pairs.size();
     std::atomic<std::size_t> next{0};
+    std::mutex stats_mutex;
     const auto align_from = [&](workspace& w) {
       full_engine<K, Gap, Scoring> eng(gap_, scoring_);
+      batch_stats local{};
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < pairs.size();
-           i = next.fetch_add(1, std::memory_order_relaxed))
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        if constexpr (K == align_kind::global) {
+          const doubling_result d = doubling_global_into(
+              pairs[i].q, pairs[i].s, gap_, scoring_, w, out[i]);
+          local.band_passes += static_cast<std::uint64_t>(d.passes);
+          if (d.certified) {
+            ++local.banded_pairs;
+            continue;
+          }
+        }
         eng.align_into(pairs[i].q, pairs[i].s, true, w, out[i]);
+      }
+      std::lock_guard lock(stats_mutex);
+      merge(stats_, local);
     };
-    if (cfg_.threads <= 1 || pairs.size() <= 1)
+    if (cfg_.threads <= 1 || pairs.size() <= 1) {
       align_from(ws);
-    else
-      fan_out(pairs.size(), align_from);
+      return;
+    }
+    std::size_t peak = 0;
+    for (const auto& p : pairs)
+      peak = std::max(peak, traceback_plan_bytes<K, Gap, Scoring>(
+                                p.q.size(), p.s.size()));
+    fan_out(pairs.size(), [&](workspace& w) {
+      // Warm the arena to the batch's largest pair and the builder pool
+      // to one builder before claiming: a worker that claimed nothing in
+      // earlier runs then allocates nothing when it does claim a pair.
+      w.reserve_bytes(peak);
+      { workspace::builder_lease warm(w); }
+      align_from(w);
+    });
   }
 
   /// Score every pair (order preserved).
@@ -588,16 +627,23 @@ class batch_engine {
         }
       }
       std::lock_guard lock(stats_mutex);
-      stats_.simd_pairs += local.simd_pairs;
-      stats_.scalar_pairs += local.scalar_pairs;
-      stats_.int8_pairs += local.int8_pairs;
-      stats_.int16_pairs += local.int16_pairs;
-      stats_.bitpar_pairs += local.bitpar_pairs;
-      stats_.escalated_pairs += local.escalated_pairs;
-      stats_.ragged_pairs += local.ragged_pairs;
-      stats_.striped_pairs += local.striped_pairs;
-      stats_.padded_cells += local.padded_cells;
+      merge(stats_, local);
     });
+  }
+
+  /// Fold one worker's accounting into the run's.
+  static void merge(batch_stats& into, const batch_stats& from) noexcept {
+    into.simd_pairs += from.simd_pairs;
+    into.scalar_pairs += from.scalar_pairs;
+    into.int8_pairs += from.int8_pairs;
+    into.int16_pairs += from.int16_pairs;
+    into.bitpar_pairs += from.bitpar_pairs;
+    into.escalated_pairs += from.escalated_pairs;
+    into.ragged_pairs += from.ragged_pairs;
+    into.striped_pairs += from.striped_pairs;
+    into.padded_cells += from.padded_cells;
+    into.banded_pairs += from.banded_pairs;
+    into.band_passes += from.band_passes;
   }
 
   template <class Pair, class Sink>
@@ -732,6 +778,7 @@ using v_scalar::tiled::batch_stats;
 using v_scalar::tiled::pair_view;
 using v_scalar::tiled::ragged_chunk_plan_bytes;
 using v_scalar::tiled::ragged_chunk_score;
+using v_scalar::tiled::traceback_plan_bytes;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
 

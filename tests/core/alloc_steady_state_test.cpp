@@ -483,6 +483,85 @@ TEST(AllocSteadyState, BatchTracebackMultiThreadedSteadyState) {
   EXPECT_EQ(n, 0u) << "multi-threaded batch traceback allocated";
 }
 
+/// A 150 bp pair whose global traceback band doubling certifies only
+/// after doubling at least once (checked, so the cases below keep
+/// covering a doubled pass).
+std::pair<std::vector<char_t>, std::vector<char_t>> doubling_pair(
+    std::uint64_t seed) {
+  auto q = test::random_codes(150, seed);
+  auto s = test::mutate(q, seed + 1, 0.10, 0.05);  // ~15% edits
+  workspace ws;
+  alignment_result r;
+  const doubling_result d = doubling_global_into(
+      view(q), view(s), test::paper_affine, test::paper_scoring, ws, r);
+  EXPECT_TRUE(d.certified && d.passes >= 2) << "seed " << seed;
+  return {std::move(q), std::move(s)};
+}
+
+TEST(AllocSteadyState, GlobalTracebackBandDoublingLonePair) {
+  // A doubled certified pair and an unrelated pair that runs every band
+  // pass and then the full matrix: reserve() covers the widest pass and
+  // the fallback, so the arena never grows, and warm calls allocate
+  // nothing.
+  const auto [q, s] = doubling_pair(1800);
+  const auto u = test::random_codes(150, 1802);
+  align_options o = serial_opts();
+  o.want_alignment = true;
+  o.gap_open = -2;
+  aligner a(o);
+  ASSERT_STREQ(a.plan(150, 150).route, "full_matrix");
+  a.reserve(160, 160);
+  const std::size_t reserved = a.workspace_bytes();
+  alignment_result out;
+  a.align_into(view(q), view(s), out);  // warms the string buffers
+  a.align_into(view(q), view(u), out);
+  EXPECT_EQ(a.workspace_bytes(), reserved)
+      << "plan_bytes under-estimated the band passes or the fallback";
+  const auto n = allocs_during([&] {
+    for (int i = 0; i < 5; ++i) {
+      a.align_into(view(q), view(s), out);
+      a.align_into(view(q), view(u), out);
+    }
+  });
+  EXPECT_EQ(n, 0u) << "band-doubling traceback allocated in steady state";
+}
+
+TEST(AllocSteadyState, BatchTracebackBandDoublingMultiThreaded) {
+  // threads = 2 traceback batch mixing first-band, doubled and
+  // fallback pairs: each worker warms its arena to the batch's largest
+  // pair before claiming any, so warm runs allocate nothing however the
+  // workers split the pairs.
+  std::vector<std::vector<char_t>> qs, ss;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    qs.push_back(test::random_codes(150, 1900 + k));
+    ss.push_back(test::mutate(qs.back(), 1950 + k, 0.02, 0.0));
+    auto [q, s] = doubling_pair(2000 + 2 * k);
+    qs.push_back(std::move(q));
+    ss.push_back(std::move(s));
+  }
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    qs.push_back(test::random_codes(150, 2100 + k));
+    ss.push_back(test::random_codes(150, 2150 + k));
+  }
+  std::vector<seq_pair> pairs;
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  align_options o = serial_opts();
+  o.threads = 2;
+  o.want_alignment = true;
+  o.gap_open = -2;
+  aligner a(o);
+  std::vector<alignment_result> out;
+  for (int i = 0; i < 3; ++i) a.align_batch_into(pairs, out);
+  const batch_stats st = a.last_batch_stats();
+  EXPECT_EQ(st.banded_pairs, 12u);
+  EXPECT_GT(st.band_passes, st.banded_pairs);
+  const auto n = allocs_during([&] {
+    for (int i = 0; i < 5; ++i) a.align_batch_into(pairs, out);
+  });
+  EXPECT_EQ(n, 0u) << "multi-threaded band-doubling batch allocated";
+}
+
 TEST(AllocSteadyState, ReserveMakesFirstScorePassAllocationFree) {
   const auto q = test::random_codes(512, 17);
   const auto s = test::random_codes(480, 18);

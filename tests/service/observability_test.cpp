@@ -216,6 +216,53 @@ TEST(TraceService, GroupDumpIncludesShardBreakdown) {
             std::string::npos);
 }
 
+/// Band doubling in traceback batches surfaces through service_stats,
+/// the router merge and the Prometheus dump.  Every pair is a near-copy,
+/// certified in the first band, so each request the batch_traceback
+/// route executed is one banded pair and one band pass — however the
+/// batcher happened to coalesce them.
+TEST(TraceService, TracebackBatchesReportBandDoubling) {
+  service_group::config cfg;
+  cfg.shards = 2;
+  cfg.cache_capacity = 0;
+  cfg.shard.max_linger = std::chrono::microseconds(2000);
+  service_group group(cfg);
+  align_options tb;
+  tb.want_alignment = true;
+  tb.threads = 1;
+  std::vector<std::vector<char_t>> qs, ss;
+  for (std::uint64_t k = 0; k < 32; ++k) {
+    qs.push_back(random_codes(150, 300 + k));
+    ss.push_back(test::mutate(qs.back(), 400 + k, 0.02, 0.0));
+  }
+  std::vector<ticket> tickets;
+  for (std::size_t k = 0; k < qs.size(); ++k)
+    tickets.push_back(group.submit(view(qs[k]), view(ss[k]), tb));
+  for (auto& t : tickets) ASSERT_TRUE(t.get().has_alignment);
+  group.shutdown(true);
+
+  const service_stats st = group.stats();
+  std::uint64_t batched = 0;
+  for (std::size_t v = 0; v < n_exec_variants; ++v)
+    batched += st.exec.at[static_cast<std::size_t>(route::batch_traceback)][v]
+                   .requests;
+  EXPECT_EQ(st.batch_banded_pairs, batched);
+  EXPECT_EQ(st.batch_band_passes, batched);
+  std::uint64_t shard_sum = 0;
+  for (std::size_t i = 0; i < group.shard_count(); ++i)
+    shard_sum += group.shard(i).stats().batch_banded_pairs;
+  EXPECT_EQ(shard_sum, st.batch_banded_pairs);
+
+  const std::size_t need = group.dump_metrics(nullptr, 0);
+  std::vector<char> buf(need + 1);
+  EXPECT_EQ(group.dump_metrics(buf.data(), buf.size()), need);
+  const std::string text(buf.data());
+  EXPECT_NE(text.find("anyseq_batch_traceback_band_total{count=\"banded_"
+                      "pairs\"} " +
+                      std::to_string(batched) + "\n"),
+            std::string::npos);
+}
+
 /// p90/p999 surfaced through service_stats and merged router stats.
 TEST(TraceService, PercentileFieldsFilledAndOrdered) {
   service_group::config cfg;
