@@ -4,7 +4,7 @@
 ///   * recursion cutoff of the D&C traceback ("recursion cutoff points")
 ///   * concurrent-queue internals ("the internals of the concurrent
 ///     queue used for scheduling tiles")
-///   * 16-bit vs 32-bit scores inside SIMD blocks
+///   * 16-bit striped tiles vs 32-bit scalar tiles
 ///   * linear-gap specialization vs always-affine machinery (what partial
 ///     evaluation buys over SeqAn/Parasail's generic path)
 
@@ -31,8 +31,9 @@ constexpr affine_gap kAffine{-2, -1};
 json_report* g_report = nullptr;  // set in main
 
 void tile_size_sweep(stage::seq_view a, stage::seq_view b, const args& ar) {
-  std::printf("\n--- ablation: tile size (16-lane blocks, scalar-clone whitebox, linear, scores only) ---\n");
-  std::printf("%8s %12s %10s %10s\n", "tile", "GCUPS", "blocks", "singles");
+  std::printf("\n--- ablation: tile size (16-lane striped tiles, scalar-clone whitebox, linear, scores only) ---\n");
+  std::printf("%8s %12s %10s %10s %8s\n", "tile", "GCUPS", "striped", "int32",
+              "workers");
   const std::uint64_t cells = static_cast<std::uint64_t>(a.size()) * b.size();
   for (index_t tile : {64, 128, 256, 512, 1024}) {
     tiled::tiled_engine<align_kind::global, linear_gap, simple_scoring, 16>
@@ -40,10 +41,15 @@ void tile_size_sweep(stage::seq_view a, stage::seq_view b, const args& ar) {
     const double t = median_seconds(ar.repeats, [&] { (void)eng.score(a, b); });
     const auto st = eng.last_stats();
     g_report->add("tile_size/" + std::to_string(tile), t, 1,
-                  {{"gcups", gcups(cells, t)}});
-    std::printf("%8lld %12.3f %10llu %10llu\n", static_cast<long long>(tile),
-                gcups(cells, t), static_cast<unsigned long long>(st.blocks),
-                static_cast<unsigned long long>(st.singles));
+                  {{"gcups", gcups(cells, t)},
+                   {"striped_tiles", static_cast<double>(st.striped_tiles)},
+                   {"int32_tiles", static_cast<double>(st.int32_tiles)},
+                   {"workers", static_cast<double>(st.workers)}});
+    std::printf("%8lld %12.3f %10llu %10llu %8llu\n",
+                static_cast<long long>(tile), gcups(cells, t),
+                static_cast<unsigned long long>(st.striped_tiles),
+                static_cast<unsigned long long>(st.int32_tiles),
+                static_cast<unsigned long long>(st.workers));
   }
 }
 
@@ -118,7 +124,7 @@ void queue_internals(const args& ar) {
 }
 
 void score_width(stage::seq_view a, stage::seq_view b, const args& ar) {
-  std::printf("\n--- ablation: 16-bit SIMD blocks vs 32-bit scalar tiles ---\n");
+  std::printf("\n--- ablation: 16-bit striped tiles vs 32-bit scalar tiles ---\n");
   std::printf("%-22s %12s\n", "variant", "GCUPS");
   const std::uint64_t cells = static_cast<std::uint64_t>(a.size()) * b.size();
   // Through the public dispatcher: each row is the *native* engine
@@ -128,8 +134,8 @@ void score_width(stage::seq_view a, stage::seq_view b, const args& ar) {
     int lanes;
     const char* label;
   } rows[] = {{1, "32-bit scalar"},
-              {16, "16-bit x16 blocks"},
-              {32, "16-bit x32 blocks"}};
+              {16, "16-bit x16 striped"},
+              {32, "16-bit x32 striped"}};
   for (const auto& r : rows) {
     if (!lanes_runnable_now(r.lanes)) {
       std::printf("%-22s %12s\n", r.label, "skipped");

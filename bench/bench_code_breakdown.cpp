@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   bucket buckets[] = {
       {"shared", {"core", "stage", "anyseq"}, 0},
       {"gpu", {"gpusim"}, 0},
-      {"simd", {"simd", "tiled/simd_block.hpp", "tiled/batch_engine.hpp"}, 0},
+      {"simd", {"simd", "tiled/striped.hpp", "tiled/batch_engine.hpp"}, 0},
       {"scalar-cpu",
        {"parallel", "tiled/tile_kernel.hpp", "tiled/tiled_engine.hpp",
         "tiled/borders.hpp", "tiled/tiled_hirschberg.hpp"},

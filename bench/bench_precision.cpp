@@ -3,12 +3,14 @@
 /// bit-parallel route against the forced-int32 rolling baseline, on the
 /// fig5b-style 150 bp read-pair workload (plus a short-read panel where
 /// the int8 window admits the whole batch), and the global traceback
-/// route (band doubling) on ragged and divergent pairs.  Emits BENCH_precision.json
+/// route (band doubling) on ragged and divergent pairs, and the
+/// long-genome wavefront's threads x tile sweep.  Emits BENCH_precision.json
 /// with per-row GCUPS and speedup-vs-int32 so CI can watch the narrow
 /// routes earn their keep.  The run records the host's core count and
 /// never uses more threads than cores.
 
 #include <algorithm>
+#include <ctime>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
@@ -19,6 +21,7 @@
 
 #include "anyseq/anyseq.hpp"
 #include "bench/harness.hpp"
+#include "bio/datasets.hpp"
 #include "bio/random.hpp"
 #include "bio/read_sim.hpp"
 #include "core/gap.hpp"
@@ -484,6 +487,97 @@ void tb_panel(std::span<const seq_pair> reads,
   print_footer();
 }
 
+/// Wave panel: the long-genome wavefront's threads x tile sweep, global
+/// affine, score-only, through a reused aligner on the dispatched
+/// variant.  Two shapes: `wave` is the genome_long pair (Table I pair 0
+/// at 1/512 scale, 8616 x 9065), `wave_small` the same pair at 1/2048
+/// (2154 x 2266), where a 512 tile leaves a diagonal of 5.  Each row is
+/// one (threads, tile) cell: median, min and max of process CPU and
+/// wall time per call.  `planned` marks the tile the plan derives for
+/// that thread count; derive_tile and DESIGN.md §9 cite these rows.
+/// Threads never exceed the cores.
+void wave_panel(const args& a, int cores) {
+  print_header("long-genome wavefront: threads x tile",
+               "genome_long pair at 1/512 and 1/2048, global affine, "
+               "score-only, dispatched variant");
+  const auto ms = [](const std::vector<double>& v, std::size_t k) {
+    return v[k] * 1e3;
+  };
+  const std::pair<const char*, std::uint64_t> shapes[] = {{"wave", 512},
+                                                          {"wave_small",
+                                                           2048}};
+  for (const auto& [tag, scale] : shapes) {
+    const auto pr = bio::make_pair(0, scale, 1);
+    const stage::seq_view q = pr.a.view(), s = pr.b.view();
+    const std::uint64_t cells = static_cast<std::uint64_t>(q.size()) *
+                                static_cast<std::uint64_t>(s.size());
+    align_options o = paper_opts(affine_gap{-2, -1}, backend::auto_select, 1,
+                                 false);
+    align_options ref = o;
+    ref.exec = backend::scalar;
+    ref.precision = score_precision::int32;
+    const score_t want = align(q, s, ref).score;
+    // About a second of calls per cell.
+    const int calls = std::max(9, 3 * a.repeats) * (scale == 512 ? 1 : 8);
+    for (const int threads : {1, 2, 4}) {
+      if (threads > cores) continue;
+      o.threads = threads;
+      o.tile = 0;
+      const index_t planned = aligner(o).plan(q.size(), s.size()).tile;
+      for (const index_t tile : {index_t{128}, index_t{256}, index_t{512}}) {
+        o.tile = tile;
+        aligner al(o);
+        const std::string v = al.plan(q.size(), s.size()).variant;
+        alignment_result r;
+        al.align_into(q, s, r);  // warm-up: sizes the workspace
+        std::vector<double> cpu, wall;
+        for (int c = 0; c < calls; ++c) {
+          const std::clock_t c0 = std::clock();
+          const stopwatch sw;
+          al.align_into(q, s, r);
+          wall.push_back(sw.seconds());
+          cpu.push_back(static_cast<double>(std::clock() - c0) /
+                        CLOCKS_PER_SEC);
+          if (r.score != want) {
+            std::fprintf(stderr, "bench_precision: %s score %lld != int32 "
+                         "%lld\n", tag, static_cast<long long>(r.score),
+                         static_cast<long long>(want));
+            std::exit(2);
+          }
+        }
+        std::sort(cpu.begin(), cpu.end());
+        std::sort(wall.begin(), wall.end());
+        const std::size_t mid = cpu.size() / 2, last = cpu.size() - 1;
+        const wavefront_stats st = al.last_wavefront_stats();
+        g_report->add(
+            std::string(tag) + "/" + v + "/t" + std::to_string(threads) +
+                "_tile" + std::to_string(tile),
+            wall[mid], 1,
+            {{"cpu_ms", ms(cpu, mid)},
+             {"cpu_ms_min", ms(cpu, 0)},
+             {"cpu_ms_max", ms(cpu, last)},
+             {"wall_ms", ms(wall, mid)},
+             {"wall_ms_min", ms(wall, 0)},
+             {"wall_ms_max", ms(wall, last)},
+             {"cpu_gcups", gcups(cells, cpu[mid])},
+             {"threads", threads},
+             {"tile", static_cast<double>(tile)},
+             {"planned", tile == planned ? 1.0 : 0.0},
+             {"workers", static_cast<double>(st.workers)},
+             {"striped_tiles", static_cast<double>(st.striped_tiles)},
+             {"int32_tiles", static_cast<double>(st.int32_tiles)}},
+            calls);
+        char note[96];
+        std::snprintf(note, sizeof note, "%s t%d tile %lld%s: cpu %.2f ms",
+                      tag, threads, static_cast<long long>(tile),
+                      tile == planned ? " (planned)" : "", ms(cpu, mid));
+        print_row({"wave", v, gcups(cells, wall[mid]), -1.0, note});
+      }
+    }
+  }
+  print_footer();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -565,6 +659,7 @@ int main(int argc, char** argv) {
   for (const auto& p : data35)
     pairs35.push_back({p.first.view(), p.second.view()});
   tb_panel(pairsj, pairs35, a);
+  wave_panel(a, cores);
 
   return report.write(a.out) ? 0 : 1;
 }

@@ -70,25 +70,21 @@ inline int resolve_threads(int threads) {
 }
 
 /// The plan-time tile for an (n x m) problem when `opt.tile` is 0: the
-/// largest of 512, 256, 128 whose 16-bit span fits and whose longest
-/// anti-diagonal fills a block of kLanes tiles — two blocks on one
-/// thread, whose single worker pops whole diagonals.  When none fills,
-/// 128 if its diagonal still reaches the partial-block floor, else 512
-/// (small inputs form no blocks).  The scalar variant keeps 512.  From
-/// the measured sweep in DESIGN.md "Long-genome wavefront".
+/// largest of 512, 256, 128 that runs striped (fits_striped_tile) and
+/// whose longest anti-diagonal holds two tiles per thread, else 128 when
+/// it still runs striped.  The scalar variant, and scores too large for
+/// any striped tile, keep 512.  From the `wave` rows of
+/// BENCH_precision.json (DESIGN.md §9).
 inline index_t derive_tile(index_t n, index_t m, int threads, score_t unit) {
   constexpr index_t kMaxTile = 512, kMinTile = 128;
   if (kLanes == 1) return kMaxTile;
-  const auto usable = [&](index_t t, index_t min_diagonal) {
-    return fits_score_window(t, t, unit, int16_score_window()) &&
-           std::min(stage::tile_count(n, t), stage::tile_count(m, t)) >=
-               min_diagonal;
-  };
-  const index_t fill = threads == 1 ? 2 * kLanes : kLanes;
-  for (index_t t = kMaxTile; t >= kMinTile; t /= 2)
-    if (usable(t, fill)) return t;
-  return usable(kMinTile, parallel::block_floor(kLanes)) ? kMinTile
-                                                         : kMaxTile;
+  for (index_t t = kMaxTile; t > kMinTile; t /= 2)
+    if (tiled::fits_striped_tile(t, t, unit) &&
+        std::min(stage::tile_count(n, t), stage::tile_count(m, t)) >=
+            2 * threads)
+      return t;
+  return tiled::fits_striped_tile(kMinTile, kMinTile, unit) ? kMinTile
+                                                            : kMaxTile;
 }
 
 /// Wavefront configuration of one call, derived once from the top-level

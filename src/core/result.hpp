@@ -101,14 +101,15 @@ struct batch_stats {
 };
 
 /// Tile accounting of the most recent dynamic/static wavefront run (the
-/// tiled score, tiled Hirschberg and locate routes).  Shared baseline
-/// type for the same reason as batch_stats: `aligner` surfaces it.
+/// tiled score, tiled Hirschberg and locate routes; summed over a
+/// traceback's passes).  Shared baseline type for the same reason as
+/// batch_stats: `aligner` surfaces it.
 struct wavefront_stats {
-  std::uint64_t blocks = 0;          ///< SIMD blocks run (full + partial)
-  std::uint64_t partial_blocks = 0;  ///< blocks with dead lanes
-  std::uint64_t live_lanes = 0;      ///< tiles relaxed inside blocks
-  std::uint64_t singles = 0;         ///< tiles relaxed one by one (scalar)
-  std::uint64_t peak_ready = 0;      ///< most tiles queued at once
+  std::uint64_t striped_tiles = 0;  ///< tiles run as one striped int16 pass
+  std::uint64_t int32_tiles = 0;    ///< tiles run exact int32 (scalar
+                                    ///< variant, or past the int16 window)
+  std::uint64_t workers = 0;     ///< threads run, after the diagonal cap
+  std::uint64_t peak_ready = 0;  ///< most tiles queued at once
 };
 
 /// Build a compact CIGAR string (run-length encoded) from gapped strings.

@@ -10,12 +10,13 @@
 
 namespace anyseq {
 
-/// Alignment score.  32-bit externally; SIMD blocks internally use 16-bit
-/// differential scores (see tiled/simd_block.hpp) and widen on exit.
+/// Alignment score.  32-bit externally; striped tiles internally use 16-bit
+/// differential scores (see tiled/striped.hpp) and widen on exit.
 using score_t = std::int32_t;
 
-/// 16-bit score used inside SIMD blocks (paper §IV-A: "we use smaller data
-/// types (e.g. 16 bits for our use cases) for scores within a block").
+/// 16-bit score used inside SIMD kernels (paper §IV-A: "we use smaller
+/// data types (e.g. 16 bits for our use cases) for scores within a
+/// block").
 using score16_t = std::int16_t;
 
 /// Sequence index / DP-matrix coordinate.  64-bit so that the *product*
@@ -32,7 +33,7 @@ using char_t = std::uint8_t;
   return std::numeric_limits<score_t>::min() / 4;
 }
 
-/// 16-bit minus-infinity sentinel used inside SIMD blocks.  Saturating
+/// 16-bit minus-infinity sentinel used inside SIMD kernels.  Saturating
 /// adds keep it pinned (see simd/pack.hpp).
 [[nodiscard]] constexpr score16_t neg_inf16() noexcept {
   return static_cast<score16_t>(-30000);

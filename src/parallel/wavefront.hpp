@@ -6,28 +6,24 @@
 /// Two schedulers execute such grids:
 ///
 ///  * `dynamic_wavefront` — the paper's contribution: ready tiles live in
-///    a thread-safe queue; a worker pops up to `l` tiles at once and
-///    relaxes them as one SIMD block (vectorization *across* independent
-///    tiles) whenever it got at least `block_floor(l)` of them — a
-///    partial block with dead lanes beats that many scalar tiles — and
-///    as scalar singles below the floor.
-///    Several alignments' grids can be in flight simultaneously, which is
-///    where the dynamic scheme shines (Fig. 3 shows 4 alignments).
+///    a thread-safe queue; each worker pops one tile, relaxes it, and
+///    keeps one of the tiles it made ready as its next (the rest go to
+///    the queue).  Several alignments' grids can be in flight
+///    simultaneously (Fig. 3 shows 4 alignments).
 ///
 ///  * `static_wavefront` — the baseline used by the paper's preliminary
 ///    version and by Parasail: tiles are processed anti-diagonal by
 ///    anti-diagonal with a barrier in between; load imbalance on short
 ///    diagonals and the per-diagonal barrier are its downfall (Fig. 6).
 ///
-/// Kernels are passed as objects with
-///   `int batch_width() const`                        — l (1 = scalar only)
-///   `void run_single(tile_coord, int worker)`
-///   `std::size_t run_block(std::span<const tile_coord>, int worker)`
-///        — block_floor(l)..l tiles; returns how many of them ran inside
-///          the SIMD block (the kernel runs the others, e.g. clipped edge
-///          tiles, as singles)
+/// Both run at most as many workers as the grids' longest anti-diagonals
+/// hold tiles (`max_ready_tiles`): more could never all be busy.  SIMD
+/// lives inside a tile (tiled/striped.hpp), so threads own the whole
+/// diagonal.  Kernels are passed as objects with
+///   `bool run(tile_coord, int worker)` — relax one tile; true when it
+///        ran as a striped int16 pass, false for an exact int32 tile
 /// mirroring the paper's composition of iteration strategy and tile code.
-/// `worker` is the scheduler's worker id (0 <= worker < n_threads) so
+/// `worker` is the scheduler's worker id (0 <= worker < workers) so
 /// kernels index into pre-carved per-worker workspace scratch instead of
 /// keeping growth-only thread_local buffers.
 
@@ -194,25 +190,14 @@ class dep_tracker {
 /// (core/result.hpp), re-exported because `aligner` surfaces it.
 using ::anyseq::wavefront_stats;
 
-/// Fold run `o` into the running totals `into` (the peak is a maximum).
+/// Fold run `o` into the running totals `into` (workers and the peak
+/// are maxima).
 inline void accumulate(wavefront_stats& into,
                        const wavefront_stats& o) noexcept {
-  into.blocks += o.blocks;
-  into.partial_blocks += o.partial_blocks;
-  into.live_lanes += o.live_lanes;
-  into.singles += o.singles;
+  into.striped_tiles += o.striped_tiles;
+  into.int32_tiles += o.int32_tiles;
+  into.workers = std::max(into.workers, o.workers);
   into.peak_ready = std::max(into.peak_ready, o.peak_ready);
-}
-
-/// Fewest popped tiles worth one SIMD block of `l` lanes.  A block costs
-/// about the same whatever its live-lane count, so the floor is the
-/// measured break-even (block cost / scalar-tile cost, rounded up) of
-/// relax_tile_block vs relax_tile_scalar at tiles of 128..512 on an
-/// AVX-512BW Xeon: 3.3..4.2 for 32 lanes, 10.2..10.4 for 16 (DESIGN.md
-/// "Long-genome wavefront").  Other widths (the schedulers' tests) only
-/// run full blocks.
-[[nodiscard]] constexpr int block_floor(int l) noexcept {
-  return l >= 32 ? 5 : l == 16 ? 11 : l;
 }
 
 /// Upper bound on the tiles ever queued at once: ready tiles are
@@ -225,23 +210,26 @@ inline void accumulate(wavefront_stats& into,
   return sum;
 }
 
-/// Fold one popped set's outcome into the counters: `live` of `got`
-/// tiles ran inside one SIMD block of `l` lanes, the rest as singles.
-struct stat_counters {
-  std::atomic<std::uint64_t> blocks{0}, partial_blocks{0}, live_lanes{0},
-      singles{0};
+/// Workers one run starts: the requested count, capped at the tiles
+/// the grids' longest anti-diagonals hold (which also keeps a one-tile
+/// problem inline on the caller).
+[[nodiscard]] inline int wavefront_workers(
+    int n_threads, std::span<const grid_dims> grids) noexcept {
+  return static_cast<int>(std::clamp<index_t>(
+      n_threads, 1, std::max<index_t>(1, max_ready_tiles(grids))));
+}
 
-  void add(std::size_t got, std::size_t live, std::size_t l) noexcept {
-    if (live > 0) {
-      blocks.fetch_add(1, std::memory_order_relaxed);
-      if (live < l) partial_blocks.fetch_add(1, std::memory_order_relaxed);
-      live_lanes.fetch_add(live, std::memory_order_relaxed);
-    }
-    if (got > live) singles.fetch_add(got - live, std::memory_order_relaxed);
+/// Per-run tile counts, added once per worker at its exit.
+struct stat_counters {
+  std::atomic<std::uint64_t> striped{0}, int32{0};
+
+  void add(std::uint64_t s, std::uint64_t i) noexcept {
+    striped.fetch_add(s, std::memory_order_relaxed);
+    int32.fetch_add(i, std::memory_order_relaxed);
   }
-  [[nodiscard]] wavefront_stats snapshot() const noexcept {
-    return {blocks.load(), partial_blocks.load(), live_lanes.load(),
-            singles.load(), 0};
+  [[nodiscard]] wavefront_stats snapshot(int workers) const noexcept {
+    return {striped.load(), int32.load(),
+            static_cast<std::uint64_t>(workers), 0};
   }
 };
 
@@ -249,26 +237,20 @@ struct stat_counters {
 class dynamic_wavefront {
  public:
   /// Arena bytes one workspace-backed run carves (the plan side).
-  [[nodiscard]] static std::size_t plan_bytes(std::span<const grid_dims> grids,
-                                              int n_threads, int l) noexcept {
-    const auto workers = static_cast<std::size_t>(n_threads < 1 ? 1
-                                                                : n_threads);
-    const auto lanes = static_cast<std::size_t>(l < 1 ? 1 : l);
+  [[nodiscard]] static std::size_t plan_bytes(
+      std::span<const grid_dims> grids) noexcept {
     index_t total = 0;
     for (const auto& g : grids) total += g.total();
     return dep_tracker::plan_bytes(grids.size(), total) +
            carve_bytes<tile_coord>(
-               static_cast<std::size_t>(max_ready_tiles(grids))) +
-           workers * (carve_bytes<tile_coord>(lanes) +
-                      carve_bytes<tile_coord>(2 * lanes));
+               static_cast<std::size_t>(max_ready_tiles(grids)));
   }
 
   /// Execute the grids' tile DAG.  With `ws` set, the dependency
-  /// counters, the ready-queue ring (max_ready_tiles slots — never
-  /// outgrown, so the queue never migrates to owned storage), and the
-  /// per-worker batch/ready buffers are all carved from the workspace: a
-  /// warm pass performs zero heap allocations.  Without it, the
-  /// scheduler owns throwaway buffers.
+  /// counters and the ready-queue ring (max_ready_tiles slots — never
+  /// outgrown, so the queue never migrates to owned storage) are carved
+  /// from the workspace: a warm pass performs zero heap allocations.
+  /// Without it, the scheduler owns throwaway buffers.
   template <class Kernel>
   static wavefront_stats run(int n_threads,
                              std::span<const grid_dims> grids,
@@ -277,30 +259,17 @@ class dynamic_wavefront {
     const index_t total = deps.total_tiles();
     if (total == 0) return {};
 
-    const std::size_t l =
-        static_cast<std::size_t>(std::max(1, kernel.batch_width()));
-    const std::size_t floor =
-        static_cast<std::size_t>(block_floor(static_cast<int>(l)));
     const auto slots = static_cast<std::size_t>(max_ready_tiles(grids));
-    // Never more workers than tiles: a one-tile problem runs inline on
-    // the caller instead of spawning (and allocating) idle threads.
-    n_threads = static_cast<int>(
-        std::clamp<index_t>(n_threads, 1, total));
-    const auto workers = static_cast<std::size_t>(n_threads);
+    const int workers = wavefront_workers(n_threads, grids);
 
     mpmc_queue<tile_coord> queue;
-    std::vector<tile_coord> own_scratch;
-    std::span<tile_coord> ring, batch_all, ready_all;
+    std::vector<tile_coord> own_ring;
+    std::span<tile_coord> ring;
     if (ws != nullptr) {
       ring = ws->make<tile_coord>(slots);
-      batch_all = ws->make<tile_coord>(workers * l);
-      ready_all = ws->make<tile_coord>(workers * 2 * l);
     } else {
-      own_scratch.resize(slots + workers * 3 * l);
-      ring = std::span(own_scratch).subspan(0, slots);
-      batch_all = std::span(own_scratch).subspan(slots, workers * l);
-      ready_all =
-          std::span(own_scratch).subspan(slots + workers * l, workers * 2 * l);
+      own_ring.resize(slots);
+      ring = own_ring;
     }
     queue.bind(ring);
     for (std::size_t g = 0; g < grids.size(); ++g)
@@ -310,36 +279,26 @@ class dynamic_wavefront {
     std::atomic<index_t> remaining{total};
     stat_counters stats;
 
-    run_workers(n_threads, [&](int tid) {
-      tile_coord* batch =
-          batch_all.data() + static_cast<std::size_t>(tid) * l;
-      tile_coord* ready =
-          ready_all.data() + static_cast<std::size_t>(tid) * 2 * l;
-      for (;;) {
-        const std::size_t got = queue.pop_n(batch, l);
-        if (got == 0) return;  // closed and drained
+    run_workers(workers, [&](int tid) {
+      std::uint64_t striped = 0, int32 = 0;
+      std::optional<tile_coord> next = queue.pop();
+      while (next.has_value()) {
+        const tile_coord t = *next;
+        ++(kernel.run(t, tid) ? striped : int32);
 
-        std::size_t live = 0;
-        if (l > 1 && got >= floor) {
-          live = kernel.run_block(std::span<const tile_coord>(batch, got),
-                                  tid);
-        } else {
-          for (std::size_t k = 0; k < got; ++k)
-            kernel.run_single(batch[k], tid);
-        }
-        stats.add(got, live, l);
-
+        // Keep the first successor (its borders are hot in this core's
+        // cache) and queue the other.
+        tile_coord ready[2];
         std::size_t n_ready = 0;
-        for (std::size_t k = 0; k < got; ++k)
-          deps.on_finished(batch[k], ready, n_ready);
-        queue.push_many(ready, n_ready);
+        deps.on_finished(t, ready, n_ready);
+        if (n_ready == 2) queue.push(ready[1]);
 
-        if (remaining.fetch_sub(static_cast<index_t>(got)) ==
-            static_cast<index_t>(got))
-          queue.close();  // last tiles done: wake all waiters
+        if (remaining.fetch_sub(1) == 1) queue.close();  // wake all waiters
+        next = n_ready > 0 ? std::optional(ready[0]) : queue.pop();
       }
+      stats.add(striped, int32);
     });
-    wavefront_stats out = stats.snapshot();
+    wavefront_stats out = stats.snapshot(workers);
     out.peak_ready = queue.peak_size();
     return out;
   }
@@ -355,12 +314,9 @@ class static_wavefront {
   [[nodiscard]] static std::size_t plan_bytes(
       std::span<const grid_dims> grids, int n_threads) noexcept {
     const auto workers =
-        static_cast<std::size_t>(n_threads < 1 ? 1 : n_threads);
-    index_t max_diag = 0;
-    for (const auto& g : grids)
-      max_diag = std::max(max_diag, std::min(g.tiles_y, g.tiles_x));
-    return workers *
-           carve_bytes<tile_coord>(static_cast<std::size_t>(max_diag));
+        static_cast<std::size_t>(wavefront_workers(n_threads, grids));
+    return workers * carve_bytes<tile_coord>(
+                         static_cast<std::size_t>(longest_diagonal(grids)));
   }
 
   /// Execute the grids diagonal-by-diagonal.  With `ws` set, the
@@ -371,15 +327,11 @@ class static_wavefront {
   static wavefront_stats run(int n_threads, std::span<const grid_dims> grids,
                              Kernel& kernel, workspace* ws = nullptr) {
     stat_counters stats;
-    const int workers = std::max(1, n_threads);
-    const index_t l = std::max(1, kernel.batch_width());
+    const int workers = wavefront_workers(n_threads, grids);
 
     // Per-worker chunk buffers: a worker's share of one diagonal never
     // exceeds the longest diagonal of any grid.
-    index_t max_diag = 0;
-    for (const auto& gd : grids)
-      max_diag = std::max(max_diag, std::min(gd.tiles_y, gd.tiles_x));
-    const auto stride = static_cast<std::size_t>(max_diag);
+    const auto stride = static_cast<std::size_t>(longest_diagonal(grids));
     std::vector<tile_coord> own_chunks;
     std::span<tile_coord> chunks;
     if (ws != nullptr) {
@@ -401,11 +353,12 @@ class static_wavefront {
       run_workers(workers, [&](int tid) {
         tile_coord* chunk =
             chunks.data() + static_cast<std::size_t>(tid) * stride;
+        std::uint64_t striped = 0, int32 = 0;
         for (index_t d = 0; d < dims.tiles_y + dims.tiles_x - 1; ++d) {
           const index_t ty_lo = d < dims.tiles_x ? 0 : d - dims.tiles_x + 1;
           const index_t ty_hi = d < dims.tiles_y ? d : dims.tiles_y - 1;
           const index_t count = ty_hi - ty_lo + 1;
-          // Chunk the diagonal over workers; chunks of l run as blocks.
+          // Chunk the diagonal over workers.
           const index_t per = (count + workers - 1) / workers;
           const index_t lo = ty_lo + tid * per;
           const index_t hi = std::min(ty_hi + 1, lo + per);
@@ -414,22 +367,23 @@ class static_wavefront {
             chunk[n_chunk++] = {static_cast<std::int32_t>(g),
                                static_cast<std::int32_t>(ty),
                                static_cast<std::int32_t>(d - ty)};
-          const auto lanes = static_cast<std::size_t>(l);
-          index_t i = 0;
-          for (; l > 1 && i + l <= n_chunk; i += l)
-            stats.add(lanes,
-                      kernel.run_block(
-                          std::span<const tile_coord>(chunk + i, lanes), tid),
-                      lanes);
-          for (; i < n_chunk; ++i) {
-            kernel.run_single(chunk[i], tid);
-            stats.add(1, 0, lanes);
-          }
+          for (index_t i = 0; i < n_chunk; ++i)
+            ++(kernel.run(chunk[i], tid) ? striped : int32);
           if (sync.has_value()) sync->arrive_and_wait();
         }
+        stats.add(striped, int32);
       });
     }
-    return stats.snapshot();
+    return stats.snapshot(workers);
+  }
+
+ private:
+  [[nodiscard]] static index_t longest_diagonal(
+      std::span<const grid_dims> grids) noexcept {
+    index_t max_diag = 0;
+    for (const auto& g : grids)
+      max_diag = std::max(max_diag, std::min(g.tiles_y, g.tiles_x));
+    return max_diag;
   }
 };
 
@@ -439,13 +393,13 @@ class static_wavefront {
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq::parallel {
-using v_scalar::parallel::block_floor;
 using v_scalar::parallel::dep_tracker;
 using v_scalar::parallel::dynamic_wavefront;
 using v_scalar::parallel::grid_dims;
 using v_scalar::parallel::max_ready_tiles;
 using v_scalar::parallel::static_wavefront;
 using v_scalar::parallel::tile_coord;
+using v_scalar::parallel::wavefront_workers;
 }  // namespace anyseq::parallel
 #endif  // scalar exports
 

@@ -66,10 +66,6 @@ struct tile_geometry {
     const index_t x = (tx + 1) * tile_w;
     return x < m ? x : m;
   }
-  /// True if the tile has full (unclipped) extents.
-  [[nodiscard]] bool full(index_t ty, index_t tx) const noexcept {
-    return y1(ty) - y0(ty) == tile_h && x1(tx) - x0(tx) == tile_w;
-  }
 
   /// Position of candidate cell (i, j) in the order rolling_score visits
   /// end-cell candidates: row-major for local and extension; the last

@@ -1,10 +1,11 @@
 /// \file striped.hpp
-/// Intra-pair SIMD for one score-only pair: the striped int16 kernel of
-/// Farrar (Bioinformatics 23(2):156, 2007) in the prefix-scan form of
-/// parasail (Daily, BMC Bioinformatics 17:81, 2016).  It serves the pairs
-/// that find no batchmates — a lone request, or a pair the batch planner
-/// cannot put on lanes — which neither inter-sequence SIMD (batch_engine)
-/// nor the tile wavefront can vectorize.
+/// Intra-pair SIMD: the striped int16 kernel of Farrar (Bioinformatics
+/// 23(2):156, 2007) in the prefix-scan form of parasail (Daily, BMC
+/// Bioinformatics 17:81, 2016), one pass per DP tile.  It runs every tile
+/// of the long-genome wavefront that fits the int16 window
+/// (`striped_tile`, tiled_engine.hpp), and the score-only pairs that find
+/// no batchmates — a lone request, or a pair the batch planner cannot put
+/// on lanes (`striped_score`).
 ///
 /// Layout: the query is striped over the W lanes of a
 /// `simd::pack<score16_t, W>`.  With seg = ceil(n / W), vector t holds
@@ -13,7 +14,8 @@
 /// inside one column.  The outer loop runs over subject columns j; per
 /// column:
 ///   1. Pass 1 computes the left gap F(i, j) (rolling_score's `f`) from
-///      the previous column, Ht = max(diag + subst, F) (local: and 0), and
+///      the previous column, Ht = max(diag + subst, F) (local: and the
+///      floor), and
 ///      the in-lane up-gap carry over Ht.
 ///   2. A log2(W)-step prefix max carries that up-gap across lanes,
 ///      decaying by seg * extend per lane.
@@ -21,24 +23,37 @@
 ///      down each lane from the carried value.
 /// This is exact because E depends on Ht only, never on the corrected H:
 ///   E(i) = max_{k<i} (Ht(k) + open + extend + (i - 1 - k) * extend)
-/// (k = 0 being the boundary row H(0, j)), since the E(k) term inside
+/// (k = 0 being the tile's top row), since the E(k) term inside
 /// H(k) = max(Ht(k), E(k)) re-enters as E(k) + open + extend <=
 /// E(k) + extend whenever open <= 0, which validate() guarantees.  There
 /// is no data-dependent loop (unlike the lazy-F variant, whose vertical
 /// gaps in global alignment run the whole column; DESIGN.md §10).
 ///
-/// Bounds: the caller proves fits_score_window(n, m, unit_step,
-/// int16_score_window()), so every real H/E/F value lies in (-28000,
-/// 28000) and the kernel runs unchecked with saturating adds and a
-/// saturating -inf (INT16_MIN).  Rows past n (the padded tail of the
-/// stripe) only feed rows below them, so their clamped garbage never
-/// reaches a real row.
+/// Borders: a pass reads the tile's top H/E row segment, its left H/F
+/// column segment and its corner, and hands back the bottom row, the
+/// right column and the next corner.  Inside the pass every score is an
+/// int16 offset from the corner (paper §IV-A: "only differences to the
+/// global score are relevant"); the local floor (absolute 0) is rebased
+/// the same way.  One function template, striped_pass, runs over a
+/// border policy: `frontier_io` reads and writes a tile of the border
+/// frontier (tiled/borders.hpp) in place; `boundary_io` computes a lone
+/// pair's init_h_row0/init_h_col0 boundary on the fly and keeps only
+/// H(n, m).
 ///
-/// End cells are byte-identical to rolling_score's row-major strict->
-/// order: global (n, m); local/extension keep a per-row running max with
-/// the first j that reached it, then take the smallest row whose max is
-/// the best (extension also ranks row 0 and column 0); semiglobal ranks
-/// the last column by ascending i, then the last row by ascending j.
+/// Bounds: relative to the corner, every real H/E/F value of an h x w
+/// tile lies within (2 max(h, w) + 2) * unit (a path leaves the corner's
+/// row or column at most one gap away from it), so fits_striped_tile
+/// keeps it inside the int16 window; a lone pair's corner is 0 and its
+/// absolute bound fits_score_window(n, m) suffices.  The kernel runs
+/// unchecked with saturating adds and a saturating -inf (INT16_MIN).
+/// Rows past the tile's height (the padded tail of the stripe) only feed
+/// rows below them, so their clamped garbage never reaches a real row.
+///
+/// End cells are byte-identical to rolling_score's order: local and
+/// extension keep a per-row running max with the first column that
+/// reached it and rank the rows' maxima by tile_geometry::rank;
+/// semiglobal ranks the cells it writes on the true last row and column
+/// the same way.  Global reads H(n, m), the corner the last pass closes.
 ///
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
 /// once per engine variant — see simd/foreach_target.hpp)
@@ -84,8 +99,8 @@ inline constexpr int profile_rows<matrix_scoring<A>> = A;
                           std::numeric_limits<score16_t>::max()));
 }
 
-/// Stripe vectors one pass carves: H, the profile, F (affine) and the
-/// per-row running max + its column (local/extension).
+/// Stripe vectors one pass carves per stripe: H, the profile, F (affine)
+/// and the per-row running max + its column (local/extension).
 template <align_kind K, class Gap, class Scoring>
 [[nodiscard]] constexpr std::size_t packs_per_segment() noexcept {
   return 1 + static_cast<std::size_t>(profile_rows<Scoring>) +
@@ -95,73 +110,209 @@ template <align_kind K, class Gap, class Scoring>
 
 }  // namespace striped_detail
 
-/// Arena bytes one striped_score pass carves for an n-row query.
-template <align_kind K, int W, class Gap, class Scoring>
-[[nodiscard]] inline std::size_t striped_plan_bytes(index_t n) noexcept {
-  const auto seg = static_cast<std::size_t>((n + W - 1) / W);
-  return carve_bytes<simd::pack<score16_t, W>>(
-      seg * striped_detail::packs_per_segment<K, Gap, Scoring>());
+/// True if an (h x w) tile runs as one striped int16 pass: its scores,
+/// rebased to the tile's corner, stay inside the int16 window (see the
+/// file comment), and its column index fits an int16 lane.
+[[nodiscard]] constexpr bool fits_striped_tile(index_t h, index_t w,
+                                               score_t unit) noexcept {
+  const index_t side = std::max(h, w);
+  return side <= std::numeric_limits<score16_t>::max() &&
+         fits_score_window(side, side, unit, int16_score_window());
 }
 
-/// Score one (n x m) pair on W int16 lanes.  Precondition: the int16
-/// bound holds (which also implies n, m > 0).  Storage is carved from
-/// `ws` and released on return.
-template <align_kind K, int W, class Gap, class Scoring,
+/// Stripe vectors one pass over a tile of up to `h` rows needs.
+template <align_kind K, int W, class Gap, class Scoring>
+[[nodiscard]] constexpr std::size_t striped_packs(index_t h) noexcept {
+  return static_cast<std::size_t>((h + W - 1) / W) *
+         striped_detail::packs_per_segment<K, Gap, Scoring>();
+}
+
+namespace striped_detail {
+
+/// The borders of tile (ty, tx) of a border frontier, read and written
+/// in place under the frontier's contract (tiled/borders.hpp).
+template <class Gap>
+class frontier_io {
+ public:
+  static constexpr bool kAffine = Gap::kind == gap_kind::affine;
+
+  frontier_io(border_frontier& fr, index_t ty, index_t tx)
+      : fr_(fr), ty_(ty), tx_(tx) {
+    const tile_geometry& g = fr.geometry();
+    y0 = g.y0(ty);
+    x0 = g.x0(tx);
+    n = g.y1(ty) - y0;
+    m = g.x1(tx) - x0;
+    row_h_ = fr.h_row() + x0;
+    row_e_ = kAffine ? fr.e_row() + x0 : nullptr;
+    col_h_ = fr.h_col() + y0;
+    col_f_ = kAffine ? fr.f_col() + y0 : nullptr;
+    h_bottom_left_ = col_h_[n];  // read before the right column lands
+  }
+
+  index_t y0, x0, n, m;  ///< the tile's origin and extents
+
+  [[nodiscard]] const tile_geometry& geometry() const noexcept {
+    return fr_.geometry();
+  }
+  [[nodiscard]] score_t corner() const noexcept {
+    return fr_.corner(ty_, tx_);
+  }
+  /// H/E of the top segment, H/F of the left segment (tile-local index).
+  [[nodiscard]] score_t h_top(index_t j) const noexcept { return row_h_[j]; }
+  [[nodiscard]] score_t e_top(index_t j) const noexcept {
+    return kAffine ? row_e_[j] : neg_inf();
+  }
+  [[nodiscard]] score_t h_left(index_t i) const noexcept { return col_h_[i]; }
+  [[nodiscard]] score_t f_left(index_t i) const noexcept {
+    return kAffine ? col_f_[i] : neg_inf();
+  }
+  /// H(y1, x0): the left segment's last cell, as it was on entry.
+  [[nodiscard]] score_t h_bottom_left() const noexcept {
+    return h_bottom_left_;
+  }
+
+  void bottom(index_t j, score_t h, score_t e) noexcept {
+    row_h_[j] = h;
+    if constexpr (kAffine) row_e_[j] = e;
+  }
+  void right(index_t i, score_t h, score_t f) noexcept {
+    col_h_[i] = h;
+    if constexpr (kAffine) col_f_[i] = f;
+  }
+  static constexpr bool kRight = true;  ///< right() stores something
+  static constexpr bool kGapBorders = kAffine;  ///< E/F borders in and out
+
+  /// Slot x0 of the row belongs to the left neighbour's segment and is
+  /// written only by tile column 0 (so the finished row frontier carries
+  /// H(n, 0) too) — as relax_tile_scalar does; then the next corner.
+  void close(score_t h_corner) noexcept {
+    if (tx_ == 0) {
+      row_h_[0] = h_bottom_left_;
+      if constexpr (kAffine) row_e_[0] = neg_inf();
+    }
+    fr_.corner(ty_ + 1, tx_ + 1) = h_corner;
+  }
+
+ private:
+  border_frontier& fr_;
+  index_t ty_, tx_;
+  score_t* row_h_;
+  score_t* row_e_;
+  score_t* col_h_;
+  score_t* col_f_;
+  score_t h_bottom_left_;
+};
+
+/// The borders of a lone (n x m) pair: its boundary, init_h_row0 and
+/// init_h_col0 with E/F at -inf, computed on the fly.  Nothing is
+/// written back but H(n, m).
+template <align_kind K, class Gap>
+class boundary_io {
+ public:
+  boundary_io(const Gap& gap, index_t n_, index_t m_)
+      : n(n_), m(m_), gap_(gap), g_(n_, m_, n_, m_) {}
+
+  index_t y0 = 0, x0 = 0, n, m;
+  score_t h_nm = 0;  ///< H(n, m), once the pass closed
+
+  [[nodiscard]] const tile_geometry& geometry() const noexcept { return g_; }
+  [[nodiscard]] static score_t corner() noexcept { return 0; }
+  [[nodiscard]] score_t h_top(index_t j) const noexcept {
+    return init_h_row0<K>(j, gap_);
+  }
+  [[nodiscard]] static score_t e_top(index_t) noexcept { return neg_inf(); }
+  [[nodiscard]] score_t h_left(index_t i) const noexcept {
+    return init_h_col0<K>(i, gap_);
+  }
+  [[nodiscard]] static score_t f_left(index_t) noexcept { return neg_inf(); }
+  [[nodiscard]] score_t h_bottom_left() const noexcept { return h_left(n); }
+  static void bottom(index_t, score_t, score_t) noexcept {}
+  static void right(index_t, score_t, score_t) noexcept {}
+  static constexpr bool kRight = false;
+  static constexpr bool kGapBorders = false;  ///< E/F stay -inf
+  void close(score_t h_corner) noexcept { h_nm = h_corner; }
+
+ private:
+  Gap gap_;
+  tile_geometry g_;
+};
+
+/// One striped pass over the tile `io` describes: reads its top/left
+/// borders and corner, hands the bottom row, the right column and the
+/// corner (y1, x1) back to `io`, and returns the tile's ranked best.
+/// `stripes` holds striped_packs(io.n) vectors; the caller proves the
+/// tile's int16 bound.
+template <align_kind K, int W, class Gap, class Scoring, class IO,
           stage::sequence_view QV, stage::sequence_view SV>
-[[nodiscard]] score_result striped_score(const QV& q, const SV& s,
-                                         const Gap& gap,
-                                         const Scoring& scoring,
-                                         workspace& ws) {
+tile_best striped_pass(const QV& q, const SV& s, IO& io, const Gap& gap,
+                       const Scoring& scoring,
+                       simd::pack<score16_t, W>* ANYSEQ_RESTRICT stripes) {
   static_assert(W >= 2 && std::has_single_bit(static_cast<unsigned>(W)),
                 "the stripe needs a power-of-two lane count");
   using P = simd::pack<score16_t, W>;
-  using striped_detail::sat16;
   constexpr bool kAffine = Gap::kind == gap_kind::affine;
-  constexpr int kRows = striped_detail::profile_rows<Scoring>;
+  constexpr int kRows = profile_rows<Scoring>;
   constexpr score16_t kNegInf = std::numeric_limits<score16_t>::min();
-  const index_t n = q.size(), m = s.size();
-  ANYSEQ_ASSERT(fits_score_window(n, m, unit_step(gap, scoring),
-                                  int16_score_window()),
-                "striped_score needs the int16 bound");
+  const tile_geometry& g = io.geometry();
+  const index_t y0 = io.y0, x0 = io.x0, n = io.n, m = io.m;
+
+  // Borders in as int16 offsets from the corner, saturated (-inf lands
+  // on INT16_MIN); every border out is a real score, base + offset.
+  const score_t base = io.corner();
+  const auto in = [base](score_t v) { return sat16(index_t{v} - base); };
+  const auto out = [base](score16_t v) -> score_t { return base + v; };
 
   const index_t seg = (n + W - 1) / W;
   const auto useg = static_cast<std::size_t>(seg);
-  workspace::frame fr(ws);
-  auto block = ws.make<P>(
-      useg * striped_detail::packs_per_segment<K, Gap, Scoring>());
-  P* const h = block.data();
+  P* const h = stripes;
   P* const prof = h + useg;
   P* const fgap = prof + kRows * useg;
   P* const rmax = fgap + (kAffine ? useg : 0);
   P* const rbj = tracks_running_max(K) ? rmax + useg : nullptr;
 
-  // Column 0 and the query profile, stripe by stripe.
-  for (index_t t = 0; t < seg; ++t) {
-    const auto ut = static_cast<std::size_t>(t);
+  // The tile's rows, lane by lane: lane l holds rows l * seg + 1 ..
+  // (l + 1) * seg; rows past n are padding.
+  const auto each_row = [&](auto&& fn) {
     for (int l = 0; l < W; ++l) {
-      const index_t i = l * seg + t + 1;
-      const char_t qc = i <= n ? q[i - 1] : char_t{0};
-      h[ut].v[l] = sat16(init_h_col0<K>(i, gap));
+      const index_t lo = l * seg;
+      const index_t rows = std::min(seg, n - lo);  // a value: the loop
+      for (index_t t = 0; t < rows; ++t)         // bound stays in a register
+        fn(lo + t + 1, static_cast<std::size_t>(t), l);
+    }
+  };
+
+  // The left column and the query profile, stripe by stripe (the lane
+  // loop has a fixed trip count); padding rows start at -inf.
+  for (std::size_t t = 0; t < useg; ++t) {
+    for (int l = 0; l < W; ++l) {
+      const index_t i = l * seg + static_cast<index_t>(t) + 1;
+      const bool real = i <= n;
+      const char_t qc = real ? q[y0 + i - 1] : char_t{0};
+      h[t].v[l] = real ? in(io.h_left(i)) : kNegInf;
+      if constexpr (kAffine)
+        fgap[t].v[l] =
+            IO::kGapBorders && real ? in(io.f_left(i)) : kNegInf;
       if constexpr (kRows == 1) {
-        prof[ut].v[l] = static_cast<score16_t>(qc);
+        prof[t].v[l] = static_cast<score16_t>(qc);
       } else {
         for (int c = 0; c < kRows; ++c)
-          prof[static_cast<std::size_t>(c) * useg + ut].v[l] =
+          prof[static_cast<std::size_t>(c) * useg + t].v[l] =
               sat16(scoring.at(qc, c));
       }
     }
-    if constexpr (kAffine) fgap[ut] = P::broadcast(kNegInf);
     if constexpr (tracks_running_max(K)) {
-      // Column 0 opens every row's running max: H(i, 0) for extension
-      // (rolling ranks it before the row's j >= 1), 0 for local.
-      rmax[ut] = K == align_kind::extension ? h[ut] : P::broadcast(0);
-      rbj[ut] = P::broadcast(0);
+      rmax[t] = P::broadcast(kNegInf);
+      rbj[t] = P::broadcast(0);
     }
   }
 
   const P oe = P::broadcast(sat16(gap.open_extend()));
   const P ext = P::broadcast(sat16(gap.extend()));
-  const P zero = P::broadcast(0);
+  // The local floor, absolute 0, rebased; inactive (-inf) when the
+  // corner sits so far above 0 that no cell of the tile can reach it.
+  const P nu = P::broadcast(K == align_kind::local ? sat16(-index_t{base})
+                                                   : kNegInf);
   // Scan step k adds (2^k * seg) * extend.  A step that feeds a real row
   // spans fewer than n rows, so its decay fits int16 (n * |extend| <
   // 28000); larger decays only reach padded lanes and may clamp.
@@ -170,16 +321,19 @@ template <align_kind K, int W, class Gap, class Scoring,
   for (int k = 0; k < kSteps; ++k)
     decay[k] = P::broadcast(sat16((index_t{1} << k) * seg * gap.extend()));
 
-  // The stripe row of query row n, for the global/semiglobal reads.
+  // The stripe vector and lane of the tile's last row; semiglobal ranks
+  // the cells of the true last row and column.
   const auto tn = static_cast<std::size_t>((n - 1) % seg);
   const int ln = static_cast<int>((n - 1) / seg);
-  score16_t last_row_best = sat16(init_h_col0<K>(n, gap));  // H(n, 0)
-  index_t last_row_j = 0;
+  const bool last_row = y0 + n == g.n, last_col = x0 + m == g.m;
+  tile_best best;
+  if (K == align_kind::semiglobal && last_row)
+    best.consider<K>(io.h_bottom_left(), g.n, x0, g);
 
-  score16_t top_prev = sat16(init_h_row0<K>(0, gap));  // H(0, j - 1)
+  score16_t top_prev = 0;  // H(y0, x0 + j - 1); the corner at j = 1
   for (index_t j = 1; j <= m; ++j) {
-    const score16_t top = sat16(init_h_row0<K>(j, gap));  // H(0, j)
-    const char_t sc = s[j - 1];
+    const score16_t top = in(io.h_top(j));
+    const char_t sc = s[x0 + j - 1];
     const P sv = P::broadcast(static_cast<score16_t>(sc));
     const P* const col = kRows == 1 ? prof : prof + sc * useg;
 
@@ -196,7 +350,7 @@ template <align_kind K, int W, class Gap, class Scoring,
       P sub = col[t];
       if constexpr (kRows == 1) sub = scoring.template subst<P>(sub, sv);
       P ht = vmax(vadd(diag, sub), f);
-      if constexpr (K == align_kind::local) ht = vmax(ht, zero);
+      if constexpr (K == align_kind::local) ht = vmax(ht, nu);
       h[t] = ht;
       carry = vmax(vadd(ht, oe), vadd(carry, ext));
       diag = hp;
@@ -204,18 +358,24 @@ template <align_kind K, int W, class Gap, class Scoring,
 
     // Cross-lane prefix max: lane l's entry E = max over the lanes above
     // it of their carry-out, decayed by seg * extend per lane crossed;
-    // lane 0 enters from the boundary row H(0, j).
+    // lane 0 enters from the top segment, E(y0 + 1) = max(H + open +
+    // extend, E + extend) at row y0.
     P e = simd::vshift_up<1>(
-        carry, sat16(static_cast<index_t>(top) + gap.open_extend()));
+        carry, sat16(std::max<index_t>(top + index_t{gap.open_extend()},
+                                       in(io.e_top(j)) + gap.extend())));
     [&]<int... k>(std::integer_sequence<int, k...>) {
       ((e = vmax(e, vadd(simd::vshift_up<(1 << k)>(e, kNegInf),
                          decay[k]))),
        ...);
     }(std::make_integer_sequence<int, kSteps>{});
 
-    // Pass 2: H = max(Ht, E), E run down each lane.
+    // Pass 2: H = max(Ht, E), E run down each lane; E of the last row
+    // is kept for a bottom segment that carries E.
     const P jv = P::broadcast(static_cast<score16_t>(j));
+    P e_last = e;
     for (std::size_t t = 0; t < useg; ++t) {
+      if constexpr (IO::kGapBorders)
+        if (t == tn) e_last = e;
       const P hv = vmax(h[t], e);
       h[t] = hv;
       if constexpr (tracks_running_max(K)) {
@@ -226,40 +386,80 @@ template <align_kind K, int W, class Gap, class Scoring,
       e = vmax(vadd(hv, oe), vadd(e, ext));
     }
 
-    if constexpr (K == align_kind::semiglobal) {
-      if (h[tn].v[ln] > last_row_best) {
-        last_row_best = h[tn].v[ln];
-        last_row_j = j;
-      }
-    }
+    // Bottom segment out, column by column.
+    const score_t h_last = out(h[tn].v[ln]);
+    io.bottom(j, h_last, out(e_last.v[ln]));
+    if (K == align_kind::semiglobal && last_row)
+      best.consider<K>(h_last, g.n, x0 + j, g);
     top_prev = top;
   }
 
-  const auto at = [&](const P* rows, index_t i) -> score_t {
-    return rows[static_cast<std::size_t>((i - 1) % seg)]
-        .v[static_cast<int>((i - 1) / seg)];
-  };
-  score_result best;
-  if constexpr (K == align_kind::global) {
-    best = {h[tn].v[ln], n, m, 0};
-  } else if constexpr (K == align_kind::semiglobal) {
-    best = {init_h_row0<K>(m, gap), 0, m, 0};
-    for (index_t i = 1; i <= n; ++i)
-      if (at(h, i) > best.score) best = {at(h, i), i, m, 0};
-    if (last_row_best > best.score) best = {last_row_best, n, last_row_j, 0};
-  } else {
-    if constexpr (K == align_kind::local) {
-      best = {0, 0, 0, 0};
-    } else {
-      for (index_t j = 0; j <= m; ++j)  // row 0 ranks first
-        if (init_h_row0<K>(j, gap) > best.score)
-          best = {init_h_row0<K>(j, gap), 0, j, 0};
-    }
-    for (index_t i = 1; i <= n; ++i)
-      if (at(rmax, i) > best.score) best = {at(rmax, i), i, at(rbj, i), 0};
+  // Right segment out, then the corner (y1, x1).
+  if constexpr (IO::kRight || K == align_kind::semiglobal) {
+    each_row([&](index_t i, std::size_t t, int l) {
+      const score_t hv = out(h[t].v[l]);
+      io.right(i, hv, out(fgap[t].v[l]));
+      if (K == align_kind::semiglobal && last_col)
+        best.consider<K>(hv, y0 + i, g.m, g);
+    });
   }
-  best.cells = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(m);
+  io.close(out(h[tn].v[ln]));
+
+  if constexpr (tracks_running_max(K)) {
+    each_row([&](index_t i, std::size_t t, int l) {
+      best.consider<K>(out(rmax[t].v[l]), y0 + i, x0 + rbj[t].v[l], g);
+    });
+  }
   return best;
+}
+
+}  // namespace striped_detail
+
+/// Relax tile (ty, tx) of `fr` as one striped pass on W int16 lanes —
+/// the striped counterpart of relax_tile_scalar, with the same frontier
+/// contract and the same ranked tile_best.  `stripes` holds
+/// striped_packs(tile height) vectors; the caller proves the tile's
+/// int16 bound (fits_striped_tile).
+template <align_kind K, int W, class Gap, class Scoring,
+          stage::sequence_view QV, stage::sequence_view SV>
+tile_best striped_tile(const QV& q, const SV& s, border_frontier& fr,
+                       index_t ty, index_t tx, const Gap& gap,
+                       const Scoring& scoring,
+                       simd::pack<score16_t, W>* stripes) {
+  striped_detail::frontier_io<Gap> io(fr, ty, tx);
+  return striped_detail::striped_pass<K, W>(q, s, io, gap, scoring, stripes);
+}
+
+/// Arena bytes one striped_score pass carves for an n-row query.
+template <align_kind K, int W, class Gap, class Scoring>
+[[nodiscard]] inline std::size_t striped_plan_bytes(index_t n) noexcept {
+  return carve_bytes<simd::pack<score16_t, W>>(
+      striped_packs<K, W, Gap, Scoring>(n));
+}
+
+/// Score one (n x m) pair on W int16 lanes: the striped pass over the
+/// one-tile grid whose borders are the alignment's boundary.
+/// Precondition: fits_score_window(n, m, unit_step, int16 window) (which
+/// also implies n, m > 0).  Storage is carved from `ws` and released on
+/// return.
+template <align_kind K, int W, class Gap, class Scoring,
+          stage::sequence_view QV, stage::sequence_view SV>
+[[nodiscard]] score_result striped_score(const QV& q, const SV& s,
+                                         const Gap& gap,
+                                         const Scoring& scoring,
+                                         workspace& ws) {
+  const index_t n = q.size(), m = s.size();
+  ANYSEQ_ASSERT(fits_score_window(n, m, unit_step(gap, scoring),
+                                  int16_score_window()),
+                "striped_score needs the int16 bound");
+  workspace::frame frame(ws);
+  auto stripes = ws.make<simd::pack<score16_t, W>>(
+      striped_packs<K, W, Gap, Scoring>(n));
+  striped_detail::boundary_io<K, Gap> io(gap, n, m);
+  const tile_best b = striped_detail::striped_pass<K, W>(q, s, io, gap,
+                                                         scoring,
+                                                         stripes.data());
+  return pass_result<K>(io.geometry(), b, gap, io.h_nm);
 }
 
 }  // namespace tiled
@@ -268,8 +468,11 @@ template <align_kind K, int W, class Gap, class Scoring,
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq::tiled {
+using v_scalar::tiled::fits_striped_tile;
+using v_scalar::tiled::striped_packs;
 using v_scalar::tiled::striped_plan_bytes;
 using v_scalar::tiled::striped_score;
+using v_scalar::tiled::striped_tile;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
 

@@ -19,6 +19,7 @@
 
 #include "core/init.hpp"
 #include "core/relax.hpp"
+#include "core/result.hpp"
 #include "stage/views.hpp"
 #include "tiled/borders.hpp"
 
@@ -141,12 +142,39 @@ tile_best relax_tile_scalar(const QV& q, const SV& s, border_frontier& fr,
   return best;
 }
 
+/// The optimum of a finished pass over grid `g`, whose tiles' bests were
+/// merged into `b` and whose last cell H(n, m) is `h_nm`.  Global reads
+/// H(n, m); the other kinds add the boundary candidates no tile sees,
+/// ranked like rolling_score visits them.
+template <align_kind K, class Gap>
+[[nodiscard]] score_result pass_result(const tile_geometry& g, tile_best b,
+                                       const Gap& gap, score_t h_nm) {
+  score_result out;
+  out.cells = static_cast<std::uint64_t>(g.n) * static_cast<std::uint64_t>(g.m);
+  if constexpr (K == align_kind::global) {
+    out.score = h_nm;
+    out.end_i = g.n;
+    out.end_j = g.m;
+    return out;
+  } else if constexpr (K == align_kind::semiglobal) {
+    b.consider<K>(init_h_row0<K>(g.m, gap), 0, g.m, g);  // (0, m)
+    b.consider<K>(init_h_col0<K>(g.n, gap), g.n, 0, g);  // (n, 0)
+  } else {
+    b.consider<K>(0, 0, 0, g);  // the empty alignment / prefix
+  }
+  out.score = b.score;
+  out.end_i = b.i;
+  out.end_j = b.j;
+  return out;
+}
+
 }  // namespace tiled
 }  // namespace ANYSEQ_TARGET_NS
 }  // namespace anyseq
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq::tiled {
+using v_scalar::tiled::pass_result;
 using v_scalar::tiled::relax_tile_scalar;
 using v_scalar::tiled::tile_best;
 using v_scalar::tiled::unit_step;

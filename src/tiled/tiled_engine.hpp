@@ -1,20 +1,20 @@
 /// \file tiled_engine.hpp
 /// Multi-threaded tiled score engine for long sequences — the paper's CPU
 /// backend: dynamic (or static, for the Fig. 6 baseline) wavefront over
-/// the tile grid, scalar tiles or SIMD blocks of up to `Lanes`
-/// independent tiles, border-frontier storage (O(n + m) space).
+/// the tile grid, border-frontier storage (O(n + m) space).  Threads own
+/// the anti-diagonal; SIMD runs inside each tile.
 ///
 /// `Lanes` is the variant's 16-bit lane count: 1 = the scalar variant
-/// (scalar tiles on many threads), 16 = AVX2, 32 = AVX-512BW.  Tile sizes
-/// whose 16-bit differential span does not fit run every tile as an
-/// exact int32 single instead.
+/// (exact int32 tiles on many threads), 16 = AVX2, 32 = AVX-512BW.  On
+/// the vector variants every tile that fits the int16 window
+/// (fits_striped_tile) — clipped edge tiles included — runs as one
+/// striped pass (tiled/striped.hpp); tiles past it run as exact int32
+/// tiles (relax_tile_scalar).
 ///
 /// Plan/execute split: the border frontier and all per-worker tile
-/// scratch (rolling rows + SIMD block rows) are carved from a
+/// scratch (int32 rolling rows + stripe vectors) are carved from a
 /// caller-owned `workspace` on the driving thread before the wavefront
-/// starts — workers only index their pre-carved slice.  This replaces
-/// the old growth-only `static thread_local` buffers (which never
-/// shrank and were duplicated per variant AND per thread).
+/// starts — workers only index their pre-carved slice.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
 /// once per engine variant — see simd/foreach_target.hpp)
@@ -35,7 +35,7 @@
 #include "core/rolling.hpp"
 #include "core/workspace.hpp"
 #include "parallel/wavefront.hpp"
-#include "tiled/simd_block.hpp"
+#include "tiled/striped.hpp"
 #include "tiled/tile_kernel.hpp"
 
 namespace anyseq {
@@ -65,35 +65,25 @@ class tiled_engine {
       throw invalid_argument_error("threads must be >= 1");
     if (gap_.extend() > 0)
       throw invalid_argument_error("gap penalties must be <= 0");
-    // Oversize tiles are not an error: their tiles run as int32 singles.
-    simd_ = Lanes > 1 &&
-            fits_score_window(cfg_.tile_h, cfg_.tile_w,
-                              unit_step(gap_, scoring_),
-                              int16_score_window());
+    // Oversize tiles are not an error: they run as exact int32 tiles.
   }
 
   /// Arena bytes one pass carves for an (n x m) problem (the plan side):
-  /// the border frontier plus per-worker scalar rows and SIMD block rows.
+  /// the border frontier plus per-worker int32 rows and stripes.
   [[nodiscard]] static std::size_t plan_bytes(index_t n, index_t m,
                                               const tiled_config& cfg) {
     if (n == 0 || m == 0) return 0;
     const tile_geometry geom(n, m, cfg.tile_h, cfg.tile_w);
-    const bool affine = Gap::kind == gap_kind::affine;
-    const auto workers = static_cast<std::size_t>(cfg.threads);
-    std::size_t per_worker =
-        2 * carve_bytes<score_t>(static_cast<std::size_t>(cfg.tile_w + 1));
-    if constexpr (Lanes > 1)
-      per_worker += block_scratch<Lanes>::plan_bytes(cfg.tile_w);
     const parallel::grid_dims dims{geom.tiles_y, geom.tiles_x};
+    const auto workers = static_cast<std::size_t>(
+        parallel::wavefront_workers(cfg.threads, std::span(&dims, 1)));
     const std::size_t sched =
         cfg.dynamic_schedule
-            ? parallel::dynamic_wavefront::plan_bytes(std::span(&dims, 1),
-                                                      cfg.threads, Lanes)
+            ? parallel::dynamic_wavefront::plan_bytes(std::span(&dims, 1))
             : parallel::static_wavefront::plan_bytes(std::span(&dims, 1),
                                                      cfg.threads);
-    return border_frontier::plan_bytes(geom, affine) +
-           workers * per_worker +
-           carve_bytes<block_scratch<Lanes>>(workers) + sched;
+    return border_frontier::plan_bytes(geom, Gap::kind == gap_kind::affine) +
+           workers * per_worker_bytes(cfg) + sched;
   }
 
   /// Score-only alignment (any kind), carving from `ws`.
@@ -129,13 +119,44 @@ class tiled_engine {
   }
 
   [[nodiscard]] const tiled_config& config() const noexcept { return cfg_; }
-  /// False when the tile exceeds the 16-bit span: tiles run as singles.
-  [[nodiscard]] bool simd_blocks() const noexcept { return simd_; }
+  /// False when the full tile exceeds the int16 window (or the variant
+  /// is scalar): its tiles run exact int32.
+  [[nodiscard]] bool striped() const noexcept {
+    return Lanes > 1 && fits_striped_tile(cfg_.tile_h, cfg_.tile_w,
+                                          unit_step(gap_, scoring_));
+  }
   [[nodiscard]] parallel::wavefront_stats last_stats() const noexcept {
     return stats_;
   }
 
  private:
+  // Stripe vectors of the variant (a dummy width on the scalar variant,
+  // which never carves them).
+  using stripe_t = simd::pack<score16_t, Lanes == 1 ? 2 : Lanes>;
+
+  /// One worker's scratch: int32 H/E rows of tile_w + 1 cells, and the
+  /// stripes of a tile_h-row striped pass on the vector variants.
+  [[nodiscard]] static std::size_t int32_pitch(const tiled_config& cfg) {
+    return static_cast<std::size_t>(cfg.tile_w + 1);
+  }
+  /// Each worker's stripes start a whole number of 4 KiB pages after
+  /// worker 0's, so every worker sees the same in-page layout.  With a
+  /// packed 3 KiB pitch (tile 512, affine, AVX-512) the column loops of
+  /// workers 1..3 measured 1.6x slower than worker 0's, likely 4K
+  /// aliasing against their own stack slots; page-multiple pitches
+  /// measured level with one thread.
+  [[nodiscard]] static std::size_t stripe_pitch(const tiled_config& cfg) {
+    constexpr std::size_t kPage = 4096 / sizeof(stripe_t);
+    if constexpr (Lanes == 1) return 0;
+    const std::size_t packs =
+        striped_packs<K, Lanes, Gap, Scoring>(cfg.tile_h);
+    return (packs + kPage - 1) / kPage * kPage;
+  }
+  [[nodiscard]] static std::size_t per_worker_bytes(const tiled_config& cfg) {
+    return 2 * carve_bytes<score_t>(int32_pitch(cfg)) +
+           carve_bytes<stripe_t>(stripe_pitch(cfg));
+  }
+
   // Kernel adapter satisfying the wavefront scheduler interface.  All
   // scratch is carved from the pass workspace up front; worker `tid`
   // owns slice `tid` for the duration of the wavefront.
@@ -145,13 +166,11 @@ class tiled_engine {
     const QV& q;
     const SV& s;
     border_frontier& fr;
-    std::span<score_t> h_rows;  ///< threads x (tile_w+1) scalar H scratch
-    std::span<score_t> e_rows;  ///< threads x (tile_w+1) scalar E scratch
-    std::span<block_scratch<Lanes>> blocks;  ///< threads SIMD scratches
+    std::span<score_t> h_rows;    ///< workers x int32_pitch H scratch
+    std::span<score_t> e_rows;    ///< workers x int32_pitch E scratch
+    std::span<stripe_t> stripes;  ///< workers x stripe_pitch vectors
     std::mutex best_mutex;
     tile_best best;
-
-    [[nodiscard]] int batch_width() const { return eng.simd_ ? Lanes : 1; }
 
     void merge(const tile_best& b) {
       if (b.score <= neg_inf() / 2) return;
@@ -159,37 +178,25 @@ class tiled_engine {
       best.merge(b);
     }
 
-    void run_single(parallel::tile_coord t, int tid) {
-      const auto pitch = static_cast<std::size_t>(eng.cfg_.tile_w + 1);
-      score_t* h = h_rows.data() + static_cast<std::size_t>(tid) * pitch;
-      score_t* e = e_rows.data() + static_cast<std::size_t>(tid) * pitch;
-      merge(relax_tile_scalar<K>(q, s, fr, t.ty, t.tx, eng.gap_,
-                                 eng.scoring_, h, e));
-    }
-
-    /// Full tiles run as one (possibly partial) block, clipped edge tiles
-    /// as singles; returns the block's live-lane count.
-    std::size_t run_block(std::span<const parallel::tile_coord> tiles,
-                          int tid) {
-      std::size_t live = 0;
+    bool run(parallel::tile_coord t, int tid) {
+      const auto w = static_cast<std::size_t>(tid);
+      const tiled_config& cfg = eng.cfg_;
       if constexpr (Lanes > 1) {
-        const auto& g = fr.geometry();
-        parallel::tile_coord full[Lanes];
-        for (const auto& t : tiles)
-          if (g.full(t.ty, t.tx)) full[live++] = t;
-        if (live >= static_cast<std::size_t>(parallel::block_floor(Lanes))) {
-          merge(relax_tile_block<K, Gap, Scoring, Lanes>(
-              q, s, fr, full, static_cast<int>(live), eng.gap_,
-              eng.scoring_, blocks[static_cast<std::size_t>(tid)]));
-        } else {
-          live = 0;
+        const tile_geometry& g = fr.geometry();
+        if (fits_striped_tile(g.y1(t.ty) - g.y0(t.ty),
+                              g.x1(t.tx) - g.x0(t.tx),
+                              unit_step(eng.gap_, eng.scoring_))) {
+          merge(striped_tile<K, Lanes>(
+              q, s, fr, t.ty, t.tx, eng.gap_, eng.scoring_,
+              stripes.data() + w * stripe_pitch(cfg)));
+          return true;
         }
-        for (const auto& t : tiles)
-          if (live == 0 || !g.full(t.ty, t.tx)) run_single(t, tid);
-      } else {
-        for (const auto& t : tiles) run_single(t, tid);
       }
-      return live;
+      merge(relax_tile_scalar<K>(q, s, fr, t.ty, t.tx, eng.gap_,
+                                 eng.scoring_,
+                                 h_rows.data() + w * int32_pitch(cfg),
+                                 e_rows.data() + w * int32_pitch(cfg)));
+      return false;
     }
   };
 
@@ -220,44 +227,23 @@ class tiled_engine {
 
     // Per-worker scratch, carved on the driving thread (plan) so the
     // workers never touch the arena (execute).
-    const auto workers = static_cast<std::size_t>(cfg_.threads);
-    const auto pitch = static_cast<std::size_t>(cfg_.tile_w + 1);
-    auto h_rows = ws.make<score_t>(workers * pitch);
-    auto e_rows = ws.make<score_t>(workers * pitch);
-    std::span<block_scratch<Lanes>> blocks;
-    if constexpr (Lanes > 1) {
-      blocks = ws.make<block_scratch<Lanes>>(workers);
-      for (auto& b : blocks) b.bind(ws, cfg_.tile_w);
-    }
-
-    kernel_adapter<QV, SV> kernel{*this, q,      s,  fr, h_rows,
-                                  e_rows, blocks, {}, {}};
     const parallel::grid_dims dims{geom.tiles_y, geom.tiles_x};
+    const auto workers = static_cast<std::size_t>(
+        parallel::wavefront_workers(cfg_.threads, std::span(&dims, 1)));
+    auto h_rows = ws.make<score_t>(workers * int32_pitch(cfg_));
+    auto e_rows = ws.make<score_t>(workers * int32_pitch(cfg_));
+    auto stripes = ws.make<stripe_t>(workers * stripe_pitch(cfg_));
+
+    kernel_adapter<QV, SV> kernel{*this, q, s, fr, h_rows, e_rows, stripes,
+                                  {},    {}};
     stats_ = cfg_.dynamic_schedule
                  ? parallel::dynamic_wavefront::run(
-                       cfg_.threads, std::span(&dims, 1), kernel, &ws)
+                       static_cast<int>(workers), std::span(&dims, 1),
+                       kernel, &ws)
                  : parallel::static_wavefront::run(
-                       cfg_.threads, std::span(&dims, 1), kernel, &ws);
-
-    // Collect the optimum.
-    if constexpr (K == align_kind::global) {
-      out.score = fr.h_row()[m];
-      out.end_i = n;
-      out.end_j = m;
-    } else {
-      // Kernels tracked interior candidates; add the boundary cells they
-      // cannot see, ranked like the serial engine visits them.
-      tile_best b = kernel.best;
-      if constexpr (K == align_kind::semiglobal) {
-        b.consider<K>(init_h_row0<K>(m, gap_), 0, m, geom);  // (0, m)
-        b.consider<K>(h_col0(n), n, 0, geom);                // (n, 0)
-      } else {
-        b.consider<K>(0, 0, 0, geom);  // the empty alignment / prefix
-      }
-      out.score = b.score;
-      out.end_i = b.i;
-      out.end_j = b.j;
-    }
+                       static_cast<int>(workers), std::span(&dims, 1),
+                       kernel, &ws);
+    out = pass_result<K>(geom, kernel.best, gap_, fr.h_row()[m]);
 
     if (hh_out != nullptr) {
       ANYSEQ_CHECK(static_cast<index_t>(hh_out->size()) == m + 1 &&
@@ -305,7 +291,6 @@ class tiled_engine {
   Gap gap_;
   Scoring scoring_;
   tiled_config cfg_;
-  bool simd_ = false;  ///< tiles fit the 16-bit block span
   parallel::wavefront_stats stats_{};
   workspace own_ws_;  ///< backs the one-shot convenience overloads
 };

@@ -230,6 +230,64 @@ TEST(AlignApi, LargeScoresOnALongPairEqualScalarInt32) {
   }
 }
 
+TEST(AlignApi, TilesAtTheInt16WindowEdgeEqualScalarInt32) {
+  // unit 100: a striped tile needs (2 * side + 2) * 100 < 28000, so 138
+  // is the last side that fits and 139 the first past it.  The pair is
+  // related for 600 rows (the diagonal climbs by ~90 a cell, so tile
+  // corners cross the int16 range and the local floor's rebase pins to
+  // -inf) and unrelated after (local scores hug 0, so the floor fires).
+  const auto head = test::random_codes(600, 83);
+  auto q = head;
+  auto s = test::mutate(head, 84, 0.03, 0.01);
+  const auto q_tail = test::random_codes(400, 85);
+  const auto s_tail = test::random_codes(420, 86);
+  q.insert(q.end(), q_tail.begin(), q_tail.end());
+  s.insert(s.end(), s_tail.begin(), s_tail.end());
+  const auto n = static_cast<index_t>(q.size());
+  const auto m = static_cast<index_t>(s.size());
+  for (const align_kind k : {align_kind::global, align_kind::local}) {
+    align_options ref;
+    ref.kind = k;
+    ref.match = 100;
+    ref.mismatch = -100;
+    ref.gap_open = 0;
+    ref.gap_extend = -100;
+    ref.exec = backend::scalar;
+    ref.precision = score_precision::int32;
+    const auto want = align(view(q), view(s), ref);
+    for (backend b : {backend::simd_avx2, backend::simd_avx512}) {
+      if (!test::backend_runnable(b)) continue;
+      for (index_t tile : {index_t{138}, index_t{139}}) {
+        align_options opt = ref;
+        opt.exec = b;
+        opt.precision = score_precision::auto_select;
+        opt.threads = 2;
+        opt.tile = tile;
+        aligner a(opt);
+        ASSERT_STREQ(a.plan(n, m).route, "tiled_score");
+        const auto got = a.align(view(q), view(s));
+        SCOPED_TRACE(::testing::Message() << to_string(b) << " "
+                                          << to_string(k) << " tile " << tile);
+        EXPECT_EQ(got.score, want.score);
+        EXPECT_EQ(got.q_end, want.q_end);
+        EXPECT_EQ(got.s_end, want.s_end);
+        const wavefront_stats st = a.last_wavefront_stats();
+        const auto count = [tile](index_t len) {
+          return static_cast<std::uint64_t>((len + tile - 1) / tile);
+        };
+        EXPECT_EQ(st.striped_tiles + st.int32_tiles, count(n) * count(m));
+        if (tile == 138) {
+          EXPECT_EQ(st.int32_tiles, 0u);
+        } else {
+          // Only the corner tile, clipped below 139 on both sides, fits.
+          EXPECT_EQ(st.striped_tiles, n % tile != 0 && m % tile != 0 ? 1u : 0u);
+          EXPECT_GT(st.int32_tiles, 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(AlignApi, BatchMatchesSingleAlignments) {
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<seq_pair> pairs;

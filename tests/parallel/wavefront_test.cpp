@@ -8,26 +8,20 @@
 namespace anyseq::parallel {
 namespace {
 
-/// Kernel that records execution order and asserts dependencies.
+/// Kernel that records execution order and asserts dependencies.  It
+/// reports the tiles on even anti-diagonals as striped, the rest as
+/// int32.
 struct recording_kernel {
-  int l = 1;
   std::mutex m;
   std::map<std::tuple<int, int, int>, int> order;
   int counter = 0;
-  std::uint64_t batched_tiles = 0;
+  int max_worker = -1;
 
-  int batch_width() const { return l; }
-
-  void note(tile_coord t) {
+  bool run(tile_coord t, int worker) {
     std::lock_guard lock(m);
     order[{t.grid, t.ty, t.tx}] = counter++;
-  }
-  void run_single(tile_coord t, int /*worker*/) { note(t); }
-  std::size_t run_block(std::span<const tile_coord> tiles, int /*worker*/) {
-    for (const auto& t : tiles) note(t);
-    std::lock_guard lock(m);
-    batched_tiles += tiles.size();
-    return tiles.size();
+    max_worker = std::max(max_worker, worker);
+    return (t.ty + t.tx) % 2 == 0;
   }
 
   void verify_dependencies(std::span<const grid_dims> grids) {
@@ -113,7 +107,7 @@ TEST_P(WavefrontBoth, EmptyGridListIsNoop) {
   recording_kernel k;
   auto stats = run_scheduler(GetParam(), 2, {}, k);
   EXPECT_EQ(k.counter, 0);
-  EXPECT_EQ(stats.blocks + stats.singles, 0u);
+  EXPECT_EQ(stats.striped_tiles + stats.int32_tiles, 0u);
 }
 
 TEST_P(WavefrontBoth, OneByOneGrid) {
@@ -126,10 +120,25 @@ TEST_P(WavefrontBoth, OneByOneGrid) {
 TEST_P(WavefrontBoth, StatsAccountForEveryTile) {
   const grid_dims g{8, 8};
   recording_kernel k;
-  k.l = 4;
   auto stats = run_scheduler(GetParam(), 2, std::span(&g, 1), k);
-  EXPECT_EQ(stats.blocks * 4 + stats.singles, 64u);
+  EXPECT_EQ(stats.striped_tiles, 32u);  // the even anti-diagonals
+  EXPECT_EQ(stats.int32_tiles, 32u);
+  EXPECT_EQ(stats.workers, 2u);
   k.verify_dependencies(std::span(&g, 1));
+}
+
+TEST_P(WavefrontBoth, WorkersCappedAtTheLongestDiagonal) {
+  // More workers than a diagonal holds could never all be busy.
+  const std::vector<std::pair<grid_dims, std::uint64_t>> cases = {
+      {{1, 40}, 1}, {{2, 50}, 2}, {{9, 9}, 4}, {{40, 3}, 3}};
+  for (const auto& [g, want] : cases) {
+    recording_kernel k;
+    const auto stats = run_scheduler(GetParam(), 4, std::span(&g, 1), k);
+    EXPECT_EQ(stats.workers, want) << g.tiles_y << "x" << g.tiles_x;
+    EXPECT_LT(k.max_worker, static_cast<int>(want));
+    EXPECT_EQ(stats.striped_tiles + stats.int32_tiles,
+              static_cast<std::uint64_t>(g.total()));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(DynamicAndStatic, WavefrontBoth,
@@ -138,17 +147,6 @@ INSTANTIATE_TEST_SUITE_P(DynamicAndStatic, WavefrontBoth,
                            return info.param ? "dynamic" : "static";
                          });
 
-TEST(DynamicWavefront, BatchesFormWhenManyGridsInFlight) {
-  // With many small grids the queue holds >= l independent tiles most of
-  // the time, so vector blocks must form (paper Fig. 3).
-  std::vector<grid_dims> grids(16, grid_dims{4, 4});
-  recording_kernel k;
-  k.l = 4;
-  auto stats = dynamic_wavefront::run(2, std::span(grids), k);
-  EXPECT_GT(stats.blocks, 0u);
-  EXPECT_EQ(stats.blocks * 4 + stats.singles, 16u * 16u);
-}
-
 TEST(DynamicWavefront, ReadyRingBoundedByTheAntichain) {
   // Ready tiles are pairwise incomparable, so the queue never holds more
   // than the longest anti-diagonal of each grid — the ring's size — and
@@ -156,32 +154,14 @@ TEST(DynamicWavefront, ReadyRingBoundedByTheAntichain) {
   const std::vector<std::vector<grid_dims>> shapes = {
       {{17, 18}}, {{1, 40}}, {{40, 1}}, {{9, 9}}, {{3, 5}, {4, 4}, {6, 2}}};
   for (const auto& grids : shapes)
-    for (int threads : {1, 2, 4, 8})
-      for (int l : {1, 4}) {
-        recording_kernel k;
-        k.l = l;
-        const auto stats = dynamic_wavefront::run(threads, std::span(grids), k);
-        EXPECT_LE(stats.peak_ready,
-                  static_cast<std::uint64_t>(max_ready_tiles(grids)))
-            << "threads " << threads << " l " << l;
-        EXPECT_GT(stats.peak_ready, 0u);
-      }
-}
-
-TEST(DynamicWavefront, PartialBlocksAboveTheFloor) {
-  // A 32-lane kernel on a grid whose diagonals never hold 32 tiles: pops
-  // of at least block_floor(32) tiles still run as (partial) blocks.
-  const grid_dims g{8, 8};
-  recording_kernel k;
-  k.l = 32;
-  const auto stats = dynamic_wavefront::run(1, std::span(&g, 1), k);
-  EXPECT_GT(stats.partial_blocks, 0u);
-  EXPECT_EQ(stats.blocks, stats.partial_blocks);
-  EXPECT_EQ(stats.live_lanes + stats.singles, 64u);
-  EXPECT_EQ(stats.live_lanes, k.batched_tiles);
-  EXPECT_GE(stats.live_lanes,
-            stats.blocks * static_cast<std::uint64_t>(block_floor(32)));
-  k.verify_dependencies(std::span(&g, 1));
+    for (int threads : {1, 2, 4, 8}) {
+      recording_kernel k;
+      const auto stats = dynamic_wavefront::run(threads, std::span(grids), k);
+      EXPECT_LE(stats.peak_ready,
+                static_cast<std::uint64_t>(max_ready_tiles(grids)))
+          << "threads " << threads;
+      EXPECT_GT(stats.peak_ready, 0u);
+    }
 }
 
 }  // namespace

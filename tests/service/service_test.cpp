@@ -273,10 +273,12 @@ class ServiceBackpressure : public ::testing::Test {
   }
 
   /// Submit the wedge (a large, slow alignment) and wait until it is
-  /// executing and the next batch is parked on the workspace gate.
+  /// executing and the next batch is parked on the workspace gate.  It
+  /// must outlast the 20 ms deadline below: 24000 x 24000 runs ~45 ms on
+  /// four AVX-512 cores with striped tiles.
   ticket wedge(aligner& svc) {
-    slow_q = random_codes(12000, 14);
-    slow_s = random_codes(12000, 15);
+    slow_q = random_codes(24000, 14);
+    slow_s = random_codes(24000, 15);
     auto t = svc.submit(view(slow_q), view(slow_s));
     EXPECT_TRUE(stats_become(
         svc, [](const service_stats& s) { return s.in_flight_batches == 1; }));

@@ -103,9 +103,10 @@ TEST(TileGeometry, ClippingAndFullness) {
   tile_geometry g(10, 13, 4, 5);
   EXPECT_EQ(g.tiles_y, 3);
   EXPECT_EQ(g.tiles_x, 3);
-  EXPECT_TRUE(g.full(0, 0));
-  EXPECT_FALSE(g.full(2, 0));  // rows 8..10: height 2
-  EXPECT_FALSE(g.full(0, 2));  // cols 10..13: width 3
+  EXPECT_EQ(g.y1(0) - g.y0(0), 4);  // full
+  EXPECT_EQ(g.x1(0) - g.x0(0), 5);
+  EXPECT_EQ(g.y1(2) - g.y0(2), 2);  // rows 8..10: height 2
+  EXPECT_EQ(g.x1(2) - g.x0(2), 3);  // cols 10..13: width 3
   EXPECT_EQ(g.y1(2), 10);
   EXPECT_EQ(g.x1(2), 13);
 }

@@ -135,23 +135,23 @@ TEST(TiledEngine, RejectsBadConfig) {
 }
 
 TEST(TiledEngine, OversizeTilesRunAsExactInt32Singles) {
-  // (tile_h + tile_w) * unit beyond the 16-bit span is not an error: the
-  // tiles run as int32 singles and the result equals the serial pass.
+  // A tile beyond the int16 window is not an error: the tiles run as
+  // exact int32 tiles and the result equals the serial pass.
   auto q = test::random_codes(700, 61);
   auto s = test::mutate(q, 62);
   const simple_scoring sc{100, -100};
   const linear_gap gap{-100};
   tiled_engine<align_kind::local, linear_gap, simple_scoring, 16> eng(
       gap, sc, {256, 256, 2, true});
-  EXPECT_FALSE(eng.simd_blocks());
+  EXPECT_FALSE(eng.striped());
   const auto got = eng.score(view(q), view(s));
   const auto want =
       rolling_score<align_kind::local>(view(q), view(s), gap, sc);
   EXPECT_EQ(got.score, want.score);
   EXPECT_EQ(got.end_i, want.end_i);
   EXPECT_EQ(got.end_j, want.end_j);
-  EXPECT_EQ(eng.last_stats().blocks, 0u);
-  EXPECT_EQ(eng.last_stats().singles,
+  EXPECT_EQ(eng.last_stats().striped_tiles, 0u);
+  EXPECT_EQ(eng.last_stats().int32_tiles,
             static_cast<std::uint64_t>(
                 stage::tile_count(static_cast<index_t>(q.size()), 256) *
                 stage::tile_count(static_cast<index_t>(s.size()), 256)));
@@ -174,19 +174,23 @@ TEST(TiledEngine, LastRowMatchesSerialPass) {
   }
 }
 
-TEST(TiledEngine, SimdBlocksActuallyForm) {
-  // One big alignment with many tiles per diagonal must produce blocks.
-  auto q = test::random_codes(64 * 20, 41);
-  auto s = test::random_codes(64 * 20, 42);
+TEST(TiledEngine, StripedTilesDoTheWork) {
+  // Every tile of a fitting grid, clipped edge tiles included, runs as
+  // one striped pass.
+  auto q = test::random_codes(64 * 20 + 7, 41);
+  auto s = test::random_codes(64 * 20 + 29, 42);
   const simple_scoring sc{2, -1};
   tiled_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
       linear_gap{-1}, sc, {64, 64, 2, true});
+  EXPECT_TRUE(eng.striped());
   (void)eng.score(view(q), view(s));
-  EXPECT_GT(eng.last_stats().blocks, 0u);
+  EXPECT_EQ(eng.last_stats().striped_tiles, 21u * 21u);
+  EXPECT_EQ(eng.last_stats().int32_tiles, 0u);
+  EXPECT_EQ(eng.last_stats().workers, 2u);
 
   // A genome-shaped pair through the public API at default options: the
-  // plan-time tile gives the grid diagonals a block's worth of tiles, and
-  // pops short of a full block still run as partial blocks.
+  // plan-time tile gives each of the 4 workers two tiles of the longest
+  // diagonal, and the vector variants run every tile striped.
   q = test::random_codes(4300, 43);
   s = test::mutate(q, 44);
   align_options opt;
@@ -203,14 +207,14 @@ TEST(TiledEngine, SimdBlocksActuallyForm) {
   const std::uint64_t tiles =
       static_cast<std::uint64_t>(stage::tile_count(plan_n(q), plan.tile) *
                                  stage::tile_count(plan_n(s), plan.tile));
-  EXPECT_EQ(st.live_lanes + st.singles, tiles);
+  EXPECT_EQ(st.striped_tiles + st.int32_tiles, tiles);
+  EXPECT_EQ(st.workers, 4u);
   if (std::string_view(plan.variant) == "scalar") {
     EXPECT_EQ(plan.tile, 512);
-    EXPECT_EQ(st.blocks, 0u);
+    EXPECT_EQ(st.striped_tiles, 0u);
   } else {
-    EXPECT_LT(plan.tile, 512);
-    EXPECT_GT(st.partial_blocks, 0u);
-    EXPECT_GT(st.live_lanes, st.singles);
+    EXPECT_EQ(plan.tile, 512);  // 9 tiles a diagonal: 2 per worker
+    EXPECT_EQ(st.int32_tiles, 0u);
   }
 }
 
