@@ -8,8 +8,6 @@
 ///   * linear-gap specialization vs always-affine machinery (what partial
 ///     evaluation buys over SeqAn/Parasail's generic path)
 
-#include <atomic>
-
 #include "baselines/libraries.hpp"
 #include "bench/harness.hpp"
 #include "bio/datasets.hpp"
@@ -37,7 +35,7 @@ void tile_size_sweep(stage::seq_view a, stage::seq_view b, const args& ar) {
   const std::uint64_t cells = static_cast<std::uint64_t>(a.size()) * b.size();
   for (index_t tile : {64, 128, 256, 512, 1024}) {
     tiled::tiled_engine<align_kind::global, linear_gap, simple_scoring, 16>
-        eng(kLinear, kScoring, {tile, tile, ar.threads, true});
+        eng(kLinear, kScoring, {tile, tile, ar.threads});
     const double t = median_seconds(ar.repeats, [&] { (void)eng.score(a, b); });
     const auto st = eng.last_stats();
     g_report->add("tile_size/" + std::to_string(tile), t, 1,
@@ -62,7 +60,7 @@ void cutoff_sweep(stage::seq_view a, stage::seq_view b, const args& ar) {
     std::uint64_t relaxed = 0;
     const double t = median_seconds(ar.repeats, [&] {
       auto r = tiled::tiled_hirschberg_align<16>(
-          a, b, kAffine, kScoring, {256, 256, ar.threads, true}, cells);
+          a, b, kAffine, kScoring, {256, 256, ar.threads}, cells);
       relaxed = r.cells;
     });
     g_report->add("dc_cutoff/" + std::to_string(cells), t, 1,
@@ -78,49 +76,20 @@ void queue_internals(const args& ar) {
   std::printf("%-16s %14s\n", "queue", "Mops/s (4 thr)");
   constexpr int kOps = 200000;
 
-  // Container construction (the treiber stack's node-array allocation
-  // in particular) stays outside the timed region: the rows measure
-  // queue *operations*, matching the pre-JSON measurement boundary.
-  const auto median_of = [&](auto&& timed_run) {
-    std::vector<double> times;
-    for (int r = 0; r < std::max(1, ar.repeats); ++r)
-      times.push_back(timed_run());
-    std::sort(times.begin(), times.end());
-    return times[times.size() / 2];
-  };
-  {
-    const double t = median_of([&] {
-      parallel::mpmc_queue<int> q;
-      stopwatch sw;
-      parallel::run_workers(4, [&](int tid) {
-        for (int i = 0; i < kOps; ++i) {
-          q.push(tid * kOps + i);
-          std::vector<int> out;
-          q.try_pop_n(out, 1);
-        }
-      });
-      return sw.seconds();
+  const double t = median_seconds(ar.repeats, [] {
+    parallel::mpmc_queue<int> q;
+    parallel::run_workers(4, [&](int tid) {
+      // Each pop follows the worker's own push, so it never waits for
+      // long: the row measures the lock and condvar round trip.
+      for (int i = 0; i < kOps; ++i) {
+        q.push(tid * kOps + i);
+        (void)q.pop();
+      }
     });
-    g_report->add("queue/mpmc_mutex", t, 4 * kOps,
-                  {{"mops_per_s", 4.0 * kOps / t / 1e6}});
-    std::printf("%-16s %14.2f\n", "mpmc (mutex)", 4.0 * kOps / t / 1e6);
-  }
-  {
-    const double t = median_of([&] {
-      parallel::treiber_stack<int> st(4 * kOps);
-      stopwatch sw;
-      parallel::run_workers(4, [&](int tid) {
-        for (int i = 0; i < kOps; ++i) {
-          (void)st.push(tid * kOps + i);
-          (void)st.try_pop();
-        }
-      });
-      return sw.seconds();
-    });
-    g_report->add("queue/treiber_cas", t, 4 * kOps,
-                  {{"mops_per_s", 4.0 * kOps / t / 1e6}});
-    std::printf("%-16s %14.2f\n", "treiber (CAS)", 4.0 * kOps / t / 1e6);
-  }
+  });
+  g_report->add("queue/mpmc_mutex", t, 4 * kOps,
+                {{"mops_per_s", 4.0 * kOps / t / 1e6}});
+  std::printf("%-16s %14.2f\n", "mpmc (mutex)", 4.0 * kOps / t / 1e6);
 }
 
 void score_width(stage::seq_view a, stage::seq_view b, const args& ar) {
@@ -161,7 +130,7 @@ void specialization_gain(stage::seq_view a, stage::seq_view b,
   const std::uint64_t cells = static_cast<std::uint64_t>(a.size()) * b.size();
   {
     tiled::tiled_engine<align_kind::global, linear_gap, simple_scoring, 16>
-        eng(kLinear, kScoring, {256, 256, ar.threads, true});
+        eng(kLinear, kScoring, {256, 256, ar.threads});
     const double t = median_seconds(ar.repeats, [&] { (void)eng.score(a, b); });
     g_report->add("specialization/linear_kernel", t, 1,
                   {{"gcups", gcups(cells, t)}});

@@ -64,7 +64,7 @@ void BM_TiledScore(benchmark::State& state) {
   const auto n = static_cast<index_t>(state.range(0));
   const auto q = make_seq(n, 5), s = make_seq(n, 6);
   tiled::tiled_engine<align_kind::global, affine_gap, simple_scoring, Lanes>
-      eng(kAffine, kScoring, {256, 256, 1, true});
+      eng(kAffine, kScoring, {256, 256, 1});
   for (auto _ : state) {
     auto r = eng.score(q.view(), s.view());
     benchmark::DoNotOptimize(r.score);

@@ -45,7 +45,7 @@ NM="${NM:-nm}"
 # `workspace::` covers the plan/execute arena (core/workspace.hpp): its
 # carve/frame/builder-pool members and nested classes all demangle with
 # a `workspace::` component.
-ENGINE_RE='tiled_engine|batch_engine|tiled_hirschberg_align|tiled_last_row|relax_tile_scalar|striped_tile|striped_packs|pass_result|border_frontier|tile_geometry|rolling_score|nw_last_row|full_engine|full_align|hirschberg_engine|serial_last_row|hirschberg_align|traceback_walk|alignment_builder|banded_global|locate_align|extension_border_score|workspace::|carve_bytes|rolling_plan_bytes|simd::pack|mpmc_queue|treiber_stack|dep_tracker|dynamic_wavefront|static_wavefront|bitpar_edit_distance|bitpar_plan_bytes|ragged_chunk|striped_score|striped_plan_bytes|striped_detail'
+ENGINE_RE='tiled_engine|batch_engine|tiled_hirschberg_align|tiled_last_row|relax_tile_scalar|striped_tile|striped_packs|pass_result|border_frontier|tile_geometry|rolling_score|nw_last_row|full_engine|full_align|hirschberg_engine|serial_last_row|hirschberg_align|traceback_walk|alignment_builder|banded_global|locate_align|extension_border_score|workspace::|carve_bytes|rolling_plan_bytes|simd::pack|mpmc_queue|dep_tracker|dynamic_wavefront|bitpar_edit_distance|bitpar_plan_bytes|ragged_chunk|striped_score|striped_plan_bytes|striped_detail'
 
 # Loop-free special members of the shared ops-boundary types (rule 4).
 ALLOWED_SHARED_RE='anyseq::(alignment_result|score_result)::|typeinfo (for|name for) anyseq::|vtable for anyseq::|anyseq::(error|invalid_argument_error|unsupported_backend_error|parse_error)::~|std::vector<anyseq::(alignment_result|score_result).*>::~?vector'

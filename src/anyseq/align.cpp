@@ -462,9 +462,14 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
       out.variant = eng.name;
       return;
     }
-    case engine::route_kind::full_matrix:
-      eng.full_align(q, s, opt_, ws, out);
+    case engine::route_kind::full_matrix: {
+      // A one-pair traceback batch: the same band doubling and fallback,
+      // and the same banded_pairs / band_passes accounting.
+      const seq_pair pair{q, s};
+      eng.batch_align(std::span(&pair, 1), opt_, ws, std::span(&out, 1),
+                      &last_batch_stats_);
       return;
+    }
     case engine::route_kind::hirschberg:
       eng.hirschberg_global(q, s, opt_, ws, out);
       last_wavefront_stats_ = eng.last_wavefront(ws);
@@ -484,6 +489,7 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
 
 void aligner::align_into(stage::seq_view q, stage::seq_view s,
                          alignment_result& out) {
+  last_batch_stats_ = {};
   last_wavefront_stats_ = {};
   if (!is_cpu(exec_)) {
     out = simulator_align(q, s, opt_, exec_);
@@ -549,6 +555,7 @@ std::vector<alignment_result> aligner::align_batch(
 
 void aligner::align_banded_into(stage::seq_view q, stage::seq_view s,
                                 band b, alignment_result& out) {
+  last_batch_stats_ = {};
   last_wavefront_stats_ = {};
   if (opt_.kind != align_kind::global)
     throw invalid_argument_error(

@@ -76,7 +76,6 @@ struct align_options {
   /// from the shape, the variant's lane count and the scores (see
   /// `aligner::plan_info::tile`).
   index_t tile = 0;
-  bool dynamic_schedule = true;  ///< false = static wavefront (baseline)
 
   /// Score precision for score-only routes (ignored with tracebacks,
   /// which always accumulate in int32).  `auto_select` picks the
@@ -175,14 +174,14 @@ class aligner {
   void align_batch_into(std::span<const seq_pair> pairs,
                         std::vector<alignment_result>& out);
 
-  /// Path accounting for the most recent batch call on this handle:
-  /// for score batches, how many pairs ran on narrow SIMD lanes (uniform
+  /// Path accounting for the most recent call on this handle: for
+  /// score batches, how many pairs ran on narrow SIMD lanes (uniform
   /// and lane-padded ragged chunks), scalar, bit-parallel, or were
-  /// escalated; for traceback batches, how many global pairs a band
-  /// pass certified (`banded_pairs`) and how many band passes ran
-  /// (`band_passes`).  Zeroed at the start of every
-  /// `align_batch`/`align_batch_into`; stays zero for simulator
-  /// backends.
+  /// escalated; for traceback batches and solo full-matrix tracebacks,
+  /// how many global pairs a band pass certified (`banded_pairs`) and
+  /// how many band passes ran (`band_passes`).  Zeroed at the start of
+  /// every align, batch and banded call; zero for other solo routes and
+  /// for simulator backends.
   [[nodiscard]] batch_stats last_batch_stats() const noexcept {
     return last_batch_stats_;
   }
@@ -246,7 +245,7 @@ class aligner {
   const engine::ops* ops_ = nullptr;        ///< CPU variants only
   void* ws_[3] = {nullptr, nullptr, nullptr};  ///< one arena per variant
   std::vector<score_result> batch_score_scratch_;
-  batch_stats last_batch_stats_{};  ///< filled by the batch score route
+  batch_stats last_batch_stats_{};  ///< filled by batch and full-matrix calls
   wavefront_stats last_wavefront_stats_{};  ///< filled by tiled routes
 };
 

@@ -95,7 +95,7 @@ inline tiled::tiled_config make_tiled_config(const align_options& opt,
   const int threads = resolve_threads(opt.threads);
   const index_t tile =
       opt.tile > 0 ? opt.tile : derive_tile(n, m, threads, score_unit(opt));
-  return {tile, tile, threads, opt.dynamic_schedule};
+  return {tile, tile, threads};
 }
 
 // ---------------------------------------------------------------------
@@ -318,28 +318,6 @@ void hirschberg_global_impl(stage::seq_view q, stage::seq_view s,
   });
 }
 
-void full_align_impl(stage::seq_view q, stage::seq_view s,
-                     const align_options& opt, void* ws,
-                     alignment_result& out) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  with_kind(opt.kind, [&](auto kc) {
-    constexpr align_kind K = decltype(kc)::value;
-    with_gap(opt, [&](auto gap) {
-      with_scoring(opt, [&](const auto& scoring) {
-        using Gap = std::decay_t<decltype(gap)>;
-        using Scoring = std::decay_t<decltype(scoring)>;
-        if (K != align_kind::global ||
-            !doubling_global_into(q, s, gap, scoring, w, out).certified) {
-          full_engine<K, Gap, Scoring> feng(gap, scoring);
-          feng.align_into(q, s, true, w, out);
-        }
-        stamp(out);
-      });
-    });
-  });
-}
-
 void locate_impl(stage::seq_view q, stage::seq_view s,
                  const align_options& opt, void* ws, alignment_result& out) {
   workspace& w = ws_of(ws);
@@ -421,7 +399,10 @@ void batch_align_impl(std::span<const seq_pair> pairs,
   workspace& w = h.main;
   w.begin_pass();
   const int threads = resolve_threads(opt.threads);
-  if (threads > 1 && h.workers.size() < static_cast<std::size_t>(threads))
+  // A one-pair batch (the solo full-matrix route) runs on the main arena
+  // alone, so `reserve()` keeps its first call allocation-free.
+  if (threads > 1 && pairs.size() > 1 &&
+      h.workers.size() < static_cast<std::size_t>(threads))
     h.workers.resize(static_cast<std::size_t>(threads));
   with_kind(opt.kind, [&](auto kc) {
     constexpr align_kind K = decltype(kc)::value;
@@ -461,7 +442,6 @@ void batch_align_impl(std::span<const seq_pair> pairs,
                                            &striped_score_impl,
                                            &precision_score_impl,
                                            &hirschberg_global_impl,
-                                           &full_align_impl,
                                            &locate_impl,
                                            &banded_align_impl,
                                            &batch_scores_impl,

@@ -160,14 +160,6 @@ struct ops {
                             const align_options& opt, void* ws,
                             alignment_result& out);
 
-  /// Full-matrix alignment with traceback (any kind; quadratic memory —
-  /// the caller enforces opt.full_matrix_cells).  Global pairs try band
-  /// doubling first and reach the full matrix only when no band is
-  /// certified (core/banded.hpp).
-  void (*full_align)(stage::seq_view q, stage::seq_view s,
-                     const align_options& opt, void* ws,
-                     alignment_result& out);
-
   /// Linear-space local/semiglobal traceback: locate the aligned region,
   /// then reconstruct it with this variant's Hirschberg engine.
   void (*locate)(stage::seq_view q, stage::seq_view s,
@@ -189,9 +181,11 @@ struct ops {
 
   /// Batch alignment with traceback (order preserved): per-pair
   /// full-matrix alignment compiled inside this variant's namespace,
-  /// global pairs band-doubled first.  `out` is caller-presized to
-  /// pairs.size().  `stats`, when non-null, receives the banded_pairs /
-  /// band_passes accounting (an overwrite, like batch_scores).
+  /// global pairs band-doubled first.  The solo full-matrix route is a
+  /// one-pair call (quadratic memory — the caller enforces
+  /// opt.full_matrix_cells).  `out` is caller-presized to pairs.size().
+  /// `stats`, when non-null, receives the banded_pairs / band_passes
+  /// accounting (an overwrite, like batch_scores).
   void (*batch_align)(std::span<const seq_pair> pairs,
                       const align_options& opt, void* ws,
                       std::span<alignment_result> out, batch_stats* stats);

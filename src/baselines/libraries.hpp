@@ -14,11 +14,12 @@
 ///    with open = 0.  AnySeq's linear-gap specialization (dropping E/F
 ///    entirely) is precisely what partial evaluation buys.
 ///
-///  * `parasail_like` — static per-diagonal wavefront ("Parasail rel[ies]
-///    on the latter strategy", i.e. static scheduling — §V explains its
-///    low long-genome numbers with exactly this) and affine-only scoring
-///    ("Parasail does not explicitly specialize the case of linear gap
-///    penalties").
+///  * `parasail_like` — affine-only scoring ("Parasail does not
+///    explicitly specialize the case of linear gap penalties").  Its
+///    static per-diagonal wavefront ("Parasail rel[ies] on the latter
+///    strategy" — §V explains its low long-genome numbers with exactly
+///    this) is simulated only (schedsim/, Fig. 6); on real threads it
+///    runs the same dynamic wavefront as the library.
 ///
 ///  * `nvbio_like`   — the same GPU work on the simulated device, but a
 ///    less specialized kernel: more issue slots per cell and row spills
@@ -62,7 +63,7 @@ class seqan_like {
 
   [[nodiscard]] score_result score(stage::seq_view q, stage::seq_view s) {
     tiled::tiled_engine<K, affine_gap, simple_scoring, Lanes> eng(
-        gap_, scoring_, {cfg_.tile, cfg_.tile, cfg_.threads, true});
+        gap_, scoring_, {cfg_.tile, cfg_.tile, cfg_.threads});
     return eng.score(q, s);
   }
 
@@ -71,7 +72,7 @@ class seqan_like {
     static_assert(K == align_kind::global,
                   "baseline traceback is exercised on global alignments");
     return tiled::tiled_hirschberg_align<Lanes>(
-        q, s, gap_, scoring_, {cfg_.tile, cfg_.tile, cfg_.threads, true});
+        q, s, gap_, scoring_, {cfg_.tile, cfg_.tile, cfg_.threads});
   }
 
   [[nodiscard]] std::vector<score_t> batch_scores(
@@ -108,7 +109,7 @@ class parasail_like {
   [[nodiscard]] score_result score(stage::seq_view q, stage::seq_view s) {
     tiled::tiled_engine<K, affine_gap, simple_scoring, Lanes> eng(
         gap_, scoring_,
-        {cfg_.tile, cfg_.tile, cfg_.threads, /*dynamic=*/false});
+        {cfg_.tile, cfg_.tile, cfg_.threads});
     return eng.score(q, s);
   }
 
@@ -119,7 +120,7 @@ class parasail_like {
     hirschberg_engine<affine_gap, simple_scoring, lr> eng(
         gap_, scoring_,
         lr{gap_, scoring_,
-           {cfg_.tile, cfg_.tile, cfg_.threads, /*dynamic=*/false}},
+           {cfg_.tile, cfg_.tile, cfg_.threads}},
         {1 << 14});
     return eng.align(q, s);
   }

@@ -100,7 +100,7 @@ struct batch_stats {
   std::uint64_t band_passes = 0;
 };
 
-/// Tile accounting of the most recent dynamic/static wavefront run (the
+/// Tile accounting of the most recent dynamic wavefront run (the
 /// tiled score, tiled Hirschberg and locate routes; summed over a
 /// traceback's passes).  Shared baseline type for the same reason as
 /// batch_stats: `aligner` surfaces it.

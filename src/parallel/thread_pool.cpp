@@ -2,14 +2,38 @@
 
 #include <new>
 
+#if defined(__linux__)
+#include <pthread.h>
+#endif
+
 namespace anyseq::parallel {
+
+namespace {
+/// The pool whose worker_loop runs on this thread; null elsewhere.
+thread_local const thread_pool* tl_worker_pool = nullptr;
+}  // namespace
+
+void name_thread(std::thread& t, const char* name) noexcept {
+#if defined(__linux__)
+  (void)pthread_setname_np(t.native_handle(), name);
+#else
+  (void)t;
+  (void)name;
+#endif
+}
+
+bool thread_pool::on_worker() const noexcept {
+  return tl_worker_pool == this;
+}
 
 thread_pool::thread_pool(int n_threads) {
   const int n = n_threads <= 0 ? hardware_threads() : n_threads;
   ring_.resize(static_cast<std::size_t>(2 * n));  // seed; grows to peak
   workers_.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t)
+  for (int t = 0; t < n; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
+    name_thread(workers_.back(), "anyseq-pool");
+  }
 }
 
 thread_pool::~thread_pool() {
@@ -77,6 +101,7 @@ std::size_t thread_pool::ring_capacity() const {
 }
 
 void thread_pool::worker_loop() {
+  tl_worker_pool = this;
   for (;;) {
     job j;
     {

@@ -36,6 +36,13 @@ namespace anyseq::parallel {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+/// Name thread `t` (its Linux `comm`, at most 15 characters) so an
+/// operator can split CPU by role from /proc/<pid>/task/*/comm.  Called
+/// by the creator right after construction, so the name is set before
+/// anyone can observe the thread.  A no-op where the platform has no
+/// thread names.
+void name_thread(std::thread& t, const char* name) noexcept;
+
 /// Spawn `n` workers running `body(worker_id)` and join them all.
 /// `n == 0` or `n == 1` runs inline on the caller.
 template <class Body>
@@ -86,7 +93,10 @@ class thread_pool {
   /// Blocking parallel loop over [a, b), split into `chunks_per_thread`
   /// chunks per worker for load balance.  Each enqueued chunk job
   /// captures one pointer to a stack-resident control block, so the loop
-  /// itself never allocates through the job ring.
+  /// itself never allocates through the job ring.  Called on one of this
+  /// pool's own workers, the loop runs inline: its chunk jobs would
+  /// otherwise queue behind workers that may all be blocked waiting for
+  /// them.
   template <class Body>
   void parallel_for(index_t a, index_t b, Body&& body,
                     int chunks_per_thread = 4) {
@@ -95,7 +105,7 @@ class thread_pool {
     const index_t n_chunks =
         std::min<index_t>(total, static_cast<index_t>(size()) *
                                      chunks_per_thread);
-    if (n_chunks <= 1) {
+    if (n_chunks <= 1 || on_worker()) {
       for (index_t i = a; i < b; ++i) body(i);
       return;
     }
@@ -174,6 +184,9 @@ class thread_pool {
   static void discard_boxed(job& j) {
     delete static_cast<F*>(j.boxed);
   }
+
+  /// True when the calling thread is one of this pool's workers.
+  [[nodiscard]] bool on_worker() const noexcept;
 
   // Out-of-line (thread_pool.cpp): keeps the ring manipulation out of
   // every including TU — no weak `anyseq::parallel` loop symbols can be

@@ -3,14 +3,14 @@
 /// Discrete-event simulator for wavefront tile scheduling.
 ///
 /// Purpose (DESIGN.md §3): the paper's Fig. 6 compares dynamic vs. static
-/// wavefront thread scaling on a 32-core machine.  This host has one
-/// core, so raw wall-clock scaling cannot be measured — but the *object*
-/// of Fig. 6 is the scheduling policy, and that is fully determined by
-/// the tile DAG, the per-tile cost, and the policy's synchronization
-/// structure.  The simulator replays the exact dependency structure the
-/// real schedulers execute (same grids, same ready rules) on T virtual
-/// cores, using per-tile costs measured from the real kernels, and
-/// reports makespan and parallel efficiency.
+/// wavefront thread scaling on a 32-core machine.  The *object* of Fig. 6
+/// is the scheduling policy, and that is fully determined by the tile
+/// DAG, the per-tile cost, and the policy's synchronization structure.
+/// The simulator replays the dependency structure the real dynamic
+/// scheduler executes (same grid, same ready rule) on T virtual cores,
+/// using per-tile costs measured from the real kernels, and reports
+/// makespan and parallel efficiency.  The static policy exists only
+/// here: the library runs the dynamic wavefront alone.
 ///
 /// Dynamic policy: event-driven list scheduling — a tile may start as
 /// soon as its dependencies finished and a core is free (that is what the
@@ -44,7 +44,8 @@ struct sim_result {
 };
 
 /// Simulate the dynamic wavefront on `cores` virtual cores.  Multiple
-/// grids are in flight simultaneously, as in the real scheduler.
+/// grids are in flight simultaneously (the paper's Fig. 3 case; the
+/// library's scheduler runs one grid per call).
 [[nodiscard]] sim_result simulate_dynamic(
     std::span<const parallel::grid_dims> grids, int cores,
     const sim_params& p);

@@ -55,8 +55,7 @@ bool options_compatible(const align_options& a,
     return false;
   if (a.gap_open != b.gap_open || a.gap_extend != b.gap_extend) return false;
   if (a.exec != b.exec || a.threads != b.threads) return false;
-  if (a.tile != b.tile || a.dynamic_schedule != b.dynamic_schedule)
-    return false;
+  if (a.tile != b.tile) return false;
   // Precision is a dispatch boundary: a forced-int8 batch and a
   // forced-int32 batch must not share an align_batch call, and unit-cost
   // auto batches route through the bit-parallel engine as a group.

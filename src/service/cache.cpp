@@ -52,7 +52,6 @@ template <class T>
   h = fnv1a_value(h, o.exec);
   h = fnv1a_value(h, o.threads);
   h = fnv1a_value(h, o.tile);
-  h = fnv1a_value(h, o.dynamic_schedule);
   h = fnv1a_value(h, o.precision);
   h = fnv1a_value(h, o.full_matrix_cells);
   return h;

@@ -152,7 +152,8 @@ void render_prometheus(const service_stats& s, text_buffer& out) {
       static_cast<u64>(s.batch_padded_cells));
   out.printf(
       "# HELP anyseq_batch_traceback_band_total Band doubling in traceback "
-      "batches: pairs certified exact in a band, and band passes run.\n"
+      "batches and solo full-matrix tracebacks: pairs certified exact in a "
+      "band, and band passes run.\n"
       "# TYPE anyseq_batch_traceback_band_total counter\n"
       "anyseq_batch_traceback_band_total{count=\"banded_pairs\"} %llu\n"
       "anyseq_batch_traceback_band_total{count=\"band_passes\"} %llu\n",

@@ -254,7 +254,11 @@ aligner::aligner(config cfg)
   heartbeat_ns_.store(epoch_ns(clock::now()), std::memory_order_relaxed);
 
   batcher_ = std::thread([this] { batcher_main(0); });
-  if (cfg_.watchdog) watchdog_ = std::thread([this] { watchdog_loop(); });
+  parallel::name_thread(batcher_, "anyseq-batcher");
+  if (cfg_.watchdog) {
+    watchdog_ = std::thread([this] { watchdog_loop(); });
+    parallel::name_thread(watchdog_, "anyseq-watchdog");
+  }
 }
 
 aligner::~aligner() { shutdown(true); }
@@ -1063,6 +1067,11 @@ void aligner::run_solo(exec_unit& ws, std::uint32_t idx) {
     // isolated by bisection lands in the solo column, which is the
     // truth a GCUPS dashboard wants.
     note_exec(route::solo, ws.scratch.variant, 1, ws.scratch.cells, eng_ns);
+    // A solo full-matrix traceback runs as a one-pair traceback batch
+    // and reports its band doubling like one; other routes report zeros.
+    const batch_stats bst = ws.eng.last_batch_stats();
+    batch_banded_pairs_.fetch_add(bst.banded_pairs, std::memory_order_relaxed);
+    batch_band_passes_.fetch_add(bst.band_passes, std::memory_order_relaxed);
     ANYSEQ_TRACE_EMIT(exec_solo, idx, epoch_ns(eng_t0), 1);
     complete(idx, std::move(ws.scratch), nullptr);
     return;
@@ -1150,6 +1159,7 @@ void aligner::handle_batcher_failure_locked() {
                       static_cast<std::int64_t>(batcher_gen_));
     const std::uint64_t gen = batcher_gen_;
     batcher_ = std::thread([this, gen] { batcher_main(gen); });
+    parallel::name_thread(batcher_, "anyseq-batcher");
   } else {
     // Restart budget spent: degrade rather than flap.  Bulk is refused
     // at submit, interactive executes solo there — degraded but live.

@@ -595,7 +595,8 @@ class aligner {
   std::atomic<std::uint64_t> batches_{0}, batched_requests_{0};
   // Batch score-path accounting (see telemetry.hpp): summed from the
   // unit aligner's last_batch_stats after every batch run (score paths
-  // from batch_score, band doubling from batch_traceback).
+  // from batch_score, band doubling from batch_traceback) and, for band
+  // doubling, after every solo run.
   std::atomic<std::uint64_t> batch_simd_pairs_{0};
   std::atomic<std::uint64_t> batch_scalar_pairs_{0};
   std::atomic<std::uint64_t> batch_ragged_pairs_{0};

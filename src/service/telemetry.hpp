@@ -99,9 +99,9 @@ struct service_stats {
   std::uint64_t batch_ragged_pairs = 0;
   std::uint64_t batch_striped_pairs = 0;
   std::uint64_t batch_padded_cells = 0;
-  /// Traceback-batch accounting (aligner::last_batch_stats sums over
-  /// batch_traceback runs): pairs a band-doubling pass certified exact,
-  /// and the band passes run.  Solo tracebacks count toward neither.
+  /// Traceback accounting (aligner::last_batch_stats sums over
+  /// batch_traceback runs and solo full-matrix tracebacks): pairs a
+  /// band-doubling pass certified exact, and the band passes run.
   std::uint64_t batch_banded_pairs = 0;
   std::uint64_t batch_band_passes = 0;
 

@@ -1,7 +1,7 @@
 /// \file tiled_engine.hpp
 /// Multi-threaded tiled score engine for long sequences — the paper's CPU
-/// backend: dynamic (or static, for the Fig. 6 baseline) wavefront over
-/// the tile grid, border-frontier storage (O(n + m) space).  Threads own
+/// backend: dynamic wavefront over the tile grid, border-frontier storage
+/// (O(n + m) space).  Threads own
 /// the anti-diagonal; SIMD runs inside each tile.
 ///
 /// `Lanes` is the variant's 16-bit lane count: 1 = the scalar variant
@@ -48,7 +48,6 @@ struct tiled_config {
   index_t tile_h = 512;
   index_t tile_w = 512;
   int threads = 1;
-  bool dynamic_schedule = true;  ///< false = static per-diagonal barrier
 };
 
 template <align_kind K, class Gap, class Scoring, int Lanes>
@@ -76,14 +75,10 @@ class tiled_engine {
     const tile_geometry geom(n, m, cfg.tile_h, cfg.tile_w);
     const parallel::grid_dims dims{geom.tiles_y, geom.tiles_x};
     const auto workers = static_cast<std::size_t>(
-        parallel::wavefront_workers(cfg.threads, std::span(&dims, 1)));
-    const std::size_t sched =
-        cfg.dynamic_schedule
-            ? parallel::dynamic_wavefront::plan_bytes(std::span(&dims, 1))
-            : parallel::static_wavefront::plan_bytes(std::span(&dims, 1),
-                                                     cfg.threads);
+        parallel::wavefront_workers(cfg.threads, dims));
     return border_frontier::plan_bytes(geom, Gap::kind == gap_kind::affine) +
-           workers * per_worker_bytes(cfg) + sched;
+           workers * per_worker_bytes(cfg) +
+           parallel::dynamic_wavefront::plan_bytes(dims);
   }
 
   /// Score-only alignment (any kind), carving from `ws`.
@@ -229,20 +224,15 @@ class tiled_engine {
     // workers never touch the arena (execute).
     const parallel::grid_dims dims{geom.tiles_y, geom.tiles_x};
     const auto workers = static_cast<std::size_t>(
-        parallel::wavefront_workers(cfg_.threads, std::span(&dims, 1)));
+        parallel::wavefront_workers(cfg_.threads, dims));
     auto h_rows = ws.make<score_t>(workers * int32_pitch(cfg_));
     auto e_rows = ws.make<score_t>(workers * int32_pitch(cfg_));
     auto stripes = ws.make<stripe_t>(workers * stripe_pitch(cfg_));
 
     kernel_adapter<QV, SV> kernel{*this, q, s, fr, h_rows, e_rows, stripes,
                                   {},    {}};
-    stats_ = cfg_.dynamic_schedule
-                 ? parallel::dynamic_wavefront::run(
-                       static_cast<int>(workers), std::span(&dims, 1),
-                       kernel, &ws)
-                 : parallel::static_wavefront::run(
-                       static_cast<int>(workers), std::span(&dims, 1),
-                       kernel, &ws);
+    stats_ = parallel::dynamic_wavefront::run(static_cast<int>(workers), dims,
+                                              kernel, ws);
     out = pass_result<K>(geom, kernel.best, gap_, fr.h_row()[m]);
 
     if (hh_out != nullptr) {

@@ -41,7 +41,7 @@ TEST_P(MatrixKinds, TiledSimdMatchesOracle) {
   auto run = [&](auto kc) {
     constexpr align_kind K = decltype(kc)::value;
     tiled::tiled_engine<K, affine_gap, dna_matrix_scoring, 16> eng(
-        kGap, kMatrix, {48, 48, 2, true});
+        kGap, kMatrix, {48, 48, 2});
     return eng.score(view(q), view(s)).score;
   };
   score_t got = 0;

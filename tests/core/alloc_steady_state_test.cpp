@@ -129,16 +129,6 @@ TEST(AllocSteadyState, TiledScoreRouteAffineLocal) {
   expect_steady_state(a, view(q), view(s));
 }
 
-TEST(AllocSteadyState, TiledScoreRouteStaticSchedule) {
-  const auto q = test::random_codes(600, 55);
-  const auto s = test::random_codes(560, 66);
-  align_options o = serial_opts();
-  o.dynamic_schedule = false;  // the Fig. 6 baseline scheduler
-  o.tile = 96;
-  aligner a(o);
-  expect_steady_state(a, view(q), view(s));
-}
-
 TEST(AllocSteadyState, SmallScoreRoute) {
   // The scalar variant rolls small extension problems (vector variants
   // stripe them: StripedScoreRoute).
@@ -524,6 +514,24 @@ TEST(AllocSteadyState, GlobalTracebackBandDoublingLonePair) {
     }
   });
   EXPECT_EQ(n, 0u) << "band-doubling traceback allocated in steady state";
+}
+
+TEST(AllocSteadyState, SoloTracebackPoolsNoWorkerArenas) {
+  // The solo full-matrix route is a one-pair traceback batch: at
+  // threads > 1 it must not pool the batch fan-out's worker arenas, so
+  // after reserve() its first call allocates exactly what a serial
+  // handle's does (the traceback's string buffers).
+  const auto [q, s] = doubling_pair(1810);
+  const auto first_call_allocs = [&](int threads) {
+    align_options o = serial_opts();
+    o.want_alignment = true;
+    o.threads = threads;
+    aligner a(o);
+    a.reserve(160, 160);
+    alignment_result out;
+    return allocs_during([&] { a.align_into(view(q), view(s), out); });
+  };
+  EXPECT_EQ(first_call_allocs(4), first_call_allocs(1));
 }
 
 TEST(AllocSteadyState, BatchTracebackBandDoublingMultiThreaded) {

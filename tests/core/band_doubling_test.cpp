@@ -170,6 +170,32 @@ TEST(BandDoubling, OracleMatchesFullMatrixOnEveryRoute) {
   }
 }
 
+TEST(BandDoubling, SoloTracebacksReportTheirPasses) {
+  // A solo full-matrix traceback is a one-pair traceback batch, so
+  // last_batch_stats() counts its band doubling; each call starts at 0.
+  const auto q = test::random_codes(150, 7200);
+  const auto near = test::mutate(q, 7201, 0.02, 0.0);
+  const auto unrelated = test::random_codes(150, 7202);
+  for (const int threads : {1, 4}) {
+    align_options o = base_opts(2, -1, -2, -1);
+    o.threads = threads;
+    aligner a(o);
+    ASSERT_STREQ(a.plan(150, 150).route, "full_matrix");
+    alignment_result out;
+    a.align_into(view(q), view(near), out);
+    EXPECT_EQ(a.last_batch_stats().banded_pairs, 1u);
+    EXPECT_EQ(a.last_batch_stats().band_passes, 1u);
+    a.align_into(view(q), view(unrelated), out);
+    EXPECT_EQ(a.last_batch_stats().banded_pairs, 0u);
+    EXPECT_GE(a.last_batch_stats().band_passes, 1u);
+    o.kind = align_kind::local;  // no band doubling off the global kind
+    a.set_options(o);
+    a.align_into(view(q), view(near), out);
+    EXPECT_EQ(a.last_batch_stats().banded_pairs, 0u);
+    EXPECT_EQ(a.last_batch_stats().band_passes, 0u);
+  }
+}
+
 TEST(BandDoubling, SimilarReadsCertifyInTheFirstBand) {
   workspace ws;
   alignment_result out;

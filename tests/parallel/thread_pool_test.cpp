@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 
 namespace anyseq::parallel {
 namespace {
@@ -72,6 +73,25 @@ TEST(ThreadPool, NestedJobsDoNotDeadlock) {
     });
   pool.wait_idle();
   EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPool, ParallelForFromEveryWorkerAtOnceCompletes) {
+  // A service batch runs on a pool worker and may fan out through the
+  // same pool.  With every worker inside parallel_for at once, no worker
+  // is free to run queued chunk jobs, so the nested loops run inline.
+  constexpr int kWorkers = 4;
+  thread_pool pool(kWorkers);
+  std::atomic<int> entered{0};
+  std::atomic<long long> sum{0};
+  for (int w = 0; w < kWorkers; ++w)
+    pool.run([&] {
+      // Hold every worker until all of them are inside a job.
+      ++entered;
+      while (entered.load() < kWorkers) std::this_thread::yield();
+      pool.parallel_for(0, 100, [&](index_t i) { sum += i; });
+    });
+  pool.wait_idle();
+  EXPECT_EQ(sum.load(), kWorkers * 4950LL);
 }
 
 TEST(ThreadPool, GlobalPoolExists) {

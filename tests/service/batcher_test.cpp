@@ -99,7 +99,6 @@ TEST(BatcherCompat, EveryDispatchFieldIsABoundary) {
   EXPECT_TRUE(differs([](align_options& o) { o.exec = backend::scalar; }));
   EXPECT_TRUE(differs([](align_options& o) { o.threads = 2; }));
   EXPECT_TRUE(differs([](align_options& o) { o.tile = 128; }));
-  EXPECT_TRUE(differs([](align_options& o) { o.dynamic_schedule = false; }));
   EXPECT_TRUE(differs([](align_options& o) { o.full_matrix_cells = 64; }));
   EXPECT_TRUE(
       differs([](align_options& o) { o.matrix = dna_default_matrix(); }));

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -216,12 +219,12 @@ TEST(TraceService, GroupDumpIncludesShardBreakdown) {
             std::string::npos);
 }
 
-/// Band doubling in traceback batches surfaces through service_stats,
-/// the router merge and the Prometheus dump.  Every pair is a near-copy,
-/// certified in the first band, so each request the batch_traceback
-/// route executed is one banded pair and one band pass — however the
+/// Band doubling surfaces through service_stats, the router merge and
+/// the Prometheus dump, for traceback batches and for requests that ran
+/// solo alike.  Every pair is a near-copy, certified in the first band,
+/// so every request is one banded pair and one band pass — however the
 /// batcher happened to coalesce them.
-TEST(TraceService, TracebackBatchesReportBandDoubling) {
+TEST(TraceService, TracebacksReportBandDoubling) {
   service_group::config cfg;
   cfg.shards = 2;
   cfg.cache_capacity = 0;
@@ -242,12 +245,9 @@ TEST(TraceService, TracebackBatchesReportBandDoubling) {
   group.shutdown(true);
 
   const service_stats st = group.stats();
-  std::uint64_t batched = 0;
-  for (std::size_t v = 0; v < n_exec_variants; ++v)
-    batched += st.exec.at[static_cast<std::size_t>(route::batch_traceback)][v]
-                   .requests;
-  EXPECT_EQ(st.batch_banded_pairs, batched);
-  EXPECT_EQ(st.batch_band_passes, batched);
+  const std::uint64_t requests = qs.size();
+  EXPECT_EQ(st.batch_banded_pairs, requests);
+  EXPECT_EQ(st.batch_band_passes, requests);
   std::uint64_t shard_sum = 0;
   for (std::size_t i = 0; i < group.shard_count(); ++i)
     shard_sum += group.shard(i).stats().batch_banded_pairs;
@@ -259,8 +259,33 @@ TEST(TraceService, TracebackBatchesReportBandDoubling) {
   const std::string text(buf.data());
   EXPECT_NE(text.find("anyseq_batch_traceback_band_total{count=\"banded_"
                       "pairs\"} " +
-                      std::to_string(batched) + "\n"),
+                      std::to_string(requests) + "\n"),
             std::string::npos);
+}
+
+/// The service's threads carry their role in their name, so CPU splits
+/// by role from /proc/<pid>/task/*/comm without a rebuild.
+TEST(TraceService, ThreadsAreNamedByRole) {
+#if defined(__linux__)
+  service_group::config cfg;
+  cfg.shards = 1;
+  service_group group(cfg);
+  const auto q = random_codes(64, 5);
+  ASSERT_GT(group.submit(view(q), view(q)).get().score, 0);
+  std::map<std::string, int> roles;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name)) ++roles[name];
+  }
+  EXPECT_EQ(roles["anyseq-batcher"], 1);
+  EXPECT_EQ(roles["anyseq-watchdog"], 1);
+  EXPECT_EQ(roles["anyseq-pool"], parallel::thread_pool::global().size());
+  group.shutdown(true);
+#else
+  GTEST_SKIP() << "thread names are read from Linux /proc";
+#endif
 }
 
 /// p90/p999 surfaced through service_stats and merged router stats.

@@ -65,7 +65,6 @@ TEST(Isolation, VariantsAreDistinctCode) {
       EXPECT_NE(vs[a].table->small_score, vs[b].table->small_score);
       EXPECT_NE(vs[a].table->hirschberg_global,
                 vs[b].table->hirschberg_global);
-      EXPECT_NE(vs[a].table->full_align, vs[b].table->full_align);
       EXPECT_NE(vs[a].table->locate, vs[b].table->locate);
       EXPECT_NE(vs[a].table->banded_align, vs[b].table->banded_align);
       EXPECT_NE(vs[a].table->batch_scores, vs[b].table->batch_scores);

@@ -19,13 +19,11 @@ index_t plan_n(const std::vector<char_t>& v) {
 
 struct engine_param {
   int threads;
-  bool dynamic;
   index_t tile;
 };
 
 void PrintTo(const engine_param& p, std::ostream* os) {
-  *os << (p.dynamic ? "dynamic" : "static") << " t" << p.threads << " tile"
-      << p.tile;
+  *os << "t" << p.threads << " tile" << p.tile;
 }
 
 class TiledEngineGrid : public ::testing::TestWithParam<engine_param> {};
@@ -37,7 +35,7 @@ void check_scores(const engine_param& p, const Gap& gap, std::uint64_t seed,
   auto s = test::mutate(q, seed + 1);
   s.resize(std::min<std::size_t>(s.size(), static_cast<std::size_t>(m)));
   const simple_scoring sc{2, -1};
-  tiled_config cfg{p.tile, p.tile, p.threads, p.dynamic};
+  tiled_config cfg{p.tile, p.tile, p.threads};
   tiled_engine<K, Gap, simple_scoring, Lanes> eng(gap, sc, cfg);
   const auto got = eng.score(view(q), view(s));
   const auto want = rolling_score<K>(view(q), view(s), gap, sc);
@@ -99,15 +97,16 @@ TEST_P(TiledEngineGrid, GlobalAffineSimd32) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SchedulersThreadsTiles, TiledEngineGrid,
-    ::testing::Values(engine_param{1, true, 64}, engine_param{1, false, 64},
-                      engine_param{4, true, 64}, engine_param{4, false, 64},
-                      engine_param{2, true, 37}, engine_param{3, true, 128},
-                      engine_param{8, true, 16}),
+    ThreadsTiles, TiledEngineGrid,
+    ::testing::Values(engine_param{1, 64}, engine_param{4, 64},
+                      engine_param{2, 37}, engine_param{3, 128},
+                      engine_param{8, 16}),
     [](const auto& info) {
-      return std::string(info.param.dynamic ? "dyn" : "stat") + "_t" +
-             std::to_string(info.param.threads) + "_s" +
-             std::to_string(info.param.tile);
+      std::string name = "t";
+      name += std::to_string(info.param.threads);
+      name += "_s";
+      name += std::to_string(info.param.tile);
+      return name;
     });
 
 TEST(TiledEngine, EmptyInputs) {
@@ -123,10 +122,10 @@ TEST(TiledEngine, EmptyInputs) {
 TEST(TiledEngine, RejectsBadConfig) {
   const simple_scoring sc{2, -1};
   EXPECT_THROW((tiled_engine<align_kind::global, linear_gap, simple_scoring,
-                             1>(linear_gap{-1}, sc, {0, 64, 1, true})),
+                             1>(linear_gap{-1}, sc, {0, 64, 1})),
                invalid_argument_error);
   EXPECT_THROW((tiled_engine<align_kind::global, linear_gap, simple_scoring,
-                             1>(linear_gap{-1}, sc, {64, 64, 0, true})),
+                             1>(linear_gap{-1}, sc, {64, 64, 0})),
                invalid_argument_error);
   // Positive gap penalties are rejected.
   EXPECT_THROW((tiled_engine<align_kind::global, linear_gap, simple_scoring,
@@ -142,7 +141,7 @@ TEST(TiledEngine, OversizeTilesRunAsExactInt32Singles) {
   const simple_scoring sc{100, -100};
   const linear_gap gap{-100};
   tiled_engine<align_kind::local, linear_gap, simple_scoring, 16> eng(
-      gap, sc, {256, 256, 2, true});
+      gap, sc, {256, 256, 2});
   EXPECT_FALSE(eng.striped());
   const auto got = eng.score(view(q), view(s));
   const auto want =
@@ -167,7 +166,7 @@ TEST(TiledEngine, LastRowMatchesSerialPass) {
     nw_last_row(view(q), view(s), gap, sc, tb, std::span(hh_ref),
                 std::span(ee_ref));
     tiled_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
-        gap, sc, {32, 32, 3, true});
+        gap, sc, {32, 32, 3});
     eng.last_row(view(q), view(s), tb, std::span(hh), std::span(ee));
     EXPECT_EQ(hh, hh_ref) << "tb " << tb;
     EXPECT_EQ(ee, ee_ref) << "tb " << tb;
@@ -181,7 +180,7 @@ TEST(TiledEngine, StripedTilesDoTheWork) {
   auto s = test::random_codes(64 * 20 + 29, 42);
   const simple_scoring sc{2, -1};
   tiled_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
-      linear_gap{-1}, sc, {64, 64, 2, true});
+      linear_gap{-1}, sc, {64, 64, 2});
   EXPECT_TRUE(eng.striped());
   (void)eng.score(view(q), view(s));
   EXPECT_EQ(eng.last_stats().striped_tiles, 21u * 21u);
@@ -236,7 +235,7 @@ void end_cells_match_rolling(const Gap& gap, const simple_scoring& sc) {
   for (int threads : {1, 2, 4})
     for (index_t tile : {16, 23, 64}) {
       tiled_engine<K, Gap, simple_scoring, Lanes> eng(
-          gap, sc, {tile, tile, threads, true});
+          gap, sc, {tile, tile, threads});
       const auto got = eng.score(view(q), view(s));
       ASSERT_EQ(got.score, want.score) << to_string(K) << " lanes " << Lanes
                                        << " t" << threads << " tile " << tile;

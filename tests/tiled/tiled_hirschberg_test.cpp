@@ -32,23 +32,23 @@ void check(index_t n, const Gap& gap, std::uint64_t seed, tiled_config cfg,
 }
 
 TEST(TiledHirschberg, ScalarMultithreadLinear) {
-  check<1>(800, linear_gap{-1}, 1, {64, 64, 4, true}, 1 << 10);
+  check<1>(800, linear_gap{-1}, 1, {64, 64, 4}, 1 << 10);
 }
 
 TEST(TiledHirschberg, ScalarMultithreadAffine) {
-  check<1>(700, affine_gap{-2, -1}, 2, {64, 64, 3, true}, 1 << 10);
+  check<1>(700, affine_gap{-2, -1}, 2, {64, 64, 3}, 1 << 10);
 }
 
 TEST(TiledHirschberg, Simd16Affine) {
-  check<16>(900, affine_gap{-2, -1}, 3, {32, 32, 2, true}, 1 << 10);
+  check<16>(900, affine_gap{-2, -1}, 3, {32, 32, 2}, 1 << 10);
 }
 
-TEST(TiledHirschberg, Simd16StaticSchedule) {
-  check<16>(600, affine_gap{-3, -1}, 4, {32, 32, 2, false}, 1 << 10);
+TEST(TiledHirschberg, Simd16AffineWideOpen) {
+  check<16>(600, affine_gap{-3, -1}, 4, {32, 32, 2}, 1 << 10);
 }
 
 TEST(TiledHirschberg, TinyBaseCellsStressesRecursion) {
-  check<1>(300, affine_gap{-2, -1}, 5, {32, 32, 2, true}, 1);
+  check<1>(300, affine_gap{-2, -1}, 5, {32, 32, 2}, 1);
 }
 
 TEST(TiledHirschberg, CellsStayLinearSpaceBounded) {
@@ -56,7 +56,7 @@ TEST(TiledHirschberg, CellsStayLinearSpaceBounded) {
   auto s = test::mutate(q, 7);
   const simple_scoring sc{2, -1};
   auto r = tiled_hirschberg_align<16>(view(q), view(s), affine_gap{-2, -1},
-                                      sc, {64, 64, 2, true}, 1 << 12);
+                                      sc, {64, 64, 2}, 1 << 12);
   const auto nm = static_cast<std::uint64_t>(q.size()) * s.size();
   EXPECT_LE(r.cells, 2 * nm + q.size() + s.size());
 }
