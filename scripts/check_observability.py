@@ -49,8 +49,7 @@ SPAN_NAMES = {
     "complete",
 }
 INSTANT_NAMES = {
-    "watchdog_restart", "brownout", "linger_adapt", "deadline_shed",
-    "shed", "quarantine",
+    "linger_adapt", "deadline_shed", "shed", "quarantine",
 }
 
 # Prometheus text exposition grammar (the subset the exporter emits:

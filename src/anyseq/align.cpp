@@ -331,6 +331,19 @@ score_precision classify_plan_precision(index_t n, index_t m,
 }  // namespace engine
 
 void validate(const align_options& opt) {
+  // Magnitudes first: every later check and every engine may then
+  // negate or add scores without overflow.
+  const auto bounded = [](score_t v, const char* field) {
+    if (v < -max_abs_score || v > max_abs_score)
+      throw validation_error(std::string(field) +
+                             " magnitude must be <= 2^20 (max_abs_score)");
+  };
+  bounded(opt.match, "match");
+  bounded(opt.mismatch, "mismatch");
+  bounded(opt.gap_open, "gap_open");
+  bounded(opt.gap_extend, "gap_extend");
+  if (opt.matrix.has_value())
+    for (const score_t v : opt.matrix->table) bounded(v, "matrix entry");
   if (opt.gap_extend > 0)
     throw validation_error("gap_extend must be <= 0 (penalties are "
                            "added to scores)");

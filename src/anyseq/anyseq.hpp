@@ -93,6 +93,12 @@ struct align_options {
   index_t full_matrix_cells = index_t{1} << 22;
 };
 
+/// Largest magnitude validate() admits for `match`, `mismatch`,
+/// `gap_open`, `gap_extend` and every substitution-matrix entry (2^20),
+/// so per-column sums such as `gap_open + gap_extend` stay well inside
+/// `score_t`.
+inline constexpr score_t max_abs_score = score_t{1} << 20;
+
 /// Validate options; throws validation_error (an invalid_argument_error)
 /// with a precise message.
 void validate(const align_options& opt);

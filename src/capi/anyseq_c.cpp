@@ -33,6 +33,9 @@ struct anyseq_ticket {
   bool want_alignment = false;
 };
 
+static_assert(ANYSEQ_MAX_ABS_SCORE == anyseq::max_abs_score,
+              "the C limit mirrors the C++ one");
+
 namespace {
 
 using anyseq::align_kind;
@@ -493,8 +496,8 @@ int anyseq_service_get_stats(const anyseq_service* svc,
   out->bulk_p99_latency_ns = bk.p99_latency_ns;
   out->deadline_expired = s.deadline_expired;
   out->quarantined = s.quarantined;
-  out->watchdog_restarts = s.watchdog_restarts;
-  out->brownout = s.brownout ? 1 : 0;
+  out->watchdog_restarts = 0;  // retired field: layout only
+  out->brownout = 0;           // retired field: layout only
   out->p90_latency_ns = s.p90_latency_ns;
   out->p999_latency_ns = s.p999_latency_ns;
   out->interactive_p90_latency_ns = ia.p90_latency_ns;

@@ -15,7 +15,8 @@
  *
  * All functions return the optimal alignment score.  On invalid input
  * (NULL pointers, positive gap penalties, non-positive local match score,
- * ...) they return ::ANYSEQ_C_ERROR and write no output.  No other error
+ * a score argument past ::ANYSEQ_MAX_ABS_SCORE in magnitude, ...) they
+ * return ::ANYSEQ_C_ERROR and write no output.  No other error
  * channel exists: the C API never throws and never aborts on bad
  * parameters.  See docs/C_API.md for a worked error-handling example.
  *
@@ -41,6 +42,15 @@ typedef int32_t anyseq_score_t;
  * so a valid score never collides with it.
  */
 #define ANYSEQ_C_ERROR INT32_MIN
+
+/**
+ * \brief Largest magnitude accepted for any score argument (match,
+ *        mismatch, gap open, gap extend): 2^20.
+ *
+ * A larger value (INT32_MIN included) is invalid input and the call
+ * returns ::ANYSEQ_C_ERROR.  Mirrors the C++ `anyseq::max_abs_score`.
+ */
+#define ANYSEQ_MAX_ABS_SCORE 1048576
 
 /* ------------------------------------------------------------------ */
 /* Score-only computations (linear space).                            */
@@ -465,11 +475,13 @@ typedef struct anyseq_service_stats {
                                     (subset of `failed`) */
   uint64_t quarantined;        /**< submissions refused as repeat
                                     offenders (not part of `accepted`) */
-  uint64_t watchdog_restarts;  /**< dead/stalled batcher threads replaced
-                                    by the watchdog, summed over shards */
-  uint64_t brownout;           /**< 1 when any shard is degraded to
-                                    brownout (bulk refused, interactive
-                                    executed solo), else 0 */
+  uint64_t watchdog_restarts;  /**< retired, always 0: kept for layout
+                                    compatibility (the batcher contains
+                                    its own faults and is never
+                                    restarted) */
+  uint64_t brownout;           /**< retired, always 0: kept for layout
+                                    compatibility (the service never
+                                    degrades to a brownout mode) */
 
   /* Appended fields (keep at the end for layout compatibility). */
   uint64_t p90_latency_ns;     /**< 90th-percentile latency, pooled */
@@ -667,7 +679,7 @@ int64_t anyseq_service_dump_metrics(const anyseq_service* svc, char* buf,
  * is allocation-free and lock-free) and arms it so every service in the
  * process emits span events — submit, cache probe, ring wait, batch
  * collect, workspace wait, kernel execute, complete — plus instants for
- * watchdog restarts, brownout, linger adaptation, and load shedding.
+ * linger adaptation, deadline shedding, load shedding, and quarantine.
  * Stop with anyseq_tracing_stop(); dump with
  * anyseq_service_dump_trace().  In a library built with
  * `-DANYSEQ_TRACING=0` the emission sites are compiled out: tracing

@@ -5,9 +5,11 @@
 #include "service/cache.hpp"
 
 #include <algorithm>
+#include <new>
 #include <type_traits>
 
 #include "service/batcher.hpp"
+#include "service/faultinject.hpp"
 
 namespace anyseq::service {
 
@@ -206,14 +208,25 @@ void response_cache::insert(stage::seq_view q, stage::seq_view s,
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  if (!victim->used) ++sh.live;
-  victim->used = true;
-  victim->ref = 0;  // newly inserted entries earn their reference on hit
-  victim->hash = h;
+  // The copies allocate and can throw.  The victim leaves the table
+  // first and is marked used only once every copy has landed, so a
+  // failed insert costs at most the entry it was replacing — never a
+  // key that maps to someone else's result.
+  if (victim->used) {
+    victim->used = false;
+    --sh.live;
+  }
   copy_key(q, victim->q);
   copy_key(s, victim->s);
   victim->opt = opt;
+  // Fault hook where a failure hurts most: the key already names the
+  // new request, the result is still the old one's.
+  if (ANYSEQ_FAULT_POINT(alloc_failure)) throw std::bad_alloc();
   copy_result(r, victim->result);
+  victim->used = true;
+  victim->ref = 0;  // newly inserted entries earn their reference on hit
+  victim->hash = h;
+  ++sh.live;
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 

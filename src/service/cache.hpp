@@ -83,7 +83,9 @@ class response_cache {
   /// Store a successful result under (q, s, opt), overwriting a matching
   /// entry or clock-evicting within the key's probe window.  Key bytes
   /// and result are copied into entry-owned recycled storage — the caller
-  /// keeps ownership of its buffers.
+  /// keeps ownership of its buffers.  The copies can throw
+  /// `std::bad_alloc`; the entry then is left out of the table (the one
+  /// it replaced is gone), so a lookup never sees a half-written entry.
   void insert(stage::seq_view q, stage::seq_view s, const align_options& opt,
               const alignment_result& r);
 

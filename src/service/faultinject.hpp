@@ -5,7 +5,7 @@
 /// Robustness code that only runs when production breaks is robustness
 /// code that has never run.  This header plants named *hook points* in
 /// the service internals — places where an allocation can fail, an
-/// engine can throw, the batcher thread can die, or the clock can skew
+/// engine can throw, a batch hand-off can fail, or the clock can skew
 /// — and drives them from a seeded `schedule`, so a chaos test can make
 /// every failure path fire on demand and replay the exact same failure
 /// pattern from the same seed.
@@ -20,7 +20,7 @@
 ///     `-DANYSEQ_FAULT_HOOKS=0` removes even the branch: every hook
 ///     macro folds to a compile-time `false`.
 ///   * **Deterministic given the seed.**  Per-visit faults
-///     (`alloc_failure`, `batcher_stall`) fire on a pure function of
+///     (`alloc_failure`, `dispatch_failure`) fire on a pure function of
 ///     (seed, point, visit index): the i-th visit of a point always
 ///     makes the same decision.  Per-request faults
 ///     (`kernel_exception`) are keyed on the request *fingerprint*
@@ -35,19 +35,22 @@
 ///
 /// Hook points:
 ///
-///   * `alloc_failure`    — executor, multi-request spans only: the
-///     batch execution throws `std::bad_alloc` before reaching the
-///     engine.  Transient: the bisection retry re-executes the halves,
-///     so every request still completes (solo spans never fire this
-///     hook — an isolated request always reaches the engine).
+///   * `alloc_failure`    — two visits.  (1) Executor, multi-request
+///     spans only: the batch execution throws `std::bad_alloc` before
+///     reaching the engine.  Transient: the bisection retry re-executes
+///     the halves, so every request still completes (solo spans never
+///     fire this hook — an isolated request always reaches the engine).
+///     (2) `response_cache::insert`, after it copies the key and
+///     before the result: the insert throws `std::bad_alloc`, leaves no
+///     entry behind, and the completion delivers the result uncached.
 ///   * `kernel_exception` — executor, per request: a poisoned
 ///     fingerprint throws `injected_fault` whenever it reaches the
 ///     engine, batched or solo.  Drives bisection isolation and the
 ///     repeat-offender quarantine.
-///   * `batcher_stall`    — batcher thread, top of its loop: throws
-///     `injected_fault` out of the loop, simulating a dead batcher for
-///     the watchdog to detect, restart, and — on a second death —
-///     escalate to brownout.
+///   * `dispatch_failure` — batcher thread, at the hand-off of a
+///     collected batch to the pool: throws `std::bad_alloc` as a failed
+///     job-ring growth would, and the batcher executes the batch
+///     itself.  Every request still completes.
 ///   * `clock_skew`       — deadline arithmetic: `skewed_now` offsets
 ///     the observed time by a bounded, seeded amount, so deadline
 ///     shedding is exercised against a lying clock (requests may be
@@ -76,7 +79,7 @@ class injected_fault : public error {
 enum class point : std::uint8_t {
   alloc_failure,
   kernel_exception,
-  batcher_stall,
+  dispatch_failure,
   clock_skew,
 };
 inline constexpr std::size_t n_fault_points = 4;
@@ -88,14 +91,13 @@ class schedule {
   struct config {
     std::uint64_t seed = 1;
     /// Probability that one visit of `alloc_failure` fires (multi-item
-    /// execution spans only).
+    /// execution spans and cache inserts).
     double alloc_failure_rate = 0.0;
     /// Probability that a given request fingerprint is poisoned — a
     /// sticky, per-request property, not a per-visit roll.
     double poison_rate = 0.0;
-    /// Probability that one batcher-loop iteration throws the thread
-    /// dead.
-    double batcher_stall_rate = 0.0;
+    /// Probability that one batch hand-off to the pool fails.
+    double dispatch_failure_rate = 0.0;
     /// Deadline clock skew is drawn uniformly from ±this bound (0 =
     /// honest clock).
     std::int64_t max_clock_skew_ns = 0;
@@ -103,16 +105,17 @@ class schedule {
 
   explicit schedule(const config& cfg) noexcept : cfg_(cfg) {}
 
-  /// Per-visit decision for `alloc_failure` / `batcher_stall`: visit
+  /// Per-visit decision for `alloc_failure` / `dispatch_failure`: visit
   /// indices are assigned in arrival order per point, and the decision
   /// is a pure function of (seed, point, index).
   [[nodiscard]] bool fire(point p) noexcept {
     const auto pi = static_cast<std::size_t>(p);
     const std::uint64_t visit =
         visits_[pi].fetch_add(1, std::memory_order_relaxed);
-    const double rate = p == point::alloc_failure ? cfg_.alloc_failure_rate
-                        : p == point::batcher_stall ? cfg_.batcher_stall_rate
-                                                    : 0.0;
+    const double rate =
+        p == point::alloc_failure      ? cfg_.alloc_failure_rate
+        : p == point::dispatch_failure ? cfg_.dispatch_failure_rate
+                                       : 0.0;
     return roll(mix(cfg_.seed, pi + 1, visit), rate);
   }
 

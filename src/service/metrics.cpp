@@ -264,18 +264,6 @@ void render_prometheus(const service_stats& s, text_buffer& out) {
       "# TYPE anyseq_effective_linger_seconds gauge\n"
       "anyseq_effective_linger_seconds %.6f\n",
       static_cast<double>(s.effective_linger_us) * 1e-6);
-  out.printf(
-      "# HELP anyseq_watchdog_restarts_total Batcher threads replaced by "
-      "the watchdog.\n"
-      "# TYPE anyseq_watchdog_restarts_total counter\n"
-      "anyseq_watchdog_restarts_total %llu\n",
-      static_cast<u64>(s.watchdog_restarts));
-  out.printf(
-      "# HELP anyseq_brownout 1 while the service is degraded to "
-      "solo-interactive brownout mode.\n"
-      "# TYPE anyseq_brownout gauge\n"
-      "anyseq_brownout %d\n",
-      s.brownout ? 1 : 0);
 }
 
 }  // namespace anyseq::service

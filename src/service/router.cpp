@@ -98,9 +98,6 @@ service_stats service_group::stats() const {
     out.cache_misses += s.cache_misses;
     out.deadline_expired += s.deadline_expired;
     out.quarantined += s.quarantined;
-    out.watchdog_restarts += s.watchdog_restarts;
-    // One browned-out shard degrades the group: surface it.
-    out.brownout = out.brownout || s.brownout;
     out.queue_depth += s.queue_depth;
     out.in_flight_batches += s.in_flight_batches;
     out.outstanding_tickets += s.outstanding_tickets;

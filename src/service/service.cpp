@@ -24,12 +24,13 @@
 ///   * `q_mu_` (quarantine table) is a leaf: taken from submit and the
 ///     executor, never while holding mu_ or a slot mutex and never
 ///     around anything that locks.
-///   * The watchdog thread shares mu_ with everything else; batcher
-///     liveness flows through the lock-free `heartbeat_ns_` beacon plus
-///     the mu_-guarded `batcher_waiting_` / `batcher_crashed_` flags.
-///     Batcher incarnations are named by `batcher_gen_`: a loop that
-///     observes a newer generation steps aside, so a stalled-but-alive
-///     thread can never race its replacement for ring state.
+///
+/// Containment discipline: the batcher thread lives as long as the
+/// service.  Everything it collects under mu_ is either dispatched or
+/// failed — batcher_loop's catch fails a half-collected batch — and a
+/// dispatched batch always executes, on the pool or, when the hand-off
+/// throws, on the batcher itself.  So inflight_ always drops back and
+/// shutdown's drain needs nothing but the batcher.
 
 #include "service/service.hpp"
 
@@ -202,10 +203,6 @@ aligner::aligner(config cfg)
   if (cfg_.deadline_headroom.count() < 0)
     throw invalid_argument_error("service: deadline_headroom must be >= 0");
   if (cfg_.quarantine_threshold < 1) cfg_.quarantine_threshold = 1;
-  if (cfg_.watchdog && (cfg_.watchdog_interval.count() <= 0 ||
-                        cfg_.stall_threshold.count() <= 0))
-    throw invalid_argument_error(
-        "service: watchdog_interval/stall_threshold must be > 0");
   if (cfg_.max_outstanding == 0)
     cfg_.max_outstanding = 4 * cfg_.queue_capacity;
   if (cfg_.max_outstanding < cfg_.queue_capacity)
@@ -230,6 +227,7 @@ aligner::aligner(config cfg)
   free_ws_.reserve(cfg_.max_inflight_batches);
   for (std::size_t w = cfg_.max_inflight_batches; w > 0; --w)
     free_ws_.push_back(static_cast<std::uint32_t>(w - 1));
+  batch_.reserve(cfg_.max_batch);
   for (auto& ws : exec_units_) {
     ws.items.reserve(cfg_.max_batch);
     ws.pairs.reserve(cfg_.max_batch);
@@ -248,17 +246,11 @@ aligner::aligner(config cfg)
 
   if (cfg_.quarantine_capacity > 0)
     q_entries_.assign(cfg_.quarantine_capacity, q_entry{});
-  retired_batchers_.reserve(2);  // at most: first death + restarted death
 
   linger_ns_.store(to_ns(cfg_.max_linger), std::memory_order_relaxed);
-  heartbeat_ns_.store(epoch_ns(clock::now()), std::memory_order_relaxed);
 
-  batcher_ = std::thread([this] { batcher_main(0); });
+  batcher_ = std::thread([this] { batcher_loop(); });
   parallel::name_thread(batcher_, "anyseq-batcher");
-  if (cfg_.watchdog) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-    parallel::name_thread(watchdog_, "anyseq-watchdog");
-  }
 }
 
 aligner::~aligner() { shutdown(true); }
@@ -461,16 +453,6 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   if (cfg_.tenant_rate > 0.0 && so.tenant >= cfg_.max_tenants)
     throw invalid_argument_error(
         "service: tenant id must be < config::max_tenants");
-  // Brownout fast path: refuse bulk before it costs a slot.  The
-  // authoritative check happens again under mu_ before publishing, so a
-  // brownout that flips mid-submit can never strand a request in a ring
-  // no batcher will drain.
-  if (so.cls == request_class::bulk &&
-      brownout_.load(std::memory_order_acquire)) {
-    rejected_[ci].fetch_add(1, std::memory_order_relaxed);
-    throw service_down_error(
-        "service: browned out — bulk traffic refused");
-  }
 
   std::uint32_t idx;
   {
@@ -598,25 +580,6 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
         space_cv_.notify_one();
         throw shutdown_error("service: submit after shutdown");
       }
-      // Authoritative brownout check: brownout is set under mu_, so once
-      // observed false here the batcher generation serving this ring is
-      // live.  Bulk is refused; interactive degrades to solo execution
-      // on the submitting thread — no batcher required.
-      if (brownout_.load(std::memory_order_relaxed)) {
-        if (so.cls == request_class::bulk) {
-          rejected_[ci].fetch_add(1, std::memory_order_relaxed);
-          sl.st = slot_state::free_slot;
-          free_.push_back(idx);
-          space_cv_.notify_one();
-          throw service_down_error(
-              "service: browned out — bulk traffic refused");
-        }
-        accepted_[ci].fetch_add(1, std::memory_order_relaxed);
-        lock.unlock();
-        solo_execute_now(idx);
-        ANYSEQ_TRACE_EMIT(submit, idx, tr_submit, 0);
-        return ticket(this, idx, gen);
-      }
       if (ring.count < cfg_.queue_capacity) break;  // room to enqueue
       switch (cfg_.policy) {
         case backpressure::reject:
@@ -670,68 +633,33 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
 // Batching and execution
 // ---------------------------------------------------------------------
 
-void aligner::batcher_main(std::uint64_t gen) {
-  try {
-    batcher_loop(gen);
-  } catch (...) {
-    // The batcher died (injected or real).  Swallow the exception and
-    // flag the crash for the watchdog — containment, not propagation:
-    // an escaping exception from a detached-in-spirit worker would
-    // terminate the process.
-    std::lock_guard lock(mu_);
-    if (batcher_gen_ == gen) {
-      batcher_crashed_ = true;
-      watchdog_cv_.notify_all();
-    }
-  }
-}
-
-void aligner::batcher_loop(std::uint64_t gen) {
-  std::vector<std::uint32_t> batch;
-  batch.reserve(cfg_.max_batch);
+void aligner::batcher_loop() {
   next_adapt_ = clock::now();
   for (;;) {
     try {
-      if (!batcher_iteration(gen, batch)) return;
+      if (!batcher_iteration()) return;
     } catch (...) {
-      // Dying with collected-but-undispatched requests would strand
-      // their tickets forever: fail them before the exception leaves
-      // the loop (batcher_main then flags the crash).
+      // Contain, never die: the requests this iteration had collected
+      // but not dispatched fail typed, and the loop carries on serving
+      // the rings.
       {
         std::lock_guard lock(mu_);
         const auto e = std::make_exception_ptr(service_down_error(
-            "service: batcher thread died during batch collection"));
-        for (const std::uint32_t idx : batch) fail_dequeued_locked(idx, e);
-        batch.clear();
+            "service: batcher failed while collecting this batch"));
+        for (const std::uint32_t idx : batch_) fail_dequeued_locked(idx, e);
+        batch_.clear();
       }
       space_cv_.notify_all();
-      throw;
     }
   }
 }
 
-bool aligner::batcher_iteration(std::uint64_t gen,
-                                std::vector<std::uint32_t>& batch) {
-  const auto beat = [this] {
-    heartbeat_ns_.store(epoch_ns(clock::now()), std::memory_order_relaxed);
-  };
+bool aligner::batcher_iteration() {
+  std::vector<std::uint32_t>& batch = batch_;
   std::unique_lock lock(mu_);
-  beat();
-  batcher_waiting_ = true;
-  batcher_cv_.wait(lock, [&] {
-    return stopping_ || queued_total() > 0 || batcher_gen_ != gen;
-  });
-  batcher_waiting_ = false;
-  beat();
-  if (batcher_gen_ != gen) return false;  // superseded by the watchdog
+  batcher_cv_.wait(lock, [&] { return stopping_ || queued_total() > 0; });
   if (queued_total() == 0) return !stopping_;
   const std::int64_t tr_collect = ANYSEQ_TRACE_NOW();
-
-  // Injected batcher death fires before anything is popped, so the
-  // crash never strands collected requests (real crashes later in the
-  // iteration are contained by batcher_loop's catch).
-  if (ANYSEQ_FAULT_POINT(batcher_stall))
-    throw fault::injected_fault("service: injected batcher death");
 
   // Strict priority: interactive is served whenever anything is
   // waiting there; bulk fills the machine otherwise.
@@ -793,31 +721,13 @@ bool aligner::batcher_iteration(std::uint64_t gen,
       if (cutoff < wake) wake = cutoff;
     }
     if (clock::now() >= wake) break;
-    batcher_waiting_ = true;
-    const auto ws_status = batcher_cv_.wait_until(lock, wake);
-    batcher_waiting_ = false;
-    beat();
-    if (batcher_gen_ != gen) break;  // superseded: dispatch what we hold
-    if (ws_status == std::cv_status::timeout) break;  // flush: linger over
+    if (batcher_cv_.wait_until(lock, wake) == std::cv_status::timeout)
+      break;  // flush: linger over
   }
 
   const std::int64_t tr_ws = ANYSEQ_TRACE_NOW();
-  batcher_waiting_ = true;
-  inflight_cv_.wait(
-      lock, [&] { return !free_ws_.empty() || batcher_gen_ != gen; });
-  batcher_waiting_ = false;
-  beat();
+  inflight_cv_.wait(lock, [&] { return !free_ws_.empty(); });
   ANYSEQ_TRACE_EMIT(workspace_wait, 0, tr_ws, 0);
-  if (batcher_gen_ != gen) {
-    // Superseded while holding a collected batch: the watchdog already
-    // failed the rings; these members are ours to fail.
-    const auto e = std::make_exception_ptr(service_down_error(
-        "service: batcher superseded during batch collection"));
-    for (const std::uint32_t idx : batch) fail_dequeued_locked(idx, e);
-    batch.clear();
-    space_cv_.notify_all();
-    return false;
-  }
   // Deadline shed point #3: batch dispatch.  Deadlines that passed while
   // the batch formed or while it was parked waiting for a workspace (or
   // that a skewed clock now reports passed) are shed; execution is
@@ -843,8 +753,6 @@ bool aligner::batcher_iteration(std::uint64_t gen,
   }
 
   const std::uint32_t w = free_ws_.back();
-  free_ws_.pop_back();
-  ++inflight_;
   exec_unit& ws = exec_units_[w];
   // Close each member's ring_wait span (opened at its ring_push) and
   // the batcher's collect span; both are no-ops while disarmed.
@@ -852,14 +760,28 @@ bool aligner::batcher_iteration(std::uint64_t gen,
     ANYSEQ_TRACE_EMIT(ring_wait, idx, slots_[idx].t_queued_ns, 0);
   ANYSEQ_TRACE_EMIT(batch_collect, w, tr_collect,
                     static_cast<std::int64_t>(batch.size()));
-  ws.items.assign(batch.begin(), batch.end());
-  batch.clear();  // dispatched: no longer the loop's to fail
-  // Adapt under mu_: a superseded predecessor can then never race its
-  // replacement on controller state.
-  if (cfg_.adaptive_linger) adapt_linger(clock::now());
+  ws.items.assign(batch.begin(), batch.end());  // reserved: cannot throw
+  // From here nothing throws until the hand-off, whose failure is
+  // handled in place: the batch is dispatched, no longer the loop's to
+  // fail.
+  free_ws_.pop_back();
+  ++inflight_;
+  batch.clear();
   lock.unlock();
 
-  pool_->run([this, w] { execute(w); });
+  try {
+    // The pool's job ring grows to the peak backlog and that growth can
+    // fail; the hand-off then throws before anything was enqueued.
+    if (ANYSEQ_FAULT_POINT(dispatch_failure)) throw std::bad_alloc();
+    pool_->run([this, w] { execute(w); });
+  } catch (...) {
+    // The batch runs here instead: it completes, and inflight_ drops
+    // back, either way.
+    execute(w);
+  }
+  // Controller state is the batcher's alone; the histogram and counters
+  // it reads are atomics.
+  if (cfg_.adaptive_linger) adapt_linger(clock::now());
   return true;
 }
 
@@ -905,16 +827,23 @@ void aligner::adapt_linger(clock::time_point now) {
 }
 
 void aligner::complete(std::uint32_t idx, alignment_result&& r,
-                       std::exception_ptr e) {
+                       std::exception_ptr e) noexcept {
   const std::int64_t tr_complete = ANYSEQ_TRACE_NOW();
   const bool with_error = e != nullptr;  // e is moved into the slot below
   slot& sl = slots_[idx];
   const auto ci = static_cast<std::size_t>(sl.cls);
   // Successful results feed the cache before delivery; the insert copies
   // into entry-owned recycled buffers, so moving `r` below is safe.  No
-  // service lock is held here — the cache's shard locks are leaves.
-  if (e == nullptr && cache_ != nullptr)
-    cache_->insert(sl.q, sl.s, sl.opt, r);
+  // service lock is held here — the cache's shard locks are leaves.  An
+  // insert that fails (its copies allocate) leaves no entry behind, so
+  // the result is simply delivered uncached: a caller of complete()
+  // that saw it throw would re-deliver members it had already completed.
+  if (e == nullptr && cache_ != nullptr) {
+    try {
+      cache_->insert(sl.q, sl.s, sl.opt, r);
+    } catch (...) {
+    }
+  }
   const std::uint64_t lat = ns_between(sl.t_submit, clock::now());
   bool recycle = false;
   {
@@ -1084,91 +1013,6 @@ void aligner::run_solo(exec_unit& ws, std::uint32_t idx) {
   complete(idx, {}, std::move(err));
 }
 
-void aligner::solo_execute_now(std::uint32_t idx) {
-  slot& sl = slots_[idx];
-  const auto ci = static_cast<std::size_t>(sl.cls);
-  if (sl.deadline != clock::time_point::max() &&
-      skewed_now() >= sl.deadline) {
-    deadline_expired_[ci].fetch_add(1, std::memory_order_relaxed);
-    complete(idx, {},
-             std::make_exception_ptr(deadline_error(
-                 "service: deadline expired before execution started")));
-    return;
-  }
-  std::exception_ptr err;  // published after the handler exits (above)
-  try {
-    if (ANYSEQ_FAULT_HOOKS && fault::armed() != nullptr &&
-        fault::armed()->poisoned(cache_key_hash(sl.q, sl.s, sl.opt)))
-      throw fault::injected_fault("service: injected kernel exception");
-    // One-shot sync path: same dispatcher as anyseq::align, so the
-    // result stays byte-identical.  This path allocates a workspace —
-    // acceptable, it only runs in brownout or dead-batcher drain.
-    const auto eng_t0 = clock::now();
-    alignment_result r = anyseq::align(sl.q, sl.s, sl.opt);
-    const std::uint64_t eng_ns = ns_between(eng_t0, clock::now());
-    note_exec(route::solo, r.variant, 1, r.cells, eng_ns);
-    ANYSEQ_TRACE_EMIT(exec_solo, idx, epoch_ns(eng_t0), 1);
-    complete(idx, std::move(r), nullptr);
-    return;
-  } catch (...) {
-    err = std::current_exception();
-  }
-  record_offender(sl);
-  complete(idx, {}, std::move(err));
-}
-
-// ---------------------------------------------------------------------
-// Watchdog and degradation
-// ---------------------------------------------------------------------
-
-void aligner::watchdog_loop() {
-  std::unique_lock lock(mu_);
-  for (;;) {
-    watchdog_cv_.wait_for(lock, cfg_.watchdog_interval,
-                          [&] { return stopping_ || batcher_crashed_; });
-    if (stopping_) return;
-    bool dead = batcher_crashed_;
-    if (!dead && queued_total() > 0 && !batcher_waiting_) {
-      // Work is queued and the batcher claims to be actively running
-      // (not parked in a wait) — a stale heartbeat then means it is
-      // wedged.  Legitimate long waits (linger, a slow batch holding
-      // all exec units) set batcher_waiting_ and never trip this.
-      const std::int64_t hb = heartbeat_ns_.load(std::memory_order_relaxed);
-      dead = epoch_ns(clock::now()) - hb > to_ns(cfg_.stall_threshold);
-    }
-    if (dead) handle_batcher_failure_locked();
-  }
-}
-
-void aligner::handle_batcher_failure_locked() {
-  batcher_crashed_ = false;
-  ++batcher_gen_;  // a stalled-but-alive predecessor exits on next wake
-  retired_batchers_.push_back(std::move(batcher_));
-  // Queued requests would wait forever on a dead batcher: fail them
-  // now, typed, instead of hanging their tickets.
-  const auto e = std::make_exception_ptr(service_down_error(
-      "service: batcher thread died; queued request failed"));
-  for (auto& r : rings_)
-    while (r.count > 0) fail_dequeued_locked(ring_pop(r), e);
-  space_cv_.notify_all();
-  if (watchdog_restarts_.load(std::memory_order_relaxed) == 0 &&
-      !stopping_) {
-    // First death: restart once.
-    watchdog_restarts_.fetch_add(1, std::memory_order_relaxed);
-    ANYSEQ_TRACE_MARK(watchdog_restart, 0,
-                      static_cast<std::int64_t>(batcher_gen_));
-    const std::uint64_t gen = batcher_gen_;
-    batcher_ = std::thread([this, gen] { batcher_main(gen); });
-    parallel::name_thread(batcher_, "anyseq-batcher");
-  } else {
-    // Restart budget spent: degrade rather than flap.  Bulk is refused
-    // at submit, interactive executes solo there — degraded but live.
-    brownout_.store(true, std::memory_order_release);
-    ANYSEQ_TRACE_MARK(brownout, 0, static_cast<std::int64_t>(batcher_gen_));
-  }
-  batcher_cv_.notify_all();
-}
-
 // ---------------------------------------------------------------------
 // Shutdown and stats
 // ---------------------------------------------------------------------
@@ -1190,28 +1034,11 @@ void aligner::shutdown(bool drain) {
   }
   batcher_cv_.notify_all();
   space_cv_.notify_all();  // blocked submitters observe the shutdown
-  watchdog_cv_.notify_all();
-  // Watchdog first: once it has exited, no one else moves batcher_ into
-  // retired_batchers_ and the joins below race nothing.
-  if (watchdog_.joinable()) watchdog_.join();
+  // The batcher exits only once stopping with empty rings: its join is
+  // the drain.
   if (batcher_.joinable()) batcher_.join();
-  for (auto& t : retired_batchers_)
-    if (t.joinable()) t.join();
 
   std::unique_lock lock(mu_);
-  // A batcher that died undetected (or a browned-out service) can leave
-  // drained requests queued with no thread to serve them.  The drain
-  // promise — every queued request completes — is kept here instead:
-  // execute them solo on this thread.  (With drain=false the rings were
-  // already failed above; a live batcher drains them itself.)
-  for (auto& r : rings_) {
-    while (r.count > 0) {
-      const std::uint32_t idx = ring_pop(r);
-      lock.unlock();
-      solo_execute_now(idx);
-      lock.lock();
-    }
-  }
   inflight_cv_.wait(lock, [&] { return inflight_ == 0; });
   shut_down_ = true;
 }
@@ -1241,8 +1068,6 @@ service_stats aligner::stats() const {
     out.deadline_expired += cs.deadline_expired;
     out.quarantined += cs.quarantined;
   }
-  out.watchdog_restarts = watchdog_restarts_.load(std::memory_order_relaxed);
-  out.brownout = brownout_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.batched_requests = batched_requests_.load(std::memory_order_relaxed);
   out.batch_simd_pairs = batch_simd_pairs_.load(std::memory_order_relaxed);

@@ -54,16 +54,17 @@
 ///     neighbors still succeed byte-identically.  Fingerprints that fail
 ///     solo more than `quarantine_threshold` times are refused at
 ///     submit with `quarantine_error` before consuming any capacity.
-///   * **Watchdog / brownout.**  A watchdog thread detects a dead or
-///     stalled batcher, fails everything queued with
-///     `service_down_error`, and restarts the batcher once; if the
-///     replacement also dies the service browns out: bulk submissions
-///     are refused with `service_down_error` while interactive ones
-///     execute solo inside `submit()` — degraded but live.
+///   * **Batcher containment.**  The batcher never dies: a failure
+///     while it collects a batch fails that batch's members with
+///     `service_down_error` and the loop carries on, and a batch the
+///     pool cannot take (its job ring failed to grow) runs on the
+///     batcher itself — so every dispatched batch completes and a live
+///     batcher always drains its own rings.
 ///   * **Deterministic fault injection** (service/faultinject.hpp).
-///     Hook points for allocation failure, kernel exceptions, batcher
-///     death, and clock skew, driven by a seeded schedule; branch-only
-///     when disarmed, so they ride in production builds for free.
+///     Hook points for allocation failure, kernel exceptions, failed
+///     batch hand-offs, and clock skew, driven by a seeded schedule;
+///     branch-only when disarmed, so they ride in production builds for
+///     free.
 ///
 /// Admission is bounded: at most `config::queue_capacity` requests wait
 /// in each class queue and at most `config::max_outstanding` tickets can
@@ -157,9 +158,8 @@ class quarantine_error : public error {
   explicit quarantine_error(const std::string& what) : error(what) {}
 };
 
-/// The batcher thread died (or the service is browned out): queued
-/// requests fail with this, and bulk submissions are refused with it
-/// while brownout lasts.
+/// The batcher failed while collecting this request's batch; delivered
+/// through `ticket::get()` of each member of that batch.
 class service_down_error : public error {
  public:
   explicit service_down_error(const std::string& what) : error(what) {}
@@ -250,18 +250,6 @@ struct config {
   /// Solo-isolated execution failures of one request fingerprint before
   /// submissions of it are refused with quarantine_error.
   std::uint32_t quarantine_threshold = 2;
-
-  /// Run the batcher watchdog: detect a dead or stalled batcher thread,
-  /// fail queued requests with service_down_error, restart the thread
-  /// once, brown out if the replacement dies too.
-  bool watchdog = true;
-  /// How often the watchdog wakes to check the batcher heartbeat.
-  std::chrono::microseconds watchdog_interval{100000};
-  /// Heartbeat staleness that counts as a stall — only while work is
-  /// queued and the batcher is not parked in a legitimate wait, so slow
-  /// batches never trip it.  Keep well above one batch's collection
-  /// cost under sanitizers.
-  std::chrono::microseconds stall_threshold{1000000};
 };
 
 class aligner;
@@ -334,9 +322,8 @@ class aligner {
   /// Throws validation_error for bad options (same checks as
   /// `anyseq::align`, applied before any capacity is consumed),
   /// queue_full_error / shutdown_error per the backpressure policy and
-  /// service state, quota_error when the tenant's bucket is empty,
-  /// quarantine_error for a known repeat-offender request, and
-  /// service_down_error for bulk requests while browned out.
+  /// service state, quota_error when the tenant's bucket is empty, and
+  /// quarantine_error for a known repeat-offender request.
   [[nodiscard]] ticket submit(stage::seq_view q, stage::seq_view s,
                               const align_options& opt = {},
                               const submit_options& so = {});
@@ -455,15 +442,14 @@ class aligner {
                      std::string_view q_chars, std::string_view s_chars,
                      bool copy_strings, const align_options& opt,
                      const submit_options& so);
-  /// Batcher thread body for generation `gen`: runs batcher_loop, and on
-  /// an escaping exception marks the batcher crashed for the watchdog.
-  void batcher_main(std::uint64_t gen);
-  void batcher_loop(std::uint64_t gen);
-  /// One collect+dispatch round; false = exit the loop (stopped or
-  /// superseded by a watchdog restart).  `batch` is the loop's reusable
-  /// scratch; on an escaping exception its members are failed by the
-  /// caller before the exception leaves the thread.
-  bool batcher_iteration(std::uint64_t gen, std::vector<std::uint32_t>& batch);
+  /// Batcher thread body: runs batcher_iteration until it reports the
+  /// service stopped and drained.  An exception from an iteration fails
+  /// the members it had collected and the loop carries on.
+  void batcher_loop();
+  /// One collect+dispatch round over `batch_`; false = exit the loop
+  /// (stopping and nothing queued).  On an escaping exception the
+  /// members left in `batch_` are failed by the caller.
+  bool batcher_iteration();
   void adapt_linger(std::chrono::steady_clock::time_point now);
   void execute(std::uint32_t ws_index);
   /// Execute items [lo, hi) of `ws`, containing failures by bisection:
@@ -474,8 +460,10 @@ class aligner {
   /// Execute one request in isolation; a failure is captured into its
   /// ticket and recorded against its fingerprint for the quarantine.
   void run_solo(exec_unit& ws, std::uint32_t idx);
+  /// Deliver one request's outcome.  Never throws: a success whose
+  /// cache insert fails is still delivered, just uncached.
   void complete(std::uint32_t idx, alignment_result&& r,
-                std::exception_ptr e);
+                std::exception_ptr e) noexcept;
   /// Requires mu_ held: fail a request popped from the admission ring.
   void fail_dequeued_locked(std::uint32_t idx, std::exception_ptr e);
   /// Requires mu_ held: shed an expired dequeued request with
@@ -485,16 +473,6 @@ class aligner {
   /// Requires mu_ held: refill + draw one token; false when drained.
   [[nodiscard]] bool take_token(std::uint32_t tenant,
                                 std::chrono::steady_clock::time_point now);
-
-  /// Watchdog thread: wakes every watchdog_interval, checks the batcher
-  /// heartbeat and crash flag, restarts once, then browns out.
-  void watchdog_loop();
-  /// Requires mu_ held: the batcher died or stalled — fail everything
-  /// queued with service_down_error, then restart or brown out.
-  void handle_batcher_failure_locked();
-  /// Execute one filled slot synchronously on the submitting/shutdown
-  /// thread (brownout path and dead-batcher drain); completes the slot.
-  void solo_execute_now(std::uint32_t idx);
 
   /// Record one engine call in the (route, variant) execution table:
   /// `requests` items, `cells` DP cells relaxed, `ns` engine wall time.
@@ -545,18 +523,6 @@ class aligner {
   std::size_t inflight_ = 0;
   bool accepting_ = true;
   bool stopping_ = false;
-
-  // Watchdog / degradation state.  batcher_gen_ names the current
-  // batcher incarnation: a loop observing a newer generation exits so a
-  // stalled-but-alive thread steps aside for its replacement.
-  std::uint64_t batcher_gen_ = 0;        ///< guarded by mu_
-  bool batcher_crashed_ = false;         ///< guarded by mu_
-  bool batcher_waiting_ = false;         ///< guarded by mu_: parked in a cv
-  std::vector<std::thread> retired_batchers_;  ///< joined at shutdown
-  std::condition_variable watchdog_cv_;  ///< stop / crash notification
-  std::atomic<std::int64_t> heartbeat_ns_{0};  ///< batcher liveness beacon
-  std::atomic<bool> brownout_{false};
-  std::atomic<std::uint64_t> watchdog_restarts_{0};
 
   /// Repeat-offender quarantine: a fixed table of (fingerprint, solo
   /// failure count), round-robin overwritten.  `q_active_` mirrors the
@@ -615,14 +581,19 @@ class aligner {
   std::atomic<std::uint64_t> exec_cells_[n_exec_routes][n_exec_variants] = {};
   std::atomic<std::uint64_t> exec_ns_[n_exec_routes][n_exec_variants] = {};
 
+  /// The batch the batcher is collecting (batcher thread only; reserved
+  /// to max_batch at construction, so the thread never allocates).  Its
+  /// own cache line: the batcher writes it per collected request, pool
+  /// workers write the counters above per batch.
+  alignas(64) std::vector<std::uint32_t> batch_;
+
   // Adaptive-linger controller state (batcher thread only).
   std::chrono::steady_clock::time_point next_adapt_{};
   std::uint64_t adapt_last_batches_ = 0;
   std::uint64_t adapt_last_batched_requests_ = 0;
 
-  // Threads last: they start after all state above is ready.
+  // The thread last: it starts after all state above is ready.
   std::thread batcher_;
-  std::thread watchdog_;
 };
 
 /// Process-wide default service (default config, created on first use).

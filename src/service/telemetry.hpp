@@ -123,14 +123,6 @@ struct service_stats {
   /// max_linger unless the adaptive controller has moved it).
   std::uint64_t effective_linger_us = 0;
 
-  /// Times the watchdog replaced a dead/stalled batcher thread.
-  std::uint64_t watchdog_restarts = 0;
-  /// True when the service has degraded to brownout mode: the batcher
-  /// died beyond the restart budget, bulk submissions are refused with
-  /// service_down_error, and interactive submissions execute solo at
-  /// submit().
-  bool brownout = false;
-
   /// Per-route x per-variant execution accounting recorded around the
   /// engine calls: requests, DP cells, and engine wall time (GCUPS =
   /// cells / ns — see exec_snapshot::total_gcups()).

@@ -28,8 +28,6 @@ const char* to_string(span s) noexcept {
 
 const char* to_string(instant i) noexcept {
   switch (i) {
-    case instant::watchdog_restart: return "watchdog_restart";
-    case instant::brownout: return "brownout";
     case instant::linger_adapt: return "linger_adapt";
     case instant::deadline_shed: return "deadline_shed";
     case instant::shed: return "shed";

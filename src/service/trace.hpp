@@ -41,8 +41,8 @@
 ///   exec_solo       — one engine `align_into` call (solo request)
 ///   complete        — completion: result move + ticket wake
 ///
-/// Instants: watchdog_restart, brownout, linger_adapt, deadline_shed,
-/// shed, quarantine — point happenings worth seeing on the timeline.
+/// Instants: linger_adapt, deadline_shed, shed, quarantine — point
+/// happenings worth seeing on the timeline.
 ///
 /// Arming is process-global and caller-owned: `arm()` publishes a
 /// collector to every emission site in the process, `disarm()` retracts
@@ -73,14 +73,12 @@ inline constexpr std::size_t n_spans = 9;
 
 /// Instant events ("ph":"i").
 enum class instant : std::uint8_t {
-  watchdog_restart,
-  brownout,
   linger_adapt,
   deadline_shed,
   shed,
   quarantine,
 };
-inline constexpr std::size_t n_instants = 6;
+inline constexpr std::size_t n_instants = 4;
 
 [[nodiscard]] const char* to_string(span s) noexcept;
 [[nodiscard]] const char* to_string(instant i) noexcept;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/rolling.hpp"
 #include "testutil.hpp"
 
@@ -192,6 +195,61 @@ TEST(AlignApi, ValidatesOptions) {
   opt.kind = align_kind::local;
   opt.match = 0;
   EXPECT_THROW(validate(opt), invalid_argument_error);
+}
+
+TEST(AlignApi, ValidateBoundsScoreMagnitudes) {
+  // Every score field past 2^20 in magnitude (INT32_MIN included, whose
+  // negation overflows) is a validation_error naming the field; 2^20
+  // itself is accepted and aligns exactly.  Gap fields are <= 0, so
+  // their accepted edge is -2^20.
+  using setter = void (*)(align_options&, score_t);
+  struct field {
+    const char* name;
+    setter set;
+    bool sign_free;  // false: positive values fail the sign rule instead
+  };
+  const field fields[] = {
+      {"match", [](align_options& o, score_t v) { o.match = v; }, true},
+      {"mismatch", [](align_options& o, score_t v) { o.mismatch = v; },
+       true},
+      {"gap_open", [](align_options& o, score_t v) { o.gap_open = v; },
+       false},
+      {"gap_extend", [](align_options& o, score_t v) { o.gap_extend = v; },
+       false},
+      {"matrix entry",
+       [](align_options& o, score_t v) {
+         o.matrix = dna_matrix_scoring::uniform(2, -1);
+         o.matrix->set(1, 2, v);
+       },
+       true},
+  };
+  const score_t over = max_abs_score + 1;
+  for (const field& f : fields) {
+    for (const score_t bad :
+         {over, -over, std::numeric_limits<score_t>::min()}) {
+      align_options opt;
+      f.set(opt, bad);
+      try {
+        validate(opt);
+        ADD_FAILURE() << f.name << " = " << bad << " passed validate()";
+      } catch (const validation_error& e) {
+        EXPECT_NE(std::string(e.what()).find(f.name), std::string::npos)
+            << e.what();
+      }
+    }
+    for (const score_t edge : {max_abs_score, -max_abs_score}) {
+      if (edge > 0 && !f.sign_free) continue;
+      align_options opt;
+      f.set(opt, edge);
+      EXPECT_NO_THROW(validate(opt)) << f.name << " = " << edge;
+      align_options ref = opt;
+      ref.exec = backend::scalar;
+      ref.precision = score_precision::int32;
+      EXPECT_EQ(align_strings("ACGTACGGT", "ACTTACGT", opt).score,
+                align_strings("ACGTACGGT", "ACTTACGT", ref).score)
+          << f.name << " = " << edge;
+    }
+  }
 }
 
 TEST(AlignApi, LargeScoresOnALongPairEqualScalarInt32) {

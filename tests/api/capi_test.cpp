@@ -68,6 +68,39 @@ TEST(CApi, InvalidParamsReturnError) {
   EXPECT_EQ(anyseq_global_score("ACGT", "ACGT", 2, -1, +1), ANYSEQ_C_ERROR);
 }
 
+TEST(CApi, ScoreMagnitudesAreBounded) {
+  // Past ANYSEQ_MAX_ABS_SCORE (INT32_MIN included) every score argument
+  // is an error; at the limit the call aligns exactly like C++.
+  static_assert(ANYSEQ_MAX_ABS_SCORE == anyseq::max_abs_score);
+  const anyseq_score_t lim = ANYSEQ_MAX_ABS_SCORE;
+  const char* q = "ACGTACGGT";
+  const char* s = "ACTTACGT";
+  char qa[32], sa[32];
+  const auto call = [&](int field, anyseq_score_t v) {
+    anyseq_score_t p[4] = {2, -1, -2, -1};  // match, mismatch, open, extend
+    p[field] = v;
+    return anyseq_construct_global_alignment_affine(q, s, p[0], p[1], p[2],
+                                                    p[3], qa, sa);
+  };
+  for (int field = 0; field < 4; ++field) {
+    for (const anyseq_score_t bad : {lim + 1, -lim - 1, INT32_MIN})
+      EXPECT_EQ(call(field, bad), ANYSEQ_C_ERROR)
+          << "field " << field << " = " << bad;
+    // Gap arguments must be <= 0, so their accepted edge is -lim.
+    for (const anyseq_score_t edge : {lim, -lim}) {
+      if (edge > 0 && field >= 2) continue;
+      anyseq::align_options opt;
+      opt.want_alignment = true;
+      opt.gap_open = -2;
+      anyseq::score_t* fields[4] = {&opt.match, &opt.mismatch, &opt.gap_open,
+                            &opt.gap_extend};
+      *fields[field] = edge;
+      EXPECT_EQ(call(field, edge), anyseq::align_strings(q, s, opt).score)
+          << "field " << field << " = " << edge;
+    }
+  }
+}
+
 TEST(CApi, Version) {
   EXPECT_STREQ(anyseq_version(), "1.0.0");
 }

@@ -1,7 +1,8 @@
 /// Chaos tests for the serving tier: a 32-seed deterministic
 /// fault-injection sweep (poisoned requests, batch alloc failures,
-/// batcher deaths, clock skew), replay determinism of the poison
-/// schedule, and the watchdog restart -> brownout state machine.
+/// failed batch hand-offs, clock skew), replay determinism of the
+/// poison schedule, hand-offs that always fail, and cache inserts that
+/// fail half the time.
 ///
 /// Invariants under every schedule:
 ///   * no ticket hangs (every wait is bounded; a hang is a failure),
@@ -9,7 +10,8 @@
 ///     align() — fault containment never perturbs innocents,
 ///   * every failure carries one of the typed service errors, and an
 ///     injected_fault surfaces only for a fingerprint the schedule
-///     actually poisons,
+///     actually poisons; no injected fault ever costs a request its
+///     result through a service_down_error,
 ///   * after drain-shutdown the counters balance: no slot, ticket, or
 ///     request is lost.
 
@@ -97,7 +99,7 @@ TEST(ServiceChaos, ThirtyTwoSeedSweepContainsEveryInjectedFault) {
     fcfg.seed = seed;
     fcfg.poison_rate = 0.08;
     fcfg.alloc_failure_rate = seed % 2 == 1 ? 0.15 : 0.0;
-    fcfg.batcher_stall_rate = seed % 4 == 3 ? 0.02 : 0.0;
+    fcfg.dispatch_failure_rate = seed % 4 == 3 ? 0.25 : 0.0;
     fcfg.max_clock_skew_ns = seed % 3 == 0 ? 200'000 : 0;
 
     config cfg;
@@ -124,9 +126,6 @@ TEST(ServiceChaos, ThirtyTwoSeedSweepContainsEveryInjectedFault) {
         tickets[i] =
             svc.submit(view(reqs[i].q), view(reqs[i].s), reqs[i].opt, so);
         submitted[i] = true;
-      } catch (const service_down_error&) {
-        // Brownout refuses bulk at submit — legal only on stall seeds.
-        EXPECT_GT(fcfg.batcher_stall_rate, 0.0);
       } catch (const quarantine_error&) {
         // Only a poisoned fingerprint can accumulate offenses.
         EXPECT_TRUE(sched->poisoned(reqs[i].fp));
@@ -149,10 +148,6 @@ TEST(ServiceChaos, ThirtyTwoSeedSweepContainsEveryInjectedFault) {
       } catch (const deadline_error&) {
         EXPECT_TRUE(reqs[i].has_deadline)
             << "deadline-free request " << i << " expired";
-      } catch (const service_down_error&) {
-        EXPECT_GT(fcfg.batcher_stall_rate, 0.0)
-            << "request " << i << " lost to a batcher death on a "
-            << "stall-free seed";
       }
     }
 
@@ -161,10 +156,6 @@ TEST(ServiceChaos, ThirtyTwoSeedSweepContainsEveryInjectedFault) {
     EXPECT_EQ(snap.outstanding_tickets, 0u);
     EXPECT_EQ(snap.queue_depth, 0u);
     EXPECT_EQ(snap.accepted, snap.completed + snap.failed);
-    if (fcfg.batcher_stall_rate == 0.0) {
-      EXPECT_EQ(snap.watchdog_restarts, 0u);
-      EXPECT_FALSE(snap.brownout);
-    }
   }
 }
 
@@ -268,58 +259,90 @@ TEST(ServiceChaos, BisectionIsolatesPoisonWithoutHarmingBatchmates) {
   EXPECT_EQ(snap.failed, 1u);
 }
 
-TEST(ServiceChaos, WatchdogRestartsOnceThenBrownsOut) {
-  // stall_rate = 1.0: the batcher dies the instant it sees queued work.
-  // First death -> watchdog fails the queued ticket and restarts; second
-  // death -> brownout: bulk refused at submit, interactive solo-executed.
+TEST(ServiceChaos, DispatchFailuresRunOnTheBatcher) {
+  // Every hand-off to the pool fails, so every batch of both classes
+  // runs on the batcher thread: nothing is refused, nothing is lost, and
+  // every result is still byte-identical to synchronous align().
   fault::schedule::config fcfg;
   fcfg.seed = 9;
-  fcfg.batcher_stall_rate = 1.0;
+  fcfg.dispatch_failure_rate = 1.0;
 
   config cfg;
-  cfg.watchdog_interval = 5ms;  // brisk detection, test stays fast
+  cfg.max_batch = 8;
+  cfg.max_linger = 200us;
 
   armed_schedule sched(fcfg);
   aligner svc(cfg);
-  const auto q = random_codes(24, 90);
-
-  auto t1 = svc.submit(view(q), view(q));
-  ASSERT_TRUE(t1.wait_for(30s));
-  EXPECT_THROW((void)t1.get(), service_down_error);
-  // The restart is observable before the second submission.
-  bool restarted = false;
-  for (int i = 0; i < 2000 && !restarted; ++i) {
-    restarted = svc.stats().watchdog_restarts == 1;
-    if (!restarted) std::this_thread::sleep_for(1ms);
+  const auto reqs = make_requests(9, 32);
+  std::vector<ticket> tickets;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    submit_options so;
+    so.cls = i % 2 == 0 ? request_class::interactive : request_class::bulk;
+    tickets.push_back(
+        svc.submit(view(reqs[i].q), view(reqs[i].s), reqs[i].opt, so));
   }
-  ASSERT_TRUE(restarted);
-  EXPECT_FALSE(svc.stats().brownout);
-
-  auto t2 = svc.submit(view(q), view(q));
-  ASSERT_TRUE(t2.wait_for(30s));
-  EXPECT_THROW((void)t2.get(), service_down_error);
-  bool browned = false;
-  for (int i = 0; i < 2000 && !browned; ++i) {
-    browned = svc.stats().brownout;
-    if (!browned) std::this_thread::sleep_for(1ms);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_TRUE(tickets[i].wait_for(30s)) << "request " << i << " hung";
+    expect_identical(tickets[i].get(),
+                     align(view(reqs[i].q), view(reqs[i].s), reqs[i].opt));
   }
-  ASSERT_TRUE(browned);
-  EXPECT_EQ(svc.stats().watchdog_restarts, 1u);
-
-  // Brownout: bulk is refused outright...
-  submit_options bulk;
-  bulk.cls = request_class::bulk;
-  EXPECT_THROW((void)svc.submit(view(q), view(q), {}, bulk),
-               service_down_error);
-  // ...and interactive degrades to solo execution, still byte-identical.
-  auto t3 = svc.submit(view(q), view(q));
-  EXPECT_TRUE(t3.ready());  // completed inline at submit
-  expect_identical(t3.get(), align(view(q), view(q)));
 
   svc.shutdown(true);
   const auto snap = svc.stats();
-  EXPECT_EQ(snap.outstanding_tickets, 0u);
+  EXPECT_EQ(snap.rejected, 0u);
+  EXPECT_GT(snap.of(request_class::bulk).completed, 0u);
+  EXPECT_EQ(snap.completed, reqs.size());
+  EXPECT_EQ(snap.failed, 0u);
   EXPECT_EQ(snap.accepted, snap.completed + snap.failed);
+  EXPECT_EQ(snap.outstanding_tickets, 0u);
+  EXPECT_EQ(snap.in_flight_batches, 0u);
+}
+
+TEST(ServiceChaos, FailedCacheInsertsNeverServeAWrongResult) {
+  // Half of all cache inserts (and multi-request spans) fail their
+  // allocation.  A failed insert must leave no entry that maps a new key
+  // to an old result, and must not unwind out of completion — which
+  // would re-execute and re-complete batchmates already delivered.
+  // Repeated pairs make inserts overwrite and evict live entries.
+  fault::schedule::config fcfg;
+  fcfg.seed = 5;
+  fcfg.alloc_failure_rate = 0.5;
+
+  config cfg;
+  cfg.max_batch = 8;
+  cfg.max_linger = 200us;
+  cfg.cache_capacity = 64;
+
+  armed_schedule sched(fcfg);
+  aligner svc(cfg);
+  const auto distinct = make_requests(5, 48);
+  std::vector<const request*> reqs;
+  for (int round = 0; round < 3; ++round)
+    for (const auto& r : distinct) reqs.push_back(&r);
+  std::vector<ticket> tickets;
+  for (const request* r : reqs)
+    tickets.push_back(svc.submit(view(r->q), view(r->s), r->opt));
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_TRUE(tickets[i].wait_for(30s)) << "request " << i << " hung";
+    expect_identical(tickets[i].get(), align(view(reqs[i]->q),
+                                             view(reqs[i]->s), reqs[i]->opt));
+  }
+  // Exactly once: a double completion would count twice.
+  auto snap = svc.stats();
+  EXPECT_EQ(snap.completed, reqs.size());
+  EXPECT_EQ(snap.failed, 0u);
+  EXPECT_EQ(snap.accepted, snap.completed + snap.failed);
+
+  // Whatever the cache kept is right: every pair resubmitted (hit or
+  // miss) comes back byte-identical.
+  for (const auto& r : distinct)
+    expect_identical(svc.submit(view(r.q), view(r.s), r.opt).get(),
+                     align(view(r.q), view(r.s), r.opt));
+  svc.shutdown(true);
+  snap = svc.stats();
+  EXPECT_GT(snap.cache_hits, 0u);
+  EXPECT_EQ(snap.accepted, snap.completed + snap.failed);
+  EXPECT_EQ(snap.outstanding_tickets, 0u);
 }
 
 TEST(ServiceChaos, ClockSkewShedsOnlyDeadlineCarriers) {

@@ -538,8 +538,8 @@ TEST(Service, AbandonUnderLoadReclaimsEverySlot) {
       // dropped without get(): abandoned mid-flight
     }
     // All 32 slots must come back — a leak would wedge this submit
-    // forever under the block policy (bounded by the watchdog-free
-    // stats poll below instead).
+    // forever under the block policy, so the bounded stats poll below
+    // catches it first.
     EXPECT_TRUE(stats_become(svc, [&](const service_stats& s) {
       return s.outstanding_tickets == 0;
     }));
