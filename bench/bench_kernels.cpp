@@ -98,39 +98,8 @@ void BM_BatchReads(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchReads)->UseRealTime();
 
-/// The adaptive-precision batch routes against BM_BatchReads'
-/// auto-selected baseline: forced int16 (checked kernel, 150 bp reads),
-/// forced int8 (checked kernel, 20 bp reads inside the int8 window), and
-/// the Myers bit-parallel route on a unit-cost option set.
-template <score_precision P>
-void BM_BatchReadsNarrow(benchmark::State& state) {
-  const auto ref = make_seq(100000, 7);
-  bio::read_sim_params sp;
-  sp.read_length = P == score_precision::int8 ? 20 : 150;
-  const auto data = bio::simulate_read_pairs(ref, 512, sp);
-  std::vector<tiled::pair_view> pairs;
-  for (const auto& p : data)
-    pairs.push_back({p.first.view(), p.second.view()});
-  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(kLinear, kScoring, {1, P});
-  std::uint64_t cells = 0;
-  for (const auto& p : pairs)
-    cells += static_cast<std::uint64_t>(p.q.size()) * p.s.size();
-  for (auto _ : state) {
-    auto r = eng.scores(pairs);
-    benchmark::DoNotOptimize(r.data());
-  }
-  state.counters["GCUPS"] = benchmark::Counter(
-      static_cast<double>(cells) * state.iterations() / 1e9,
-      benchmark::Counter::kIsRate);
-  state.counters["escalated"] =
-      static_cast<double>(eng.last_stats().escalated_pairs);
-}
-BENCHMARK(BM_BatchReadsNarrow<score_precision::int16>)
-    ->UseRealTime()->Name("BM_BatchReadsInt16");
-BENCHMARK(BM_BatchReadsNarrow<score_precision::int8>)
-    ->UseRealTime()->Name("BM_BatchReadsInt8");
-
+/// The Myers bit-parallel batch route on a unit-cost option set, against
+/// BM_BatchReads' auto-selected baseline.
 void BM_BatchReadsBitpar(benchmark::State& state) {
   const auto ref = make_seq(100000, 7);
   const auto data = bio::simulate_read_pairs(ref, 512, {});

@@ -1,6 +1,6 @@
 /// Precision-route benchmark: the adaptive-precision batch kernels
-/// (int8/int16 with sticky overflow escalation) and the Myers
-/// bit-parallel route against the forced-int32 rolling baseline, on the
+/// (int8/int16 chunks and striped pairs, as auto plans them) and the
+/// Myers bit-parallel route against the int32 rolling baseline, on the
 /// fig5b-style 150 bp read-pair workload (plus a short-read panel where
 /// the int8 window admits the whole batch), and the global traceback
 /// route (band doubling) on ragged and divergent pairs, and the
@@ -86,9 +86,9 @@ void require_avx512_not_slower(const char* panel, vector_gcups g) {
 }
 
 /// One measured row through the public dispatcher: `opt` selects the
-/// route (precision hint, scoring).  Scores are checked against `ref`
-/// (the forced-int32 run of the same workload) — a bench that drifted
-/// from byte-identity would report meaningless speedups.
+/// route (precision, scoring).  Scores are checked against `ref` (the
+/// int32 run of the same workload) — a bench that drifted from
+/// byte-identity would report meaningless speedups.
 double run_route(const std::string& row, std::span<const seq_pair> pairs,
                  align_options opt, int repeats, double int32_gcups,
                  const std::vector<alignment_result>* ref) {
@@ -105,8 +105,8 @@ double run_route(const std::string& row, std::span<const seq_pair> pairs,
   return g;
 }
 
-/// paper-style scoring (match 2 / mismatch -1, linear -1) with a forced
-/// precision on the given backend.
+/// paper-style scoring (match 2 / mismatch -1, linear -1) with the given
+/// precision (auto or the int32 reference) on the given backend.
 align_options scored_opts(backend exec, int threads, score_precision p) {
   align_options o = paper_opts(linear_gap{-1}, exec, threads, false);
   o.precision = p;
@@ -114,7 +114,7 @@ align_options scored_opts(backend exec, int threads, score_precision p) {
 }
 
 /// Unit-cost option set (edit distance, weight g) — admits the Myers
-/// bit-parallel route when precision is auto/bitpar.
+/// bit-parallel route when precision is auto.
 align_options unit_opts(backend exec, int threads, score_precision p) {
   align_options o;
   o.kind = align_kind::global;
@@ -129,7 +129,7 @@ align_options unit_opts(backend exec, int threads, score_precision p) {
 }
 
 /// One workload panel: for every runnable SIMD width, the int32 rolling
-/// baseline and each admissible narrow/bit-parallel route.  Returns the
+/// baseline, the auto route and the bit-parallel route.  Returns the
 /// auto route's GCUPS on the vector variants.
 vector_gcups panel(const char* title, const char* tag,
                    std::span<const seq_pair> pairs, bool int8_admissible,
@@ -142,8 +142,8 @@ vector_gcups panel(const char* title, const char* tag,
     const backend exec = backend_for_lanes(lanes);
     const std::string v = to_string(exec);
 
-    // Baseline: the int32 rolling route (the escalation target every
-    // narrow kernel must be indistinguishable from).
+    // Baseline: the int32 rolling route (the reference every narrow
+    // kernel must be indistinguishable from).
     const std::vector<alignment_result> ref =
         align_batch(pairs, scored_opts(exec, a.threads, score_precision::int32));
     const double g32 = run_route(
@@ -160,20 +160,6 @@ vector_gcups panel(const char* title, const char* tag,
     print_row({"auto narrow", v, gauto, -1.0,
                int8_admissible ? "selects int8" : "selects int16"});
     if (lanes > 1) auto_gcups.set(lanes, gauto);
-
-    // Forced narrow: the checked kernels with sticky overflow masks.
-    const double g16 = run_route(
-        v + "/int16_checked", pairs,
-        scored_opts(exec, a.threads, score_precision::int16), a.repeats, g32,
-        &ref);
-    print_row({"int16 checked", v, g16, -1.0, "overflow-checked"});
-    if (int8_admissible) {
-      const double g8 = run_route(
-          v + "/int8_checked", pairs,
-          scored_opts(exec, a.threads, score_precision::int8), a.repeats, g32,
-          &ref);
-      print_row({"int8 checked", v, g8, -1.0, "overflow-checked"});
-    }
 
     // Bit-parallel edit distance: its own unit-cost option set, so it
     // gets its own int32 reference and baseline.
@@ -193,7 +179,8 @@ vector_gcups panel(const char* title, const char* tag,
         nullptr);
     const double gbp = run_route(
         v + "/bitpar", pairs,
-        unit_opts(exec, a.threads, score_precision::bitpar), a.repeats, u32,
+        unit_opts(exec, a.threads, score_precision::auto_select), a.repeats,
+        u32,
         nullptr);
     print_row({"bitpar (unit cost)", v, gbp, -1.0, "vs unit int32"});
   }
@@ -359,8 +346,8 @@ vector_gcups tail_panel(std::span<const seq_pair> pairs, const args& a) {
 /// (the serving tier's per-request setting).  `lone` aligns the 150 bp
 /// pairs one call at a time through a reused aligner; `pair2` sends the
 /// ragged 135-165 bp pairs two per batch call.  Each runs under auto
-/// (the striped int16 kernel on vector variants) and forced int32 (the
-/// rolling engine); scores and end cells must match int32.
+/// (the striped int16 kernel on vector variants) and int32 (the rolling
+/// engine); scores and end cells must match int32.
 void solo_panel(std::span<const seq_pair> lone,
                 std::span<const seq_pair> ragged, const args& a) {
   g_tag = "solo150";

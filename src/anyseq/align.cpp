@@ -245,12 +245,7 @@ route_kind classify_route(index_t n, index_t m, const align_options& opt,
     // size (it beats every DP kernel on cells/instruction).
     if (n > 0 && m > 0 && bitpar_admissible(opt))
       return route_kind::bitpar_score;
-    // Forced narrow precision runs the checked kernel + escalation;
-    // forced int32 is by definition the rolling engine.
-    if (n > 0 && m > 0 &&
-        (opt.precision == score_precision::int8 ||
-         opt.precision == score_precision::int16))
-      return route_kind::precision_score;
+    // The int32 reference is by definition the rolling engine.
     if (opt.precision == score_precision::int32)
       return route_kind::small_score;
     // A small pair inside the int16 bound (which also needs n, m > 0)
@@ -258,7 +253,6 @@ route_kind classify_route(index_t n, index_t m, const align_options& opt,
     // variant keeps the routes below: its one-tile scalar pass runs
     // ~1.9x faster than the rolling engine at 150 x 150.
     if (lanes > 1 && cells <= kSmallScoreCells &&
-        opt.precision == score_precision::auto_select &&
         fits_score_window(n, m, score_unit(opt), int16_score_window()))
       return route_kind::striped_score;
     // Small extension problems are faster on the serial rolling pass
@@ -284,7 +278,6 @@ const char* to_string(route_kind r) noexcept {
     case route_kind::hirschberg: return "hirschberg";
     case route_kind::locate: return "locate";
     case route_kind::bitpar_score: return "bitpar_score";
-    case route_kind::precision_score: return "precision_score";
     case route_kind::striped_score: return "striped_score";
     case route_kind::unsupported: return "unsupported";
   }
@@ -295,12 +288,9 @@ bool bitpar_admissible(const align_options& opt) noexcept {
   const bool unit_cost = !opt.matrix.has_value() && opt.match == 0 &&
                          opt.gap_open == 0 && opt.gap_extend < 0 &&
                          opt.mismatch == opt.gap_extend;
-  const bool shape_ok =
-      opt.kind == align_kind::global && !opt.want_alignment;
-  const bool precision_ok =
-      opt.precision == score_precision::auto_select ||
-      opt.precision == score_precision::bitpar;
-  return unit_cost && shape_ok && precision_ok;
+  return unit_cost && opt.kind == align_kind::global &&
+         !opt.want_alignment &&
+         opt.precision == score_precision::auto_select;
 }
 
 score_precision classify_batch_precision(const align_options& opt) noexcept {
@@ -322,7 +312,6 @@ score_precision classify_plan_precision(index_t n, index_t m,
                                         int lanes) noexcept {
   switch (classify_route(n, m, opt, lanes)) {
     case route_kind::bitpar_score: return score_precision::bitpar;
-    case route_kind::precision_score: return opt.precision;
     case route_kind::striped_score: return score_precision::int16;
     default: return score_precision::int32;  // committed accumulator
   }
@@ -359,17 +348,11 @@ void validate(const align_options& opt) {
         "local alignment needs a positive match score");
   if (opt.full_matrix_cells < 0)
     throw validation_error("full_matrix_cells must be >= 0");
-  if (opt.precision == score_precision::bitpar) {
-    if (opt.want_alignment)
-      throw validation_error(
-          "precision bitpar is score-only (set want_alignment = false)");
-    if (opt.kind != align_kind::global || opt.matrix.has_value() ||
-        opt.match != 0 || opt.gap_open != 0 || opt.gap_extend >= 0 ||
-        opt.mismatch != opt.gap_extend)
-      throw validation_error(
-          "precision bitpar requires a unit-cost option set: global, "
-          "match == 0, no matrix, linear gaps, mismatch == gap_extend < 0");
-  }
+  if (opt.precision != score_precision::auto_select &&
+      opt.precision != score_precision::int32)
+    throw validation_error(
+        std::string("precision must be auto_select or int32 (") +
+        to_string(opt.precision) + " is chosen by the plan, not requested)");
 }
 
 // ---------------------------------------------------------------------
@@ -446,7 +429,6 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
     case engine::route_kind::small_score:
     case engine::route_kind::tiled_score:
     case engine::route_kind::bitpar_score:
-    case engine::route_kind::precision_score:
     case engine::route_kind::striped_score: {
       score_result r;
       switch (rt) {
@@ -458,9 +440,6 @@ void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
           break;
         case engine::route_kind::bitpar_score:
           r = eng.bitpar_score(q, s, opt_, ws);
-          break;
-        case engine::route_kind::precision_score:
-          r = eng.precision_score(q, s, opt_, ws);
           break;
         default:
           r = eng.tiled_score(q, s, opt_, ws);

@@ -78,14 +78,13 @@ struct align_options {
   index_t tile = 0;
 
   /// Score precision for score-only routes (ignored with tracebacks,
-  /// which always accumulate in int32).  `auto_select` picks the
-  /// narrowest provably-safe accumulator from the worst-case score bound
-  /// at plan time; forcing int8/int16 runs the checked saturating kernel
-  /// with transparent escalation to the int32 rolling engine; forcing
-  /// `bitpar` requires a unit-cost option set (global, score-only,
-  /// match == 0, linear gaps, mismatch == gap_extend < 0) and is
-  /// rejected by validate() otherwise.  Every mode returns results
-  /// byte-identical to the int32 path.
+  /// which always accumulate in int32).  `auto_select` lets the plan
+  /// pick the accumulator: the narrowest type the worst-case score bound
+  /// provably fits, or the bit-parallel engine for a unit-cost option
+  /// set.  `int32` runs the rolling reference route.  validate() rejects
+  /// every other value: int8, int16 and bitpar are plan outputs
+  /// (`plan_info::precision`), not requests.  Both modes return the
+  /// same scores.
   score_precision precision = score_precision::auto_select;
 
   /// Problems with at most this many cells take the full-matrix path for
@@ -182,8 +181,8 @@ class aligner {
 
   /// Path accounting for the most recent call on this handle: for
   /// score batches, how many pairs ran on narrow SIMD lanes (uniform
-  /// and lane-padded ragged chunks), scalar, bit-parallel, or were
-  /// escalated; for traceback batches and solo full-matrix tracebacks,
+  /// and lane-padded ragged chunks, striped pairs), scalar or
+  /// bit-parallel; for traceback batches and solo full-matrix tracebacks,
   /// how many global pairs a band pass certified (`banded_pairs`) and
   /// how many band passes ran (`band_passes`).  Zeroed at the start of
   /// every align, batch and banded call; zero for other solo routes and
@@ -193,9 +192,9 @@ class aligner {
   }
 
   /// Tile accounting for the most recent `align`/`align_into` call on
-  /// this handle: SIMD blocks (full and partial), their live lanes, and
-  /// scalar single tiles, summed over a traceback's tiled passes.  Zero
-  /// for routes that run no wavefront (small/bitpar/precision scores,
+  /// this handle: striped and int32 tiles, the workers run and the peak
+  /// ready queue, summed over a traceback's tiled passes.  Zero for
+  /// routes that run no wavefront (small/bitpar/striped scores,
   /// full-matrix tracebacks, simulators) and for batch calls.
   [[nodiscard]] wavefront_stats last_wavefront_stats() const noexcept {
     return last_wavefront_stats_;
@@ -214,13 +213,11 @@ class aligner {
     const char* variant;  ///< "scalar" / "avx2" / "avx512" / simulator
     const char* route;    ///< "tiled_score", "small_score", "full_matrix",
                           ///< "hirschberg", "locate", "bitpar_score",
-                          ///< "precision_score", "striped_score", or
-                          ///< "unsupported"
+                          ///< "striped_score", or "unsupported"
     std::size_t workspace_bytes;  ///< exact arena footprint of the route
     /// Score accumulator the route commits to for this shape: `bitpar`
-    /// on the bit-parallel route, the forced narrow type on the checked
-    /// precision route, `int16` on the striped route, `int32` everywhere
-    /// else (including tracebacks).
+    /// on the bit-parallel route, `int16` on the striped route, `int32`
+    /// everywhere else (including tracebacks).
     score_precision precision;
     /// Tile extent the wavefront routes use for this shape (`tile`, or
     /// the plan-time derivation when it is 0); 0 for simulators.

@@ -143,9 +143,10 @@ void ws_reserve_impl(void* ws, std::size_t bytes) {
 }
 
 /// The plan half: exact arena footprint of the route the dispatcher
-/// selects for an (n x m) problem under `opt` (see align.cpp's
-/// cpu_align, whose branches this mirrors).  Returns 0 for routes that
-/// carve nothing or are rejected at execute time.
+/// selects for an (n x m) problem under `opt` (see
+/// `aligner::align_cpu_into` in align.cpp, whose branches this
+/// mirrors).  Returns 0 for routes that carve nothing or are rejected at
+/// execute time.
 std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
   const route_kind rt = classify_route(n, m, opt, kLanes);
   return with_kind(opt.kind, [&](auto kc) -> std::size_t {
@@ -168,13 +169,6 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
               return tiled::striped_plan_bytes<K, kLanes, Gap, Scoring>(n);
             else
               return rolling_plan_bytes(m);
-          case route_kind::precision_score:
-            // Checked chunk rows at width 1 PLUS the escalation rolling
-            // rows, so reserve() covers the shed path too.
-            return (opt.precision == score_precision::int8
-                        ? tiled::ragged_chunk_plan_bytes<score8_t, 1>(m)
-                        : tiled::ragged_chunk_plan_bytes<score16_t, 1>(m)) +
-                   rolling_plan_bytes(m);
           case route_kind::tiled_score:
             return tiled::tiled_engine<K, Gap, Scoring, kLanes>::plan_bytes(
                 n, m, cfg);
@@ -275,30 +269,6 @@ score_result bitpar_score_impl(stage::seq_view q, stage::seq_view s,
   // classify_route admitted this pair: unit-cost option set (match == 0,
   // mismatch == gap_extend < 0, linear), non-empty sequences.
   return bitpar_score(q, s, opt.gap_extend, w);
-}
-
-score_result precision_score_impl(stage::seq_view q, stage::seq_view s,
-                                  const align_options& opt, void* ws) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  return with_kind(opt.kind, [&](auto kc) {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) {
-      return with_scoring(opt, [&](const auto& scoring) {
-        using Gap = std::decay_t<decltype(gap)>;
-        using Scoring = std::decay_t<decltype(scoring)>;
-        // A width-1 batch of one pair: the checked chunk kernel, with the
-        // batch engine's escalation to int32 rolling.
-        tiled::batch_engine<K, Gap, Scoring, 1> eng(
-            gap, scoring, tiled::batch_config{1, opt.precision});
-        const tiled::pair_view pv[1] = {{q, s}};
-        score_result out{};
-        eng.score_into(std::span<const tiled::pair_view>(pv), w,
-                       std::span<score_result>(&out, 1));
-        return out;
-      });
-    });
-  });
 }
 
 void hirschberg_global_impl(stage::seq_view q, stage::seq_view s,
@@ -440,7 +410,6 @@ void batch_align_impl(std::span<const seq_pair> pairs,
                                            &small_score_impl,
                                            &bitpar_score_impl,
                                            &striped_score_impl,
-                                           &precision_score_impl,
                                            &hirschberg_global_impl,
                                            &locate_impl,
                                            &banded_align_impl,

@@ -54,9 +54,8 @@ enum class route_kind : std::uint8_t {
   full_matrix,
   hirschberg,
   locate,
-  bitpar_score,     ///< Myers bit-parallel scoring (unit-cost option sets)
-  precision_score,  ///< forced int8/int16 checked kernel (+ escalation)
-  striped_score,    ///< intra-pair striped int16 kernel (vector variants)
+  bitpar_score,   ///< Myers bit-parallel scoring (unit-cost option sets)
+  striped_score,  ///< intra-pair striped int16 kernel (vector variants)
   unsupported,  ///< oversized extension traceback: rejected at execute
 };
 
@@ -78,15 +77,15 @@ enum class route_kind : std::uint8_t {
 /// True if the *option shape* admits the Myers bit-parallel engine: a
 /// score-only global alignment under a unit-cost model (match == 0,
 /// linear gaps, mismatch == gap_extend < 0, no matrix) with precision
-/// auto_select or bitpar.  Shape-only — the per-pair size gate (n, m > 0)
+/// auto_select.  Shape-only — the per-pair size gate (n, m > 0)
 /// stays in classify_route / the batch engine.  Out-of-line in align.cpp
 /// for the same weak-symbol reason as classify_route.
 [[nodiscard]] bool bitpar_admissible(const align_options& opt) noexcept;
 
 /// Precision hint the batch engine should run under for `opt`: `bitpar`
-/// when the option shape admits it, otherwise the (possibly forced)
-/// requested precision.  Per-chunk resolution of `auto_select` against
-/// the worst-case score bound happens inside the batch engine.
+/// when the option shape admits it, otherwise the requested
+/// `auto_select` or `int32`.  Per-chunk resolution of `auto_select`
+/// against the worst-case score bound happens inside the batch engine.
 [[nodiscard]] score_precision classify_batch_precision(
     const align_options& opt) noexcept;
 
@@ -148,12 +147,6 @@ struct ops {
   /// the caller proved the int16 bound).  The scalar variant rolls.
   score_result (*striped_score)(stage::seq_view q, stage::seq_view s,
                                 const align_options& opt, void* ws);
-
-  /// Forced-narrow (int8/int16) checked score pass for one pair: runs
-  /// the saturating kernel at width 1 with sticky overflow detection and
-  /// escalates to the rolling engine when the score window is at risk.
-  score_result (*precision_score)(stage::seq_view q, stage::seq_view s,
-                                  const align_options& opt, void* ws);
 
   /// Linear-space *global* alignment with traceback (tiled Hirschberg).
   void (*hirschberg_global)(stage::seq_view q, stage::seq_view s,

@@ -346,10 +346,10 @@ void anyseq_aligner_shrink(anyseq_aligner* a);
 typedef struct anyseq_plan {
   const char* variant;   /**< engine variant: "scalar" / "avx2" / "avx512" */
   const char* route;     /**< execution route, e.g. "bitpar_score",
-                              "precision_score", "striped_score",
-                              "small_score", "tiled_score" */
+                              "striped_score", "small_score",
+                              "tiled_score" */
   const char* precision; /**< score accumulator the route commits to:
-                              "int8", "int16", "int32", or "bitpar" */
+                              "int16", "int32", or "bitpar" */
   size_t workspace_bytes; /**< exact arena bytes one pass of this shape
                                carves from the handle's workspace */
 } anyseq_plan;
@@ -362,9 +362,10 @@ typedef struct anyseq_plan {
  * The route and precision depend on both the shape and the scoring:
  * a unit-cost parameterization (`match = 0`, `mismatch == gap < 0`)
  * selects the Myers bit-parallel route, short sequences with small
- * scores select a narrow (int8/int16) accumulator, everything else runs
- * the 32-bit engines.  The reported `workspace_bytes` is exactly what
- * anyseq_aligner_reserve() would pre-size for this shape.
+ * scores select the striped int16 accumulator on a vector variant,
+ * everything else runs the 32-bit engines.  The reported
+ * `workspace_bytes` is exactly what anyseq_aligner_reserve() would
+ * pre-size for this shape.
  *
  * \param a           Aligner handle (must not be NULL).
  * \param query_len   Query length in characters; must be `> 0`.

@@ -141,10 +141,14 @@ class full_engine {
   }
 
   /// One-shot convenience over a member workspace (kept for tests and
-  /// the simulator paths); a long-lived engine object reuses it.
+  /// the simulator paths); a long-lived engine object reuses it.  The
+  /// arena is reserved to the pass's full footprint first, so H lives in
+  /// the slab (a cold arena would spill it into an overflow chunk that
+  /// the pass's frame frees on return, leaving h_matrix dangling).
   template <stage::sequence_view QV, stage::sequence_view SV>
   [[nodiscard]] alignment_result align(const QV& q, const SV& s,
                                        bool want_traceback = true) {
+    own_ws_.reserve_bytes(plan_bytes(q.size(), s.size()));
     own_ws_.begin_pass();
     alignment_result out;
     align_into(q, s, want_traceback, own_ws_, out);
@@ -159,8 +163,12 @@ class full_engine {
   }
 
   /// Read access to the most recent H matrix (tests compare cell-by-cell).
-  /// Valid until the workspace that served the last align starts a new
-  /// pass (or, for the convenience overloads, until the next align call).
+  /// Valid only while H sits in the serving arena's slab: always after
+  /// the convenience overloads (which reserve the footprint up front),
+  /// after align_into only on an arena reserved to plan_bytes(n, m) —
+  /// a cold arena spills H into an overflow chunk that the pass frees.
+  /// Either way it ends when that workspace starts a new pass (for the
+  /// convenience overloads, the next align call).
   [[nodiscard]] stage::matrix_view<const score_t> h_matrix(index_t n,
                                                            index_t m) const {
     return {h_last_, n + 1, m + 1};

@@ -67,21 +67,18 @@ struct score_result {
 
 /// Batch-engine path accounting: how much of a batch took which kernel.
 /// `simd_pairs` counts the narrow pairs scored on vector lanes (int8 +
-/// int16 chunks wider than one lane: uniform, sub-width tail and
-/// lane-padded ragged, plus striped single pairs); the scalar variant's
-/// width-1 narrow chunks count only as int8/int16 pairs.  `scalar_pairs`
-/// counts int32 rolling-engine pairs, escalations included.  Traceback
-/// batches fill only `banded_pairs` and `band_passes`.  Shared by every
-/// engine variant — this type crosses the `engine::ops` dispatch
-/// boundary (batch_scores' and batch_align's stats out-param) and
-/// therefore must not live in a per-target header.
+/// int16 chunks: uniform, sub-width tail and lane-padded ragged, plus
+/// striped single pairs); `scalar_pairs` counts int32 rolling-engine
+/// pairs.  Traceback batches fill only `banded_pairs` and
+/// `band_passes`.  Shared by every engine variant — this type crosses
+/// the `engine::ops` dispatch boundary (batch_scores' and batch_align's
+/// stats out-param) and therefore must not live in a per-target header.
 struct batch_stats {
   std::uint64_t simd_pairs = 0;
   std::uint64_t scalar_pairs = 0;
   std::uint64_t int8_pairs = 0;
   std::uint64_t int16_pairs = 0;
   std::uint64_t bitpar_pairs = 0;
-  std::uint64_t escalated_pairs = 0;  ///< checked-kernel overflow shed
   /// SIMD pairs scored in chunks whose live lanes differ in shape (lane
   /// padding to the chunk-max shape; subset of `simd_pairs`).
   std::uint64_t ragged_pairs = 0;

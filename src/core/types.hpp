@@ -45,26 +45,26 @@ using char_t = std::uint8_t;
 using score8_t = std::int8_t;
 
 /// 8-bit minus-infinity sentinel.  Chosen so that real scores inside the
-/// int8 window (|score| <= 96) always stay strictly above it, and so the
-/// checked kernels can flag any value that drifts into sentinel territory.
+/// int8 window (|score| <= 96) always stay strictly above it.
 [[nodiscard]] constexpr score8_t neg_inf8() noexcept {
   return static_cast<score8_t>(-112);
 }
 
-/// Score precision requested for score-only alignment routes.
+/// Score accumulator width of a score-only route.
 ///
-/// `auto_select` picks the narrowest element type whose worst-case score
-/// bound provably cannot saturate (and the bit-parallel route when the
-/// option set is unit-cost); forcing a narrow type runs the checked
-/// saturating kernel, which escalates affected pairs to the int32 rolling
-/// engine whenever a score approaches the representable window.  Results
-/// are byte-identical to the int32 path in every mode.
+/// A caller requests either `auto_select` (the default: the plan picks
+/// the narrowest element type whose worst-case score bound provably
+/// cannot saturate, or the bit-parallel engine when the option set is
+/// unit-cost) or `int32` (the rolling reference route).  `int8`, `int16`
+/// and `bitpar` are plan outputs only (`aligner::plan_info::precision`,
+/// the batch engine's chunk plans); validate() rejects them as requests.
+/// Results are byte-identical to the int32 path either way.
 enum class score_precision : std::uint8_t {
   auto_select,  ///< narrowest provably-safe type (default).
-  int8,         ///< force 8-bit checked kernel (+ escalation).
-  int16,        ///< force 16-bit checked kernel (+ escalation).
-  int32,        ///< force the 32-bit rolling engine.
-  bitpar,       ///< force the Myers bit-parallel engine (unit-cost only).
+  int8,         ///< 8-bit lanes (planned, never requested).
+  int16,        ///< 16-bit lanes (planned, never requested).
+  int32,        ///< the 32-bit rolling engine (the requestable reference).
+  bitpar,       ///< Myers bit-parallel engine (planned, never requested).
 };
 
 [[nodiscard]] constexpr const char* to_string(score_precision p) noexcept {
@@ -90,12 +90,15 @@ enum class score_precision : std::uint8_t {
 
 /// True if every entry of an (n x m) DP matrix provably stays within
 /// +-window for per-cell score deltas bounded by `unit`: the worst score
-/// magnitude along any path is at most (n + m + 2) * unit.
+/// magnitude along any path is at most (n + m + 2) * unit.  `unit` is
+/// taken as at least 1, so the bound doubles as the lane-index bound:
+/// n + m + 2 < window, so the narrow kernels can carry end-cell indices
+/// in score lanes (all-zero scoring would otherwise admit any length).
 [[nodiscard]] constexpr bool fits_score_window(index_t n, index_t m,
                                                score_t unit,
                                                score_t window) noexcept {
   return n > 0 && m > 0 &&
-         (n + m + 2) * static_cast<index_t>(unit) <
+         (n + m + 2) * static_cast<index_t>(std::max(unit, score_t{1})) <
              static_cast<index_t>(window);
 }
 

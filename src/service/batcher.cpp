@@ -29,9 +29,9 @@ route classify(stage::seq_view q, stage::seq_view s,
                                           : route::solo;
   }
   // Global score-only requests coalesce into batch_score regardless of
-  // precision: the batch engine picks int8/int16/int32 (or the
+  // precision: under auto the batch engine picks int8/int16/int32 (or the
   // bit-parallel engine for unit-cost option sets) per SIMD chunk, and
-  // options_compatible keeps mixed-precision requests in separate batches.
+  // options_compatible keeps auto and int32 requests in separate batches.
   return opt.kind == align_kind::global ? route::batch_score : route::solo;
 }
 
@@ -56,8 +56,8 @@ bool options_compatible(const align_options& a,
   if (a.gap_open != b.gap_open || a.gap_extend != b.gap_extend) return false;
   if (a.exec != b.exec || a.threads != b.threads) return false;
   if (a.tile != b.tile) return false;
-  // Precision is a dispatch boundary: a forced-int8 batch and a
-  // forced-int32 batch must not share an align_batch call, and unit-cost
+  // Precision is a dispatch boundary: an auto batch and an int32
+  // reference batch must not share an align_batch call, and unit-cost
   // auto batches route through the bit-parallel engine as a group.
   if (a.precision != b.precision) return false;
   return a.full_matrix_cells == b.full_matrix_cells;

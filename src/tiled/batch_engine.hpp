@@ -14,16 +14,10 @@
 /// int16 below 28000) and the window's cells fill at least `kMinLive`
 /// full-shape pairs.  Every other pair runs on its own — under auto on a
 /// vector variant through the intra-pair striped int16 kernel
-/// (tiled/striped.hpp), otherwise through the int32 rolling engine.
-///
-/// Forcing a narrow precision through `batch_config` runs the *checked*
-/// kernel instead: a sticky per-lane overflow mask flags any value that
-/// drifts within one relax step of the representable window (where a
-/// saturating add could silently clamp), and flagged pairs are
-/// transparently re-scored by the int32 rolling engine inside the same
-/// workspace pass.  Unit-cost option sets can additionally hint the Myers
-/// bit-parallel engine (core/bitpar.hpp) per pair.  Every mode returns
-/// results byte-identical to the int32 path.
+/// (tiled/striped.hpp), otherwise through the int32 rolling engine.  The
+/// scalar variant and the int32 reference hint roll every pair; unit-cost
+/// option sets hint the Myers bit-parallel engine (core/bitpar.hpp) per
+/// pair.  Every mode returns results byte-identical to the int32 path.
 ///
 /// Plan/execute split: when run single-threaded (the service's
 /// steady-state configuration on small hosts), every chunk's interleaved
@@ -52,7 +46,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <mutex>
 #include <type_traits>
 #include <vector>
@@ -83,9 +76,9 @@ struct pair_view {
 struct batch_config {
   int threads = 1;
   /// Precision hint (engine::classify_batch_precision): auto_select
-  /// resolves per chunk from the worst-case bound; a forced narrow type
-  /// runs the checked kernel + escalation; bitpar runs the bit-parallel
-  /// engine per pair (the caller guarantees a unit-cost option set).
+  /// resolves per chunk from the worst-case bound; int32 rolls every
+  /// pair; bitpar runs the bit-parallel engine per pair (the caller
+  /// guarantees a unit-cost option set).
   score_precision precision = score_precision::auto_select;
   /// Per-worker arenas for the multi-threaded fan-out (one per thread).
   /// When empty (direct instantiation), the engine pools its own.
@@ -120,10 +113,9 @@ template <class E, int W>
 /// (nbar x mbar) and each lane's true shape (n_l, m_l) read from its
 /// pair.  A uniform chunk is the zero-waste case; a sub-width tail's dead
 /// lanes l >= live replay the last live pair and never reach `sink`.
-/// Calls `sink(pair_index, result)` for every live lane that completed
-/// safely and returns the bitmask of lanes the caller must escalate to
-/// the int32 rolling engine (always 0 when !Checked — the caller has
-/// proven the worst-case bound of the padded shape fits E).
+/// Calls `sink(pair_index, result)` for every live lane.  The caller has
+/// proven fits_score_window(nbar, mbar, unit_step, E's window), so no
+/// value of any lane's valid region can saturate.
 ///
 /// Correctness of padding: a DP cell (i, j) reads only cells with
 /// smaller indices and the lane-uniform boundary inits, so lane l's
@@ -144,44 +136,26 @@ template <class E, int W>
 ///     at retirement one vector sweep runs j-ascending over the final
 ///     row of the retiring lanes — rolling_score's exact candidate
 ///     order.
-///
-/// Checked mode maintains a sticky per-lane mask: a lane is flagged the
-/// moment any H value (or, for affine gaps, any E/F value) of its valid
-/// columns leaves the window [sentinel + step, max(E) - step].  Inside
-/// that window every saturating add is exact (its operands are at least
-/// one `step` away from both rails), so by induction an unflagged lane
-/// never clamped and its score is exact; padded cells clamp freely and
-/// harmlessly.  Lane-uniform hazards — boundary inits outside the window,
-/// end-cell indices that do not fit E, a step wider than the window
-/// itself — escalate the whole chunk upfront, judged on (nbar, mbar),
-/// which is conservative (never admits an unsafe lane).
-template <align_kind K, class E, int W, bool Checked, class Gap,
-          class Scoring, class Pair, class Sink>
-ANYSEQ_NOCLONE std::uint64_t ragged_chunk_score(
-    std::span<const Pair> pairs, std::size_t lo, index_t nbar, index_t mbar,
-    const Gap& gap, const Scoring& scoring, workspace& ws, Sink&& sink,
-    int live = W) {
+template <align_kind K, class E, int W, class Gap, class Scoring, class Pair,
+          class Sink>
+ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
+                                       std::size_t lo, index_t nbar,
+                                       index_t mbar, const Gap& gap,
+                                       const Scoring& scoring, workspace& ws,
+                                       Sink&& sink, int live = W) {
   using P = simd::pack<E, W>;
   constexpr E kSentinel = sizeof(E) == 1 ? static_cast<E>(neg_inf8())
                                          : static_cast<E>(neg_inf16());
-  constexpr score_t kMax = std::numeric_limits<E>::max();
-  const std::uint64_t all =
-      live >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << live) - 1);
-  const score_t step = unit_step(gap, scoring);
-  const score_t hi_w = kMax - step;
-  const score_t lo_w = static_cast<score_t>(kSentinel) + step;
-
-  if constexpr (Checked) {
-    if (hi_w < lo_w) return all;  // step wider than the usable window
-    const score_t bmin =
-        std::min(std::min(init_h_row0<K>(index_t{0}, gap),
-                          init_h_row0<K>(mbar, gap)),
-                 std::min(init_h_col0<K>(index_t{0}, gap),
-                          init_h_col0<K>(nbar, gap)));
-    if (bmin < lo_w) return all;  // boundary already in the shed zone
-    if constexpr (K != align_kind::global)
-      if (nbar > kMax || mbar > kMax) return all;  // lane-typed indices
-  }
+  // The end cell (best_i, best_j) rides in E lanes unchecked.  The
+  // caller's window proof gives nbar + mbar + 2 < window (fits_score_window
+  // takes unit >= 1), and the window fits E, so every index does too.
+  constexpr score_t kWindow =
+      sizeof(E) == 1 ? int8_score_window() : int16_score_window();
+  static_assert(kWindow <= std::numeric_limits<E>::max(),
+                "lane-typed end indices need the score window to fit E");
+  ANYSEQ_ASSERT(fits_score_window(nbar, mbar, unit_step(gap, scoring),
+                                  kWindow),
+                "ragged_chunk_score: the padded shape must fit E's window");
 
   const char_t* qp[W];
   const char_t* sp[W];
@@ -234,13 +208,6 @@ ANYSEQ_NOCLONE std::uint64_t ragged_chunk_score(
         mdist[nd++] = ml[l];
   }
 
-  P sticky = P::broadcast(0);
-  P hi_p = P::broadcast(0), lo_p = P::broadcast(0);
-  if constexpr (Checked) {
-    hi_p = P::broadcast(static_cast<E>(hi_w));
-    lo_p = P::broadcast(static_cast<E>(lo_w));
-  }
-
   // Per-lane bests, initialized exactly as rolling_score initializes
   // them — per lane at that lane's true shape.  Extension's boundary
   // totals are <= 0, so (0, 0) = 0 is its best boundary candidate.
@@ -255,7 +222,6 @@ ANYSEQ_NOCLONE std::uint64_t ragged_chunk_score(
     best_v = P::broadcast(0);
   }
 
-  std::uint64_t esc = 0;
   for (index_t i = 1; i <= nbar; ++i) {
     // Branch-free gather: a lane past its own query re-reads its last
     // character — padded rows are garbage either way.
@@ -276,22 +242,7 @@ ANYSEQ_NOCLONE std::uint64_t ragged_chunk_score(
       e[j] = nx.e;
       f = nx.f;
       // Columns up to min m_l are valid in every lane; only those beyond
-      // need colmask on the sticky and best updates.
-      if constexpr (Checked) {
-        // High rail: only H grows (gap penalties are <= 0, so E/F never
-        // exceed their H sources).  Low rail: any value near the
-        // sentinel may have clamped — for affine gaps E/F are carried
-        // across cells and must be watched too; for linear gaps they
-        // are consumed into this H immediately.
-        P bad = vgt(nx.h, hi_p);
-        bad = vor(bad, vgt(lo_p, nx.h));
-        if constexpr (Gap::kind == gap_kind::affine) {
-          bad = vor(bad, vgt(lo_p, nx.e));
-          bad = vor(bad, vgt(lo_p, nx.f));
-        }
-        if (j > mmin) bad = vand(bad, colmask[j]);
-        sticky = vor(sticky, bad);
-      }
+      // need colmask on the best update.
       if constexpr (tracks_running_max(K)) {
         auto better = vgt(nx.h, best_v);
         if (j > mmin) better = vand(better, colmask[j]);
@@ -336,10 +287,6 @@ ANYSEQ_NOCLONE std::uint64_t ragged_chunk_score(
     }
     for (int l = 0; l < live; ++l) {
       if (nl[l] != i) continue;
-      if (Checked && sticky.v[l] != 0) {
-        esc |= std::uint64_t{1} << l;
-        continue;
-      }
       score_result r;
       r.cells = static_cast<std::uint64_t>(nl[l]) *
                 static_cast<std::uint64_t>(ml[l]);
@@ -355,44 +302,35 @@ ANYSEQ_NOCLONE std::uint64_t ragged_chunk_score(
       sink(lo + static_cast<std::size_t>(l), r);
     }
   }
-  return esc;
 }
 
 template <align_kind K, class Gap, class Scoring, int Lanes>
 class batch_engine {
  public:
   /// int8 runs twice the lanes of the 16-bit kernel on the same vector
-  /// width (and stays width 1 on the scalar variant).
-  static constexpr int kLanes8 = Lanes > 1 ? 2 * Lanes : 1;
-
-  /// What a padded chunk competes with: under auto on a vector variant,
-  /// its pairs run one by one through the striped kernel (`lone_pair`);
-  /// under a forced int8/int16 precision, through int32 rolling.
-  enum rival { vs_striped = 0, vs_rolling = 1 };
+  /// width.  The scalar variant runs no padded chunks.
+  static constexpr int kLanes8 = 2 * Lanes;
 
   /// Admission floor of a padded chunk, in full-shape pairs: a window
-  /// runs as one chunk iff sum(n_l * m_l) >= kMinLive[rival] * nbar *
-  /// mbar.  A chunk costs the same whatever its fill (and an int8 chunk
-  /// of kLanes8 lanes about what an int16 chunk of Lanes lanes costs),
-  /// while its rival's cost scales with each pair's n_l * m_l, so the
-  /// break-even is chunk cost / full-shape rival pair cost.  Measured on
-  /// one thread (Xeon with AVX-512BW, GCC 12), gap open -2 / extend -1
-  /// or linear -1, match 2 / mismatch -1 (DESIGN.md section 8):
+  /// runs as one chunk iff sum(n_l * m_l) >= kMinLive * nbar * mbar.  A
+  /// chunk costs the same whatever its fill (and an int8 chunk of kLanes8
+  /// lanes about what an int16 chunk of Lanes lanes costs), while a pair
+  /// run on its own through the striped kernel (`lone_pair`) costs in
+  /// proportion to its n_l * m_l, so the break-even is chunk cost /
+  /// full-shape striped pair cost.  Measured on one thread (Xeon with
+  /// AVX-512BW, GCC 12), gap open -2 / extend -1 or linear -1, match 2 /
+  /// mismatch -1 (DESIGN.md section 8):
   ///
-  ///   | lanes | gaps   | vs striped (100/150/250 bp) | [0] | vs int32 | [1] |
-  ///   |-------|--------|-----------------------------|-----|----------|-----|
-  ///   | 32    | linear | 11-15 / 14-20 / 18-26       | 20  | 2.7      | 4   |
-  ///   | 32    | affine | 21-24 / 27-29 / 34-37       | 28  | 2.7      | 4   |
-  ///   | 16    | either | 22-36 / 27-42 / 32-53       | 16  | 4.9      | 5   |
+  ///   | lanes | gaps   | break-even (100/150/250 bp) | floor |
+  ///   |-------|--------|-----------------------------|-------|
+  ///   | 32    | linear | 11-15 / 14-20 / 18-26       | 20    |
+  ///   | 32    | affine | 21-24 / 27-29 / 34-37       | 28    |
+  ///   | 16    | either | 22-36 / 27-42 / 32-53       | 16    |
   ///
   /// A full 16-lane chunk already costs more than 16 striped pairs, so
-  /// under auto the AVX2 variant admits exactly-uniform windows only.
-  /// At width 1 (forced precisions on the scalar variant, and a lone
-  /// forced request on any variant) every non-empty pair is its own
-  /// chunk.
-  static constexpr int kMinLive[2] = {
-      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 28 : 20) : Lanes,
-      Lanes >= 32 ? 4 : std::min(Lanes, 5)};
+  /// the AVX2 variant admits exactly-uniform windows only.
+  static constexpr int kMinLive =
+      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 28 : 20) : Lanes;
 
   batch_engine(Gap gap, Scoring scoring, batch_config cfg = {})
       : gap_(gap), scoring_(scoring), cfg_(cfg) {
@@ -510,12 +448,11 @@ class batch_engine {
 
   /// Decide how the group starting at `lo` runs.  One rule covers full
   /// chunks, ragged windows and sub-width tails: take the next
-  /// min(width, left) pairs — int8 at kLanes8 first, then int16 at Lanes,
-  /// as far as a forced precision allows — and admit them as one padded
-  /// chunk iff every pair is non-empty, auto mode's bound fits the padded
-  /// (nbar x mbar) shape (so the unchecked kernel stays exact for every
-  /// lane), and the fill reaches kMinLive.  Otherwise the next
-  /// min(Lanes, left) pairs run one at a time (`lone_pair`).
+  /// min(width, left) pairs — int8 at kLanes8 first, then int16 at Lanes
+  /// — and admit them as one padded chunk iff every pair is non-empty,
+  /// the bound fits the padded (nbar x mbar) shape (so the kernel stays
+  /// exact for every lane), and the fill reaches kMinLive.  Otherwise the
+  /// next min(Lanes, left) pairs run one at a time (`lone_pair`).
   /// Deterministic in (pairs, lo) alone — the MT fan-out relies on
   /// workers re-deriving identical boundaries.
   template <class Pair>
@@ -525,17 +462,12 @@ class batch_engine {
     const chunk_plan singles{
         lo + std::min(left, static_cast<std::size_t>(Lanes)),
         score_precision::int32};
-    const score_precision want = cfg_.precision;
-    if (want == score_precision::bitpar)
+    if (cfg_.precision == score_precision::bitpar)
       return {lo + 1, score_precision::bitpar};
-    // auto_select at one lane: the narrow kernels only emulate lanes
-    // there and run at ~0.5x the int32 rolling engine, so auto rolls.
-    if (want == score_precision::int32 ||
-        (want == score_precision::auto_select && Lanes == 1))
+    // At one lane the narrow kernels would only emulate lanes, at ~0.5x
+    // the int32 rolling engine, so the scalar variant rolls.
+    if (cfg_.precision == score_precision::int32 || Lanes == 1)
       return singles;
-    const bool forced = want != score_precision::auto_select;
-    const auto floor = static_cast<std::uint64_t>(
-        kMinLive[forced ? vs_rolling : vs_striped]);
     const score_t unit = unit_step(gap_, scoring_);
     const auto fill = [&](int width, score_t window, score_precision p,
                           chunk_plan& g) {
@@ -550,18 +482,16 @@ class batch_engine {
         used += static_cast<std::uint64_t>(ni) *
                 static_cast<std::uint64_t>(mi);
       }
-      if (!forced && !fits_score_window(nb, mb, unit, window)) return false;
-      if (used < floor * static_cast<std::uint64_t>(nb) *
+      if (!fits_score_window(nb, mb, unit, window)) return false;
+      if (used < static_cast<std::uint64_t>(kMinLive) *
+                     static_cast<std::uint64_t>(nb) *
                      static_cast<std::uint64_t>(mb))
         return false;
       g = {lo + w, p, nb, mb};
       return true;
     };
     chunk_plan g = singles;
-    if (want != score_precision::int16 &&
-        fill(kLanes8, int8_score_window(), score_precision::int8, g))
-      return g;
-    if (want != score_precision::int8 &&
+    if (fill(kLanes8, int8_score_window(), score_precision::int8, g) ||
         fill(Lanes, int16_score_window(), score_precision::int16, g))
       return g;
     return singles;
@@ -638,7 +568,6 @@ class batch_engine {
     into.int8_pairs += from.int8_pairs;
     into.int16_pairs += from.int16_pairs;
     into.bitpar_pairs += from.bitpar_pairs;
-    into.escalated_pairs += from.escalated_pairs;
     into.ragged_pairs += from.ragged_pairs;
     into.striped_pairs += from.striped_pairs;
     into.padded_cells += from.padded_cells;
@@ -650,70 +579,52 @@ class batch_engine {
   void process_group(std::span<const Pair> pairs, std::size_t lo,
                      const chunk_plan& g, workspace* ws, Sink& sink,
                      batch_stats& stats) {
-    switch (g.prec) {
-      case score_precision::int8:
+    if constexpr (Lanes > 1) {
+      if (g.prec == score_precision::int8) {
         padded_group<score8_t, kLanes8>(pairs, lo, g, *ws, sink, stats);
         return;
-      case score_precision::int16:
+      }
+      if (g.prec == score_precision::int16) {
         padded_group<score16_t, Lanes>(pairs, lo, g, *ws, sink, stats);
         return;
-      case score_precision::bitpar:
-        bitpar_pair(pairs, lo, *ws, sink, stats);
-        return;
-      default:
-        for (std::size_t i = lo; i < g.hi; ++i)
-          lone_pair(pairs, i, *ws, sink, stats);
-        return;
+      }
     }
+    if (g.prec == score_precision::bitpar) {
+      bitpar_pair(pairs, lo, *ws, sink, stats);
+      return;
+    }
+    for (std::size_t i = lo; i < g.hi; ++i)
+      lone_pair(pairs, i, *ws, sink, stats);
   }
 
   /// One admitted group through the padded kernel at (g.nbar x g.mbar);
-  /// each live lane retires at its own true boundary.  auto mode proved
-  /// the bound on the padded shape (which dominates every lane), so it
-  /// runs unchecked; a forced precision runs the checked kernel and
-  /// sheds flagged lanes to the rolling engine in the same pass.  Every
+  /// each live lane retires at its own true boundary.  group_plan proved
+  /// the bound on the padded shape, which dominates every lane.  Every
   /// relaxed cell outside a live pair's own matrix — ragged lanes'
   /// padding and a tail's dead lanes — counts as a padded cell.
   template <class E, int W, class Pair, class Sink>
   void padded_group(std::span<const Pair> pairs, std::size_t lo,
                     const chunk_plan& g, workspace& ws, Sink& sink,
                     batch_stats& stats) {
-    const int live = static_cast<int>(g.hi - lo);
-    std::uint64_t esc = 0;
-    if (cfg_.precision == score_precision::auto_select)
-      esc = ragged_chunk_score<K, E, W, false>(pairs, lo, g.nbar, g.mbar,
-                                               gap_, scoring_, ws, sink, live);
-    else
-      esc = ragged_chunk_score<K, E, W, true>(pairs, lo, g.nbar, g.mbar,
-                                              gap_, scoring_, ws, sink, live);
+    const auto live = static_cast<std::uint64_t>(g.hi - lo);
+    ragged_chunk_score<K, E, W>(pairs, lo, g.nbar, g.mbar, gap_, scoring_,
+                                ws, sink, static_cast<int>(live));
     const std::uint64_t shape = static_cast<std::uint64_t>(g.nbar) *
                                 static_cast<std::uint64_t>(g.mbar);
     std::uint64_t used = 0;
     for (std::size_t i = lo; i < g.hi; ++i)
       used += static_cast<std::uint64_t>(pairs[i].q.size()) *
               static_cast<std::uint64_t>(pairs[i].s.size());
-    const auto shed = static_cast<std::uint64_t>(std::popcount(esc));
-    const std::uint64_t ok = static_cast<std::uint64_t>(live) - shed;
-    (sizeof(E) == 1 ? stats.int8_pairs : stats.int16_pairs) += ok;
-    if constexpr (W > 1) {
-      stats.simd_pairs += ok;
-      if (used != static_cast<std::uint64_t>(live) * shape)
-        stats.ragged_pairs += ok;  // the live lanes differ in shape
-    }
+    (sizeof(E) == 1 ? stats.int8_pairs : stats.int16_pairs) += live;
+    stats.simd_pairs += live;
+    if (used != live * shape) stats.ragged_pairs += live;  // mixed shapes
     stats.padded_cells += static_cast<std::uint64_t>(W) * shape - used;
-    for (int l = 0; l < live; ++l) {
-      if (!((esc >> l) & 1)) continue;
-      const std::size_t i = lo + static_cast<std::size_t>(l);
-      sink(i, rolling_score<K>(pairs[i].q, pairs[i].s, gap_, scoring_, ws));
-      ++stats.escalated_pairs;
-      ++stats.scalar_pairs;
-    }
   }
 
   /// One pair of a group the planner could not put on lanes.  Under auto
   /// on a vector variant it runs the intra-pair striped kernel when its
-  /// own int16 bound holds; forced precisions, the scalar variant, a
-  /// bound past the window and empty sequences roll in int32.
+  /// own int16 bound holds; the int32 hint, the scalar variant, a bound
+  /// past the window and empty sequences roll in int32.
   template <class Pair, class Sink>
   void lone_pair(std::span<const Pair> pairs, std::size_t i, workspace& ws,
                  Sink& sink, batch_stats& stats) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "anyseq/anyseq.hpp"
 #include "baselines/naive.hpp"
@@ -46,22 +47,19 @@ fuzz_case make_case(std::uint64_t seed) {
       c.opt.exec != backend::fpga_sim && (rng() % 2 == 0);
   // Sometimes force the linear-space D&C path for tracebacks.
   if (c.opt.want_alignment && rng() % 3 == 0) c.opt.full_matrix_cells = 64;
-  // Exercise the precision lattice: forced narrow types run the checked
-  // kernels with escalation; traceback routes ignore the hint.
-  c.opt.precision =
-      pick(score_precision::auto_select, score_precision::auto_select,
-           score_precision::int8, score_precision::int16,
-           score_precision::int32);
-  // Fold unit-cost option sets into the mix — they admit the Myers
-  // bit-parallel route (score-only, global), forced or auto-selected.
+  // Both requestable precisions: the planned accumulator and the int32
+  // reference route; traceback routes ignore the hint.
+  c.opt.precision = pick(score_precision::auto_select,
+                         score_precision::auto_select,
+                         score_precision::int32);
+  // Fold unit-cost option sets into the mix — under auto they take the
+  // Myers bit-parallel route (score-only, global).
   if (rng() % 4 == 0) {
     c.opt.kind = align_kind::global;
     c.opt.want_alignment = false;
     c.opt.match = 0;
     c.opt.gap_open = 0;
     c.opt.mismatch = c.opt.gap_extend = pick(-1, -2);
-    c.opt.precision = rng() % 2 == 0 ? score_precision::bitpar
-                                     : score_precision::auto_select;
   }
 
   const auto nq = 1 + rng() % 120, ns = 1 + rng() % 120;
@@ -116,6 +114,33 @@ TEST_P(OptionsFuzz, MatchesOracleAndRescores) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptionsFuzz, ::testing::Range(0, 8));
+
+TEST(OptionsValidation, PlannedPrecisionsAreNotRequests) {
+  // int8, int16 and bitpar are what the plan reports, never what a
+  // caller asks for; the rejection names the field.
+  for (const score_precision p : {score_precision::int8,
+                                  score_precision::int16,
+                                  score_precision::bitpar}) {
+    SCOPED_TRACE(to_string(p));
+    align_options o;
+    o.precision = p;
+    try {
+      validate(o);
+      ADD_FAILURE() << "validate accepted a planned precision";
+    } catch (const validation_error& e) {
+      EXPECT_NE(std::string(e.what()).find("precision"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(aligner{o}, validation_error);
+    EXPECT_THROW((void)align_strings("ACGT", "ACGT", o), validation_error);
+  }
+  for (const score_precision p :
+       {score_precision::auto_select, score_precision::int32}) {
+    align_options o;
+    o.precision = p;
+    EXPECT_NO_THROW(validate(o)) << to_string(p);
+  }
+}
 
 }  // namespace
 }  // namespace anyseq

@@ -1,18 +1,15 @@
 /// \file precision_oracle_test.cpp
-/// Differential oracle for the adaptive-precision score routes: forcing
-/// int8 / int16 / int32 / bitpar through `align_options::precision` must
-/// be byte-identical (score AND end cell) to the default int32 route and
-/// to the independent naive DP oracle, on every runnable engine variant.
-/// Failure messages always carry the seed that produced the pair, so any
-/// red run is reproducible from the log alone.
+/// Differential oracle for the adaptive-precision score routes: the
+/// accumulator `auto_select` plans (int8 / int16 chunks, striped int16,
+/// bit-parallel) must be byte-identical (score AND end cell) to the int32
+/// reference route and to the independent naive DP oracle, on every
+/// runnable engine variant.  Failure messages always carry the seed that
+/// produced the pair, so any red run is reproducible from the log alone.
 ///
-/// The escalation suites pin the saturation boundary of the checked
-/// narrow kernels: scores one relax step below the watermark stay on the
-/// narrow path and are exact; scores at or above it trip the sticky
-/// overflow mask (or the upfront bound check) and are transparently
-/// re-scored by the rolling int32 engine — observable both as correct
-/// scores through the public API and as `escalated_pairs` on a directly
-/// instantiated batch engine.
+/// The window suite pins the plan-time bound: shapes whose worst case
+/// (n + m + 2) * unit sits one below each window take that window's lane
+/// type, shapes at the window take the next one, and every result stays
+/// identical to int32 rolling.
 
 #include <gtest/gtest.h>
 
@@ -62,7 +59,7 @@ void PrintTo(const precision_case& p, std::ostream* os) {
       << p.open << "," << p.extend;
 }
 
-TEST_P(PrecisionOracle, ForcedRoutesMatchNaiveAndAuto) {
+TEST_P(PrecisionOracle, AutoAndInt32MatchNaive) {
   const auto p = GetParam();
   const baselines::naive_params np =
       test::oracle_affine(p.kind, p.match, p.mismatch, p.open, p.extend);
@@ -87,26 +84,10 @@ TEST_P(PrecisionOracle, ForcedRoutesMatchNaiveAndAuto) {
       base.exec = b;
       ASSERT_EQ(run(q, s, base).score, want)
           << "auto route vs oracle on " << to_string(b);
-      // End-cell identity is pinned to the int32 rolling engine — the
-      // escalation target the narrow kernels must be indistinguishable
-      // from (auto may route through the tiled engine, whose tie-break
-      // among equal optima can legitimately differ).
       align_options o = base;
       o.precision = score_precision::int32;
-      const auto ref = run(q, s, o);
-      ASSERT_EQ(ref.score, want) << "int32 route vs oracle on "
-                                 << to_string(b);
-      for (score_precision prec :
-           {score_precision::int8, score_precision::int16}) {
-        o.precision = prec;
-        const auto got = run(q, s, o);
-        ASSERT_EQ(got.score, want)
-            << to_string(prec) << " vs oracle on " << to_string(b);
-        ASSERT_EQ(got.q_end, ref.q_end)
-            << to_string(prec) << " end_i diverged on " << to_string(b);
-        ASSERT_EQ(got.s_end, ref.s_end)
-            << to_string(prec) << " end_j diverged on " << to_string(b);
-      }
+      ASSERT_EQ(run(q, s, o).score, want)
+          << "int32 route vs oracle on " << to_string(b);
     }
   }
 }
@@ -159,7 +140,7 @@ TEST(PrecisionOracle, BitparMatchesNaiveAndInt32OnUnitCostSets) {
   }
 }
 
-TEST(PrecisionOracle, BitparPlanAndValidation) {
+TEST(PrecisionOracle, BitparPlan) {
   align_options o;
   o.kind = align_kind::global;
   o.match = 0;
@@ -171,29 +152,14 @@ TEST(PrecisionOracle, BitparPlanAndValidation) {
   EXPECT_STREQ(p.route, "bitpar_score");
   EXPECT_EQ(p.precision, score_precision::bitpar);
   EXPECT_GT(p.workspace_bytes, 0u);
-
-  // Forcing bitpar on a non-unit-cost option set must be rejected up
-  // front, not silently mis-scored.
-  align_options bad;
-  bad.precision = score_precision::bitpar;  // default match=2 isn't unit
-  EXPECT_THROW(aligner{bad}, invalid_argument_error);
-  bad = o;
-  bad.precision = score_precision::bitpar;
-  bad.want_alignment = true;
-  EXPECT_THROW(aligner{bad}, invalid_argument_error);
+  // The int32 reference opts out of the bit-parallel route.
+  o.precision = score_precision::int32;
+  EXPECT_STREQ(aligner(o).plan(150, 150).route, "small_score");
 }
 
-TEST(PrecisionOracle, ForcedPrecisionPlanReportsRoute) {
+TEST(PrecisionOracle, PlanReportsRouteAndPrecision) {
   align_options o;
   o.threads = 1;
-  o.precision = score_precision::int8;
-  aligner a8(o);
-  EXPECT_STREQ(a8.plan(40, 40).route, "precision_score");
-  EXPECT_EQ(a8.plan(40, 40).precision, score_precision::int8);
-  o.precision = score_precision::int16;
-  aligner a16(o);
-  EXPECT_STREQ(a16.plan(40, 40).route, "precision_score");
-  EXPECT_EQ(a16.plan(40, 40).precision, score_precision::int16);
   o.precision = score_precision::int32;
   aligner a32(o);
   EXPECT_STREQ(a32.plan(40, 40).route, "small_score");
@@ -231,156 +197,105 @@ TEST(PrecisionOracle, BitparOversizedAlphabetFallsBackToRolling) {
   EXPECT_EQ(got.s_end, ref.s_end);
 }
 
-// --- saturation boundary / escalation ---------------------------------
+// --- plan-time windows -------------------------------------------------
 
-/// All-match pair of length L: global score climbs to L * match, the
-/// sharpest controllable approach to the high watermark Emax - step.
-std::vector<char_t> ramp(index_t len) {
-  std::vector<char_t> out(static_cast<std::size_t>(len));
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = static_cast<char_t>(i % 4);
-  return out;
+/// Lane width the public dispatcher runs on backend `b`.
+int lanes_of(backend b) {
+  return b == backend::simd_avx512 ? 32 : b == backend::simd_avx2 ? 16 : 1;
 }
 
-class PrecisionEscalation : public ::testing::TestWithParam<backend> {};
+/// A uniform (n x m) input under match / mismatch / linear gap, and the
+/// path auto must plan for a batch of them that fills its lanes.
+struct window_case {
+  align_kind kind;
+  score_t match, mismatch, gap;
+  index_t n, m;
+  score_precision chunk;  ///< int8 / int16 chunks, or int32 = rolled
+};
 
-TEST_P(PrecisionEscalation, Int8BoundaryScoresStayExact) {
-  // match 2 -> step 2, hi watermark 127 - 2 = 125.  L = 62 peaks at 124
-  // (inside the window, must NOT escalate); L = 63 peaks at 126 (inside
-  // int8 but past the watermark -> conservative escalation); L = 64
-  // would saturate at 127.  All three must return the exact score.
-  if (!test::backend_runnable(GetParam())) GTEST_SKIP();
-  for (const index_t len : {62, 63, 64}) {
-    const auto q = ramp(len);
-    align_options o;
-    o.exec = GetParam();
-    o.threads = 1;
-    o.precision = score_precision::int8;
-    const auto r = run(q, q, o);
-    EXPECT_EQ(r.score, 2 * len) << "len " << len;
-    EXPECT_EQ(r.q_end, len);
-    EXPECT_EQ(r.s_end, len);
+TEST(PrecisionWindow, EdgeShapesPickTheirLaneTypeAndMatchInt32) {
+  // The bound is (n + m + 2) * unit against a strict window (96 for
+  // int8, 28000 for int16); a large unit keeps the shapes small.  All-zero
+  // scoring has unit 0, which the bound floors to 1: 150 x 150 pairs must
+  // not run int8 lanes, whose end indices would wrap.
+  const std::vector<window_case> edges = {
+      {align_kind::global, 5, -1, -1, 8, 9, score_precision::int8},  // 95
+      {align_kind::global, 12, -1, -1, 3, 3, score_precision::int16},  // 96
+      {align_kind::global, 459, -1, -1, 29, 30,
+       score_precision::int16},  // 27999
+      {align_kind::global, 500, -1, -1, 27, 27,
+       score_precision::int32},  // 28000
+      {align_kind::global, 0, 0, 0, 150, 150, score_precision::int16},
+  };
+  std::vector<window_case> cases;
+  for (const align_kind k : {align_kind::global, align_kind::local,
+                             align_kind::semiglobal, align_kind::extension})
+    for (window_case c : edges) {
+      if (k == align_kind::local && c.match == 0) continue;  // invalid
+      c.kind = k;
+      cases.push_back(c);
+    }
+  for (const window_case& c : cases) {
+    for (backend b : runnable_backends()) {
+      const int lanes = lanes_of(b);
+      for (const std::size_t count :
+           {static_cast<std::size_t>(2 * std::max(lanes, 16)),
+            std::size_t{2}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(c.kind) << " match " << c.match << " "
+                     << c.n << "x" << c.m << " on " << to_string(b)
+                     << " count " << count);
+        std::vector<std::vector<char_t>> qs, ss;
+        std::vector<seq_pair> pairs;
+        for (std::size_t i = 0; i < count; ++i) {
+          qs.push_back(test::random_codes(static_cast<std::size_t>(c.n),
+                                          5000 + i));
+          ss.push_back(test::random_codes(static_cast<std::size_t>(c.m),
+                                          6000 + i));
+        }
+        for (std::size_t i = 0; i < count; ++i)
+          pairs.push_back({view(qs[i]), view(ss[i])});
+        align_options o;
+        o.kind = c.kind;
+        o.match = c.match;
+        o.mismatch = c.mismatch;
+        o.gap_extend = c.gap;
+        o.exec = b;
+        o.threads = 1;
+        o.precision = score_precision::int32;
+        std::vector<alignment_result> ref, got;
+        aligner(o).align_batch_into(pairs, ref);
+        o.precision = score_precision::auto_select;
+        aligner a(o);
+        a.align_batch_into(pairs, got);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(got[i].score, ref[i].score) << "pair " << i;
+          ASSERT_EQ(got[i].q_end, ref[i].q_end) << "pair " << i;
+          ASSERT_EQ(got[i].s_end, ref[i].s_end) << "pair " << i;
+        }
+        const batch_stats st = a.last_batch_stats();
+        const bool rolled = c.chunk == score_precision::int32;
+        if (lanes == 1) {
+          EXPECT_EQ(st.scalar_pairs, count);
+        } else if (count == 2) {
+          // Below every fill floor: lone pairs, striped inside int16.
+          EXPECT_EQ(st.striped_pairs, rolled ? 0u : count);
+          EXPECT_EQ(st.scalar_pairs, rolled ? count : 0u);
+        } else {
+          const auto on = [&](score_precision p) {
+            return c.chunk == p ? count : 0u;
+          };
+          EXPECT_EQ(st.int8_pairs, on(score_precision::int8));
+          EXPECT_EQ(st.int16_pairs, on(score_precision::int16));
+          EXPECT_EQ(st.scalar_pairs, on(score_precision::int32));
+          EXPECT_EQ(st.striped_pairs, 0u);
+        }
+      }
+    }
   }
 }
 
-TEST_P(PrecisionEscalation, Int16BoundaryScoresStayExact) {
-  // match 100 -> step 100, hi watermark 32767 - 100 = 32667.  L = 326
-  // peaks at 32600 (clean), L = 327 at 32700 (watermark tripped),
-  // L = 328 would saturate.
-  if (!test::backend_runnable(GetParam())) GTEST_SKIP();
-  for (const index_t len : {326, 327, 328}) {
-    const auto q = ramp(len);
-    align_options o;
-    o.exec = GetParam();
-    o.threads = 1;
-    o.match = 100;
-    o.precision = score_precision::int16;
-    const auto r = run(q, q, o);
-    EXPECT_EQ(r.score, 100 * len) << "len " << len;
-    EXPECT_EQ(r.q_end, len);
-    EXPECT_EQ(r.s_end, len);
-  }
-}
-
-TEST_P(PrecisionEscalation, Int8DeepBoundaryEscalatesUpfront) {
-  // Global inits reach -L * |gap|; past the low watermark the whole
-  // chunk escalates before a single cell is relaxed, and the score must
-  // still be exact (200bp evolved pair, scores far outside int8).
-  if (!test::backend_runnable(GetParam())) GTEST_SKIP();
-  const auto q = test::random_codes(200, 97);
-  const auto s = test::mutate(q, 98);
-  align_options o;
-  o.exec = GetParam();
-  o.threads = 1;
-  o.precision = score_precision::int8;
-  const auto forced = run(q, s, o);
-  o.precision = score_precision::int32;
-  const auto ref = run(q, s, o);
-  EXPECT_EQ(forced.score, ref.score);
-  EXPECT_EQ(forced.q_end, ref.q_end);
-  EXPECT_EQ(forced.s_end, ref.s_end);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, PrecisionEscalation,
-                         ::testing::Values(backend::scalar,
-                                           backend::simd_avx2,
-                                           backend::simd_avx512));
-
-// --- direct batch-engine escalation accounting ------------------------
-
-TEST(PrecisionEscalation, PartialChunkEscalationShedsOnlyHotLanes) {
-  // 32 uniform 100bp global pairs, forced int8 (step 2, watermark 125):
-  // four engineered self-alignment lanes climb to 200 and must escalate;
-  // the 28 random lanes stay inside [-100, ~40] and must not.  Every
-  // lane — shed or kept — must match the rolling engine exactly.
-  std::vector<std::vector<char_t>> qs, ss;
-  std::vector<tiled::pair_view> pairs;
-  for (int i = 0; i < 32; ++i) {
-    qs.push_back(test::random_codes(100, 1000 + i));
-    ss.push_back(i % 8 == 0 ? qs.back()  // hot: all matches
-                            : test::random_codes(100, 2000 + i));
-  }
-  for (int i = 0; i < 32; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
-  const simple_scoring sc{2, -1};
-  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(linear_gap{-1}, sc,
-          {1, score_precision::int8});  // kLanes8 = 32: one checked chunk
-  const auto got = eng.scores(pairs);
-  const auto st = eng.last_stats();
-  EXPECT_EQ(st.escalated_pairs, 4u);
-  EXPECT_EQ(st.int8_pairs, 28u);
-  EXPECT_EQ(st.simd_pairs, 28u);
-  EXPECT_EQ(st.scalar_pairs, 4u);
-  for (int i = 0; i < 32; ++i) {
-    const auto want =
-        rolling_score<align_kind::global>(pairs[i].q, pairs[i].s,
-                                          linear_gap{-1}, sc);
-    EXPECT_EQ(got[i], want.score) << "lane " << i;
-  }
-}
-
-TEST(PrecisionEscalation, CleanForcedChunkDoesNotEscalate) {
-  std::vector<std::vector<char_t>> qs, ss;
-  std::vector<tiled::pair_view> pairs;
-  for (int i = 0; i < 32; ++i) {
-    qs.push_back(test::random_codes(40, 3000 + i));
-    ss.push_back(test::random_codes(40, 4000 + i));
-  }
-  for (int i = 0; i < 32; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
-  const simple_scoring sc{2, -1};
-  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(linear_gap{-1}, sc, {1, score_precision::int8});
-  (void)eng.scores(pairs);
-  EXPECT_EQ(eng.last_stats().escalated_pairs, 0u);
-  EXPECT_EQ(eng.last_stats().int8_pairs, 32u);
-}
-
-TEST(PrecisionEscalation, AutoSelectsInt8ForTinyUniformChunks) {
-  // 20bp pairs under 2/-1/-1: bound (20+20+2)*2 = 84 < 96 -> the auto
-  // planner runs the unchecked int8 kernel at doubled lane count.
-  std::vector<std::vector<char_t>> qs, ss;
-  std::vector<tiled::pair_view> pairs;
-  for (int i = 0; i < 32; ++i) {
-    qs.push_back(test::random_codes(20, 5000 + i));
-    ss.push_back(test::random_codes(20, 6000 + i));
-  }
-  for (int i = 0; i < 32; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
-  const simple_scoring sc{2, -1};
-  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(linear_gap{-1}, sc, {1});
-  const auto got = eng.scores(pairs);
-  const auto st = eng.last_stats();
-  EXPECT_EQ(st.int8_pairs, 32u);
-  EXPECT_EQ(st.escalated_pairs, 0u);
-  for (int i = 0; i < 32; ++i) {
-    const auto want =
-        rolling_score<align_kind::global>(pairs[i].q, pairs[i].s,
-                                          linear_gap{-1}, sc);
-    EXPECT_EQ(got[i], want.score) << "lane " << i;
-  }
-}
-
-TEST(PrecisionEscalation, BitparBatchCountsAndMatchesRolling) {
+TEST(PrecisionWindow, BitparBatchCountsAndMatchesRolling) {
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<tiled::pair_view> pairs;
   for (int i = 0; i < 24; ++i) {
@@ -403,9 +318,9 @@ TEST(PrecisionEscalation, BitparBatchCountsAndMatchesRolling) {
 
 // --- ragged lane-padding oracle ---------------------------------------
 
-/// Mixed-length batches through the public API: every precision mode must
-/// stay byte-identical (score AND end cell) to the int32 rolling route,
-/// whether a chunk lane-pads, escalates, or splits to scalar.
+/// Mixed-length batches through the public API: auto must stay
+/// byte-identical (score AND end cell) to the int32 rolling route,
+/// whether a chunk lane-pads or splits into lone pairs.
 class RaggedOracle : public ::testing::TestWithParam<precision_case> {};
 
 TEST_P(RaggedOracle, JitteredBatchesMatchInt32Rolling) {
@@ -414,8 +329,7 @@ TEST_P(RaggedOracle, JitteredBatchesMatchInt32Rolling) {
       test::oracle_affine(p.kind, p.match, p.mismatch, p.open, p.extend);
   for (const std::uint64_t seed : {1, 2, 3}) {
     // Near-shape run (what the service's shape sort produces): lengths
-    // jitter in [40, 50], so no chunk is uniform but every window fills
-    // well past the forced precisions' floor against int32 rolling.
+    // jitter in [40, 50], so no chunk is uniform.
     std::mt19937_64 rng(seed * 101);
     std::uniform_int_distribution<int> len(40, 50);
     std::vector<std::vector<char_t>> qs, ss;
@@ -443,33 +357,21 @@ TEST_P(RaggedOracle, JitteredBatchesMatchInt32Rolling) {
       aligner ref_a(o);
       std::vector<alignment_result> ref;
       ref_a.align_batch_into(pairs, ref);
-      for (score_precision prec :
-           {score_precision::auto_select, score_precision::int8,
-            score_precision::int16}) {
-        o.precision = prec;
-        aligner a(o);
-        std::vector<alignment_result> got;
-        a.align_batch_into(pairs, got);
-        for (int i = 0; i < 48; ++i) {
-          SCOPED_TRACE(::testing::Message()
-                       << to_string(prec) << " pair " << i);
-          ASSERT_EQ(got[i].score,
-                    baselines::naive_score(qs[i], ss[i], np));
-          ASSERT_EQ(got[i].score, ref[i].score);
-          ASSERT_EQ(got[i].q_end, ref[i].q_end);
-          ASSERT_EQ(got[i].s_end, ref[i].s_end);
-        }
-        // Vector variants keep every pair on SIMD lanes under auto
-        // (padded chunks or striped pairs), and forced int16 must take
-        // the lane-padded path (the scalar variant's width-1 chunks are
-        // trivially uniform and never pad).
-        if (b != backend::scalar &&
-            prec == score_precision::auto_select) {
-          EXPECT_EQ(a.last_batch_stats().simd_pairs, 48u);
-        }
-        if (b != backend::scalar && prec == score_precision::int16) {
-          EXPECT_GT(a.last_batch_stats().ragged_pairs, 0u);
-        }
+      o.precision = score_precision::auto_select;
+      aligner a(o);
+      std::vector<alignment_result> got;
+      a.align_batch_into(pairs, got);
+      for (int i = 0; i < 48; ++i) {
+        SCOPED_TRACE(::testing::Message() << "pair " << i);
+        ASSERT_EQ(got[i].score, baselines::naive_score(qs[i], ss[i], np));
+        ASSERT_EQ(got[i].score, ref[i].score);
+        ASSERT_EQ(got[i].q_end, ref[i].q_end);
+        ASSERT_EQ(got[i].s_end, ref[i].s_end);
+      }
+      // Vector variants keep every pair on SIMD lanes (padded chunks or
+      // striped pairs).
+      if (b != backend::scalar) {
+        EXPECT_EQ(a.last_batch_stats().simd_pairs, 48u);
       }
     }
   }
@@ -485,41 +387,6 @@ INSTANTIATE_TEST_SUITE_P(
         precision_case{align_kind::semiglobal, 2, -1, -2, -1},
         precision_case{align_kind::semiglobal, 1, -1, 0, -3},
         precision_case{align_kind::extension, 2, -1, -2, -1}));
-
-TEST(RaggedOracle, ForcedInt8RaggedShedsOnlyHotLanes) {
-  // Mixed 95-100bp chunk, forced int8 (checked kernel over the padded
-  // shape): engineered self-alignment lanes climb past the watermark and
-  // must escalate; the rest must score on the padded lanes.  Every lane
-  // must match the rolling engine exactly either way — the padding x
-  // overflow-escalation interplay the tentpole promises.
-  std::mt19937_64 rng(42);
-  std::uniform_int_distribution<int> len(95, 100);
-  std::vector<std::vector<char_t>> qs, ss;
-  std::vector<tiled::pair_view> pairs;
-  for (int i = 0; i < 32; ++i) {
-    qs.push_back(test::random_codes(static_cast<std::size_t>(len(rng)),
-                                    1100 + i));
-    ss.push_back(i % 8 == 0 ? qs.back()  // hot: all matches, score ~2L
-                            : test::random_codes(
-                                  static_cast<std::size_t>(len(rng)),
-                                  2100 + i));
-  }
-  for (int i = 0; i < 32; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
-  const simple_scoring sc{2, -1};
-  tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(linear_gap{-1}, sc, {1, score_precision::int8});
-  const auto got = eng.scores(pairs);
-  const auto st = eng.last_stats();
-  EXPECT_GE(st.escalated_pairs, 4u);  // at least the engineered lanes
-  EXPECT_EQ(st.ragged_pairs + st.escalated_pairs, 32u);
-  EXPECT_EQ(st.simd_pairs, st.ragged_pairs);
-  EXPECT_GT(st.padded_cells, 0u);
-  for (int i = 0; i < 32; ++i) {
-    const auto want = rolling_score<align_kind::global>(
-        pairs[i].q, pairs[i].s, linear_gap{-1}, sc);
-    EXPECT_EQ(got[i], want.score) << "lane " << i;
-  }
-}
 
 /// `width` pairs whose cells fill exactly `floor` full (20, 20) shapes:
 /// floor - 1 lanes at (20, 20), width - floor lanes at (1, 20), and a last
@@ -542,51 +409,33 @@ void floor_window(int width, int floor, bool short_by_one,
 TEST(RaggedOracle, MinLiveFloorSplitsOrAdmitsAtBoundary) {
   // A window runs as one padded chunk iff sum(n_l * m_l) >= kMinLive *
   // nbar * mbar.  Filled exactly to the floor it pads; one cell short it
-  // splits into single pairs — striped under auto, rolled when forced.
-  // Results are byte-identical to rolling on both sides of the boundary.
+  // splits into single pairs, which run striped.  Results are
+  // byte-identical to rolling on both sides of the boundary.
   using engine =
       tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>;
   const simple_scoring sc{2, -1};
-  struct boundary_case {
-    score_precision prec;
-    int width;  // the window: int8 at 32 lanes, int16 at 16
-    int floor;
-    bool short_by_one;
-  };
-  constexpr int kAuto = engine::kMinLive[engine::vs_striped];
-  constexpr int kForced = engine::kMinLive[engine::vs_rolling];
-  for (const boundary_case c :
-       {boundary_case{score_precision::auto_select, 32, kAuto, false},
-        boundary_case{score_precision::auto_select, 32, kAuto, true},
-        boundary_case{score_precision::int16, 16, kForced, false},
-        boundary_case{score_precision::int16, 16, kForced, true}}) {
+  constexpr int kWidth = engine::kLanes8;  // (20+20+2)*2 = 84 < 96: int8
+  constexpr int kFloor = engine::kMinLive;
+  for (const bool short_by_one : {false, true}) {
     SCOPED_TRACE(::testing::Message()
-                 << to_string(c.prec) << " floor " << c.floor
-                 << (c.short_by_one ? " short by one" : " at the floor"));
+                 << (short_by_one ? "short by one" : "at the floor"));
     std::vector<std::vector<char_t>> qs, ss;
     std::vector<tiled::pair_view> pairs;
-    floor_window(c.width, c.floor, c.short_by_one, qs, ss, pairs);
-    engine eng(linear_gap{-1}, sc, {1, c.prec});
+    floor_window(kWidth, kFloor, short_by_one, qs, ss, pairs);
+    engine eng(linear_gap{-1}, sc, {1});
     const auto got = eng.score_results(pairs);
     const auto st = eng.last_stats();
-    const auto w = static_cast<std::uint64_t>(c.width);
-    if (!c.short_by_one) {
-      // (20+20+2)*2 = 84 < 96: auto runs one unchecked int8 chunk over
-      // 32 lanes; forced int16 one checked 16-lane chunk.
+    const auto w = static_cast<std::uint64_t>(kWidth);
+    EXPECT_EQ(st.simd_pairs, w);
+    if (!short_by_one) {
+      EXPECT_EQ(st.int8_pairs, w);
       EXPECT_EQ(st.ragged_pairs, w);
-      EXPECT_EQ(st.simd_pairs, w);
       EXPECT_EQ(st.padded_cells,
-                w * 400u - static_cast<std::uint64_t>(c.floor) * 400u);
-      EXPECT_EQ(st.escalated_pairs, 0u);
-    } else if (c.prec == score_precision::auto_select) {
-      EXPECT_EQ(st.ragged_pairs, 0u);
-      EXPECT_EQ(st.padded_cells, 0u);
-      EXPECT_EQ(st.striped_pairs, w);
-      EXPECT_EQ(st.simd_pairs, w);
+                w * 400u - static_cast<std::uint64_t>(kFloor) * 400u);
     } else {
       EXPECT_EQ(st.ragged_pairs, 0u);
       EXPECT_EQ(st.padded_cells, 0u);
-      EXPECT_EQ(st.scalar_pairs, w);
+      EXPECT_EQ(st.striped_pairs, w);
     }
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const auto want = rolling_score<align_kind::global>(
@@ -599,11 +448,6 @@ TEST(RaggedOracle, MinLiveFloorSplitsOrAdmitsAtBoundary) {
 }
 
 // --- sub-width uniform tails -------------------------------------------
-
-/// Lane width the public dispatcher runs on backend `b`.
-int lanes_of(backend b) {
-  return b == backend::simd_avx512 ? 32 : b == backend::simd_avx2 ? 16 : 1;
-}
 
 /// The batch engine's auto-mode floor (kMinLive against striped pairs)
 /// for `lanes` lanes under the gap model of `p` (the floor depends on
@@ -619,10 +463,8 @@ std::size_t tail_floor(int lanes, const precision_case& p) {
   using linear16 =
       batch_engine<align_kind::global, linear_gap, simple_scoring, 16>;
   if (p.open != 0)
-    return lanes == 32 ? affine32::kMinLive[affine32::vs_striped]
-                       : affine16::kMinLive[affine16::vs_striped];
-  return lanes == 32 ? linear32::kMinLive[linear32::vs_striped]
-                     : linear16::kMinLive[linear16::vs_striped];
+    return lanes == 32 ? affine32::kMinLive : affine16::kMinLive;
+  return lanes == 32 ? linear32::kMinLive : linear16::kMinLive;
 }
 
 /// Uniform batches of L + t pairs on each runnable backend (L its lane

@@ -103,7 +103,7 @@ TEST(BatcherCompat, EveryDispatchFieldIsABoundary) {
   EXPECT_TRUE(
       differs([](align_options& o) { o.matrix = dna_default_matrix(); }));
   EXPECT_TRUE(differs(
-      [](align_options& o) { o.precision = score_precision::int16; }));
+      [](align_options& o) { o.precision = score_precision::int32; }));
 }
 
 TEST(BatcherCompat, MatrixContentsMatter) {

@@ -1,6 +1,6 @@
 /// Correctness tests for the serving tier's response cache: randomized
 /// differential against synchronous align() across every dispatch route
-/// (including forced int8/int16 precision and the bit-parallel engine),
+/// (including the int32 reference precision and the bit-parallel engine),
 /// eviction behaviour under capacity pressure, and option
 /// discrimination — equal sequences with different options must never
 /// share an entry.
@@ -37,8 +37,8 @@ void expect_identical(const alignment_result& got,
 }
 
 /// Option sets spanning every dispatch route the cache can front:
-/// batch-score, batch-traceback, solo (matrix / local traceback),
-/// adaptive-precision forced narrow, and the bit-parallel engine.
+/// batch-score, batch-traceback, solo (matrix / local traceback), the
+/// int32 reference precision, and the bit-parallel engine.
 std::vector<align_options> route_spanning_options() {
   std::vector<align_options> out;
 
@@ -66,20 +66,15 @@ std::vector<align_options> route_spanning_options() {
   matrix.matrix = dna_matrix_scoring::uniform(2, -1);
   out.push_back(matrix);
 
-  align_options int8 = score_only;  // forced 8-bit checked kernel
-  int8.precision = score_precision::int8;
-  out.push_back(int8);
+  align_options int32 = score_only;  // the int32 rolling reference route
+  int32.precision = score_precision::int32;
+  out.push_back(int32);
 
-  align_options int16 = score_only;  // forced 16-bit checked kernel
-  int16.precision = score_precision::int16;
-  out.push_back(int16);
-
-  align_options bitpar;  // Myers bit-parallel engine (unit-cost only)
+  align_options bitpar;  // Myers bit-parallel engine (unit-cost, auto)
   bitpar.match = 0;
   bitpar.mismatch = -1;
   bitpar.gap_open = 0;
   bitpar.gap_extend = -1;
-  bitpar.precision = score_precision::bitpar;
   out.push_back(bitpar);
 
   return out;

@@ -41,8 +41,8 @@ std::vector<align_options> option_mix() {
   mix[5].match = 0;                  // bit-parallel engine (unit cost)
   mix[5].mismatch = -1;
   mix[5].gap_extend = -1;
-  mix[6].kind = align_kind::global;  // batch_score, forced checked int16
-  mix[6].precision = score_precision::int16;
+  mix[6].kind = align_kind::global;  // batch_score, int32 reference route
+  mix[6].precision = score_precision::int32;
   return mix;
 }
 

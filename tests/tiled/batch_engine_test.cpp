@@ -75,9 +75,7 @@ TEST(BatchEngine, NonMultipleOfLanesGetsRemainder) {
 TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
   // 40 ragged pairs on 16 lanes.  Under auto a 16-lane chunk must be
   // exactly uniform to beat striping (kMinLive), so every pair runs the
-  // striped kernel; forced int16 pads all three windows (16, 16, then
-  // the 8-pair tail, each above the rolling floor); forced int32 rolls
-  // everything.
+  // striped kernel; the int32 hint rolls everything.
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<pair_view> pairs;
   for (std::size_t i = 0; i < 40; ++i) {
@@ -88,8 +86,7 @@ TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
   for (const score_precision p :
-       {score_precision::auto_select, score_precision::int16,
-        score_precision::int32}) {
+       {score_precision::auto_select, score_precision::int32}) {
     batch_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
         affine_gap{-2, -1}, sc, {2, p});
     auto got = eng.scores(pairs);
@@ -104,10 +101,6 @@ TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
       EXPECT_EQ(st.striped_pairs, 40u);
       EXPECT_EQ(st.simd_pairs, 40u);
       EXPECT_EQ(st.scalar_pairs, 0u);
-    } else if (p == score_precision::int16) {
-      EXPECT_EQ(st.ragged_pairs, 40u);
-      EXPECT_EQ(st.simd_pairs, 40u);
-      EXPECT_EQ(st.escalated_pairs, 0u);
     } else {
       EXPECT_EQ(st.scalar_pairs, 40u);
       EXPECT_EQ(st.striped_pairs, 0u);
@@ -118,7 +111,7 @@ TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
 /// Batches of 2 and 3 ragged pairs (the serving tier's typical batch):
 /// too few to fill lanes, so under auto every pair runs the striped
 /// kernel — score and end cell equal to int32 rolling, single- and
-/// multi-threaded — while the scalar variant and forced int32 roll.
+/// multi-threaded — while the scalar variant and the int32 hint roll.
 template <align_kind K, class Gap, int Lanes>
 void few_ragged_pairs_match_rolling(const Gap& gap) {
   const simple_scoring sc{2, -1};
@@ -232,12 +225,11 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
   }
   const std::uint64_t lanes = static_cast<std::uint64_t>(Lanes);
   const std::uint64_t full = static_cast<std::uint64_t>(n * m);
-  const std::uint64_t floor = engine::kMinLive[engine::vs_striped];
+  const std::uint64_t floor = engine::kMinLive;
   const bool mixed = tail_cells != t * full;
   const auto st = eng.last_stats();
   EXPECT_EQ(st.simd_pairs, lanes + t);
   EXPECT_EQ(st.scalar_pairs, 0u);
-  EXPECT_EQ(st.escalated_pairs, 0u);
   if (fits_score_window(n, m, unit_step(gap, sc), int8_score_window())) {
     EXPECT_EQ(st.int8_pairs, lanes + t);
     EXPECT_EQ(st.striped_pairs, 0u);
@@ -259,8 +251,7 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
 template <align_kind K, class Gap, int Lanes>
 void tail_sweep(const Gap& gap) {
   using engine = batch_engine<K, Gap, simple_scoring, Lanes>;
-  constexpr auto min_live =
-      static_cast<std::size_t>(engine::kMinLive[engine::vs_striped]);
+  constexpr auto min_live = static_cast<std::size_t>(engine::kMinLive);
   for (const std::size_t t :
        {std::size_t{1}, min_live - 1, min_live, std::size_t{Lanes - 1}})
     for (const bool ragged : {false, true})
@@ -283,22 +274,6 @@ TEST(BatchEngineTail, Lanes16MatchesRollingWithExactStats) {
 
 TEST(BatchEngineTail, Lanes32MatchesRollingWithExactStats) {
   tail_sweep<align_kind::global, affine_gap, 32>(affine_gap{-2, -1});
-}
-
-TEST(BatchEngineTail, ForcedPrecisionTailRollsScalar) {
-  // A forced precision's rival is int32 rolling: the 4-pair remainder
-  // sits below the 16-lane floor of 5 pairs, so it rolls.
-  auto qs = make_reads(20, 30, 11);
-  std::vector<pair_view> pairs;
-  for (std::size_t i = 0; i < 20; ++i)
-    pairs.push_back({view(qs[i]), view(qs[(i + 1) % 20])});
-  const simple_scoring sc{2, -1};
-  batch_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
-      linear_gap{-1}, sc, {1, score_precision::int16});
-  (void)eng.scores(pairs);
-  EXPECT_EQ(eng.last_stats().simd_pairs, 16u);
-  EXPECT_EQ(eng.last_stats().scalar_pairs, 4u);
-  EXPECT_EQ(eng.last_stats().padded_cells, 0u);
 }
 
 TEST(BatchEngine, AlignAllProducesValidTracebacks) {

@@ -212,7 +212,7 @@ TEST(StripedRoute, PlanReportsTheRouteTheVariantExecutes) {
     EXPECT_STREQ(p.route, "striped_score");
     EXPECT_EQ(p.precision, score_precision::int16);
     EXPECT_STREQ(p.variant, to_string(b));
-    // Forced int32 stays on the rolling engine; past the small-problem
+    // The int32 reference stays on the rolling engine; past the small-problem
     // cutoff or the int16 bound the tiled engine takes over.
     o.precision = score_precision::int32;
     EXPECT_STREQ(aligner(o).plan(150, 150).route, "small_score");
