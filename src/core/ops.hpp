@@ -75,6 +75,12 @@ template <arithmetic_scalar T>
   return cond ? a : b;
 }
 
+/// `a == b ? x : y`; packs overload it as one compare-and-blend.
+template <arithmetic_scalar C, arithmetic_scalar T>
+[[nodiscard]] ANYSEQ_INLINE T vselect_eq(C a, C b, T x, T y) noexcept {
+  return a == b ? x : y;
+}
+
 /// Broadcast a scalar into a value of type T: identity cast for scalars;
 /// types exposing a static `broadcast` (SIMD packs) use it.  This cannot
 /// dispatch by ADL — the argument is always a plain score — so it probes

@@ -34,7 +34,7 @@ struct simple_scoring {
   /// Lane-generic substitution score: `q == s ? match : mismatch`.
   template <class S, class C>
   [[nodiscard]] ANYSEQ_INLINE S subst(C q, C s) const noexcept {
-    return vselect(veq(q, s), vbroadcast<S>(match), vbroadcast<S>(mismatch));
+    return vselect_eq(q, s, vbroadcast<S>(match), vbroadcast<S>(mismatch));
   }
 
   /// Largest |score| a single column can contribute (16-bit range check).

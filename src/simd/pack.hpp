@@ -18,8 +18,15 @@
 /// AVX-512 variant (and 64 x int8).  The generic loops remain for the
 /// scalar variant and for builds without the ISA flags.
 ///
+/// Storage is a native GCC/Clang vector (`vector_size`), so a pack is a
+/// register value: kernels carry it across loop iterations without a
+/// stack round trip, lane access stays `p.v[i]`, and `to_reg`/`from_reg`
+/// are bit-casts, not loads and stores.
+///
 /// Masks are packs of the same shape holding 0 / all-ones lanes, so
-/// `vselect` is a bitwise blend exactly as on real vector units.
+/// `vselect` is a bitwise blend exactly as on real vector units.  Where a
+/// mask feeds one blend only, `vselect_eq(a, b, x, y)` fuses the compare
+/// and the blend: on AVX-512 the k-mask never widens into a vector.
 ///
 /// This is a *per-target* header: its content compiles into
 /// `anyseq::ANYSEQ_TARGET_NS::simd`, so the pack type — and every template
@@ -36,6 +43,7 @@
 #endif
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "core/macros.hpp"
@@ -56,7 +64,10 @@ struct alignas(sizeof(T) * W >= 64 ? 64 : sizeof(T) * W) pack {
   using value_type = T;
   static constexpr int lanes = W;
 
-  T v[W];
+  /// A `typedef`, not a `using` alias: GCC 12 drops the attribute from
+  /// an alias declared inside a template.
+  typedef T storage __attribute__((vector_size(sizeof(T) * W)));
+  storage v;
 
   [[nodiscard]] static ANYSEQ_INLINE pack broadcast(T x) noexcept {
     pack p;
@@ -65,16 +76,22 @@ struct alignas(sizeof(T) * W >= 64 ? 64 : sizeof(T) * W) pack {
   }
   [[nodiscard]] static ANYSEQ_INLINE pack load(const T* ptr) noexcept {
     pack p;
-    std::memcpy(p.v, ptr, sizeof(p.v));
+    std::memcpy(&p.v, ptr, sizeof(p.v));
     return p;
   }
   ANYSEQ_INLINE void store(T* ptr) const noexcept {
-    std::memcpy(ptr, v, sizeof(v));
+    std::memcpy(ptr, &v, sizeof(v));
   }
   [[nodiscard]] ANYSEQ_INLINE T operator[](int i) const noexcept {
     return v[i];
   }
   ANYSEQ_INLINE void set(int i, T x) noexcept { v[i] = x; }
+  /// The lanes as a plain array.  A lane read by a variable index pins
+  /// the vector it reads to the stack; reading off this copy keeps the
+  /// pack itself a register value.
+  [[nodiscard]] ANYSEQ_INLINE std::array<T, W> to_array() const noexcept {
+    return std::bit_cast<std::array<T, W>>(v);
+  }
 
   /// Horizontal maximum across lanes.
   [[nodiscard]] ANYSEQ_INLINE T hmax() const noexcept {
@@ -96,8 +113,16 @@ using pack_mask = pack<T, W>;
 
 template <class T>
 inline constexpr bool is_pack_v = false;
+/// Checked wherever a kernel names a pack: it is exactly its lanes, and
+/// no carve of a workspace arena (workspace::carve_align) under-aligns it.
 template <class T, int W>
-inline constexpr bool is_pack_v<pack<T, W>> = true;
+inline constexpr bool is_pack_v<pack<T, W>> = [] {
+  static_assert(sizeof(pack<T, W>) == sizeof(T) * W,
+                "a pack is exactly its lanes");
+  static_assert(alignof(pack<T, W>) <= 64,
+                "a pack must not outgrow workspace::carve_align");
+  return true;
+}();
 
 template <class P>
 concept any_pack = is_pack_v<P>;
@@ -162,6 +187,15 @@ template <class T, int W>
   pack<T, W> r;
   for (int i = 0; i < W; ++i) r.v[i] = m.v[i] ? a.v[i] : b.v[i];
   return r;
+}
+
+/// `a == b ? x : y` lane-wise — the substitution score's compare and
+/// blend as one operation.
+template <class T, int W>
+[[nodiscard]] ANYSEQ_INLINE pack<T, W> vselect_eq(pack<T, W> a, pack<T, W> b,
+                                                  pack<T, W> x,
+                                                  pack<T, W> y) noexcept {
+  return vselect(veq(a, b), x, y);
 }
 
 template <any_pack P>
@@ -229,12 +263,10 @@ template <any_pack P, class T, int W>
 using s16x16 = pack<score16_t, 16>;
 
 [[nodiscard]] ANYSEQ_INLINE __m256i to_reg(const s16x16& p) noexcept {
-  return _mm256_load_si256(reinterpret_cast<const __m256i*>(p.v));
+  return std::bit_cast<__m256i>(p.v);
 }
 [[nodiscard]] ANYSEQ_INLINE s16x16 from_reg(__m256i r) noexcept {
-  s16x16 p;
-  _mm256_store_si256(reinterpret_cast<__m256i*>(p.v), r);
-  return p;
+  return {std::bit_cast<s16x16::storage>(r)};
 }
 
 [[nodiscard]] ANYSEQ_INLINE s16x16 vmax(s16x16 a, s16x16 b) noexcept {
@@ -295,12 +327,10 @@ template <int S>
 using s8x32 = pack<score8_t, 32>;
 
 [[nodiscard]] ANYSEQ_INLINE __m256i to_reg(const s8x32& p) noexcept {
-  return _mm256_load_si256(reinterpret_cast<const __m256i*>(p.v));
+  return std::bit_cast<__m256i>(p.v);
 }
 [[nodiscard]] ANYSEQ_INLINE s8x32 from_reg8(__m256i r) noexcept {
-  s8x32 p;
-  _mm256_store_si256(reinterpret_cast<__m256i*>(p.v), r);
-  return p;
+  return {std::bit_cast<s8x32::storage>(r)};
 }
 
 [[nodiscard]] ANYSEQ_INLINE s8x32 vmax(s8x32 a, s8x32 b) noexcept {
@@ -340,7 +370,8 @@ using s8x32 = pack<score8_t, 32>;
 // (one 512-bit register each).  Comparisons produce k-masks; they are
 // widened back to 0 / all-ones lanes (vpmovm2w / vpmovm2b) so masks keep
 // the pack representation every kernel already uses, and vselect turns
-// them back into a k-mask from the lane sign bits.
+// them back into a k-mask from the lane sign bits; vselect_eq keeps its
+// k-mask and skips both conversions.
 // ---------------------------------------------------------------------------
 #if defined(__AVX512BW__)
 
@@ -348,12 +379,10 @@ using s16x32 = pack<score16_t, 32>;
 using s8x64 = pack<score8_t, 64>;
 
 [[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s16x32& p) noexcept {
-  return _mm512_load_si512(p.v);
+  return std::bit_cast<__m512i>(p.v);
 }
 [[nodiscard]] ANYSEQ_INLINE s16x32 from_reg(__m512i r) noexcept {
-  s16x32 p;
-  _mm512_store_si512(p.v, r);
-  return p;
+  return {std::bit_cast<s16x32::storage>(r)};
 }
 
 [[nodiscard]] ANYSEQ_INLINE s16x32 vmax(s16x32 a, s16x32 b) noexcept {
@@ -378,6 +407,13 @@ using s8x64 = pack<score8_t, 64>;
   // mask_blend takes its second operand where the k-bit is clear.
   return from_reg(_mm512_mask_blend_epi16(_mm512_movepi16_mask(to_reg(m)),
                                           to_reg(b), to_reg(a)));
+}
+/// The compare's k-mask drives the blend directly: no vpmovm2w /
+/// vpmovw2m round trip through a vector mask.
+[[nodiscard]] ANYSEQ_INLINE s16x32 vselect_eq(s16x32 a, s16x32 b, s16x32 x,
+                                              s16x32 y) noexcept {
+  return from_reg(_mm512_mask_blend_epi16(
+      _mm512_cmpeq_epi16_mask(to_reg(a), to_reg(b)), to_reg(y), to_reg(x)));
 }
 [[nodiscard]] ANYSEQ_INLINE s16x32 vor(s16x32 a, s16x32 b) noexcept {
   return from_reg(_mm512_or_si512(to_reg(a), to_reg(b)));
@@ -410,12 +446,10 @@ template <int S>
 }
 
 [[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s8x64& p) noexcept {
-  return _mm512_load_si512(p.v);
+  return std::bit_cast<__m512i>(p.v);
 }
 [[nodiscard]] ANYSEQ_INLINE s8x64 from_reg8(__m512i r) noexcept {
-  s8x64 p;
-  _mm512_store_si512(p.v, r);
-  return p;
+  return {std::bit_cast<s8x64::storage>(r)};
 }
 
 [[nodiscard]] ANYSEQ_INLINE s8x64 vmax(s8x64 a, s8x64 b) noexcept {

@@ -45,6 +45,7 @@
 #endif
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <type_traits>
@@ -126,7 +127,8 @@ template <class E, int W>
 /// after row i == n_l, before the padded rows beyond can touch anything:
 ///   * global: h[m_l] at retirement is exactly H(n_l, m_l).
 ///   * local/extension: the per-cell running max is masked to
-///     colmask[j] (all-ones up to column min m_l), so the candidate
+///     colmask[j] (lane l all-ones up to column m_l; a masked lane
+///     offers 0, never above its best), so the candidate
 ///     visit order over *valid* cells is row-major — identical to
 ///     rolling_score's, strict-> ties included.  (Rows past n_l may move
 ///     a retired lane's best; nothing reads it.)
@@ -214,10 +216,13 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
   P best_v = P::broadcast(kSentinel);
   P best_i = P::broadcast(0), best_j = P::broadcast(0);
   if constexpr (K == align_kind::semiglobal) {
+    std::array<E, W> v0, j0;
     for (int l = 0; l < W; ++l) {
-      best_v.v[l] = static_cast<E>(init_h_row0<K>(ml[l], gap));
-      best_j.v[l] = static_cast<E>(ml[l]);
+      v0[l] = static_cast<E>(init_h_row0<K>(ml[l], gap));
+      j0[l] = static_cast<E>(ml[l]);
     }
+    best_v = P::load(v0.data());
+    best_j = P::load(j0.data());
   } else if constexpr (tracks_running_max(K)) {
     best_v = P::broadcast(0);
   }
@@ -228,25 +233,39 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
     P qc;
     for (int l = 0; l < W; ++l)
       qc.v[l] = static_cast<E>(qp[l][std::min(i, nl[l]) - 1]);
+    // The row's loop-carried state — H(i, j - 1), H(i - 1, j - 1) and F —
+    // stays in registers: each cell reads h[j] and e[j] once, writes them
+    // once, and never re-reads the row it just stored.
     P diag = h[0];
-    h[0] = P::broadcast(static_cast<E>(init_h_col0<K>(i, gap)));
+    P left = P::broadcast(static_cast<E>(init_h_col0<K>(i, gap)));
+    h[0] = left;
     P f = P::broadcast(kSentinel);
     const P row_i = P::broadcast(static_cast<E>(i));
 
     for (index_t j = 1; j <= mbar; ++j) {
-      const prev_cells<P> prev{diag, h[j], h[j - 1], e[j], f};
+      const P up = h[j];
+      const prev_cells<P> prev{diag, up, left, e[j], f};
       const auto nx =
           relax<K, false, P, P, P>(prev, qc, schars[j], gap, scoring);
-      diag = h[j];
-      h[j] = nx.h;
-      e[j] = nx.e;
+      // Copy the cell out member by member before storing it: storing
+      // nx's members straight into the rows keeps nx itself in memory
+      // (GCC 12: two dead 64-byte stack stores a cell).
+      diag = up;
+      left = nx.h;
       f = nx.f;
-      // Columns up to min m_l are valid in every lane; only those beyond
-      // need colmask on the best update.
+      const P en = nx.e;
+      h[j] = left;
+      e[j] = en;
       if constexpr (tracks_running_max(K)) {
-        auto better = vgt(nx.h, best_v);
-        if (j > mmin) better = vand(better, colmask[j]);
-        best_v = vselect(better, nx.h, best_v);
+        // Columns up to min m_l are valid in every lane; beyond it an
+        // invalid lane offers 0, which never beats its best (>= 0 from
+        // the start).  The value chain is a plain max; the strict-> mask
+        // only picks the end cell, keeping rolling_score's row-major
+        // tie order.
+        P hv = left;
+        if (j > mmin) hv = vand(hv, colmask[j]);
+        const auto better = vgt(hv, best_v);
+        best_v = vmax(hv, best_v);
         best_i = vselect(better, row_i, best_i);
         best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
       }
@@ -285,6 +304,11 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
         best_j = vselect(better, P::broadcast(static_cast<E>(j)), best_j);
       }
     }
+    // Lane reads go through one snapshot per retiring row: a lane read
+    // by a variable index would pin the bests to the stack (to_array).
+    [[maybe_unused]] const auto bv = best_v.to_array();
+    [[maybe_unused]] const auto bi = best_i.to_array();
+    [[maybe_unused]] const auto bj = best_j.to_array();
     for (int l = 0; l < live; ++l) {
       if (nl[l] != i) continue;
       score_result r;
@@ -295,9 +319,9 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
         r.end_i = nl[l];
         r.end_j = ml[l];
       } else {
-        r.score = best_v.v[l];
-        r.end_i = best_i.v[l];
-        r.end_j = best_j.v[l];
+        r.score = bv[l];
+        r.end_i = bi[l];
+        r.end_j = bj[l];
       }
       sink(lo + static_cast<std::size_t>(l), r);
     }
@@ -319,18 +343,19 @@ class batch_engine {
   /// proportion to its n_l * m_l, so the break-even is chunk cost /
   /// full-shape striped pair cost.  Measured on one thread (Xeon with
   /// AVX-512BW, GCC 12), gap open -2 / extend -1 or linear -1, match 2 /
-  /// mismatch -1 (DESIGN.md section 8):
+  /// mismatch -1, over global, local and semiglobal (DESIGN.md
+  /// section 8); the floor is the largest 150 bp break-even, rounded
+  /// down:
   ///
   ///   | lanes | gaps   | break-even (100/150/250 bp) | floor |
   ///   |-------|--------|-----------------------------|-------|
-  ///   | 32    | linear | 11-15 / 14-20 / 18-26       | 20    |
-  ///   | 32    | affine | 21-24 / 27-29 / 34-37       | 28    |
-  ///   | 16    | either | 22-36 / 27-42 / 32-53       | 16    |
-  ///
-  /// A full 16-lane chunk already costs more than 16 striped pairs, so
-  /// the AVX2 variant admits exactly-uniform windows only.
+  ///   | 32    | linear | 6.7-8.3 / 8.0-10.6 / 13-16  | 10    |
+  ///   | 32    | affine | 10.7-13 / 13.0-14.6 / 15-18 | 14    |
+  ///   | 16    | linear | 5.2-6.5 / 5.9-7.0 / 6.6-8.9 | 7     |
+  ///   | 16    | affine | 5.4-7.6 / 5.8-9.1 / 8.9-10  | 9     |
   static constexpr int kMinLive =
-      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 28 : 20) : Lanes;
+      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 14 : 10)
+                  : (Gap::kind == gap_kind::affine ? 9 : 7);
 
   batch_engine(Gap gap, Scoring scoring, batch_config cfg = {})
       : gap_(gap), scoring_(scoring), cfg_(cfg) {

@@ -379,9 +379,8 @@ tile_best striped_pass(const QV& q, const SV& s, IO& io, const Gap& gap,
       const P hv = vmax(h[t], e);
       h[t] = hv;
       if constexpr (tracks_running_max(K)) {
-        const auto better = vgt(hv, rmax[t]);
-        rmax[t] = vselect(better, hv, rmax[t]);
-        rbj[t] = vselect(better, jv, rbj[t]);
+        rbj[t] = vselect(vgt(hv, rmax[t]), jv, rbj[t]);
+        rmax[t] = vmax(hv, rmax[t]);
       }
       e = vmax(vadd(hv, oe), vadd(e, ext));
     }

@@ -233,9 +233,9 @@ TEST(AllocSteadyState, BatchRaggedSteadyState) {
 
 TEST(AllocSteadyState, BatchTailSteadyState) {
   // 53 uniform pairs on 32 lanes: one full chunk plus a 21-pair tail (at
-  // least the linear-gap floor of 20) the planner runs as one lane-padded
-  // chunk.  The tail carves the same arena rows as a full chunk, so warm
-  // passes allocate nothing.
+  // least the linear-gap floor, kMinLive) the planner runs as one
+  // lane-padded chunk.  The tail carves the same arena rows as a full
+  // chunk, so warm passes allocate nothing.
   using engine =
       tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 32>;
   static_assert(engine::kMinLive <= 21);

@@ -389,16 +389,21 @@ INSTANTIATE_TEST_SUITE_P(
         precision_case{align_kind::extension, 2, -1, -2, -1}));
 
 /// `width` pairs whose cells fill exactly `floor` full (20, 20) shapes:
-/// floor - 1 lanes at (20, 20), width - floor lanes at (1, 20), and a last
-/// lane at (20 - (width - floor), 20) — or one column short of it when
-/// `short_by_one`, which leaves the window just under the floor.
+/// `full` lanes at (20, 20), the last lane at (1 + extra, 20) and the rest
+/// at (1, 20) — every lane holds 20 cells, each full lane 380 more, the
+/// last lane the remaining 20 * extra — or one column short of that last
+/// lane when `short_by_one`, which leaves the window just under the floor.
 void floor_window(int width, int floor, bool short_by_one,
                   std::vector<std::vector<char_t>>& qs,
                   std::vector<std::vector<char_t>>& ss,
                   std::vector<tiled::pair_view>& pairs) {
+  const int rows = 20 * floor - width;  // (floor * 400 - width * 20) / 20
+  const int full = rows / 19, extra = rows % 19;
+  ASSERT_GE(full, 1) << "the window needs one (20, 20) lane";
+  ASSERT_LT(full, width) << "the floor must leave a lane short of full";
   for (int i = 0; i < width; ++i) {
     const bool last = i == width - 1;
-    const std::size_t n = i < floor - 1 ? 20 : last ? 20 - (width - floor) : 1;
+    const std::size_t n = i < full ? 20 : last ? 1 + extra : 1;
     const std::size_t m = last && short_by_one ? 19 : 20;
     qs.push_back(test::random_codes(n, 5100 + i));
     ss.push_back(test::random_codes(m, 6100 + i));

@@ -3,7 +3,9 @@
 /// into the `v_avx512` target namespace — the namespace whose library TU
 /// carries the same flags — so every pack symbol emitted here matches the
 /// library's codegen.  Overload resolution picks the exact-type intrinsic
-/// overloads over the generic lane-loop templates.
+/// overloads over the generic lane-loop templates; an op without one
+/// (vselect_eq on every pack but s16x32) runs the generic composition of
+/// intrinsic overloads.
 
 #include "pack_isa_kernels.hpp"
 
@@ -31,6 +33,7 @@ void apply(op o, const T* m, const T* a, const T* b, T* out) {
     case op::gt: r = vgt(pa, pb); break;
     case op::eq: r = veq(pa, pb); break;
     case op::select: r = vselect(pm, pa, pb); break;
+    case op::select_eq: r = vselect_eq(pa, pb, pm, pb); break;
     case op::or_: r = vor(pa, pb); break;
     case op::and_: r = vand(pa, pb); break;
     case op::andnot: r = vandnot(pa, pb); break;

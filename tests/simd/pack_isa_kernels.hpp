@@ -10,11 +10,11 @@
 
 namespace anyseq::test::pack_isa {
 
-enum class op { max, min, add, gt, eq, select, or_, and_, andnot };
+enum class op { max, min, add, gt, eq, select, select_eq, or_, and_, andnot };
 
 /// out = op(a, b) lane-wise through the intrinsic overloads of one pack
-/// type (`select` computes m ? a : b; the other ops ignore m).  Every
-/// array holds exactly the pack's lane count.
+/// type (`select` computes m ? a : b, `select_eq` a == b ? m : b; the
+/// other ops ignore m).  Every array holds exactly the pack's lane count.
 void apply_s16x16(op o, const std::int16_t* m, const std::int16_t* a,
                   const std::int16_t* b, std::int16_t* out);
 void apply_s16x32(op o, const std::int16_t* m, const std::int16_t* a,

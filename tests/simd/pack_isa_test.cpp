@@ -22,8 +22,9 @@
 namespace anyseq::test::pack_isa {
 namespace {
 
-constexpr op kOps[] = {op::max, op::min, op::add,  op::gt,    op::eq,
-                       op::select, op::or_, op::and_, op::andnot};
+constexpr op kOps[] = {op::max,    op::min,       op::add, op::gt,
+                       op::eq,     op::select,    op::select_eq,
+                       op::or_,    op::and_,      op::andnot};
 
 const char* name(op o) {
   switch (o) {
@@ -33,6 +34,7 @@ const char* name(op o) {
     case op::gt: return "vgt";
     case op::eq: return "veq";
     case op::select: return "vselect";
+    case op::select_eq: return "vselect_eq";
     case op::or_: return "vor";
     case op::and_: return "vand";
     case op::andnot: return "vandnot";
@@ -41,7 +43,8 @@ const char* name(op o) {
 }
 
 /// What one lane of `o` must produce: saturating add, 0 / all-ones
-/// comparison masks, bitwise logic, m ? a : b selection.
+/// comparison masks, bitwise logic, m ? a : b selection, and
+/// a == b ? m : b for the fused compare-and-blend.
 template <class T>
 T reference(op o, T m, T a, T b) {
   constexpr int lo = std::numeric_limits<T>::min();
@@ -53,6 +56,7 @@ T reference(op o, T m, T a, T b) {
     case op::gt: return static_cast<T>(a > b ? -1 : 0);
     case op::eq: return static_cast<T>(a == b ? -1 : 0);
     case op::select: return m != 0 ? a : b;
+    case op::select_eq: return a == b ? m : b;
     case op::or_: return static_cast<T>(a | b);
     case op::and_: return static_cast<T>(a & b);
     case op::andnot: return static_cast<T>(a & ~b);

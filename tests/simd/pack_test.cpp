@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <type_traits>
 
 namespace anyseq::simd {
 namespace {
@@ -19,10 +22,39 @@ P iota(typename P::value_type start) {
   return p;
 }
 
+/// `x` clamped into the lane type, as the saturating narrow lanes add.
+template <class P>
+int clamp_lane(int x) {
+  using T = typename P::value_type;
+  if constexpr (sizeof(T) > 2) return x;
+  return std::clamp<int>(x, std::numeric_limits<T>::min(),
+                         std::numeric_limits<T>::max());
+}
+
+/// Every shape an engine variant instantiates — the int16 lanes of the
+/// 16- and 32-lane variants and their int8 doubles, the scalar variant's
+/// two-lane stripe and single-lane vector — plus the 8 x int32 pack.
 template <class P>
 class PackOps : public ::testing::Test {};
-using PackTypes = ::testing::Types<s16, s16w, s32>;
+using PackTypes =
+    ::testing::Types<s16, s16w, s32, pack<score8_t, 32>, pack<score8_t, 64>,
+                     pack<score16_t, 2>, pack<score16_t, 1>,
+                     pack<score8_t, 2>>;
 TYPED_TEST_SUITE(PackOps, PackTypes);
+
+TYPED_TEST(PackOps, LayoutIsExactlyTheLanes) {
+  using T = typename TypeParam::value_type;
+  static_assert(sizeof(TypeParam) == sizeof(T) * TypeParam::lanes);
+  static_assert(alignof(TypeParam) <= 64);
+  static_assert(is_pack_v<TypeParam>);
+  static_assert(std::is_trivially_copyable_v<TypeParam>);
+}
+
+TYPED_TEST(PackOps, LanesRoundTripThroughArray) {
+  auto p = iota<TypeParam>(-2);
+  const auto a = p.to_array();
+  for (int i = 0; i < TypeParam::lanes; ++i) EXPECT_EQ(a[i], p[i]) << i;
+}
 
 TYPED_TEST(PackOps, BroadcastFillsAllLanes) {
   auto p = TypeParam::broadcast(7);
@@ -57,7 +89,8 @@ TYPED_TEST(PackOps, AddIsLaneWise) {
   auto a = iota<TypeParam>(1);
   auto b = iota<TypeParam>(10);
   auto r = vadd(a, b);
-  for (int i = 0; i < TypeParam::lanes; ++i) EXPECT_EQ(r[i], 11 + 2 * i);
+  for (int i = 0; i < TypeParam::lanes; ++i)
+    EXPECT_EQ(r[i], clamp_lane<TypeParam>(11 + 2 * i)) << i;
 }
 
 TYPED_TEST(PackOps, CompareAndSelect) {
@@ -75,6 +108,15 @@ TYPED_TEST(PackOps, EqMask) {
   auto m = veq(a, b);
   for (int i = 0; i < TypeParam::lanes; ++i)
     EXPECT_EQ(m[i] != 0, i == 3) << i;
+}
+
+TYPED_TEST(PackOps, SelectEqIsLaneWise) {
+  auto a = iota<TypeParam>(0);
+  auto b = TypeParam::broadcast(3);
+  b.set(0, 0);  // lanes 0 and 3 match
+  auto r = vselect_eq(a, b, TypeParam::broadcast(2), TypeParam::broadcast(-1));
+  for (int i = 0; i < TypeParam::lanes; ++i)
+    EXPECT_EQ(r[i], i == 0 || i == 3 ? 2 : -1) << i;
 }
 
 TYPED_TEST(PackOps, OrAndOnMasks) {

@@ -72,10 +72,15 @@ TEST(BatchEngine, NonMultipleOfLanesGetsRemainder) {
       37, 50, linear_gap{-1}, 2, 6);
 }
 
-TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
-  // 40 ragged pairs on 16 lanes.  Under auto a 16-lane chunk must be
-  // exactly uniform to beat striping (kMinLive), so every pair runs the
-  // striped kernel; the int32 hint rolls everything.
+TEST(BatchEngine, RaggedLengthsPadOrFallBackPerPair) {
+  // 40 ragged pairs on 16 lanes.  Under auto each full window fills
+  // about 14 full-shape pairs, above the 16-lane affine floor
+  // (kMinLive), so the first 32 pairs run as two lane-padded chunks; the
+  // 8-pair tail falls below it and runs striped pair by pair.  The int32
+  // hint rolls everything.
+  static_assert(
+      batch_engine<align_kind::global, affine_gap, simple_scoring,
+                   16>::kMinLive > 8);
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<pair_view> pairs;
   for (std::size_t i = 0; i < 40; ++i) {
@@ -97,8 +102,8 @@ TEST(BatchEngine, RaggedLengthsFallBackPerPair) {
     }
     const auto st = eng.last_stats();
     if (p == score_precision::auto_select) {
-      EXPECT_EQ(st.ragged_pairs, 0u);
-      EXPECT_EQ(st.striped_pairs, 40u);
+      EXPECT_EQ(st.ragged_pairs, 32u);
+      EXPECT_EQ(st.striped_pairs, 8u);
       EXPECT_EQ(st.simd_pairs, 40u);
       EXPECT_EQ(st.scalar_pairs, 0u);
     } else {
