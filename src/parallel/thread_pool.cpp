@@ -65,6 +65,20 @@ void thread_pool::push_slot_locked(const job& j) {
   ++count_;
 }
 
+std::size_t thread_pool::withdraw(void (*invoke)(job&), const void* payload,
+                                  std::size_t bytes) {
+  std::size_t n = 0;
+  std::lock_guard lock(mutex_);
+  for (std::size_t k = 0; k < count_; ++k) {
+    job& j = ring_[(head_ + k) % ring_.size()];
+    if (j.invoke == invoke && std::memcmp(j.payload, payload, bytes) == 0) {
+      j.invoke = [](job&) {};
+      ++n;
+    }
+  }
+  return n;
+}
+
 void thread_pool::enqueue_inline(void (*invoke)(job&), const void* src,
                                  std::size_t bytes) {
   job j;

@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -91,12 +92,15 @@ class thread_pool {
   void wait_idle();
 
   /// Blocking parallel loop over [a, b), split into `chunks_per_thread`
-  /// chunks per worker for load balance.  Each enqueued chunk job
-  /// captures one pointer to a stack-resident control block, so the loop
-  /// itself never allocates through the job ring.  Called on one of this
-  /// pool's own workers, the loop runs inline: its chunk jobs would
-  /// otherwise queue behind workers that may all be blocked waiting for
-  /// them.
+  /// chunks per worker for load balance.  The caller claims chunks
+  /// alongside n_chunks - 1 enqueued jobs instead of sleeping until they
+  /// finish, and once every chunk is claimed it withdraws the jobs no
+  /// worker has dequeued yet: the loop waits only for chunks in flight,
+  /// never for a worker to wake up.  Each job captures one pointer to a
+  /// stack-resident control block, so the loop itself never allocates
+  /// through the job ring.  Called on one of this pool's own workers, the
+  /// loop runs inline: its chunk jobs would otherwise queue behind
+  /// workers that may all be blocked waiting for them.
   template <class Body>
   void parallel_for(index_t a, index_t b, Body&& body,
                     int chunks_per_thread = 4) {
@@ -111,35 +115,60 @@ class thread_pool {
     }
     struct control {
       std::atomic<index_t> next{0};
-      std::atomic<int> remaining{0};
+      std::atomic<int> remaining{0};  ///< enqueued jobs still running
       std::mutex done_mutex;
       std::condition_variable done_cv;
       index_t a = 0, total = 0, n_chunks = 0;
       std::remove_reference_t<Body>* body = nullptr;
+
+      void claim() {
+        for (index_t chunk = next.fetch_add(1); chunk < n_chunks;
+             chunk = next.fetch_add(1)) {
+          const index_t lo = a + chunk * total / n_chunks;
+          const index_t hi = a + (chunk + 1) * total / n_chunks;
+          for (index_t i = lo; i < hi; ++i) (*body)(i);
+        }
+      }
     } ctl;
-    ctl.remaining.store(static_cast<int>(n_chunks));
+    ctl.remaining.store(static_cast<int>(n_chunks - 1));
     ctl.a = a;
     ctl.total = total;
     ctl.n_chunks = n_chunks;
     ctl.body = &body;
-    for (index_t c = 0; c < n_chunks; ++c) {
-      run([p = &ctl] {
-        const index_t chunk = p->next.fetch_add(1);
-        const index_t lo = p->a + chunk * p->total / p->n_chunks;
-        const index_t hi = p->a + (chunk + 1) * p->total / p->n_chunks;
-        for (index_t i = lo; i < hi; ++i) (*p->body)(i);
-        // Decrement UNDER the mutex: the waiter's predicate must not
-        // observe remaining == 0 until this worker is done touching the
-        // stack-resident control block (otherwise parallel_for returns
-        // and destroys it while we still hold/notify its members).
-        {
-          std::lock_guard lock(p->done_mutex);
-          if (p->remaining.fetch_sub(1) == 1) p->done_cv.notify_all();
-        }
-      });
+    const auto task = [p = &ctl] {
+      p->claim();
+      // Decrement UNDER the mutex: the waiter's predicate must not
+      // observe remaining == 0 until this worker is done touching the
+      // stack-resident control block (otherwise parallel_for returns
+      // and destroys it while we still hold/notify its members).
+      {
+        std::lock_guard lock(p->done_mutex);
+        if (p->remaining.fetch_sub(1) == 1) p->done_cv.notify_all();
+      }
+    };
+    for (index_t c = 1; c < n_chunks; ++c) run(task);
+    // The jobs hold pointers into `ctl`: a throwing body on the caller
+    // waits for them (they finish the loop) before the exception leaves
+    // this frame.
+    std::exception_ptr failed;
+    try {
+      ctl.claim();
+    } catch (...) {
+      failed = std::current_exception();
     }
-    std::unique_lock lock(ctl.done_mutex);
-    ctl.done_cv.wait(lock, [&] { return ctl.remaining.load() == 0; });
+    // Otherwise every chunk is claimed, and a job still queued would find
+    // none: withdraw it instead of waiting for a worker to wake up for it.
+    const int withdrawn =
+        failed ? 0
+               : static_cast<int>(withdraw(
+                     &invoke_inline<std::remove_const_t<decltype(task)>>,
+                     &task, sizeof task));
+    {
+      std::unique_lock lock(ctl.done_mutex);
+      ctl.remaining.fetch_sub(withdrawn);
+      ctl.done_cv.wait(lock, [&] { return ctl.remaining.load() == 0; });
+    }
+    if (failed) std::rethrow_exception(failed);
   }
 
   [[nodiscard]] int size() const noexcept {
@@ -196,6 +225,11 @@ class thread_pool {
   void enqueue_boxed(void (*invoke)(job&), void (*discard)(job&),
                      void* boxed);
   void push_slot_locked(const job& j);
+  /// Turn every queued (not yet dequeued) job that runs `invoke` on a
+  /// payload starting with `bytes` bytes equal to `payload` into a no-op;
+  /// returns how many it cancelled.
+  std::size_t withdraw(void (*invoke)(job&), const void* payload,
+                       std::size_t bytes);
   void worker_loop();
 
   mutable std::mutex mutex_;

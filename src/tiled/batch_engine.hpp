@@ -343,16 +343,18 @@ class batch_engine {
   /// proportion to its n_l * m_l, so the break-even is chunk cost /
   /// full-shape striped pair cost.  Measured on one thread (Xeon with
   /// AVX-512BW, GCC 12), gap open -2 / extend -1 or linear -1, match 2 /
-  /// mismatch -1, over global, local and semiglobal (DESIGN.md
-  /// section 8); the floor is the largest 150 bp break-even, rounded
-  /// down:
+  /// mismatch -1: the median of ten runs for each of global, local and
+  /// semiglobal, shown as the range over the three (DESIGN.md section
+  /// 8); the floor is the largest 150 bp break-even, rounded down (on
+  /// 16-lane affine, 8.9 against the floor of 9 the first two runs
+  /// gave, left there: both routes cost the same at the break-even):
   ///
-  ///   | lanes | gaps   | break-even (100/150/250 bp) | floor |
-  ///   |-------|--------|-----------------------------|-------|
-  ///   | 32    | linear | 6.7-8.3 / 8.0-10.6 / 13-16  | 10    |
-  ///   | 32    | affine | 10.7-13 / 13.0-14.6 / 15-18 | 14    |
-  ///   | 16    | linear | 5.2-6.5 / 5.9-7.0 / 6.6-8.9 | 7     |
-  ///   | 16    | affine | 5.4-7.6 / 5.8-9.1 / 8.9-10  | 9     |
+  ///   | lanes | gaps   | break-even (100/150/250 bp)       | floor |
+  ///   |-------|--------|-----------------------------------|-------|
+  ///   | 32    | linear | 6.8-8.1 / 8.3-10.6 / 13.1-15.3    | 10    |
+  ///   | 32    | affine | 10.4-11.1 / 13.6-14.5 / 16.7-17.6 | 14    |
+  ///   | 16    | linear | 5.2-5.8 / 5.9-7.0 / 6.2-7.9       | 7     |
+  ///   | 16    | affine | 6.7-7.4 / 7.8-8.9 / 8.3-9.9       | 9     |
   static constexpr int kMinLive =
       Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 14 : 10)
                   : (Gap::kind == gap_kind::affine ? 9 : 7);
@@ -522,10 +524,11 @@ class batch_engine {
     return singles;
   }
 
-  /// Run `body(arena)` once on each of min(threads, want) workers of the
-  /// global pool, every worker with its own pooled arena (caller-provided
-  /// or engine-owned), which regrows to its high-water mark once and then
-  /// stays warm.
+  /// Run `body(arena)` once on each of min(threads, want) workers — the
+  /// calling thread and global-pool threads (`parallel_for` lets its
+  /// caller claim work) — every worker with its own pooled arena
+  /// (caller-provided or engine-owned), which regrows to its high-water
+  /// mark once and then stays warm.
   template <class Body>
   void fan_out(std::size_t want, Body&& body) {
     const auto workers = static_cast<index_t>(

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 namespace anyseq::parallel {
@@ -61,6 +63,83 @@ TEST(ThreadPool, ParallelForSumsCorrectly) {
   std::atomic<long long> sum{0};
   pool.parallel_for(1, 10001, [&](index_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 10000LL * 10001 / 2);
+}
+
+/// Spin until `flag` is set or `deadline` passes (a regression then
+/// fails its expectations instead of hanging the suite).
+void await(const std::atomic<bool>& flag,
+           std::chrono::steady_clock::time_point deadline) {
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
+std::chrono::steady_clock::time_point ten_seconds_from_now() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(10);
+}
+
+TEST(ThreadPool, ParallelForCallerClaimsChunks) {
+  // Each pool worker holds its first chunk until the caller has run one:
+  // the caller must claim chunks itself instead of sleeping on the jobs.
+  thread_pool pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<int> hits{0}, on_caller{0};
+  const auto deadline = ten_seconds_from_now();
+  pool.parallel_for(
+      0, 8,
+      [&](index_t) {
+        if (std::this_thread::get_id() == caller) {
+          ++on_caller;
+          caller_ran = true;
+        } else {
+          await(caller_ran, deadline);
+        }
+        ++hits;
+      },
+      /*chunks_per_thread=*/4);
+  EXPECT_EQ(hits.load(), 8);
+  EXPECT_GE(on_caller.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForDoesNotWaitForAJobNoWorkerStarted) {
+  // The only worker is busy, so the loop's one job stays queued; the
+  // caller runs both chunks and withdraws it instead of waiting.
+  thread_pool pool(1);
+  std::atomic<bool> release{false}, blocker_done{false};
+  const auto deadline = ten_seconds_from_now();
+  pool.run([&] {
+    await(release, deadline);
+    blocker_done = true;
+  });
+  std::atomic<int> hits{0};
+  pool.parallel_for(0, 2, [&](index_t) { ++hits; }, /*chunks_per_thread=*/2);
+  EXPECT_FALSE(blocker_done.load());
+  release = true;
+  pool.wait_idle();
+  EXPECT_EQ(hits.load(), 2);
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheCallersExceptionAfterTheJobs) {
+  // The caller's first chunk throws; the held workers then finish the
+  // other seven before the exception leaves parallel_for.
+  thread_pool pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<int> hits{0};
+  const auto deadline = ten_seconds_from_now();
+  EXPECT_THROW(pool.parallel_for(
+                   0, 8,
+                   [&](index_t) {
+                     if (std::this_thread::get_id() == caller) {
+                       caller_ran = true;
+                       throw std::runtime_error("caller chunk");
+                     }
+                     await(caller_ran, deadline);
+                     ++hits;
+                   },
+                   /*chunks_per_thread=*/4),
+               std::runtime_error);
+  EXPECT_EQ(hits.load(), 7);
 }
 
 TEST(ThreadPool, NestedJobsDoNotDeadlock) {
