@@ -14,11 +14,18 @@
 ///      and batcher thread; scaling is bounded by physical cores, so
 ///      the meta records `cores` and the numbers are whatever this host
 ///      honestly delivers.  Producer threads are clamped to the cores.
+///      Two saturated streams through one shard, 48 bp pairs at
+///      max_batch 64 and 150 bp pairs at max_batch 8, measure throughput
+///      where every batch is small enough for the batcher to run itself
+///      (`short_reads_48`, `small_batches_150`).
 ///   3. **Adaptive vs fixed linger** — a bulk flood plus an interactive
 ///      trickle under a deliberately generous max_linger.  The fixed
 ///      service pays the full linger on every interactive request; the
 ///      adaptive controller shrinks the window when interactive p99
 ///      drifts above target.  Reported: interactive p99 per policy.
+///
+/// Every row records the median and, as `min_ns`/`max_ns`, the spread
+/// over its --repeats runs.
 ///
 ///   $ ./serving_bench [--pairs N] [--threads N] [--repeats N]
 ///                     [--out FILE] [--quick]   (default BENCH_serving.json)
@@ -162,14 +169,12 @@ int main(int argc, char** argv) {
                                           static_cast<double>(looked_up)
                                     : 0.0);
     }
-    std::sort(times.begin(), times.end());
-    std::sort(rates.begin(), rates.end());
-    const double s = times[times.size() / 2];
-    const double rate = rates[rates.size() / 2];
-    const double rps = static_cast<double>(total) / s;
+    const spread t = spread_of(times);
+    const double rate = spread_of(rates).median;
+    const double rps = static_cast<double>(total) / t.median;
     if (sweep.rate == 0.0) rps_hit0 = rps;
     if (sweep.rate == 0.95) rps_hit95 = rps;
-    report.add(sweep.name, s, total,
+    report.add(sweep.name, t, total,
                {{"requests_per_s", rps}, {"hit_rate", rate}});
     std::printf("%-12s : %10.1f req/s  (measured hit rate %.3f)\n",
                 sweep.name, rps, rate);
@@ -185,15 +190,15 @@ int main(int argc, char** argv) {
   {
     const auto opt = request_options();
     double sync_sum = 0.0;
-    const double s = median_seconds(a.repeats, [&] {
+    const spread t = timed_spread(a.repeats, [&] {
       long long sum = 0;
       for (std::size_t i = 0; i < total; ++i)
         sum += align(pairs[i].first.view(), pairs[i].second.view(), opt)
                    .score;
       sync_sum = static_cast<double>(sum);
     });
-    const double rps = static_cast<double>(total) / s;
-    report.add("sync_baseline", s, total,
+    const double rps = static_cast<double>(total) / t.median;
+    report.add("sync_baseline", t, total,
                {{"requests_per_s", rps},
                 {"speedup_service_vs_sync", rps_hit0 / rps}});
     std::printf("%-12s : %10.1f req/s  (service hit_rate_0 %.2fx)\n",
@@ -230,10 +235,9 @@ int main(int argc, char** argv) {
       times.push_back(sw.seconds());
       group.shutdown(true);
     }
-    std::sort(times.begin(), times.end());
-    const double s = times[times.size() / 2];
-    const double rps = static_cast<double>(total) / s;
-    report.add("hit_rate_0_deadline", s, total,
+    const spread t = spread_of(times);
+    const double rps = static_cast<double>(total) / t.median;
+    report.add("hit_rate_0_deadline", t, total,
                {{"requests_per_s", rps},
                 {"overhead_vs_plain", rps > 0.0 ? rps_hit0 / rps : 1.0}});
     std::printf("%-12s : %10.1f req/s  (%.3fx plain no-deadline cost)\n",
@@ -263,10 +267,9 @@ int main(int argc, char** argv) {
       group.shutdown(true);
       service::trace::disarm();
     }
-    std::sort(times.begin(), times.end());
-    const double s = times[times.size() / 2];
-    const double rps = static_cast<double>(total) / s;
-    report.add("hit_rate_0_tracing", s, total,
+    const spread t = spread_of(times);
+    const double rps = static_cast<double>(total) / t.median;
+    report.add("hit_rate_0_tracing", t, total,
                {{"requests_per_s", rps},
                 {"overhead_vs_plain", rps > 0.0 ? rps_hit0 / rps : 1.0}});
     std::printf("%-12s : %10.1f req/s  (%.3fx plain untraced cost)\n",
@@ -336,20 +339,16 @@ int main(int argc, char** argv) {
           batched > 0 ? static_cast<double>(st.batch_ragged_pairs) / batched
                       : 0.0);
     }
-    std::sort(times.begin(), times.end());
-    std::sort(simd_fracs.begin(), simd_fracs.end());
-    std::sort(ragged_fracs.begin(), ragged_fracs.end());
-    const double s = times[times.size() / 2];
-    const double rps = static_cast<double>(total) / s;
-    report.add("hit_rate_0_ragged", s, total,
+    const spread t = spread_of(times);
+    const double simd_frac = spread_of(simd_fracs).median;
+    const double ragged_frac = spread_of(ragged_fracs).median;
+    const double rps = static_cast<double>(total) / t.median;
+    report.add("hit_rate_0_ragged", t, total,
                {{"requests_per_s", rps},
-                {"simd_pair_fraction", simd_fracs[simd_fracs.size() / 2]},
-                {"ragged_pair_fraction",
-                 ragged_fracs[ragged_fracs.size() / 2]}});
+                {"simd_pair_fraction", simd_frac},
+                {"ragged_pair_fraction", ragged_frac}});
     std::printf("%-12s : %10.1f req/s  (simd %.1f%% ragged %.1f%%)\n",
-                "hr0_ragged", rps,
-                simd_fracs[simd_fracs.size() / 2] * 100.0,
-                ragged_fracs[ragged_fracs.size() / 2] * 100.0);
+                "hr0_ragged", rps, simd_frac * 100.0, ragged_frac * 100.0);
   }
 
   // ---- 2. shard scaling ---------------------------------------------
@@ -395,17 +394,78 @@ int main(int argc, char** argv) {
       times.push_back(sw.seconds());
       group.shutdown(true);
     }
-    std::sort(times.begin(), times.end());
-    const double s = times[times.size() / 2];
-    const double rps = static_cast<double>(total) / s;
+    const spread t = spread_of(times);
+    const double rps = static_cast<double>(total) / t.median;
     if (shards == 1) rps_shard1 = rps;
     const std::string name = "shards_" + std::to_string(shards);
-    report.add(name, s, total,
+    report.add(name, t, total,
                {{"requests_per_s", rps},
                 {"shards", static_cast<double>(shards)},
                 {"scaling_vs_1", rps_shard1 > 0.0 ? rps / rps_shard1 : 1.0}});
     std::printf("%-12s : %10.1f req/s  (%.2fx vs 1 shard)\n", name.c_str(),
                 rps, rps_shard1 > 0.0 ? rps / rps_shard1 : 1.0);
+  }
+
+  // ---- 2b. saturated small batches ---------------------------------
+  // Cache disabled, one shard, `producers` clients with 64 tickets
+  // outstanding each, 8 x `total` requests.  Every batch, full or not,
+  // is within the batcher's inline cell bound (64 x 48^2 and 8 x 150^2
+  // cells), so only the bound's count of the queued requests decides
+  // whether the batcher runs them one by one or hands them to the pool
+  // to run side by side.  short_reads_48: the read pairs cut to 48 bp at
+  // max_batch 64; small_batches_150: whole 150 bp pairs at max_batch 8.
+  const struct { const char* name; index_t len; std::size_t max_batch; }
+      saturated[] = {{"short_reads_48", 48, 64}, {"small_batches_150", 150, 8}};
+  for (const auto& sat : saturated) {
+    const std::size_t sat_total = 8 * total;
+    std::vector<double> times, occupancies;
+    for (int r = 0; r < std::max(1, a.repeats); ++r) {
+      service::service_group::config cfg;
+      cfg.shards = 1;
+      cfg.cache_capacity = 0;
+      cfg.shard.max_batch = sat.max_batch;
+      cfg.shard.max_linger = std::chrono::microseconds(300);
+      cfg.shard.queue_capacity = 1024;
+      service::service_group group(cfg);
+      stopwatch sw;
+      std::vector<std::thread> threads;
+      const std::size_t per =
+          (sat_total + static_cast<std::size_t>(producers) - 1) /
+          static_cast<std::size_t>(producers);
+      for (int c = 0; c < producers; ++c) {
+        threads.emplace_back([&, c] {
+          const std::size_t lo = static_cast<std::size_t>(c) * per;
+          const std::size_t hi = std::min(sat_total, lo + per);
+          const auto opt = request_options();
+          std::vector<service::ticket> window;
+          window.reserve(hi - lo);
+          long long sum = 0;
+          std::size_t head = 0;
+          for (std::size_t i = lo; i < hi; ++i) {
+            const auto q = pairs[i % pairs.size()].first.view();
+            const auto s = pairs[i % pairs.size()].second.view();
+            window.push_back(group.submit(
+                stage::seq_view(q.data(), std::min(sat.len, q.size())),
+                stage::seq_view(s.data(), std::min(sat.len, s.size())), opt));
+            if (window.size() - head >= 64) sum += window[head++].get().score;
+          }
+          for (std::size_t i = head; i < window.size(); ++i)
+            sum += window[i].get().score;
+          (void)sum;
+        });
+      }
+      for (auto& t : threads) t.join();
+      times.push_back(sw.seconds());
+      group.shutdown(true);
+      occupancies.push_back(group.stats().mean_batch_occupancy);
+    }
+    const spread t = spread_of(times);
+    const double rps = static_cast<double>(sat_total) / t.median;
+    const double occupancy = spread_of(occupancies).median;
+    report.add(sat.name, t, sat_total,
+               {{"requests_per_s", rps}, {"batch_occupancy", occupancy}});
+    std::printf("%-17s : %10.1f req/s  (%.1f requests per batch)\n",
+                sat.name, rps, occupancy);
   }
 
   // ---- 3. adaptive vs fixed linger ----------------------------------
@@ -459,11 +519,12 @@ int main(int argc, char** argv) {
                              .p99_latency_ns) /
                      1e3);
     }
-    std::sort(p99s.begin(), p99s.end());
-    const double p99_us = p99s[p99s.size() / 2];
+    // The row's "time" is the p99 itself (median_ns = p99 in ns).
+    const spread p = spread_of(p99s);
+    const double p99_us = p.median;
     const char* name = adaptive ? "linger_adaptive" : "linger_fixed";
-    report.add(name, p99_us / 1e6, inter_n,
-               {{"interactive_p99_us", p99_us}});
+    report.add(name, spread{p.median / 1e6, p.min / 1e6, p.max / 1e6},
+               inter_n, {{"interactive_p99_us", p99_us}});
     std::printf("%-15s: interactive p99 %.0f us\n", name, p99_us);
   }
 

@@ -126,9 +126,21 @@ class stopwatch {
   return seconds > 0.0 ? static_cast<double>(cells) / seconds / 1e9 : 0.0;
 }
 
-/// Run fn() `repeats` times, return the median runtime in seconds.
+/// Median, min and max over one measurement's repetitions.
+struct spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+/// The spread of `xs`, which it sorts (all zeros when empty).
+[[nodiscard]] inline spread spread_of(std::vector<double>& xs) {
+  if (xs.empty()) return {};
+  std::sort(xs.begin(), xs.end());
+  return {xs[xs.size() / 2], xs.front(), xs.back()};
+}
+
+/// Run fn() `repeats` times; the spread of its runtimes in seconds.
 template <class Fn>
-double median_seconds(int repeats, Fn&& fn) {
+spread timed_spread(int repeats, Fn&& fn) {
   std::vector<double> times;
   times.reserve(static_cast<std::size_t>(repeats));
   for (int r = 0; r < std::max(1, repeats); ++r) {
@@ -136,8 +148,13 @@ double median_seconds(int repeats, Fn&& fn) {
     fn();
     times.push_back(sw.seconds());
   }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  return spread_of(times);
+}
+
+/// Run fn() `repeats` times, return the median runtime in seconds.
+template <class Fn>
+double median_seconds(int repeats, Fn&& fn) {
+  return timed_spread(repeats, std::forward<Fn>(fn)).median;
 }
 
 /// Machine-readable benchmark record, written as BENCH_<bench>.json.
@@ -177,19 +194,14 @@ class json_report {
   void add(const std::string& name, double median_s, std::uint64_t iterations,
            std::initializer_list<std::pair<const char*, double>> extra = {},
            int reps_override = 0) {
-    char buf[96];
-    std::string row = "    {\"name\": \"" + name + "\"";
-    std::snprintf(buf, sizeof buf, ", \"median_ns\": %.1f", median_s * 1e9);
-    row += buf;
-    row += ", \"iterations\": " + std::to_string(iterations);
-    row += ", \"repetitions\": " +
-           std::to_string(reps_override > 0 ? reps_override : repetitions_);
-    for (const auto& [key, value] : extra) {
-      std::snprintf(buf, sizeof buf, ", \"%s\": %.6g", key, value);
-      row += buf;
-    }
-    row += "}";
-    rows_.push_back(std::move(row));
+    add_row(name, median_s, nullptr, iterations, extra, reps_override);
+  }
+
+  /// A row that also records the repetitions' spread as `min_ns` and
+  /// `max_ns` (`s` in seconds, e.g. from timed_spread).
+  void add(const std::string& name, const spread& s, std::uint64_t iterations,
+           std::initializer_list<std::pair<const char*, double>> extra = {}) {
+    add_row(name, s.median, &s, iterations, extra, 0);
   }
 
   /// Write the document.  `path` empty -> "BENCH_<bench>.json".
@@ -220,6 +232,30 @@ class json_report {
   int repetitions_;
   std::string meta_;
   std::vector<std::string> rows_;
+
+  void add_row(const std::string& name, double median_s, const spread* s,
+               std::uint64_t iterations,
+               std::initializer_list<std::pair<const char*, double>> extra,
+               int reps_override) {
+    char buf[96];
+    std::string row = "    {\"name\": \"" + name + "\"";
+    std::snprintf(buf, sizeof buf, ", \"median_ns\": %.1f", median_s * 1e9);
+    row += buf;
+    if (s != nullptr) {
+      std::snprintf(buf, sizeof buf, ", \"min_ns\": %.1f, \"max_ns\": %.1f",
+                    s->min * 1e9, s->max * 1e9);
+      row += buf;
+    }
+    row += ", \"iterations\": " + std::to_string(iterations);
+    row += ", \"repetitions\": " +
+           std::to_string(reps_override > 0 ? reps_override : repetitions_);
+    for (const auto& [key, value] : extra) {
+      std::snprintf(buf, sizeof buf, ", \"%s\": %.6g", key, value);
+      row += buf;
+    }
+    row += "}";
+    rows_.push_back(std::move(row));
+  }
 };
 
 /// One row of a paper-shaped results table.

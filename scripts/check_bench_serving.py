@@ -3,8 +3,8 @@
 
 Asserts the document parses as JSON, carries the serving bench's meta
 fields, and contains every expected measurement row with the keys the
-perf-trajectory tooling reads (median_ns / iterations / repetitions plus
-the row's derived metric).  Run from CI right after the bench:
+perf-trajectory tooling reads (median_ns with its min_ns / max_ns
+spread, iterations / repetitions, plus the row's derived metric).  Run from CI right after the bench:
 
     ./build/bench/serving_bench --quick --repeats 1 --out BENCH_serving.json
     ./scripts/check_bench_serving.py BENCH_serving.json
@@ -31,11 +31,14 @@ EXPECTED_ROWS = {
     "shards_1": ["requests_per_s", "shards", "scaling_vs_1"],
     "shards_2": ["requests_per_s", "shards", "scaling_vs_1"],
     "shards_4": ["requests_per_s", "shards", "scaling_vs_1"],
+    "short_reads_48": ["requests_per_s", "batch_occupancy"],
+    "small_batches_150": ["requests_per_s", "batch_occupancy"],
     "linger_fixed": ["interactive_p99_us"],
     "linger_adaptive": ["interactive_p99_us"],
 }
 
-STANDARD_KEYS = ["median_ns", "iterations", "repetitions"]
+STANDARD_KEYS = ["median_ns", "min_ns", "max_ns", "iterations",
+                 "repetitions"]
 
 
 def fail(msg):
@@ -74,6 +77,9 @@ def main():
                 fail(f"row {name!r} key {key!r} is not numeric: {row[key]!r}")
         if row["median_ns"] <= 0:
             fail(f"row {name!r} has non-positive median_ns")
+        if not row["min_ns"] <= row["median_ns"] <= row["max_ns"]:
+            fail(f"row {name!r}: median_ns {row['median_ns']} outside "
+                 f"[min_ns {row['min_ns']}, max_ns {row['max_ns']}]")
 
     hits = [rows[f"hit_rate_{p}"]["hit_rate"] for p in (0, 50, 95)]
     if not (hits[0] <= hits[1] <= hits[2]):

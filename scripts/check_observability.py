@@ -19,6 +19,7 @@ Two checks, each against the external format's actual grammar:
     stays under it (``class="all"`` against the sum of the classes).
     The batch score-path pair counters carry every path, and their
     ragged and striped subsets never exceed the SIMD pairs.  The
+    batches the batcher ran inline are a subset of all batches.  The
     band-doubling counters carry both counts, and no more pairs are
     certified than band passes ran.
 
@@ -202,6 +203,7 @@ def check_metrics(path):
 
     check_quantiles(path, buckets, samples)
     check_batch_paths(path, samples)
+    check_inline_batches(path, samples)
     check_band_counts(path, samples)
 
     print(f"check_observability: metrics OK "
@@ -222,6 +224,18 @@ def check_batch_paths(path, samples):
         if paths[sub] > paths["simd"]:
             fail(f"{path}: {family}{{path={sub!r}}} {paths[sub]} exceeds "
                  f"the simd pairs {paths['simd']}")
+
+
+def check_inline_batches(path, samples):
+    """Batches run on the batcher thread are a subset of all batches."""
+    total = samples.get(("anyseq_batches_total", ""))
+    inline = samples.get(("anyseq_batches_inline_total", ""))
+    if total is None or inline is None:
+        fail(f"{path}: anyseq_batches_total and anyseq_batches_inline_total "
+             f"must both be present")
+    if inline > total:
+        fail(f"{path}: anyseq_batches_inline_total {inline} exceeds "
+             f"anyseq_batches_total {total}")
 
 
 def check_band_counts(path, samples):

@@ -48,9 +48,11 @@
 ///     engine, batched or solo.  Drives bisection isolation and the
 ///     repeat-offender quarantine.
 ///   * `dispatch_failure` — batcher thread, at the hand-off of a
-///     collected batch to the pool: throws `std::bad_alloc` as a failed
-///     job-ring growth would, and the batcher executes the batch
-///     itself.  Every request still completes.
+///     collected batch to the pool (batches that, with the shard's
+///     backlog, exceed `aligner::inline_cell_bound` cells): throws
+///     `std::bad_alloc` as a failed job-ring growth would, and the
+///     batcher executes the batch itself.  Every request still
+///     completes.
 ///   * `clock_skew`       — deadline arithmetic: `skewed_now` offsets
 ///     the observed time by a bounded, seeded amount, so deadline
 ///     shedding is exercised against a lying clock (requests may be
@@ -140,6 +142,13 @@ class schedule {
   }
 
   [[nodiscard]] const config& settings() const noexcept { return cfg_; }
+
+  /// How many times per-visit point `p` has been visited so far (fire()
+  /// and skew_ns() count visits; poisoned() does not).
+  [[nodiscard]] std::uint64_t visits(point p) const noexcept {
+    return visits_[static_cast<std::size_t>(p)].load(
+        std::memory_order_relaxed);
+  }
 
  private:
   /// splitmix64-style avalanche over the (seed, stream, index) triple.

@@ -120,6 +120,12 @@ void render_prometheus(const service_stats& s, text_buffer& out) {
       "anyseq_batches_total %llu\n",
       static_cast<u64>(s.batches));
   out.printf(
+      "# HELP anyseq_batches_inline_total Batches the batcher thread ran "
+      "itself instead of handing them to the pool.\n"
+      "# TYPE anyseq_batches_inline_total counter\n"
+      "anyseq_batches_inline_total %llu\n",
+      static_cast<u64>(s.inline_batches));
+  out.printf(
       "# HELP anyseq_batched_requests_total Requests summed over batches.\n"
       "# TYPE anyseq_batched_requests_total counter\n"
       "anyseq_batched_requests_total %llu\n",

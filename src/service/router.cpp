@@ -86,6 +86,7 @@ service_stats service_group::stats() const {
     out.completed += s.completed;
     out.failed += s.failed;
     out.batches += s.batches;
+    out.inline_batches += s.inline_batches;
     out.batched_requests += s.batched_requests;
     out.batch_simd_pairs += s.batch_simd_pairs;
     out.batch_scalar_pairs += s.batch_scalar_pairs;

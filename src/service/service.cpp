@@ -2,7 +2,8 @@
 /// The asynchronous alignment service: slot lifecycle, classed admission
 /// with backpressure and tenant quotas, the cache-fronted submit path,
 /// the batcher thread with its adaptive-linger controller, and batch
-/// execution on the global thread pool.
+/// execution: a small batch with a short backlog on the batcher thread
+/// that formed it, any other on the global thread pool.
 ///
 /// Locking discipline (the whole file follows it):
 ///   * `mu_` guards the admission rings, the slot/workspace freelists,
@@ -18,7 +19,8 @@
 ///     without slot::m: those fields are written before the index is
 ///     published under mu_ and are immutable until retirement, and every
 ///     handoff (submit -> batcher via mu_, batcher -> executor via the
-///     pool's job queue) is a release/acquire edge.
+///     pool's job queue) is a release/acquire edge.  A batch run inline
+///     needs no second edge: its executor is the batcher itself.
 ///   * The response cache has its own shard locks and is never touched
 ///     while mu_ or a slot mutex is held.
 ///   * `q_mu_` (quarantine table) is a leaf: taken from submit and the
@@ -28,9 +30,11 @@
 /// Containment discipline: the batcher thread lives as long as the
 /// service.  Everything it collects under mu_ is either dispatched or
 /// failed — batcher_loop's catch fails a half-collected batch — and a
-/// dispatched batch always executes, on the pool or, when the hand-off
-/// throws, on the batcher itself.  So inflight_ always drops back and
-/// shutdown's drain needs nothing but the batcher.
+/// dispatched batch always executes: on the batcher when it and the
+/// shard's backlog are within inline_cell_bound cells, otherwise on the
+/// pool or, when the hand-off throws, on the batcher after all.  So
+/// inflight_ always drops back and shutdown's drain needs nothing but
+/// the batcher.
 
 #include "service/service.hpp"
 
@@ -263,6 +267,7 @@ std::uint32_t aligner::ring_pop(admission_ring& r) noexcept {
   const std::uint32_t idx = r.buf[r.head];
   r.head = (r.head + 1) % r.buf.size();
   --r.count;
+  r.cells -= cells_of(idx);
   depth_.fetch_sub(1, std::memory_order_relaxed);
   return idx;
 }
@@ -270,6 +275,7 @@ std::uint32_t aligner::ring_pop(admission_ring& r) noexcept {
 void aligner::ring_push(admission_ring& r, std::uint32_t idx) noexcept {
   r.buf[(r.head + r.count) % r.buf.size()] = idx;
   ++r.count;
+  r.cells += cells_of(idx);
   depth_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -294,12 +300,14 @@ std::size_t aligner::ring_extract_compatible(
       // ring is never observed mid-walk with a failed member.
       batch.push_back(idx);  // tail scratch, removed before return
       ++expired;
+      r.cells -= cells_of(idx);
       continue;
     }
     if (taken < max_take && sl.rt == lead.rt &&
         options_compatible(sl.opt, lead.opt)) {
       batch.insert(batch.end() - expired, idx);
       ++taken;
+      r.cells -= cells_of(idx);
     } else {
       r.buf[(r.head + kept) % r.buf.size()] = idx;
       ++kept;
@@ -761,6 +769,14 @@ bool aligner::batcher_iteration() {
   ANYSEQ_TRACE_EMIT(batch_collect, w, tr_collect,
                     static_cast<std::int64_t>(batch.size()));
   ws.items.assign(batch.begin(), batch.end());  // reserved: cannot throw
+  // A small batch runs here: its kernel costs less than waking a pool
+  // worker and waking this thread again on completion.  The requests
+  // still queued wait for it, so the bound covers them too: it caps how
+  // long an inline batch holds up the shard's backlog, and a loaded
+  // shard sends its batches to the pool to run side by side.
+  std::uint64_t cells = queued_cells();
+  for (const std::uint32_t idx : batch) cells += cells_of(idx);
+  const bool run_here = cells <= inline_cell_bound;
   // From here nothing throws until the hand-off, whose failure is
   // handled in place: the batch is dispatched, no longer the loop's to
   // fail.
@@ -769,15 +785,28 @@ bool aligner::batcher_iteration() {
   batch.clear();
   lock.unlock();
 
-  try {
-    // The pool's job ring grows to the peak backlog and that growth can
-    // fail; the hand-off then throws before anything was enqueued.
-    if (ANYSEQ_FAULT_POINT(dispatch_failure)) throw std::bad_alloc();
-    pool_->run([this, w] { execute(w); });
-  } catch (...) {
-    // The batch runs here instead: it completes, and inflight_ drops
-    // back, either way.
+  // The batch is counted at dispatch, before its tickets complete, so a
+  // caller that has every result sees it in stats().  inline_batches_
+  // is bumped after batches_ with release, and stats() loads it first
+  // with acquire, so a live scrape never reads more inline batches than
+  // batches.
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  batched_requests_.fetch_add(ws.items.size(), std::memory_order_relaxed);
+  if (run_here) {
+    inline_batches_.fetch_add(1, std::memory_order_release);
     execute(w);
+  } else {
+    try {
+      // The pool's job ring grows to the peak backlog and that growth
+      // can fail; the hand-off then throws before anything was enqueued.
+      if (ANYSEQ_FAULT_POINT(dispatch_failure)) throw std::bad_alloc();
+      pool_->run([this, w] { execute(w); });
+    } catch (...) {
+      // The batch runs here instead: it completes, and inflight_ drops
+      // back, either way.
+      inline_batches_.fetch_add(1, std::memory_order_release);
+      execute(w);
+    }
   }
   // Controller state is the batcher's alone; the histogram and counters
   // it reads are atomics.
@@ -889,11 +918,7 @@ void aligner::execute(std::uint32_t ws_index) {
   // selection as the synchronous API (so results stay byte-identical),
   // but every DP buffer comes from the unit's warm workspace arena.
   // run_span contains failures by bisection, so one poisoned request
-  // can never fail its whole batch.  The batch is counted before its
-  // tickets complete, so a caller that has every result sees it in
-  // stats().
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batched_requests_.fetch_add(ws.items.size(), std::memory_order_relaxed);
+  // can never fail its whole batch.
   const std::int64_t tr_exec = ANYSEQ_TRACE_NOW();
   run_span(ws, 0, ws.items.size());
   ANYSEQ_TRACE_EMIT(kernel_execute, ws_index, tr_exec,
@@ -903,7 +928,7 @@ void aligner::execute(std::uint32_t ws_index) {
     std::lock_guard lock(mu_);
     --inflight_;
     free_ws_.push_back(ws_index);
-    // Notify under the lock: this broadcast is the last thing the pool
+    // Notify under the lock: this broadcast is the last thing a pool
     // worker does with service state, and shutdown destroys the service
     // as soon as it observes inflight_ == 0 — an unlocked notify could
     // still be touching the condvar when the destructor frees it.
@@ -1068,6 +1093,9 @@ service_stats aligner::stats() const {
     out.deadline_expired += cs.deadline_expired;
     out.quarantined += cs.quarantined;
   }
+  // inline_batches first (see batcher_iteration), so it never exceeds
+  // batches.
+  out.inline_batches = inline_batches_.load(std::memory_order_acquire);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.batched_requests = batched_requests_.load(std::memory_order_relaxed);
   out.batch_simd_pairs = batch_simd_pairs_.load(std::memory_order_relaxed);

@@ -8,11 +8,13 @@
 /// time and get a future-like `ticket` back; a batcher thread coalesces
 /// compatible requests (flushing on max batch size, max linger time, or
 /// an option-compatibility boundary), orders them so SIMD lanes stay
-/// full, and executes each batch on `parallel::thread_pool::global()`
-/// through the public `align`/`align_batch` dispatcher.  Every result is
-/// byte-identical to what a synchronous `anyseq::align` call on the same
-/// inputs would return (route selection in service/batcher.hpp is what
-/// makes that guarantee hold).
+/// full, and executes each batch through the public `align`/`align_batch`
+/// dispatcher — a small batch with a short backlog (together at most
+/// `inline_cell_bound` cells) on the batcher thread itself, any other on
+/// `parallel::thread_pool::global()`, so a loaded shard runs batches side
+/// by side.  Every result is byte-identical to what a synchronous
+/// `anyseq::align` call on the same inputs would return (route selection
+/// in service/batcher.hpp is what makes that guarantee hold).
 ///
 /// On top of the batching core sits the serving tier:
 ///
@@ -56,10 +58,11 @@
 ///     submit with `quarantine_error` before consuming any capacity.
 ///   * **Batcher containment.**  The batcher never dies: a failure
 ///     while it collects a batch fails that batch's members with
-///     `service_down_error` and the loop carries on, and a batch the
-///     pool cannot take (its job ring failed to grow) runs on the
-///     batcher itself — so every dispatched batch completes and a live
-///     batcher always drains its own rings.
+///     `service_down_error` and the loop carries on.  A batch runs on
+///     the batcher itself when it and the shard's backlog are small, or
+///     when the pool cannot take it (its job ring failed to grow) —
+///     so every dispatched batch completes and a live batcher always
+///     drains its own rings.
 ///   * **Deterministic fault injection** (service/faultinject.hpp).
 ///     Hook points for allocation failure, kernel exceptions, failed
 ///     batch hand-offs, and clock skew, driven by a seeded schedule;
@@ -355,6 +358,12 @@ class aligner {
 
   [[nodiscard]] const config& settings() const noexcept { return cfg_; }
 
+  /// A batch runs on the batcher thread that formed it when its
+  /// `q.size() * s.size()` cells plus those of every request still
+  /// queued on the shard sum to at most this; otherwise it goes to the
+  /// pool.  2^18 is about eleven 150 x 150 pairs (DESIGN.md §12).
+  static constexpr std::uint64_t inline_cell_bound = std::uint64_t{1} << 18;
+
   /// The attached response cache (owned or shared); nullptr when
   /// caching is disabled.
   [[nodiscard]] response_cache* cache() const noexcept { return cache_; }
@@ -414,6 +423,7 @@ class aligner {
   struct admission_ring {
     std::vector<std::uint32_t> buf;
     std::size_t head = 0, count = 0;
+    std::uint64_t cells = 0;  ///< Σ |q|·|s| over the queued requests
   };
 
   /// Reusable per-batch execution unit; one per concurrently executing
@@ -506,6 +516,14 @@ class aligner {
   [[nodiscard]] std::size_t queued_total() const noexcept {
     return rings_[0].count + rings_[1].count;
   }
+  [[nodiscard]] std::uint64_t queued_cells() const noexcept {
+    return rings_[0].cells + rings_[1].cells;
+  }
+  /// The request's DP cells, |q|·|s|.
+  [[nodiscard]] std::uint64_t cells_of(std::uint32_t idx) const noexcept {
+    return static_cast<std::uint64_t>(slots_[idx].q.size()) *
+           static_cast<std::uint64_t>(slots_[idx].s.size());
+  }
 
   config cfg_;
   parallel::thread_pool* pool_;
@@ -559,6 +577,7 @@ class aligner {
   std::atomic<std::uint64_t> quarantined_[n_cls] = {};
   std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> batches_{0}, batched_requests_{0};
+  std::atomic<std::uint64_t> inline_batches_{0};  ///< run on the batcher
   // Batch score-path accounting (see telemetry.hpp): summed from the
   // unit aligner's last_batch_stats after every batch run (score paths
   // from batch_score, band doubling from batch_traceback) and, for band
@@ -583,8 +602,8 @@ class aligner {
 
   /// The batch the batcher is collecting (batcher thread only; reserved
   /// to max_batch at construction, so the thread never allocates).  Its
-  /// own cache line: the batcher writes it per collected request, pool
-  /// workers write the counters above per batch.
+  /// own cache line: the batcher writes it per collected request, and
+  /// the batcher and pool workers write the counters above per batch.
   alignas(64) std::vector<std::uint32_t> batch_;
 
   // Adaptive-linger controller state (batcher thread only).

@@ -83,6 +83,11 @@ struct service_stats {
   /// never consume admission capacity and are not part of `accepted`).
   std::uint64_t quarantined = 0;
   std::uint64_t batches = 0;    ///< engine invocations (coalesced groups)
+  /// The subset of `batches` the batcher thread ran itself: those that,
+  /// with the shard's backlog, fit aligner::inline_cell_bound cells, and
+  /// those the pool refused.  Never above `batches`, also in a live
+  /// scrape.
+  std::uint64_t inline_batches = 0;
   std::uint64_t batched_requests = 0;  ///< requests summed over batches
 
   /// batched_requests / batches — how full the coalescer kept batches.

@@ -1,8 +1,9 @@
 /// Chaos tests for the serving tier: a 32-seed deterministic
 /// fault-injection sweep (poisoned requests, batch alloc failures,
 /// failed batch hand-offs, clock skew), replay determinism of the
-/// poison schedule, hand-offs that always fail, and cache inserts that
-/// fail half the time.
+/// poison schedule, hand-offs that always fail, hand-offs of batches
+/// above the inline cell bound that fail half the time, and cache
+/// inserts that fail half the time.
 ///
 /// Invariants under every schedule:
 ///   * no ticket hangs (every wait is bounded; a hang is a failure),
@@ -296,6 +297,63 @@ TEST(ServiceChaos, DispatchFailuresRunOnTheBatcher) {
   EXPECT_EQ(snap.accepted, snap.completed + snap.failed);
   EXPECT_EQ(snap.outstanding_tickets, 0u);
   EXPECT_EQ(snap.in_flight_batches, 0u);
+}
+
+TEST(ServiceChaos, DispatchFailuresFireOnBatchesAboveTheInlineBound) {
+  // Every request alone exceeds the inline cell bound, so every batch
+  // reaches the pool hand-off and its fault point.  Half the hand-offs
+  // fail and run on the batcher instead; every result is still
+  // byte-identical to synchronous align().
+  fault::schedule::config fcfg;
+  fcfg.seed = 23;
+  fcfg.dispatch_failure_rate = 0.5;
+
+  config cfg;
+  cfg.max_batch = 8;
+  cfg.max_linger = 200us;
+
+  std::vector<request> reqs;
+  for (int i = 0; i < 24; ++i) {
+    request r;
+    r.q = random_codes(520 + 16 * (i % 3), static_cast<unsigned>(500 + 2 * i));
+    r.s = random_codes(530 + 8 * (i % 4), static_cast<unsigned>(501 + 2 * i));
+    ASSERT_GT(r.q.size() * r.s.size(), aligner::inline_cell_bound);
+    if (i % 3 == 2) r.opt.want_alignment = true;
+    reqs.push_back(std::move(r));
+  }
+
+  armed_schedule sched(fcfg);
+  aligner svc(cfg);
+  std::vector<ticket> tickets;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    submit_options so;
+    so.cls = i % 2 == 0 ? request_class::interactive : request_class::bulk;
+    tickets.push_back(
+        svc.submit(view(reqs[i].q), view(reqs[i].s), reqs[i].opt, so));
+  }
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_TRUE(tickets[i].wait_for(30s)) << "request " << i << " hung";
+    expect_identical(tickets[i].get(),
+                     align(view(reqs[i].q), view(reqs[i].s), reqs[i].opt));
+  }
+  svc.shutdown(true);
+
+  // Each batch visited the hand-off once, and exactly the visits the
+  // seeded schedule fires ran on the batcher.
+  const auto snap = svc.stats();
+  const std::uint64_t visits = sched->visits(fault::point::dispatch_failure);
+  EXPECT_EQ(visits, snap.batches);
+  fault::schedule replay(fcfg);
+  std::uint64_t fired = 0;
+  for (std::uint64_t v = 0; v < visits; ++v)
+    fired += replay.fire(fault::point::dispatch_failure) ? 1 : 0;
+  EXPECT_GT(fired, 0u);
+  EXPECT_LT(fired, visits);
+  EXPECT_EQ(snap.inline_batches, fired);
+  EXPECT_EQ(snap.completed, reqs.size());
+  EXPECT_EQ(snap.failed, 0u);
+  EXPECT_EQ(snap.accepted, snap.completed + snap.failed);
+  EXPECT_EQ(snap.outstanding_tickets, 0u);
 }
 
 TEST(ServiceChaos, FailedCacheInsertsNeverServeAWrongResult) {

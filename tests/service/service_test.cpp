@@ -101,6 +101,60 @@ TEST(Service, CompatibleRequestsCoalesceIntoOneBatch) {
   EXPECT_DOUBLE_EQ(snap.mean_batch_occupancy, 32.0);
 }
 
+TEST(Service, SmallBatchesRunOnTheBatcherAndFullOnesOnThePool) {
+  // A lone 150 x 150 pair is within the inline cell bound and runs on
+  // the batcher; 64 of them coalesce into one batch above it, which is
+  // handed to the pool.  A small batch dispatched while queued requests
+  // push the shard past the bound goes to the pool too.  All are
+  // byte-identical to synchronous align().
+  static_assert(150 * 150 <= aligner::inline_cell_bound);
+  static_assert(64 * 150 * 150 > aligner::inline_cell_bound);
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 200ms;
+  aligner svc(cfg);
+  const auto q = random_codes(150, 17);
+  const auto s = random_codes(150, 18);
+  expect_identical(svc.submit(view(q), view(s)).get(),
+                   align(view(q), view(s)));
+  auto snap = svc.stats();
+  EXPECT_EQ(snap.batches, 1u);
+  EXPECT_EQ(snap.inline_batches, 1u);
+
+  std::vector<std::vector<char_t>> qs, ss;
+  for (int i = 0; i < 64; ++i) {
+    qs.push_back(random_codes(150, 300 + i));
+    ss.push_back(random_codes(150, 400 + i));
+  }
+  std::vector<ticket> tickets;
+  for (int i = 0; i < 64; ++i)
+    tickets.push_back(svc.submit(view(qs[i]), view(ss[i])));
+  for (int i = 0; i < 64; ++i)
+    expect_identical(tickets[i].get(), align(view(qs[i]), view(ss[i])));
+  snap = svc.stats();
+  EXPECT_EQ(snap.batches, 2u);
+  EXPECT_EQ(snap.inline_batches, 1u);
+  EXPECT_DOUBLE_EQ(snap.mean_batch_occupancy, 32.5);
+
+  // A lone 150 x 150 pair dispatched at an option boundary while an
+  // incompatible 512 x 512 pair (exactly the bound) waits: together they
+  // exceed the bound, so the first goes to the pool.  The second then
+  // lingers alone with nothing queued, exactly at the bound, and runs on
+  // the batcher.
+  static_assert(512 * 512 == aligner::inline_cell_bound);
+  align_options b;
+  b.match = 3;
+  const auto q512 = random_codes(512, 19);
+  const auto s512 = random_codes(512, 20);
+  auto first = svc.submit(view(q), view(s));
+  auto second = svc.submit(view(q512), view(s512), b);
+  expect_identical(first.get(), align(view(q), view(s)));
+  expect_identical(second.get(), align(view(q512), view(s512), b));
+  snap = svc.stats();
+  EXPECT_EQ(snap.batches, 4u);
+  EXPECT_EQ(snap.inline_batches, 2u);
+}
+
 TEST(Service, OptionBoundaryFlushesBatch) {
   // Alternating incompatible options force flushes: batches > 1 even
   // within one linger window.
