@@ -475,18 +475,23 @@ void tb_panel(std::span<const seq_pair> reads,
 }
 
 /// Wave panel: the long-genome wavefront's threads x tile sweep, global
-/// affine, score-only, through a reused aligner on the dispatched
-/// variant.  Two shapes: `wave` is the genome_long pair (Table I pair 0
-/// at 1/512 scale, 8616 x 9065), `wave_small` the same pair at 1/2048
-/// (2154 x 2266), where a 512 tile leaves a diagonal of 5.  Each row is
-/// one (threads, tile) cell: median, min and max of process CPU and
-/// wall time per call.  `planned` marks the tile the plan derives for
-/// that thread count; derive_tile and DESIGN.md §9 cite these rows.
-/// Threads never exceed the cores.
+/// affine, score-only, through a reused aligner on each vector variant
+/// the host runs (the scalar one where none does).  Two shapes: `wave`
+/// is the genome_long pair (Table I pair 0 at 1/512 scale, 8616 x 9065),
+/// `wave_small` the same pair at 1/2048 (2154 x 2266), where a 512 tile
+/// leaves a diagonal of 5.  Each row is one (variant, threads, tile)
+/// cell: median, min and max of process CPU and wall time per call.
+/// `planned` marks the tile the plan derives for that thread count;
+/// derive_tile and DESIGN.md §9 cite these rows.  Threads never exceed
+/// the cores.
 void wave_panel(const args& a, int cores) {
   print_header("long-genome wavefront: threads x tile",
                "genome_long pair at 1/512 and 1/2048, global affine, "
-               "score-only, dispatched variant");
+               "score-only, each vector variant");
+  std::vector<backend> variants;
+  for (const int lanes : {16, 32})
+    if (lanes_runnable_now(lanes)) variants.push_back(backend_for_lanes(lanes));
+  if (variants.empty()) variants.push_back(backend::scalar);
   const auto ms = [](const std::vector<double>& v, std::size_t k) {
     return v[k] * 1e3;
   };
@@ -498,67 +503,67 @@ void wave_panel(const args& a, int cores) {
     const stage::seq_view q = pr.a.view(), s = pr.b.view();
     const std::uint64_t cells = static_cast<std::uint64_t>(q.size()) *
                                 static_cast<std::uint64_t>(s.size());
-    align_options o = paper_opts(affine_gap{-2, -1}, backend::auto_select, 1,
-                                 false);
-    align_options ref = o;
-    ref.exec = backend::scalar;
+    align_options ref = paper_opts(affine_gap{-2, -1}, backend::scalar, 1,
+                                   false);
     ref.precision = score_precision::int32;
     const score_t want = align(q, s, ref).score;
     // About a second of calls per cell.
     const int calls = std::max(9, 3 * a.repeats) * (scale == 512 ? 1 : 8);
-    for (const int threads : {1, 2, 4}) {
-      if (threads > cores) continue;
-      o.threads = threads;
-      o.tile = 0;
-      const index_t planned = aligner(o).plan(q.size(), s.size()).tile;
-      for (const index_t tile : {index_t{128}, index_t{256}, index_t{512}}) {
-        o.tile = tile;
-        aligner al(o);
-        const std::string v = al.plan(q.size(), s.size()).variant;
-        alignment_result r;
-        al.align_into(q, s, r);  // warm-up: sizes the workspace
-        std::vector<double> cpu, wall;
-        for (int c = 0; c < calls; ++c) {
-          const std::clock_t c0 = std::clock();
-          const stopwatch sw;
-          al.align_into(q, s, r);
-          wall.push_back(sw.seconds());
-          cpu.push_back(static_cast<double>(std::clock() - c0) /
-                        CLOCKS_PER_SEC);
-          if (r.score != want) {
-            std::fprintf(stderr, "bench_precision: %s score %lld != int32 "
-                         "%lld\n", tag, static_cast<long long>(r.score),
-                         static_cast<long long>(want));
-            std::exit(2);
+    for (const backend exec : variants) {
+      for (const int threads : {1, 2, 4}) {
+        if (threads > cores) continue;
+        align_options o = paper_opts(affine_gap{-2, -1}, exec, threads,
+                                     false);
+        const index_t planned = aligner(o).plan(q.size(), s.size()).tile;
+        for (const index_t tile : {index_t{128}, index_t{256}, index_t{512}}) {
+          o.tile = tile;
+          aligner al(o);
+          const std::string v = al.plan(q.size(), s.size()).variant;
+          alignment_result r;
+          al.align_into(q, s, r);  // warm-up: sizes the workspace
+          std::vector<double> cpu, wall;
+          for (int c = 0; c < calls; ++c) {
+            const std::clock_t c0 = std::clock();
+            const stopwatch sw;
+            al.align_into(q, s, r);
+            wall.push_back(sw.seconds());
+            cpu.push_back(static_cast<double>(std::clock() - c0) /
+                          CLOCKS_PER_SEC);
+            if (r.score != want) {
+              std::fprintf(stderr, "bench_precision: %s score %lld != int32 "
+                           "%lld\n", tag, static_cast<long long>(r.score),
+                           static_cast<long long>(want));
+              std::exit(2);
+            }
           }
+          std::sort(cpu.begin(), cpu.end());
+          std::sort(wall.begin(), wall.end());
+          const std::size_t mid = cpu.size() / 2, last = cpu.size() - 1;
+          const wavefront_stats st = al.last_wavefront_stats();
+          g_report->add(
+              std::string(tag) + "/" + v + "/t" + std::to_string(threads) +
+                  "_tile" + std::to_string(tile),
+              wall[mid], 1,
+              {{"cpu_ms", ms(cpu, mid)},
+               {"cpu_ms_min", ms(cpu, 0)},
+               {"cpu_ms_max", ms(cpu, last)},
+               {"wall_ms", ms(wall, mid)},
+               {"wall_ms_min", ms(wall, 0)},
+               {"wall_ms_max", ms(wall, last)},
+               {"cpu_gcups", gcups(cells, cpu[mid])},
+               {"threads", threads},
+               {"tile", static_cast<double>(tile)},
+               {"planned", tile == planned ? 1.0 : 0.0},
+               {"workers", static_cast<double>(st.workers)},
+               {"striped_tiles", static_cast<double>(st.striped_tiles)},
+               {"int32_tiles", static_cast<double>(st.int32_tiles)}},
+              calls);
+          char note[96];
+          std::snprintf(note, sizeof note, "%s t%d tile %lld%s: cpu %.2f ms",
+                        tag, threads, static_cast<long long>(tile),
+                        tile == planned ? " (planned)" : "", ms(cpu, mid));
+          print_row({"wave", v, gcups(cells, wall[mid]), -1.0, note});
         }
-        std::sort(cpu.begin(), cpu.end());
-        std::sort(wall.begin(), wall.end());
-        const std::size_t mid = cpu.size() / 2, last = cpu.size() - 1;
-        const wavefront_stats st = al.last_wavefront_stats();
-        g_report->add(
-            std::string(tag) + "/" + v + "/t" + std::to_string(threads) +
-                "_tile" + std::to_string(tile),
-            wall[mid], 1,
-            {{"cpu_ms", ms(cpu, mid)},
-             {"cpu_ms_min", ms(cpu, 0)},
-             {"cpu_ms_max", ms(cpu, last)},
-             {"wall_ms", ms(wall, mid)},
-             {"wall_ms_min", ms(wall, 0)},
-             {"wall_ms_max", ms(wall, last)},
-             {"cpu_gcups", gcups(cells, cpu[mid])},
-             {"threads", threads},
-             {"tile", static_cast<double>(tile)},
-             {"planned", tile == planned ? 1.0 : 0.0},
-             {"workers", static_cast<double>(st.workers)},
-             {"striped_tiles", static_cast<double>(st.striped_tiles)},
-             {"int32_tiles", static_cast<double>(st.int32_tiles)}},
-            calls);
-        char note[96];
-        std::snprintf(note, sizeof note, "%s t%d tile %lld%s: cpu %.2f ms",
-                      tag, threads, static_cast<long long>(tile),
-                      tile == planned ? " (planned)" : "", ms(cpu, mid));
-        print_row({"wave", v, gcups(cells, wall[mid]), -1.0, note});
       }
     }
   }

@@ -1,21 +1,33 @@
 #!/usr/bin/env bash
-# Codegen guard for the inter-sequence chunk kernel (docs/DESIGN.md §8).
+# Codegen guard for the SIMD kernels' column loops (docs/DESIGN.md §8
+# and §10).
 #
-# Disassembles the AVX-512 instantiation of
-# ragged_chunk_score<global, short, 32, affine_gap, simple_scoring> in
-# libanyseq.a, finds its column loop — the innermost loop that runs the
-# relax max chain (vpmaxsw) — and fails if that loop
+# Disassembles two AVX-512 kernels in libanyseq.a:
+#
+#   * chunk: ragged_chunk_score<global, short, 32, affine_gap,
+#     simple_scoring>, the inter-sequence chunk kernel;
+#   * striped: striped_pass<global, 32, affine_gap, simple_scoring,
+#     frontier_io>, the striped tile pass (both sequence views).
+#
+# In each it finds the column loops — the innermost loops that run a max
+# chain (vpmaxsw) — and fails if a loop
 #
 #   1. loads a vector from the stack (a `v*` instruction reading an
 #      %rsp-relative operand): a loop-carried pack (F, H-left) or a
 #      relax temporary spilled and reloaded every cell; or
 #   2. contains vpmovm2w / vpmovw2m: a comparison's k-mask widened into a
-#      vector and narrowed back before its blend.
+#      vector and narrowed back before its blend; or
+#   3. (striped only) issues more zmm ALU instructions (a `v*` other than
+#      a move, with a zmm operand) per stripe vector than the row-biased
+#      frame needs: 8 in pass 1, the loop with the substitution compare
+#      (vpcmpeqw), and 3 in pass 2, every other such loop.
 #
-# Either costs the kernel its register-resident recurrence; both went
-# unnoticed for many changes before this guard existed.  The report
-# prints the loop's instruction count and its stack accesses (stores
-# included) for each instantiation found.
+# Each costs the kernel its register-resident recurrence or its op
+# budget; the first two went unnoticed for many changes before this
+# guard existed.  The report prints each loop's instruction count, zmm
+# ALU count and stack accesses (stores included) for each instantiation
+# found.  A loop the compiler unrolls counts its ALU instructions per
+# iteration, so an unrolled pass fails rule 3 until the limits follow.
 #
 # Usage: check_chunk_codegen.sh <path/to/libanyseq.a>
 #        check_chunk_codegen.sh --self-test
@@ -23,20 +35,22 @@
 # only for an optimized build with the AVX-512 variant compiled native
 # (sanitizer builds spill by design).
 #
-# --self-test feeds the audit canned listings: a clean loop that must
-# pass, and loops with a stack reload, a mask round trip, or no kernel
-# loop at all, each of which must fail.
+# --self-test feeds the audit canned listings: clean loops that must
+# pass, and loops with a stack reload, a mask round trip, an op over the
+# striped budget, or no kernel loop at all, each of which must fail.
 
 set -euo pipefail
 
 NM="${NM:-nm}"
 OBJDUMP="${OBJDUMP:-objdump}"
 
-KERNEL_RE='anyseq::v_avx512::tiled::ragged_chunk_score<\(anyseq::align_kind\)0, short, 32, anyseq::affine_gap, anyseq::simple_scoring,'
+CHUNK_RE='anyseq::v_avx512::tiled::ragged_chunk_score<\(anyseq::align_kind\)0, short, 32, anyseq::affine_gap, anyseq::simple_scoring,'
+STRIPED_RE='anyseq::v_avx512::tiled::striped_detail::striped_pass<\(anyseq::align_kind\)0, 32, anyseq::affine_gap, anyseq::simple_scoring, anyseq::v_avx512::tiled::striped_detail::frontier_io<'
 
-# The audit proper: reads `objdump -d --no-show-raw-insn` output on stdin.
+# The audit proper: reads `objdump -d --no-show-raw-insn` output on stdin;
+# $1 names the kernel (chunk or striped).
 audit() {
-  awk '
+  awk -v kernel="$1" '
   function hex(s,    i, c, v) {
     v = 0
     s = tolower(s)
@@ -49,7 +63,7 @@ audit() {
   }
   # Check the finished function: its innermost loops that carry vpmaxsw.
   function flush(    a, b, k, t, s, inner, found, insns, loads, stores,
-                     trips, ops, store) {
+                     trips, ops, store, alu, pass1, limit) {
     if (n == 0) return
     found = 0
     for (a = 1; a <= nl; a++) {
@@ -60,13 +74,15 @@ audit() {
           inner = 0
       if (!inner) continue
       t = lt[a]; s = ls[a]
-      insns = loads = stores = trips = 0
-      kernel = 0
+      insns = loads = stores = trips = alu = pass1 = 0
+      kernel_loop = 0
       for (k = 1; k <= n; k++) {
         if (addr[k] < t || addr[k] > s) continue
         insns++
-        if (mnem[k] == "vpmaxsw") kernel = 1
+        if (mnem[k] == "vpmaxsw") kernel_loop = 1
+        if (mnem[k] == "vpcmpeqw") pass1 = 1
         if (mnem[k] == "vpmovm2w" || mnem[k] == "vpmovw2m") trips++
+        if (mnem[k] ~ /^v/ && mnem[k] !~ /^vmov/ && opnd[k] ~ /%zmm/) alu++
         ops = opnd[k]
         gsub(/\{[^}]*\}/, "", ops)
         if (ops ~ /\(%rsp[,)]/) {
@@ -75,10 +91,10 @@ audit() {
           else if (mnem[k] ~ /^v/) loads++
         }
       }
-      if (!kernel) continue
+      if (!kernel_loop) continue
       found++
-      printf "chunk codegen: instantiation %d, loop [%x, %x]: %d instructions, %d stack loads, %d stack stores, %d mask round-trip instructions\n", \
-             checked + 1, t, s, insns, loads, stores, trips
+      printf "%s codegen: instantiation %d, loop [%x, %x]: %d instructions, %d zmm ALU, %d stack loads, %d stack stores, %d mask round-trip instructions\n", \
+             kernel, checked + 1, t, s, insns, alu, loads, stores, trips
       if (loads > 0) {
         printf "VIOLATION: %d %%rsp-relative vector load(s) in the column loop\n", loads
         bad++
@@ -87,13 +103,25 @@ audit() {
         printf "VIOLATION: %d vpmovm2w/vpmovw2m in the column loop\n", trips
         bad++
       }
+      if (kernel == "striped") {
+        limit = pass1 ? 8 : 3
+        if (pass1) passes1++; else passes2++
+        if (alu > limit) {
+          printf "VIOLATION: %d zmm ALU instructions in striped pass %d (at most %d)\n", alu, pass1 ? 1 : 2, limit
+          bad++
+        }
+      }
     }
     if (found == 0) {
       printf "VIOLATION: no column loop (innermost loop with vpmaxsw) in %s\n", fn
       bad++
     }
+    if (kernel == "striped" && (passes1 == 0 || passes2 == 0)) {
+      printf "VIOLATION: %s lacks a striped pass %d loop\n", fn, passes1 == 0 ? 1 : 2
+      bad++
+    }
     checked++
-    n = nl = 0
+    n = nl = passes1 = passes2 = 0
   }
   /^[0-9a-fA-F]+ <.*>:$/ {
     flush()
@@ -127,10 +155,11 @@ audit() {
       bad++
     }
     if (bad > 0) {
-      printf "chunk codegen FAILED: %d violation(s)\n", bad
+      printf "%s codegen FAILED: %d violation(s)\n", kernel, bad
       exit 1
     }
-    print "chunk codegen OK: the column loop keeps its packs in registers"
+    printf "%s codegen OK: the column loops keep their packs in registers%s\n", \
+           kernel, kernel == "striped" ? " within the op budget" : ""
   }
 '
 }
@@ -155,9 +184,46 @@ clean_listing() {
 EOF
 }
 
+# The striped pass's two column loops within budget: pass 1 with 8 zmm
+# ALU instructions (the substitution compare among them), pass 2 with 3.
+striped_listing() {
+  cat <<'EOF'
+0000000000000000 <pass>:
+ 530:	vpaddsw (%r12,%rax,1),%zmm10,%zmm2
+ 537:	vpmaxsw (%r15,%rax,1),%zmm2,%zmm2
+ 53e:	vmovdqa64 %zmm4,%zmm0
+ 544:	vmovdqa64 (%r8,%rax,1),%zmm4
+ 54b:	vmovdqa64 %zmm2,(%r12,%rax,1)
+ 552:	vpcmpeqw (%rsi,%rax,1),%zmm9,%k1
+ 559:	vpblendmw %zmm11,%zmm12,%zmm22{%k1}
+ 55f:	vpaddsw %zmm22,%zmm0,%zmm0
+ 565:	vpmaxsw %zmm2,%zmm0,%zmm0
+ 56b:	vmovdqa64 %zmm0,(%r8,%rax,1)
+ 572:	vpaddsw %zmm13,%zmm0,%zmm0
+ 578:	vmovdqa64 %zmm0,(%rdi,%rax,1)
+ 57f:	add    $0x40,%rax
+ 583:	vpmaxsw %zmm0,%zmm5,%zmm5
+ 589:	cmp    %rax,%r13
+ 58c:	jne    530 <pass+0x530>
+ 5fb:	vpbroadcastw %eax,%zmm0
+ 603:	vpermt2w %zmm5,%zmm17,%zmm0
+ 6a1:	vmovdqa64 (%r8,%rax,1),%zmm4
+ 6a8:	vmovdqa64 (%rdi,%rax,1),%zmm5
+ 6b3:	vpmaxsw %zmm0,%zmm4,%zmm4
+ 6b9:	vpmaxsw %zmm5,%zmm0,%zmm0
+ 6bf:	vmovdqa64 %zmm4,(%r8,%rax,1)
+ 6c6:	vpaddsw %zmm8,%zmm4,%zmm4
+ 6cc:	vmovdqa64 %zmm4,(%r15,%rax,1)
+ 6d3:	add    $0x40,%rax
+ 6d7:	cmp    %r10,%rcx
+ 6da:	jne    6a1 <pass+0x6a1>
+ 6e0:	jmp    530 <pass+0x530>
+EOF
+}
+
 expect() {
-  local want="$1" what="$2"
-  if audit >/dev/null; then got=pass; else got=fail; fi
+  local want="$1" what="$2" kernel="${3:-chunk}"
+  if audit "$kernel" >/dev/null; then got=pass; else got=fail; fi
   if [ "$got" != "$want" ]; then
     echo "codegen SELF-TEST FAILED: $what should $want" >&2
     exit 1
@@ -174,7 +240,19 @@ self_test() {
     expect fail "mask round trip"
   clean_listing | grep -v vpmaxsw | expect fail "listing without the kernel loop"
   : | expect fail "empty listing"
-  echo "codegen self-test OK: violations are detected, a clean loop passes"
+  striped_listing | expect pass "striped passes within budget" striped
+  striped_listing |
+    sed 's/^ 57f:.*/ 57f:\tvpaddsw %zmm7,%zmm5,%zmm5/' |
+    expect fail "a 9th zmm ALU instruction in pass 1" striped
+  striped_listing |
+    sed 's/^ 6d3:.*/ 6d3:\tvpaddsw %zmm7,%zmm0,%zmm0/' |
+    expect fail "a 4th zmm ALU instruction in pass 2" striped
+  striped_listing |
+    sed 's/^ 6a8:.*/ 6a8:\tvmovdqa64 0x40(%rsp),%zmm5/' |
+    expect fail "stack reload in pass 2" striped
+  striped_listing | sed '/^ 6a1:/,/^ 6da:/d' |
+    expect fail "listing without pass 2" striped
+  echo "codegen self-test OK: violations are detected, clean loops pass"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -185,21 +263,34 @@ fi
 LIB="${1:?usage: check_chunk_codegen.sh <libanyseq.a> | --self-test}"
 
 if [ ! -f "$LIB" ]; then
-  echo "chunk codegen: archive not found: $LIB" >&2
+  echo "codegen: archive not found: $LIB" >&2
   exit 2
 fi
 
-# nm and nm -C list the same symbols in the same order: pair them to
-# find the mangled names of the instantiations.
-syms=$(paste -d '\t' <("$NM" --defined-only "$LIB") \
-                     <("$NM" -C --defined-only "$LIB") |
-       awk -F '\t' -v re="$KERNEL_RE" \
-           '$2 ~ re { n = split($1, f, " "); print f[n] }' | sort -u)
-if [ -z "$syms" ]; then
-  echo "VIOLATION: no AVX-512 ragged_chunk_score<global, short, 32, affine_gap, simple_scoring> in $LIB"
-  echo "chunk codegen FAILED: 1 violation(s)"
-  exit 1
-fi
-for s in $syms; do
-  "$OBJDUMP" -d --no-show-raw-insn --disassemble="$s" "$LIB"
-done | audit
+# Audit kernel $1: every instantiation whose demangled name matches $2
+# ($3 names it in the report).  nm and nm -C list the same symbols in the
+# same order: pair them to find the mangled names.
+audit_lib() {
+  local kernel="$1" re="$2" what="$3" syms
+  syms=$(paste -d '\t' <("$NM" --defined-only "$LIB") \
+                       <("$NM" -C --defined-only "$LIB") |
+         awk -F '\t' -v re="$re" \
+             '$2 ~ re { n = split($1, f, " "); print f[n] }' | sort -u)
+  if [ -z "$syms" ]; then
+    echo "VIOLATION: no AVX-512 $what in $LIB"
+    echo "$kernel codegen FAILED: 1 violation(s)"
+    return 1
+  fi
+  for s in $syms; do
+    "$OBJDUMP" -d --no-show-raw-insn --disassemble="$s" "$LIB"
+  done | audit "$kernel"
+}
+
+status=0
+audit_lib chunk "$CHUNK_RE" \
+  "ragged_chunk_score<global, short, 32, affine_gap, simple_scoring>" ||
+  status=1
+audit_lib striped "$STRIPED_RE" \
+  "striped_pass<global, 32, affine_gap, simple_scoring, frontier_io>" ||
+  status=1
+exit "$status"

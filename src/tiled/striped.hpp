@@ -11,16 +11,20 @@
 /// `simd::pack<score16_t, W>`.  With seg = ceil(n / W), vector t holds
 /// query rows i = l * seg + t + 1 in lane l, so the W rows a vector
 /// relaxes at once sit seg rows apart and never depend on each other
-/// inside one column.  The outer loop runs over subject columns j; per
-/// column:
+/// inside one column.  The outer loop runs over subject columns j.  Every
+/// stripe vector t is kept in a row-biased frame, value - t * extend
+/// (Khajeh-Saeed, Poole & Perot, J. Comput. Phys., 2010), so a
+/// step down a lane's rows costs nothing and the in-lane gap chains are
+/// plain running maxima.  Per column:
 ///   1. Pass 1 computes the left gap F(i, j) (rolling_score's `f`) from
 ///      the previous column, Ht = max(diag + subst, F) (local: and the
-///      floor), and
-///      the in-lane up-gap carry over Ht.
+///      floor) with subst shifted by -extend, and the in-lane up-gap
+///      carry, a running max of Ht (open is added once, after the loop).
 ///   2. A log2(W)-step prefix max carries that up-gap across lanes,
-///      decaying by seg * extend per lane.
+///      decaying by seg * extend per lane (the first step is the move
+///      from a lane's frame into the next lane's stripe 0).
 ///   3. Pass 2 computes H = max(Ht, E) with E (rolling_score's `e`) run
-///      down each lane from the carried value.
+///      down each lane as E = max(E, Ht + open).
 /// This is exact because E depends on Ht only, never on the corrected H:
 ///   E(i) = max_{k<i} (Ht(k) + open + extend + (i - 1 - k) * extend)
 /// (k = 0 being the tile's top row), since the E(k) term inside
@@ -33,21 +37,24 @@
 /// column segment and its corner, and hands back the bottom row, the
 /// right column and the next corner.  Inside the pass every score is an
 /// int16 offset from the corner (paper §IV-A: "only differences to the
-/// global score are relevant"); the local floor (absolute 0) is rebased
-/// the same way.  One function template, striped_pass, runs over a
-/// border policy: `frontier_io` reads and writes a tile of the border
-/// frontier (tiled/borders.hpp) in place; `boundary_io` computes a lone
-/// pair's init_h_row0/init_h_col0 boundary on the fly and keeps only
-/// H(n, m).
+/// global score are relevant") in the row-biased frame; the local floor
+/// (absolute 0) is rebased the same way.  Borders are biased on the way
+/// in and unbiased on the way out.  One function template, striped_pass,
+/// runs over a border policy: `frontier_io` reads and writes a tile of
+/// the border frontier (tiled/borders.hpp) in place; `boundary_io`
+/// computes a lone pair's init_h_row0/init_h_col0 boundary on the fly
+/// and keeps only H(n, m).
 ///
 /// Bounds: relative to the corner, every real H/E/F value of an h x w
 /// tile lies within (2 max(h, w) + 2) * unit (a path leaves the corner's
 /// row or column at most one gap away from it), so fits_striped_tile
 /// keeps it inside the int16 window; a lone pair's corner is 0 and its
-/// absolute bound fits_score_window(n, m) suffices.  The kernel runs
-/// unchecked with saturating adds and a saturating -inf (INT16_MIN).
-/// Rows past the tile's height (the padded tail of the stripe) only feed
-/// rows below them, so their clamped garbage never reaches a real row.
+/// absolute bound fits_score_window(n, m) suffices.  The row bias adds
+/// at most (seg - 1) * |extend| < 28000 / W, so biased values stay below
+/// 29750 at W >= 16 (DESIGN.md §10).  The kernel runs unchecked with
+/// saturating adds and a saturating -inf (INT16_MIN).  Rows past the
+/// tile's height (the padded tail of the stripe) only feed rows below
+/// them, so their clamped garbage never reaches a real row.
 ///
 /// End cells are byte-identical to rolling_score's order: local and
 /// extension keep a per-row running max with the first column that
@@ -256,14 +263,26 @@ tile_best striped_pass(const QV& q, const SV& s, IO& io, const Gap& gap,
   constexpr score16_t kNegInf = std::numeric_limits<score16_t>::min();
   const tile_geometry& g = io.geometry();
   const index_t y0 = io.y0, x0 = io.x0, n = io.n, m = io.m;
-
-  // Borders in as int16 offsets from the corner, saturated (-inf lands
-  // on INT16_MIN); every border out is a real score, base + offset.
-  const score_t base = io.corner();
-  const auto in = [base](score_t v) { return sat16(index_t{v} - base); };
-  const auto out = [base](score16_t v) -> score_t { return base + v; };
-
   const index_t seg = (n + W - 1) / W;
+  const index_t ext = gap.extend();
+  ANYSEQ_ASSERT(index_t{int16_score_window()} - (seg - 1) * ext <=
+                    std::numeric_limits<score16_t>::max(),
+                "the row bias leaves the int16 window");
+
+  // The row-biased frame: stripe t holds H - corner - t * extend (E, F
+  // and Ht alike), saturated on the way in (-inf lands on INT16_MIN);
+  // every border out is a real score, corner + value + t * extend.
+  const score_t base = io.corner();
+  const auto bias = [ext](std::size_t t) {
+    return static_cast<index_t>(t) * ext;
+  };
+  const auto in = [base, bias](score_t v, std::size_t t) {
+    return sat16(index_t{v} - base - bias(t));
+  };
+  const auto out = [base, bias](score16_t v, std::size_t t) -> score_t {
+    return static_cast<score_t>(base + v + bias(t));
+  };
+
   const auto useg = static_cast<std::size_t>(seg);
   P* const h = stripes;
   P* const prof = h + useg;
@@ -282,23 +301,28 @@ tile_best striped_pass(const QV& q, const SV& s, IO& io, const Gap& gap,
     }
   };
 
+  const P oe = P::broadcast(sat16(gap.open_extend()));
+  const P vext = P::broadcast(sat16(ext));
+
   // The left column and the query profile, stripe by stripe (the lane
-  // loop has a fixed trip count); padding rows start at -inf.
+  // loop has a fixed trip count); padding rows start at -inf.  The
+  // diagonal steps from stripe t - 1 to t, so its substitution scores
+  // carry -extend.
   for (std::size_t t = 0; t < useg; ++t) {
     for (int l = 0; l < W; ++l) {
       const index_t i = l * seg + static_cast<index_t>(t) + 1;
       const bool real = i <= n;
       const char_t qc = real ? q[y0 + i - 1] : char_t{0};
-      h[t].v[l] = real ? in(io.h_left(i)) : kNegInf;
+      h[t].v[l] = real ? in(io.h_left(i), t) : kNegInf;
       if constexpr (kAffine)
         fgap[t].v[l] =
-            IO::kGapBorders && real ? in(io.f_left(i)) : kNegInf;
+            IO::kGapBorders && real ? in(io.f_left(i), t) : kNegInf;
       if constexpr (kRows == 1) {
         prof[t].v[l] = static_cast<score16_t>(qc);
       } else {
         for (int c = 0; c < kRows; ++c)
           prof[static_cast<std::size_t>(c) * useg + t].v[l] =
-              sat16(scoring.at(qc, c));
+              sat16(scoring.at(qc, c) - ext);
       }
     }
     if constexpr (tracks_running_max(K)) {
@@ -306,20 +330,28 @@ tile_best striped_pass(const QV& q, const SV& s, IO& io, const Gap& gap,
       rbj[t] = P::broadcast(0);
     }
   }
+  Scoring diag_scoring = scoring;
+  if constexpr (kRows == 1) {
+    diag_scoring.match = static_cast<score_t>(scoring.match - ext);
+    diag_scoring.mismatch = static_cast<score_t>(scoring.mismatch - ext);
+  }
 
-  const P oe = P::broadcast(sat16(gap.open_extend()));
-  const P ext = P::broadcast(sat16(gap.extend()));
-  // The local floor, absolute 0, rebased; inactive (-inf) when the
-  // corner sits so far above 0 that no cell of the tile can reach it.
-  const P nu = P::broadcast(K == align_kind::local ? sat16(-index_t{base})
-                                                   : kNegInf);
+  const P open = P::broadcast(sat16(gap.open()));
+  // The local floor, absolute 0, in stripe 0's frame, lifted by -extend
+  // per stripe; a corner far above 0 clamps it to INT16_MIN (+ the
+  // lift), below every real value of the tile.
+  const P nu0 = P::broadcast(K == align_kind::local ? sat16(-index_t{base})
+                                                    : kNegInf);
+  const P lift = P::broadcast(sat16(-ext));
   // Scan step k adds (2^k * seg) * extend.  A step that feeds a real row
   // spans fewer than n rows, so its decay fits int16 (n * |extend| <
   // 28000); larger decays only reach padded lanes and may clamp.
+  // decay[0] also moves a lane's last stripe (bias (seg - 1) * extend,
+  // one row further: seg * extend) into the next lane's stripe 0.
   constexpr int kSteps = std::countr_zero(static_cast<unsigned>(W));
   P decay[kSteps]{};
   for (int k = 0; k < kSteps; ++k)
-    decay[k] = P::broadcast(sat16((index_t{1} << k) * seg * gap.extend()));
+    decay[k] = P::broadcast(sat16((index_t{1} << k) * seg * ext));
 
   // The stripe vector and lane of the tile's last row; semiglobal ranks
   // the cells of the true last row and column.
@@ -332,62 +364,74 @@ tile_best striped_pass(const QV& q, const SV& s, IO& io, const Gap& gap,
 
   score16_t top_prev = 0;  // H(y0, x0 + j - 1); the corner at j = 1
   for (index_t j = 1; j <= m; ++j) {
-    const score16_t top = in(io.h_top(j));
+    const score16_t top = in(io.h_top(j), 0);
     const char_t sc = s[x0 + j - 1];
     const P sv = P::broadcast(static_cast<score16_t>(sc));
     const P* const col = kRows == 1 ? prof : prof + sc * useg;
 
-    // Pass 1: F, Ht and the in-lane up-gap carry.
-    P diag = simd::vshift_up<1>(h[useg - 1], top_prev);
+    // Pass 1: F, Ht and the in-lane up-gap carry, a plain running max
+    // of Ht (+ open once, after the loop: saturating adds are monotone).
+    // Stripe 0's diagonal comes from the lane above (or the top row), so
+    // it is shifted by extend to cancel its -extend.
+    P diag = simd::vshift_up<1>(vadd(h[useg - 1], decay[0]),
+                                sat16(index_t{top_prev} + ext));
     P carry = P::broadcast(kNegInf);
+    P nu = nu0;
     for (std::size_t t = 0; t < useg; ++t) {
       const P hp = h[t];
-      P f = vadd(hp, ext);  // linear gaps: open + extend == extend
+      P f = vadd(hp, oe);  // linear gaps: open + extend == extend
       if constexpr (kAffine) {
-        f = vmax(vadd(hp, oe), vadd(fgap[t], ext));
+        f = vmax(f, vadd(fgap[t], vext));
         fgap[t] = f;
       }
       P sub = col[t];
-      if constexpr (kRows == 1) sub = scoring.template subst<P>(sub, sv);
+      if constexpr (kRows == 1) sub = diag_scoring.template subst<P>(sub, sv);
       P ht = vmax(vadd(diag, sub), f);
-      if constexpr (K == align_kind::local) ht = vmax(ht, nu);
+      if constexpr (K == align_kind::local) {
+        ht = vmax(ht, nu);
+        nu = vadd(nu, lift);
+      }
       h[t] = ht;
-      carry = vmax(vadd(ht, oe), vadd(carry, ext));
+      carry = vmax(carry, ht);
       diag = hp;
     }
+    if constexpr (kAffine) carry = vadd(carry, open);
 
     // Cross-lane prefix max: lane l's entry E = max over the lanes above
     // it of their carry-out, decayed by seg * extend per lane crossed;
     // lane 0 enters from the top segment, E(y0 + 1) = max(H + open +
     // extend, E + extend) at row y0.
     P e = simd::vshift_up<1>(
-        carry, sat16(std::max<index_t>(top + index_t{gap.open_extend()},
-                                       in(io.e_top(j)) + gap.extend())));
+        vadd(carry, decay[0]),
+        sat16(std::max<index_t>(top + index_t{gap.open_extend()},
+                                in(io.e_top(j), 0) + ext)));
     [&]<int... k>(std::integer_sequence<int, k...>) {
       ((e = vmax(e, vadd(simd::vshift_up<(1 << k)>(e, kNegInf),
                          decay[k]))),
        ...);
     }(std::make_integer_sequence<int, kSteps>{});
 
-    // Pass 2: H = max(Ht, E), E run down each lane; E of the last row
-    // is kept for a bottom segment that carries E.
+    // Pass 2: H = max(Ht, E), E run down each lane as a running max of
+    // Ht + open; E of the last row is kept for a bottom segment that
+    // carries E.
     const P jv = P::broadcast(static_cast<score16_t>(j));
     P e_last = e;
     for (std::size_t t = 0; t < useg; ++t) {
       if constexpr (IO::kGapBorders)
         if (t == tn) e_last = e;
-      const P hv = vmax(h[t], e);
+      const P ht = h[t];
+      const P hv = vmax(ht, e);
       h[t] = hv;
       if constexpr (tracks_running_max(K)) {
         rbj[t] = vselect(vgt(hv, rmax[t]), jv, rbj[t]);
         rmax[t] = vmax(hv, rmax[t]);
       }
-      e = vmax(vadd(hv, oe), vadd(e, ext));
+      e = vmax(e, kAffine ? vadd(ht, open) : ht);
     }
 
     // Bottom segment out, column by column.
-    const score_t h_last = out(h[tn].v[ln]);
-    io.bottom(j, h_last, out(e_last.v[ln]));
+    const score_t h_last = out(h[tn].v[ln], tn);
+    io.bottom(j, h_last, out(e_last.v[ln], tn));
     if (K == align_kind::semiglobal && last_row)
       best.consider<K>(h_last, g.n, x0 + j, g);
     top_prev = top;
@@ -396,17 +440,17 @@ tile_best striped_pass(const QV& q, const SV& s, IO& io, const Gap& gap,
   // Right segment out, then the corner (y1, x1).
   if constexpr (IO::kRight || K == align_kind::semiglobal) {
     each_row([&](index_t i, std::size_t t, int l) {
-      const score_t hv = out(h[t].v[l]);
-      io.right(i, hv, out(fgap[t].v[l]));
+      const score_t hv = out(h[t].v[l], t);
+      io.right(i, hv, kAffine ? out(fgap[t].v[l], t) : neg_inf());
       if (K == align_kind::semiglobal && last_col)
         best.consider<K>(hv, y0 + i, g.m, g);
     });
   }
-  io.close(out(h[tn].v[ln]));
+  io.close(out(h[tn].v[ln], tn));
 
   if constexpr (tracks_running_max(K)) {
     each_row([&](index_t i, std::size_t t, int l) {
-      best.consider<K>(out(rmax[t].v[l]), y0 + i, x0 + rbj[t].v[l], g);
+      best.consider<K>(out(rmax[t].v[l], t), y0 + i, x0 + rbj[t].v[l], g);
     });
   }
   return best;

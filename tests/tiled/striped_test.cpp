@@ -198,6 +198,49 @@ TEST(StripedKernel, ExtremeScoresAtTheInt16BoundStayExact) {
   }
 }
 
+TEST(StripedOracle, LargestRowBiasEqualsInt32Rolling) {
+  // |gap_extend| is the scoring unit (affine: an open of -1 takes the
+  // last of it) and (n + m + 2) * 40 = 27960 sits just under the 28000
+  // window, so the 633-row query spans the most stripes the bound allows
+  // at m = 64: 40 on 16 lanes, where stripe 39 carries a bias of
+  // 39 * |extend| (1560 linear, 1521 affine), and 20 on 32 lanes.
+  constexpr index_t n = 633, m = 64;
+  const auto q = test::random_codes(n, 51);
+  std::vector<char_t> inside(q.begin() + 300, q.begin() + 300 + m);
+  inside[10] = static_cast<char_t>((inside[10] + 1) % 4);
+  const std::vector<input_pair> pairs = {{q, inside},
+                                         {q, test::random_codes(m, 52)},
+                                         {repeat_codes(n, 2, 0),
+                                          repeat_codes(m, 2, 1)}};
+  for (const scoring_case& c :
+       {scoring_case{"linear", false, 0, -40},
+        scoring_case{"affine", false, -1, -39}}) {
+    for (const align_kind k : test::all_kinds) {
+      align_options o = options(k, c);
+      o.match = 40;
+      o.mismatch = -40;
+      o.exec = backend::scalar;
+      o.precision = score_precision::int32;
+      aligner rolling(o);
+      for (const backend b : vector_backends()) {
+        o.exec = b;
+        o.precision = score_precision::auto_select;
+        aligner striped(o);
+        ASSERT_STREQ(striped.plan(n, m).route, "striped_score");
+        for (const input_pair& in : pairs) {
+          SCOPED_TRACE(::testing::Message() << to_string(b) << " "
+                                            << to_string(k) << " " << c.name);
+          const auto got = striped.align(view(in.q), view(in.s));
+          const auto want = rolling.align(view(in.q), view(in.s));
+          ASSERT_EQ(got.score, want.score);
+          ASSERT_EQ(got.q_end, want.q_end);
+          ASSERT_EQ(got.s_end, want.s_end);
+        }
+      }
+    }
+  }
+}
+
 TEST(StripedRoute, PlanReportsTheRouteTheVariantExecutes) {
   align_options o;
   o.threads = 1;

@@ -126,6 +126,30 @@ TEST(StripedTile, EqualsScalarTileAt16Lanes) { every_kind<16>(); }
 
 TEST(StripedTile, EqualsScalarTileAt32Lanes) { every_kind<32>(); }
 
+template <int W, align_kind K>
+void largest_row_bias() {
+  // |gap_extend| as the scoring unit 40 (affine: open -1 takes the last
+  // of it), and 348, the last tile side that fits: (2 * 348 + 2) * 40 =
+  // 27920 < 28000.  A full tile spans the most stripes the bound allows,
+  // with stripe seg - 1 biased by (seg - 1) * |extend| (up to 21 * 40 on
+  // 16 lanes); the clipped edge tiles span fewer.
+  const grid_shape sh{2 * 348 + 37, 348 + 100, 348, 348};
+  const auto [q, s] = related_pair(sh.n, sh.m, 40);
+  tiles_match<W, K>(linear_gap{-40}, simple_scoring{40, -40}, sh, q, s);
+  tiles_match<W, K>(affine_gap{-1, -39}, simple_scoring{40, -40}, sh, q, s);
+}
+
+TEST(StripedTile, LargestRowBiasEqualsScalarTile) {
+  largest_row_bias<16, align_kind::global>();
+  largest_row_bias<16, align_kind::local>();
+  largest_row_bias<16, align_kind::semiglobal>();
+  largest_row_bias<16, align_kind::extension>();
+  largest_row_bias<32, align_kind::global>();
+  largest_row_bias<32, align_kind::local>();
+  largest_row_bias<32, align_kind::semiglobal>();
+  largest_row_bias<32, align_kind::extension>();
+}
+
 template <align_kind K>
 void ties_at(const grid_shape& sh) {
   // One letter repeated under zero match: whole regions tie, so only
