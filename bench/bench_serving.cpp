@@ -8,7 +8,9 @@
 ///      entirely (lookup + copy-out), so throughput should rise steeply
 ///      with the hit rate.  The cache-cold stream is also set against a
 ///      synchronous one-call-per-request loop over the same pairs
-///      (`sync_baseline`), whose checksum it must reproduce.
+///      (`sync_baseline`), whose checksum it must reproduce.  The
+///      `cache_lookup_hit` row times `response_cache::lookup` hits on
+///      one thread, in ns per lookup, without the service around it.
 ///   2. **Shard scaling** — all-distinct (cache-cold) requests through
 ///      1, 2, and 4 shards.  Each shard owns its own admission mutex
 ///      and batcher thread; scaling is bounded by physical cores, so
@@ -41,6 +43,7 @@
 #include "bench/harness.hpp"
 #include "bio/random.hpp"
 #include "bio/read_sim.hpp"
+#include "service/cache.hpp"
 #include "service/router.hpp"
 #include "service/trace.hpp"
 #include "simd/detect.hpp"
@@ -349,6 +352,49 @@ int main(int argc, char** argv) {
                 {"ragged_pair_fraction", ragged_frac}});
     std::printf("%-12s : %10.1f req/s  (simd %.1f%% ragged %.1f%%)\n",
                 "hr0_ragged", rps, simd_frac * 100.0, ragged_frac * 100.0);
+  }
+
+  // ---- 1e. cache hits alone -----------------------------------------
+  // The response cache without the service: one thread looks up a
+  // 2,048-pair hot set of 150 bp pairs resident in a cache of the
+  // serving workloads' size (4,096 entries, 8 shards), round robin.  A
+  // lookup is the key hash, the shard lock, the probe walk, the key
+  // compare and the copy-out.  Pairs a probe-window collision evicted
+  // while warming are dropped from the set, so every timed lookup hits.
+  {
+    const auto opt = request_options();
+    const auto warm = make_pairs(2048, /*seed=*/12);
+    service::response_cache cache(service::response_cache::config{4096, 8});
+    for (const auto& p : warm)
+      cache.insert(p.first.view(), p.second.view(), opt,
+                   align(p.first.view(), p.second.view(), opt));
+    std::vector<const bio::read_pair*> hot;
+    alignment_result out;
+    for (const auto& p : warm)
+      if (cache.lookup(p.first.view(), p.second.view(), opt, out))
+        hot.push_back(&p);
+    const std::size_t lookups = 64 * total;
+    std::size_t missed = 0;
+    const spread t = timed_spread(a.repeats, [&] {
+      for (std::size_t i = 0; i < lookups; ++i) {
+        const auto& p = *hot[i % hot.size()];
+        if (!cache.lookup(p.first.view(), p.second.view(), opt, out))
+          ++missed;
+      }
+    });
+    if (missed > 0) {
+      std::fprintf(stderr, "FAIL: %zu cache_lookup_hit lookups missed\n",
+                   missed);
+      return 1;
+    }
+    const double per = 1e9 / static_cast<double>(lookups);
+    report.add("cache_lookup_hit", t, lookups,
+               {{"ns_per_lookup", t.median * per},
+                {"min_ns_per_lookup", t.min * per},
+                {"max_ns_per_lookup", t.max * per},
+                {"hot_set", static_cast<double>(hot.size())}});
+    std::printf("%-12s : %10.1f ns/lookup  (%zu resident hot pairs)\n",
+                "cache_hit", t.median * per, hot.size());
   }
 
   // ---- 2. shard scaling ---------------------------------------------

@@ -28,6 +28,8 @@ EXPECTED_ROWS = {
     "hit_rate_0_tracing": ["requests_per_s", "overhead_vs_plain"],
     "hit_rate_0_ragged": ["requests_per_s", "simd_pair_fraction",
                           "ragged_pair_fraction"],
+    "cache_lookup_hit": ["ns_per_lookup", "min_ns_per_lookup",
+                         "max_ns_per_lookup", "hot_set"],
     "shards_1": ["requests_per_s", "shards", "scaling_vs_1"],
     "shards_2": ["requests_per_s", "shards", "scaling_vs_1"],
     "shards_4": ["requests_per_s", "shards", "scaling_vs_1"],

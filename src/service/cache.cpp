@@ -1,12 +1,13 @@
 /// \file cache.cpp
-/// Response-cache internals: FNV-1a key hashing, probe-window lookup,
-/// and clock eviction with recycled entry storage.
+/// Response-cache internals: word-at-a-time key hashing, probe-window
+/// lookup, and clock eviction with recycled entry storage.
 
 #include "service/cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <new>
-#include <type_traits>
 
 #include "service/batcher.hpp"
 #include "service/faultinject.hpp"
@@ -15,48 +16,84 @@ namespace anyseq::service {
 
 namespace {
 
-constexpr std::uint64_t fnv_offset = 0xCBF29CE484222325ull;
-constexpr std::uint64_t fnv_prime = 0x00000100000001B3ull;
+// Multiply-fold constants (wyhash's secrets): odd, about half their
+// bits set.  A step's product is zero when its first word equals k0,
+// which no sequence code, ASCII text or option word can.
+constexpr std::uint64_t k0 = 0xA0761D6478BD642Full;
+constexpr std::uint64_t k1 = 0xE7037ED1A0B428DBull;
+constexpr std::uint64_t k2 = 0x8EBC6AF09C88C6E3ull;
 
-[[nodiscard]] std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
-                                        std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= fnv_prime;
+/// Fold two words into one: the 64x64->128 product's halves xored, so
+/// every input bit reaches every output bit.  Without a 128-bit type,
+/// two 64-bit multiplies joined by a rotate and an xorshift stand in.
+[[nodiscard]] std::uint64_t fold(std::uint64_t a, std::uint64_t b) noexcept {
+#ifdef __SIZEOF_INT128__
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
+#else
+  std::uint64_t x = (a * k1) ^ std::rotl(b * k2, 32);
+  x ^= x >> 29;
+  return x * k0;
+#endif
+}
+
+[[nodiscard]] std::uint64_t load_word(const unsigned char* p) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+/// Word-at-a-time key hash: 16 bytes per multiply, each `bytes` run's
+/// tail zero-padded into one last step, and the byte count mixed into
+/// the finish so a padded tail never equals a longer input.
+class key_hasher {
+ public:
+  void bytes(const void* data, std::size_t n) noexcept {
+    const auto* p = static_cast<const unsigned char*>(data);
+    len_ += n;
+    for (; n >= 16; p += 16, n -= 16) step(load_word(p), load_word(p + 8));
+    if (n > 0) {
+      unsigned char tail[16] = {};
+      std::memcpy(tail, p, n);
+      step(load_word(tail), load_word(tail + 8));
+    }
   }
-  return h;
-}
 
-template <class T>
-[[nodiscard]] std::uint64_t fnv1a_value(std::uint64_t h, const T& v) noexcept {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return fnv1a_bytes(h, &v, sizeof v);
-}
+  [[nodiscard]] std::uint64_t finish() const noexcept {
+    return fold(h_ ^ k1, len_ ^ k2);
+  }
+
+ private:
+  void step(std::uint64_t a, std::uint64_t b) noexcept {
+    h_ = fold(a ^ k0, b ^ h_);
+  }
+
+  std::uint64_t h_ = k0;
+  std::uint64_t len_ = 0;
+};
 
 /// Fold the dispatch-relevant option fields into the hash — the exact
 /// field set options_compatible() compares, nothing more, so equal keys
 /// always hash equally and unequal option sets almost never collide
-/// (collisions are resolved by the field-wise compare anyway).
-[[nodiscard]] std::uint64_t fold_options(std::uint64_t h,
-                                         const align_options& o) noexcept {
-  h = fnv1a_value(h, o.kind);
-  h = fnv1a_value(h, o.want_alignment);
-  h = fnv1a_value(h, o.match);
-  h = fnv1a_value(h, o.mismatch);
-  const bool has_matrix = o.matrix.has_value();
-  h = fnv1a_value(h, has_matrix);
-  if (has_matrix)
-    h = fnv1a_bytes(h, o.matrix->table.data(),
-                    o.matrix->table.size() * sizeof(score_t));
-  h = fnv1a_value(h, o.gap_open);
-  h = fnv1a_value(h, o.gap_extend);
-  h = fnv1a_value(h, o.exec);
-  h = fnv1a_value(h, o.threads);
-  h = fnv1a_value(h, o.tile);
-  h = fnv1a_value(h, o.precision);
-  h = fnv1a_value(h, o.full_matrix_cells);
-  return h;
+/// (collisions are resolved by the field-wise compare anyway).  Each
+/// field is one word, so the set costs six 16-byte steps.
+void fold_options(key_hasher& h, const align_options& o) noexcept {
+  const std::uint64_t words[] = {
+      static_cast<std::uint64_t>(o.kind),
+      static_cast<std::uint64_t>(o.want_alignment),
+      static_cast<std::uint64_t>(o.match),
+      static_cast<std::uint64_t>(o.mismatch),
+      static_cast<std::uint64_t>(o.matrix.has_value()),
+      static_cast<std::uint64_t>(o.gap_open),
+      static_cast<std::uint64_t>(o.gap_extend),
+      static_cast<std::uint64_t>(o.exec),
+      static_cast<std::uint64_t>(o.threads),
+      static_cast<std::uint64_t>(o.tile),
+      static_cast<std::uint64_t>(o.precision),
+      static_cast<std::uint64_t>(o.full_matrix_cells)};
+  h.bytes(words, sizeof words);
+  if (o.matrix.has_value())
+    h.bytes(o.matrix->table.data(), o.matrix->table.size() * sizeof(score_t));
 }
 
 [[nodiscard]] bool bytes_equal(const std::vector<char_t>& stored,
@@ -102,17 +139,19 @@ void copy_key(stage::seq_view v, std::vector<char_t>& dst) {
 
 std::uint64_t cache_key_hash(stage::seq_view q, stage::seq_view s,
                              const align_options& opt) noexcept {
-  std::uint64_t h = fnv_offset;
+  key_hasher h;
   const std::uint64_t qn = static_cast<std::uint64_t>(q.size());
-  h = fnv1a_value(h, qn);  // length delimiter: (AB, C) != (A, BC)
-  h = fnv1a_bytes(h, q.data(), static_cast<std::size_t>(q.size()));
-  h = fnv1a_bytes(h, s.data(), static_cast<std::size_t>(s.size()));
-  return fold_options(h, opt);
+  h.bytes(&qn, sizeof qn);  // length delimiter: (AB, C) != (A, BC)
+  h.bytes(q.data(), static_cast<std::size_t>(q.size()));
+  h.bytes(s.data(), static_cast<std::size_t>(s.size()));
+  fold_options(h, opt);
+  return h.finish();
 }
 
 std::uint64_t sequence_hash(stage::seq_view q) noexcept {
-  return fnv1a_bytes(fnv_offset, q.data(),
-                     static_cast<std::size_t>(q.size()));
+  key_hasher h;
+  h.bytes(q.data(), static_cast<std::size_t>(q.size()));
+  return h.finish();
 }
 
 response_cache::response_cache(config cfg) {

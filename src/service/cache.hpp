@@ -128,16 +128,20 @@ class response_cache {
   std::atomic<std::uint64_t> insertions_{0}, evictions_{0};
 };
 
-/// 64-bit FNV-1a over the cache key: query bytes, subject bytes, and the
-/// dispatch-relevant option fields (exactly the set `options_compatible`
-/// compares, so hash equality is consistent with key equality).  Exposed
-/// for the router's shard-affinity hashing and for tests.
+/// 64-bit hash of the cache key: the query length, query bytes, subject
+/// bytes, and the dispatch-relevant option fields (exactly the set
+/// `options_compatible` compares, so hash equality is consistent with
+/// key equality).  Bytes are folded 16 at a time by one 64x64->128
+/// multiply, each option field is one word, and the byte count enters
+/// the finish (DESIGN.md §13).  The one key hash of the service: cache
+/// slots, quarantine and fault-poison fingerprints, and tests.
 [[nodiscard]] std::uint64_t cache_key_hash(stage::seq_view q,
                                            stage::seq_view s,
                                            const align_options& opt) noexcept;
 
-/// Hash of one sequence's bytes alone — the router's affinity key (all
-/// options and the subject excluded, so one query pins to one shard).
+/// The same word-at-a-time hash over one sequence's bytes alone — the
+/// router's affinity key (all options and the subject excluded, so one
+/// query pins to one shard).
 [[nodiscard]] std::uint64_t sequence_hash(stage::seq_view q) noexcept;
 
 }  // namespace anyseq::service

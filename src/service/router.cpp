@@ -26,10 +26,10 @@ service_group::service_group(config cfg) : cfg_(cfg) {
 
 service_group::~service_group() { shutdown(true); }
 
-std::size_t service_group::pick_shard(std::uint64_t affinity) const {
+std::size_t service_group::pick_shard(stage::seq_view q) const {
   const std::size_t n = shards_.size();
-  if (n == 1) return 0;
-  const std::size_t home = static_cast<std::size_t>(affinity % n);
+  if (n == 1) return 0;  // one shard: no affinity to hash
+  const std::size_t home = static_cast<std::size_t>(sequence_hash(q) % n);
 
   // Spill decision on relaxed-atomic depth mirrors: find the
   // least-loaded shard and leave home only when the imbalance exceeds
@@ -52,7 +52,7 @@ std::size_t service_group::pick_shard(std::uint64_t affinity) const {
 ticket service_group::submit(stage::seq_view q, stage::seq_view s,
                              const align_options& opt,
                              const submit_options& so) {
-  return shards_[pick_shard(sequence_hash(q))]->submit(q, s, opt, so);
+  return shards_[pick_shard(q)]->submit(q, s, opt, so);
 }
 
 ticket service_group::submit_strings(std::string_view q, std::string_view s,
@@ -61,10 +61,9 @@ ticket service_group::submit_strings(std::string_view q, std::string_view s,
   // Affinity over the raw query characters: the shard's encode of the
   // same string always produces the same bytes, so raw-char affinity
   // groups repeats exactly like encoded-view affinity does.
-  const auto affinity = sequence_hash(stage::seq_view(
-      reinterpret_cast<const char_t*>(q.data()),
-      static_cast<index_t>(q.size())));
-  return shards_[pick_shard(affinity)]->submit_strings(q, s, opt, so);
+  const stage::seq_view raw(reinterpret_cast<const char_t*>(q.data()),
+                           static_cast<index_t>(q.size()));
+  return shards_[pick_shard(raw)]->submit_strings(q, s, opt, so);
 }
 
 void service_group::shutdown(bool drain) {

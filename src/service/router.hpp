@@ -119,8 +119,8 @@ class service_group {
   }
 
  private:
-  /// Affinity + spill routing decision (lock-free).
-  [[nodiscard]] std::size_t pick_shard(std::uint64_t affinity) const;
+  /// Affinity + spill routing decision for query `q` (lock-free).
+  [[nodiscard]] std::size_t pick_shard(stage::seq_view q) const;
 
   config cfg_;
   std::unique_ptr<response_cache> cache_;

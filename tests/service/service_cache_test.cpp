@@ -3,14 +3,21 @@
 /// (including the int32 reference precision and the bit-parallel engine),
 /// eviction behaviour under capacity pressure, and option
 /// discrimination — equal sequences with different options must never
-/// share an entry.
+/// share an entry — and the spread of the key hash itself.
 
 #include "service/cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <unordered_map>
 #include <vector>
 
+#include "bio/random.hpp"
+#include "bio/read_sim.hpp"
+#include "service/batcher.hpp"
 #include "service/service.hpp"
 #include "testutil.hpp"
 
@@ -212,6 +219,157 @@ TEST(ServiceCacheUnit, ClockEvictionPrefersUnreferencedEntries) {
     cache.insert(view(q), view(s), opt, align(view(q), view(s), opt));
   }
   EXPECT_TRUE(cache.lookup(view(hot_q), view(hot_s), opt, out));
+}
+
+// -------------------------------------------------------------------
+// cache_key_hash spread
+// -------------------------------------------------------------------
+
+/// Every count within ±5% of the counts' mean.
+void expect_balanced(const std::vector<std::size_t>& counts,
+                     const char* what) {
+  std::size_t total = 0;
+  for (const std::size_t c : counts) total += c;
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i)
+    EXPECT_NEAR(static_cast<double>(counts[i]), mean, 0.05 * mean)
+        << what << " bucket " << i;
+}
+
+/// 100k simulated 150 bp read pairs plus every single-base substitution
+/// of one read: no two distinct keys share a 64-bit hash, and the keys
+/// spread evenly over the default cache's shards (high bits) and over
+/// its slot indices (low bits), split as response_cache splits them.
+TEST(ServiceCacheUnit, ReadPairKeysSpreadWithoutCollisions) {
+  bio::genome_params gp;
+  gp.seed = 31;
+  const auto ref = bio::random_genome("hash_spread", gp);
+  const auto pairs = bio::simulate_read_pairs(ref, 100000, {});
+  const align_options opt;
+
+  const auto q0 = pairs[0].first.view();
+  const std::vector<char_t> read(q0.data(), q0.data() + q0.size());
+  std::vector<std::vector<char_t>> edits;
+  for (std::size_t i = 0; i < read.size(); ++i)
+    for (char_t b = 0; b < 4; ++b) {
+      if (b == read[i]) continue;
+      edits.push_back(read);
+      edits.back()[i] = b;
+    }
+  ASSERT_EQ(edits.size(), 3 * read.size());
+
+  struct key {
+    stage::seq_view q, s;
+  };
+  std::vector<key> keys;
+  for (const auto& p : pairs) keys.push_back({p.first.view(), p.second.view()});
+  for (const auto& e : edits) keys.push_back({view(e), pairs[0].second.view()});
+
+  const auto same = [](stage::seq_view a, stage::seq_view b) {
+    return a.size() == b.size() &&
+           std::equal(a.data(), a.data() + a.size(), b.data());
+  };
+  // The default response_cache geometry: 8 shards of 512 slots.
+  constexpr std::size_t shards = 8, slots = 512;
+  std::vector<std::size_t> per_shard(shards), slot_high(8), slot_low(8);
+  std::unordered_map<std::uint64_t, std::size_t> first_with;
+  std::size_t distinct = 0, collisions = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t h = cache_key_hash(keys[i].q, keys[i].s, opt);
+    const auto [it, fresh] = first_with.emplace(h, i);
+    if (!fresh) {
+      const key& k = keys[it->second];
+      if (!same(k.q, keys[i].q) || !same(k.s, keys[i].s)) ++collisions;
+      continue;  // an exact duplicate pair is the same key
+    }
+    ++distinct;
+    ++per_shard[(h >> 48) & (shards - 1)];
+    const std::size_t slot = static_cast<std::size_t>(h) & (slots - 1);
+    ++slot_high[slot / (slots / 8)];
+    ++slot_low[slot % 8];
+  }
+  EXPECT_EQ(collisions, 0u);
+  EXPECT_GT(distinct, 99000u);
+  expect_balanced(per_shard, "shard");
+  expect_balanced(slot_high, "slot index / 64");
+  expect_balanced(slot_low, "slot index % 8");
+}
+
+/// Prefixes of lengths 0..40 of one sequence all hash differently: the
+/// range crosses the 16-byte step and every tail length, and a poly-A
+/// prefix (code 0) differs from its padded shorter prefixes only by its
+/// length.
+TEST(ServiceCacheUnit, EqualPrefixSequencesHashApart) {
+  const align_options opt;
+  const auto other = random_codes(40, 61);
+  const auto distinct = [](const std::vector<std::uint64_t>& hashes) {
+    return std::set<std::uint64_t>(hashes.begin(), hashes.end()).size();
+  };
+  const struct {
+    const char* name;
+    std::vector<char_t> base;
+  } families[] = {{"poly-A", std::vector<char_t>(40, 0)},
+                  {"random", random_codes(40, 60)}};
+  for (const auto& [family, base] : families) {
+    std::vector<std::uint64_t> seq, as_query, as_subject;
+    for (index_t n = 0; n <= 40; ++n) {
+      const stage::seq_view prefix(base.data(), n);
+      seq.push_back(sequence_hash(prefix));
+      as_query.push_back(cache_key_hash(prefix, view(other), opt));
+      as_subject.push_back(cache_key_hash(view(other), prefix, opt));
+    }
+    EXPECT_EQ(distinct(seq), 41u) << family << " sequence_hash";
+    EXPECT_EQ(distinct(as_query), 41u) << family << " query prefixes";
+    EXPECT_EQ(distinct(as_subject), 41u) << family << " subject prefixes";
+  }
+}
+
+/// Changing any one field options_compatible compares changes the key
+/// hash; an equal copy hashes equally.
+TEST(ServiceCacheUnit, EveryComparedOptionFieldChangesTheHash) {
+  const auto q = random_codes(150, 62);
+  const auto s = random_codes(150, 63);
+  align_options base;
+  base.gap_open = -2;
+  align_options with_matrix = base;
+  with_matrix.matrix = dna_matrix_scoring::uniform(2, -1);
+
+  std::vector<std::pair<const char*, align_options>> variants;
+  const auto vary = [&](const char* field, auto&& edit) {
+    align_options o = base;
+    edit(o);
+    variants.emplace_back(field, o);
+  };
+  vary("kind", [](align_options& o) { o.kind = align_kind::local; });
+  vary("want_alignment", [](align_options& o) { o.want_alignment = true; });
+  vary("match", [](align_options& o) { o.match = 3; });
+  vary("mismatch", [](align_options& o) { o.mismatch = -2; });
+  vary("matrix presence", [&](align_options& o) { o = with_matrix; });
+  vary("gap_open", [](align_options& o) { o.gap_open = -3; });
+  vary("gap_extend", [](align_options& o) { o.gap_extend = -2; });
+  vary("exec", [](align_options& o) { o.exec = backend::scalar; });
+  vary("threads", [](align_options& o) { o.threads = 1; });
+  vary("tile", [](align_options& o) { o.tile = 64; });
+  vary("precision",
+       [](align_options& o) { o.precision = score_precision::int32; });
+  vary("full_matrix_cells",
+       [](align_options& o) { o.full_matrix_cells = index_t{1} << 10; });
+
+  const auto key = [&](const align_options& o) {
+    return cache_key_hash(view(q), view(s), o);
+  };
+  const align_options copy = base;
+  EXPECT_EQ(key(copy), key(base));
+  for (const auto& [field, o] : variants) {
+    ASSERT_FALSE(options_compatible(base, o)) << field;
+    EXPECT_NE(key(o), key(base)) << field;
+  }
+  // Matrix tables compare entry by entry.
+  align_options entry = with_matrix;
+  entry.matrix->set(1, 2, -3);
+  ASSERT_FALSE(options_compatible(with_matrix, entry));
+  EXPECT_NE(key(entry), key(with_matrix)) << "matrix entry";
 }
 
 // -------------------------------------------------------------------
