@@ -10,7 +10,9 @@
 ///      synchronous one-call-per-request loop over the same pairs
 ///      (`sync_baseline`), whose checksum it must reproduce.  The
 ///      `cache_lookup_hit` row times `response_cache::lookup` hits on
-///      one thread, in ns per lookup, without the service around it.
+///      one thread, in ns per lookup, without the service around it;
+///      the `submit_get_hit_1` / `_2` rows time submit() plus get() of
+///      the same hits through a service, at 1 and 2 producer threads.
 ///   2. **Shard scaling** — all-distinct (cache-cold) requests through
 ///      1, 2, and 4 shards.  Each shard owns its own admission mutex
 ///      and batcher thread; scaling is bounded by physical cores, so
@@ -36,6 +38,7 @@
 #include <chrono>
 #include <cstdio>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -361,9 +364,9 @@ int main(int argc, char** argv) {
   // lookup is the key hash, the shard lock, the probe walk, the key
   // compare and the copy-out.  Pairs a probe-window collision evicted
   // while warming are dropped from the set, so every timed lookup hits.
+  const auto warm = make_pairs(2048, /*seed=*/12);
   {
     const auto opt = request_options();
-    const auto warm = make_pairs(2048, /*seed=*/12);
     service::response_cache cache(service::response_cache::config{4096, 8});
     for (const auto& p : warm)
       cache.insert(p.first.view(), p.second.view(), opt,
@@ -395,6 +398,71 @@ int main(int argc, char** argv) {
                 {"hot_set", static_cast<double>(hot.size())}});
     std::printf("%-12s : %10.1f ns/lookup  (%zu resident hot pairs)\n",
                 "cache_hit", t.median * per, hot.size());
+  }
+
+  // ---- 1f. cache hits through the service ----------------------------
+  // The same hot set warmed into a service::aligner with the same cache
+  // geometry.  Each timed request is submit() plus get() of a hit, so a
+  // row less cache_lookup_hit is what the request path adds to the
+  // probe, and the two rows tell the path's own cost from what
+  // producers contend for.  Producers (1, or 2 when the cores allow)
+  // walk the hot set from different offsets; ns_per_request is one
+  // producer's time per request.
+  for (const int want : {1, 2}) {
+    const int n = std::min(want, static_cast<int>(cores));
+    const auto opt = request_options();
+    service::config cfg;
+    cfg.max_batch = 64;
+    cfg.max_linger = std::chrono::microseconds(300);
+    cfg.queue_capacity = 1024;
+    cfg.cache_capacity = 4096;
+    cfg.cache_shards = 8;
+    service::aligner svc(cfg);
+    {
+      std::vector<service::ticket> ts;
+      ts.reserve(warm.size());
+      for (const auto& p : warm)
+        ts.push_back(svc.submit(p.first.view(), p.second.view(), opt));
+      for (auto& t : ts) (void)t.get();
+    }
+    std::vector<const bio::read_pair*> hot;
+    alignment_result out;
+    for (const auto& p : warm)
+      if (svc.cache()->lookup(p.first.view(), p.second.view(), opt, out))
+        hot.push_back(&p);
+    const std::size_t per_producer = 16 * total;
+    const auto hits_before = svc.stats().cache_hits;
+    const spread t = timed_spread(a.repeats, [&] {
+      std::vector<std::thread> threads;
+      for (int c = 0; c < n; ++c)
+        threads.emplace_back([&, c] {
+          const std::size_t offset =
+              static_cast<std::size_t>(c) * hot.size() /
+              static_cast<std::size_t>(n);
+          for (std::size_t i = 0; i < per_producer; ++i) {
+            const auto& p = *hot[(offset + i) % hot.size()];
+            (void)svc.submit(p.first.view(), p.second.view(), opt).get();
+          }
+        });
+      for (auto& th : threads) th.join();
+    });
+    const std::uint64_t requests =
+        static_cast<std::uint64_t>(std::max(1, a.repeats)) *
+        static_cast<std::uint64_t>(n) * per_producer;
+    if (svc.stats().cache_hits - hits_before != requests) {
+      std::fprintf(stderr, "FAIL: submit_get_hit requests missed the cache\n");
+      return 1;
+    }
+    const double per = 1e9 / static_cast<double>(per_producer);
+    const std::string name = "submit_get_hit_" + std::to_string(want);
+    report.add(name, t, per_producer * static_cast<std::size_t>(n),
+               {{"ns_per_request", t.median * per},
+                {"min_ns_per_request", t.min * per},
+                {"max_ns_per_request", t.max * per},
+                {"producers", static_cast<double>(n)},
+                {"hot_set", static_cast<double>(hot.size())}});
+    std::printf("%-12s : %10.1f ns/request  (%d producers)\n", name.c_str(),
+                t.median * per, n);
   }
 
   // ---- 2. shard scaling ---------------------------------------------

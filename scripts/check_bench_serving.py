@@ -30,6 +30,10 @@ EXPECTED_ROWS = {
                           "ragged_pair_fraction"],
     "cache_lookup_hit": ["ns_per_lookup", "min_ns_per_lookup",
                          "max_ns_per_lookup", "hot_set"],
+    "submit_get_hit_1": ["ns_per_request", "min_ns_per_request",
+                         "max_ns_per_request", "producers", "hot_set"],
+    "submit_get_hit_2": ["ns_per_request", "min_ns_per_request",
+                         "max_ns_per_request", "producers", "hot_set"],
     "shards_1": ["requests_per_s", "shards", "scaling_vs_1"],
     "shards_2": ["requests_per_s", "shards", "scaling_vs_1"],
     "shards_4": ["requests_per_s", "shards", "scaling_vs_1"],

@@ -188,21 +188,17 @@ bool response_cache::lookup(stage::seq_view q, stage::seq_view s,
                             alignment_result& out) {
   const std::uint64_t h = cache_key_hash(q, s, opt);
   shard& sh = shard_for(h);
-  {
-    std::lock_guard lock(sh.m);
-    const std::size_t base = slot_base(sh, h);
-    for (std::size_t i = 0; i < probe_window; ++i) {
-      entry& e = sh.slots[(base + i) & (slots_per_shard_ - 1)];
-      if (!e.used || e.hash != h) continue;
-      if (!bytes_equal(e.q, q) || !bytes_equal(e.s, s)) continue;
-      if (!options_compatible(e.opt, opt)) continue;
-      e.ref = 1;
-      copy_result(e.result, out);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+  std::lock_guard lock(sh.m);
+  const std::size_t base = slot_base(sh, h);
+  for (std::size_t i = 0; i < probe_window; ++i) {
+    entry& e = sh.slots[(base + i) & (slots_per_shard_ - 1)];
+    if (!e.used || e.hash != h) continue;
+    if (!bytes_equal(e.q, q) || !bytes_equal(e.s, s)) continue;
+    if (!options_compatible(e.opt, opt)) continue;
+    e.ref = 1;
+    copy_result(e.result, out);
+    return true;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
 
@@ -283,8 +279,6 @@ void response_cache::clear() {
 
 cache_stats response_cache::stats() const {
   cache_stats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
   out.insertions = insertions_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
   out.capacity = capacity();

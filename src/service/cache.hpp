@@ -49,9 +49,10 @@
 namespace anyseq::service {
 
 /// Lifetime counters of a response cache (monotonic; relaxed reads).
+/// Hits and misses are the service's to count, per class
+/// (`service_stats::cache_hits` / `cache_misses`): a counter here would
+/// cost every lookup a shared read-modify-write.
 struct cache_stats {
-  std::uint64_t hits = 0;        ///< lookups served from the table
-  std::uint64_t misses = 0;      ///< lookups that found no entry
   std::uint64_t insertions = 0;  ///< results stored (incl. overwrites)
   std::uint64_t evictions = 0;   ///< live entries displaced by the clock
   std::size_t entries = 0;       ///< live entries right now
@@ -124,7 +125,6 @@ class response_cache {
   std::size_t slots_per_shard_ = 0;  ///< power of two
   std::size_t shard_mask_ = 0;
 
-  std::atomic<std::uint64_t> hits_{0}, misses_{0};
   std::atomic<std::uint64_t> insertions_{0}, evictions_{0};
 };
 

@@ -260,7 +260,8 @@ void render_prometheus(const service_stats& s, text_buffer& out) {
       "anyseq_in_flight_batches %llu\n",
       static_cast<u64>(s.in_flight_batches));
   out.printf(
-      "# HELP anyseq_outstanding_tickets Tickets not yet retrieved.\n"
+      "# HELP anyseq_outstanding_tickets Slot-holding tickets not yet "
+      "retrieved.\n"
       "# TYPE anyseq_outstanding_tickets gauge\n"
       "anyseq_outstanding_tickets %llu\n",
       static_cast<u64>(s.outstanding_tickets));

@@ -23,6 +23,9 @@
 ///     needs no second edge: its executor is the batcher itself.
 ///   * The response cache has its own shard locks and is never touched
 ///     while mu_ or a slot mutex is held.
+///   * A score-only hit submitted by view takes neither: it reads
+///     `accepting_`, an atomic written under mu_, and the cache's shard
+///     lock is the only lock it holds.
 ///   * `q_mu_` (quarantine table) is a leaf: taken from submit and the
 ///     executor, never while holding mu_ or a slot mutex and never
 ///     around anything that locks.
@@ -39,6 +42,7 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <new>
 
 #include "core/alphabet.hpp"
@@ -82,18 +86,32 @@ const char* to_string(backpressure p) noexcept {
 // ticket
 // ---------------------------------------------------------------------
 
-ticket::ticket(ticket&& other) noexcept
-    : svc_(other.svc_), slot_(other.slot_), gen_(other.gen_) {
-  other.svc_ = nullptr;
+ticket ticket::value_of(const alignment_result& r) noexcept {
+  constexpr index_t max32 = 0xFFFFFFFF;
+  ticket t;
+  if (r.has_alignment || r.q_begin != 0 || r.s_begin != 0 || r.q_end < 0 ||
+      r.q_end > max32 || r.s_end < 0 || r.s_end > max32 ||
+      !r.q_aligned.empty() || !r.s_aligned.empty() || !r.cigar.empty() ||
+      r.variant == nullptr)
+    return t;
+  // The variant must come back from the name table as an equal string.
+  const std::size_t v = exec_variant_index(r.variant);
+  if (std::strcmp(exec_variant_name(v), r.variant) != 0) return t;
+  t.p_.value = {form::value, static_cast<std::uint8_t>(v), r.score, r.cells,
+                static_cast<std::uint32_t>(r.q_end),
+                static_cast<std::uint32_t>(r.s_end)};
+  return t;
+}
+
+ticket::ticket(ticket&& other) noexcept : p_(other.p_) {
+  other.p_.slot.tag = form::empty;
 }
 
 ticket& ticket::operator=(ticket&& other) noexcept {
   if (this != &other) {
     retire();
-    svc_ = other.svc_;
-    slot_ = other.slot_;
-    gen_ = other.gen_;
-    other.svc_ = nullptr;
+    p_ = other.p_;
+    other.p_.slot.tag = form::empty;
   }
   return *this;
 }
@@ -101,19 +119,22 @@ ticket& ticket::operator=(ticket&& other) noexcept {
 ticket::~ticket() { retire(); }
 
 void ticket::retire() noexcept {
-  if (svc_ == nullptr) return;
-  aligner::slot& sl = svc_->slots_[slot_];
-  aligner* svc = svc_;
-  svc_ = nullptr;
+  if (p_.slot.tag != form::slot) {  // a value holds nothing
+    p_.slot.tag = form::empty;
+    return;
+  }
+  const slot_form h = p_.slot;
+  p_.slot.tag = form::empty;
+  aligner::slot& sl = h.svc->slots_[h.idx];
   std::unique_lock lock(sl.m);
-  if (sl.gen != gen_) return;  // defensive; cannot happen for live tickets
+  if (sl.gen != h.gen) return;  // defensive; cannot happen for live tickets
   if (sl.st == aligner::slot_state::done ||
       sl.st == aligner::slot_state::failed) {
     sl.st = aligner::slot_state::free_slot;
     sl.result = {};
     sl.error = nullptr;
     lock.unlock();
-    svc->release_slot(slot_);
+    h.svc->release_slot(h.idx);
     return;
   }
   // Still in flight (queued, forming, or executing): the completer
@@ -122,11 +143,13 @@ void ticket::retire() noexcept {
 }
 
 bool ticket::wait_until(std::chrono::steady_clock::time_point tp) const {
-  if (svc_ == nullptr)
+  const slot_form& h = p_.slot;
+  if (h.tag == form::empty)
     throw invalid_argument_error("ticket::wait_until on an empty ticket");
-  aligner::slot& sl = svc_->slots_[slot_];
+  if (h.tag == form::value) return true;
+  aligner::slot& sl = h.svc->slots_[h.idx];
   std::unique_lock lock(sl.m);
-  if (sl.gen != gen_)
+  if (sl.gen != h.gen)
     throw invalid_argument_error("ticket::wait_until on a stale ticket");
   return sl.cv.wait_until(lock, tp, [&] {
     return sl.st == aligner::slot_state::done ||
@@ -139,24 +162,36 @@ bool ticket::wait_for(std::chrono::microseconds timeout) const {
 }
 
 bool ticket::ready() const {
-  if (svc_ == nullptr)
+  const slot_form& h = p_.slot;
+  if (h.tag == form::empty)
     throw invalid_argument_error("ticket::ready on an empty ticket");
-  aligner::slot& sl = svc_->slots_[slot_];
+  if (h.tag == form::value) return true;
+  aligner::slot& sl = h.svc->slots_[h.idx];
   std::lock_guard lock(sl.m);
-  return sl.gen == gen_ && (sl.st == aligner::slot_state::done ||
-                            sl.st == aligner::slot_state::failed);
+  return sl.gen == h.gen && (sl.st == aligner::slot_state::done ||
+                             sl.st == aligner::slot_state::failed);
 }
 
 alignment_result ticket::get() {
-  if (svc_ == nullptr)
+  if (p_.slot.tag == form::empty)
     throw invalid_argument_error("ticket::get on an empty ticket");
-  aligner::slot& sl = svc_->slots_[slot_];
-  aligner* svc = svc_;
   alignment_result out;
+  if (p_.slot.tag == form::value) {
+    const value_form& v = p_.value;
+    out.score = v.score;
+    out.q_end = v.q_end;
+    out.s_end = v.s_end;
+    out.cells = v.cells;
+    out.variant = exec_variant_name(v.variant);
+    p_.value.tag = form::empty;
+    return out;
+  }
+  const slot_form h = p_.slot;
+  aligner::slot& sl = h.svc->slots_[h.idx];
   std::exception_ptr err;
   {
     std::unique_lock lock(sl.m);
-    if (sl.gen != gen_)
+    if (sl.gen != h.gen)
       throw invalid_argument_error("ticket::get on a stale ticket");
     sl.cv.wait(lock, [&] {
       return sl.st == aligner::slot_state::done ||
@@ -170,8 +205,8 @@ alignment_result ticket::get() {
     sl.result = {};
     sl.error = nullptr;
   }
-  svc_ = nullptr;
-  svc->release_slot(slot_);
+  p_.slot.tag = form::empty;
+  h.svc->release_slot(h.idx);
   if (err) std::rethrow_exception(err);
   return out;
 }
@@ -446,6 +481,36 @@ ticket aligner::submit_strings(std::string_view q, std::string_view s,
   return submit_impl({}, {}, q, s, /*copy_strings=*/true, opt, so);
 }
 
+aligner::intake aligner::screen(stage::seq_view q, stage::seq_view s,
+                                const align_options& opt,
+                                const submit_options& so,
+                                alignment_result& out, std::uint32_t id) {
+  // Repeat-offender quarantine: one relaxed load on the happy path; the
+  // fingerprint is only computed once an offender actually exists.
+  if (cfg_.quarantine_capacity > 0 &&
+      q_active_.load(std::memory_order_relaxed) > 0 &&
+      is_quarantined(cache_key_hash(q, s, opt))) {
+    quarantined_[static_cast<std::size_t>(so.cls)].fetch_add(
+        1, std::memory_order_relaxed);
+    ANYSEQ_TRACE_MARK(quarantine, id, 0);
+    return intake::quarantined;
+  }
+  if (so.deadline != clock::time_point::max() && skewed_now() >= so.deadline)
+    return intake::expired;
+  if (cache_ == nullptr) return intake::miss;
+  const std::int64_t tr_probe = ANYSEQ_TRACE_NOW();
+  const bool hit = cache_->lookup(q, s, opt, out);
+  ANYSEQ_TRACE_EMIT(cache_probe, id, tr_probe, hit ? 1 : 0);
+  return hit ? intake::hit : intake::miss;
+}
+
+void aligner::count_hit(std::size_t ci, clock::time_point t_submit) noexcept {
+  cache_hits_[ci].fetch_add(1, std::memory_order_relaxed);
+  accepted_[ci].fetch_add(1, std::memory_order_relaxed);
+  completed_[ci].fetch_add(1, std::memory_order_relaxed);
+  hist_[ci].record(ns_between(t_submit, clock::now()));
+}
+
 ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
                             std::string_view q_chars,
                             std::string_view s_chars, bool copy_strings,
@@ -461,6 +526,35 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   if (cfg_.tenant_rate > 0.0 && so.tenant >= cfg_.max_tenants)
     throw invalid_argument_error(
         "service: tenant id must be < config::max_tenants");
+  if (!accepting_.load(std::memory_order_acquire))
+    throw shutdown_error("service: submit after shutdown");
+  const char* const quarantined_msg =
+      "service: request quarantined after repeated isolated failures";
+
+  // A score-only view submission is screened before it takes a slot, so
+  // a cache hit whose result fits a ticket is a value: no slot, no mu_,
+  // no slot mutex, no condition variable.  Cache hits are not charged
+  // against the tenant's quota (quotas meter *work*).  Every other
+  // submission is screened on the slot it fills: submit_strings has its
+  // views only once the slot holds the encoded copies, and a traceback
+  // hit copies its strings into the slot's recycled buffers.
+  const bool screen_first = !copy_strings && !opt.want_alignment;
+  intake in = intake::miss;
+  alignment_result found;
+  clock::time_point t_submit{};
+  if (screen_first) {
+    t_submit = clock::now();
+    in = screen(q, s, opt, so, found, trace::no_slot);
+    if (in == intake::quarantined) throw quarantine_error(quarantined_msg);
+    if (in == intake::hit) {
+      ticket value = ticket::value_of(found);
+      if (value.valid()) {
+        count_hit(ci, t_submit);
+        ANYSEQ_TRACE_EMIT(submit, trace::no_slot, tr_submit, 1);
+        return value;
+      }
+    }
+  }
 
   std::uint32_t idx;
   {
@@ -522,29 +616,25 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   sl.tenant = so.tenant;
   sl.result = {};
   sl.error = nullptr;
-  sl.t_submit = clock::now();
+  sl.t_submit = screen_first ? t_submit : clock::now();
   sl.deadline = so.deadline;
   const std::uint64_t gen = sl.gen;
 
-  // Repeat-offender quarantine: one relaxed load on the happy path; the
-  // fingerprint is only computed once an offender actually exists.
-  // (Checked after the fill because submit_strings' views exist only
-  // now; the slot returns to the freelist, so nothing was consumed.)
-  if (cfg_.quarantine_capacity > 0 &&
-      q_active_.load(std::memory_order_relaxed) > 0 &&
-      is_quarantined(cache_key_hash(sl.q, sl.s, sl.opt))) {
-    quarantined_[ci].fetch_add(1, std::memory_order_relaxed);
-    ANYSEQ_TRACE_MARK(quarantine, idx, 0);
-    return_slot();
-    throw quarantine_error(
-        "service: request quarantined after repeated isolated failures");
+  if (!screen_first) {
+    // The slot returns to the freelist, so a refusal consumed nothing.
+    in = screen(sl.q, sl.s, sl.opt, so, sl.result, idx);
+    if (in == intake::quarantined) {
+      return_slot();
+      throw quarantine_error(quarantined_msg);
+    }
+  } else if (in == intake::hit) {
+    sl.result = std::move(found);  // a hit too wide for a value ticket
   }
 
   // Deadline shed point #1: already expired at submit.  The ticket is
   // still returned — it fails with deadline_error on get() — but the
   // request never enters the admission ring.
-  if (sl.deadline != clock::time_point::max() &&
-      skewed_now() >= sl.deadline) {
+  if (in == intake::expired) {
     accepted_[ci].fetch_add(1, std::memory_order_relaxed);
     deadline_expired_[ci].fetch_add(1, std::memory_order_relaxed);
     complete(idx, {},
@@ -555,26 +645,17 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   }
 
   // Cache front: a hit completes the ticket on the spot — it never
-  // enters the admission ring, never wakes the batcher, and is not
-  // charged against the tenant's quota (quotas meter *work*).
-  if (cache_ != nullptr) {
-    const std::int64_t tr_probe = ANYSEQ_TRACE_NOW();
-    const bool hit = cache_->lookup(sl.q, sl.s, sl.opt, sl.result);
-    ANYSEQ_TRACE_EMIT(cache_probe, idx, tr_probe, hit ? 1 : 0);
-    if (hit) {
-      {
-        std::lock_guard slock(sl.m);
-        sl.st = slot_state::done;
-      }
-      cache_hits_[ci].fetch_add(1, std::memory_order_relaxed);
-      accepted_[ci].fetch_add(1, std::memory_order_relaxed);
-      completed_[ci].fetch_add(1, std::memory_order_relaxed);
-      hist_[ci].record(ns_between(sl.t_submit, clock::now()));
-      ANYSEQ_TRACE_EMIT(submit, idx, tr_submit, 1);
-      return ticket(this, idx, gen);
+  // enters the admission ring and never wakes the batcher.
+  if (in == intake::hit) {
+    {
+      std::lock_guard slock(sl.m);
+      sl.st = slot_state::done;
     }
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    count_hit(ci, sl.t_submit);
+    ANYSEQ_TRACE_EMIT(submit, idx, tr_submit, 1);
+    return ticket(this, idx, gen);
   }
+  if (cache_ != nullptr) cache_misses_.fetch_add(1, std::memory_order_relaxed);
 
   sl.rt = classify(sl.q, sl.s, opt);
 

@@ -19,11 +19,13 @@
 /// On top of the batching core sits the serving tier:
 ///
 ///   * **Response cache** (service/cache.hpp).  With `cache_capacity > 0`
-///     (or a router-shared cache), `submit()` first probes the cache;
-///     a hit copies the stored result into the ticket's slot and
-///     completes immediately — it never enters the admission ring, never
-///     wakes the batcher, and costs no quota token.  Misses execute
-///     normally and are inserted on completion.
+///     (or a router-shared cache), `submit()` first probes the cache; a
+///     hit completes immediately — it never enters the admission ring,
+///     never wakes the batcher, and costs no quota token.  A score-only
+///     hit submitted by view is a value ticket that carries its result
+///     and takes no slot; any other hit (traceback, `submit_strings`)
+///     is copied into the ticket's slot.  Misses execute normally and are
+///     inserted on completion.
 ///   * **Priority classes** (telemetry.hpp `request_class`).  Each class
 ///     has its own admission ring; the batcher serves `interactive`
 ///     strictly before `bulk`, and an interactive arrival cuts a forming
@@ -70,8 +72,9 @@
 ///     free.
 ///
 /// Admission is bounded: at most `config::queue_capacity` requests wait
-/// in each class queue and at most `config::max_outstanding` tickets can
-/// be unretrieved at once.  When a bound is hit the configured
+/// in each class queue and at most `config::max_outstanding` slot-holding
+/// tickets can be unretrieved at once (value tickets hold no slot and are
+/// not counted).  When a bound is hit the configured
 /// backpressure policy applies — block the submitter, reject with a
 /// typed error, or shed the oldest queued request of the same class.
 /// All request bookkeeping lives in rings and slot arrays sized once at
@@ -213,6 +216,8 @@ struct config {
   std::size_t queue_capacity = 1024;
   /// Bound on unretrieved tickets (0 = 4 * queue_capacity).  This is
   /// also the slot-array size: a ticket holds its slot until `get()`.
+  /// Value tickets (score-only cache hits submitted by view) hold no slot
+  /// and do not count against it.
   std::size_t max_outstanding = 0;
   backpressure policy = backpressure::block;
   /// Batches executing concurrently on the pool (0 = pool size).
@@ -263,6 +268,11 @@ class aligner;
 /// request: the service still executes it and recycles its slot as soon
 /// as the result lands (so view-based submissions must keep their
 /// buffers alive — see the lifetime rules above).
+///
+/// A score-only cache hit submitted by view is a *value ticket*: it
+/// carries the result itself, holds no slot, and is ready when made —
+/// `ready()` and `wait_*()` return true at once and abandoning it costs
+/// nothing.
 class ticket {
  public:
   ticket() noexcept = default;
@@ -273,7 +283,9 @@ class ticket {
   ticket& operator=(const ticket&) = delete;
 
   /// False for default-constructed, moved-from, or consumed tickets.
-  [[nodiscard]] bool valid() const noexcept { return svc_ != nullptr; }
+  [[nodiscard]] bool valid() const noexcept {
+    return p_.slot.tag != form::empty;
+  }
 
   /// True once the result (or error) is available; `get()` won't block.
   [[nodiscard]] bool ready() const;
@@ -294,16 +306,49 @@ class ticket {
 
  private:
   friend class aligner;
+
+  enum class form : std::uint8_t { empty, slot, value };
+
+  /// A request held in a service slot.
+  struct slot_form {
+    form tag;
+    std::uint32_t idx;
+    aligner* svc;
+    std::uint64_t gen;
+  };
+  /// A score-only result held inline: begins are 0, no strings, no
+  /// traceback.  `variant` indexes exec_variant_name's engine names.
+  struct value_form {
+    form tag;
+    std::uint8_t variant;
+    score_t score;
+    std::uint64_t cells;
+    std::uint32_t q_end, s_end;
+  };
+
   ticket(aligner* svc, std::uint32_t slot, std::uint64_t gen) noexcept
-      : svc_(svc), slot_(slot), gen_(gen) {}
+      : p_{slot_form{form::slot, slot, svc, gen}} {}
+
+  /// The value form of `r` when `r` has its shape — score-only, both
+  /// ends within 32 bits, a variant in the engine-name table — else an
+  /// empty ticket.
+  [[nodiscard]] static ticket value_of(const alignment_result& r) noexcept;
 
   /// Release or abandon the held request (dtor / move-assign).
   void retire() noexcept;
 
-  aligner* svc_ = nullptr;
-  std::uint32_t slot_ = 0;
-  std::uint64_t gen_ = 0;
+  // Both forms start with `tag` (a common initial sequence), so it reads
+  // through either member; a move copies the union whole.
+  union payload {
+    slot_form slot;
+    value_form value;
+  };
+  payload p_{};
 };
+// perfbench's mixed_open sizes two in-flight ticket arrays to its whole
+// schedule: a ticket that also held a full alignment_result (160 bytes)
+// raised that workload's peak RSS from 57 to 82 MB in 8 s runs.
+static_assert(sizeof(ticket) == 24, "ticket size shows up in peak RSS");
 
 /// The asynchronous alignment service.  Thread-safe: any number of
 /// producer threads may submit concurrently.
@@ -452,6 +497,17 @@ class aligner {
                      std::string_view q_chars, std::string_view s_chars,
                      bool copy_strings, const align_options& opt,
                      const submit_options& so);
+  /// What submit's checks found, in the order it runs them.
+  enum class intake : std::uint8_t { quarantined, expired, hit, miss };
+  /// Check one request against the quarantine, then its deadline, then
+  /// probe the cache; a hit's result lands in `out`.  `id` tags the trace
+  /// events: the request's slot index, or trace::no_slot.
+  intake screen(stage::seq_view q, stage::seq_view s, const align_options& opt,
+                const submit_options& so, alignment_result& out,
+                std::uint32_t id);
+  /// Count a cache hit of class `ci` as accepted and completed.
+  void count_hit(std::size_t ci,
+                 std::chrono::steady_clock::time_point t_submit) noexcept;
   /// Batcher thread body: runs batcher_iteration until it reports the
   /// service stopped and drained.  An exception from an iteration fails
   /// the members it had collected and the loop carries on.
@@ -539,7 +595,8 @@ class aligner {
   std::vector<std::uint32_t> free_ws_;
   std::vector<token_bucket> buckets_;  ///< per-tenant quota state
   std::size_t inflight_ = 0;
-  bool accepting_ = true;
+  /// Written under mu_; a score-only hit reads it without mu_.
+  std::atomic<bool> accepting_{true};
   bool stopping_ = false;
 
   /// Repeat-offender quarantine: a fixed table of (fingerprint, solo

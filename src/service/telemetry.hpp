@@ -137,7 +137,8 @@ struct service_stats {
 
   std::size_t queue_depth = 0;          ///< requests waiting in admission
   std::size_t in_flight_batches = 0;    ///< batches executing right now
-  std::size_t outstanding_tickets = 0;  ///< tickets not yet retrieved
+  /// Slot-holding tickets not yet retrieved (value tickets hold none).
+  std::size_t outstanding_tickets = 0;
 
   [[nodiscard]] const class_stats& of(request_class c) const noexcept {
     return per_class[static_cast<std::size_t>(c)];

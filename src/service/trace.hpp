@@ -80,6 +80,11 @@ enum class instant : std::uint8_t {
 };
 inline constexpr std::size_t n_instants = 4;
 
+/// Event id of request work done before the request holds a slot: the
+/// cache probe and quarantine check of a score-only view submission,
+/// and the submit span of a hit served as a value ticket.
+inline constexpr std::uint32_t no_slot = 0xFFFFFFFFu;
+
 [[nodiscard]] const char* to_string(span s) noexcept;
 [[nodiscard]] const char* to_string(instant i) noexcept;
 

@@ -3,15 +3,19 @@
 /// (including the int32 reference precision and the bit-parallel engine),
 /// eviction behaviour under capacity pressure, and option
 /// discrimination — equal sequences with different options must never
-/// share an entry — and the spread of the key hash itself.
+/// share an entry — the spread of the key hash itself, and value
+/// tickets: score-only hits that carry their result and hold no slot.
 
 #include "service/cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -107,8 +111,6 @@ TEST(ServiceCacheUnit, InsertLookupRoundTrip) {
   expect_identical(out, want);
 
   const auto st = cache.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.insertions, 1u);
   EXPECT_EQ(st.entries, 1u);
 }
@@ -511,6 +513,179 @@ TEST(ServiceCache, StringSubmissionsShareEntriesWithViews) {
   const auto r2 = t2.get();
   expect_identical(r2, r1);
   EXPECT_EQ(svc.stats().cache_hits, 1u);
+}
+
+// -------------------------------------------------------------------
+// Value tickets: score-only hits submitted by view hold no slot
+// -------------------------------------------------------------------
+
+config with_cache(config cfg) {
+  cfg.cache_capacity = 16;
+  return cfg;
+}
+
+/// A cached service with one score-only pair already resident.
+struct warm_service {
+  explicit warm_service(const config& cfg = {}) : svc(with_cache(cfg)) {
+    auto t = svc.submit(view(q), view(s));
+    want = t.get();
+  }
+  std::vector<char_t> q = random_codes(60, 81);
+  std::vector<char_t> s = mutate(q, 82);
+  aligner svc;
+  alignment_result want;
+};
+
+TEST(ServiceValueTicket, IsReadyAtOnceAndHoldsNoSlot) {
+  warm_service w;
+  auto t = w.svc.submit(view(w.q), view(w.s));
+  ASSERT_TRUE(t.valid());
+  EXPECT_EQ(w.svc.stats().outstanding_tickets, 0u);
+  EXPECT_TRUE(t.ready());
+  EXPECT_TRUE(t.wait_for(std::chrono::microseconds(0)));
+  EXPECT_TRUE(t.wait_until(std::chrono::steady_clock::time_point::min()));
+  expect_identical(t.get(), w.want);
+  EXPECT_FALSE(t.valid());
+  EXPECT_EQ(w.svc.stats().cache_hits, 1u);
+}
+
+TEST(ServiceValueTicket, MovesAndAbandonmentHoldNoSlot) {
+  warm_service w;
+  {
+    auto a = w.svc.submit(view(w.q), view(w.s));
+    ticket b(std::move(a));
+    EXPECT_FALSE(a.valid());
+    ASSERT_TRUE(b.valid());
+    ticket c;
+    c = std::move(b);
+    EXPECT_FALSE(b.valid());
+    ASSERT_TRUE(c.valid());
+    c = w.svc.submit(view(w.q), view(w.s));  // retires the first hit
+    EXPECT_EQ(w.svc.stats().outstanding_tickets, 0u);
+  }  // destroyed without get()
+  const auto st = w.svc.stats();
+  EXPECT_EQ(st.outstanding_tickets, 0u);
+  EXPECT_EQ(st.cache_hits, 2u);
+  EXPECT_EQ(st.completed, st.accepted);
+}
+
+TEST(ServiceValueTicket, SecondGetThrows) {
+  warm_service w;
+  auto t = w.svc.submit(view(w.q), view(w.s));
+  (void)t.get();
+  EXPECT_THROW((void)t.get(), invalid_argument_error);
+  EXPECT_THROW((void)t.ready(), invalid_argument_error);
+}
+
+/// Value tickets do not count against max_outstanding: with the only
+/// slot held by an unretrieved miss, a hit still succeeds while another
+/// miss is refused.
+TEST(ServiceValueTicket, HitSucceedsWhileTheSlotBoundIsFull) {
+  config cfg;
+  cfg.queue_capacity = 1;
+  cfg.max_outstanding = 1;
+  cfg.policy = backpressure::reject;
+  warm_service w(cfg);
+  const auto q2 = random_codes(60, 83);
+  const auto q3 = random_codes(60, 84);
+  auto held = w.svc.submit(view(q2), view(w.s));  // a miss: takes the slot
+  EXPECT_THROW((void)w.svc.submit(view(q3), view(w.s)), queue_full_error);
+  auto hit = w.svc.submit(view(w.q), view(w.s));
+  expect_identical(hit.get(), w.want);
+  expect_identical(held.get(), align(view(q2), view(w.s), {}));
+}
+
+TEST(ServiceValueTicket, HitAfterShutdownThrows) {
+  warm_service w;
+  w.svc.shutdown(true);
+  EXPECT_THROW((void)w.svc.submit(view(w.q), view(w.s)), shutdown_error);
+}
+
+/// Producers submitting hits race a shutdown: each submission either
+/// serves its result or throws shutdown_error, and every served hit is
+/// counted once.
+TEST(ServiceValueTicket, HitsRacingShutdownServeOrRefuse) {
+  warm_service w;
+  constexpr int producers = 3, per_producer = 2000;
+  std::atomic<std::uint64_t> served{0}, refused{0}, wrong{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < producers; ++c)
+    threads.emplace_back([&] {
+      for (int i = 0; i < per_producer; ++i) {
+        try {
+          auto t = w.svc.submit(view(w.q), view(w.s));
+          if (t.get().score != w.want.score) ++wrong;
+          ++served;
+        } catch (const shutdown_error&) {
+          ++refused;
+        }
+      }
+    });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  w.svc.shutdown(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(served + refused, std::uint64_t{producers * per_producer});
+  EXPECT_EQ(w.svc.stats().cache_hits, served.load());
+}
+
+TEST(ServiceValueTicket, VariantNamesTheEngine) {
+  warm_service w;
+  const auto fresh = align(view(w.q), view(w.s), {});
+  ASSERT_NE(fresh.variant, nullptr);
+  auto t = w.svc.submit(view(w.q), view(w.s));
+  const auto got = t.get();
+  EXPECT_STREQ(got.variant, fresh.variant);
+  EXPECT_STREQ(w.want.variant, fresh.variant);
+}
+
+/// A cached score-only result a ticket cannot hold inline — an end past
+/// 32 bits, a nonzero begin, or a variant outside the engine-name table —
+/// is served through a slot, field for field.
+TEST(ServiceValueTicket, ResultsTooWideForAValueTakeTheSlotPath) {
+  const auto q = random_codes(40, 85);
+  const auto s = random_codes(40, 86);
+  const align_options opt;
+  alignment_result base;
+  base.score = 7;
+  base.q_end = 40;
+  base.s_end = 9;
+  base.cells = 123;
+  base.variant = "avx2";
+  std::vector<std::pair<const char*, alignment_result>> cases;
+  const auto add = [&](const char* what, auto&& edit) {
+    alignment_result r = base;
+    edit(r);
+    cases.emplace_back(what, r);
+  };
+  add("q_end >= 2^32 and gpu_sim", [](alignment_result& r) {
+    r.q_end = (index_t{1} << 32) + 5;
+    r.variant = "gpu_sim";
+  });
+  add("q_end >= 2^32", [](alignment_result& r) { r.q_end = index_t{1} << 32; });
+  add("s_end >= 2^32", [](alignment_result& r) { r.s_end = index_t{1} << 32; });
+  add("q_begin != 0", [](alignment_result& r) { r.q_begin = 3; });
+  add("s_begin != 0", [](alignment_result& r) { r.s_begin = 4; });
+  add("fpga_sim", [](alignment_result& r) { r.variant = "fpga_sim"; });
+  add("no variant", [](alignment_result& r) { r.variant = nullptr; });
+  for (const auto& [what, fabricated] : cases) {
+    response_cache cache(response_cache::config{64, 1});
+    cache.insert(view(q), view(s), opt, fabricated);
+    config cfg;
+    cfg.shared_cache = &cache;
+    aligner svc(cfg);
+    auto t = svc.submit(view(q), view(s), opt);
+    EXPECT_EQ(svc.stats().outstanding_tickets, 1u) << what;
+    const auto got = t.get();
+    expect_identical(got, fabricated);
+    if (fabricated.variant == nullptr)
+      EXPECT_EQ(got.variant, nullptr) << what;
+    else
+      EXPECT_STREQ(got.variant, fabricated.variant) << what;
+    const auto st = svc.stats();
+    EXPECT_EQ(st.cache_hits, 1u) << what;
+    EXPECT_EQ(st.outstanding_tickets, 0u) << what;
+  }
 }
 
 /// A service without a cache behaves exactly as before: no counters
