@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Codegen guard for the SIMD kernels' column loops (docs/DESIGN.md §8
-# and §10).
+# Codegen guard for the SIMD kernels' column loops (docs/DESIGN.md §8,
+# §10 and §11).
 #
-# Disassembles two AVX-512 kernels in libanyseq.a:
+# Disassembles three AVX-512 kernels in libanyseq.a:
 #
 #   * chunk: ragged_chunk_score<global, short, 32, affine_gap,
 #     simple_scoring>, the inter-sequence chunk kernel;
 #   * striped: striped_pass<global, 32, affine_gap, simple_scoring,
-#     frontier_io>, the striped tile pass (both sequence views).
+#     frontier_io>, the striped tile pass (both sequence views);
+#   * antidiag: antidiag_pass<ad_regs<pack<short, 32>>, affine_gap,
+#     simple_scoring>, the band pass's single-pack anti-diagonal sweep
+#     (its loops count as column loops here).
 #
 # In each it finds the column loops — the innermost loops that run a max
 # chain (vpmaxsw) — and fails if a loop
@@ -15,8 +18,8 @@
 #   1. loads a vector from the stack (a `v*` instruction reading an
 #      %rsp-relative operand): a loop-carried pack (F, H-left) or a
 #      relax temporary spilled and reloaded every cell; or
-#   2. contains vpmovm2w / vpmovw2m: a comparison's k-mask widened into a
-#      vector and narrowed back before its blend; or
+#   2. (chunk and striped) contains vpmovm2w / vpmovw2m: a comparison's
+#      k-mask widened into a vector and narrowed back before its blend; or
 #   3. (striped only) issues more zmm ALU instructions (a `v*` other than
 #      a move, with a zmm operand) per stripe vector than the row-biased
 #      frame needs: 8 in pass 1, the loop with the substitution compare
@@ -24,7 +27,11 @@
 #
 # Each costs the kernel its register-resident recurrence or its op
 # budget; the first two went unnoticed for many changes before this
-# guard existed.  The report prints each loop's instruction count, zmm
+# guard existed.  The anti-diagonal sweep is held to rule 1 alone: its
+# predecessor bytes come from relax's vector masks, and its two previous
+# anti-diagonals must stay in registers — a version that reloaded the
+# previous anti-diagonal at a one-lane offset took ~16k cycles per
+# 150 bp pass against ~9k (store-forwarding stalls).  The report prints each loop's instruction count, zmm
 # ALU count and stack accesses (stores included) for each instantiation
 # found.  A loop the compiler unrolls counts its ALU instructions per
 # iteration, so an unrolled pass fails rule 3 until the limits follow.
@@ -37,7 +44,8 @@
 #
 # --self-test feeds the audit canned listings: clean loops that must
 # pass, and loops with a stack reload, a mask round trip, an op over the
-# striped budget, or no kernel loop at all, each of which must fail.
+# striped budget, or no kernel loop at all, each of which must fail (a
+# mask round trip passes in the anti-diagonal sweep).
 
 set -euo pipefail
 
@@ -46,9 +54,10 @@ OBJDUMP="${OBJDUMP:-objdump}"
 
 CHUNK_RE='anyseq::v_avx512::tiled::ragged_chunk_score<\(anyseq::align_kind\)0, short, 32, anyseq::affine_gap, anyseq::simple_scoring,'
 STRIPED_RE='anyseq::v_avx512::tiled::striped_detail::striped_pass<\(anyseq::align_kind\)0, 32, anyseq::affine_gap, anyseq::simple_scoring, anyseq::v_avx512::tiled::striped_detail::frontier_io<'
+ANTIDIAG_RE='anyseq::v_avx512::detail::antidiag_pass<anyseq::v_avx512::detail::ad_regs<anyseq::v_avx512::simd::pack<short, 32> >, anyseq::affine_gap, anyseq::simple_scoring, short>'
 
 # The audit proper: reads `objdump -d --no-show-raw-insn` output on stdin;
-# $1 names the kernel (chunk or striped).
+# $1 names the kernel (chunk, striped or antidiag).
 audit() {
   awk -v kernel="$1" '
   function hex(s,    i, c, v) {
@@ -99,7 +108,7 @@ audit() {
         printf "VIOLATION: %d %%rsp-relative vector load(s) in the column loop\n", loads
         bad++
       }
-      if (trips > 0) {
+      if (trips > 0 && kernel != "antidiag") {
         printf "VIOLATION: %d vpmovm2w/vpmovw2m in the column loop\n", trips
         bad++
       }
@@ -184,6 +193,33 @@ clean_listing() {
 EOF
 }
 
+# The anti-diagonal sweep's loop, shaped like the real one: the shift,
+# relax with its k-mask round trips (allowed here), the predecessor
+# bytes' narrowing store.
+antidiag_listing() {
+  cat <<'EOF'
+0000000000000000 <sweep>:
+ 7e0:	vmovdqu16 (%rdx,%rax,2),%zmm3
+ 7e7:	vpermt2w %zmm12,%zmm22,%zmm2
+ 7ed:	vpaddsw %zmm2,%zmm14,%zmm4
+ 7f3:	vpaddsw %zmm6,%zmm15,%zmm5
+ 7f9:	vpcmpgtw %zmm4,%zmm5,%k1
+ 800:	vpmaxsw %zmm4,%zmm5,%zmm6
+ 806:	vpmovm2w %k1,%zmm7
+ 80c:	vpcmpeqw (%rsi,%rax,2),%zmm3,%k2
+ 813:	vpblendmw %zmm9,%zmm10,%zmm8{%k2}
+ 819:	vpaddsw %zmm8,%zmm1,%zmm8
+ 81f:	vpmovw2m %zmm7,%k3
+ 825:	vpblendmw %zmm11,%zmm13,%zmm0{%k3}
+ 82b:	vpmovwb %zmm0,%ymm0
+ 831:	vmovdqu %ymm0,(%r8,%rcx,1)
+ 836:	vmovdqa64 %zmm6,%zmm1
+ 83c:	add    $0x2,%rcx
+ 840:	cmp    %rcx,%r9
+ 843:	jg     7e0 <sweep+0x7e0>
+EOF
+}
+
 # The striped pass's two column loops within budget: pass 1 with 8 zmm
 # ALU instructions (the substitution compare among them), pass 2 with 3.
 striped_listing() {
@@ -252,6 +288,12 @@ self_test() {
     expect fail "stack reload in pass 2" striped
   striped_listing | sed '/^ 6a1:/,/^ 6da:/d' |
     expect fail "listing without pass 2" striped
+  antidiag_listing | expect pass "anti-diagonal sweep in registers" antidiag
+  antidiag_listing |
+    sed 's/^ 7ed:.*/ 7ed:\tvpaddsw 0x80(%rsp),%zmm14,%zmm4/' |
+    expect fail "anti-diagonal sweep reloading H(r-1) from the stack" antidiag
+  antidiag_listing | grep -v vpmaxsw |
+    expect fail "listing without the anti-diagonal sweep" antidiag
   echo "codegen self-test OK: violations are detected, clean loops pass"
 }
 
@@ -292,5 +334,8 @@ audit_lib chunk "$CHUNK_RE" \
   status=1
 audit_lib striped "$STRIPED_RE" \
   "striped_pass<global, 32, affine_gap, simple_scoring, frontier_io>" ||
+  status=1
+audit_lib antidiag "$ANTIDIAG_RE" \
+  "antidiag_pass<ad_regs<pack<short, 32>>, affine_gap, simple_scoring>" ||
   status=1
 exit "$status"

@@ -13,12 +13,15 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define ANYSEQ_INLINE inline __attribute__((always_inline))
+/// A lambda's always_inline, written after its parameter list.
+#define ANYSEQ_INLINE_LAMBDA __attribute__((always_inline))
 #define ANYSEQ_NOINLINE __attribute__((noinline))
 #define ANYSEQ_RESTRICT __restrict__
 #define ANYSEQ_LIKELY(x) __builtin_expect(!!(x), 1)
 #define ANYSEQ_UNLIKELY(x) __builtin_expect(!!(x), 0)
 #else
 #define ANYSEQ_INLINE inline
+#define ANYSEQ_INLINE_LAMBDA
 #define ANYSEQ_NOINLINE
 #define ANYSEQ_RESTRICT
 #define ANYSEQ_LIKELY(x) (x)

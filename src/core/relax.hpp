@@ -11,6 +11,9 @@
 /// partially evaluating one generic relax function into each residual
 /// program.
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "core/gap.hpp"
 #include "core/ops.hpp"
 #include "core/types.hpp"
@@ -112,16 +115,19 @@ template <align_kind K, bool Track, class S, class P, class C, class Gap,
     if constexpr (K == align_kind::local) h = vmax(h, nu);
     out.h = h;
   } else {
+    // Each strict comparison picks the byte; the value it selects is the
+    // maximum either way, so H takes vmax and the masks stay off the H
+    // chain a sweep carries from cell to cell.
     P pr = vbroadcast<P>(pred::diag);
     const M sgap = vgt(out.e, h);  // "subject gap" branch of the listing
-    h = vselect(sgap, out.e, h);
+    h = vmax(out.e, h);
     pr = vselect(sgap, vbroadcast<P>(pred::up), pr);
     const M qgap = vgt(out.f, h);  // "query gap" branch
-    h = vselect(qgap, out.f, h);
+    h = vmax(out.f, h);
     pr = vselect(qgap, vbroadcast<P>(pred::left), pr);
     if constexpr (K == align_kind::local) {
       const M clamped = vgt(nu, h);
-      h = vselect(clamped, nu, h);
+      h = vmax(nu, h);
       pr = vselect(clamped, vbroadcast<P>(pred::stop), pr);
     }
     if constexpr (Gap::kind == gap_kind::affine) {
@@ -141,6 +147,17 @@ template <align_kind K, bool Track, class S, class P, class C, class Gap,
                                                   C sc, const Gap& gap,
                                                   const Scoring& scoring) noexcept {
   return relax<K, Track, S, P, C>(p, qc, sc, gap, scoring, vbroadcast<S>(0));
+}
+
+/// Worst per-cell score delta of one relax step under (gap, scoring) —
+/// the `unit` of the (n + m + 2) * unit bound (fits_score_window) and of
+/// the checked kernel's saturation watermarks.
+template <class Gap, class Scoring>
+[[nodiscard]] inline score_t unit_step(const Gap& gap,
+                                       const Scoring& scoring) noexcept {
+  return std::max(scoring.max_abs_unit(),
+                  std::max<score_t>(std::abs(gap.open_extend()),
+                                    std::abs(gap.extend())));
 }
 
 /// Scalar convenience instantiation used by the reference engines.

@@ -242,6 +242,18 @@ template <int S, class T, int W>
   return r;
 }
 
+/// Lane shift toward lower indices: lane i takes lane i + S, the S
+/// highest lanes take `fill`.  The anti-diagonal band pass's carry
+/// (core/banded.hpp), mirroring vshift_up.
+template <int S, class T, int W>
+[[nodiscard]] ANYSEQ_INLINE pack<T, W> vshift_down(pack<T, W> a,
+                                                   T fill) noexcept {
+  static_assert(S > 0 && S < W, "shift must move lanes inside the pack");
+  pack<T, W> r;
+  for (int i = 0; i < W; ++i) r.v[i] = i + S < W ? a.v[i + S] : fill;
+  return r;
+}
+
 /// Per-lane substitution-table gather (paper: matrix scoring on SIMD).
 template <any_pack P, class T, int W>
 [[nodiscard]] ANYSEQ_INLINE P vlookup(const score_t* table, int stride,
@@ -315,6 +327,25 @@ template <int S>
   } else {
     return from_reg(_mm256_alignr_epi8(t, _mm256_set1_epi16(fill),
                                        32 - 2 * S));
+  }
+}
+
+/// vshift_down across the two 128-bit halves: `t` holds [a.hi | fill],
+/// and a per-half byte align pulls the high half's bottom lanes into the
+/// low half (and fill into the high half).
+template <int S>
+[[nodiscard]] ANYSEQ_INLINE s16x16 vshift_down(s16x16 a,
+                                               score16_t fill) noexcept {
+  static_assert(S > 0 && S < 16, "shift must move lanes inside the pack");
+  const __m256i r = to_reg(a);
+  const __m256i f = _mm256_set1_epi16(fill);
+  const __m256i t = _mm256_permute2x128_si256(r, f, 0x21);
+  if constexpr (S == 8) {
+    return from_reg(t);
+  } else if constexpr (S < 8) {
+    return from_reg(_mm256_alignr_epi8(t, r, 2 * S));
+  } else {
+    return from_reg(_mm256_alignr_epi8(f, t, 2 * S - 16));
   }
 }
 
@@ -443,6 +474,22 @@ template <int S>
   }();
   return from_reg(_mm512_permutex2var_epi16(
       _mm512_set1_epi16(fill), _mm512_load_si512(kIdx.data()), to_reg(a)));
+}
+
+/// vshift_down as the mirrored vpermt2w: lane i reads `a` lane i + S
+/// (table 1) or, from lane 32 - S up, the broadcast fill (table 2).
+template <int S>
+[[nodiscard]] ANYSEQ_INLINE s16x32 vshift_down(s16x32 a,
+                                               score16_t fill) noexcept {
+  static_assert(S > 0 && S < 32, "shift must move lanes inside the pack");
+  alignas(64) static constexpr std::array<score16_t, 32> kIdx = [] {
+    std::array<score16_t, 32> idx{};
+    for (int i = 0; i < 32; ++i)
+      idx[i] = static_cast<score16_t>(i + S < 32 ? i + S : 32);
+    return idx;
+  }();
+  return from_reg(_mm512_permutex2var_epi16(
+      to_reg(a), _mm512_load_si512(kIdx.data()), _mm512_set1_epi16(fill)));
 }
 
 [[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s8x64& p) noexcept {

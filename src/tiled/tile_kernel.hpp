@@ -27,16 +27,7 @@ namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
 namespace tiled {
 
-/// Worst per-cell score delta of one relax step under (gap, scoring) —
-/// the `unit` of the (n + m + 2) * unit bound and of the checked
-/// kernel's saturation watermarks.
-template <class Gap, class Scoring>
-[[nodiscard]] inline score_t unit_step(const Gap& gap,
-                                       const Scoring& scoring) noexcept {
-  return std::max(scoring.max_abs_unit(),
-                  std::max<score_t>(std::abs(gap.open_extend()),
-                                    std::abs(gap.extend())));
-}
+using ::anyseq::unit_step;
 
 /// Best end-cell candidate seen so far (local/semiglobal/extension
 /// optima).  Equal scores resolve to the lower `tile_geometry::rank`,

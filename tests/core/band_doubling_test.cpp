@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -103,8 +104,20 @@ std::pair<std::vector<char_t>, std::vector<char_t>> trimmed_read_pair(
   return {trim(base), trim(mate)};
 }
 
+/// A copy of `src` with `d` random codes spliced in a third of the way
+/// along: a pair of the two runs off the main diagonal by d.
+std::vector<char_t> with_block(std::vector<char_t> src, std::size_t d,
+                               std::uint64_t seed) {
+  const auto block = test::random_codes(d, seed);
+  src.insert(src.begin() + static_cast<std::ptrdiff_t>(src.size() / 3),
+             block.begin(), block.end());
+  return src;
+}
+
 /// The sweep's pairs: trimmed reads, 15% and 35% edits, unrelated pairs
-/// (which force doubling and the full-matrix fallback), and n or m = 1.
+/// (which force doubling and the full-matrix fallback), n or m = 1,
+/// pairs skewed by 20..70 bases, reads with runs of N, and the int16
+/// window's edge.
 std::vector<std::pair<std::vector<char_t>, std::vector<char_t>>>
 oracle_pairs() {
   std::vector<std::pair<std::vector<char_t>, std::vector<char_t>>> out;
@@ -121,6 +134,35 @@ oracle_pairs() {
     out.emplace_back(one, other);
     out.emplace_back(other, one);
   }
+  // |m - n| = 20..70 both ways round, at ~1%, ~6% and ~14% edits: an
+  // anti-diagonal of the band spans two or more packs on 16 and 32
+  // lanes, and the edited pairs certify only at radius 16, 32 or 64.
+  const double sub[] = {0.01, 0.04, 0.08}, indel[] = {0.0, 0.01, 0.03};
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    const auto q = test::random_codes(300 + 20 * k, 8000 + k);
+    const auto s = with_block(test::mutate(q, 8100 + k, sub[k % 3],
+                                           indel[k % 3]),
+                              20 + 10 * k, 8200 + k);
+    out.emplace_back(q, s);
+    out.emplace_back(s, q);
+  }
+  // Reads with runs of N: N against N is a match under simple scoring
+  // and scores 0 under the matrix.
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    auto q = test::random_codes(150, 8300 + k);
+    auto s = test::mutate(q, 8400 + k, 0.02, 0.01);
+    std::fill_n(q.begin() + 40, 12 + 6 * k, dna_n);
+    std::fill_n(s.begin() + 90, 8, dna_n);
+    out.emplace_back(q, s);
+  }
+  // The int16 window's edge at unit 7 (affine_1_3_5_2 and matrix, whose
+  // open + extend is -7): (n + m + 2) * 7 < 28000 admits n + m = 3997 on
+  // int16 lanes; n + m = 3998 runs on int32 lanes.
+  const auto edge = test::random_codes(1999, 8500);
+  const auto edge_mate = test::mutate(edge, 8501, 0.02, 0.0);
+  out.emplace_back(std::vector<char_t>(edge.begin(), edge.end() - 1),
+                   edge_mate);
+  out.emplace_back(edge, edge_mate);
   return out;
 }
 

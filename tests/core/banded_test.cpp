@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "anyseq/anyseq.hpp"
 #include "core/full_engine.hpp"
 #include "testutil.hpp"
 
@@ -112,6 +116,59 @@ TEST(Banded, IdenticalSequencesNarrowestBand) {
   const auto v = banded_global_score(view(q), view(q), linear_gap{-1},
                                      simple_scoring{2, -1}, b);
   EXPECT_EQ(v, 200);  // all matches fit in the zero-width band
+}
+
+TEST(Banded, NarrowBandsMatchTheRowLoopOnEveryVariant) {
+  // The vector variants sweep the band along anti-diagonals, the scalar
+  // variant runs the row loop.  Bands too narrow for the optimum (where
+  // the in-band DP alone decides the result), skewed and one-sided
+  // bands, and bands reaching past the matrix must give the scalar
+  // result field by field, with and without the traceback.
+  std::vector<backend> vector_backends;
+  for (const backend b : {backend::simd_avx2, backend::simd_avx512})
+    if (test::backend_runnable(b)) vector_backends.push_back(b);
+  if (vector_backends.empty()) GTEST_SKIP() << "no vector variant runs here";
+
+  align_options affine;
+  affine.kind = align_kind::global;
+  affine.gap_open = -2;
+  affine.gap_extend = -1;
+  affine.threads = 1;
+  align_options linear = affine;
+  linear.gap_open = 0;
+  align_options matrix = affine;
+  matrix.matrix = dna_default_matrix();
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const auto q = test::random_codes(90 + 23 * seed, 9000 + seed);
+    auto s = test::mutate(q, 9100 + seed, 0.10, 0.05);
+    s.resize(s.size() - 7 * seed);  // skews the pair by up to 35
+    const auto n = static_cast<index_t>(q.size());
+    const auto m = static_cast<index_t>(s.size());
+    std::vector<band> bands{{-n - 5, m + 5}, {std::min<index_t>(0, m - n) - 2,
+                                              std::max<index_t>(0, m - n) + 30}};
+    for (const index_t r : {0, 1, 3, 8, 20})
+      bands.push_back(band::around_main(n, m, r));
+    for (align_options o : {affine, linear, matrix})
+      for (const bool tb : {true, false})
+        for (const band b : bands) {
+          o.want_alignment = tb;
+          o.exec = backend::scalar;
+          const auto want = align_banded(view(q), view(s), b, o);
+          for (const backend v : vector_backends) {
+            o.exec = v;
+            const auto got = align_banded(view(q), view(s), b, o);
+            const std::string at = std::string(to_string(v)) + " seed " +
+                                   std::to_string(seed) + " band " +
+                                   std::to_string(b.lo) + ".." +
+                                   std::to_string(b.hi);
+            EXPECT_EQ(got.score, want.score) << at;
+            EXPECT_EQ(got.cigar, want.cigar) << at;
+            EXPECT_EQ(got.q_aligned, want.q_aligned) << at;
+            EXPECT_EQ(got.s_aligned, want.s_aligned) << at;
+            EXPECT_EQ(got.cells, want.cells) << at;
+          }
+        }
+  }
 }
 
 }  // namespace

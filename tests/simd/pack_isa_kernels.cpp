@@ -9,6 +9,8 @@
 
 #include "pack_isa_kernels.hpp"
 
+#include <utility>
+
 #include "simd/targets.hpp"
 #define ANYSEQ_TARGET ANYSEQ_TARGET_AVX512
 #include "simd/pack.hpp"
@@ -41,7 +43,30 @@ void apply(op o, const T* m, const T* a, const T* b, T* out) {
   r.store(out);
 }
 
+/// Every shift amount 1 .. W-1 of both directions, selected at run time.
+template <class P>
+void shift(bool down, int s, typename P::value_type fill,
+           const typename P::value_type* a, typename P::value_type* out) {
+  const P pa = P::load(a);
+  [&]<int... S>(std::integer_sequence<int, S...>) {
+    ((s == S + 1 ? (down ? vshift_down<S + 1>(pa, fill)
+                         : vshift_up<S + 1>(pa, fill))
+                       .store(out)
+                 : void()),
+     ...);
+  }(std::make_integer_sequence<int, P::lanes - 1>{});
+}
+
 }  // namespace
+
+void shift_s16x16(bool down, int s, std::int16_t fill, const std::int16_t* a,
+                  std::int16_t* out) {
+  shift<s16x16>(down, s, fill, a, out);
+}
+void shift_s16x32(bool down, int s, std::int16_t fill, const std::int16_t* a,
+                  std::int16_t* out) {
+  shift<s16x32>(down, s, fill, a, out);
+}
 
 void apply_s16x16(op o, const std::int16_t* m, const std::int16_t* a,
                   const std::int16_t* b, std::int16_t* out) {

@@ -24,4 +24,11 @@ void apply_s8x32(op o, const std::int8_t* m, const std::int8_t* a,
 void apply_s8x64(op o, const std::int8_t* m, const std::int8_t* a,
                  const std::int8_t* b, std::int8_t* out);
 
+/// out = vshift_down<s>(a, fill) when `down`, else vshift_up<s>(a, fill),
+/// through the intrinsic overloads; 0 < s < the pack's lane count.
+void shift_s16x16(bool down, int s, std::int16_t fill, const std::int16_t* a,
+                  std::int16_t* out);
+void shift_s16x32(bool down, int s, std::int16_t fill, const std::int16_t* a,
+                  std::int16_t* out);
+
 }  // namespace anyseq::test::pack_isa

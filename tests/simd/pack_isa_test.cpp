@@ -1,7 +1,8 @@
 /// \file pack_isa_test.cpp
 /// The hand-written intrinsic pack overloads (simd/pack.hpp), lane by
 /// lane against a plain scalar reference: the AVX-512BW s16x32 / s8x64
-/// overloads the 32-lane engine runs, and the AVX2 s16x16 / s8x32 ones.
+/// overloads the 32-lane engine runs, and the AVX2 s16x16 / s8x32 ones,
+/// plus the int16 lane shifts (vshift_up / vshift_down at every amount).
 /// Inputs are random lanes plus every pairing of the rail values — the
 /// type's min and max, the -inf sentinel, and sums that saturate both
 /// ways.  The overloads are compiled in pack_isa_kernels.cpp (the one
@@ -127,6 +128,33 @@ void check_pack(const char* pack_name, T sentinel, Apply apply) {
   }
 }
 
+/// Every shift amount and direction of one int16 pack, lane by lane:
+/// lane i reads lane i - s (up) or i + s (down); vacated lanes read the
+/// fill — the rails, the -inf sentinel, 0 and -1 among them.
+template <int Lanes, class Shift>
+void check_shifts(const char* pack_name, Shift shift) {
+  using T = std::int16_t;
+  const operands<T> in = make_operands<T, Lanes>(neg_inf16());
+  const T fills[] = {std::numeric_limits<T>::min(),
+                     std::numeric_limits<T>::max(), neg_inf16(), 0, -1, 7};
+  for (const bool down : {false, true})
+    for (int s = 1; s < Lanes; ++s)
+      for (const T fill : fills)
+        for (std::size_t base = 0; base < in.a.size(); base += Lanes) {
+          alignas(64) T a[Lanes], got[Lanes];
+          std::copy_n(in.a.begin() + static_cast<std::ptrdiff_t>(base),
+                      Lanes, a);
+          shift(down, s, fill, a, got);
+          for (int l = 0; l < Lanes; ++l) {
+            const int from = down ? l + s : l - s;
+            const T want = from >= 0 && from < Lanes ? a[from] : fill;
+            ASSERT_EQ(got[l], want)
+                << pack_name << (down ? " vshift_down<" : " vshift_up<") << s
+                << "> fill " << fill << " lane " << l;
+          }
+        }
+}
+
 class PackIsa : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -149,6 +177,14 @@ TEST_F(PackIsa, S16x16MatchesScalarReference) {
 
 TEST_F(PackIsa, S8x32MatchesScalarReference) {
   check_pack<std::int8_t, 32>("s8x32", neg_inf8(), apply_s8x32);
+}
+
+TEST_F(PackIsa, S16x32ShiftsMatchScalarReference) {
+  check_shifts<32>("s16x32", shift_s16x32);
+}
+
+TEST_F(PackIsa, S16x16ShiftsMatchScalarReference) {
+  check_shifts<16>("s16x16", shift_s16x16);
 }
 
 }  // namespace

@@ -33,13 +33,14 @@ int clamp_lane(int x) {
 
 /// Every shape an engine variant instantiates — the int16 lanes of the
 /// 16- and 32-lane variants and their int8 doubles, the scalar variant's
-/// two-lane stripe and single-lane vector — plus the 8 x int32 pack.
+/// two-lane stripe and single-lane vector, and the band pass's int32
+/// lanes (8 and 16: one AVX2 / AVX-512 register).
 template <class P>
 class PackOps : public ::testing::Test {};
 using PackTypes =
     ::testing::Types<s16, s16w, s32, pack<score8_t, 32>, pack<score8_t, 64>,
                      pack<score16_t, 2>, pack<score16_t, 1>,
-                     pack<score8_t, 2>>;
+                     pack<score8_t, 2>, pack<score_t, 16>>;
 TYPED_TEST_SUITE(PackOps, PackTypes);
 
 TYPED_TEST(PackOps, LayoutIsExactlyTheLanes) {
@@ -128,6 +129,34 @@ TYPED_TEST(PackOps, OrAndOnMasks) {
   for (int i = 0; i < TypeParam::lanes; ++i) {
     EXPECT_EQ(both[i] != 0, i < 2 || i > 4) << i;
     EXPECT_EQ(neither[i] != 0, false) << i;
+  }
+}
+
+/// vshift_up<S> / vshift_down<S>: lane i reads lane i - S / i + S, and
+/// the S lanes vacated at the bottom / top read `fill`.
+template <int S, class P>
+void expect_shifts(typename P::value_type fill) {
+  const auto a = iota<P>(1);
+  const auto up = vshift_up<S>(a, fill);
+  const auto down = vshift_down<S>(a, fill);
+  for (int i = 0; i < P::lanes; ++i) {
+    EXPECT_EQ(up[i], i < S ? fill : a[i - S])
+        << "up by " << S << ", lane " << i;
+    EXPECT_EQ(down[i], i + S < P::lanes ? a[i + S] : fill)
+        << "down by " << S << ", lane " << i;
+  }
+}
+
+TYPED_TEST(PackOps, ShiftsMoveLanesBothWaysAndFill) {
+  using T = typename TypeParam::value_type;
+  constexpr int W = TypeParam::lanes;
+  if constexpr (W > 1) {
+    for (const T fill : {T{0}, T{-1}, std::numeric_limits<T>::min(),
+                         std::numeric_limits<T>::max()}) {
+      expect_shifts<1, TypeParam>(fill);
+      expect_shifts<W / 2, TypeParam>(fill);
+      expect_shifts<W - 1, TypeParam>(fill);
+    }
   }
 }
 
