@@ -328,11 +328,12 @@ class ServiceBackpressure : public ::testing::Test {
 
   /// Submit the wedge (a large, slow alignment) and wait until it is
   /// executing and the next batch is parked on the workspace gate.  It
-  /// must outlast the 20 ms deadline below: 24000 x 24000 runs ~45 ms on
-  /// four AVX-512 cores with striped tiles.
+  /// must outlast the 20 ms deadline below with room to spare: 48000 x
+  /// 48000 runs ~65 ms on four AVX-512 cores with striped tiles (24000 x
+  /// 24000 had fallen to ~16 ms, inside the deadline).
   ticket wedge(aligner& svc) {
-    slow_q = random_codes(24000, 14);
-    slow_s = random_codes(24000, 15);
+    slow_q = random_codes(48000, 14);
+    slow_s = random_codes(48000, 15);
     auto t = svc.submit(view(slow_q), view(slow_s));
     EXPECT_TRUE(stats_become(
         svc, [](const service_stats& s) { return s.in_flight_batches == 1; }));
