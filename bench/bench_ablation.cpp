@@ -78,14 +78,17 @@ void queue_internals(const args& ar) {
 
   const double t = median_seconds(ar.repeats, [] {
     parallel::mpmc_queue<int> q;
-    parallel::run_workers(4, [&](int tid) {
-      // Each pop follows the worker's own push, so it never waits for
-      // long: the row measures the lock and condvar round trip.
-      for (int i = 0; i < kOps; ++i) {
-        q.push(tid * kOps + i);
-        (void)q.pop();
-      }
-    });
+    parallel::thread_pool::global().parallel_for(
+        0, 4,
+        [&](index_t tid) {
+          // Each pop follows the worker's own push, so it never waits
+          // for long: the row measures the lock and condvar round trip.
+          for (int i = 0; i < kOps; ++i) {
+            q.push(static_cast<int>(tid) * kOps + i);
+            (void)q.pop();
+          }
+        },
+        /*chunks_per_thread=*/1);
   });
   g_report->add("queue/mpmc_mutex", t, 4 * kOps,
                 {{"mops_per_s", 4.0 * kOps / t / 1e6}});

@@ -3,8 +3,8 @@
 ///
 /// Two complementary measurements (DESIGN.md §3):
 ///   1. measured wall-clock of the library's dynamic wavefront on real
-///      threads (meaningful up to the host's core count; oversubscribed
-///      beyond);
+///      threads (up to the host's core count; beyond it, worker slots
+///      share the global pool's threads);
 ///   2. discrete-event replay of the same tile DAG on 1..32 virtual
 ///      cores under both policies, with the per-tile cost measured from
 ///      the real kernel — this reproduces the *policy* comparison the
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   // --- 1. measured (real threads, striped tiles) ---------------------
   std::printf("\nmeasured wall-clock (host has %d hardware thread(s); "
-              "oversubscribed counts shown for completeness):\n",
+              "larger counts share the pool's threads):\n",
               parallel::hardware_threads());
   std::printf("%8s %14s\n", "threads", "dynamic GCUPS");
   const std::uint64_t cells =

@@ -256,7 +256,7 @@ route_kind classify_route(index_t n, index_t m, const align_options& opt,
         fits_score_window(n, m, score_unit(opt), int16_score_window()))
       return route_kind::striped_score;
     // Small extension problems are faster on the serial rolling pass
-    // than on the tiled engine (worker spawn overhead dominates).
+    // than on the tiled engine (its per-pass set-up dominates).
     return (opt.kind == align_kind::extension && cells <= kSmallScoreCells)
                ? route_kind::small_score
                : route_kind::tiled_score;

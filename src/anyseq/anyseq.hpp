@@ -122,10 +122,9 @@ struct ops;  // internal per-variant function table (engine_table.hpp)
 /// buffers have grown to the working set — repeated `align_into` calls
 /// perform ZERO heap allocations on every CPU route (score, full-matrix
 /// traceback, Hirschberg, locate, banded; enforced by
-/// tests/core/alloc_steady_state_test.cpp).  The contract covers the
-/// serial execution of each route (`threads = 1`); spawning OS worker
-/// threads for `threads > 1` inherently allocates per pass — the
-/// documented exception (DESIGN.md §6).
+/// tests/core/alloc_steady_state_test.cpp), at any `threads`: the
+/// wavefront's workers are jobs on the global pool, not threads spawned
+/// per pass (DESIGN.md §6).
 ///
 /// ```
 ///   anyseq::aligner a(opt);

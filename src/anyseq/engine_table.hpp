@@ -132,8 +132,8 @@ struct ops {
   score_result (*tiled_score)(stage::seq_view q, stage::seq_view s,
                               const align_options& opt, void* ws);
 
-  /// Serial rolling-row score pass for small inputs (spawning tile
-  /// workers costs more than it saves below ~2^16 cells).
+  /// Serial rolling-row score pass for small inputs (below ~2^16 cells
+  /// the tiled pass's borders and pool hand-off cost more than it saves).
   score_result (*small_score)(stage::seq_view q, stage::seq_view s,
                               const align_options& opt, void* ws);
 

@@ -105,7 +105,7 @@ struct wavefront_stats {
   std::uint64_t striped_tiles = 0;  ///< tiles run as one striped int16 pass
   std::uint64_t int32_tiles = 0;    ///< tiles run exact int32 (scalar
                                     ///< variant, or past the int16 window)
-  std::uint64_t workers = 0;     ///< threads run, after the diagonal cap
+  std::uint64_t workers = 0;     ///< worker slots, after the diagonal cap
   std::uint64_t peak_ready = 0;  ///< most tiles queued at once
 };
 

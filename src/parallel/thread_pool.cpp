@@ -1,5 +1,6 @@
 #include "parallel/thread_pool.hpp"
 
+#include <algorithm>
 #include <new>
 
 #if defined(__linux__)
@@ -52,43 +53,46 @@ thread_pool::~thread_pool() {
   }
 }
 
-void thread_pool::push_slot_locked(const job& j) {
-  if (count_ == ring_.size()) {
+void thread_pool::push_slots_locked(const job& j, std::size_t count) {
+  if (count_ + count > ring_.size()) {
     // Grow to the new peak backlog: copy the live window in order.
-    std::vector<job> bigger(ring_.empty() ? 16 : 2 * ring_.size());
+    std::vector<job> bigger(
+        std::max<std::size_t>({16, 2 * ring_.size(), count_ + count}));
     for (std::size_t k = 0; k < count_; ++k)
       bigger[k] = ring_[(head_ + k) % ring_.size()];
     ring_.swap(bigger);
     head_ = 0;
   }
-  ring_[(head_ + count_) % ring_.size()] = j;
-  ++count_;
+  for (std::size_t k = 0; k < count; ++k)
+    ring_[(head_ + count_++) % ring_.size()] = j;
 }
 
 std::size_t thread_pool::withdraw(void (*invoke)(job&), const void* payload,
                                   std::size_t bytes) {
-  std::size_t n = 0;
+  // Compact the window: withdrawn jobs leave no slot for the ring to grow.
   std::lock_guard lock(mutex_);
+  std::size_t kept = 0;
   for (std::size_t k = 0; k < count_; ++k) {
-    job& j = ring_[(head_ + k) % ring_.size()];
-    if (j.invoke == invoke && std::memcmp(j.payload, payload, bytes) == 0) {
-      j.invoke = [](job&) {};
-      ++n;
-    }
+    const job j = ring_[(head_ + k) % ring_.size()];
+    if (j.invoke != invoke || std::memcmp(j.payload, payload, bytes) != 0)
+      ring_[(head_ + kept++) % ring_.size()] = j;
   }
+  const std::size_t n = count_ - kept;
+  count_ = kept;
+  if (count_ == 0 && active_ == 0) idle_cv_.notify_all();
   return n;
 }
 
 void thread_pool::enqueue_inline(void (*invoke)(job&), const void* src,
-                                 std::size_t bytes) {
+                                 std::size_t bytes, std::size_t count) {
   job j;
   std::memcpy(j.payload, src, bytes);
   j.invoke = invoke;
   {
     std::lock_guard lock(mutex_);
-    push_slot_locked(j);
+    push_slots_locked(j, count);
   }
-  cv_.notify_one();
+  count > 1 ? cv_.notify_all() : cv_.notify_one();
 }
 
 void thread_pool::enqueue_boxed(void (*invoke)(job&), void (*discard)(job&),
@@ -99,7 +103,7 @@ void thread_pool::enqueue_boxed(void (*invoke)(job&), void (*discard)(job&),
   j.boxed = boxed;
   {
     std::lock_guard lock(mutex_);
-    push_slot_locked(j);
+    push_slots_locked(j, 1);
   }
   cv_.notify_one();
 }

@@ -3,9 +3,9 @@
 /// Minimal thread primitives used by the CPU backends.
 ///
 /// Impala's `parallel(num_threads, a, b, body)` generator maps here onto
-/// `thread_pool::parallel_for` (blocking, chunked) and `run_workers`
-/// (spawn N persistent workers and join) — the building blocks of the
-/// wavefront schedulers.
+/// `thread_pool::parallel_for` (blocking, chunked): batches fan out
+/// through it, and the dynamic wavefront runs its workers as its chunks
+/// (one runtime, the global pool; no per-call thread spawn).
 ///
 /// Jobs live in a preallocated slot ring, not a deque of std::function:
 /// a small trivially-copyable closure is memcpy'd into its slot, so the
@@ -44,20 +44,6 @@ namespace anyseq::parallel {
 /// thread names.
 void name_thread(std::thread& t, const char* name) noexcept;
 
-/// Spawn `n` workers running `body(worker_id)` and join them all.
-/// `n == 0` or `n == 1` runs inline on the caller.
-template <class Body>
-void run_workers(int n, Body&& body) {
-  if (n <= 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t) threads.emplace_back([&body, t] { body(t); });
-  for (auto& th : threads) th.join();
-}
-
 /// Classic task-queue thread pool with a preallocated job-slot ring.
 /// Jobs are arbitrary callables; the pool also provides a blocking
 /// chunked parallel_for.
@@ -82,7 +68,7 @@ class thread_pool {
                   alignof(F) <= alignof(std::max_align_t) &&
                   std::is_trivially_copyable_v<F> &&
                   std::is_trivially_destructible_v<F>) {
-      enqueue_inline(&invoke_inline<F>, &f, sizeof(F));
+      enqueue_inline(&invoke_inline<F>, &f, sizeof(F), 1);
     } else {
       enqueue_boxed(&invoke_boxed<F>, &discard_boxed<F>, new F(std::move(f)));
     }
@@ -96,9 +82,9 @@ class thread_pool {
   /// alongside n_chunks - 1 enqueued jobs instead of sleeping until they
   /// finish, and once every chunk is claimed it withdraws the jobs no
   /// worker has dequeued yet: the loop waits only for chunks in flight,
-  /// never for a worker to wake up.  Each job captures one pointer to a
-  /// stack-resident control block, so the loop itself never allocates
-  /// through the job ring.  Called on one of this pool's own workers, the
+  /// never for a worker to wake up.  The jobs, one pointer each to a
+  /// stack-resident control block (no allocation), go in under one lock
+  /// with one wake-up.  Called on one of this pool's own workers, the
   /// loop runs inline: its chunk jobs would otherwise queue behind
   /// workers that may all be blocked waiting for them.
   template <class Body>
@@ -146,7 +132,9 @@ class thread_pool {
         if (p->remaining.fetch_sub(1) == 1) p->done_cv.notify_all();
       }
     };
-    for (index_t c = 1; c < n_chunks; ++c) run(task);
+    using task_t = std::remove_const_t<decltype(task)>;
+    enqueue_inline(&invoke_inline<task_t>, &task, sizeof task,
+                   static_cast<std::size_t>(n_chunks - 1));
     // The jobs hold pointers into `ctl`: a throwing body on the caller
     // waits for them (they finish the loop) before the exception leaves
     // this frame.
@@ -160,9 +148,8 @@ class thread_pool {
     // none: withdraw it instead of waiting for a worker to wake up for it.
     const int withdrawn =
         failed ? 0
-               : static_cast<int>(withdraw(
-                     &invoke_inline<std::remove_const_t<decltype(task)>>,
-                     &task, sizeof task));
+               : static_cast<int>(
+                     withdraw(&invoke_inline<task_t>, &task, sizeof task));
     {
       std::unique_lock lock(ctl.done_mutex);
       ctl.remaining.fetch_sub(withdrawn);
@@ -220,14 +207,16 @@ class thread_pool {
   // Out-of-line (thread_pool.cpp): keeps the ring manipulation out of
   // every including TU — no weak `anyseq::parallel` loop symbols can be
   // emitted by the ISA-flagged engine TUs.
+  /// Queue `count` copies of one inline job and wake the pool once; all
+  /// or nothing (the ring grows before the first copy goes in).
   void enqueue_inline(void (*invoke)(job&), const void* src,
-                      std::size_t bytes);
+                      std::size_t bytes, std::size_t count);
   void enqueue_boxed(void (*invoke)(job&), void (*discard)(job&),
                      void* boxed);
-  void push_slot_locked(const job& j);
-  /// Turn every queued (not yet dequeued) job that runs `invoke` on a
-  /// payload starting with `bytes` bytes equal to `payload` into a no-op;
-  /// returns how many it cancelled.
+  void push_slots_locked(const job& j, std::size_t count);
+  /// Remove every queued (not yet dequeued) job that runs `invoke` on a
+  /// payload starting with `bytes` bytes equal to `payload`; returns how
+  /// many it removed.
   std::size_t withdraw(void (*invoke)(job&), const void* payload,
                        std::size_t bytes);
   void worker_loop();

@@ -8,7 +8,7 @@
 /// other goes to the queue).  The static per-diagonal baseline of the
 /// paper's Fig. 6 is simulated only (schedsim/).
 ///
-/// A run starts at most as many workers as the grid's longest
+/// A run uses at most as many worker slots as the grid's longest
 /// anti-diagonal holds tiles (`max_ready_tiles`): more could never all
 /// be busy.  SIMD lives inside a tile (tiled/striped.hpp), so threads own
 /// the whole diagonal.  Kernels are passed as objects with
@@ -67,8 +67,8 @@ struct grid_dims {
 ///
 /// The counters are carved from the caller's workspace (a warm pass
 /// allocates nothing) and are plain bytes mutated through
-/// std::atomic_ref — the initializing writes happen before the workers
-/// are spawned.
+/// std::atomic_ref — the initializing writes happen before the worker
+/// jobs are queued on the pool, whose lock publishes them.
 class dep_tracker {
  public:
   dep_tracker(grid_dims grid, workspace& ws)
@@ -137,9 +137,9 @@ inline void accumulate(wavefront_stats& into,
   return std::min(grid.tiles_y, grid.tiles_x);
 }
 
-/// Workers one run starts: the requested count, capped at the tiles the
-/// grid's longest anti-diagonal holds (which also keeps a one-tile
-/// problem inline on the caller).
+/// Worker slots one run uses (pool chunks, not threads: several share a
+/// thread on a pool worker or past the pool's size): the requested count,
+/// capped at the tiles the grid's longest anti-diagonal holds.
 [[nodiscard]] inline int wavefront_workers(int n_threads,
                                            grid_dims grid) noexcept {
   return static_cast<int>(std::clamp<index_t>(
@@ -160,6 +160,8 @@ class dynamic_wavefront {
   /// ready-queue ring (max_ready_tiles slots — never outgrown, so the
   /// queue never migrates to owned storage) are carved from `ws`: a
   /// warm pass performs zero heap allocations.
+  /// Its workers are chunks of one global-pool `parallel_for`: a late
+  /// helper finds the queue closed; on a pool worker the run is inline.
   template <class Kernel>
   static wavefront_stats run(int n_threads, grid_dims grid, Kernel& kernel,
                              workspace& ws) {
@@ -175,12 +177,12 @@ class dynamic_wavefront {
     std::atomic<index_t> remaining{grid.total()};
     std::atomic<std::uint64_t> striped_total{0}, int32_total{0};
 
-    run_workers(workers, [&](int tid) {
+    const auto worker = [&](index_t tid) {
       std::uint64_t striped = 0, int32 = 0;
       std::optional<tile_coord> next = queue.pop();
       while (next.has_value()) {
         const tile_coord t = *next;
-        ++(kernel.run(t, tid) ? striped : int32);
+        ++(kernel.run(t, static_cast<int>(tid)) ? striped : int32);
 
         // Keep the first successor (its borders are hot in this core's
         // cache) and queue the other.
@@ -194,7 +196,9 @@ class dynamic_wavefront {
       }
       striped_total.fetch_add(striped, std::memory_order_relaxed);
       int32_total.fetch_add(int32, std::memory_order_relaxed);
-    });
+    };
+    thread_pool::global().parallel_for(0, workers, worker,
+                                       /*chunks_per_thread=*/1);
     return {striped_total.load(), int32_total.load(),
             static_cast<std::uint64_t>(workers), queue.peak_size()};
   }

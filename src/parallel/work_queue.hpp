@@ -35,7 +35,6 @@ namespace parallel {
 /// scope so the cloned scheduler/engine code can keep the `parallel::`
 /// spelling for them too.
 using ::anyseq::parallel::hardware_threads;
-using ::anyseq::parallel::run_workers;
 using ::anyseq::parallel::thread_pool;
 
 /// Unbounded multi-producer multi-consumer FIFO.  `pop` blocks until an

@@ -16,6 +16,11 @@
 /// `anyseq::align` call on the same inputs would return (route selection
 /// in service/batcher.hpp is what makes that guarantee hold).
 ///
+/// Threads: `threads > 1` fans a batch or wavefront out on the global
+/// pool from the batcher, and runs it inline on a pool worker (DESIGN.md
+/// §6): no thread beyond the batchers and the pool, and a lone large
+/// request on a pool worker gets one core.
+///
 /// On top of the batching core sits the serving tier:
 ///
 ///   * **Response cache** (service/cache.hpp).  With `cache_capacity > 0`

@@ -24,8 +24,8 @@ namespace ANYSEQ_TARGET_NS {
 namespace tiled {
 
 /// Last-row strategy backed by the tiled MT engine.  Small subproblems
-/// (below `serial_cells`) run serially — spawning workers for tiny passes
-/// costs more than it saves ("recursion cutoff points", paper §V).
+/// (below `serial_cells`) run serially — tile borders and pool wake-ups
+/// cost more than they save ("recursion cutoff points", paper §V).
 ///
 /// When `ws` is set, the tiled engine carves its frontier and worker
 /// scratch from that workspace (nested inside the enclosing Hirschberg

@@ -7,10 +7,10 @@
 /// for score-only traffic.
 ///
 /// Counting is done by replacing the global operator new/delete with
-/// counting forwarders.  Everything here runs with threads = 1: the
-/// contract covers the serial execution of each route (spawning OS
-/// worker threads inherently allocates; on multi-core deployments the
-/// per-pass thread spawn is the documented exception).
+/// counting forwarders.  Most cases run with threads = 1; the contract
+/// holds at threads > 1 too (the `FourThreads` and multi-threaded batch
+/// cases): the wavefront's and the batch fan-out's workers are jobs on
+/// the global pool, whose job ring stops growing once warm.
 
 #include <gtest/gtest.h>
 
@@ -122,6 +122,31 @@ TEST(AllocSteadyState, TiledScoreRouteAffineLocal) {
   const auto q = test::random_codes(500, 33);
   const auto s = test::random_codes(640, 44);
   align_options o = serial_opts();
+  o.kind = align_kind::local;
+  o.gap_open = -3;
+  o.tile = 96;
+  aligner a(o);
+  expect_steady_state(a, view(q), view(s));
+}
+
+TEST(AllocSteadyState, TiledScoreRouteFourThreads) {
+  // The wavefront's workers are global-pool jobs, not threads spawned
+  // per pass: a warm pass allocates nothing at threads = 4 either.
+  const auto q = test::random_codes(700, 11);
+  const auto s = test::random_codes(650, 22);
+  align_options o = serial_opts();
+  o.threads = 4;
+  o.tile = 128;
+  aligner a(o);
+  EXPECT_STREQ(a.plan(700, 650).route, "tiled_score");
+  expect_steady_state(a, view(q), view(s));
+}
+
+TEST(AllocSteadyState, TiledScoreRouteAffineLocalFourThreads) {
+  const auto q = test::random_codes(500, 33);
+  const auto s = test::random_codes(640, 44);
+  align_options o = serial_opts();
+  o.threads = 4;
   o.kind = align_kind::local;
   o.gap_open = -3;
   o.tile = 96;
@@ -344,6 +369,18 @@ TEST(AllocSteadyState, HirschbergTracebackRoute) {
   o.tile = 128;
   aligner a(o);
   EXPECT_STREQ(a.plan(900, 800).route, "hirschberg");
+  expect_steady_state(a, view(q), view(s));
+}
+
+TEST(AllocSteadyState, HirschbergTracebackRouteFourThreads) {
+  // Every tiled last-row pass of the recursion fans out on the pool.
+  const auto q = test::random_codes(3000, 1201);
+  const auto s = test::random_codes(3000, 1202);
+  align_options o = serial_opts();
+  o.threads = 4;
+  o.want_alignment = true;
+  aligner a(o);
+  EXPECT_STREQ(a.plan(3000, 3000).route, "hirschberg");
   expect_steady_state(a, view(q), view(s));
 }
 

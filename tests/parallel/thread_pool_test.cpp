@@ -5,29 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
 namespace anyseq::parallel {
 namespace {
-
-TEST(RunWorkers, AllWorkerIdsObserved) {
-  std::mutex m;
-  std::set<int> ids;
-  run_workers(4, [&](int tid) {
-    std::lock_guard lock(m);
-    ids.insert(tid);
-  });
-  EXPECT_EQ(ids, (std::set<int>{0, 1, 2, 3}));
-}
-
-TEST(RunWorkers, SingleWorkerRunsInline) {
-  const auto caller = std::this_thread::get_id();
-  std::thread::id seen;
-  run_workers(1, [&](int) { seen = std::this_thread::get_id(); });
-  EXPECT_EQ(seen, caller);
-}
 
 TEST(ThreadPool, RunsAllJobs) {
   thread_pool pool(3);
@@ -117,6 +99,23 @@ TEST(ThreadPool, ParallelForDoesNotWaitForAJobNoWorkerStarted) {
   release = true;
   pool.wait_idle();
   EXPECT_EQ(hits.load(), 2);
+}
+
+TEST(ThreadPool, WithdrawnJobsLeaveNoSlotBehind) {
+  // Loops back to back behind a busy worker: every job each loop queues
+  // is withdrawn, and withdrawn jobs must not pile up in the ring.
+  thread_pool pool(1);
+  std::atomic<bool> release{false};
+  pool.run([&] { await(release, ten_seconds_from_now()); });
+  const auto cap = pool.ring_capacity();
+  std::atomic<int> hits{0};
+  for (int i = 0; i < 100; ++i)
+    pool.parallel_for(0, 2, [&](index_t) { ++hits; },
+                      /*chunks_per_thread=*/2);
+  EXPECT_EQ(pool.ring_capacity(), cap);
+  release = true;
+  pool.wait_idle();
+  EXPECT_EQ(hits.load(), 200);
 }
 
 TEST(ThreadPool, ParallelForRethrowsTheCallersExceptionAfterTheJobs) {

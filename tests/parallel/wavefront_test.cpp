@@ -2,24 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
 
 namespace anyseq::parallel {
 namespace {
 
-/// Kernel that records execution order and asserts dependencies.  It
-/// reports the tiles on even anti-diagonals as striped, the rest as
-/// int32.
+/// Kernel that records execution order (and the threads it ran on) and
+/// asserts dependencies.  It reports the tiles on even anti-diagonals as
+/// striped, the rest as int32.
 struct recording_kernel {
   std::mutex m;
   std::map<std::pair<int, int>, int> order;
+  std::set<std::thread::id> threads;
   int counter = 0;
   int max_worker = -1;
 
   bool run(tile_coord t, int worker) {
     std::lock_guard lock(m);
     order[{t.ty, t.tx}] = counter++;
+    threads.insert(std::this_thread::get_id());
     max_worker = std::max(max_worker, worker);
     return (t.ty + t.tx) % 2 == 0;
   }
@@ -141,6 +148,71 @@ TEST(DynamicWavefront, ReadyRingBoundedByTheAntichain) {
           << "threads " << threads;
       EXPECT_GT(stats.peak_ready, 0u);
     }
+}
+
+/// Spin until `flag` is set or ten seconds pass (a regression then fails
+/// its expectations instead of hanging the suite).
+void await(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+}
+
+TEST(DynamicWavefront, RunsInlineOnEveryPoolWorkerAtOnce) {
+  // A service batch runs on a pool worker and may enter a wavefront
+  // there.  With every worker inside a run at once, none is free to
+  // help another's run, so each run stays inline on its own worker.
+  thread_pool& pool = thread_pool::global();
+  const int n = pool.size();
+  const grid_dims g{9, 11};
+  std::vector<recording_kernel> kernels(static_cast<std::size_t>(n));
+  std::vector<wavefront_stats> stats(static_cast<std::size_t>(n));
+  std::vector<std::thread::id> on(static_cast<std::size_t>(n));
+  std::atomic<int> entered{0};
+  for (int w = 0; w < n; ++w)
+    pool.run([&, w] {
+      // Hold every worker until all of them are inside a job.
+      ++entered;
+      while (entered.load() < n) std::this_thread::yield();
+      on[w] = std::this_thread::get_id();
+      stats[w] = run_grid(4, g, kernels[w]);
+    });
+  pool.wait_idle();
+  for (int w = 0; w < n; ++w) {
+    recording_kernel& k = kernels[w];
+    EXPECT_EQ(k.counter, g.total());
+    EXPECT_EQ(k.order.size(), static_cast<std::size_t>(g.total()));
+    EXPECT_EQ(k.threads, std::set{on[w]}) << "worker " << w;
+    EXPECT_EQ(stats[w].striped_tiles + stats[w].int32_tiles,
+              static_cast<std::uint64_t>(g.total()));
+    k.verify_dependencies(g);
+  }
+}
+
+TEST(DynamicWavefront, CompletesOnTheCallerWhileEveryPoolWorkerIsBlocked) {
+  // The run's helper jobs queue behind blocked workers: the caller
+  // relaxes every tile itself and withdraws them instead of waiting.
+  thread_pool& pool = thread_pool::global();
+  std::atomic<bool> release{false};
+  std::atomic<int> blocked{0}, finished{0};
+  for (int w = 0; w < pool.size(); ++w)
+    pool.run([&] {
+      ++blocked;
+      await(release);
+      ++finished;
+    });
+  while (blocked.load() < pool.size()) std::this_thread::yield();
+  recording_kernel k;
+  const grid_dims g{8, 8};
+  const auto stats = run_grid(4, g, k);
+  EXPECT_EQ(finished.load(), 0) << "the run waited for a blocked worker";
+  release = true;
+  pool.wait_idle();
+  EXPECT_EQ(k.counter, 64);
+  EXPECT_EQ(k.threads, std::set{std::this_thread::get_id()});
+  EXPECT_EQ(stats.workers, 4u);  // slots, not threads
+  k.verify_dependencies(g);
 }
 
 }  // namespace

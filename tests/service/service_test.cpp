@@ -329,8 +329,10 @@ class ServiceBackpressure : public ::testing::Test {
   /// Submit the wedge (a large, slow alignment) and wait until it is
   /// executing and the next batch is parked on the workspace gate.  It
   /// must outlast the 20 ms deadline below with room to spare: 48000 x
-  /// 48000 runs ~65 ms on four AVX-512 cores with striped tiles (24000 x
-  /// 24000 had fallen to ~16 ms, inside the deadline).
+  /// 48000 takes ~250 ms per test with striped tiles on one AVX-512
+  /// core (~13 s in the scalar-only build) — the batch runs on a pool
+  /// worker, so its wavefront runs inline there (24000 x 24000 had
+  /// fallen to ~16 ms on four cores, inside the deadline).
   ticket wedge(aligner& svc) {
     slow_q = random_codes(48000, 14);
     slow_s = random_codes(48000, 15);
