@@ -369,7 +369,6 @@ aligner::aligner(aligner&& other) noexcept
     : opt_(other.opt_),
       exec_(other.exec_),
       ops_(other.ops_),
-      batch_score_scratch_(std::move(other.batch_score_scratch_)),
       last_batch_stats_(other.last_batch_stats_),
       last_wavefront_stats_(other.last_wavefront_stats_) {
   for (int i = 0; i < 3; ++i) {
@@ -384,7 +383,6 @@ aligner& aligner::operator=(aligner&& other) noexcept {
     opt_ = other.opt_;
     exec_ = other.exec_;
     ops_ = other.ops_;
-    batch_score_scratch_ = std::move(other.batch_score_scratch_);
     last_batch_stats_ = other.last_batch_stats_;
     last_wavefront_stats_ = other.last_wavefront_stats_;
     for (int i = 0; i < 3; ++i) {
@@ -418,67 +416,6 @@ void* aligner::workspace_handle() {
   return ws_[i];
 }
 
-void aligner::align_cpu_into(stage::seq_view q, stage::seq_view s,
-                             alignment_result& out) {
-  const engine::ops& eng = *ops_;
-  void* ws = workspace_handle();
-
-  const engine::route_kind rt =
-      engine::classify_route(q.size(), s.size(), opt_, eng.lanes);
-  switch (rt) {
-    case engine::route_kind::small_score:
-    case engine::route_kind::tiled_score:
-    case engine::route_kind::bitpar_score:
-    case engine::route_kind::striped_score: {
-      score_result r;
-      switch (rt) {
-        case engine::route_kind::small_score:
-          r = eng.small_score(q, s, opt_, ws);
-          break;
-        case engine::route_kind::striped_score:
-          r = eng.striped_score(q, s, opt_, ws);
-          break;
-        case engine::route_kind::bitpar_score:
-          r = eng.bitpar_score(q, s, opt_, ws);
-          break;
-        default:
-          r = eng.tiled_score(q, s, opt_, ws);
-          last_wavefront_stats_ = eng.last_wavefront(ws);
-          break;
-      }
-      out.reset();
-      out.score = r.score;
-      out.q_end = r.end_i;
-      out.s_end = r.end_j;
-      out.cells = r.cells;
-      out.variant = eng.name;
-      return;
-    }
-    case engine::route_kind::full_matrix: {
-      // A one-pair traceback batch: the same band doubling and fallback,
-      // and the same banded_pairs / band_passes accounting.
-      const seq_pair pair{q, s};
-      eng.batch_align(std::span(&pair, 1), opt_, ws, std::span(&out, 1),
-                      &last_batch_stats_);
-      return;
-    }
-    case engine::route_kind::hirschberg:
-      eng.hirschberg_global(q, s, opt_, ws, out);
-      last_wavefront_stats_ = eng.last_wavefront(ws);
-      return;
-    case engine::route_kind::locate:
-      eng.locate(q, s, opt_, ws, out);
-      last_wavefront_stats_ = eng.last_wavefront(ws);
-      return;
-    case engine::route_kind::unsupported:
-    default:
-      // Extension traceback: anchored global-style walk from the tracked
-      // optimum — full matrix is required; enforced by validate().
-      throw invalid_argument_error(
-          "extension traceback beyond full_matrix_cells is not supported");
-  }
-}
-
 void aligner::align_into(stage::seq_view q, stage::seq_view s,
                          alignment_result& out) {
   last_batch_stats_ = {};
@@ -487,7 +424,8 @@ void aligner::align_into(stage::seq_view q, stage::seq_view s,
     out = simulator_align(q, s, opt_, exec_);
     return;
   }
-  align_cpu_into(q, s, out);
+  ops_->align(q, s, opt_, workspace_handle(), out, &last_batch_stats_,
+              &last_wavefront_stats_);
 }
 
 alignment_result aligner::align(stage::seq_view q, stage::seq_view s) {
@@ -510,32 +448,9 @@ void aligner::align_batch_into(std::span<const seq_pair> pairs,
     return;
   }
 
-  const engine::ops& eng = *ops_;
-  void* ws = workspace_handle();
   out.resize(pairs.size());  // reused elements keep their capacity
-  if (!opt_.want_alignment) {
-    // Inter-sequence SIMD through the variant's batch kernel.  The
-    // full score_result is kept so every entry carries the optimum's
-    // end cell, exactly like a per-pair align() call.
-    batch_score_scratch_.resize(pairs.size());
-    eng.batch_scores(pairs, opt_, ws,
-                     std::span<score_result>(batch_score_scratch_),
-                     &last_batch_stats_);
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out[i].reset();
-      out[i].score = batch_score_scratch_[i].score;
-      out[i].q_end = batch_score_scratch_[i].end_i;
-      out[i].s_end = batch_score_scratch_[i].end_j;
-      out[i].cells = batch_score_scratch_[i].cells;
-      out[i].variant = eng.name;
-    }
-    return;
-  }
-  // Traceback: per-pair full-matrix alignment (global pairs try band
-  // doubling first), compiled inside the selected variant's namespace
-  // (v_avx2/v_avx512 on capable hosts).
-  eng.batch_align(pairs, opt_, ws, std::span<alignment_result>(out),
-                  &last_batch_stats_);
+  ops_->align_batch(pairs, opt_, workspace_handle(),
+                    std::span<alignment_result>(out), &last_batch_stats_);
 }
 
 std::vector<alignment_result> aligner::align_batch(
@@ -598,7 +513,6 @@ std::size_t aligner::workspace_bytes() const noexcept {
 void aligner::shrink() noexcept {
   for (int i = 0; i < 3; ++i)
     if (ws_[i] != nullptr) ops_of_slot(i).ws_shrink(ws_[i]);
-  batch_score_scratch_ = {};
 }
 
 // ---------------------------------------------------------------------

@@ -239,14 +239,11 @@ class aligner {
  private:
   void destroy_workspaces() noexcept;
   [[nodiscard]] void* workspace_handle();  ///< lazily created, per variant
-  void align_cpu_into(stage::seq_view q, stage::seq_view s,
-                      alignment_result& out);
 
   align_options opt_{};
   backend exec_ = backend::scalar;          ///< resolved backend
   const engine::ops* ops_ = nullptr;        ///< CPU variants only
   void* ws_[3] = {nullptr, nullptr, nullptr};  ///< one arena per variant
-  std::vector<score_result> batch_score_scratch_;
   batch_stats last_batch_stats_{};  ///< filled by batch and full-matrix calls
   wavefront_stats last_wavefront_stats_{};  ///< filled by tiled routes
 };

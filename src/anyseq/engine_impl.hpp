@@ -17,10 +17,11 @@
 /// types exclusively.  Workspaces cross that boundary as opaque `void*`
 /// handles; every execute entry below opens the pass (`begin_pass`) and
 /// carves all DP storage from the handle's arena — the execute half of
-/// the plan/execute split.  `plan_bytes_impl` is the plan half: it
-/// mirrors the dispatcher's route selection and returns the exact arena
-/// footprint, so `aligner::reserve` can pre-size a workspace such that
-/// even the first call never allocates.
+/// the plan/execute split.  `align_impl` classifies the route and
+/// switches on it; `plan_bytes_impl`, the plan half, switches on the
+/// same classification right beside it and returns the route's exact
+/// arena footprint, so `aligner::reserve` can pre-size a workspace such
+/// that even the first call never allocates.
 
 #include "simd/set_target.hpp"
 
@@ -109,7 +110,6 @@ inline tiled::tiled_config make_tiled_config(const align_options& opt,
 struct ws_handle {
   workspace main;
   std::vector<workspace> workers;
-  wavefront_stats wavefront;  ///< accounting of the last tiled pass
 };
 
 inline ws_handle& handle_of(void* ws) {
@@ -142,11 +142,27 @@ void ws_reserve_impl(void* ws, std::size_t bytes) {
   ws_of(ws).reserve_bytes(bytes);
 }
 
-/// The plan half: exact arena footprint of the route the dispatcher
-/// selects for an (n x m) problem under `opt` (see
-/// `aligner::align_cpu_into` in align.cpp, whose branches this
-/// mirrors).  Returns 0 for routes that carve nothing or are rejected at
-/// execute time.
+index_t plan_tile_impl(index_t n, index_t m, const align_options& opt) {
+  return make_tiled_config(opt, n, m).tile_h;
+}
+
+/// Stamp the variant that actually produced a result; called from inside
+/// the variant namespace, so a stamped result is a runtime proof that
+/// this clone executed.
+inline void stamp(alignment_result& r) { r.variant = ANYSEQ_TARGET_NAME; }
+
+// ---------------------------------------------------------------------
+// The route switch, plan half first, then the execute entries.
+// ---------------------------------------------------------------------
+
+void align_batch_impl(std::span<const seq_pair> pairs,
+                      const align_options& opt, void* ws,
+                      std::span<alignment_result> out, batch_stats* stats);
+
+/// The plan half: exact arena footprint of the route `align_impl` (right
+/// after it) executes for an (n x m) problem under `opt` — both switch on
+/// the same `classify_route`.  Returns 0 for routes that carve nothing
+/// or are rejected at execute time.
 std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
   const route_kind rt = classify_route(n, m, opt, kLanes);
   return with_kind(opt.kind, [&](auto kc) -> std::size_t {
@@ -193,182 +209,100 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
   });
 }
 
-index_t plan_tile_impl(index_t n, index_t m, const align_options& opt) {
-  return make_tiled_config(opt, n, m).tile_h;
-}
-
-wavefront_stats last_wavefront_impl(const void* ws) noexcept {
-  return static_cast<const ws_handle*>(ws)->wavefront;
-}
-
-/// Stamp the variant that actually produced a result; called from inside
-/// the variant namespace, so a stamped result is a runtime proof that
-/// this clone executed.
-inline void stamp(alignment_result& r) { r.variant = ANYSEQ_TARGET_NAME; }
-
-// ---------------------------------------------------------------------
-// Execute entries.
-// ---------------------------------------------------------------------
-
-score_result tiled_score_impl(stage::seq_view q, stage::seq_view s,
-                              const align_options& opt, void* ws) {
+void align_impl(stage::seq_view q, stage::seq_view s,
+                const align_options& opt, void* ws, alignment_result& out,
+                batch_stats* stats, wavefront_stats* wavefront) {
+  const route_kind rt = classify_route(q.size(), s.size(), opt, kLanes);
+  if (wavefront != nullptr) *wavefront = {};
+  if (rt == route_kind::full_matrix) {
+    // A one-pair traceback batch: the same band doubling and fallback,
+    // and the same banded_pairs / band_passes accounting.
+    const seq_pair pair{q, s};
+    align_batch_impl(std::span(&pair, 1), opt, ws, std::span(&out, 1),
+                     stats);
+    return;
+  }
+  // Extension traceback: anchored global-style walk from the tracked
+  // optimum — only the full matrix can hold it.
+  if (rt == route_kind::unsupported)
+    throw invalid_argument_error(
+        "extension traceback beyond full_matrix_cells is not supported");
   workspace& w = ws_of(ws);
   w.begin_pass();
-  wavefront_stats& stats = handle_of(ws).wavefront;
-  return with_kind(opt.kind, [&](auto kc) {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) {
-      return with_scoring(opt, [&](const auto& scoring) {
-        using Gap = std::decay_t<decltype(gap)>;
-        using Scoring = std::decay_t<decltype(scoring)>;
-        tiled::tiled_engine<K, Gap, Scoring, kLanes> eng(
-            gap, scoring, make_tiled_config(opt, q.size(), s.size()));
-        const score_result r = eng.score(q, s, w);
-        stats = eng.last_stats();
-        return r;
-      });
-    });
-  });
-}
-
-score_result small_score_impl(stage::seq_view q, stage::seq_view s,
-                              const align_options& opt, void* ws) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  return with_kind(opt.kind, [&](auto kc) {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) {
-      return with_scoring(opt, [&](const auto& scoring) {
-        return rolling_score<K>(q, s, gap, scoring, w);
-      });
-    });
-  });
-}
-
-score_result striped_score_impl(stage::seq_view q, stage::seq_view s,
-                                const align_options& opt, void* ws) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  return with_kind(opt.kind, [&](auto kc) {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) {
-      return with_scoring(opt, [&](const auto& scoring) {
-        if constexpr (kLanes > 1)
-          return tiled::striped_score<K, kLanes>(q, s, gap, scoring, w);
-        else
-          return rolling_score<K>(q, s, gap, scoring, w);
-      });
-    });
-  });
-}
-
-score_result bitpar_score_impl(stage::seq_view q, stage::seq_view s,
-                               const align_options& opt, void* ws) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  // classify_route admitted this pair: unit-cost option set (match == 0,
-  // mismatch == gap_extend < 0, linear), non-empty sequences.
-  return bitpar_score(q, s, opt.gap_extend, w);
-}
-
-void hirschberg_global_impl(stage::seq_view q, stage::seq_view s,
-                            const align_options& opt, void* ws,
-                            alignment_result& out) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  wavefront_stats& stats = handle_of(ws).wavefront;
-  stats = {};
-  with_gap(opt, [&](auto gap) {
-    with_scoring(opt, [&](const auto& scoring) {
-      tiled::tiled_hirschberg_align_into<kLanes>(
-          q, s, gap, scoring, make_tiled_config(opt, q.size(), s.size()),
-          kHirschbergBaseCells, w, out, &stats);
-      stamp(out);
-    });
-  });
-}
-
-void locate_impl(stage::seq_view q, stage::seq_view s,
-                 const align_options& opt, void* ws, alignment_result& out) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  wavefront_stats& stats = handle_of(ws).wavefront;
-  stats = {};
-  const tiled::tiled_config cfg = make_tiled_config(opt, q.size(), s.size());
-  with_gap(opt, [&](auto gap) {
-    with_scoring(opt, [&](const auto& scoring) {
-      auto galign_into = [&](stage::seq_view subq, stage::seq_view subs,
-                             alignment_result& r) {
-        tiled::tiled_hirschberg_align_into<kLanes>(
-            subq, subs, gap, scoring, cfg, kHirschbergBaseCells, w, r,
-            &stats);
-      };
-      switch (opt.kind) {
-        case align_kind::local:
-          locate_align_into<align_kind::local>(q, s, gap, scoring,
-                                               galign_into, w, out);
-          break;
-        case align_kind::semiglobal:
-          locate_align_into<align_kind::semiglobal>(q, s, gap, scoring,
-                                                    galign_into, w, out);
-          break;
-        default:
-          throw invalid_argument_error(
-              "locate handles local/semiglobal only");
-      }
-      stamp(out);
-    });
-  });
-}
-
-void banded_align_impl(stage::seq_view q, stage::seq_view s, band b,
-                       const align_options& opt, void* ws,
-                       alignment_result& out) {
-  workspace& w = ws_of(ws);
-  w.begin_pass();
-  with_gap(opt, [&](auto gap) {
-    with_scoring(opt, [&](const auto& scoring) {
-      banded_global_into(q, s, gap, scoring, b, opt.want_alignment, w, out);
-      stamp(out);
-    });
-  });
-}
-
-void batch_scores_impl(std::span<const seq_pair> pairs,
-                       const align_options& opt, void* ws,
-                       std::span<score_result> out, batch_stats* stats) {
-  ws_handle& h = handle_of(ws);
-  workspace& w = h.main;
-  w.begin_pass();
-  const int threads = resolve_threads(opt.threads);
-  // Pool one arena per worker ahead of the fan-out so the engine carves
-  // from handle-owned storage that survives (warm) across batch calls.
-  if (threads > 1 && h.workers.size() < static_cast<std::size_t>(threads))
-    h.workers.resize(static_cast<std::size_t>(threads));
   with_kind(opt.kind, [&](auto kc) {
     constexpr align_kind K = decltype(kc)::value;
     with_gap(opt, [&](auto gap) {
       with_scoring(opt, [&](const auto& scoring) {
         using Gap = std::decay_t<decltype(gap)>;
         using Scoring = std::decay_t<decltype(scoring)>;
-        tiled::batch_engine<K, Gap, Scoring, kLanes> eng(
-            gap, scoring,
-            tiled::batch_config{threads, classify_batch_precision(opt),
-                                std::span<workspace>(h.workers)});
-        eng.score_into(pairs, w, out);
-        if (stats != nullptr) *stats = eng.last_stats();
+        const auto cfg = [&] {
+          return make_tiled_config(opt, q.size(), s.size());
+        };
+        score_result r;
+        switch (rt) {
+          case route_kind::small_score:
+            r = rolling_score<K>(q, s, gap, scoring, w);
+            break;
+          case route_kind::bitpar_score:
+            // classify_route admitted this pair: unit-cost option set
+            // (match == 0, mismatch == gap_extend < 0, linear), n, m > 0.
+            r = bitpar_score(q, s, opt.gap_extend, w);
+            break;
+          case route_kind::striped_score:
+            if constexpr (kLanes > 1)
+              r = tiled::striped_score<K, kLanes>(q, s, gap, scoring, w);
+            else
+              r = rolling_score<K>(q, s, gap, scoring, w);
+            break;
+          case route_kind::tiled_score: {
+            tiled::tiled_engine<K, Gap, Scoring, kLanes> eng(gap, scoring,
+                                                             cfg());
+            r = eng.score(q, s, w);
+            if (wavefront != nullptr) *wavefront = eng.last_stats();
+            break;
+          }
+          case route_kind::hirschberg:
+            if constexpr (K == align_kind::global)
+              tiled::tiled_hirschberg_align_into<kLanes>(
+                  q, s, gap, scoring, cfg(), kHirschbergBaseCells, w, out,
+                  wavefront);
+            stamp(out);
+            return;
+          case route_kind::locate:
+            if constexpr (K == align_kind::local ||
+                          K == align_kind::semiglobal) {
+              const tiled::tiled_config c = cfg();
+              locate_align_into<K>(
+                  q, s, gap, scoring,
+                  [&](stage::seq_view subq, stage::seq_view subs,
+                      alignment_result& sub) {
+                    tiled::tiled_hirschberg_align_into<kLanes>(
+                        subq, subs, gap, scoring, c, kHirschbergBaseCells, w,
+                        sub, wavefront);
+                  },
+                  w, out);
+            }
+            stamp(out);
+            return;
+          default:
+            return;  // full_matrix / unsupported: handled above
+        }
+        tiled::put_score(out, r);
+        stamp(out);
       });
     });
   });
 }
 
-void batch_align_impl(std::span<const seq_pair> pairs,
+void align_batch_impl(std::span<const seq_pair> pairs,
                       const align_options& opt, void* ws,
                       std::span<alignment_result> out, batch_stats* stats) {
   ws_handle& h = handle_of(ws);
   workspace& w = h.main;
   w.begin_pass();
   const int threads = resolve_threads(opt.threads);
+  // Pool one arena per worker ahead of the fan-out so the engine carves
+  // from handle-owned storage that survives (warm) across batch calls.
   // A one-pair batch (the solo full-matrix route) runs on the main arena
   // alone, so `reserve()` keeps its first call allocation-free.
   if (threads > 1 && pairs.size() > 1 &&
@@ -382,12 +316,28 @@ void batch_align_impl(std::span<const seq_pair> pairs,
         using Scoring = std::decay_t<decltype(scoring)>;
         tiled::batch_engine<K, Gap, Scoring, kLanes> eng(
             gap, scoring,
-            tiled::batch_config{.threads = threads,
-                                .worker_ws = std::span<workspace>(h.workers)});
-        eng.align_into(pairs, w, out);
+            tiled::batch_config{threads, classify_batch_precision(opt),
+                                std::span<workspace>(h.workers)});
+        if (opt.want_alignment)
+          eng.align_into(pairs, w, out);
+        else
+          eng.score_into(pairs, w, out);
         for (auto& r : out) stamp(r);
         if (stats != nullptr) *stats = eng.last_stats();
       });
+    });
+  });
+}
+
+void banded_align_impl(stage::seq_view q, stage::seq_view s, band b,
+                       const align_options& opt, void* ws,
+                       alignment_result& out) {
+  workspace& w = ws_of(ws);
+  w.begin_pass();
+  with_gap(opt, [&](auto gap) {
+    with_scoring(opt, [&](const auto& scoring) {
+      banded_global_into(q, s, gap, scoring, b, opt.want_alignment, w, out);
+      stamp(out);
     });
   });
 }
@@ -406,16 +356,9 @@ void batch_align_impl(std::span<const seq_pair> pairs,
                                            &ws_reserve_impl,
                                            &plan_bytes_impl,
                                            &plan_tile_impl,
-                                           &tiled_score_impl,
-                                           &small_score_impl,
-                                           &bitpar_score_impl,
-                                           &striped_score_impl,
-                                           &hirschberg_global_impl,
-                                           &locate_impl,
-                                           &banded_align_impl,
-                                           &batch_scores_impl,
-                                           &batch_align_impl,
-                                           &last_wavefront_impl};
+                                           &align_impl,
+                                           &align_batch_impl,
+                                           &banded_align_impl};
   return table;
 }
 

@@ -11,9 +11,13 @@
 /// the matching -m<isa> flags without any symbol ever being shared with
 /// baseline (or another variant's) code.  A variant exports exactly one
 /// thing across that boundary: an `ops` table of plain function pointers
-/// covering every lane-dependent entry point.  align.cpp picks a table
-/// per call after consulting simd::detect(), so no ISA-flagged code
-/// executes on a CPU that cannot run it.
+/// shaped like the public API — one execute entry per public call
+/// (`align`, `align_batch`, `banded_align`), the plan queries behind
+/// `aligner::plan`/`reserve`, and the workspace lifecycle.  The route a
+/// call takes is decided inside the variant, by the shared
+/// `classify_route` below; no route crosses the seam.  align.cpp picks a
+/// table per call after consulting simd::detect(), so no ISA-flagged
+/// code executes on a CPU that cannot run it.
 ///
 /// Plan/execute split: every execute entry takes an opaque workspace
 /// handle (`void*`) created by the same variant's `ws_create`.  The
@@ -26,7 +30,7 @@
 /// method with DP-adjacent loops is ever emitted weak by an ISA TU).
 ///
 /// Everything in the signatures below is a shared baseline type
-/// (seq_view, align_options, band, score_result, alignment_result) — no
+/// (seq_view, align_options, band, alignment_result, batch_stats) — no
 /// per-target type may appear here.
 
 #include <span>
@@ -38,16 +42,17 @@ namespace anyseq::engine {
 /// Cells at or below which a serial one-pair pass beats the tiled
 /// engine for score-only alignment (the striped int16 kernel on vector
 /// variants, the rolling pass for extension on the scalar one) — ONE
-/// definition shared by the dispatcher's route selection,
-/// `aligner::plan`, and every variant's plan_bytes (they must never
-/// drift apart: reserve() would otherwise pre-size for a route execute
-/// never runs).
+/// definition shared by `classify_route`, which every variant's `align`
+/// and `plan_bytes` and `aligner::plan` consult (they must never drift
+/// apart: reserve() would otherwise pre-size for a route execute never
+/// runs).
 inline constexpr index_t kSmallScoreCells = index_t{1} << 16;
 
 /// Default Hirschberg full-DP recursion cutoff (the engines' default).
 inline constexpr index_t kHirschbergBaseCells = index_t{1} << 14;
 
-/// The execution route the dispatcher selects for an (n x m) problem.
+/// The execution route a variant's `align` entry takes for an (n x m)
+/// problem.
 enum class route_kind : std::uint8_t {
   tiled_score,
   small_score,
@@ -126,66 +131,38 @@ struct ops {
   index_t (*plan_tile)(index_t n, index_t m, const align_options& opt);
 
   // --- execute entries (all carve from `ws`, never allocate after
-  //     warm-up; traceback entries recycle `out`'s buffers) -----------
+  //     warm-up; traceback results recycle `out`'s buffers) ----------
 
-  /// Tiled multi-threaded score pass (any alignment kind).
-  score_result (*tiled_score)(stage::seq_view q, stage::seq_view s,
-                              const align_options& opt, void* ws);
+  /// Align one pair: the public `aligner::align_into` call.  Classifies
+  /// the route (`classify_route`, the switch `plan_bytes` sizes for),
+  /// runs it and stamps `out.variant`.  A full-matrix traceback is a
+  /// one-pair `align_batch` and writes its banded_pairs / band_passes
+  /// into `stats` when non-null (an overwrite, left alone by every
+  /// other route).  When `wavefront` is non-null it is overwritten with
+  /// the call's tiled score, tiled Hirschberg or locate accounting
+  /// (summed over a traceback's passes), zero for every other route.
+  /// Throws invalid_argument_error for an extension traceback above
+  /// `opt.full_matrix_cells`.
+  void (*align)(stage::seq_view q, stage::seq_view s,
+                const align_options& opt, void* ws, alignment_result& out,
+                batch_stats* stats, wavefront_stats* wavefront);
 
-  /// Serial rolling-row score pass for small inputs (below ~2^16 cells
-  /// the tiled pass's borders and pool hand-off cost more than it saves).
-  score_result (*small_score)(stage::seq_view q, stage::seq_view s,
-                              const align_options& opt, void* ws);
-
-  /// Myers bit-parallel score pass (unit-cost option sets only; ~1
-  /// instruction per 64 DP cells).  Falls back to the rolling engine
-  /// inside the same workspace pass for alphabets beyond 32 codes.
-  score_result (*bitpar_score)(stage::seq_view q, stage::seq_view s,
-                               const align_options& opt, void* ws);
-
-  /// Intra-pair striped int16 score pass for one pair (vector variants;
-  /// the caller proved the int16 bound).  The scalar variant rolls.
-  score_result (*striped_score)(stage::seq_view q, stage::seq_view s,
-                                const align_options& opt, void* ws);
-
-  /// Linear-space *global* alignment with traceback (tiled Hirschberg).
-  void (*hirschberg_global)(stage::seq_view q, stage::seq_view s,
-                            const align_options& opt, void* ws,
-                            alignment_result& out);
-
-  /// Linear-space local/semiglobal traceback: locate the aligned region,
-  /// then reconstruct it with this variant's Hirschberg engine.
-  void (*locate)(stage::seq_view q, stage::seq_view s,
-                 const align_options& opt, void* ws, alignment_result& out);
+  /// Align many pairs, input order preserved: the public
+  /// `aligner::align_batch_into` call.  Score-only batches run the
+  /// inter-sequence SIMD batch kernel; traceback batches align pair by
+  /// pair (global pairs band-doubled first, the full matrix as
+  /// fallback).  `out` is caller-presized to pairs.size().  When `stats`
+  /// is non-null it receives the run's path accounting — a plain
+  /// overwrite, not accumulation.
+  void (*align_batch)(std::span<const seq_pair> pairs,
+                      const align_options& opt, void* ws,
+                      std::span<alignment_result> out, batch_stats* stats);
 
   /// Banded global alignment (diagonals lo <= j - i <= hi), score or
   /// traceback per opt.want_alignment.
   void (*banded_align)(stage::seq_view q, stage::seq_view s, band b,
                        const align_options& opt, void* ws,
                        alignment_result& out);
-
-  /// Inter-sequence SIMD batch scoring; one score_result per pair, input
-  /// order preserved.  `out` is caller-presized to pairs.size().  When
-  /// `stats` is non-null it receives the run's path accounting (simd vs
-  /// scalar vs ragged pair counts) — a plain overwrite, not accumulation.
-  void (*batch_scores)(std::span<const seq_pair> pairs,
-                       const align_options& opt, void* ws,
-                       std::span<score_result> out, batch_stats* stats);
-
-  /// Batch alignment with traceback (order preserved): per-pair
-  /// full-matrix alignment compiled inside this variant's namespace,
-  /// global pairs band-doubled first.  The solo full-matrix route is a
-  /// one-pair call (quadratic memory — the caller enforces
-  /// opt.full_matrix_cells).  `out` is caller-presized to pairs.size().
-  /// `stats`, when non-null, receives the banded_pairs / band_passes
-  /// accounting (an overwrite, like batch_scores).
-  void (*batch_align)(std::span<const seq_pair> pairs,
-                      const align_options& opt, void* ws,
-                      std::span<alignment_result> out, batch_stats* stats);
-
-  /// Wavefront accounting of the last tiled score, tiled Hirschberg or
-  /// locate call on `ws` (summed over a traceback's tiled passes).
-  wavefront_stats (*last_wavefront)(const void* ws) noexcept;
 };
 
 /// The three variants are always present; `native` records whether their

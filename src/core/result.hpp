@@ -57,8 +57,8 @@ struct alignment_result {
 
 /// Outcome of a score-only pass: the optimum value and the cell where the
 /// optimum ends (meaningful for local/semiglobal; (n, m) for global).
-/// Shared by every engine variant — this type crosses the `engine::ops`
-/// dispatch boundary and therefore must not live in a per-target header.
+/// Shared by every engine variant and by baseline code (the simulators,
+/// tests) and therefore must not live in a per-target header.
 struct score_result {
   score_t score = neg_inf();
   index_t end_i = 0, end_j = 0;
@@ -71,8 +71,8 @@ struct score_result {
 /// striped single pairs); `scalar_pairs` counts int32 rolling-engine
 /// pairs.  Traceback batches fill only `banded_pairs` and
 /// `band_passes`.  Shared by every engine variant — this type crosses
-/// the `engine::ops` dispatch boundary (batch_scores' and batch_align's
-/// stats out-param) and therefore must not live in a per-target header.
+/// the `engine::ops` dispatch boundary (align's and align_batch's stats
+/// out-param) and therefore must not live in a per-target header.
 struct batch_stats {
   std::uint64_t simd_pairs = 0;
   std::uint64_t scalar_pairs = 0;

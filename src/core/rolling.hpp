@@ -5,8 +5,8 @@
 /// divide-and-conquer traceback.
 ///
 /// Per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS`, once per
-/// engine variant.  `score_result` itself is shared (core/result.hpp) —
-/// it crosses the `engine::ops` dispatch boundary.
+/// engine variant.  `score_result` itself is shared (core/result.hpp)
+/// with baseline code.
 
 #include "simd/set_target.hpp"
 

@@ -328,6 +328,21 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
   }
 }
 
+/// Write a score pass's outcome into a batch slot.  An alignment_result
+/// slot is reset (keeping its string capacity) and gets the score, the
+/// optimum's end cell and the cell count — exactly what a solo score-only
+/// `align` call returns.
+inline void put_score(score_result& out, const score_result& r) noexcept {
+  out = r;
+}
+inline void put_score(alignment_result& out, const score_result& r) noexcept {
+  out.reset();
+  out.score = r.score;
+  out.q_end = r.end_i;
+  out.s_end = r.end_j;
+  out.cells = r.cells;
+}
+
 template <align_kind K, class Gap, class Scoring, int Lanes>
 class batch_engine {
  public:
@@ -367,13 +382,15 @@ class batch_engine {
 
   /// Score every pair into caller-sized `out` (order preserved),
   /// carving chunk scratch from `ws` when running single-threaded.
-  template <class Pair>
+  /// `Out` is score_result or alignment_result (see put_score).
+  template <class Pair, class Out>
   void score_into(std::span<const Pair> pairs, workspace& ws,
-                  std::span<score_result> out) {
+                  std::span<Out> out) {
     ANYSEQ_CHECK(out.size() == pairs.size(),
                  "score_into: out must have one slot per pair");
-    run(pairs, &ws,
-        [&out](std::size_t idx, const score_result& r) { out[idx] = r; });
+    run(pairs, &ws, [&out](std::size_t idx, const score_result& r) {
+      put_score(out[idx], r);
+    });
   }
 
   /// Align every pair with traceback into caller-sized `out` (order

@@ -23,9 +23,9 @@ namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
 namespace tiled {
 
-/// Last-row strategy backed by the tiled MT engine.  Small subproblems
-/// (below `serial_cells`) run serially — tile borders and pool wake-ups
-/// cost more than they save ("recursion cutoff points", paper §V).
+/// Last-row strategy backed by the tiled MT engine: every pass, however
+/// small, runs the wavefront (striped tiles inside the int16 window on
+/// the vector variants), so one last-row path serves every variant.
 ///
 /// When `ws` is set, the tiled engine carves its frontier and worker
 /// scratch from that workspace (nested inside the enclosing Hirschberg
@@ -36,17 +36,12 @@ struct tiled_last_row {
   Gap gap;
   Scoring scoring;
   tiled_config cfg;
-  index_t serial_cells = 1 << 16;
   workspace* ws = nullptr;
   wavefront_stats* stats = nullptr;
 
   template <stage::sequence_view QV, stage::sequence_view SV>
   void operator()(const QV& q, const SV& s, score_t tb,
                   std::span<score_t> hh, std::span<score_t> ee) const {
-    if (q.size() * s.size() <= serial_cells) {
-      nw_last_row(q, s, gap, scoring, tb, hh, ee);
-      return;
-    }
     tiled_engine<align_kind::global, Gap, Scoring, Lanes> eng(gap, scoring,
                                                               cfg);
     if (ws != nullptr)
@@ -82,7 +77,7 @@ void tiled_hirschberg_align_into(stage::seq_view q, stage::seq_view s,
                                  workspace& ws, alignment_result& out,
                                  wavefront_stats* stats = nullptr) {
   using lr = tiled_last_row<Gap, Scoring, Lanes>;
-  lr last_row{gap, scoring, cfg};  // serial_cells keeps its ONE default
+  lr last_row{gap, scoring, cfg};
   last_row.ws = &ws;
   last_row.stats = stats;
   hirschberg_engine<Gap, Scoring, lr> eng(gap, scoring, last_row,

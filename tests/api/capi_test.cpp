@@ -229,6 +229,73 @@ TEST(CApiService, DiscardedTicketStillExecutesAndDrains) {
   anyseq_service_destroy(svc);  // drains without leaking the slot
 }
 
+TEST(CApiService, ShardedServiceServesAResubmittedPairFromTheCache) {
+  anyseq_service* svc = anyseq_service_create_ex(
+      0, 0, 0, ANYSEQ_BACKPRESSURE_BLOCK, /*shards=*/2,
+      /*cache_capacity=*/64, /*adaptive_linger=*/0);
+  ASSERT_NE(svc, nullptr);
+  const auto want = anyseq::align_strings("ACGTACGTTGCA", "ACGTCGTTACGCA");
+  for (int k = 0; k < 2; ++k) {
+    anyseq_ticket* t =
+        anyseq_service_submit(svc, "ACGTACGTTGCA", "ACGTCGTTACGCA",
+                              ANYSEQ_ALIGN_GLOBAL, 2, -1, 0, -1, 0);
+    ASSERT_NE(t, nullptr) << k;
+    EXPECT_EQ(anyseq_service_wait(t, nullptr, nullptr), want.score) << k;
+  }
+  anyseq_service_stats stats;
+  ASSERT_EQ(anyseq_service_get_stats(svc, &stats), 0);
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.cache_hits, 1u);  // the resubmission
+  EXPECT_EQ(stats.cache_misses, 1u);
+  anyseq_service_destroy(svc);
+}
+
+TEST(CApiService, CreateExRejectsNegativeShardsAndUnknownPolicy) {
+  EXPECT_EQ(anyseq_service_create_ex(0, 0, 0, ANYSEQ_BACKPRESSURE_BLOCK, -1,
+                                     0, 0),
+            nullptr);
+  EXPECT_EQ(anyseq_service_create_ex(0, 0, 0, 99, 2, 0, 0), nullptr);
+  EXPECT_EQ(anyseq_service_create_ex(0, 0, 0, -1, 2, 0, 0), nullptr);
+}
+
+TEST(CApiService, BulkSubmitLandsInTheBulkSlice) {
+  anyseq_service* svc = anyseq_service_create_ex(
+      0, 0, 0, ANYSEQ_BACKPRESSURE_BLOCK, 1, 0, 0);
+  ASSERT_NE(svc, nullptr);
+  anyseq_ticket* t = anyseq_service_submit_ex(
+      svc, "ACGTACGT", "ACGTTCGT", ANYSEQ_ALIGN_GLOBAL, 2, -1, 0, -1, 0,
+      ANYSEQ_CLASS_BULK, /*tenant=*/7);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(anyseq_service_wait(t, nullptr, nullptr),
+            anyseq::align_strings("ACGTACGT", "ACGTTCGT").score);
+  anyseq_service_stats stats;
+  ASSERT_EQ(anyseq_service_get_stats(svc, &stats), 0);
+  EXPECT_EQ(stats.completed, 1u);
+  // Only the bulk histogram holds a sample.
+  EXPECT_GT(stats.bulk_p99_latency_ns, 0u);
+  EXPECT_EQ(stats.interactive_p99_latency_ns, 0u);
+  anyseq_service_destroy(svc);
+}
+
+TEST(CApiService, SubmitExRejectsUnknownClassAndNegativeTenant) {
+  anyseq_service* svc = anyseq_service_create_ex(
+      0, 0, 0, ANYSEQ_BACKPRESSURE_BLOCK, 1, 0, 0);
+  ASSERT_NE(svc, nullptr);
+  EXPECT_EQ(anyseq_service_submit_ex(svc, "ACGT", "ACGT",
+                                     ANYSEQ_ALIGN_GLOBAL, 2, -1, 0, -1, 0,
+                                     static_cast<anyseq_request_class>(2), 0),
+            nullptr);
+  EXPECT_EQ(anyseq_service_submit_ex(svc, "ACGT", "ACGT",
+                                     ANYSEQ_ALIGN_GLOBAL, 2, -1, 0, -1, 0,
+                                     ANYSEQ_CLASS_INTERACTIVE, -1),
+            nullptr);
+  anyseq_service_stats stats;
+  ASSERT_EQ(anyseq_service_get_stats(svc, &stats), 0);
+  EXPECT_EQ(stats.accepted, 0u);
+  anyseq_service_destroy(svc);
+}
+
 TEST(CApiAligner, HandleMatchesStatelessResults) {
   anyseq_aligner* a = anyseq_aligner_create();
   ASSERT_NE(a, nullptr);

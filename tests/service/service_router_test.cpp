@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <thread>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "testutil.hpp"
 
 namespace anyseq::service {
@@ -101,8 +103,11 @@ TEST(ServiceRouter, SpillBalancesHotQueryAndAffinityPinsIt) {
   const auto q = random_codes(256, 33);  // one hot query: one home shard
   std::vector<std::vector<char_t>> subjects;
   for (int i = 0; i < 64; ++i) subjects.push_back(random_codes(256, 40 + i));
+  // 256 x 2048 cells: past aligner::inline_cell_bound, so the batch it
+  // leads goes to the pool instead of running on the batcher.
+  const auto big = random_codes(2048, 39);
 
-  const auto run = [&](std::size_t margin) {
+  const auto run = [&](std::size_t margin, bool hold_home) {
     service_group::config cfg;
     cfg.shards = 2;
     cfg.cache_capacity = 0;  // distinct subjects anyway; keep all misses
@@ -112,8 +117,20 @@ TEST(ServiceRouter, SpillBalancesHotQueryAndAffinityPinsIt) {
     cfg.shard.max_linger = 2ms;  // let depth build on the home shard
     service_group group(cfg);
     std::vector<ticket> ts;
+    // Keep the home shard busy through the flood: every pool worker
+    // waits on `release`, so the pool batch the big pair leads holds the
+    // shard's only workspace and its queue has to build, however the
+    // host schedules the submitting thread and the batcher.
+    std::promise<void> release;
+    if (hold_home) {
+      auto& pool = parallel::thread_pool::global();
+      const std::shared_future<void> gate = release.get_future().share();
+      for (int w = 0; w < pool.size(); ++w) pool.run([gate] { gate.wait(); });
+      ts.push_back(group.submit(view(q), view(big), {}));
+    }
     for (const auto& s : subjects)
       ts.push_back(group.submit(view(q), view(s), {}));
+    if (hold_home) release.set_value();
     for (auto& t : ts) (void)t.get();
     std::vector<std::uint64_t> per_shard;
     for (std::size_t i = 0; i < group.shard_count(); ++i)
@@ -122,14 +139,14 @@ TEST(ServiceRouter, SpillBalancesHotQueryAndAffinityPinsIt) {
   };
 
   // Margin 0: any imbalance spills.  The hot query floods its home
-  // shard far faster than one batcher drains it, so the other shard
-  // must receive spilled work.
-  const auto spilled = run(0);
+  // shard while its batcher waits for the held workspace, so the other
+  // shard must receive spilled work.
+  const auto spilled = run(0, true);
   EXPECT_GT(spilled[0], 0u);
   EXPECT_GT(spilled[1], 0u);
 
   // Effectively infinite margin: pure affinity, one shard owns the key.
-  const auto pinned = run(1u << 20);
+  const auto pinned = run(1u << 20, false);
   EXPECT_TRUE((pinned[0] == 64 && pinned[1] == 0) ||
               (pinned[0] == 0 && pinned[1] == 64));
 }
