@@ -74,6 +74,11 @@ std::vector<bio::read_pair> make_pairs(std::size_t n, std::uint64_t seed) {
   return bio::simulate_read_pairs(ref, n, {});
 }
 
+/// The response-cache key hash of one pair under `opt`.
+std::uint64_t key_of(const bio::read_pair& p, const align_options& opt) {
+  return service::cache_key_hash(p.first.view(), p.second.view(), opt);
+}
+
 /// Stream `total` requests with an exact fraction `hit_rate` of cache
 /// hits: hits draw round-robin from `warm` already-cached pairs (the
 /// caller warmed them and waited for completion, so they are resident),
@@ -369,19 +374,21 @@ int main(int argc, char** argv) {
     const auto opt = request_options();
     service::response_cache cache(service::response_cache::config{4096, 8});
     for (const auto& p : warm)
-      cache.insert(p.first.view(), p.second.view(), opt,
+      cache.insert(p.first.view(), p.second.view(), opt, key_of(p, opt),
                    align(p.first.view(), p.second.view(), opt));
     std::vector<const bio::read_pair*> hot;
     alignment_result out;
     for (const auto& p : warm)
-      if (cache.lookup(p.first.view(), p.second.view(), opt, out))
+      if (cache.lookup(p.first.view(), p.second.view(), opt, key_of(p, opt),
+                       out))
         hot.push_back(&p);
     const std::size_t lookups = 64 * total;
     std::size_t missed = 0;
     const spread t = timed_spread(a.repeats, [&] {
       for (std::size_t i = 0; i < lookups; ++i) {
         const auto& p = *hot[i % hot.size()];
-        if (!cache.lookup(p.first.view(), p.second.view(), opt, out))
+        if (!cache.lookup(p.first.view(), p.second.view(), opt,
+                          key_of(p, opt), out))
           ++missed;
       }
     });
@@ -428,7 +435,8 @@ int main(int argc, char** argv) {
     std::vector<const bio::read_pair*> hot;
     alignment_result out;
     for (const auto& p : warm)
-      if (svc.cache()->lookup(p.first.view(), p.second.view(), opt, out))
+      if (svc.cache()->lookup(p.first.view(), p.second.view(), opt,
+                              key_of(p, opt), out))
         hot.push_back(&p);
     const std::size_t per_producer = 16 * total;
     const auto hits_before = svc.stats().cache_hits;

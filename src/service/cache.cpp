@@ -184,9 +184,8 @@ std::size_t response_cache::slot_base(const shard& sh,
 }
 
 bool response_cache::lookup(stage::seq_view q, stage::seq_view s,
-                            const align_options& opt,
+                            const align_options& opt, std::uint64_t h,
                             alignment_result& out) {
-  const std::uint64_t h = cache_key_hash(q, s, opt);
   shard& sh = shard_for(h);
   std::lock_guard lock(sh.m);
   const std::size_t base = slot_base(sh, h);
@@ -203,9 +202,8 @@ bool response_cache::lookup(stage::seq_view q, stage::seq_view s,
 }
 
 void response_cache::insert(stage::seq_view q, stage::seq_view s,
-                            const align_options& opt,
+                            const align_options& opt, std::uint64_t h,
                             const alignment_result& r) {
-  const std::uint64_t h = cache_key_hash(q, s, opt);
   shard& sh = shard_for(h);
   std::lock_guard lock(sh.m);
   const std::size_t base = slot_base(sh, h);

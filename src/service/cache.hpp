@@ -76,19 +76,23 @@ class response_cache {
   response_cache() : response_cache(config{}) {}
   explicit response_cache(config cfg);
 
-  /// Probe for (q, s, opt).  On a hit, copy the stored result into `out`
-  /// (recycling `out`'s string capacity) and return true.
+  /// Probe for (q, s, opt), whose `cache_key_hash` the caller passes as
+  /// `hash` (the service hashes a request once and reuses the value).  On
+  /// a hit, copy the stored result into `out` (recycling `out`'s string
+  /// capacity) and return true.
   [[nodiscard]] bool lookup(stage::seq_view q, stage::seq_view s,
-                            const align_options& opt, alignment_result& out);
+                            const align_options& opt, std::uint64_t hash,
+                            alignment_result& out);
 
-  /// Store a successful result under (q, s, opt), overwriting a matching
-  /// entry or clock-evicting within the key's probe window.  Key bytes
-  /// and result are copied into entry-owned recycled storage — the caller
+  /// Store a successful result under (q, s, opt), whose `cache_key_hash`
+  /// is `hash`, overwriting a matching entry or clock-evicting within the
+  /// key's probe window.  Key bytes and result are copied into
+  /// entry-owned recycled storage — the caller
   /// keeps ownership of its buffers.  The copies can throw
   /// `std::bad_alloc`; the entry then is left out of the table (the one
   /// it replaced is gone), so a lookup never sees a half-written entry.
   void insert(stage::seq_view q, stage::seq_view s, const align_options& opt,
-              const alignment_result& r);
+              std::uint64_t hash, const alignment_result& r);
 
   /// Drop every entry (capacity and warmed buffers are kept).
   void clear();

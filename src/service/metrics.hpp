@@ -53,6 +53,15 @@ struct histogram_snapshot {
     sum_ns += other.sum_ns;
   }
 
+  /// Bucket-wise difference from an `earlier` snapshot of the same
+  /// histogram: the completions recorded in between.
+  void subtract(const histogram_snapshot& earlier) noexcept {
+    for (std::size_t i = 0; i < n_latency_buckets; ++i)
+      buckets[i] -= earlier.buckets[i];
+    count -= earlier.count;
+    sum_ns -= earlier.sum_ns;
+  }
+
   /// Nearest-rank quantile num/den (exact rationals — 999/1000 for
   /// p99.9 — so no floating-point rounding can move a rank): the
   /// inclusive upper edge of the bucket holding the ceil(num/den *

@@ -21,6 +21,9 @@
 ///     handoff (submit -> batcher via mu_, batcher -> executor via the
 ///     pool's job queue) is a release/acquire edge.  A batch run inline
 ///     needs no second edge: its executor is the batcher itself.
+///   * The batcher's linger state (`linger_lead_`, `linger_room_`) is
+///     written by the batcher and read by submit only under mu_; the
+///     wake predicate reads the lead slot's inputs under it too.
 ///   * The response cache has its own shard locks and is never touched
 ///     while mu_ or a slot mutex is held.
 ///   * A score-only hit submitted by view takes neither: it reads
@@ -44,6 +47,10 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "core/alphabet.hpp"
 #include "service/faultinject.hpp"
@@ -362,6 +369,24 @@ std::size_t aligner::ring_extract_compatible(
   return taken;
 }
 
+bool aligner::wakes_batcher_locked(const slot& sl,
+                                   const admission_ring& ring) const noexcept {
+  // Not lingering: idle on batcher_cv_ (the arrival is its work) or busy
+  // elsewhere (the notify finds no waiter).
+  if (linger_lead_ == no_linger) return true;
+  // While it lingers, the batcher's next walk would flush or reschedule
+  // only for one of these; any other arrival waits in the ring for the
+  // walk at the end of the linger.
+  const slot& lead = slots_[linger_lead_];
+  return ring.count >= linger_room_ ||            // the batch can fill
+         ring.count >= cfg_.queue_capacity ||     // submitters may block
+         sl.rt != lead.rt ||                      // option boundary
+         !options_compatible(sl.opt, lead.opt) ||
+         (sl.cls == request_class::interactive &&  // cuts a bulk linger
+          lead.cls == request_class::bulk) ||
+         sl.deadline != clock::time_point::max();  // may pull the flush in
+}
+
 void aligner::fail_dequeued_locked(std::uint32_t idx, std::exception_ptr e) {
   slot& sl = slots_[idx];
   failed_[static_cast<std::size_t>(sl.cls)].fetch_add(
@@ -435,9 +460,8 @@ void aligner::note_exec(route rt, const char* variant, std::uint64_t requests,
   exec_ns_[r][v].fetch_add(ns, std::memory_order_relaxed);
 }
 
-void aligner::record_offender(const slot& sl) noexcept {
+void aligner::record_offender(std::uint64_t fp) noexcept {
   if (cfg_.quarantine_capacity == 0) return;
-  const std::uint64_t fp = cache_key_hash(sl.q, sl.s, sl.opt);
   const std::uint32_t thr = cfg_.quarantine_threshold;
   std::lock_guard lock(q_mu_);
   for (q_entry& e : q_entries_) {
@@ -484,12 +508,15 @@ ticket aligner::submit_strings(std::string_view q, std::string_view s,
 aligner::intake aligner::screen(stage::seq_view q, stage::seq_view s,
                                 const align_options& opt,
                                 const submit_options& so,
-                                alignment_result& out, std::uint32_t id) {
-  // Repeat-offender quarantine: one relaxed load on the happy path; the
-  // fingerprint is only computed once an offender actually exists.
+                                alignment_result& out, std::uint32_t id,
+                                std::uint64_t& key) {
+  // The one key hash of this request: the quarantine fingerprint, the
+  // cache slot of this probe and of the insert at completion, and the
+  // fault-poison fingerprint.
+  key = cache_key_hash(q, s, opt);
+  // Repeat-offender quarantine: one relaxed load on the happy path.
   if (cfg_.quarantine_capacity > 0 &&
-      q_active_.load(std::memory_order_relaxed) > 0 &&
-      is_quarantined(cache_key_hash(q, s, opt))) {
+      q_active_.load(std::memory_order_relaxed) > 0 && is_quarantined(key)) {
     quarantined_[static_cast<std::size_t>(so.cls)].fetch_add(
         1, std::memory_order_relaxed);
     ANYSEQ_TRACE_MARK(quarantine, id, 0);
@@ -499,7 +526,7 @@ aligner::intake aligner::screen(stage::seq_view q, stage::seq_view s,
     return intake::expired;
   if (cache_ == nullptr) return intake::miss;
   const std::int64_t tr_probe = ANYSEQ_TRACE_NOW();
-  const bool hit = cache_->lookup(q, s, opt, out);
+  const bool hit = cache_->lookup(q, s, opt, key, out);
   ANYSEQ_TRACE_EMIT(cache_probe, id, tr_probe, hit ? 1 : 0);
   return hit ? intake::hit : intake::miss;
 }
@@ -542,9 +569,10 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   intake in = intake::miss;
   alignment_result found;
   clock::time_point t_submit{};
+  std::uint64_t key = 0;
   if (screen_first) {
     t_submit = clock::now();
-    in = screen(q, s, opt, so, found, trace::no_slot);
+    in = screen(q, s, opt, so, found, trace::no_slot, key);
     if (in == intake::quarantined) throw quarantine_error(quarantined_msg);
     if (in == intake::hit) {
       ticket value = ticket::value_of(found);
@@ -618,11 +646,12 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   sl.error = nullptr;
   sl.t_submit = screen_first ? t_submit : clock::now();
   sl.deadline = so.deadline;
+  sl.key_hash = key;
   const std::uint64_t gen = sl.gen;
 
   if (!screen_first) {
     // The slot returns to the freelist, so a refusal consumed nothing.
-    in = screen(sl.q, sl.s, sl.opt, so, sl.result, idx);
+    in = screen(sl.q, sl.s, sl.opt, so, sl.result, idx, sl.key_hash);
     if (in == intake::quarantined) {
       return_slot();
       throw quarantine_error(quarantined_msg);
@@ -659,6 +688,7 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
 
   sl.rt = classify(sl.q, sl.s, opt);
 
+  bool wake;
   {
     std::unique_lock lock(mu_);
     admission_ring& ring = ring_of(so.cls);
@@ -711,9 +741,10 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
     accepted_[ci].fetch_add(1, std::memory_order_relaxed);
     sl.t_queued_ns = ANYSEQ_TRACE_NOW();  // ring_wait span opens here
     ring_push(ring, idx);
+    wake = wakes_batcher_locked(sl, ring);
   }
 
-  batcher_cv_.notify_one();
+  if (wake) batcher_cv_.notify_one();
   ANYSEQ_TRACE_EMIT(submit, idx, tr_submit, 0);
   return ticket(this, idx, gen);
 }
@@ -723,6 +754,11 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
 // ---------------------------------------------------------------------
 
 void aligner::batcher_loop() {
+#ifdef __linux__
+  // The linger is a timed wait that arrivals mostly no longer cut short:
+  // without this the kernel may fire it up to the default 50 us late.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   next_adapt_ = clock::now();
   for (;;) {
     try {
@@ -733,6 +769,7 @@ void aligner::batcher_loop() {
       // the rings.
       {
         std::lock_guard lock(mu_);
+        linger_lead_ = no_linger;  // every arrival wakes it again
         const auto e = std::make_exception_ptr(service_down_error(
             "service: batcher failed while collecting this batch"));
         for (const std::uint32_t idx : batch_) fail_dequeued_locked(idx, e);
@@ -809,9 +846,14 @@ bool aligner::batcher_iteration() {
       const auto cutoff = earliest_deadline - cfg_.deadline_headroom;
       if (cutoff < wake) wake = cutoff;
     }
-    if (clock::now() >= wake) break;
-    if (batcher_cv_.wait_until(lock, wake) == std::cv_status::timeout)
-      break;  // flush: linger over
+    if (clock::now() >= wake) break;  // flush: linger over
+    // Arrivals that cannot change this batch's fate do not wake us (see
+    // wakes_batcher_locked); they wait in the ring, and the walk after a
+    // wake-up or the timeout takes them before the checks above flush.
+    linger_lead_ = first;
+    linger_room_ = cfg_.max_batch - batch.size();
+    batcher_cv_.wait_until(lock, wake);
+    linger_lead_ = no_linger;
   }
 
   const std::int64_t tr_ws = ANYSEQ_TRACE_NOW();
@@ -899,9 +941,14 @@ void aligner::adapt_linger(clock::time_point now) {
   if (now < next_adapt_) return;
   next_adapt_ = now + std::chrono::milliseconds(5);
 
-  // Lifetime interactive p99, ranked on the class histogram.
-  const histogram_snapshot h =
+  // Interactive p99 over the window since the last tick: the bucket-wise
+  // delta between the class histogram now and the copy the last tick
+  // kept.  A lifetime p99 would hold a shrunk linger down long after a
+  // slow stretch ends.  Both copies are fixed arrays: no allocation.
+  histogram_snapshot h =
       hist_[static_cast<std::size_t>(request_class::interactive)].snapshot();
+  h.subtract(adapt_last_hist_);  // the window
+  adapt_last_hist_.merge(h);     // = the histogram now, the next base
   const std::uint64_t p99 = h.quantile_ns(99, 100);
   const auto target =
       static_cast<std::uint64_t>(to_ns(cfg_.interactive_p99_target));
@@ -950,7 +997,7 @@ void aligner::complete(std::uint32_t idx, alignment_result&& r,
   // that saw it throw would re-deliver members it had already completed.
   if (e == nullptr && cache_ != nullptr) {
     try {
-      cache_->insert(sl.q, sl.s, sl.opt, r);
+      cache_->insert(sl.q, sl.s, sl.opt, sl.key_hash, r);
     } catch (...) {
     }
   }
@@ -1029,12 +1076,11 @@ void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
     // Fault hooks: a span-level allocation failure (transient — the
     // halves retry and succeed) and per-request kernel poison (sticky —
     // bisection walks it down to the solo culprit).  Fingerprints are
-    // only computed while a schedule is armed.
+    // only read while a schedule is armed.
     if (ANYSEQ_FAULT_POINT(alloc_failure)) throw std::bad_alloc();
     if (ANYSEQ_FAULT_HOOKS && fault::armed() != nullptr) {
       for (std::size_t i = lo; i < hi; ++i) {
-        const slot& sl = slots_[ws.items[i]];
-        if (fault::armed()->poisoned(cache_key_hash(sl.q, sl.s, sl.opt)))
+        if (fault::armed()->poisoned(slots_[ws.items[i]].key_hash))
           throw fault::injected_fault(
               "service: injected kernel exception (batched)");
       }
@@ -1092,7 +1138,7 @@ void aligner::run_solo(exec_unit& ws, std::uint32_t idx) {
   std::exception_ptr err;
   try {
     if (ANYSEQ_FAULT_HOOKS && fault::armed() != nullptr &&
-        fault::armed()->poisoned(cache_key_hash(sl.q, sl.s, sl.opt)))
+        fault::armed()->poisoned(sl.key_hash))
       throw fault::injected_fault("service: injected kernel exception");
     ws.eng.set_options(sl.opt);
     const auto eng_t0 = clock::now();
@@ -1115,7 +1161,7 @@ void aligner::run_solo(exec_unit& ws, std::uint32_t idx) {
   }
   // The request failed *in isolation*: it is the culprit, not a
   // bystander — record the offense for the quarantine.
-  record_offender(sl);
+  record_offender(sl.key_hash);
   complete(idx, {}, std::move(err));
 }
 

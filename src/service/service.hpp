@@ -21,6 +21,14 @@
 /// §6): no thread beyond the batchers and the pool, and a lone large
 /// request on a pool worker gets one core.
 ///
+/// Wake-ups: a submit wakes a lingering batcher only when its arrival
+/// changes what the batcher would do — the batch can fill, the ring hit
+/// `queue_capacity`, the arrival cannot batch with the lead, it is
+/// interactive behind a bulk lead, or it carries a deadline.  Other
+/// compatible arrivals wait in the ring, where the batcher's walk at the
+/// end of the linger takes them (DESIGN.md §12, "When the batcher
+/// wakes").
+///
 /// On top of the batching core sits the serving tier:
 ///
 ///   * **Response cache** (service/cache.hpp).  With `cache_capacity > 0`
@@ -43,8 +51,9 @@
 ///     monopolize the queues.  Cache hits are not charged.
 ///   * **Adaptive linger.**  With `adaptive_linger`, the batcher drives
 ///     the effective linger from the interactive latency histogram:
-///     shrink while interactive p99 exceeds `interactive_p99_target`,
-///     grow back toward `max_linger` while the tail is comfortable and
+///     every 5 ms it ranks the p99 of the completions since its last
+///     tick, shrinks while that exceeds `interactive_p99_target`, and
+///     grows back toward `max_linger` while the tail is comfortable and
 ///     batches run under-full.
 ///
 /// And the robustness layer (see ARCHITECTURE.md, "Failure domains &
@@ -419,7 +428,8 @@ class aligner {
   [[nodiscard]] response_cache* cache() const noexcept { return cache_; }
 
   /// Instantaneous total admission depth across both class rings —
-  /// a relaxed-atomic mirror for the router's load-spill decision (no
+  /// arrivals a lingering batcher has not pulled yet included — as a
+  /// relaxed-atomic mirror for the router's load-spill decision (no
   /// lock taken; may lag by a few requests).
   [[nodiscard]] std::size_t approx_queue_depth() const noexcept {
     return depth_.load(std::memory_order_relaxed);
@@ -461,6 +471,10 @@ class aligner {
     alignment_result result;
     std::exception_ptr error;
     std::chrono::steady_clock::time_point t_submit;
+    /// cache_key_hash of (q, s, opt), computed once at submit: the cache
+    /// slot of the probe and the insert, and the quarantine and
+    /// fault-poison fingerprint.
+    std::uint64_t key_hash = 0;
     /// Trace-clock time this request entered its admission ring (0 when
     /// tracing was disarmed at enqueue) — start of the ring_wait span.
     std::int64_t t_queued_ns = 0;
@@ -504,12 +518,13 @@ class aligner {
                      const submit_options& so);
   /// What submit's checks found, in the order it runs them.
   enum class intake : std::uint8_t { quarantined, expired, hit, miss };
-  /// Check one request against the quarantine, then its deadline, then
-  /// probe the cache; a hit's result lands in `out`.  `id` tags the trace
-  /// events: the request's slot index, or trace::no_slot.
+  /// Hash the request's key into `key`, check it against the
+  /// quarantine, then its deadline, then probe the cache; a hit's result
+  /// lands in `out`.  `id` tags the trace events: the request's slot
+  /// index, or trace::no_slot.
   intake screen(stage::seq_view q, stage::seq_view s, const align_options& opt,
                 const submit_options& so, alignment_result& out,
-                std::uint32_t id);
+                std::uint32_t id, std::uint64_t& key);
   /// Count a cache hit of class `ci` as accepted and completed.
   void count_hit(std::size_t ci,
                  std::chrono::steady_clock::time_point t_submit) noexcept;
@@ -550,8 +565,8 @@ class aligner {
   void note_exec(route rt, const char* variant, std::uint64_t requests,
                  std::uint64_t cells, std::uint64_t ns) noexcept;
 
-  /// Record one solo-isolated execution failure of `sl`'s fingerprint.
-  void record_offender(const slot& sl) noexcept;
+  /// Record one solo-isolated execution failure of fingerprint `fp`.
+  void record_offender(std::uint64_t fp) noexcept;
   [[nodiscard]] bool is_quarantined(std::uint64_t fp) const noexcept;
 
   /// Deadline clock: steady_clock::now() plus the armed fault
@@ -571,6 +586,12 @@ class aligner {
       std::vector<std::uint32_t>& batch, std::size_t max_take,
       std::chrono::steady_clock::time_point now,
       std::chrono::steady_clock::time_point& earliest_deadline);
+  /// Requires mu_ held, with `sl` just pushed onto `ring`: whether the
+  /// batcher must be woken for it.  Always when the batcher is not
+  /// lingering; while it lingers, only when the arrival could flush the
+  /// forming batch or move its deadline (DESIGN.md §12).
+  [[nodiscard]] bool wakes_batcher_locked(
+      const slot& sl, const admission_ring& ring) const noexcept;
   [[nodiscard]] admission_ring& ring_of(request_class c) noexcept {
     return rings_[static_cast<std::size_t>(c)];
   }
@@ -590,7 +611,9 @@ class aligner {
   parallel::thread_pool* pool_;
 
   mutable std::mutex mu_;
-  std::condition_variable batcher_cv_;   ///< work arrived / stopping
+  /// Work arrived / stopping.  While the batcher lingers, a submit
+  /// notifies it only for an arrival that wakes_batcher_locked accepts.
+  std::condition_variable batcher_cv_;
   std::condition_variable space_cv_;     ///< admission room freed
   std::condition_variable inflight_cv_;  ///< batch finished / ws freed
   std::vector<slot> slots_;
@@ -603,6 +626,11 @@ class aligner {
   /// Written under mu_; a score-only hit reads it without mu_.
   std::atomic<bool> accepting_{true};
   bool stopping_ = false;
+  /// While the batcher lingers: its forming batch's lead slot and the
+  /// room left in that batch; `no_linger` otherwise.
+  static constexpr std::uint32_t no_linger = 0xFFFFFFFF;
+  std::uint32_t linger_lead_ = no_linger;
+  std::size_t linger_room_ = 0;
 
   /// Repeat-offender quarantine: a fixed table of (fingerprint, solo
   /// failure count), round-robin overwritten.  `q_active_` mirrors the
@@ -672,6 +700,9 @@ class aligner {
   std::chrono::steady_clock::time_point next_adapt_{};
   std::uint64_t adapt_last_batches_ = 0;
   std::uint64_t adapt_last_batched_requests_ = 0;
+  /// The interactive histogram as of the last tick: a tick ranks the
+  /// window since then, not the lifetime.
+  histogram_snapshot adapt_last_hist_;
 
   // The thread last: it starts after all state above is ready.
   std::thread batcher_;

@@ -261,6 +261,50 @@ TEST(ServiceAdmission, AdaptiveLingerShrinksUnderTailPressure) {
             std::chrono::nanoseconds(std::chrono::microseconds(50)));
 }
 
+/// The controller ranks the interactive p99 of the window since its last
+/// tick: a slow stretch drives the linger down to min_linger, and a calm
+/// stretch after it grows the linger back to max_linger.  A lifetime p99
+/// would stay above target through the calm stretch (a dozen slow
+/// samples among a few hundred fast ones are still its top 1%).
+TEST(ServiceAdmission, AdaptiveLingerRecoversAfterASlowStretch) {
+  constexpr auto target = 4ms;
+  // Slow requests take at least four targets synchronously on this
+  // machine (and build), whatever its speed.
+  std::vector<char_t> slow_q, slow_s;
+  for (index_t n = 1024;; n *= 2) {
+    slow_q = random_codes(n, 60);
+    slow_s = random_codes(n, 61);
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)align(view(slow_q), view(slow_s));
+    if (std::chrono::steady_clock::now() - t0 >= 4 * target || n >= 32768)
+      break;
+  }
+  config cfg;
+  cfg.max_batch = 8;
+  cfg.max_linger = 500us;
+  cfg.adaptive_linger = true;
+  cfg.min_linger = 20us;
+  cfg.interactive_p99_target = target;
+  aligner svc(cfg);
+  const auto min = std::chrono::nanoseconds(cfg.min_linger);
+  const auto max = std::chrono::nanoseconds(cfg.max_linger);
+
+  // One request at a time: each dispatch ticks the controller (ticks are
+  // 5 ms apart) with the previous request in its window.
+  for (int i = 0; i < 200 && svc.effective_linger() > min; ++i)
+    (void)svc.submit(view(slow_q), view(slow_s)).get();
+  ASSERT_EQ(svc.effective_linger(), min);
+
+  // Calm: tiny requests, paced so the ticks keep coming, each far under
+  // target / 2 and alone in its batch.
+  const auto q = random_codes(32, 62);
+  for (int i = 0; i < 400 && svc.effective_linger() < max; ++i) {
+    (void)svc.submit(view(q), view(q)).get();
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(svc.effective_linger(), max);
+}
+
 /// Adaptive-linger configuration is validated at construction.
 TEST(ServiceAdmission, AdaptiveConfigValidation) {
   config bad;

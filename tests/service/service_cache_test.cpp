@@ -102,12 +102,15 @@ TEST(ServiceCacheUnit, InsertLookupRoundTrip) {
   const align_options opt;
 
   alignment_result out;
-  EXPECT_FALSE(cache.lookup(view(q), view(s), opt, out));
+  EXPECT_FALSE(cache.lookup(view(q), view(s), opt,
+                            cache_key_hash(view(q), view(s), opt), out));
 
   const auto want = align(view(q), view(s), opt);
-  cache.insert(view(q), view(s), opt, want);
+  cache.insert(view(q), view(s), opt, cache_key_hash(view(q), view(s), opt),
+               want);
 
-  ASSERT_TRUE(cache.lookup(view(q), view(s), opt, out));
+  ASSERT_TRUE(cache.lookup(view(q), view(s), opt,
+                           cache_key_hash(view(q), view(s), opt), out));
   expect_identical(out, want);
 
   const auto st = cache.stats();
@@ -121,8 +124,8 @@ TEST(ServiceCacheUnit, OverwriteSameKeyKeepsOneEntry) {
   const auto s = random_codes(30, 4);
   const align_options opt;
   const auto r = align(view(q), view(s), opt);
-  cache.insert(view(q), view(s), opt, r);
-  cache.insert(view(q), view(s), opt, r);
+  cache.insert(view(q), view(s), opt, cache_key_hash(view(q), view(s), opt), r);
+  cache.insert(view(q), view(s), opt, cache_key_hash(view(q), view(s), opt), r);
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_EQ(cache.stats().insertions, 2u);
 }
@@ -133,12 +136,14 @@ TEST(ServiceCacheUnit, DistinctOptionsGetDistinctEntries) {
   const auto s = random_codes(44, 6);
   const auto opts = route_spanning_options();
   for (const auto& opt : opts)
-    cache.insert(view(q), view(s), opt, align(view(q), view(s), opt));
+    cache.insert(view(q), view(s), opt, cache_key_hash(view(q), view(s), opt),
+                 align(view(q), view(s), opt));
   EXPECT_EQ(cache.stats().entries, opts.size());
   // Every variant must come back as its own result.
   for (const auto& opt : opts) {
     alignment_result out;
-    ASSERT_TRUE(cache.lookup(view(q), view(s), opt, out));
+    ASSERT_TRUE(cache.lookup(view(q), view(s), opt,
+                             cache_key_hash(view(q), view(s), opt), out));
     expect_identical(out, align(view(q), view(s), opt));
   }
 }
@@ -150,11 +155,14 @@ TEST(ServiceCacheUnit, SwappedAndShiftedKeysDoNotCollide) {
   const std::vector<char_t> ab = {0, 1, 2, 3}, c = {1, 1};
   const std::vector<char_t> a = {0, 1}, bc = {2, 3, 1, 1};
   const align_options opt;
-  cache.insert(view(ab), view(c), opt, align(view(ab), view(c), opt));
+  cache.insert(view(ab), view(c), opt, cache_key_hash(view(ab), view(c), opt),
+               align(view(ab), view(c), opt));
   alignment_result out;
-  EXPECT_FALSE(cache.lookup(view(a), view(bc), opt, out));
+  EXPECT_FALSE(cache.lookup(view(a), view(bc), opt,
+                            cache_key_hash(view(a), view(bc), opt), out));
   // Swapped query/subject is likewise a different key.
-  EXPECT_FALSE(cache.lookup(view(c), view(ab), opt, out));
+  EXPECT_FALSE(cache.lookup(view(c), view(ab), opt,
+                            cache_key_hash(view(c), view(ab), opt), out));
 }
 
 TEST(ServiceCacheUnit, ClearDropsEntriesKeepsCapacity) {
@@ -162,13 +170,15 @@ TEST(ServiceCacheUnit, ClearDropsEntriesKeepsCapacity) {
   const auto q = random_codes(20, 7);
   const auto s = random_codes(20, 8);
   const align_options opt;
-  cache.insert(view(q), view(s), opt, align(view(q), view(s), opt));
+  cache.insert(view(q), view(s), opt, cache_key_hash(view(q), view(s), opt),
+               align(view(q), view(s), opt));
   const std::size_t cap = cache.capacity();
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.capacity(), cap);
   alignment_result out;
-  EXPECT_FALSE(cache.lookup(view(q), view(s), opt, out));
+  EXPECT_FALSE(cache.lookup(view(q), view(s), opt,
+                            cache_key_hash(view(q), view(s), opt), out));
 }
 
 TEST(ServiceCacheUnit, EvictionBoundsEntriesUnderPressure) {
@@ -179,6 +189,7 @@ TEST(ServiceCacheUnit, EvictionBoundsEntriesUnderPressure) {
     qs.push_back(random_codes(24, 100 + i));
     ss.push_back(random_codes(24, 300 + i));
     cache.insert(view(qs.back()), view(ss.back()), opt,
+                 cache_key_hash(view(qs.back()), view(ss.back()), opt),
                  align(view(qs.back()), view(ss.back()), opt));
   }
   const auto st = cache.stats();
@@ -189,7 +200,8 @@ TEST(ServiceCacheUnit, EvictionBoundsEntriesUnderPressure) {
   std::size_t resident = 0;
   for (int i = 0; i < 200; ++i) {
     alignment_result out;
-    if (cache.lookup(view(qs[i]), view(ss[i]), opt, out)) {
+    if (cache.lookup(view(qs[i]), view(ss[i]), opt,
+                     cache_key_hash(view(qs[i]), view(ss[i]), opt), out)) {
       ++resident;
       expect_identical(out, align(view(qs[i]), view(ss[i]), opt));
     }
@@ -209,18 +221,23 @@ TEST(ServiceCacheUnit, ClockEvictionPrefersUnreferencedEntries) {
   const auto hot_q = random_codes(16, 900);
   const auto hot_s = random_codes(16, 901);
   const auto hot_r = align(view(hot_q), view(hot_s), opt);
-  cache.insert(view(hot_q), view(hot_s), opt, hot_r);
+  cache.insert(view(hot_q), view(hot_s), opt,
+               cache_key_hash(view(hot_q), view(hot_s), opt), hot_r);
   alignment_result out;
-  ASSERT_TRUE(cache.lookup(view(hot_q), view(hot_s), opt, out));  // ref=1
+  ASSERT_TRUE(cache.lookup(view(hot_q), view(hot_s), opt,
+                           cache_key_hash(view(hot_q), view(hot_s), opt),
+                           out));  // ref=1
 
   // Insert a handful of cold entries — fewer than two full windows, so
   // a second-chance clock cannot have evicted the referenced entry yet.
   for (int i = 0; i < 4; ++i) {
     const auto q = random_codes(16, 910 + i);
     const auto s = random_codes(16, 920 + i);
-    cache.insert(view(q), view(s), opt, align(view(q), view(s), opt));
+    cache.insert(view(q), view(s), opt, cache_key_hash(view(q), view(s), opt),
+                 align(view(q), view(s), opt));
   }
-  EXPECT_TRUE(cache.lookup(view(hot_q), view(hot_s), opt, out));
+  EXPECT_TRUE(cache.lookup(view(hot_q), view(hot_s), opt,
+                           cache_key_hash(view(hot_q), view(hot_s), opt), out));
 }
 
 // -------------------------------------------------------------------
@@ -670,7 +687,8 @@ TEST(ServiceValueTicket, ResultsTooWideForAValueTakeTheSlotPath) {
   add("no variant", [](alignment_result& r) { r.variant = nullptr; });
   for (const auto& [what, fabricated] : cases) {
     response_cache cache(response_cache::config{64, 1});
-    cache.insert(view(q), view(s), opt, fabricated);
+    cache.insert(view(q), view(s), opt, cache_key_hash(view(q), view(s), opt),
+                 fabricated);
     config cfg;
     cfg.shared_cache = &cache;
     aligner svc(cfg);

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <deque>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "testutil.hpp"
 
@@ -544,6 +546,145 @@ TEST(Service, LingerNeverPassesTheEarliestDeadline) {
   ASSERT_TRUE(t.wait_for(5s));  // bounded: a hang fails, not wedges
   expect_identical(t.get(), align(view(q), view(q)));
   EXPECT_EQ(svc.stats().deadline_expired, 0u);
+}
+
+// A lingering batcher is woken only by an arrival that changes what its
+// forming batch does (DESIGN.md §12, "When the batcher wakes").  Each test
+// below lingers 10 s and would wait it out if its wake-up were lost.
+
+/// Submit one request and return once the batcher has pulled it: the
+/// batcher holds the service lock from the pop until its linger wait, so
+/// an empty queue seen under that lock means the lead is lingering.
+ticket submit_lingering_lead(aligner& svc, const std::vector<char_t>& q,
+                             const align_options& opt = {},
+                             const submit_options& so = {}) {
+  auto t = svc.submit(view(q), view(q), opt, so);
+  EXPECT_TRUE(stats_become(
+      svc, [](const service_stats& s) { return s.queue_depth == 0; }));
+  return t;
+}
+
+TEST(Service, LingeringBatchRunsOnceItReachesMaxBatch) {
+  config cfg;
+  cfg.max_batch = 4;
+  cfg.max_linger = 10s;
+  aligner svc(cfg);
+  const auto q = random_codes(32, 40);
+  std::vector<ticket> tickets;
+  tickets.push_back(submit_lingering_lead(svc, q));
+  for (int i = 0; i < 3; ++i) tickets.push_back(svc.submit(view(q), view(q)));
+  for (auto& t : tickets) ASSERT_TRUE(t.wait_for(5s));
+  for (auto& t : tickets) expect_identical(t.get(), align(view(q), view(q)));
+  EXPECT_EQ(svc.stats().batches, 1u);
+}
+
+TEST(Service, QuietArrivalsJoinTheBatchWhenTheLingerEnds) {
+  // Compatible arrivals below max_batch do not wake the batcher; the walk
+  // after its linger times out must still take them into the batch.
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 50ms;
+  aligner svc(cfg);
+  const auto q = random_codes(32, 45);
+  std::vector<ticket> tickets;
+  tickets.push_back(submit_lingering_lead(svc, q));
+  for (int i = 0; i < 3; ++i) tickets.push_back(svc.submit(view(q), view(q)));
+  for (auto& t : tickets) ASSERT_TRUE(t.wait_for(5s));
+  for (auto& t : tickets) expect_identical(t.get(), align(view(q), view(q)));
+  EXPECT_EQ(svc.stats().batches, 1u);
+}
+
+TEST(Service, IncompatibleArrivalFlushesTheLingeringBatch) {
+  // Two ways to miss the lead's batch: other options, or the same
+  // options on another route (an empty query runs solo).
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 10s;
+  const auto q = random_codes(32, 41);
+  const std::vector<char_t> empty;
+  align_options b;
+  b.match = 3;  // incompatible with the defaults
+  const std::pair<const std::vector<char_t>*, align_options> followers[] = {
+      {&q, b}, {&empty, align_options{}}};
+  for (const auto& [fq, fopt] : followers) {
+    aligner svc(cfg);
+    auto first = submit_lingering_lead(svc, q);
+    auto second = svc.submit(view(*fq), view(q), fopt);
+    ASSERT_TRUE(first.wait_for(5s));
+    expect_identical(first.get(), align(view(q), view(q)));
+    svc.shutdown(true);  // the follower now leads a lingering batch
+    expect_identical(second.get(), align(view(*fq), view(q), fopt));
+  }
+}
+
+TEST(Service, InteractiveArrivalFlushesALingeringBulkBatch) {
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 10s;
+  aligner svc(cfg);
+  const auto q = random_codes(32, 42);
+  submit_options bulk;
+  bulk.cls = request_class::bulk;
+  auto lead = submit_lingering_lead(svc, q, {}, bulk);
+  auto interactive = svc.submit(view(q), view(q));
+  ASSERT_TRUE(lead.wait_for(5s));
+  expect_identical(lead.get(), align(view(q), view(q)));
+  svc.shutdown(true);  // the interactive request now leads its own batch
+  expect_identical(interactive.get(), align(view(q), view(q)));
+}
+
+TEST(Service, FollowerDeadlineShortensTheLeadsLinger) {
+  // The lead has no deadline; LingerNeverPassesTheEarliestDeadline covers
+  // a lead's own.  The follower's deadline must pull the flush in.
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 10s;
+  cfg.deadline_headroom = std::chrono::milliseconds(100);
+  aligner svc(cfg);
+  const auto q = random_codes(32, 43);
+  auto lead = submit_lingering_lead(svc, q);
+  submit_options so;
+  so.deadline = std::chrono::steady_clock::now() + 250ms;
+  auto follower = svc.submit(view(q), view(q), {}, so);
+  ASSERT_TRUE(lead.wait_for(5s));
+  ASSERT_TRUE(follower.wait_for(5s));
+  expect_identical(lead.get(), align(view(q), view(q)));
+  expect_identical(follower.get(), align(view(q), view(q)));
+  EXPECT_EQ(svc.stats().deadline_expired, 0u);
+}
+
+TEST(Service, BlockedSubmittersWakeALingeringBatcherAtQueueCapacity) {
+  // The ring fills long before the batch does: without a wake-up at
+  // queue_capacity the third queued submit would block for the linger.
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 10s;
+  cfg.queue_capacity = 2;
+  cfg.max_outstanding = 16;
+  cfg.policy = backpressure::block;
+  aligner svc(cfg);
+  const auto q = random_codes(32, 44);
+  std::vector<ticket> tickets(10);
+  std::atomic<int> returned{0};
+  std::thread producer([&] {
+    for (auto& t : tickets) {
+      try {
+        t = svc.submit(view(q), view(q));
+      } catch (const shutdown_error&) {
+      }
+      ++returned;
+    }
+  });
+  const auto until = std::chrono::steady_clock::now() + 5s;
+  while (returned.load() < 10 && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(returned.load(), 10);
+  svc.shutdown(true);
+  producer.join();
+  for (auto& t : tickets) {
+    ASSERT_TRUE(t.valid());
+    expect_identical(t.get(), align(view(q), view(q)));
+  }
 }
 
 TEST_F(ServiceBackpressure, NoDrainShutdownFailsPendingTicketsPromptly) {
