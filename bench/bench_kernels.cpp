@@ -107,7 +107,7 @@ void BM_BatchReadsBitpar(benchmark::State& state) {
   for (const auto& p : data)
     pairs.push_back({p.first.view(), p.second.view()});
   tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(kLinear, simple_scoring{0, -1}, {1, score_precision::bitpar});
+      eng(kLinear, simple_scoring{0, -1}, {1});
   std::uint64_t cells = 0;
   for (const auto& p : pairs)
     cells += static_cast<std::uint64_t>(p.q.size()) * p.s.size();

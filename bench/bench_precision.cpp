@@ -427,6 +427,62 @@ void solo_panel(std::span<const seq_pair> lone,
   print_footer();
 }
 
+/// Long solo shapes: two simulated pairs of `len` bp, paper scoring, one
+/// thread, scored one call at a time (`lone_auto`) and as one batch call
+/// of two (`pair2_auto`).  At 1000 bp a pair fits the int16 window, at
+/// 5000 bp it does not; a batch's lone pair runs the route `align` picks,
+/// so the two rows should agree.  Scores and end cells must match int32.
+void solo_shape_panel(const bio::sequence& genome, const args& a) {
+  print_header("two long pairs, alone and as one batch (no batchmates)",
+               "auto route of a lone pair vs the same pair in align_batch");
+  for (const index_t len : {index_t{1000}, index_t{5000}}) {
+    bio::read_sim_params sp;
+    sp.read_length = len;
+    sp.seed = static_cast<std::uint64_t>(len);
+    const auto data = bio::simulate_read_pairs(genome, 2, sp);
+    std::vector<seq_pair> two;
+    for (const auto& p : data) two.push_back({p.first.view(), p.second.view()});
+    align_options o = paper_opts(affine_gap{-2, -1}, backend::scalar, 1, false);
+    o.precision = score_precision::int32;
+    const std::vector<alignment_result> ref = align_batch(two, o);
+    o.precision = score_precision::auto_select;
+    const std::string tag = "solo" + std::to_string(len);
+    for (const int lanes : {1, 16, 32}) {
+      if (!lanes_runnable_now(lanes)) continue;
+      o.exec = backend_for_lanes(lanes);
+      const std::string v = to_string(o.exec);
+      aligner al(o);
+      // Each repetition times both rows back to back, so a change in the
+      // host's CPU supply moves the two rows alike.
+      std::vector<alignment_result> lone(two.size()), pair2;
+      std::vector<double> t_lone, t_pair2;
+      for (int r = 0; r < std::max(1, a.repeats); ++r) {
+        t_lone.push_back(median_seconds(1, [&] {
+          for (std::size_t i = 0; i < two.size(); ++i)
+            al.align_into(two[i].q, two[i].s, lone[i]);
+        }));
+        t_pair2.push_back(
+            median_seconds(1, [&] { al.align_batch_into(two, pair2); }));
+      }
+      check_cells(tag.c_str(), lone, ref);
+      check_cells(tag.c_str(), pair2, ref);
+      for (const auto& [row, t] :
+           {std::pair<const char*, double>{"lone_auto",
+                                           spread_of(t_lone).median},
+            {"pair2_auto", spread_of(t_pair2).median}}) {
+        const double g = gcups(total_cells(two), t);
+        g_report->add(tag + "/" + v + "/" + row, t, two.size(),
+                      {{"gcups", g},
+                       {"us_per_pair", t * 1e6 / two.size()},
+                       {"threads", 1}});
+        print_row({tag + " " + row, v, g, -1.0,
+                   al.plan(two[0].q.size(), two[0].s.size()).route});
+      }
+    }
+  }
+  print_footer();
+}
+
 /// Traceback panel: global affine tracebacks, one thread, through a
 /// reused aligner's batch call — on the ragged 135-165 bp read pairs and
 /// on 150 bp pairs about 35% apart.  Band doubling certifies most read
@@ -482,8 +538,9 @@ void tb_panel(std::span<const seq_pair> reads,
 /// leaves a diagonal of 5.  Each row is one (variant, threads, tile)
 /// cell: median, min and max of process CPU and wall time per call.
 /// `planned` marks the tile the plan derives for that thread count;
-/// derive_tile and DESIGN.md §9 cite these rows.  Threads never exceed
-/// the cores.
+/// derive_tile and DESIGN.md §9 cite these rows.  At one thread the small
+/// pair fits the int16 window, so it runs the striped route and its t1
+/// rows time no wavefront.  Threads never exceed the cores.
 void wave_panel(const args& a, int cores) {
   print_header("long-genome wavefront: threads x tile",
                "genome_long pair at 1/512 and 1/2048, global affine, "
@@ -637,6 +694,7 @@ int main(int argc, char** argv) {
   }
   jitter_panel(pairsj, a);
   solo_panel(pairs150, pairsj, a);
+  solo_shape_panel(ref, a);
 
   // Traceback panel: the ragged read pairs above, and 150 bp pairs whose
   // mates each carry ~17.5% edited bases (12.5% substitutions, 2.5%

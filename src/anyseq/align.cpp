@@ -25,6 +25,7 @@
 #include "core/locate.hpp"
 #include "fpgasim/systolic.hpp"
 #include "gpusim/gpu_engine.hpp"
+#include "parallel/thread_pool.hpp"
 #include "simd/detect.hpp"
 #include "tiled/batch_engine.hpp"
 
@@ -248,16 +249,21 @@ route_kind classify_route(index_t n, index_t m, const align_options& opt,
     // The int32 reference is by definition the rolling engine.
     if (opt.precision == score_precision::int32)
       return route_kind::small_score;
-    // A small pair inside the int16 bound (which also needs n, m > 0)
-    // runs striped over its own query on a vector variant.  The scalar
-    // variant keeps the routes below: its one-tile scalar pass runs
-    // ~1.9x faster than the rolling engine at 150 x 150.
-    if (lanes > 1 && cells <= kSmallScoreCells &&
-        fits_score_window(n, m, score_unit(opt), int16_score_window()))
+    // A pair inside the int16 bound (which also needs n, m > 0) runs
+    // striped over its own query on a vector variant: at any size on one
+    // thread, up to kSmallScoreCells on more.
+    if (lanes > 1 && fits_score_window(n, m, score_unit(opt),
+                                       int16_score_window()) &&
+        (cells <= kSmallScoreCells ||
+         parallel::resolve_threads(opt.threads) == 1))
       return route_kind::striped_score;
-    // Small extension problems are faster on the serial rolling pass
-    // than on the tiled engine (its per-pass set-up dominates).
-    return (opt.kind == align_kind::extension && cells <= kSmallScoreCells)
+    // Tiny pairs, and small extension problems, are faster on the
+    // rolling pass than on the tiled engine (its per-pass set-up
+    // dominates).  The scalar variant's one-tile pass beats rolling
+    // above that: 57 against 109 us at 150 x 150.
+    return cells <= kRollingScoreCells ||
+                   (opt.kind == align_kind::extension &&
+                    cells <= kSmallScoreCells)
                ? route_kind::small_score
                : route_kind::tiled_score;
   }
@@ -291,11 +297,6 @@ bool bitpar_admissible(const align_options& opt) noexcept {
   return unit_cost && opt.kind == align_kind::global &&
          !opt.want_alignment &&
          opt.precision == score_precision::auto_select;
-}
-
-score_precision classify_batch_precision(const align_options& opt) noexcept {
-  if (bitpar_admissible(opt)) return score_precision::bitpar;
-  return opt.precision;
 }
 
 score_t score_unit(const align_options& opt) noexcept {

@@ -56,48 +56,14 @@ inline constexpr int kLanes = ANYSEQ_TARGET_LANES;
 // The route cutoffs and the classifier are SHARED baseline definitions
 // (engine_table.hpp / align.cpp): execute, plan_bytes, and the public
 // dispatcher can never drift apart.
-using ::anyseq::engine::classify_batch_precision;
 using ::anyseq::engine::classify_route;
 using ::anyseq::engine::kHirschbergBaseCells;
 using ::anyseq::engine::route_kind;
-using ::anyseq::engine::score_unit;
+using tiled::make_tiled_config;
 
 // The with_kind/with_gap/with_scoring specialization steps are shared
 // (anyseq/option_dispatch.hpp): their instantiations are keyed on this
 // TU's lambdas, so each variant still gets private copies.
-
-inline int resolve_threads(int threads) {
-  return threads > 0 ? threads : parallel::hardware_threads();
-}
-
-/// The plan-time tile for an (n x m) problem when `opt.tile` is 0: the
-/// largest of 512, 256, 128 that runs striped (fits_striped_tile) and
-/// whose longest anti-diagonal holds two tiles per thread, else 128 when
-/// it still runs striped.  The scalar variant, and scores too large for
-/// any striped tile, keep 512.  From the `wave` rows of
-/// BENCH_precision.json (DESIGN.md §9).
-inline index_t derive_tile(index_t n, index_t m, int threads, score_t unit) {
-  constexpr index_t kMaxTile = 512, kMinTile = 128;
-  if (kLanes == 1) return kMaxTile;
-  for (index_t t = kMaxTile; t > kMinTile; t /= 2)
-    if (tiled::fits_striped_tile(t, t, unit) &&
-        std::min(stage::tile_count(n, t), stage::tile_count(m, t)) >=
-            2 * threads)
-      return t;
-  return tiled::fits_striped_tile(kMinTile, kMinTile, unit) ? kMinTile
-                                                            : kMaxTile;
-}
-
-/// Wavefront configuration of one call, derived once from the top-level
-/// (n x m) shape: plan_bytes_impl and every tiled route (tiled score,
-/// tiled Hirschberg, locate) use the same tile.
-inline tiled::tiled_config make_tiled_config(const align_options& opt,
-                                             index_t n, index_t m) {
-  const int threads = resolve_threads(opt.threads);
-  const index_t tile =
-      opt.tile > 0 ? opt.tile : derive_tile(n, m, threads, score_unit(opt));
-  return {tile, tile, threads};
-}
 
 // ---------------------------------------------------------------------
 // Workspace lifecycle (the opaque handle the aligner owns).
@@ -143,7 +109,7 @@ void ws_reserve_impl(void* ws, std::size_t bytes) {
 }
 
 index_t plan_tile_impl(index_t n, index_t m, const align_options& opt) {
-  return make_tiled_config(opt, n, m).tile_h;
+  return make_tiled_config<kLanes>(opt, n, m).tile_h;
 }
 
 /// Stamp the variant that actually produced a result; called from inside
@@ -173,7 +139,7 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
         (void)scoring;
         using Gap = std::decay_t<decltype(gap)>;
         using Scoring = std::decay_t<decltype(scoring)>;
-        const tiled::tiled_config cfg = make_tiled_config(opt, n, m);
+        const tiled::tiled_config cfg = make_tiled_config<kLanes>(opt, n, m);
 
         switch (rt) {
           case route_kind::small_score:
@@ -233,34 +199,10 @@ void align_impl(stage::seq_view q, stage::seq_view s,
     constexpr align_kind K = decltype(kc)::value;
     with_gap(opt, [&](auto gap) {
       with_scoring(opt, [&](const auto& scoring) {
-        using Gap = std::decay_t<decltype(gap)>;
-        using Scoring = std::decay_t<decltype(scoring)>;
         const auto cfg = [&] {
-          return make_tiled_config(opt, q.size(), s.size());
+          return make_tiled_config<kLanes>(opt, q.size(), s.size());
         };
-        score_result r;
         switch (rt) {
-          case route_kind::small_score:
-            r = rolling_score<K>(q, s, gap, scoring, w);
-            break;
-          case route_kind::bitpar_score:
-            // classify_route admitted this pair: unit-cost option set
-            // (match == 0, mismatch == gap_extend < 0, linear), n, m > 0.
-            r = bitpar_score(q, s, opt.gap_extend, w);
-            break;
-          case route_kind::striped_score:
-            if constexpr (kLanes > 1)
-              r = tiled::striped_score<K, kLanes>(q, s, gap, scoring, w);
-            else
-              r = rolling_score<K>(q, s, gap, scoring, w);
-            break;
-          case route_kind::tiled_score: {
-            tiled::tiled_engine<K, Gap, Scoring, kLanes> eng(gap, scoring,
-                                                             cfg());
-            r = eng.score(q, s, w);
-            if (wavefront != nullptr) *wavefront = eng.last_stats();
-            break;
-          }
           case route_kind::hirschberg:
             if constexpr (K == align_kind::global)
               tiled::tiled_hirschberg_align_into<kLanes>(
@@ -285,9 +227,10 @@ void align_impl(stage::seq_view q, stage::seq_view s,
             stamp(out);
             return;
           default:
-            return;  // full_matrix / unsupported: handled above
+            break;  // the score routes (full_matrix / unsupported: above)
         }
-        tiled::put_score(out, r);
+        tiled::put_score(out, tiled::score_route<K, kLanes>(
+                                  rt, q, s, gap, scoring, opt, w, wavefront));
         stamp(out);
       });
     });
@@ -300,7 +243,7 @@ void align_batch_impl(std::span<const seq_pair> pairs,
   ws_handle& h = handle_of(ws);
   workspace& w = h.main;
   w.begin_pass();
-  const int threads = resolve_threads(opt.threads);
+  const int threads = ::anyseq::parallel::resolve_threads(opt.threads);
   // Pool one arena per worker ahead of the fan-out so the engine carves
   // from handle-owned storage that survives (warm) across batch calls.
   // A one-pair batch (the solo full-matrix route) runs on the main arena
@@ -316,7 +259,7 @@ void align_batch_impl(std::span<const seq_pair> pairs,
         using Scoring = std::decay_t<decltype(scoring)>;
         tiled::batch_engine<K, Gap, Scoring, kLanes> eng(
             gap, scoring,
-            tiled::batch_config{threads, classify_batch_precision(opt),
+            tiled::batch_config{threads, opt.precision,
                                 std::span<workspace>(h.workers)});
         if (opt.want_alignment)
           eng.align_into(pairs, w, out);

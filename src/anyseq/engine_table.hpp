@@ -39,14 +39,16 @@
 
 namespace anyseq::engine {
 
-/// Cells at or below which a serial one-pair pass beats the tiled
-/// engine for score-only alignment (the striped int16 kernel on vector
-/// variants, the rolling pass for extension on the scalar one) — ONE
-/// definition shared by `classify_route`, which every variant's `align`
-/// and `plan_bytes` and `aligner::plan` consult (they must never drift
-/// apart: reserve() would otherwise pre-size for a route execute never
-/// runs).
+/// Cells up to which a pair inside the int16 bound runs striped on more
+/// than one thread (on one, at any size); past it the wavefront wins (4
+/// threads, 2000 x 2000: 14.2 against 9.4 GCUPS).  Like the break-even
+/// below, ONE definition `classify_route` reads for every caller.
 inline constexpr index_t kSmallScoreCells = index_t{1} << 16;
+
+/// Cells up to which rolling beats the scalar variant's one-tile pass
+/// (one thread, global affine 2/-1/-2/-1): it wins by 6-13% at 16 x 16,
+/// ties at 20 x 20, loses by 2-15% at 24 x 24 and by 19% at 32 x 32.
+inline constexpr index_t kRollingScoreCells = 20 * 20;
 
 /// Default Hirschberg full-DP recursion cutoff (the engines' default).
 inline constexpr index_t kHirschbergBaseCells = index_t{1} << 14;
@@ -68,7 +70,7 @@ enum class route_kind : std::uint8_t {
 /// ISA-flagged TUs can call it without emitting weak shared symbols).
 /// `opt` must already be validated; `lanes` is the SIMD width of the
 /// variant that will execute (`ops::lanes`) — the striped route exists
-/// on vector variants only.
+/// on vector variants only.  A batch's pairs off lanes take it too.
 [[nodiscard]] route_kind classify_route(index_t n, index_t m,
                                         const align_options& opt,
                                         int lanes) noexcept;
@@ -82,17 +84,9 @@ enum class route_kind : std::uint8_t {
 /// True if the *option shape* admits the Myers bit-parallel engine: a
 /// score-only global alignment under a unit-cost model (match == 0,
 /// linear gaps, mismatch == gap_extend < 0, no matrix) with precision
-/// auto_select.  Shape-only — the per-pair size gate (n, m > 0)
-/// stays in classify_route / the batch engine.  Out-of-line in align.cpp
-/// for the same weak-symbol reason as classify_route.
+/// auto_select.  Shape-only — the per-pair size gate (n, m > 0) stays
+/// in classify_route.  Out-of-line for the same weak-symbol reason.
 [[nodiscard]] bool bitpar_admissible(const align_options& opt) noexcept;
-
-/// Precision hint the batch engine should run under for `opt`: `bitpar`
-/// when the option shape admits it, otherwise the requested
-/// `auto_select` or `int32`.  Per-chunk resolution of `auto_select`
-/// against the worst-case score bound happens inside the batch engine.
-[[nodiscard]] score_precision classify_batch_precision(
-    const align_options& opt) noexcept;
 
 /// Accumulator `classify_route` commits to for a single (n x m) pair on
 /// a `lanes`-wide variant — what `aligner::plan` reports as

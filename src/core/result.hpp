@@ -68,9 +68,11 @@ struct score_result {
 /// Batch-engine path accounting: how much of a batch took which kernel.
 /// `simd_pairs` counts the narrow pairs scored on vector lanes (int8 +
 /// int16 chunks: uniform, sub-width tail and lane-padded ragged, plus
-/// striped single pairs); `scalar_pairs` counts int32 rolling-engine
-/// pairs.  Traceback batches fill only `banded_pairs` and
-/// `band_passes`.  Shared by every engine variant — this type crosses
+/// striped single pairs).  A pair off lanes counts by its one-thread
+/// `plan_info::precision`: int16 (striped) in `striped_pairs`, bitpar in
+/// `bitpar_pairs`, int32 (rolling or tiled) in `scalar_pairs`.
+/// Traceback batches fill only `banded_pairs` and `band_passes`.
+/// Shared by every engine variant — this type crosses
 /// the `engine::ops` dispatch boundary (align's and align_batch's stats
 /// out-param) and therefore must not live in a per-target header.
 struct batch_stats {
@@ -83,8 +85,8 @@ struct batch_stats {
   /// padding to the chunk-max shape; subset of `simd_pairs`).
   std::uint64_t ragged_pairs = 0;
   /// Pairs the planner could not put on lanes that ran the intra-pair
-  /// striped int16 kernel instead of int32 rolling (tiled/striped.hpp;
-  /// subset of `simd_pairs` and of `int16_pairs`, vector variants only).
+  /// striped int16 kernel (tiled/striped.hpp; subset of `simd_pairs` and
+  /// of `int16_pairs`, vector variants only).
   std::uint64_t striped_pairs = 0;
   /// Padding overhead the lanes relaxed: sum over padded chunks of
   /// W*nbar*mbar - sum(n_l*m_l) over the live lanes — ragged lanes'

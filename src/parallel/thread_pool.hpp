@@ -37,6 +37,11 @@ namespace anyseq::parallel {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+/// A `threads` option resolved: 0 means every hardware thread.
+[[nodiscard]] inline int resolve_threads(int threads) {
+  return threads > 0 ? threads : hardware_threads();
+}
+
 /// Name thread `t` (its Linux `comm`, at most 15 characters) so an
 /// operator can split CPU by role from /proc/<pid>/task/*/comm.  Called
 /// by the creator right after construction, so the name is set before

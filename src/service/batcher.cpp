@@ -29,8 +29,9 @@ route classify(stage::seq_view q, stage::seq_view s,
                                           : route::solo;
   }
   // Global score-only requests coalesce into batch_score regardless of
-  // precision: under auto the batch engine picks int8/int16/int32 (or the
-  // bit-parallel engine for unit-cost option sets) per SIMD chunk, and
+  // precision or size: under auto the batch engine picks int8/int16 per
+  // SIMD chunk and runs every other pair on the route a one-thread
+  // `align` takes for it (striped, tiled, bit-parallel or rolling), and
   // options_compatible keeps auto and int32 requests in separate batches.
   return opt.kind == align_kind::global ? route::batch_score : route::solo;
 }

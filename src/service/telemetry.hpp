@@ -95,7 +95,8 @@ struct service_stats {
 
   /// Batch score-path accounting aggregated over every executed batch
   /// (aligner::last_batch_stats sums): pairs scored on narrow SIMD lanes
-  /// vs the int32 rolling engine, the subsets of SIMD pairs that ran in
+  /// vs int32 (a lone pair counts by its one-thread
+  /// `plan_info::precision`), the subsets of SIMD pairs that ran in
   /// lane-padded ragged chunks or alone through the striped kernel, and
   /// the padded-cell overhead the chunks relaxed.  Traceback batches
   /// count toward none of these.

@@ -12,12 +12,12 @@
 /// rule: the padded shape's worst-case bound (n + m + 2) * unit fits the
 /// element type (int8 at twice the lane count when |score| <= 96, else
 /// int16 below 28000) and the window's cells fill at least `kMinLive`
-/// full-shape pairs.  Every other pair runs on its own — under auto on a
-/// vector variant through the intra-pair striped int16 kernel
-/// (tiled/striped.hpp), otherwise through the int32 rolling engine.  The
-/// scalar variant and the int32 reference hint roll every pair; unit-cost
-/// option sets hint the Myers bit-parallel engine (core/bitpar.hpp) per
-/// pair.  Every mode returns results byte-identical to the int32 path.
+/// full-shape pairs.  The scalar variant, the int32 reference and
+/// unit-cost option sets put no pair on lanes.  Every other pair runs on
+/// its own, on the route `engine::classify_route` picks for it at
+/// `threads = 1` — the route a one-thread `align` call takes
+/// (`score_route`): a batch parallelizes across pairs, never inside one.
+/// Every mode returns results byte-identical to the int32 path.
 ///
 /// Plan/execute split: when run single-threaded (the service's
 /// steady-state configuration on small hosts), every chunk's interleaved
@@ -52,18 +52,16 @@
 #include <vector>
 
 #include "core/banded.hpp"
-#include "core/bitpar.hpp"
 #include "core/errors.hpp"
 #include "core/full_engine.hpp"
-#include "core/rolling.hpp"
 #include "core/init.hpp"
 #include "core/relax.hpp"
 #include "core/traceback.hpp"
 #include "core/workspace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/pack.hpp"
-#include "tiled/striped.hpp"
 #include "tiled/tile_kernel.hpp"
+#include "tiled/tiled_engine.hpp"
 
 namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
@@ -76,10 +74,8 @@ struct pair_view {
 
 struct batch_config {
   int threads = 1;
-  /// Precision hint (engine::classify_batch_precision): auto_select
-  /// resolves per chunk from the worst-case bound; int32 rolls every
-  /// pair; bitpar runs the bit-parallel engine per pair (the caller
-  /// guarantees a unit-cost option set).
+  /// The request's precision: auto_select resolves per chunk from the
+  /// worst-case bound; int32 rolls every pair.
   score_precision precision = score_precision::auto_select;
   /// Per-worker arenas for the multi-threaded fan-out (one per thread).
   /// When empty (direct instantiation), the engine pools its own.
@@ -378,6 +374,17 @@ class batch_engine {
       : gap_(gap), scoring_(scoring), cfg_(cfg) {
     if (cfg_.threads < 1)
       throw invalid_argument_error("threads must be >= 1");
+    lone_.kind = K;
+    lone_.gap_open = gap.open();
+    lone_.gap_extend = gap.extend();
+    if constexpr (std::is_same_v<Scoring, simple_scoring>) {
+      lone_.match = scoring.match;
+      lone_.mismatch = scoring.mismatch;
+    } else {
+      lone_.matrix = scoring;
+    }
+    lone_.threads = 1;
+    lone_.precision = cfg_.precision;
   }
 
   /// Score every pair into caller-sized `out` (order preserved),
@@ -484,9 +491,8 @@ class batch_engine {
   /// How one group of consecutive pairs executes.
   struct chunk_plan {
     std::size_t hi;        ///< group end (exclusive)
-    score_precision prec;  ///< int8/int16 = one padded chunk, bitpar = one
-                           ///< pair, int32 = one pair at a time (striped
-                           ///< or rolling, see lone_pair)
+    score_precision prec;  ///< int8/int16 = one padded chunk, int32 = one
+                           ///< pair at a time (see lone_pair)
     index_t nbar = 0, mbar = 0;  ///< padded chunk-max shape
   };
 
@@ -506,11 +512,10 @@ class batch_engine {
     const chunk_plan singles{
         lo + std::min(left, static_cast<std::size_t>(Lanes)),
         score_precision::int32};
-    if (cfg_.precision == score_precision::bitpar)
-      return {lo + 1, score_precision::bitpar};
     // At one lane the narrow kernels would only emulate lanes, at ~0.5x
-    // the int32 rolling engine, so the scalar variant rolls.
-    if (cfg_.precision == score_precision::int32 || Lanes == 1)
+    // the int32 rolling engine.  A unit-cost set keeps its lone route.
+    if (Lanes == 1 || lone_.precision == score_precision::int32 ||
+        engine::bitpar_admissible(lone_))
       return singles;
     const score_t unit = unit_step(gap_, scoring_);
     const auto fill = [&](int width, score_t window, score_precision p,
@@ -634,10 +639,6 @@ class batch_engine {
         return;
       }
     }
-    if (g.prec == score_precision::bitpar) {
-      bitpar_pair(pairs, lo, *ws, sink, stats);
-      return;
-    }
     for (std::size_t i = lo; i < g.hi; ++i)
       lone_pair(pairs, i, *ws, sink, stats);
   }
@@ -666,54 +667,33 @@ class batch_engine {
     stats.padded_cells += static_cast<std::uint64_t>(W) * shape - used;
   }
 
-  /// One pair of a group the planner could not put on lanes.  Under auto
-  /// on a vector variant it runs the intra-pair striped kernel when its
-  /// own int16 bound holds; the int32 hint, the scalar variant, a bound
-  /// past the window and empty sequences roll in int32.
+  /// One pair of a group the planner could not put on lanes, on the
+  /// route `classify_route` picks for it alone at one thread.  A striped
+  /// pair counts as `striped_pairs`, a bit-parallel one as
+  /// `bitpar_pairs`, a rolling or tiled one as `scalar_pairs`.
   template <class Pair, class Sink>
   void lone_pair(std::span<const Pair> pairs, std::size_t i, workspace& ws,
                  Sink& sink, batch_stats& stats) {
     const auto& p = pairs[i];
-    if constexpr (Lanes > 1) {
-      if (cfg_.precision == score_precision::auto_select &&
-          fits_score_window(p.q.size(), p.s.size(),
-                            unit_step(gap_, scoring_),
-                            int16_score_window())) {
-        sink(i, striped_score<K, Lanes>(p.q, p.s, gap_, scoring_, ws));
-        ++stats.int16_pairs;
-        ++stats.simd_pairs;
-        ++stats.striped_pairs;
-        return;
-      }
+    const engine::route_kind rt =
+        engine::classify_route(p.q.size(), p.s.size(), lone_, Lanes);
+    sink(i, score_route<K, Lanes>(rt, p.q, p.s, gap_, scoring_, lone_, ws));
+    if (rt == engine::route_kind::striped_score) {
+      ++stats.int16_pairs;
+      ++stats.simd_pairs;
+      ++stats.striped_pairs;
+    } else {
+      ++(rt == engine::route_kind::bitpar_score ? stats.bitpar_pairs
+                                                : stats.scalar_pairs);
     }
-    sink(i, rolling_score<K>(p.q, p.s, gap_, scoring_, ws));
-    ++stats.scalar_pairs;
-  }
-
-  /// One pair through the bit-parallel engine when this instantiation
-  /// can express it (global + linear + simple scoring — the classifier
-  /// only hints bitpar for unit-cost option sets, which dispatch to
-  /// exactly that instantiation); anything else rolls.
-  template <class Pair, class Sink>
-  void bitpar_pair(std::span<const Pair> pairs, std::size_t i,
-                   workspace& ws, Sink& sink, batch_stats& stats) {
-    if constexpr (K == align_kind::global &&
-                  Gap::kind == gap_kind::linear &&
-                  std::is_same_v<Scoring, simple_scoring>) {
-      const auto& p = pairs[i];
-      if (p.q.size() > 0 && p.s.size() > 0) {
-        sink(i, bitpar_score(p.q, p.s, gap_.extend(), ws));
-        ++stats.bitpar_pairs;
-        return;
-      }
-    }
-    sink(i, rolling_score<K>(pairs[i].q, pairs[i].s, gap_, scoring_, ws));
-    ++stats.scalar_pairs;
   }
 
   Gap gap_;
   Scoring scoring_;
   batch_config cfg_;
+  /// The request each lone pair is classified and run under: this
+  /// engine's kind, gap and scoring, score-only, on one thread.
+  align_options lone_;
   batch_stats stats_{};
   workspace own_ws_;  ///< backs the one-shot convenience overloads
   /// Engine-pooled per-worker arenas for the multi-threaded fan-out when

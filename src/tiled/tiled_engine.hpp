@@ -30,6 +30,8 @@
 
 #include <mutex>
 
+#include "anyseq/engine_table.hpp"
+#include "core/bitpar.hpp"
 #include "core/errors.hpp"
 #include "core/init.hpp"
 #include "core/rolling.hpp"
@@ -43,7 +45,7 @@ namespace ANYSEQ_TARGET_NS {
 namespace tiled {
 
 /// Tuning/scheduling configuration (bench_ablation sweeps these; the
-/// dispatcher derives the tile at plan time, engine_impl.hpp).
+/// dispatcher derives the tile at plan time, make_tiled_config below).
 struct tiled_config {
   index_t tile_h = 512;
   index_t tile_w = 512;
@@ -284,6 +286,72 @@ class tiled_engine {
   parallel::wavefront_stats stats_{};
   workspace own_ws_;  ///< backs the one-shot convenience overloads
 };
+
+/// The plan-time tile for an (n x m) problem when `opt.tile` is 0: the
+/// largest of 512, 256, 128 that runs striped (fits_striped_tile) and
+/// whose longest anti-diagonal holds two tiles per thread, else 128 when
+/// it still runs striped.  The scalar variant, and scores too large for
+/// any striped tile, keep 512.  From the `wave` rows of
+/// BENCH_precision.json (DESIGN.md §9).
+template <int Lanes>
+[[nodiscard]] index_t derive_tile(index_t n, index_t m, int threads,
+                                  score_t unit) {
+  constexpr index_t kMaxTile = 512, kMinTile = 128;
+  if (Lanes == 1) return kMaxTile;
+  for (index_t t = kMaxTile; t > kMinTile; t /= 2)
+    if (fits_striped_tile(t, t, unit) &&
+        std::min(stage::tile_count(n, t), stage::tile_count(m, t)) >=
+            2 * threads)
+      return t;
+  return fits_striped_tile(kMinTile, kMinTile, unit) ? kMinTile : kMaxTile;
+}
+
+/// Wavefront configuration of one call under `opt`, derived once from
+/// the top-level (n x m) shape: the plan and every tiled route (tiled
+/// score, tiled Hirschberg, locate) use the same tile.
+template <int Lanes>
+[[nodiscard]] tiled_config make_tiled_config(const align_options& opt,
+                                             index_t n, index_t m) {
+  const int threads = ::anyseq::parallel::resolve_threads(opt.threads);
+  const index_t tile =
+      opt.tile > 0 ? opt.tile
+                   : derive_tile<Lanes>(n, m, threads,
+                                        engine::score_unit(opt));
+  return {tile, tile, threads};
+}
+
+/// One score-only pair on `rt`, the route engine::classify_route picked
+/// for it under `opt`: the score half of `align`'s route switch, which a
+/// batch's lone pairs run too.  `wavefront`, when non-null, receives the
+/// tiled pass's accounting.
+template <align_kind K, int Lanes, class Gap, class Scoring>
+[[nodiscard]] score_result score_route(engine::route_kind rt,
+                                       stage::seq_view q, stage::seq_view s,
+                                       const Gap& gap, const Scoring& scoring,
+                                       const align_options& opt,
+                                       workspace& ws,
+                                       wavefront_stats* wavefront = nullptr) {
+  switch (rt) {
+    case engine::route_kind::bitpar_score:
+      // classify_route admitted a unit-cost option set (match == 0,
+      // mismatch == gap_extend < 0, no gap open) and n, m > 0.
+      return bitpar_score(q, s, gap.extend(), ws);
+    case engine::route_kind::striped_score:
+      if constexpr (Lanes > 1)
+        return striped_score<K, Lanes>(q, s, gap, scoring, ws);
+      break;
+    case engine::route_kind::tiled_score: {
+      tiled_engine<K, Gap, Scoring, Lanes> eng(
+          gap, scoring, make_tiled_config<Lanes>(opt, q.size(), s.size()));
+      const score_result r = eng.score(q, s, ws);
+      if (wavefront != nullptr) *wavefront = eng.last_stats();
+      return r;
+    }
+    default:
+      break;
+  }
+  return rolling_score<K>(q, s, gap, scoring, ws);
+}
 
 }  // namespace tiled
 }  // namespace ANYSEQ_TARGET_NS

@@ -112,6 +112,7 @@ TEST(AllocSteadyState, TiledScoreRoute) {
   const auto q = test::random_codes(700, 11);
   const auto s = test::random_codes(650, 22);
   align_options o = serial_opts();
+  o.match = 30;  // past the int16 window: (700 + 650 + 2) * 30 > 28000
   o.tile = 128;  // several tiles, clipped edges included
   aligner a(o);
   EXPECT_STREQ(a.plan(700, 650).route, "tiled_score");
@@ -123,6 +124,7 @@ TEST(AllocSteadyState, TiledScoreRouteAffineLocal) {
   const auto s = test::random_codes(640, 44);
   align_options o = serial_opts();
   o.kind = align_kind::local;
+  o.match = 30;  // past the int16 window: (500 + 640 + 2) * 30 > 28000
   o.gap_open = -3;
   o.tile = 96;
   aligner a(o);
@@ -573,7 +575,7 @@ TEST(AllocSteadyState, ReserveMakesFirstScorePassAllocationFree) {
 
 TEST(AllocSteadyState, PlanReportsFootprintAndVariant) {
   aligner a(serial_opts());
-  const auto p = a.plan(1000, 1000);
+  const auto p = a.plan(8000, 8000);  // past the int16 window
   EXPECT_STREQ(p.route, "tiled_score");
   EXPECT_GT(p.workspace_bytes, 0u);
   EXPECT_STREQ(p.variant, backend_name(serial_opts()));

@@ -305,7 +305,7 @@ TEST(PrecisionWindow, BitparBatchCountsAndMatchesRolling) {
   for (int i = 0; i < 24; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{0, -1};  // unit cost
   tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
-      eng(linear_gap{-1}, sc, {1, score_precision::bitpar});
+      eng(linear_gap{-1}, sc, {1});
   const auto got = eng.scores(pairs);
   EXPECT_EQ(eng.last_stats().bitpar_pairs, 24u);
   for (int i = 0; i < 24; ++i) {
@@ -478,8 +478,8 @@ std::size_t tail_floor(int lanes, const precision_case& p) {
 /// reaches the batch engine's floor for L lanes, and pair by pair
 /// through the striped kernel below it.  Score and end cell stay
 /// byte-identical to the int32 rolling route, and the path accounting is
-/// exact — on the scalar variant auto rolls every pair in int32, so the
-/// whole batch counts as scalar pairs.
+/// exact — on the scalar variant auto runs every pair on an int32 route,
+/// so the whole batch counts as scalar pairs.
 class TailOracle : public ::testing::TestWithParam<precision_case> {};
 
 TEST_P(TailOracle, SubWidthTailsMatchInt32Rolling) {

@@ -116,7 +116,8 @@ TEST(BatchEngine, RaggedLengthsPadOrFallBackPerPair) {
 /// Batches of 2 and 3 ragged pairs (the serving tier's typical batch):
 /// too few to fill lanes, so under auto every pair runs the striped
 /// kernel — score and end cell equal to int32 rolling, single- and
-/// multi-threaded — while the scalar variant and the int32 hint roll.
+/// multi-threaded — while the scalar variant and the int32 hint run them
+/// on an int32 route.
 template <align_kind K, class Gap, int Lanes>
 void few_ragged_pairs_match_rolling(const Gap& gap) {
   const simple_scoring sc{2, -1};
@@ -311,6 +312,95 @@ TEST(BatchEngine, EmptyBatch) {
       linear_gap{-1}, sc, {2});
   EXPECT_TRUE(eng.scores({}).empty());
   EXPECT_TRUE(eng.align_all({}).empty());
+}
+
+/// The pairs a batch does not put on lanes run the route `align` picks
+/// for them on one thread (`classify_route` at threads = 1): striped
+/// inside the int16 window on a vector variant, the one-thread tiled pass
+/// past it or on the scalar variant, rolling for tiny pairs.  Every
+/// result equals `align` on the same pair and the int32 reference, at
+/// batch threads 1 and 2 (a tiled lone pair then runs its wavefront
+/// inline on a pool worker), and each pair counts by the accumulator
+/// `plan_info::precision` reports for it at one thread.
+TEST(BatchEngineLonePairs, RunTheRouteAlignPicksOnEveryVariant) {
+  std::vector<std::vector<char_t>> qs, ss;
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{1200, 1100},
+                             {1000, 1000}, {16, 16}, {40, 40}}) {
+    qs.push_back(test::random_codes(n, 60 + n));
+    ss.push_back(test::mutate(qs.back(), 70 + n, 0.05, 0.0));
+    ss.back().resize(m);
+  }
+  std::vector<seq_pair> pairs;
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  struct scores {
+    score_t match, mismatch, open, extend;
+  };
+  // At 10/-10/-10/-5 both long pairs are past the int16 window:
+  // (1000 + 1000 + 2) * 15 > 28000.
+  for (const scores sc : {scores{2, -1, -2, -1}, scores{10, -10, -10, -5}})
+    for (const align_kind k : test::all_kinds) {
+      align_options ref;
+      ref.kind = k;
+      ref.match = sc.match;
+      ref.mismatch = sc.mismatch;
+      ref.gap_open = sc.open;
+      ref.gap_extend = sc.extend;
+      ref.exec = backend::scalar;
+      ref.threads = 1;
+      ref.precision = score_precision::int32;
+      std::vector<alignment_result> want;
+      for (const seq_pair& p : pairs) want.push_back(align(p.q, p.s, ref));
+      for (const backend b :
+           {backend::scalar, backend::simd_avx2, backend::simd_avx512}) {
+        if (!test::backend_runnable(b)) continue;
+        for (const int threads : {1, 2}) {
+          SCOPED_TRACE(::testing::Message()
+                       << to_string(b) << " " << to_string(k) << " match "
+                       << sc.match << " threads " << threads);
+          align_options o = ref;
+          o.exec = b;
+          o.precision = score_precision::auto_select;
+          o.threads = threads;
+          aligner batch(o);
+          std::vector<alignment_result> got;
+          batch.align_batch_into(pairs, got);
+          o.threads = 1;
+          const aligner one(o);
+          o.threads = threads;
+          std::uint64_t striped = 0;
+          for (std::size_t i = 0; i < pairs.size(); ++i) {
+            const alignment_result solo = align(pairs[i].q, pairs[i].s, o);
+            EXPECT_EQ(got[i].score, solo.score) << "pair " << i;
+            EXPECT_EQ(got[i].q_end, solo.q_end) << "pair " << i;
+            EXPECT_EQ(got[i].s_end, solo.s_end) << "pair " << i;
+            EXPECT_EQ(got[i].cells, solo.cells) << "pair " << i;
+            EXPECT_EQ(got[i].score, want[i].score) << "pair " << i;
+            EXPECT_EQ(got[i].q_end, want[i].q_end) << "pair " << i;
+            EXPECT_EQ(got[i].s_end, want[i].s_end) << "pair " << i;
+            if (one.plan(pairs[i].q.size(), pairs[i].s.size()).precision ==
+                score_precision::int16)
+              ++striped;
+          }
+          const batch_stats st = batch.last_batch_stats();
+          EXPECT_EQ(st.striped_pairs, striped);
+          EXPECT_EQ(st.scalar_pairs, pairs.size() - striped);
+          EXPECT_EQ(st.simd_pairs, striped);
+        }
+      }
+    }
+  // The one-thread rule: a pair inside the window runs striped at any
+  // size on one thread; on more, the wavefront takes over past
+  // kSmallScoreCells.
+  for (const backend b : {backend::simd_avx2, backend::simd_avx512}) {
+    if (!test::backend_runnable(b)) continue;
+    align_options o;
+    o.exec = b;
+    o.threads = 1;
+    EXPECT_STREQ(aligner(o).plan(1000, 1000).route, "striped_score");
+    o.threads = 2;
+    EXPECT_STREQ(aligner(o).plan(1000, 1000).route, "tiled_score");
+  }
 }
 
 }  // namespace

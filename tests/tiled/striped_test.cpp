@@ -256,11 +256,15 @@ TEST(StripedRoute, PlanReportsTheRouteTheVariantExecutes) {
     EXPECT_EQ(p.precision, score_precision::int16);
     EXPECT_STREQ(p.variant, to_string(b));
     // The int32 reference stays on the rolling engine; past the small-problem
-    // cutoff or the int16 bound the tiled engine takes over.
+    // cutoff on more than one thread, or past the int16 bound, the tiled
+    // engine takes over.
     o.precision = score_precision::int32;
     EXPECT_STREQ(aligner(o).plan(150, 150).route, "small_score");
     o.precision = score_precision::auto_select;
+    EXPECT_STREQ(aligner(o).plan(300, 300).route, "striped_score");
+    o.threads = 2;
     EXPECT_STREQ(aligner(o).plan(300, 300).route, "tiled_score");
+    o.threads = 1;
     o.match = 100;  // (150 + 150 + 2) * 100 > 28000
     EXPECT_STREQ(aligner(o).plan(150, 150).route, "tiled_score");
     o.match = 2;
