@@ -202,18 +202,10 @@ std::vector<alignment_result> simulator_align_batch(
             return out;
           }
           case backend::fpga_sim: {
-            if (opt.want_alignment)
-              throw invalid_argument_error(
-                  "the fpga_sim backend is score-only");
-            std::vector<alignment_result> out(pairs.size());
-            for (std::size_t i = 0; i < pairs.size(); ++i) {
-              const auto r = fpgasim::systolic_score<K>(pairs[i].q,
-                                                        pairs[i].s, gap,
-                                                        scoring);
-              out[i].score = r.score;
-              out[i].cells = r.cells;
-              out[i].variant = "fpga_sim";
-            }
+            std::vector<alignment_result> out;
+            out.reserve(pairs.size());
+            for (const auto& p : pairs)
+              out.push_back(fpga_align<K>(p.q, p.s, gap, scoring, opt));
             return out;
           }
           default:

@@ -88,7 +88,9 @@ struct align_options {
   score_precision precision = score_precision::auto_select;
 
   /// Problems with at most this many cells take the full-matrix path for
-  /// traceback; larger ones use divide & conquer in linear space.
+  /// traceback; larger ones use divide & conquer in linear space (an
+  /// extension traceback has no such path and throws).  `align_batch`
+  /// applies the bound to each pair, so its results equal `align`'s.
   index_t full_matrix_cells = index_t{1} << 22;
 };
 
@@ -260,15 +262,18 @@ class aligner {
                                              const align_options& opt = {});
 
 /// Align many pairs (the NGS-read use case): inter-sequence SIMD across
-/// pairs, multithreaded.  Results keep the input order.  Both the score
-/// and the traceback path dispatch through the selected engine variant.
+/// pairs, multithreaded across pairs.  Results keep the input order, and
+/// each pair's result equals what `align` returns for it under `opt`
+/// (score, end and begin cells, CIGAR, cells), on every backend: a pair
+/// off the SIMD lanes runs the route `align` picks for it, on one
+/// thread.  So an extension traceback past `full_matrix_cells` throws
+/// invalid_argument_error for the whole batch, as `align` does for it.
 ///
 /// Degenerate inputs are defined, never UB: an empty `pairs` span
 /// returns an empty vector (after option validation — invalid options
 /// still throw), and zero-length sequences in any entry are aligned
 /// normally (an all-gap alignment against the non-empty side; score 0
-/// for local alignment).  Score-only results carry the optimum's end
-/// cell in `q_end`/`s_end`, matching a per-pair align() call.
+/// for local alignment).
 [[nodiscard]] std::vector<alignment_result> align_batch(
     std::span<const seq_pair> pairs, const align_options& opt = {});
 

@@ -17,8 +17,9 @@
 /// types exclusively.  Workspaces cross that boundary as opaque `void*`
 /// handles; every execute entry below opens the pass (`begin_pass`) and
 /// carves all DP storage from the handle's arena — the execute half of
-/// the plan/execute split.  `align_impl` classifies the route and
-/// switches on it; `plan_bytes_impl`, the plan half, switches on the
+/// the plan/execute split.  `align_impl` classifies the route and runs
+/// it (`tiled::score_route` / `tiled::traceback_route`, which a batch's
+/// lone pairs run too); `plan_bytes_impl`, the plan half, switches on the
 /// same classification right beside it and returns the route's exact
 /// arena footprint, so `aligner::reserve` can pre-size a workspace such
 /// that even the first call never allocates.
@@ -36,8 +37,6 @@
 #include "anyseq/option_dispatch.hpp"
 #include "core/banded.hpp"
 #include "core/bitpar.hpp"
-#include "core/full_engine.hpp"
-#include "core/locate.hpp"
 #include "core/rolling.hpp"
 #include "core/workspace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -57,7 +56,6 @@ inline constexpr int kLanes = ANYSEQ_TARGET_LANES;
 // (engine_table.hpp / align.cpp): execute, plan_bytes, and the public
 // dispatcher can never drift apart.
 using ::anyseq::engine::classify_route;
-using ::anyseq::engine::kHirschbergBaseCells;
 using ::anyseq::engine::route_kind;
 using tiled::make_tiled_config;
 
@@ -121,10 +119,6 @@ inline void stamp(alignment_result& r) { r.variant = ANYSEQ_TARGET_NAME; }
 // The route switch, plan half first, then the execute entries.
 // ---------------------------------------------------------------------
 
-void align_batch_impl(std::span<const seq_pair> pairs,
-                      const align_options& opt, void* ws,
-                      std::span<alignment_result> out, batch_stats* stats);
-
 /// The plan half: exact arena footprint of the route `align_impl` (right
 /// after it) executes for an (n x m) problem under `opt` — both switch on
 /// the same `classify_route`.  Returns 0 for routes that carve nothing
@@ -154,21 +148,9 @@ std::size_t plan_bytes_impl(index_t n, index_t m, const align_options& opt) {
           case route_kind::tiled_score:
             return tiled::tiled_engine<K, Gap, Scoring, kLanes>::plan_bytes(
                 n, m, cfg);
-          case route_kind::full_matrix:
-            return tiled::traceback_plan_bytes<K, Gap, Scoring>(n, m);
-          case route_kind::hirschberg:
-            return tiled::tiled_hirschberg_plan_bytes<kLanes, Gap, Scoring>(
-                n, m, cfg, kHirschbergBaseCells);
-          case route_kind::locate:
-            // locate: two rolling passes (released before the inner
-            // global reconstruction) + the tiled Hirschberg peak of the
-            // located region (bounded by the full problem).
-            return 2 * rolling_plan_bytes(m) +
-                   tiled::tiled_hirschberg_plan_bytes<kLanes, Gap, Scoring>(
-                       n, m, cfg, kHirschbergBaseCells);
-          case route_kind::unsupported:
-          default:
-            return 0;  // rejected at execute
+          default:  // the traceback routes
+            return tiled::traceback_plan_bytes<K, kLanes, Gap, Scoring>(
+                rt, n, m, opt);
         }
       });
     });
@@ -180,57 +162,19 @@ void align_impl(stage::seq_view q, stage::seq_view s,
                 batch_stats* stats, wavefront_stats* wavefront) {
   const route_kind rt = classify_route(q.size(), s.size(), opt, kLanes);
   if (wavefront != nullptr) *wavefront = {};
-  if (rt == route_kind::full_matrix) {
-    // A one-pair traceback batch: the same band doubling and fallback,
-    // and the same banded_pairs / band_passes accounting.
-    const seq_pair pair{q, s};
-    align_batch_impl(std::span(&pair, 1), opt, ws, std::span(&out, 1),
-                     stats);
-    return;
-  }
-  // Extension traceback: anchored global-style walk from the tracked
-  // optimum — only the full matrix can hold it.
-  if (rt == route_kind::unsupported)
-    throw invalid_argument_error(
-        "extension traceback beyond full_matrix_cells is not supported");
   workspace& w = ws_of(ws);
   w.begin_pass();
   with_kind(opt.kind, [&](auto kc) {
     constexpr align_kind K = decltype(kc)::value;
     with_gap(opt, [&](auto gap) {
       with_scoring(opt, [&](const auto& scoring) {
-        const auto cfg = [&] {
-          return make_tiled_config<kLanes>(opt, q.size(), s.size());
-        };
-        switch (rt) {
-          case route_kind::hirschberg:
-            if constexpr (K == align_kind::global)
-              tiled::tiled_hirschberg_align_into<kLanes>(
-                  q, s, gap, scoring, cfg(), kHirschbergBaseCells, w, out,
-                  wavefront);
-            stamp(out);
-            return;
-          case route_kind::locate:
-            if constexpr (K == align_kind::local ||
-                          K == align_kind::semiglobal) {
-              const tiled::tiled_config c = cfg();
-              locate_align_into<K>(
-                  q, s, gap, scoring,
-                  [&](stage::seq_view subq, stage::seq_view subs,
-                      alignment_result& sub) {
-                    tiled::tiled_hirschberg_align_into<kLanes>(
-                        subq, subs, gap, scoring, c, kHirschbergBaseCells, w,
-                        sub, wavefront);
-                  },
-                  w, out);
-            }
-            stamp(out);
-            return;
-          default:
-            break;  // the score routes (full_matrix / unsupported: above)
-        }
-        tiled::put_score(out, tiled::score_route<K, kLanes>(
-                                  rt, q, s, gap, scoring, opt, w, wavefront));
+        if (opt.want_alignment)
+          tiled::traceback_route<K, kLanes>(rt, q, s, gap, scoring, opt, w,
+                                            out, stats, wavefront);
+        else
+          tiled::put_score(out, tiled::score_route<K, kLanes>(
+                                    rt, q, s, gap, scoring, opt, w,
+                                    wavefront));
         stamp(out);
       });
     });
@@ -246,8 +190,7 @@ void align_batch_impl(std::span<const seq_pair> pairs,
   const int threads = ::anyseq::parallel::resolve_threads(opt.threads);
   // Pool one arena per worker ahead of the fan-out so the engine carves
   // from handle-owned storage that survives (warm) across batch calls.
-  // A one-pair batch (the solo full-matrix route) runs on the main arena
-  // alone, so `reserve()` keeps its first call allocation-free.
+  // A one-pair batch runs on the main arena alone.
   if (threads > 1 && pairs.size() > 1 &&
       h.workers.size() < static_cast<std::size_t>(threads))
     h.workers.resize(static_cast<std::size_t>(threads));
@@ -260,7 +203,8 @@ void align_batch_impl(std::span<const seq_pair> pairs,
         tiled::batch_engine<K, Gap, Scoring, kLanes> eng(
             gap, scoring,
             tiled::batch_config{threads, opt.precision,
-                                std::span<workspace>(h.workers)});
+                                std::span<workspace>(h.workers)},
+            opt.full_matrix_cells);
         if (opt.want_alignment)
           eng.align_into(pairs, w, out);
         else

@@ -129,10 +129,10 @@ struct ops {
 
   /// Align one pair: the public `aligner::align_into` call.  Classifies
   /// the route (`classify_route`, the switch `plan_bytes` sizes for),
-  /// runs it and stamps `out.variant`.  A full-matrix traceback is a
-  /// one-pair `align_batch` and writes its banded_pairs / band_passes
-  /// into `stats` when non-null (an overwrite, left alone by every
-  /// other route).  When `wavefront` is non-null it is overwritten with
+  /// runs it and stamps `out.variant`.  A full-matrix traceback adds
+  /// its banded_pairs / band_passes to `stats` when non-null (the
+  /// aligner zeroes it first; every other route leaves it alone).  When
+  /// `wavefront` is non-null it is overwritten with
   /// the call's tiled score, tiled Hirschberg or locate accounting
   /// (summed over a traceback's passes), zero for every other route.
   /// Throws invalid_argument_error for an extension traceback above
@@ -144,8 +144,9 @@ struct ops {
   /// Align many pairs, input order preserved: the public
   /// `aligner::align_batch_into` call.  Score-only batches run the
   /// inter-sequence SIMD batch kernel; traceback batches align pair by
-  /// pair (global pairs band-doubled first, the full matrix as
-  /// fallback).  `out` is caller-presized to pairs.size().  When `stats`
+  /// pair, each on the route `align` picks for it at one thread (so an
+  /// extension pair past the bound throws as `align` does).  `out` is
+  /// caller-presized to pairs.size().  When `stats`
   /// is non-null it receives the run's path accounting — a plain
   /// overwrite, not accumulation.
   void (*align_batch)(std::span<const seq_pair> pairs,

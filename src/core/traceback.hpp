@@ -76,6 +76,11 @@ class alignment_builder {
     std::reverse(sa_.begin(), sa_.end());
   }
   [[nodiscard]] std::size_t size() const noexcept { return qa_.size(); }
+  /// Grow both strings' capacity to `n` characters (a pool warm-up).
+  void reserve(std::size_t n) {
+    qa_.reserve(n);
+    sa_.reserve(n);
+  }
 
   /// Swap the built strings into a result and derive the CIGAR (into the
   /// result's existing cigar buffer).  A swap, not a move: the result's

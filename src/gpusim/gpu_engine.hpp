@@ -338,6 +338,8 @@ class gpu_engine {
       if (n == 0 && m == 0) out.score = 0;
       out.end_i = n;
       out.end_j = m;
+    } else {
+      out.score = 0;  // the empty alignment at (0, 0)
     }
     if (hh_out != nullptr) {
       for (index_t j = 0; j <= m; ++j) {

@@ -1,14 +1,6 @@
 #include "service/batcher.hpp"
 
 namespace anyseq::service {
-namespace {
-
-[[nodiscard]] bool is_cpu_backend(backend b) noexcept {
-  return b == backend::auto_select || b == backend::scalar ||
-         b == backend::simd_avx2 || b == backend::simd_avx512;
-}
-
-}  // namespace
 
 const char* to_string(route r) noexcept {
   switch (r) {
@@ -19,21 +11,10 @@ const char* to_string(route r) noexcept {
   return "?";
 }
 
-route classify(stage::seq_view q, stage::seq_view s,
-               const align_options& opt) noexcept {
-  if (!is_cpu_backend(opt.exec)) return route::solo;
-  if (q.size() == 0 || s.size() == 0) return route::solo;
-  if (opt.want_alignment) {
-    const index_t cells = q.size() * s.size();
-    return cells <= opt.full_matrix_cells ? route::batch_traceback
-                                          : route::solo;
-  }
-  // Global score-only requests coalesce into batch_score regardless of
-  // precision or size: under auto the batch engine picks int8/int16 per
-  // SIMD chunk and runs every other pair on the route a one-thread
-  // `align` takes for it (striped, tiled, bit-parallel or rolling), and
-  // options_compatible keeps auto and int32 requests in separate batches.
-  return opt.kind == align_kind::global ? route::batch_score : route::solo;
+route classify(const align_options& opt) noexcept {
+  if (opt.exec == backend::gpu_sim || opt.exec == backend::fpga_sim)
+    return route::solo;
+  return opt.want_alignment ? route::batch_traceback : route::batch_score;
 }
 
 // Tripwire: options_compatible below enumerates every align_options

@@ -6,32 +6,24 @@
 ///
 /// The service promises that every request produces a result
 /// *byte-identical* to a synchronous `anyseq::align` call with the same
-/// inputs.  Batching therefore cannot be applied blindly: `align_batch`'s
-/// score path and `align`'s tiled score path agree only where both are
-/// exact and use the same tie-breaking, and `align_batch`'s traceback
-/// path always runs the full-matrix engine while `align` switches to
-/// divide & conquer above `full_matrix_cells`.  `classify` encodes
-/// exactly the cases where coalescing through `align_batch` preserves
-/// the identity:
+/// inputs.  On a CPU backend `align_batch` keeps that promise for any
+/// mix of kinds, sizes and empty sequences: the SIMD lanes return the
+/// score and end cell `align` does, and every other pair runs the route
+/// `align` picks for it, on one thread (`tiled::score_route`,
+/// `tiled::traceback_route`).  `classify` therefore only names the
+/// call a request executes through:
 ///
-///   * batch_score     — CPU backend, score-only, global kind, non-empty
-///                       sequences.  Both paths compute the unique
-///                       optimal score, report cells = n*m and the (n, m)
-///                       end cell.
-///   * batch_traceback — CPU backend, traceback requested, problem small
-///                       enough that `align` itself would take the
-///                       full-matrix path (`cells <= full_matrix_cells`):
-///                       both run the same `full_engine` specialization.
-///   * solo            — everything else (simulator backends, local or
-///                       semiglobal score-only whose argmax tie-breaking
-///                       differs between engines, oversized tracebacks,
-///                       empty sequences).  Solo requests still coalesce
-///                       into one pool job, but each runs through
+///   * batch_score     — CPU backend, score only.
+///   * batch_traceback — CPU backend, traceback requested.
+///   * solo            — simulator backends: each request runs through
 ///                       `anyseq::align` individually.
 ///
-/// A batch holds requests with the same route AND pairwise-compatible
-/// options (`options_compatible`): `align_batch` takes one option set for
-/// the whole span, so any mismatch is a flush boundary.
+/// A batch holds requests with pairwise-compatible options
+/// (`options_compatible`, which compares `exec` and `want_alignment`, so
+/// its members share a route): `align_batch` takes one option set for
+/// the whole span, so any mismatch is a flush boundary.  A batch of one,
+/// and a request bisection isolates, runs solo through `anyseq::align`
+/// with its own `threads`.
 
 #include <cstdint>
 
@@ -44,9 +36,9 @@ enum class route : std::uint8_t { batch_score, batch_traceback, solo };
 
 [[nodiscard]] const char* to_string(route r) noexcept;
 
-/// Route preserving result-identity with synchronous `anyseq::align`.
-[[nodiscard]] route classify(stage::seq_view q, stage::seq_view s,
-                             const align_options& opt) noexcept;
+/// The call a request under `opt` executes through: the backend and
+/// `want_alignment` decide it, never the sequences.
+[[nodiscard]] route classify(const align_options& opt) noexcept;
 
 /// True when two requests may share one `align_batch`/grouped call:
 /// every dispatch-relevant option field matches (including substitution

@@ -345,8 +345,7 @@ std::size_t aligner::ring_extract_compatible(
       r.cells -= cells_of(idx);
       continue;
     }
-    if (taken < max_take && sl.rt == lead.rt &&
-        options_compatible(sl.opt, lead.opt)) {
+    if (taken < max_take && options_compatible(sl.opt, lead.opt)) {
       batch.insert(batch.end() - expired, idx);
       ++taken;
       r.cells -= cells_of(idx);
@@ -380,8 +379,7 @@ bool aligner::wakes_batcher_locked(const slot& sl,
   const slot& lead = slots_[linger_lead_];
   return ring.count >= linger_room_ ||            // the batch can fill
          ring.count >= cfg_.queue_capacity ||     // submitters may block
-         sl.rt != lead.rt ||                      // option boundary
-         !options_compatible(sl.opt, lead.opt) ||
+         !options_compatible(sl.opt, lead.opt) ||  // option boundary
          (sl.cls == request_class::interactive &&  // cuts a bulk linger
           lead.cls == request_class::bulk) ||
          sl.deadline != clock::time_point::max();  // may pull the flush in
@@ -685,8 +683,6 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
     return ticket(this, idx, gen);
   }
   if (cache_ != nullptr) cache_misses_.fetch_add(1, std::memory_order_relaxed);
-
-  sl.rt = classify(sl.q, sl.s, opt);
 
   bool wake;
   {
@@ -1065,7 +1061,9 @@ void aligner::execute(std::uint32_t ws_index) {
 }
 
 void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
-  if (hi - lo == 1 || slots_[ws.items[lo]].rt == route::solo) {
+  const slot& lead = slots_[ws.items[lo]];
+  const route rt = classify(lead.opt);
+  if (hi - lo == 1 || rt == route::solo) {
     // Solo routes execute one-by-one by design; a lone batch-route
     // request degenerates to the same thing.  Either way each failure
     // is already isolated to its own ticket.
@@ -1088,7 +1086,6 @@ void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
     ws.pairs.clear();
     for (std::size_t i = lo; i < hi; ++i)
       ws.pairs.push_back({slots_[ws.items[i]].q, slots_[ws.items[i]].s});
-    const slot& lead = slots_[ws.items[lo]];
     ws.eng.set_options(lead.opt);
     const auto eng_t0 = clock::now();
     ws.eng.align_batch_into(ws.pairs, ws.results);
@@ -1097,7 +1094,7 @@ void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
     for (std::size_t k = 0; k < hi - lo; ++k) cells += ws.results[k].cells;
     // One batch call = one option set = one dispatched variant; the
     // lead result's stamp names it for the whole span.
-    note_exec(lead.rt, ws.results.empty() ? nullptr : ws.results[0].variant,
+    note_exec(rt, ws.results.empty() ? nullptr : ws.results[0].variant,
               hi - lo, cells, eng_ns);
     // Each batch route fills only its own fields (score paths or band
     // doubling), so the sums need no route switch.
@@ -1148,8 +1145,8 @@ void aligner::run_solo(exec_unit& ws, std::uint32_t idx) {
     // isolated by bisection lands in the solo column, which is the
     // truth a GCUPS dashboard wants.
     note_exec(route::solo, ws.scratch.variant, 1, ws.scratch.cells, eng_ns);
-    // A solo full-matrix traceback runs as a one-pair traceback batch
-    // and reports its band doubling like one; other routes report zeros.
+    // A solo full-matrix traceback reports its band doubling like a
+    // traceback batch does; other routes report zeros.
     const batch_stats bst = ws.eng.last_batch_stats();
     batch_banded_pairs_.fetch_add(bst.banded_pairs, std::memory_order_relaxed);
     batch_band_passes_.fetch_add(bst.band_passes, std::memory_order_relaxed);

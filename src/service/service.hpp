@@ -13,8 +13,8 @@
 /// `inline_cell_bound` cells) on the batcher thread itself, any other on
 /// `parallel::thread_pool::global()`, so a loaded shard runs batches side
 /// by side.  Every result is byte-identical to what a synchronous
-/// `anyseq::align` call on the same inputs would return (route selection
-/// in service/batcher.hpp is what makes that guarantee hold).
+/// `anyseq::align` call on the same inputs would return: `align_batch`
+/// runs each pair on the route `align` picks for it (service/batcher.hpp).
 ///
 /// Threads: `threads > 1` fans a batch or wavefront out on the global
 /// pool from the batcher, and runs it inline on a pool worker (DESIGN.md
@@ -464,7 +464,6 @@ class aligner {
     std::uint64_t gen = 0;
     stage::seq_view q, s;
     align_options opt;
-    route rt = route::solo;
     request_class cls = request_class::interactive;
     std::uint32_t tenant = 0;
     std::vector<char_t> q_store, s_store;  ///< submit_strings copies

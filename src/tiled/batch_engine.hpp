@@ -17,7 +17,9 @@
 /// its own, on the route `engine::classify_route` picks for it at
 /// `threads = 1` — the route a one-thread `align` call takes
 /// (`score_route`): a batch parallelizes across pairs, never inside one.
-/// Every mode returns results byte-identical to the int32 path.
+/// Every mode returns results byte-identical to the int32 path.  Traceback
+/// pairs run the same way, each on its own route under the request's
+/// `full_matrix_cells` (`traceback_route`).
 ///
 /// Plan/execute split: when run single-threaded (the service's
 /// steady-state configuration on small hosts), every chunk's interleaved
@@ -51,9 +53,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/banded.hpp"
 #include "core/errors.hpp"
-#include "core/full_engine.hpp"
 #include "core/init.hpp"
 #include "core/relax.hpp"
 #include "core/traceback.hpp"
@@ -62,6 +62,7 @@
 #include "simd/pack.hpp"
 #include "tiled/tile_kernel.hpp"
 #include "tiled/tiled_engine.hpp"
+#include "tiled/tiled_hirschberg.hpp"
 
 namespace anyseq {
 namespace ANYSEQ_TARGET_NS {
@@ -86,17 +87,6 @@ struct batch_config {
 /// struct itself is the shared-baseline `anyseq::batch_stats`
 /// (core/result.hpp) — it crosses the engine::ops dispatch boundary.
 using batch_stats = ::anyseq::batch_stats;
-
-/// Arena bytes aligning one (n x m) pair with traceback carves: the full
-/// matrix, or for a global pair the larger of it and the widest
-/// band-doubling pass (the passes and the fallback run one at a time).
-template <align_kind K, class Gap, class Scoring>
-[[nodiscard]] std::size_t traceback_plan_bytes(index_t n, index_t m) {
-  const std::size_t full = full_engine<K, Gap, Scoring>::plan_bytes(n, m);
-  if constexpr (K == align_kind::global)
-    return std::max(full, doubling_plan_bytes(n, m));
-  return full;
-}
 
 /// Arena bytes one chunk pass carves: the h, e and subject-char rows plus
 /// the per-column validity and last-column masks.
@@ -370,7 +360,10 @@ class batch_engine {
       Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 14 : 10)
                   : (Gap::kind == gap_kind::affine ? 9 : 7);
 
-  batch_engine(Gap gap, Scoring scoring, batch_config cfg = {})
+  /// `full_matrix_cells` is the request's traceback bound: a traceback
+  /// pair past it runs Hirschberg or locate, as under `align`.
+  batch_engine(Gap gap, Scoring scoring, batch_config cfg = {},
+               index_t full_matrix_cells = align_options{}.full_matrix_cells)
       : gap_(gap), scoring_(scoring), cfg_(cfg) {
     if (cfg_.threads < 1)
       throw invalid_argument_error("threads must be >= 1");
@@ -385,6 +378,7 @@ class batch_engine {
     }
     lone_.threads = 1;
     lone_.precision = cfg_.precision;
+    lone_.full_matrix_cells = full_matrix_cells;
   }
 
   /// Score every pair into caller-sized `out` (order preserved),
@@ -401,36 +395,46 @@ class batch_engine {
   }
 
   /// Align every pair with traceback into caller-sized `out` (order
-  /// preserved), recycling each slot's string capacity.  Global pairs
-  /// try band doubling first (core/banded.hpp) and fall back to the full
-  /// matrix; `last_stats()` counts the certified pairs and the band
-  /// passes.  Multi-threaded runs claim pairs off a shared cursor, each
-  /// worker carving from its pooled arena like the score path.
+  /// preserved), recycling each slot's string capacity.  Each pair runs
+  /// `traceback_route` on the route `classify_route` picks for it alone
+  /// at one thread, so its result equals `align`'s; a pair no route runs
+  /// (extension past the bound) rejects the batch before any pair runs.
+  /// `last_stats()` counts the band-doubled pairs and passes.
+  /// Multi-threaded runs claim pairs off a shared cursor, each worker
+  /// carving from its pooled arena like the score path.
   template <class Pair>
   void align_into(std::span<const Pair> pairs, workspace& ws,
                   std::span<alignment_result> out) {
     ANYSEQ_CHECK(out.size() == pairs.size(),
                  "align_into: out must have one slot per pair");
     stats_ = {};
+    align_options tb = lone_;
+    tb.want_alignment = true;
+    const auto route_of = [&tb](const Pair& p) {
+      return engine::classify_route(p.q.size(), p.s.size(), tb, Lanes);
+    };
+    // Checked up front: a pool worker's exception would reach no caller.
+    // `peak` is the batch's largest route footprint, `longest` the
+    // longest pair a Hirschberg base case can span.
+    std::size_t peak = 0, longest = 0;
+    for (const auto& p : pairs) {
+      const engine::route_kind rt = route_of(p);
+      check_traceback_route(rt);
+      peak = std::max(peak, traceback_plan_bytes<K, Lanes, Gap, Scoring>(
+                                rt, p.q.size(), p.s.size(), tb));
+      if (rt != engine::route_kind::full_matrix)
+        longest = std::max(longest,
+                           static_cast<std::size_t>(p.q.size() + p.s.size()));
+    }
     std::atomic<std::size_t> next{0};
     std::mutex stats_mutex;
     const auto align_from = [&](workspace& w) {
-      full_engine<K, Gap, Scoring> eng(gap_, scoring_);
       batch_stats local{};
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < pairs.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        if constexpr (K == align_kind::global) {
-          const doubling_result d = doubling_global_into(
-              pairs[i].q, pairs[i].s, gap_, scoring_, w, out[i]);
-          local.band_passes += static_cast<std::uint64_t>(d.passes);
-          if (d.certified) {
-            ++local.banded_pairs;
-            continue;
-          }
-        }
-        eng.align_into(pairs[i].q, pairs[i].s, true, w, out[i]);
-      }
+           i = next.fetch_add(1, std::memory_order_relaxed))
+        traceback_route<K, Lanes>(route_of(pairs[i]), pairs[i].q, pairs[i].s,
+                                  gap_, scoring_, tb, w, out[i], &local);
       std::lock_guard lock(stats_mutex);
       merge(stats_, local);
     };
@@ -438,16 +442,16 @@ class batch_engine {
       align_from(ws);
       return;
     }
-    std::size_t peak = 0;
-    for (const auto& p : pairs)
-      peak = std::max(peak, traceback_plan_bytes<K, Gap, Scoring>(
-                                p.q.size(), p.s.size()));
     fan_out(pairs.size(), [&](workspace& w) {
-      // Warm the arena to the batch's largest pair and the builder pool
-      // to one builder before claiming: a worker that claimed nothing in
-      // earlier runs then allocates nothing when it does claim a pair.
+      // Warm the arena to the batch's largest route, and the builder pool
+      // to the two builders a Hirschberg pass leases (its result and a
+      // base-case piece), before claiming: a worker that claimed nothing
+      // in earlier runs then allocates nothing when it does claim a pair.
       w.reserve_bytes(peak);
-      { workspace::builder_lease warm(w); }
+      {
+        workspace::builder_lease top(w), piece(w);
+        piece.get().reserve(longest);
+      }
       align_from(w);
     });
   }
@@ -692,7 +696,8 @@ class batch_engine {
   Scoring scoring_;
   batch_config cfg_;
   /// The request each lone pair is classified and run under: this
-  /// engine's kind, gap and scoring, score-only, on one thread.
+  /// engine's kind, gap, scoring and traceback bound, score-only (a
+  /// traceback run copies it with want_alignment set), on one thread.
   align_options lone_;
   batch_stats stats_{};
   workspace own_ws_;  ///< backs the one-shot convenience overloads
@@ -714,7 +719,6 @@ using v_scalar::tiled::batch_stats;
 using v_scalar::tiled::pair_view;
 using v_scalar::tiled::ragged_chunk_plan_bytes;
 using v_scalar::tiled::ragged_chunk_score;
-using v_scalar::tiled::traceback_plan_bytes;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
 

@@ -463,6 +463,40 @@ TEST(AllocSteadyState, BatchTracebackMultiThreadedSteadyState) {
   EXPECT_EQ(n, 0u) << "multi-threaded batch traceback allocated";
 }
 
+TEST(AllocSteadyState, BatchTracebackOverBoundPair) {
+  // A traceback batch's pair past full_matrix_cells runs Hirschberg on
+  // one thread, on whichever worker claims it.  Every worker warms its
+  // arena to the batch's largest route and its builder pool to the two
+  // builders a Hirschberg pass leases before claiming, so warm runs
+  // allocate nothing at threads = 4 either.
+  std::vector<std::vector<char_t>> qs, ss;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    qs.push_back(test::random_codes(150, 2200 + k));
+    ss.push_back(test::mutate(qs.back(), 2250 + k));
+  }
+  qs.insert(qs.begin() + 4, test::random_codes(1200, 2300));
+  ss.insert(ss.begin() + 4, test::mutate(qs[4], 2301));
+  std::vector<seq_pair> pairs;
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  for (const int threads : {1, 4}) {
+    align_options o = serial_opts();
+    o.threads = threads;
+    o.want_alignment = true;
+    o.full_matrix_cells = index_t{1} << 16;
+    aligner a(o);
+    ASSERT_STREQ(a.plan(pairs[4].q.size(), pairs[4].s.size()).route,
+                 "hirschberg");
+    std::vector<alignment_result> out;
+    for (int i = 0; i < 3; ++i) a.align_batch_into(pairs, out);
+    const auto n = allocs_during([&] {
+      for (int i = 0; i < 5; ++i) a.align_batch_into(pairs, out);
+    });
+    EXPECT_EQ(n, 0u) << "over-bound traceback batch allocated at threads "
+                     << threads;
+  }
+}
+
 /// A 150 bp pair whose global traceback band doubling certifies only
 /// after doubling at least once (checked, so the cases below keep
 /// covering a doubled pass).
@@ -507,8 +541,8 @@ TEST(AllocSteadyState, GlobalTracebackBandDoublingLonePair) {
 }
 
 TEST(AllocSteadyState, SoloTracebackPoolsNoWorkerArenas) {
-  // The solo full-matrix route is a one-pair traceback batch: at
-  // threads > 1 it must not pool the batch fan-out's worker arenas, so
+  // The solo full-matrix route runs on the main arena: at threads > 1
+  // it must not pool the batch fan-out's worker arenas, so
   // after reserve() its first call allocates exactly what a serial
   // handle's does (the traceback's string buffers).
   const auto [q, s] = doubling_pair(1810);

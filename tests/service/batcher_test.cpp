@@ -12,69 +12,55 @@
 namespace anyseq::service {
 namespace {
 
-using test::random_codes;
-using test::view;
-
-class BatcherRoutes : public ::testing::Test {
- protected:
-  std::vector<char_t> a = random_codes(16, 1);
-  std::vector<char_t> b = random_codes(16, 2);
-  std::vector<char_t> empty;
-};
-
-TEST_F(BatcherRoutes, GlobalScoreOnlyBatches) {
-  align_options opt;  // defaults: global, score-only, auto backend
-  EXPECT_EQ(classify(view(a), view(b), opt), route::batch_score);
+TEST(BatcherRoutes, GlobalScoreOnlyBatches) {
+  const align_options opt;  // defaults: global, score-only, auto backend
+  EXPECT_EQ(classify(opt), route::batch_score);
 }
 
-TEST_F(BatcherRoutes, SmallTracebackBatches) {
+TEST(BatcherRoutes, TracebackBatches) {
   align_options opt;
   opt.want_alignment = true;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::batch_traceback);
+  EXPECT_EQ(classify(opt), route::batch_traceback);
 }
 
-TEST_F(BatcherRoutes, OversizedTracebackGoesSolo) {
-  // align() would take the divide & conquer path here; align_batch's
-  // full-matrix traceback would not be byte-identical.
-  align_options opt;
-  opt.want_alignment = true;
-  opt.full_matrix_cells = 4;  // 16*16 = 256 > 4
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
+TEST(BatcherRoutes, CpuRequestsClassifyByWantAlignmentAlone) {
+  // align_batch runs every pair on the route align picks for it, so no
+  // kind, bound or precision keeps a CPU request out of a batch (the
+  // sequences are not even an argument).
+  for (const backend exec : {backend::scalar, backend::simd_avx2,
+                             backend::simd_avx512, backend::auto_select})
+    for (const align_kind k : test::all_kinds)
+      for (const score_precision p :
+           {score_precision::auto_select, score_precision::int32})
+        for (const index_t bound : {index_t{0}, index_t{1} << 22})
+          for (const bool traceback : {false, true}) {
+            align_options opt;
+            opt.exec = exec;
+            opt.kind = k;
+            opt.precision = p;
+            opt.full_matrix_cells = bound;
+            opt.want_alignment = traceback;
+            EXPECT_EQ(classify(opt), traceback ? route::batch_traceback
+                                               : route::batch_score)
+                << to_string(exec) << " " << to_string(k) << " bound "
+                << bound;
+          }
 }
 
-TEST_F(BatcherRoutes, NonGlobalScoreOnlyGoesSolo) {
-  // The argmax tie-breaking of the batch kernel and the tiled engine
-  // may differ for local/semiglobal end cells.
-  align_options opt;
-  opt.kind = align_kind::local;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
-  opt.kind = align_kind::semiglobal;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
-  opt.kind = align_kind::extension;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
-}
-
-TEST_F(BatcherRoutes, SimulatorBackendsGoSolo) {
+TEST(BatcherRoutes, SimulatorBackendsGoSolo) {
   align_options opt;
   opt.exec = backend::gpu_sim;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
+  EXPECT_EQ(classify(opt), route::solo);
   opt.exec = backend::fpga_sim;
-  EXPECT_EQ(classify(view(a), view(b), opt), route::solo);
+  EXPECT_EQ(classify(opt), route::solo);
 }
 
-TEST_F(BatcherRoutes, EmptySequencesGoSolo) {
-  align_options opt;
-  EXPECT_EQ(classify(view(empty), view(b), opt), route::solo);
-  EXPECT_EQ(classify(view(a), view(empty), opt), route::solo);
-}
-
-TEST_F(BatcherRoutes, ForcedCpuBackendsBatch) {
+TEST(BatcherRoutes, ForcedCpuBackendsBatch) {
   align_options opt;
   for (const backend exec : {backend::scalar, backend::simd_avx2,
                              backend::simd_avx512, backend::auto_select}) {
     opt.exec = exec;
-    EXPECT_EQ(classify(view(a), view(b), opt), route::batch_score)
-        << to_string(exec);
+    EXPECT_EQ(classify(opt), route::batch_score) << to_string(exec);
   }
 }
 

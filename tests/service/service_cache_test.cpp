@@ -48,8 +48,8 @@ void expect_identical(const alignment_result& got,
 }
 
 /// Option sets spanning every dispatch route the cache can front:
-/// batch-score, batch-traceback, solo (matrix / local traceback), the
-/// int32 reference precision, and the bit-parallel engine.
+/// batch-score and batch-traceback over several kinds, matrix scoring,
+/// the int32 reference precision, and the bit-parallel engine.
 std::vector<align_options> route_spanning_options() {
   std::vector<align_options> out;
 
@@ -69,11 +69,11 @@ std::vector<align_options> route_spanning_options() {
   traceback.want_alignment = true;
   out.push_back(traceback);
 
-  align_options local_tb = traceback;  // solo route (local traceback)
+  align_options local_tb = traceback;  // batch_traceback, local kind
   local_tb.kind = align_kind::local;
   out.push_back(local_tb);
 
-  align_options matrix = score_only;  // solo route (matrix scoring)
+  align_options matrix = score_only;  // batch_score, matrix scoring
   matrix.matrix = dna_matrix_scoring::uniform(2, -1);
   out.push_back(matrix);
 

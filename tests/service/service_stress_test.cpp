@@ -25,7 +25,7 @@ constexpr int kProducers = 4;
 constexpr int kPerProducer = 2500;  // 10k requests total
 constexpr int kWindow = 64;        // outstanding tickets per producer
 
-/// The rotating option mix: exercises both batch routes, solo routes,
+/// The rotating option mix: exercises both batch routes across kinds
 /// and option-compatibility flush boundaries under concurrency.
 std::vector<align_options> option_mix() {
   std::vector<align_options> mix(7);
@@ -34,9 +34,9 @@ std::vector<align_options> option_mix() {
   mix[1].want_alignment = true;
   mix[2].kind = align_kind::global;  // batch_score, distinct gap model
   mix[2].gap_open = -2;
-  mix[3].kind = align_kind::local;   // solo
+  mix[3].kind = align_kind::local;   // batch_traceback
   mix[3].want_alignment = true;
-  mix[4].kind = align_kind::semiglobal;  // solo, score-only
+  mix[4].kind = align_kind::semiglobal;  // batch_score
   mix[5].kind = align_kind::global;  // batch_score via the Myers
   mix[5].match = 0;                  // bit-parallel engine (unit cost)
   mix[5].mismatch = -1;

@@ -179,15 +179,15 @@ TEST(Service, OptionBoundaryFlushesBatch) {
   EXPECT_GE(svc.stats().batches, 2u);
 }
 
-TEST(Service, MixedSoloAndBatchRoutesAllMatchSync) {
+TEST(Service, MixedKindsAndRoutesAllMatchSync) {
   aligner svc;
   const auto q = random_codes(40, 5);
   const auto s = random_codes(44, 6);
   std::vector<align_options> opts(4);
   opts[0].kind = align_kind::global;             // batch_score
   opts[1].want_alignment = true;                 // batch_traceback
-  opts[2].kind = align_kind::local;              // solo
-  opts[3].kind = align_kind::semiglobal;         // solo
+  opts[2].kind = align_kind::local;              // batch_score
+  opts[3].kind = align_kind::semiglobal;         // batch_score
   std::vector<ticket> tickets;
   for (const auto& o : opts) tickets.push_back(svc.submit(view(q), view(s), o));
   for (std::size_t i = 0; i < opts.size(); ++i)
@@ -595,26 +595,73 @@ TEST(Service, QuietArrivalsJoinTheBatchWhenTheLingerEnds) {
 }
 
 TEST(Service, IncompatibleArrivalFlushesTheLingeringBatch) {
-  // Two ways to miss the lead's batch: other options, or the same
-  // options on another route (an empty query runs solo).
+  // Two ways to miss the lead's batch: other scores on the lead's route,
+  // or a traceback (another route).  Options alone decide both.
   config cfg;
   cfg.max_batch = 64;
   cfg.max_linger = 10s;
   const auto q = random_codes(32, 41);
-  const std::vector<char_t> empty;
   align_options b;
   b.match = 3;  // incompatible with the defaults
-  const std::pair<const std::vector<char_t>*, align_options> followers[] = {
-      {&q, b}, {&empty, align_options{}}};
-  for (const auto& [fq, fopt] : followers) {
+  align_options tb;
+  tb.want_alignment = true;
+  for (const align_options& fopt : {b, tb}) {
     aligner svc(cfg);
     auto first = submit_lingering_lead(svc, q);
-    auto second = svc.submit(view(*fq), view(q), fopt);
+    auto second = svc.submit(view(q), view(q), fopt);
     ASSERT_TRUE(first.wait_for(5s));
     expect_identical(first.get(), align(view(q), view(q)));
     svc.shutdown(true);  // the follower now leads a lingering batch
-    expect_identical(second.get(), align(view(*fq), view(q), fopt));
+    expect_identical(second.get(), align(view(q), view(q), fopt));
   }
+}
+
+TEST(Service, EveryKindAndSizeCoalescesAndMatchesSync) {
+  // Only the backend and want_alignment route a CPU request, so local,
+  // semiglobal and extension score-only requests and tracebacks past
+  // full_matrix_cells coalesce like any other, each result equal to
+  // align.  An extension traceback past the bound has no route: it fails
+  // its batch, and bisection isolates it, so only its ticket fails.
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 10s;
+  aligner svc(cfg);
+  std::vector<std::vector<char_t>> qs, ss;
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{40, 44},
+                             {150, 150}, {300, 280}, {0, 16}}) {
+    qs.push_back(random_codes(n, 50 + n));
+    ss.push_back(test::mutate(random_codes(m, 60 + m), 70 + m));
+  }
+  constexpr std::size_t kOverBound = 2;  // 300 x 280 > 2^15 cells
+  std::vector<align_options> groups;
+  for (const align_kind k :
+       {align_kind::local, align_kind::semiglobal, align_kind::extension}) {
+    groups.emplace_back();
+    groups.back().kind = k;
+  }
+  align_options tb;
+  tb.want_alignment = true;
+  tb.full_matrix_cells = index_t{1} << 15;
+  groups.push_back(tb);  // the over-bound pair runs Hirschberg
+  tb.kind = align_kind::extension;
+  groups.push_back(tb);  // the over-bound pair has no route
+  std::vector<ticket> tickets;
+  for (const align_options& o : groups)
+    for (std::size_t i = 0; i < qs.size(); ++i)
+      tickets.push_back(svc.submit(view(qs[i]), view(ss[i]), o));
+  svc.shutdown(true);
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      ticket& t = tickets[g * qs.size() + i];
+      if (g + 1 == groups.size() && i == kOverBound) {
+        EXPECT_THROW((void)t.get(), invalid_argument_error);
+        continue;
+      }
+      expect_identical(t.get(), align(view(qs[i]), view(ss[i]), groups[g]));
+    }
+  const auto snap = svc.stats();
+  EXPECT_LT(snap.batches, tickets.size());
+  EXPECT_EQ(snap.failed, 1u);
 }
 
 TEST(Service, InteractiveArrivalFlushesALingeringBulkBatch) {

@@ -403,5 +403,83 @@ TEST(BatchEngineLonePairs, RunTheRouteAlignPicksOnEveryVariant) {
   }
 }
 
+/// A batch's traceback pairs run the route `align` picks for each of them
+/// on one thread (`classify_route` at threads = 1, under the request's
+/// `full_matrix_cells`): band doubling or the full matrix up to the bound,
+/// Hirschberg (global) or locate (local, semiglobal) past it, and an
+/// over-bound extension pair rejects the batch as it rejects `align`.  At
+/// threads = 2 a Hirschberg pair may land on a pool worker, its
+/// one-thread wavefront inline there.  Every result equals `align` on the
+/// same pair field by field.
+TEST(BatchEngineTracebackPairs, RunTheRouteAlignPicks) {
+  std::vector<std::vector<char_t>> qs, ss;
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{3000, 2800},
+                             {300, 300}, {16, 16}}) {
+    qs.push_back(test::random_codes(n, 80 + n));
+    ss.push_back(test::mutate(qs.back(), 90 + n, 0.05, 0.02));
+    ss.back().resize(m);
+  }
+  qs.emplace_back();  // empty query
+  ss.push_back(test::random_codes(16, 95));
+  std::vector<seq_pair> pairs;
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  for (const align_kind k : test::all_kinds)
+    for (const backend b :
+         {backend::scalar, backend::simd_avx2, backend::simd_avx512}) {
+      if (!test::backend_runnable(b)) continue;
+      for (const int threads : {1, 2}) {
+        SCOPED_TRACE(::testing::Message() << to_string(b) << " "
+                                          << to_string(k) << " threads "
+                                          << threads);
+        align_options o;
+        o.kind = k;
+        o.gap_open = -2;
+        o.exec = b;
+        o.threads = threads;
+        o.want_alignment = true;
+        o.full_matrix_cells = index_t{1} << 16;
+        aligner batch(o);
+        std::vector<alignment_result> got;
+        if (k == align_kind::extension) {
+          EXPECT_THROW((void)align(pairs[0].q, pairs[0].s, o),
+                       invalid_argument_error);
+          EXPECT_THROW(batch.align_batch_into(pairs, got),
+                       invalid_argument_error);
+          continue;
+        }
+        batch.align_batch_into(pairs, got);
+        ASSERT_EQ(got.size(), pairs.size());
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          const alignment_result solo = align(pairs[i].q, pairs[i].s, o);
+          EXPECT_EQ(got[i].score, solo.score) << "pair " << i;
+          EXPECT_EQ(got[i].q_begin, solo.q_begin) << "pair " << i;
+          EXPECT_EQ(got[i].s_begin, solo.s_begin) << "pair " << i;
+          EXPECT_EQ(got[i].q_end, solo.q_end) << "pair " << i;
+          EXPECT_EQ(got[i].s_end, solo.s_end) << "pair " << i;
+          EXPECT_EQ(got[i].cigar, solo.cigar) << "pair " << i;
+          EXPECT_EQ(got[i].cells, solo.cells) << "pair " << i;
+        }
+      }
+    }
+
+  // Two 6000 x 6000 global tracebacks at the default bound run
+  // Hirschberg, one per worker: a warm threads = 2 batch holds two route
+  // footprints, not two full matrices.
+  const auto q = test::random_codes(6000, 97);
+  const auto s = test::mutate(q, 98, 0.05, 0.02);
+  const auto r = test::random_codes(6000, 99);
+  const std::vector<seq_pair> big{{view(q), view(s)}, {view(q), view(r)}};
+  align_options o;
+  o.threads = 2;
+  o.want_alignment = true;
+  aligner a(o);
+  ASSERT_STREQ(a.plan(6000, 6000).route, "hirschberg");
+  std::vector<alignment_result> got;
+  for (int i = 0; i < 2; ++i) a.align_batch_into(big, got);
+  EXPECT_LE(a.workspace_bytes(), 3 * a.plan(6000, 6000).workspace_bytes);
+  EXPECT_EQ(got[0].cigar, align(big[0].q, big[0].s, o).cigar);
+}
+
 }  // namespace
 }  // namespace anyseq::tiled
