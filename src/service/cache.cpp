@@ -194,7 +194,8 @@ bool response_cache::lookup(stage::seq_view q, stage::seq_view s,
     if (!e.used || e.hash != h) continue;
     if (!bytes_equal(e.q, q) || !bytes_equal(e.s, s)) continue;
     if (!options_compatible(e.opt, opt)) continue;
-    e.ref = 1;
+    // A hot entry's bit is already set: leave its line clean.
+    if (e.ref == 0) e.ref = 1;
     copy_result(e.result, out);
     return true;
   }

@@ -114,7 +114,10 @@ class response_cache {
     alignment_result result;  ///< payload, recycled on overwrite
   };
 
-  struct shard {
+  /// One lock shard on cache lines of its own: a probe writes its
+  /// mutex, and a neighbour's clock hand or live count must not share
+  /// that line.
+  struct alignas(64) shard {
     mutable std::mutex m;
     std::vector<entry> slots;
     std::size_t hand = 0;  ///< roving clock start within a window

@@ -14,8 +14,9 @@
 ///
 /// The histogram is the service's only latency mechanism.  It counts
 /// every completion, its percentiles carry a bounded relative error
-/// (<= 1/32), and it merges across shards by plain bucket-wise addition
-/// — the property the Prometheus `_bucket{le=...}` series need.
+/// (<= 1/32), and it merges by plain bucket-wise addition — across a
+/// service's per-thread counter stripes (service.hpp) and across shards
+/// alike, the property the Prometheus `_bucket{le=...}` series need.
 
 #include <atomic>
 #include <bit>
@@ -111,12 +112,19 @@ class latency_histogram {
   /// by construction even while other threads record.
   [[nodiscard]] histogram_snapshot snapshot() const noexcept {
     histogram_snapshot s;
-    for (std::size_t i = 0; i < n_latency_buckets; ++i) {
-      s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
-      s.count += s.buckets[i];
-    }
-    s.sum_ns = sum_ns_.load(std::memory_order_relaxed);
+    add_to(s);
     return s;
+  }
+
+  /// Add this histogram's buckets into `s` — a snapshot merged in place,
+  /// with no snapshot of its own on the stack.
+  void add_to(histogram_snapshot& s) const noexcept {
+    for (std::size_t i = 0; i < n_latency_buckets; ++i) {
+      const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
+      s.buckets[i] += n;
+      s.count += n;
+    }
+    s.sum_ns += sum_ns_.load(std::memory_order_relaxed);
   }
 
  private:

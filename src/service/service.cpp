@@ -78,6 +78,15 @@ using clock = std::chrono::steady_clock;
       .count();
 }
 
+/// This thread's counter stripe in every service; `no_stripe` until its
+/// first counted request.  A plain thread_local, so taking it never
+/// allocates.
+constexpr std::uint32_t no_stripe = 0xFFFFFFFF;
+constinit thread_local std::uint32_t t_stripe = no_stripe;
+/// Deals stripes round robin: threads that start together get
+/// different ones.
+std::atomic<std::uint32_t> next_stripe{0};
+
 }  // namespace
 
 const char* to_string(backpressure p) noexcept {
@@ -387,8 +396,8 @@ bool aligner::wakes_batcher_locked(const slot& sl,
 
 void aligner::fail_dequeued_locked(std::uint32_t idx, std::exception_ptr e) {
   slot& sl = slots_[idx];
-  failed_[static_cast<std::size_t>(sl.cls)].fetch_add(
-      1, std::memory_order_relaxed);
+  stripe().failed[static_cast<std::size_t>(sl.cls)].fetch_add(
+      1, std::memory_order_release);
   std::unique_lock lock(sl.m);
   sl.error = std::move(e);
   sl.st = slot_state::failed;
@@ -529,11 +538,21 @@ aligner::intake aligner::screen(stage::seq_view q, stage::seq_view s,
   return hit ? intake::hit : intake::miss;
 }
 
+aligner::counter_stripe& aligner::stripe() noexcept {
+  std::uint32_t i = t_stripe;
+  if (i == no_stripe) [[unlikely]] {
+    i = next_stripe.fetch_add(1, std::memory_order_relaxed) % counter_stripes;
+    t_stripe = i;
+  }
+  return stripes_[i];
+}
+
 void aligner::count_hit(std::size_t ci, clock::time_point t_submit) noexcept {
-  cache_hits_[ci].fetch_add(1, std::memory_order_relaxed);
-  accepted_[ci].fetch_add(1, std::memory_order_relaxed);
-  completed_[ci].fetch_add(1, std::memory_order_relaxed);
-  hist_[ci].record(ns_between(t_submit, clock::now()));
+  counter_stripe& st = stripe();
+  st.cache_hits[ci].fetch_add(1, std::memory_order_relaxed);
+  st.accepted[ci].fetch_add(1, std::memory_order_relaxed);
+  st.completed[ci].fetch_add(1, std::memory_order_release);
+  st.hist[ci].record(ns_between(t_submit, clock::now()));
 }
 
 ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
@@ -662,7 +681,7 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   // still returned — it fails with deadline_error on get() — but the
   // request never enters the admission ring.
   if (in == intake::expired) {
-    accepted_[ci].fetch_add(1, std::memory_order_relaxed);
+    stripe().accepted[ci].fetch_add(1, std::memory_order_relaxed);
     deadline_expired_[ci].fetch_add(1, std::memory_order_relaxed);
     complete(idx, {},
              std::make_exception_ptr(deadline_error(
@@ -682,7 +701,8 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
     ANYSEQ_TRACE_EMIT(submit, idx, tr_submit, 1);
     return ticket(this, idx, gen);
   }
-  if (cache_ != nullptr) cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  if (cache_ != nullptr)
+    stripe().cache_misses.fetch_add(1, std::memory_order_relaxed);
 
   bool wake;
   {
@@ -732,9 +752,9 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
       space_cv_.notify_one();
       throw quota_error("service: tenant quota exhausted");
     }
-    // Count before publishing: a scrape racing the batcher must never
-    // see completed > accepted.
-    accepted_[ci].fetch_add(1, std::memory_order_relaxed);
+    // Count before publishing: the completion the batcher counts later
+    // releases this count to a scrape (see stats()).
+    stripe().accepted[ci].fetch_add(1, std::memory_order_relaxed);
     sl.t_queued_ns = ANYSEQ_TRACE_NOW();  // ring_wait span opens here
     ring_push(ring, idx);
     wake = wakes_batcher_locked(sl, ring);
@@ -941,8 +961,9 @@ void aligner::adapt_linger(clock::time_point now) {
   // delta between the class histogram now and the copy the last tick
   // kept.  A lifetime p99 would hold a shrunk linger down long after a
   // slow stretch ends.  Both copies are fixed arrays: no allocation.
-  histogram_snapshot h =
-      hist_[static_cast<std::size_t>(request_class::interactive)].snapshot();
+  histogram_snapshot h;
+  for (const counter_stripe& st : stripes_)
+    st.hist[static_cast<std::size_t>(request_class::interactive)].add_to(h);
   h.subtract(adapt_last_hist_);  // the window
   adapt_last_hist_.merge(h);     // = the histogram now, the next base
   const std::uint64_t p99 = h.quantile_ns(99, 100);
@@ -998,18 +1019,19 @@ void aligner::complete(std::uint32_t idx, alignment_result&& r,
     }
   }
   const std::uint64_t lat = ns_between(sl.t_submit, clock::now());
+  counter_stripe& st = stripe();
   bool recycle = false;
   {
     std::lock_guard lock(sl.m);
     if (e) {
       sl.error = std::move(e);
       sl.st = slot_state::failed;
-      failed_[ci].fetch_add(1, std::memory_order_relaxed);
+      st.failed[ci].fetch_add(1, std::memory_order_release);
     } else {
       sl.result = std::move(r);
       sl.st = slot_state::done;
-      completed_[ci].fetch_add(1, std::memory_order_relaxed);
-      hist_[ci].record(lat);
+      st.completed[ci].fetch_add(1, std::memory_order_release);
+      st.hist[ci].record(lat);
     }
     if (sl.abandoned) {
       sl.st = slot_state::free_slot;
@@ -1194,19 +1216,33 @@ void aligner::shutdown(bool drain) {
 
 service_stats aligner::stats() const {
   service_stats out;
+  // Completions and failures first, with acquire, then admissions.  A
+  // request is counted accepted before it can complete or fail, and the
+  // release of that completion carries the admission to this scrape, so
+  // a live scrape never reads completed + failed > accepted.
+  for (const counter_stripe& st : stripes_)
+    for (std::size_t c = 0; c < n_cls; ++c) {
+      out.per_class[c].completed +=
+          st.completed[c].load(std::memory_order_acquire);
+      out.per_class[c].failed += st.failed[c].load(std::memory_order_acquire);
+    }
+  for (const counter_stripe& st : stripes_) {
+    for (std::size_t c = 0; c < n_cls; ++c) {
+      class_stats& cs = out.per_class[c];
+      cs.accepted += st.accepted[c].load(std::memory_order_relaxed);
+      cs.cache_hits += st.cache_hits[c].load(std::memory_order_relaxed);
+      st.hist[c].add_to(cs.latency_hist);
+    }
+    out.cache_misses += st.cache_misses.load(std::memory_order_relaxed);
+  }
   for (std::size_t c = 0; c < n_cls; ++c) {
     class_stats& cs = out.per_class[c];
-    cs.accepted = accepted_[c].load(std::memory_order_relaxed);
     cs.rejected = rejected_[c].load(std::memory_order_relaxed);
     cs.shed = shed_[c].load(std::memory_order_relaxed);
     cs.quota_rejected = quota_rejected_[c].load(std::memory_order_relaxed);
-    cs.completed = completed_[c].load(std::memory_order_relaxed);
-    cs.failed = failed_[c].load(std::memory_order_relaxed);
-    cs.cache_hits = cache_hits_[c].load(std::memory_order_relaxed);
     cs.deadline_expired =
         deadline_expired_[c].load(std::memory_order_relaxed);
     cs.quarantined = quarantined_[c].load(std::memory_order_relaxed);
-    cs.latency_hist = hist_[c].snapshot();
     out.accepted += cs.accepted;
     out.rejected += cs.rejected;
     out.shed += cs.shed;
@@ -1246,7 +1282,6 @@ service_stats aligner::stats() const {
       e.cells = exec_cells_[r][v].load(std::memory_order_relaxed);
       e.ns = exec_ns_[r][v].load(std::memory_order_relaxed);
     }
-  out.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   // Evictions are a cache-global number: report them only for an owned
   // cache.  With a shared cache the router owns that figure — per-shard
   // copies would multi-count it in any merge.

@@ -398,7 +398,9 @@ class aligner {
                                       const align_options& opt = {},
                                       const submit_options& so = {});
 
-  /// Counter + latency snapshot; cheap enough for a metrics scrape loop.
+  /// Counter + latency snapshot, summed over the counter stripes; cheap
+  /// enough for a metrics scrape loop.  Even while requests land, no
+  /// class reads more completed + failed than accepted.
   [[nodiscard]] service_stats stats() const;
 
   /// Render this service's metrics as Prometheus text exposition into
@@ -422,6 +424,16 @@ class aligner {
   /// queued on the shard sum to at most this; otherwise it goes to the
   /// pool.  2^18 is about eleven 150 x 150 pairs (DESIGN.md §12).
   static constexpr std::uint64_t inline_cell_bound = std::uint64_t{1} << 18;
+
+  /// The counters every request bumps once — accepted, completed,
+  /// failed, cache hits and misses, and the class latency histograms —
+  /// live on this many copies, each on cache lines of its own.  A thread
+  /// takes one round robin at its first counted request and keeps it;
+  /// stats() sums them.  Eight threads that start counting one after
+  /// another get eight different stripes; a thread that shares one
+  /// costs contention, never a count (DESIGN.md §13, "What a hit
+  /// writes").
+  static constexpr std::size_t counter_stripes = 8;
 
   /// The attached response cache (owned or shared); nullptr when
   /// caching is disabled.
@@ -524,6 +536,20 @@ class aligner {
   intake screen(stage::seq_view q, stage::seq_view s, const align_options& opt,
                 const submit_options& so, alignment_result& out,
                 std::uint32_t id, std::uint64_t& key);
+  /// One thread's copy of the per-request counters (counter_stripes).
+  /// A completion or failure is counted with release, so a scrape that
+  /// reads it with acquire also reads the admission counted before it.
+  struct alignas(64) counter_stripe {
+    std::atomic<std::uint64_t> accepted[n_cls] = {};
+    std::atomic<std::uint64_t> completed[n_cls] = {};
+    std::atomic<std::uint64_t> failed[n_cls] = {};
+    std::atomic<std::uint64_t> cache_hits[n_cls] = {};
+    std::atomic<std::uint64_t> cache_misses{0};
+    /// Completion latency per class: the source of every percentile.
+    latency_histogram hist[n_cls];
+  };
+  /// The calling thread's stripe.  Never allocates.
+  [[nodiscard]] counter_stripe& stripe() noexcept;
   /// Count a cache hit of class `ci` as accepted and completed.
   void count_hit(std::size_t ci,
                  std::chrono::steady_clock::time_point t_submit) noexcept;
@@ -650,21 +676,17 @@ class aligner {
   std::unique_ptr<response_cache> owned_cache_;
   response_cache* cache_ = nullptr;  ///< owned_cache_ or cfg_.shared_cache
 
-  // The counters every request writes start on a cache line of their
-  // own, so no layout change can put them beside read-mostly members
-  // that every submit reads (`cfg_`, `cache_`): an 8-byte shift of the
-  // members above cost cache-hit traffic from two submitting threads
-  // ~4% more CPU per request (perfbench reads_hot, 4-core Xeon).
-  alignas(64) std::atomic<std::uint64_t> accepted_[n_cls] = {};
-  std::atomic<std::uint64_t> rejected_[n_cls] = {};
+  /// The counters every request writes, one stripe per thread: a hit
+  /// writes only its own thread's lines (DESIGN.md §13).
+  counter_stripe stripes_[counter_stripes];
+  // The counters a rare outcome or a batch writes start on a cache line
+  // of their own, so no layout change can put them beside read-mostly
+  // members that every submit reads (`cfg_`, `cache_`).
+  alignas(64) std::atomic<std::uint64_t> rejected_[n_cls] = {};
   std::atomic<std::uint64_t> shed_[n_cls] = {};
   std::atomic<std::uint64_t> quota_rejected_[n_cls] = {};
-  std::atomic<std::uint64_t> completed_[n_cls] = {};
-  std::atomic<std::uint64_t> failed_[n_cls] = {};
-  std::atomic<std::uint64_t> cache_hits_[n_cls] = {};
   std::atomic<std::uint64_t> deadline_expired_[n_cls] = {};
   std::atomic<std::uint64_t> quarantined_[n_cls] = {};
-  std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> batches_{0}, batched_requests_{0};
   std::atomic<std::uint64_t> inline_batches_{0};  ///< run on the batcher
   // Batch score-path accounting (see telemetry.hpp): summed from the
@@ -680,9 +702,6 @@ class aligner {
   std::atomic<std::uint64_t> batch_band_passes_{0};
   std::atomic<std::size_t> depth_{0};  ///< mirror of queued_total()
   std::atomic<std::int64_t> linger_ns_{0};  ///< effective linger
-  /// Per-class completion-latency histograms: the source of every
-  /// latency percentile (merge bucket-wise across shards).
-  latency_histogram hist_[n_cls];
   /// Per-route x per-variant execution accounting (see note_exec).
   std::atomic<std::uint64_t> exec_requests_[n_exec_routes][n_exec_variants] =
       {};
@@ -699,8 +718,8 @@ class aligner {
   std::chrono::steady_clock::time_point next_adapt_{};
   std::uint64_t adapt_last_batches_ = 0;
   std::uint64_t adapt_last_batched_requests_ = 0;
-  /// The interactive histogram as of the last tick: a tick ranks the
-  /// window since then, not the lifetime.
+  /// The interactive histogram, summed over the stripes, as of the last
+  /// tick: a tick ranks the window since then, not the lifetime.
   histogram_snapshot adapt_last_hist_;
 
   // The thread last: it starts after all state above is ready.

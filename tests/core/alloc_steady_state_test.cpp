@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "anyseq/anyseq.hpp"
@@ -913,6 +914,54 @@ TEST(AllocSteadyState, ServiceCacheMissEvictionRecyclesEntries) {
   });
   EXPECT_EQ(n, 0u)
       << "cache miss/insert/evict cycle allocated in steady state";
+}
+
+/// A thread takes its counter stripe at its first counted request: a
+/// thread that has never touched the service submits a warm hit and a
+/// warm miss without allocating, so taking the stripe allocates nothing.
+TEST(AllocSteadyState, ServiceFreshThreadHitAndMissAllocateNothing) {
+  const auto hq = test::random_codes(96, 61);
+  const auto hs = test::random_codes(96, 67);
+  const auto mq = test::random_codes(96, 71);
+  const auto ms = test::random_codes(96, 73);
+  service::config cfg;
+  cfg.max_batch = 8;
+  cfg.queue_capacity = 64;
+  cfg.max_inflight_batches = 1;
+  cfg.cache_capacity = 32;
+  service::aligner svc(cfg);
+  ASSERT_NE(svc.cache(), nullptr);
+
+  align_options o = serial_opts();
+  const auto served = [&](const std::vector<char_t>& q,
+                          const std::vector<char_t>& s) {
+    return svc.submit(view(q), view(s), o).get().q_end == 96;
+  };
+  // Each round clears the cache (its entries keep their buffers), so
+  // the miss pair misses again into an entry warmed to its shape.
+  for (int i = 0; i < 6; ++i) {
+    svc.cache()->clear();
+    ASSERT_TRUE(served(mq, ms));
+    ASSERT_TRUE(served(hq, hs));
+    ASSERT_TRUE(served(hq, hs));
+  }
+  svc.cache()->clear();
+  ASSERT_TRUE(served(hq, hs));  // the hit pair is cached, the miss pair not
+  const auto before = svc.stats();
+
+  std::uint64_t n = ~std::uint64_t{0};
+  bool ok = false;
+  std::thread fresh([&] {
+    const std::uint64_t start = g_allocs.load(std::memory_order_relaxed);
+    ok = served(hq, hs) && served(mq, ms);
+    n = g_allocs.load(std::memory_order_relaxed) - start;
+  });
+  fresh.join();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(n, 0u) << "a fresh thread's hit and miss allocated";
+  const auto after = svc.stats();
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 1u);
+  EXPECT_EQ(after.cache_misses - before.cache_misses, 1u);
 }
 
 /// The thread pool's job ring must stop growing once it has seen the

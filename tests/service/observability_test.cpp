@@ -1,13 +1,16 @@
 /// Tests for request-lifecycle tracing and the metrics/trace exporters:
 /// the collector's ring recording and Chrome-trace JSON dump, the
 /// disarmed fast path, span coverage of real service traffic, the
-/// Prometheus dump through service and group, and the C API surface
+/// Prometheus dump through service and group, the counters summed from
+/// per-thread stripes (live and after a drain), and the C API surface
 /// (anyseq_tracing_start/stop, anyseq_service_dump_metrics/trace).
 
 #include "service/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -315,6 +318,174 @@ TEST(TraceService, PercentileFieldsFilledAndOrdered) {
   const auto& ia = st.of(request_class::interactive);
   EXPECT_LE(ia.p90_latency_ns, ia.p999_latency_ns);
   EXPECT_EQ(ia.latency_hist.count, 32u);
+}
+
+// ---------------------------------------------------------------------
+// Counter stripes
+// ---------------------------------------------------------------------
+
+/// A scrape racing hits and misses from two submitters never reads a
+/// class, or the total, with more requests completed or failed than
+/// accepted: stats() loads completed and failed before accepted.
+TEST(ServiceStats, LiveScrapeNeverSeesCompletedAboveAccepted) {
+  service::config cfg;
+  cfg.max_batch = 8;
+  cfg.queue_capacity = 64;
+  cfg.max_linger = std::chrono::microseconds(20);
+  cfg.cache_capacity = 256;
+  aligner svc(cfg);
+  constexpr int n_hot = 16;
+  std::vector<std::vector<char_t>> qs, ss;
+  for (int i = 0; i < n_hot; ++i) {
+    qs.push_back(random_codes(48, 300 + i));
+    ss.push_back(random_codes(48, 400 + i));
+    ASSERT_EQ(svc.submit(view(qs.back()), view(ss.back())).get().q_end, 48);
+  }
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 2; ++t)
+    submitters.emplace_back([&, t] {
+      submit_options so;
+      so.cls = t == 0 ? request_class::interactive : request_class::bulk;
+      const auto miss_q = random_codes(48, 500 + t);
+      auto miss_s = random_codes(48, 600 + t);
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        if (i % 256 == 255) {
+          // A miss: the counter's base-4 digits make a subject never
+          // submitted before.
+          for (int k = 0; k < 16; ++k)
+            miss_s[static_cast<std::size_t>(k)] =
+                static_cast<char_t>((i >> (2 * k)) & 3);
+          (void)svc.submit(view(miss_q), view(miss_s), {}, so).get();
+        } else {
+          const std::size_t h = i % n_hot;
+          (void)svc.submit(view(qs[h]), view(ss[h]), {}, so).get();
+        }
+      }
+    });
+
+  std::uint64_t scrapes = 0, violations = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
+  while (std::chrono::steady_clock::now() < until) {
+    const service_stats st = svc.stats();
+    ++scrapes;
+    if (st.completed + st.failed > st.accepted) ++violations;
+    for (const class_stats& cs : st.per_class)
+      if (cs.completed + cs.failed > cs.accepted) ++violations;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : submitters) th.join();
+  EXPECT_GT(scrapes, 0u);
+  EXPECT_EQ(violations, 0u) << "over " << scrapes << " scrapes";
+}
+
+/// What drive_hits_and_misses submitted, per class.
+struct submitted {
+  std::uint64_t requests[n_request_classes] = {};
+  std::uint64_t hits[n_request_classes] = {};
+  std::uint64_t misses = 0;
+};
+
+/// Warm a hot set into `svc`'s cache, then submit hits and misses in
+/// both classes from more threads than a service has counter stripes,
+/// so some threads share a stripe.
+template <class Service>
+submitted drive_hits_and_misses(Service& svc) {
+  constexpr int n_hot = 8, hits_each = 48, misses_each = 6;
+  constexpr int n_threads = static_cast<int>(aligner::counter_stripes) + 3;
+  constexpr auto ia = static_cast<std::size_t>(request_class::interactive);
+  constexpr auto bulk = static_cast<std::size_t>(request_class::bulk);
+  std::vector<std::vector<char_t>> qs, ss;
+  for (int i = 0; i < n_hot; ++i) {
+    qs.push_back(random_codes(40, 700 + i));
+    ss.push_back(random_codes(40, 800 + i));
+    EXPECT_EQ(svc.submit(view(qs.back()), view(ss.back())).get().q_end, 40);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < n_threads; ++t)
+    threads.emplace_back([&, t] {
+      submit_options so;
+      so.cls = t % 2 == 0 ? request_class::interactive : request_class::bulk;
+      for (int i = 0; i < hits_each; ++i) {
+        const auto h = static_cast<std::size_t>((t + i) % n_hot);
+        EXPECT_EQ(svc.submit(view(qs[h]), view(ss[h]), {}, so).get().q_end,
+                  40);
+      }
+      for (int i = 0; i < misses_each; ++i) {
+        const auto q = random_codes(40, 1000 + 100 * t + i);
+        EXPECT_EQ(svc.submit(view(q), view(ss[0]), {}, so).get().q_end, 40);
+      }
+    });
+  for (auto& th : threads) th.join();
+
+  submitted out;
+  out.requests[ia] = n_hot;
+  out.misses = n_hot + n_threads * misses_each;
+  for (int t = 0; t < n_threads; ++t) {
+    const std::size_t c = t % 2 == 0 ? ia : bulk;
+    out.requests[c] += hits_each + misses_each;
+    out.hits[c] += hits_each;
+  }
+  return out;
+}
+
+/// Once every ticket is back, the stripes sum to exactly what was
+/// submitted, and each class histogram holds one sample per completion.
+void expect_exact_counts(const service_stats& st, const submitted& want) {
+  std::uint64_t requests = 0, hits = 0;
+  for (std::size_t c = 0; c < n_request_classes; ++c) {
+    const class_stats& cs = st.per_class[c];
+    EXPECT_EQ(cs.accepted, want.requests[c]) << "class " << c;
+    EXPECT_EQ(cs.completed, want.requests[c]) << "class " << c;
+    EXPECT_EQ(cs.failed, 0u) << "class " << c;
+    EXPECT_EQ(cs.cache_hits, want.hits[c]) << "class " << c;
+    EXPECT_EQ(cs.latency_hist.count, cs.completed) << "class " << c;
+    requests += want.requests[c];
+    hits += want.hits[c];
+  }
+  EXPECT_EQ(st.accepted, requests);
+  EXPECT_EQ(st.completed, requests);
+  EXPECT_EQ(st.cache_hits, hits);
+  EXPECT_EQ(st.cache_misses, want.misses);
+}
+
+TEST(ServiceStats, CountsAreExactWithMoreThreadsThanStripes) {
+  service::config cfg;
+  cfg.max_batch = 8;
+  cfg.max_linger = std::chrono::microseconds(20);
+  cfg.queue_capacity = 64;
+  cfg.cache_capacity = 4096;
+  aligner svc(cfg);
+  const submitted want = drive_hits_and_misses(svc);
+  expect_exact_counts(svc.stats(), want);
+}
+
+TEST(ServiceStats, GroupSumsStripedCountsExactlyAcrossShards) {
+  service_group::config cfg;
+  cfg.shards = 2;
+  cfg.shard.max_batch = 8;
+  cfg.shard.max_linger = std::chrono::microseconds(20);
+  cfg.shard.queue_capacity = 64;
+  cfg.cache_capacity = 4096;
+  service_group group(cfg);
+  const submitted want = drive_hits_and_misses(group);
+  const service_stats st = group.stats();
+  expect_exact_counts(st, want);
+  std::uint64_t accepted = 0, completed = 0, hits = 0, misses = 0;
+  for (std::size_t i = 0; i < group.shard_count(); ++i) {
+    const service_stats sh = group.shard(i).stats();
+    EXPECT_GT(sh.accepted, 0u) << "shard " << i << " served nothing";
+    accepted += sh.accepted;
+    completed += sh.completed;
+    hits += sh.cache_hits;
+    misses += sh.cache_misses;
+  }
+  EXPECT_EQ(accepted, st.accepted);
+  EXPECT_EQ(completed, st.completed);
+  EXPECT_EQ(hits, st.cache_hits);
+  EXPECT_EQ(misses, st.cache_misses);
 }
 
 // ---------------------------------------------------------------------

@@ -312,11 +312,19 @@ TEST(LatencyHistogram, MergeIsExactBucketwiseSum) {
   }
   histogram_snapshot merged = a.snapshot();
   merged.merge(b.snapshot());
+  // add_to, the service's stripe merge, sums in place to the same.
+  histogram_snapshot added;
+  a.add_to(added);
+  b.add_to(added);
   const auto want = whole.snapshot();
   EXPECT_EQ(merged.count, want.count);
   EXPECT_EQ(merged.sum_ns, want.sum_ns);
-  for (std::size_t i = 0; i < n_latency_buckets; ++i)
+  EXPECT_EQ(added.count, want.count);
+  EXPECT_EQ(added.sum_ns, want.sum_ns);
+  for (std::size_t i = 0; i < n_latency_buckets; ++i) {
     EXPECT_EQ(merged.buckets[i], want.buckets[i]) << "bucket " << i;
+    EXPECT_EQ(added.buckets[i], want.buckets[i]) << "bucket " << i;
+  }
 }
 
 TEST(LatencyHistogram, MergeWithEmptyIsIdentity) {
