@@ -27,7 +27,6 @@
 #include "gpusim/gpu_engine.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/detect.hpp"
-#include "tiled/batch_engine.hpp"
 
 namespace anyseq {
 namespace {
@@ -171,43 +170,6 @@ alignment_result simulator_align(stage::seq_view q, stage::seq_view s,
             return gpu_align<K>(q, s, gap, scoring, opt);
           case backend::fpga_sim:
             return fpga_align<K>(q, s, gap, scoring, opt);
-          default:
-            break;
-        }
-        throw invalid_argument_error("unresolved backend");
-      });
-    });
-  });
-}
-
-std::vector<alignment_result> simulator_align_batch(
-    std::span<const seq_pair> pairs, const align_options& opt,
-    backend exec) {
-  return with_kind(opt.kind, [&](auto kc) -> std::vector<alignment_result> {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) -> std::vector<alignment_result> {
-      return with_scoring(opt, [&](const auto& scoring)
-                              -> std::vector<alignment_result> {
-        using Gap = std::decay_t<decltype(gap)>;
-        using Scoring = std::decay_t<decltype(scoring)>;
-        switch (exec) {
-          case backend::gpu_sim: {
-            static gpusim::device dev;
-            gpusim::gpu_engine<K, Gap, Scoring> eng(dev, gap, scoring);
-            std::vector<tiled::pair_view> pv;
-            pv.reserve(pairs.size());
-            for (const auto& p : pairs) pv.push_back({p.q, p.s});
-            auto out = eng.batch(pv, opt.want_alignment);
-            for (auto& r : out) r.variant = "gpu_sim";
-            return out;
-          }
-          case backend::fpga_sim: {
-            std::vector<alignment_result> out;
-            out.reserve(pairs.size());
-            for (const auto& p : pairs)
-              out.push_back(fpga_align<K>(p.q, p.s, gap, scoring, opt));
-            return out;
-          }
           default:
             break;
         }
@@ -437,7 +399,11 @@ void aligner::align_batch_into(std::span<const seq_pair> pairs,
     return;
   }
   if (!is_cpu(exec_)) {
-    out = simulator_align_batch(pairs, opt_, exec_);
+    // Pair by pair through the simulator's own align: a batch returns
+    // (and throws) exactly what its pairs' align calls would.
+    out.resize(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i)
+      out[i] = simulator_align(pairs[i].q, pairs[i].s, opt_, exec_);
     return;
   }
 

@@ -38,11 +38,6 @@ template <align_kind K, class Gap>
   }
 }
 
-/// E(0, j) — read when relaxing row 1.
-[[nodiscard]] ANYSEQ_INLINE score_t init_e_row0(index_t /*j*/) noexcept {
-  return neg_inf();
-}
-
 /// F(i, 0) — read when relaxing column 1.
 [[nodiscard]] ANYSEQ_INLINE score_t init_f_col0(index_t /*i*/) noexcept {
   return neg_inf();
@@ -52,11 +47,6 @@ template <align_kind K, class Gap>
 /// be tracked cell-by-cell during the forward pass.
 [[nodiscard]] constexpr bool tracks_running_max(align_kind k) noexcept {
   return k == align_kind::local || k == align_kind::extension;
-}
-
-/// True if the optimum lives in the last row or column (semiglobal).
-[[nodiscard]] constexpr bool optimum_on_border(align_kind k) noexcept {
-  return k == align_kind::semiglobal;
 }
 
 }  // namespace anyseq

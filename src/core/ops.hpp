@@ -39,11 +39,6 @@ template <arithmetic_scalar T>
   return a > b ? a : b;
 }
 
-template <arithmetic_scalar T>
-[[nodiscard]] ANYSEQ_INLINE T vmin(T a, T b) noexcept {
-  return a < b ? a : b;
-}
-
 /// Addition.  For 32-bit scores plain addition is safe because `neg_inf()`
 /// leaves 2 bits of headroom; 16-bit scores must saturate so the -inf
 /// sentinel stays pinned (mirrors `_mm256_adds_epi16` in the SIMD path).
@@ -96,7 +91,6 @@ template <class T>
   }
 }
 
-[[nodiscard]] ANYSEQ_INLINE bool vor(bool a, bool b) noexcept { return a || b; }
 [[nodiscard]] ANYSEQ_INLINE bool vand(bool a, bool b) noexcept { return a && b; }
 
 /// Substitution-matrix lookup; packs overload this with a per-lane gather.
@@ -106,12 +100,6 @@ template <arithmetic_scalar T, class C>
                                       C s) noexcept {
   return static_cast<T>(table[static_cast<int>(q) * stride +
                               static_cast<int>(s)]);
-}
-
-/// Horizontal maximum (identity for scalars; packs reduce across lanes).
-template <arithmetic_scalar T>
-[[nodiscard]] ANYSEQ_INLINE T vhmax(T a) noexcept {
-  return a;
 }
 
 }  // namespace anyseq

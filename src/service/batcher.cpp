@@ -12,8 +12,6 @@ const char* to_string(route r) noexcept {
 }
 
 route classify(const align_options& opt) noexcept {
-  if (opt.exec == backend::gpu_sim || opt.exec == backend::fpga_sim)
-    return route::solo;
   return opt.want_alignment ? route::batch_traceback : route::batch_score;
 }
 

@@ -6,17 +6,19 @@
 ///
 /// The service promises that every request produces a result
 /// *byte-identical* to a synchronous `anyseq::align` call with the same
-/// inputs.  On a CPU backend `align_batch` keeps that promise for any
-/// mix of kinds, sizes and empty sequences: the SIMD lanes return the
-/// score and end cell `align` does, and every other pair runs the route
-/// `align` picks for it, on one thread (`tiled::score_route`,
-/// `tiled::traceback_route`).  `classify` therefore only names the
-/// call a request executes through:
+/// inputs.  `align_batch` keeps that promise on every backend, for any
+/// mix of kinds, sizes and empty sequences: on a CPU backend the SIMD
+/// lanes return the score and end cell `align` does, and every other
+/// pair runs the route `align` picks for it, on one thread
+/// (`tiled::score_route`, `tiled::traceback_route`); a simulator backend
+/// runs each pair through its own `align`.  `classify` therefore only
+/// names the call a request executes through:
 ///
-///   * batch_score     — CPU backend, score only.
-///   * batch_traceback — CPU backend, traceback requested.
-///   * solo            — simulator backends: each request runs through
-///                       `anyseq::align` individually.
+///   * batch_score     — score only.
+///   * batch_traceback — traceback requested.
+///   * solo            — never classified: the exec-table row of a
+///                       request that ran alone (a batch of one, or a
+///                       request bisection isolated).
 ///
 /// A batch holds requests with pairwise-compatible options
 /// (`options_compatible`, which compares `exec` and `want_alignment`, so
@@ -36,8 +38,8 @@ enum class route : std::uint8_t { batch_score, batch_traceback, solo };
 
 [[nodiscard]] const char* to_string(route r) noexcept;
 
-/// The call a request under `opt` executes through: the backend and
-/// `want_alignment` decide it, never the sequences.
+/// The call a request under `opt` executes through: `want_alignment`
+/// decides it, never the backend or the sequences.
 [[nodiscard]] route classify(const align_options& opt) noexcept;
 
 /// True when two requests may share one `align_batch`/grouped call:

@@ -205,12 +205,6 @@ inline void disarm() noexcept {
   return s != nullptr && s->fire(p);
 }
 
-/// True when request fingerprint `fp` is poisoned by the armed schedule.
-[[nodiscard]] inline bool is_poisoned(std::uint64_t fp) noexcept {
-  schedule* s = armed();
-  return s != nullptr && s->poisoned(fp);
-}
-
 /// Signed ns offset the armed schedule applies to deadline clock reads.
 [[nodiscard]] inline std::int64_t clock_skew_ns() noexcept {
   schedule* s = armed();
@@ -229,11 +223,9 @@ inline void disarm() noexcept {
 #if ANYSEQ_FAULT_HOOKS
 #define ANYSEQ_FAULT_POINT(p) \
   (::anyseq::service::fault::fires(::anyseq::service::fault::point::p))
-#define ANYSEQ_FAULT_POISONED(fp) (::anyseq::service::fault::is_poisoned(fp))
 #define ANYSEQ_FAULT_CLOCK_SKEW_NS() \
   (::anyseq::service::fault::clock_skew_ns())
 #else
 #define ANYSEQ_FAULT_POINT(p) (false)
-#define ANYSEQ_FAULT_POISONED(fp) (false)
 #define ANYSEQ_FAULT_CLOCK_SKEW_NS() (std::int64_t{0})
 #endif

@@ -1085,11 +1085,9 @@ void aligner::execute(std::uint32_t ws_index) {
 void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
   const slot& lead = slots_[ws.items[lo]];
   const route rt = classify(lead.opt);
-  if (hi - lo == 1 || rt == route::solo) {
-    // Solo routes execute one-by-one by design; a lone batch-route
-    // request degenerates to the same thing.  Either way each failure
-    // is already isolated to its own ticket.
-    for (std::size_t i = lo; i < hi; ++i) run_solo(ws, ws.items[i]);
+  if (hi - lo == 1) {
+    // A lone request runs solo; its failure is already its own ticket's.
+    run_solo(ws, ws.items[lo]);
     return;
   }
   try {

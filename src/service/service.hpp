@@ -566,7 +566,7 @@ class aligner {
   /// Execute items [lo, hi) of `ws`, containing failures by bisection:
   /// a span whose batch execution throws is split and each half retried,
   /// until the poisoned request is isolated solo and only its ticket
-  /// fails.  Single-item spans and solo routes go through run_solo.
+  /// fails.  Single-item spans go through run_solo.
   void run_span(exec_unit& ws, std::size_t lo, std::size_t hi);
   /// Execute one request in isolation; a failure is captured into its
   /// ticket and recorded against its fingerprint for the quarantine.

@@ -93,13 +93,6 @@ struct alignas(sizeof(T) * W >= 64 ? 64 : sizeof(T) * W) pack {
     return std::bit_cast<std::array<T, W>>(v);
   }
 
-  /// Horizontal maximum across lanes.
-  [[nodiscard]] ANYSEQ_INLINE T hmax() const noexcept {
-    T m = v[0];
-    for (int i = 1; i < W; ++i) m = v[i] > m ? v[i] : m;
-    return m;
-  }
-
   friend bool operator==(const pack& a, const pack& b) noexcept {
     for (int i = 0; i < W; ++i)
       if (a.v[i] != b.v[i]) return false;
@@ -135,13 +128,6 @@ template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack<T, W> vmax(pack<T, W> a, pack<T, W> b) noexcept {
   pack<T, W> r;
   for (int i = 0; i < W; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-  return r;
-}
-
-template <class T, int W>
-[[nodiscard]] ANYSEQ_INLINE pack<T, W> vmin(pack<T, W> a, pack<T, W> b) noexcept {
-  pack<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
   return r;
 }
 
@@ -201,14 +187,6 @@ template <class T, int W>
 template <any_pack P>
 [[nodiscard]] ANYSEQ_INLINE P vbroadcast(score_t x) noexcept {
   return P::broadcast(static_cast<typename P::value_type>(x));
-}
-
-template <class T, int W>
-[[nodiscard]] ANYSEQ_INLINE pack_mask<T, W> vor(pack_mask<T, W> a,
-                                                pack_mask<T, W> b) noexcept {
-  pack_mask<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = static_cast<T>(a.v[i] | b.v[i]);
-  return r;
 }
 
 template <class T, int W>
@@ -284,9 +262,6 @@ using s16x16 = pack<score16_t, 16>;
 [[nodiscard]] ANYSEQ_INLINE s16x16 vmax(s16x16 a, s16x16 b) noexcept {
   return from_reg(_mm256_max_epi16(to_reg(a), to_reg(b)));
 }
-[[nodiscard]] ANYSEQ_INLINE s16x16 vmin(s16x16 a, s16x16 b) noexcept {
-  return from_reg(_mm256_min_epi16(to_reg(a), to_reg(b)));
-}
 [[nodiscard]] ANYSEQ_INLINE s16x16 vadd(s16x16 a, s16x16 b) noexcept {
   return from_reg(_mm256_adds_epi16(to_reg(a), to_reg(b)));  // saturating
 }
@@ -299,9 +274,6 @@ using s16x16 = pack<score16_t, 16>;
 [[nodiscard]] ANYSEQ_INLINE s16x16 vselect(s16x16 m, s16x16 a,
                                            s16x16 b) noexcept {
   return from_reg(_mm256_blendv_epi8(to_reg(b), to_reg(a), to_reg(m)));
-}
-[[nodiscard]] ANYSEQ_INLINE s16x16 vor(s16x16 a, s16x16 b) noexcept {
-  return from_reg(_mm256_or_si256(to_reg(a), to_reg(b)));
 }
 [[nodiscard]] ANYSEQ_INLINE s16x16 vand(s16x16 a, s16x16 b) noexcept {
   return from_reg(_mm256_and_si256(to_reg(a), to_reg(b)));
@@ -367,9 +339,6 @@ using s8x32 = pack<score8_t, 32>;
 [[nodiscard]] ANYSEQ_INLINE s8x32 vmax(s8x32 a, s8x32 b) noexcept {
   return from_reg8(_mm256_max_epi8(to_reg(a), to_reg(b)));
 }
-[[nodiscard]] ANYSEQ_INLINE s8x32 vmin(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_min_epi8(to_reg(a), to_reg(b)));
-}
 [[nodiscard]] ANYSEQ_INLINE s8x32 vadd(s8x32 a, s8x32 b) noexcept {
   return from_reg8(_mm256_adds_epi8(to_reg(a), to_reg(b)));  // saturating
 }
@@ -382,9 +351,6 @@ using s8x32 = pack<score8_t, 32>;
 [[nodiscard]] ANYSEQ_INLINE s8x32 vselect(s8x32 m, s8x32 a,
                                           s8x32 b) noexcept {
   return from_reg8(_mm256_blendv_epi8(to_reg(b), to_reg(a), to_reg(m)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 vor(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_or_si256(to_reg(a), to_reg(b)));
 }
 [[nodiscard]] ANYSEQ_INLINE s8x32 vand(s8x32 a, s8x32 b) noexcept {
   return from_reg8(_mm256_and_si256(to_reg(a), to_reg(b)));
@@ -419,9 +385,6 @@ using s8x64 = pack<score8_t, 64>;
 [[nodiscard]] ANYSEQ_INLINE s16x32 vmax(s16x32 a, s16x32 b) noexcept {
   return from_reg(_mm512_max_epi16(to_reg(a), to_reg(b)));
 }
-[[nodiscard]] ANYSEQ_INLINE s16x32 vmin(s16x32 a, s16x32 b) noexcept {
-  return from_reg(_mm512_min_epi16(to_reg(a), to_reg(b)));
-}
 [[nodiscard]] ANYSEQ_INLINE s16x32 vadd(s16x32 a, s16x32 b) noexcept {
   return from_reg(_mm512_adds_epi16(to_reg(a), to_reg(b)));  // saturating
 }
@@ -445,9 +408,6 @@ using s8x64 = pack<score8_t, 64>;
                                               s16x32 y) noexcept {
   return from_reg(_mm512_mask_blend_epi16(
       _mm512_cmpeq_epi16_mask(to_reg(a), to_reg(b)), to_reg(y), to_reg(x)));
-}
-[[nodiscard]] ANYSEQ_INLINE s16x32 vor(s16x32 a, s16x32 b) noexcept {
-  return from_reg(_mm512_or_si512(to_reg(a), to_reg(b)));
 }
 [[nodiscard]] ANYSEQ_INLINE s16x32 vand(s16x32 a, s16x32 b) noexcept {
   return from_reg(_mm512_and_si512(to_reg(a), to_reg(b)));
@@ -502,9 +462,6 @@ template <int S>
 [[nodiscard]] ANYSEQ_INLINE s8x64 vmax(s8x64 a, s8x64 b) noexcept {
   return from_reg8(_mm512_max_epi8(to_reg(a), to_reg(b)));
 }
-[[nodiscard]] ANYSEQ_INLINE s8x64 vmin(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(_mm512_min_epi8(to_reg(a), to_reg(b)));
-}
 [[nodiscard]] ANYSEQ_INLINE s8x64 vadd(s8x64 a, s8x64 b) noexcept {
   return from_reg8(_mm512_adds_epi8(to_reg(a), to_reg(b)));  // saturating
 }
@@ -520,9 +477,6 @@ template <int S>
                                           s8x64 b) noexcept {
   return from_reg8(_mm512_mask_blend_epi8(_mm512_movepi8_mask(to_reg(m)),
                                           to_reg(b), to_reg(a)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x64 vor(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(_mm512_or_si512(to_reg(a), to_reg(b)));
 }
 [[nodiscard]] ANYSEQ_INLINE s8x64 vand(s8x64 a, s8x64 b) noexcept {
   return from_reg8(_mm512_and_si512(to_reg(a), to_reg(b)));

@@ -7,8 +7,10 @@
 /// `MatrixView`) whose calls the partial evaluator folds away.  Here the
 /// same accessors are tiny value types with force-inlined members; engines
 /// are templated on them, so reversing a sequence for the
-/// divide-and-conquer traceback, slicing a tile, or remapping a matrix to
-/// a coalesced GPU layout is a *view change*, never a data copy.
+/// divide-and-conquer traceback (`rev_view`) or slicing a subproblem
+/// (`sub`) is a *view change*, never a data copy.  `matrix_view` addresses
+/// the full-matrix engines' score and predecessor planes, and
+/// `tile_count` sizes the tile grids of the wavefront routes.
 
 #include <span>
 
@@ -117,78 +119,9 @@ class matrix_view {
   index_t rows_ = 0, cols_ = 0;
 };
 
-/// Offset view: shifts the coordinate origin — the building block the
-/// paper composes for per-tile addressing (`view_matrix_*_offset`).
-template <class Base>
-class offset_view {
- public:
-  using value_type = decltype(std::declval<const Base&>().read(0, 0));
-
-  constexpr offset_view(Base base, index_t oi, index_t oj) noexcept
-      : base_(base), oi_(oi), oj_(oj) {}
-
-  [[nodiscard]] ANYSEQ_INLINE value_type read(index_t i, index_t j) const noexcept {
-    return base_.read(i + oi_, j + oj_);
-  }
-  ANYSEQ_INLINE void write(index_t i, index_t j, value_type v) const noexcept {
-    base_.write(i + oi_, j + oj_, v);
-  }
-
- private:
-  Base base_;
-  index_t oi_, oj_;
-};
-
-/// Cyclic-row view mapping logical row i onto `i mod window` physical
-/// rows — the paper's intra-tile cyclic buffer ("an intra-tile cyclic
-/// buffer must always contain the previously computed values", §IV-A):
-/// only `window` rows of the conceptual DP matrix are materialized.
-template <class T>
-class cyclic_rows_view {
- public:
-  constexpr cyclic_rows_view(T* data, index_t window, index_t cols) noexcept
-      : data_(data), window_(window), cols_(cols) {}
-
-  [[nodiscard]] ANYSEQ_INLINE T read(index_t i, index_t j) const noexcept {
-    return data_[(i % window_) * cols_ + j];
-  }
-  ANYSEQ_INLINE void write(index_t i, index_t j, T v) const noexcept {
-    data_[(i % window_) * cols_ + j] = v;
-  }
-
- private:
-  T* data_;
-  index_t window_, cols_;
-};
-
-/// Coalesced/rotated view used by the GPU backend (paper §III-C,
-/// `view_matrix_coal_offset`): logical (i,j) maps to a rotated physical
-/// row so that a diagonal sweep touches consecutive addresses.
-template <class T>
-class coalesced_view {
- public:
-  constexpr coalesced_view(T* data, index_t mem_height, index_t mem_width,
-                           index_t oi, index_t oj) noexcept
-      : data_(data),
-        mem_height_(mem_height),
-        mem_width_(mem_width),
-        oi_(oi),
-        oj_(oj) {}
-
-  [[nodiscard]] ANYSEQ_INLINE index_t pos(index_t i, index_t j) const noexcept {
-    return ((i + oi_ + j + oj_ + 2) % mem_height_) * mem_width_ + j + oj_;
-  }
-  [[nodiscard]] ANYSEQ_INLINE T read(index_t i, index_t j) const noexcept {
-    return data_[pos(i, j)];
-  }
-  ANYSEQ_INLINE void write(index_t i, index_t j, T v) const noexcept {
-    data_[pos(i, j)] = v;
-  }
-
- private:
-  T* data_;
-  index_t mem_height_, mem_width_;
-  index_t oi_, oj_;
-};
+/// Number of tiles covering `n` elements at tile size `t`.
+[[nodiscard]] constexpr index_t tile_count(index_t n, index_t t) noexcept {
+  return (n + t - 1) / t;
+}
 
 }  // namespace anyseq::stage

@@ -37,7 +37,7 @@
 
 #include "core/types.hpp"
 #include "core/workspace.hpp"
-#include "stage/generators.hpp"
+#include "stage/views.hpp"
 
 namespace anyseq {
 namespace ANYSEQ_TARGET_NS {

@@ -47,12 +47,18 @@ TEST(BatcherRoutes, CpuRequestsClassifyByWantAlignmentAlone) {
           }
 }
 
-TEST(BatcherRoutes, SimulatorBackendsGoSolo) {
+TEST(BatcherRoutes, SimulatorBackendsBatch) {
+  // A simulator's align_batch runs each pair through its own align, so
+  // its requests share batches like any CPU backend's.
   align_options opt;
-  opt.exec = backend::gpu_sim;
-  EXPECT_EQ(classify(opt), route::solo);
-  opt.exec = backend::fpga_sim;
-  EXPECT_EQ(classify(opt), route::solo);
+  for (const backend exec : {backend::gpu_sim, backend::fpga_sim})
+    for (const bool traceback : {false, true}) {
+      opt.exec = exec;
+      opt.want_alignment = traceback;
+      EXPECT_EQ(classify(opt), traceback ? route::batch_traceback
+                                         : route::batch_score)
+          << to_string(exec);
+    }
 }
 
 TEST(BatcherRoutes, ForcedCpuBackendsBatch) {

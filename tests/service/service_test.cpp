@@ -664,6 +664,59 @@ TEST(Service, EveryKindAndSizeCoalescesAndMatchesSync) {
   EXPECT_EQ(snap.failed, 1u);
 }
 
+TEST(Service, SimulatorRequestsShareBatchesAndMatchSync) {
+  // A simulator's align_batch runs each pair through its own align, so
+  // gpu_sim requests coalesce like CPU ones, each result equal to
+  // gpu_sim's align, tracebacks past full_matrix_cells included.  An
+  // extension traceback past the bound fails its batch, and bisection
+  // isolates it, so only its ticket fails.
+  config cfg;
+  cfg.max_batch = 64;
+  cfg.max_linger = 10s;
+  aligner svc(cfg);
+  std::vector<std::vector<char_t>> qs, ss;
+  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{40, 44},
+                             {16, 16}, {0, 16}, {90, 100}}) {
+    qs.push_back(random_codes(n, 80 + n));
+    ss.push_back(test::mutate(random_codes(m, 90 + m), 100 + m));
+  }
+  constexpr std::size_t kOverBound = 3;  // 90 x ~100 > 2000 cells
+  align_options score;
+  score.exec = backend::gpu_sim;
+  align_options tb = score;
+  tb.want_alignment = true;
+  tb.full_matrix_cells = 2000;
+  align_options ext = tb;
+  ext.kind = align_kind::extension;
+  const std::vector<align_options> groups{score, tb, ext};
+  std::vector<ticket> tickets;
+  for (const align_options& o : groups)
+    for (std::size_t i = 0; i < qs.size(); ++i)
+      tickets.push_back(svc.submit(view(qs[i]), view(ss[i]), o));
+  svc.shutdown(true);
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "group " << g << " pair " << i);
+      ticket& t = tickets[g * qs.size() + i];
+      if (g + 1 == groups.size() && i == kOverBound) {
+        EXPECT_THROW((void)align(view(qs[i]), view(ss[i]), groups[g]),
+                     invalid_argument_error);
+        EXPECT_THROW((void)t.get(), invalid_argument_error);
+        continue;
+      }
+      expect_identical(t.get(), align(view(qs[i]), view(ss[i]), groups[g]));
+    }
+  const auto snap = svc.stats();
+  EXPECT_LT(snap.batches, tickets.size());
+  EXPECT_EQ(snap.failed, 1u);
+  // Simulator variants land in the exec table's "other" column (3).
+  const auto batched = [&](route r) {
+    return snap.exec.at[static_cast<std::size_t>(r)][3].requests;
+  };
+  EXPECT_EQ(batched(route::batch_score), qs.size());
+  EXPECT_GE(batched(route::batch_traceback), qs.size());
+}
+
 TEST(Service, InteractiveArrivalFlushesALingeringBulkBatch) {
   config cfg;
   cfg.max_batch = 64;

@@ -30,13 +30,11 @@ void apply(op o, const T* m, const T* a, const T* b, T* out) {
   P r = pa;
   switch (o) {
     case op::max: r = vmax(pa, pb); break;
-    case op::min: r = vmin(pa, pb); break;
     case op::add: r = vadd(pa, pb); break;
     case op::gt: r = vgt(pa, pb); break;
     case op::eq: r = veq(pa, pb); break;
     case op::select: r = vselect(pm, pa, pb); break;
     case op::select_eq: r = vselect_eq(pa, pb, pm, pb); break;
-    case op::or_: r = vor(pa, pb); break;
     case op::and_: r = vand(pa, pb); break;
     case op::andnot: r = vandnot(pa, pb); break;
   }

@@ -10,7 +10,7 @@
 
 namespace anyseq::test::pack_isa {
 
-enum class op { max, min, add, gt, eq, select, select_eq, or_, and_, andnot };
+enum class op { max, add, gt, eq, select, select_eq, and_, andnot };
 
 /// out = op(a, b) lane-wise through the intrinsic overloads of one pack
 /// type (`select` computes m ? a : b, `select_eq` a == b ? m : b; the

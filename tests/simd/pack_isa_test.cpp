@@ -23,20 +23,18 @@
 namespace anyseq::test::pack_isa {
 namespace {
 
-constexpr op kOps[] = {op::max,    op::min,       op::add, op::gt,
+constexpr op kOps[] = {op::max,    op::add,       op::gt,
                        op::eq,     op::select,    op::select_eq,
-                       op::or_,    op::and_,      op::andnot};
+                       op::and_,   op::andnot};
 
 const char* name(op o) {
   switch (o) {
     case op::max: return "vmax";
-    case op::min: return "vmin";
     case op::add: return "vadd";
     case op::gt: return "vgt";
     case op::eq: return "veq";
     case op::select: return "vselect";
     case op::select_eq: return "vselect_eq";
-    case op::or_: return "vor";
     case op::and_: return "vand";
     case op::andnot: return "vandnot";
   }
@@ -52,13 +50,11 @@ T reference(op o, T m, T a, T b) {
   constexpr int hi = std::numeric_limits<T>::max();
   switch (o) {
     case op::max: return std::max(a, b);
-    case op::min: return std::min(a, b);
     case op::add: return static_cast<T>(std::clamp(a + b, lo, hi));
     case op::gt: return static_cast<T>(a > b ? -1 : 0);
     case op::eq: return static_cast<T>(a == b ? -1 : 0);
     case op::select: return m != 0 ? a : b;
     case op::select_eq: return a == b ? m : b;
-    case op::or_: return static_cast<T>(a | b);
     case op::and_: return static_cast<T>(a & b);
     case op::andnot: return static_cast<T>(a & ~b);
   }

@@ -78,14 +78,6 @@ TYPED_TEST(PackOps, MaxIsLaneWise) {
     EXPECT_EQ(m[i], std::max<int>(i, 5));
 }
 
-TYPED_TEST(PackOps, MinIsLaneWise) {
-  auto a = iota<TypeParam>(0);
-  auto b = TypeParam::broadcast(5);
-  auto m = vmin(a, b);
-  for (int i = 0; i < TypeParam::lanes; ++i)
-    EXPECT_EQ(m[i], std::min<int>(i, 5));
-}
-
 TYPED_TEST(PackOps, AddIsLaneWise) {
   auto a = iota<TypeParam>(1);
   auto b = iota<TypeParam>(10);
@@ -120,16 +112,13 @@ TYPED_TEST(PackOps, SelectEqIsLaneWise) {
     EXPECT_EQ(r[i], i == 0 || i == 3 ? 2 : -1) << i;
 }
 
-TYPED_TEST(PackOps, OrAndOnMasks) {
+TYPED_TEST(PackOps, AndOnMasks) {
   auto a = iota<TypeParam>(0);
   auto lo = vgt(TypeParam::broadcast(2), a);   // i < 2... lanes 0,1
   auto hi = vgt(a, TypeParam::broadcast(4));   // i > 4
-  auto both = vor(lo, hi);
   auto neither = vand(lo, hi);
-  for (int i = 0; i < TypeParam::lanes; ++i) {
-    EXPECT_EQ(both[i] != 0, i < 2 || i > 4) << i;
+  for (int i = 0; i < TypeParam::lanes; ++i)
     EXPECT_EQ(neither[i] != 0, false) << i;
-  }
 }
 
 /// vshift_up<S> / vshift_down<S>: lane i reads lane i - S / i + S, and
@@ -158,11 +147,6 @@ TYPED_TEST(PackOps, ShiftsMoveLanesBothWaysAndFill) {
       expect_shifts<W - 1, TypeParam>(fill);
     }
   }
-}
-
-TYPED_TEST(PackOps, HorizontalMax) {
-  auto p = iota<TypeParam>(-3);
-  EXPECT_EQ(p.hmax(), TypeParam::lanes - 4);
 }
 
 TYPED_TEST(PackOps, BroadcastViaCoreHook) {

@@ -61,51 +61,11 @@ TEST(MatrixView, ReadWrite) {
   EXPECT_EQ(m.cols(), 4);
 }
 
-TEST(OffsetView, ShiftsOrigin) {
-  std::vector<score_t> buf(20, 0);
-  matrix_view<score_t> m(buf.data(), 4, 5);
-  offset_view ov(m, 1, 2);
-  ov.write(0, 0, 7);
-  EXPECT_EQ(m.read(1, 2), 7);
-  EXPECT_EQ(ov.read(0, 0), 7);
-}
-
-TEST(CyclicRowsView, WrapsRows) {
-  std::vector<score_t> buf(2 * 3, 0);
-  cyclic_rows_view<score_t> c(buf.data(), 2, 3);
-  c.write(0, 1, 10);
-  c.write(5, 1, 99);  // row 5 maps onto physical row 1
-  EXPECT_EQ(c.read(0, 1), 10);
-  EXPECT_EQ(c.read(2, 1), 10);  // row 2 aliases row 0
-  EXPECT_EQ(c.read(1, 1), 99);
-}
-
-TEST(CoalescedView, RoundTripsThroughRotatedLayout) {
-  constexpr index_t mem_h = 8, mem_w = 16;
-  std::vector<score_t> buf(mem_h * mem_w, -1);
-  coalesced_view<score_t> cv(buf.data(), mem_h, mem_w, 0, 0);
-  for (index_t i = 0; i < 4; ++i)
-    for (index_t j = 0; j < 4; ++j)
-      cv.write(i, j, static_cast<score_t>(i * 100 + j));
-  for (index_t i = 0; i < 4; ++i)
-    for (index_t j = 0; j < 4; ++j)
-      EXPECT_EQ(cv.read(i, j), i * 100 + j);
-}
-
-TEST(CoalescedView, AntiDiagonalIsRowContiguous) {
-  // Cells on one anti-diagonal (i+j const) map into a single physical row:
-  // that is the property that makes GPU accesses coalesced (paper §III-C).
-  constexpr index_t mem_h = 8, mem_w = 16;
-  std::vector<score_t> buf(mem_h * mem_w, 0);
-  coalesced_view<score_t> cv(buf.data(), mem_h, mem_w, 0, 0);
-  const index_t d = 5;
-  index_t row = -1;
-  for (index_t i = 0; i <= d; ++i) {
-    const index_t j = d - i;
-    const index_t r = cv.pos(i, j) / mem_w;
-    if (row < 0) row = r;
-    EXPECT_EQ(r, row) << "cell " << i << "," << j;
-  }
+TEST(TileCount, RoundsUp) {
+  EXPECT_EQ(tile_count(10, 4), 3);
+  EXPECT_EQ(tile_count(8, 4), 2);
+  EXPECT_EQ(tile_count(1, 100), 1);
+  EXPECT_EQ(tile_count(0, 4), 0);
 }
 
 }  // namespace
