@@ -33,10 +33,12 @@ void tile_size_sweep(stage::seq_view a, stage::seq_view b, const args& ar) {
   std::printf("%8s %12s %10s %10s %8s\n", "tile", "GCUPS", "striped", "int32",
               "workers");
   const std::uint64_t cells = static_cast<std::uint64_t>(a.size()) * b.size();
+  workspace ws;
   for (index_t tile : {64, 128, 256, 512, 1024}) {
     tiled::tiled_engine<align_kind::global, linear_gap, simple_scoring, 16>
         eng(kLinear, kScoring, {tile, tile, ar.threads});
-    const double t = median_seconds(ar.repeats, [&] { (void)eng.score(a, b); });
+    const double t =
+        median_seconds(ar.repeats, [&] { (void)eng.score(a, b, ws); });
     const auto st = eng.last_stats();
     g_report->add("tile_size/" + std::to_string(tile), t, 1,
                   {{"gcups", gcups(cells, t)},
@@ -55,12 +57,14 @@ void cutoff_sweep(stage::seq_view a, stage::seq_view b, const args& ar) {
   std::printf("\n--- ablation: D&C recursion cutoff (traceback, affine) ---\n");
   std::printf("%12s %12s %14s\n", "base_cells", "GCUPS", "relaxed/nm");
   const std::uint64_t nm = static_cast<std::uint64_t>(a.size()) * b.size();
+  workspace ws;
+  alignment_result r;
   for (index_t cells : {index_t{1} << 8, index_t{1} << 12, index_t{1} << 16,
                         index_t{1} << 20}) {
     std::uint64_t relaxed = 0;
     const double t = median_seconds(ar.repeats, [&] {
-      auto r = tiled::tiled_hirschberg_align<16>(
-          a, b, kAffine, kScoring, {256, 256, ar.threads}, cells);
+      tiled::tiled_hirschberg_align_into<16>(
+          a, b, kAffine, kScoring, {256, 256, ar.threads}, cells, ws, r);
       relaxed = r.cells;
     });
     g_report->add("dc_cutoff/" + std::to_string(cells), t, 1,
@@ -134,7 +138,9 @@ void specialization_gain(stage::seq_view a, stage::seq_view b,
   {
     tiled::tiled_engine<align_kind::global, linear_gap, simple_scoring, 16>
         eng(kLinear, kScoring, {256, 256, ar.threads});
-    const double t = median_seconds(ar.repeats, [&] { (void)eng.score(a, b); });
+    workspace ws;
+    const double t =
+        median_seconds(ar.repeats, [&] { (void)eng.score(a, b, ws); });
     g_report->add("specialization/linear_kernel", t, 1,
                   {{"gcups", gcups(cells, t)}});
     std::printf("%-34s %12.3f\n", "specialized linear kernel (AnySeq)",

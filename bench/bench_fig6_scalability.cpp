@@ -36,7 +36,8 @@ constexpr linear_gap kLinear{-1};
 double measure_tile_cost_us(stage::seq_view a, stage::seq_view b,
                             index_t tile) {
   tiled::tile_geometry geom(a.size(), b.size(), tile, tile);
-  tiled::border_frontier fr(geom, false);
+  workspace ws;
+  tiled::border_frontier fr(geom, false, ws);
   fr.init(
       [](index_t j) { return init_h_row0<align_kind::global>(j, kLinear); },
       [](index_t i) { return init_h_col0<align_kind::global>(i, kLinear); });

@@ -34,9 +34,10 @@ bio::sequence make_seq(index_t n, std::uint64_t seed) {
 void BM_RollingScoreLinear(benchmark::State& state) {
   const auto n = static_cast<index_t>(state.range(0));
   const auto q = make_seq(n, 1), s = make_seq(n, 2);
+  workspace ws;
   for (auto _ : state) {
     auto r = rolling_score<align_kind::global>(q.view(), s.view(), kLinear,
-                                               kScoring);
+                                               kScoring, ws);
     benchmark::DoNotOptimize(r.score);
   }
   state.counters["GCUPS"] = benchmark::Counter(
@@ -48,9 +49,10 @@ BENCHMARK(BM_RollingScoreLinear)->Arg(512)->Arg(2048);
 void BM_RollingScoreAffine(benchmark::State& state) {
   const auto n = static_cast<index_t>(state.range(0));
   const auto q = make_seq(n, 3), s = make_seq(n, 4);
+  workspace ws;
   for (auto _ : state) {
     auto r = rolling_score<align_kind::global>(q.view(), s.view(), kAffine,
-                                               kScoring);
+                                               kScoring, ws);
     benchmark::DoNotOptimize(r.score);
   }
   state.counters["GCUPS"] = benchmark::Counter(
@@ -65,8 +67,9 @@ void BM_TiledScore(benchmark::State& state) {
   const auto q = make_seq(n, 5), s = make_seq(n, 6);
   tiled::tiled_engine<align_kind::global, affine_gap, simple_scoring, Lanes>
       eng(kAffine, kScoring, {256, 256, 1});
+  workspace ws;
   for (auto _ : state) {
-    auto r = eng.score(q.view(), s.view());
+    auto r = eng.score(q.view(), s.view(), ws);
     benchmark::DoNotOptimize(r.score);
   }
   state.counters["GCUPS"] = benchmark::Counter(
@@ -88,8 +91,11 @@ void BM_BatchReads(benchmark::State& state) {
   std::uint64_t cells = 0;
   for (const auto& p : pairs)
     cells += static_cast<std::uint64_t>(p.q.size()) * p.s.size();
+  workspace ws;
+  std::vector<score_result> r(pairs.size());
   for (auto _ : state) {
-    auto r = eng.scores(pairs);
+    eng.score_into(std::span<const tiled::pair_view>(pairs), ws,
+                   std::span<score_result>(r));
     benchmark::DoNotOptimize(r.data());
   }
   state.counters["GCUPS"] = benchmark::Counter(
@@ -111,8 +117,11 @@ void BM_BatchReadsBitpar(benchmark::State& state) {
   std::uint64_t cells = 0;
   for (const auto& p : pairs)
     cells += static_cast<std::uint64_t>(p.q.size()) * p.s.size();
+  workspace ws;
+  std::vector<score_result> r(pairs.size());
   for (auto _ : state) {
-    auto r = eng.scores(pairs);
+    eng.score_into(std::span<const tiled::pair_view>(pairs), ws,
+                   std::span<score_result>(r));
     benchmark::DoNotOptimize(r.data());
   }
   state.counters["GCUPS"] = benchmark::Counter(
@@ -126,8 +135,10 @@ void BM_FullEngineWithTraceback(benchmark::State& state) {
   const auto q = make_seq(n, 8), s = make_seq(n, 9);
   full_engine<align_kind::global, affine_gap, simple_scoring> eng(kAffine,
                                                                   kScoring);
+  workspace ws;
+  alignment_result r;
   for (auto _ : state) {
-    auto r = eng.align(q.view(), s.view(), true);
+    eng.align_into(q.view(), s.view(), true, ws, r);
     benchmark::DoNotOptimize(r.score);
   }
   state.counters["GCUPS"] = benchmark::Counter(

@@ -115,9 +115,9 @@ alignment_result gpu_align(stage::seq_view q, stage::seq_view s,
     out.cells = r.cells;
     return out;
   }
+  workspace ws;
   if (q.size() * s.size() <= opt.full_matrix_cells) {
-    full_engine<K, Gap, Scoring> feng(gap, scoring);
-    out = feng.align(q, s, true);
+    full_engine<K, Gap, Scoring>(gap, scoring).align_into(q, s, true, ws, out);
     out.variant = "gpu_sim";
     return out;
   }
@@ -127,12 +127,14 @@ alignment_result gpu_align(stage::seq_view q, stage::seq_view s,
     return out;
   } else if constexpr (K == align_kind::local ||
                        K == align_kind::semiglobal) {
-    auto galign = [&](stage::seq_view subq, stage::seq_view subs) {
-      gpusim::gpu_engine<align_kind::global, Gap, Scoring> geng(dev, gap,
-                                                                scoring);
-      return geng.align(subq, subs);
-    };
-    out = locate_align<K>(q, s, gap, scoring, galign);
+    gpusim::gpu_engine<align_kind::global, Gap, Scoring> geng(dev, gap,
+                                                              scoring);
+    locate_align_into<K>(
+        q, s, gap, scoring,
+        [&](stage::seq_view subq, stage::seq_view subs, alignment_result& r) {
+          r = geng.align(subq, subs);
+        },
+        ws, out);
     out.variant = "gpu_sim";
     return out;
   } else {
@@ -310,6 +312,18 @@ void validate(const align_options& opt) {
         to_string(opt.precision) + " is chosen by the plan, not requested)");
 }
 
+void validate_shape(index_t n, index_t m, const align_options& opt) {
+  const score_t unit = engine::score_unit(opt);
+  const index_t worst = (n + m + 2) * static_cast<index_t>(unit);
+  if (worst < int32_score_window()) return;
+  throw score_overflow_error(
+      "a " + std::to_string(n) + " x " + std::to_string(m) +
+      " pair at score unit " + std::to_string(unit) + " can reach |score| " +
+      std::to_string(worst) + ", past the int32 window " +
+      std::to_string(int32_score_window()) +
+      " ((n + m + 2) * unit must stay below it)");
+}
+
 // ---------------------------------------------------------------------
 // aligner: the reusable plan/execute handle.
 // ---------------------------------------------------------------------
@@ -375,6 +389,7 @@ void aligner::align_into(stage::seq_view q, stage::seq_view s,
                          alignment_result& out) {
   last_batch_stats_ = {};
   last_wavefront_stats_ = {};
+  validate_shape(q.size(), s.size(), opt_);
   if (!is_cpu(exec_)) {
     out = simulator_align(q, s, opt_, exec_);
     return;
@@ -398,6 +413,8 @@ void aligner::align_batch_into(std::span<const seq_pair> pairs,
     out.clear();
     return;
   }
+  // Every shape before any pair runs: a batch throws as a whole.
+  for (const seq_pair& p : pairs) validate_shape(p.q.size(), p.s.size(), opt_);
   if (!is_cpu(exec_)) {
     // Pair by pair through the simulator's own align: a batch returns
     // (and throws) exactly what its pairs' align calls would.
@@ -429,6 +446,7 @@ void aligner::align_banded_into(stage::seq_view q, stage::seq_view s,
   if (!is_cpu(exec_))
     throw invalid_argument_error(
         "align_banded is implemented by the CPU engine variants only");
+  validate_shape(q.size(), s.size(), opt_);
   ops_->banded_align(q, s, b, opt_, workspace_handle(), out);
 }
 

@@ -104,6 +104,15 @@ inline constexpr score_t max_abs_score = score_t{1} << 20;
 /// with a precise message.
 void validate(const align_options& opt);
 
+/// Validate an (n x m) pair under validated options: throws
+/// score_overflow_error (a validation_error) naming the shape and the
+/// bound when its worst-case score, (n + m + 2) * unit computed in int64,
+/// reaches int32_score_window().  `unit` is the largest per-cell score
+/// step under `opt`.  `align`, every pair of `align_batch` (before any
+/// pair runs) and the service's `submit` check it; an empty sequence
+/// passes unless the other is past the bound on its own.
+void validate_shape(index_t n, index_t m, const align_options& opt);
+
 /// One batch job.
 struct seq_pair {
   stage::seq_view q, s;

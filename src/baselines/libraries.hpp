@@ -25,7 +25,6 @@
 ///    less specialized kernel: more issue slots per cell and row spills
 ///    to global memory, yielding the paper's ~1.1x AnySeq advantage.
 
-#include "core/hirschberg.hpp"
 #include "core/scoring.hpp"
 #include "gpusim/gpu_engine.hpp"
 #include "tiled/batch_engine.hpp"
@@ -51,102 +50,86 @@ struct cpu_baseline_config {
 }
 
 // ---------------------------------------------------------------------
-// seqan_like
+// seqan_like / parasail_like
 // ---------------------------------------------------------------------
-template <align_kind K, int Lanes>
-class seqan_like {
+
+/// The always-affine CPU surrogate both libraries share: the tiled
+/// wavefront engine for scores and traceback on `Lanes`, the batch
+/// engine on `BatchLanes`.  Every call carves from the surrogate's own
+/// arenas: one for the call, one per batch worker.
+template <align_kind K, int Lanes, int BatchLanes>
+class affine_surrogate {
  public:
   template <class Gap>
-  seqan_like(score_t match, score_t mismatch, Gap gap,
-             cpu_baseline_config cfg = {})
-      : scoring_(match, mismatch), gap_(as_affine(gap)), cfg_(cfg) {}
+  affine_surrogate(score_t match, score_t mismatch, Gap gap,
+                   cpu_baseline_config cfg = {})
+      : scoring_(match, mismatch),
+        gap_(as_affine(gap)),
+        cfg_(cfg),
+        workers_(static_cast<std::size_t>(std::max(cfg.threads, 1))) {}
 
   [[nodiscard]] score_result score(stage::seq_view q, stage::seq_view s) {
     tiled::tiled_engine<K, affine_gap, simple_scoring, Lanes> eng(
-        gap_, scoring_, {cfg_.tile, cfg_.tile, cfg_.threads});
-    return eng.score(q, s);
+        gap_, scoring_, tiled_cfg());
+    ws_.begin_pass();
+    return eng.score(q, s, ws_);
   }
 
   [[nodiscard]] alignment_result align(stage::seq_view q,
                                        stage::seq_view s) {
     static_assert(K == align_kind::global,
                   "baseline traceback is exercised on global alignments");
-    return tiled::tiled_hirschberg_align<Lanes>(
-        q, s, gap_, scoring_, {cfg_.tile, cfg_.tile, cfg_.threads});
+    ws_.begin_pass();
+    alignment_result out;
+    tiled::tiled_hirschberg_align_into<Lanes>(q, s, gap_, scoring_,
+                                              tiled_cfg(), 1 << 14, ws_, out);
+    return out;
   }
 
   [[nodiscard]] std::vector<score_t> batch_scores(
       std::span<const tiled::pair_view> pairs) {
-    tiled::batch_engine<K, affine_gap, simple_scoring, Lanes> eng(
-        gap_, scoring_, {cfg_.threads});
-    return eng.scores(pairs);
+    std::vector<score_result> r(pairs.size());
+    batcher().score_into(pairs, ws_, std::span<score_result>(r));
+    std::vector<score_t> out(r.size());
+    for (std::size_t i = 0; i < r.size(); ++i) out[i] = r[i].score;
+    return out;
   }
 
   [[nodiscard]] std::vector<alignment_result> batch_align(
       std::span<const tiled::pair_view> pairs) {
-    tiled::batch_engine<K, affine_gap, simple_scoring, Lanes> eng(
-        gap_, scoring_, {cfg_.threads});
-    return eng.align_all(pairs);
+    std::vector<alignment_result> out(pairs.size());
+    batcher().align_into(pairs, ws_, std::span<alignment_result>(out));
+    return out;
   }
 
  private:
+  [[nodiscard]] tiled::tiled_config tiled_cfg() const {
+    return {cfg_.tile, cfg_.tile, cfg_.threads};
+  }
+  [[nodiscard]] auto batcher() {
+    ws_.begin_pass();
+    return tiled::batch_engine<K, affine_gap, simple_scoring, BatchLanes>(
+        gap_, scoring_,
+        {cfg_.threads, score_precision::auto_select,
+         std::span<workspace>(workers_)});
+  }
+
   simple_scoring scoring_;
   affine_gap gap_;
   cpu_baseline_config cfg_;
+  workspace ws_;
+  std::vector<workspace> workers_;
 };
 
-// ---------------------------------------------------------------------
-// parasail_like
-// ---------------------------------------------------------------------
+/// SeqAn: lane-parallel batches on the library's own lane count.
 template <align_kind K, int Lanes>
-class parasail_like {
- public:
-  template <class Gap>
-  parasail_like(score_t match, score_t mismatch, Gap gap,
-                cpu_baseline_config cfg = {})
-      : scoring_(match, mismatch), gap_(as_affine(gap)), cfg_(cfg) {}
+using seqan_like = affine_surrogate<K, Lanes, Lanes>;
 
-  [[nodiscard]] score_result score(stage::seq_view q, stage::seq_view s) {
-    tiled::tiled_engine<K, affine_gap, simple_scoring, Lanes> eng(
-        gap_, scoring_,
-        {cfg_.tile, cfg_.tile, cfg_.threads});
-    return eng.score(q, s);
-  }
-
-  [[nodiscard]] alignment_result align(stage::seq_view q,
-                                       stage::seq_view s) {
-    static_assert(K == align_kind::global);
-    using lr = tiled::tiled_last_row<affine_gap, simple_scoring, Lanes>;
-    hirschberg_engine<affine_gap, simple_scoring, lr> eng(
-        gap_, scoring_,
-        lr{gap_, scoring_,
-           {cfg_.tile, cfg_.tile, cfg_.threads}},
-        {1 << 14});
-    return eng.align(q, s);
-  }
-
-  [[nodiscard]] std::vector<score_t> batch_scores(
-      std::span<const tiled::pair_view> pairs) {
-    // Parasail's batch mode is a plain loop over its single-pair kernel;
-    // pairs do not share SIMD lanes across alignments, so each pair runs
-    // the (affine) scalar kernel, parallelized over pairs only.
-    tiled::batch_engine<K, affine_gap, simple_scoring, 1> eng(
-        gap_, scoring_, {cfg_.threads});
-    return eng.scores(pairs);
-  }
-
-  [[nodiscard]] std::vector<alignment_result> batch_align(
-      std::span<const tiled::pair_view> pairs) {
-    tiled::batch_engine<K, affine_gap, simple_scoring, 1> eng(
-        gap_, scoring_, {cfg_.threads});
-    return eng.align_all(pairs);
-  }
-
- private:
-  simple_scoring scoring_;
-  affine_gap gap_;
-  cpu_baseline_config cfg_;
-};
+/// Parasail's batch mode is a plain loop over its single-pair kernel;
+/// pairs do not share SIMD lanes across alignments, so each pair runs the
+/// (affine) scalar kernel, parallelized over pairs only.
+template <align_kind K, int Lanes>
+using parasail_like = affine_surrogate<K, Lanes, 1>;
 
 // ---------------------------------------------------------------------
 // nvbio_like

@@ -1,5 +1,6 @@
 #include "capi/anyseq_c.h"
 
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <new>
@@ -35,6 +36,18 @@ struct anyseq_ticket {
 
 static_assert(ANYSEQ_MAX_ABS_SCORE == anyseq::max_abs_score,
               "the C limit mirrors the C++ one");
+
+// The service stats layout is a contract with compiled C clients: the
+// retired fields keep their slots (always 0) so every appended field
+// stays at the offset those clients read.
+static_assert(sizeof(anyseq_service_stats) == 256,
+              "anyseq_service_stats grows only by appending");
+static_assert(offsetof(anyseq_service_stats, watchdog_restarts) == 192,
+              "retired field keeps its slot");
+static_assert(offsetof(anyseq_service_stats, brownout) == 200,
+              "retired field keeps its slot");
+static_assert(offsetof(anyseq_service_stats, p90_latency_ns) == 208,
+              "the first appended field follows the retired ones");
 
 namespace {
 

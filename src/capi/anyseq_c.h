@@ -15,7 +15,8 @@
  *
  * All functions return the optimal alignment score.  On invalid input
  * (NULL pointers, positive gap penalties, non-positive local match score,
- * a score argument past ::ANYSEQ_MAX_ABS_SCORE in magnitude, ...) they
+ * a score argument past ::ANYSEQ_MAX_ABS_SCORE in magnitude, a pair so
+ * long that its worst-case score could leave the int32 range, ...) they
  * return ::ANYSEQ_C_ERROR and write no output.  No other error
  * channel exists: the C API never throws and never aborts on bad
  * parameters.  See docs/C_API.md for a worked error-handling example.
@@ -484,7 +485,9 @@ typedef struct anyseq_service_stats {
                                     compatibility (the service never
                                     degrades to a brownout mode) */
 
-  /* Appended fields (keep at the end for layout compatibility). */
+  /* Appended fields (keep at the end for layout compatibility; the
+     size and the offsets of the retired and first appended fields are
+     static_asserts in anyseq_c.cpp). */
   uint64_t p90_latency_ns;     /**< 90th-percentile latency, pooled */
   uint64_t p999_latency_ns;    /**< 99.9th-percentile latency, pooled */
   uint64_t interactive_p90_latency_ns;

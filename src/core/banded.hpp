@@ -567,29 +567,6 @@ doubling_result doubling_global_into(const QV& q, const SV& s,
   }
 }
 
-/// One-shot convenience with a private throwaway workspace.
-template <class Gap, class Scoring, stage::sequence_view QV,
-          stage::sequence_view SV>
-[[nodiscard]] alignment_result banded_global(const QV& q, const SV& s,
-                                             const Gap& gap,
-                                             const Scoring& scoring,
-                                             band b,
-                                             bool want_traceback = true) {
-  workspace ws;
-  alignment_result out;
-  banded_global_into(q, s, gap, scoring, b, want_traceback, ws, out);
-  return out;
-}
-
-/// Score-only convenience.
-template <class Gap, class Scoring, stage::sequence_view QV,
-          stage::sequence_view SV>
-[[nodiscard]] score_t banded_global_score(const QV& q, const SV& s,
-                                          const Gap& gap,
-                                          const Scoring& scoring, band b) {
-  return banded_global(q, s, gap, scoring, b, false).score;
-}
-
 }  // namespace ANYSEQ_TARGET_NS
 }  // namespace anyseq
 
@@ -599,9 +576,7 @@ using v_scalar::doubling_global_into;
 using v_scalar::doubling_plan_bytes;
 using v_scalar::doubling_result;
 using v_scalar::kDoublingRadius;
-using v_scalar::banded_global;
 using v_scalar::banded_global_into;
-using v_scalar::banded_global_score;
 }  // namespace anyseq
 #endif  // scalar exports
 

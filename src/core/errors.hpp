@@ -32,6 +32,17 @@ class validation_error : public invalid_argument_error {
       : invalid_argument_error(what) {}
 };
 
+/// A pair too long for its scores: its worst-case score magnitude,
+/// (n + m + 2) * unit under the request's options, leaves the int32
+/// window the engines compute in (int32_score_window()).  Thrown before
+/// any work, like every validation_error; the message names the shape
+/// and the bound.
+class score_overflow_error : public validation_error {
+ public:
+  explicit score_overflow_error(const std::string& what)
+      : validation_error(what) {}
+};
+
 /// Malformed input data (bad FASTA/FASTQ, illegal characters, ...).
 class parse_error : public error {
  public:

@@ -9,8 +9,7 @@
 ///
 /// Plan/execute split: the matrices are carved from a caller-owned
 /// `workspace` (align_into); a reused engine+workspace performs zero
-/// steady-state allocations.  The legacy `align()` overload keeps the
-/// one-shot signature on top of a member workspace.
+/// steady-state allocations.
 ///
 /// Per-target header: each engine variant gets its own clone inside
 /// `anyseq::ANYSEQ_TARGET_NS`, so the batch-traceback path dispatched into
@@ -140,35 +139,11 @@ class full_engine {
     h_last_ = h_store.data();
   }
 
-  /// One-shot convenience over a member workspace (kept for tests and
-  /// the simulator paths); a long-lived engine object reuses it.  The
-  /// arena is reserved to the pass's full footprint first, so H lives in
-  /// the slab (a cold arena would spill it into an overflow chunk that
-  /// the pass's frame frees on return, leaving h_matrix dangling).
-  template <stage::sequence_view QV, stage::sequence_view SV>
-  [[nodiscard]] alignment_result align(const QV& q, const SV& s,
-                                       bool want_traceback = true) {
-    own_ws_.reserve_bytes(plan_bytes(q.size(), s.size()));
-    own_ws_.begin_pass();
-    alignment_result out;
-    align_into(q, s, want_traceback, own_ws_, out);
-    return out;
-  }
-
-  /// Score-only convenience (the full matrix is still materialized; use
-  /// rolling_score for linear-space scoring).
-  template <stage::sequence_view QV, stage::sequence_view SV>
-  [[nodiscard]] score_t score(const QV& q, const SV& s) {
-    return align(q, s, /*want_traceback=*/false).score;
-  }
-
   /// Read access to the most recent H matrix (tests compare cell-by-cell).
-  /// Valid only while H sits in the serving arena's slab: always after
-  /// the convenience overloads (which reserve the footprint up front),
-  /// after align_into only on an arena reserved to plan_bytes(n, m) —
-  /// a cold arena spills H into an overflow chunk that the pass frees.
-  /// Either way it ends when that workspace starts a new pass (for the
-  /// convenience overloads, the next align call).
+  /// Valid only while H sits in the serving arena's slab, so only after
+  /// align_into on an arena reserved to plan_bytes(n, m) — a cold arena
+  /// spills H into an overflow chunk that the pass frees — and only
+  /// until that workspace starts a new pass.
   [[nodiscard]] stage::matrix_view<const score_t> h_matrix(index_t n,
                                                            index_t m) const {
     return {h_last_, n + 1, m + 1};
@@ -177,20 +152,8 @@ class full_engine {
  private:
   Gap gap_{};
   Scoring scoring_{};
-  workspace own_ws_;  ///< backs the one-shot convenience overloads
   const score_t* h_last_ = nullptr;
 };
-
-/// One-shot helper: align with a freshly constructed engine.
-template <align_kind K, class Gap, class Scoring, stage::sequence_view QV,
-          stage::sequence_view SV>
-[[nodiscard]] alignment_result full_align(const QV& q, const SV& s,
-                                          const Gap& gap,
-                                          const Scoring& scoring,
-                                          bool want_traceback = true) {
-  full_engine<K, Gap, Scoring> engine(gap, scoring);
-  return engine.align(q, s, want_traceback);
-}
 
 }  // namespace ANYSEQ_TARGET_NS
 }  // namespace anyseq
@@ -198,7 +161,6 @@ template <align_kind K, class Gap, class Scoring, stage::sequence_view QV,
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq {
 using v_scalar::dp_optimum;
-using v_scalar::full_align;
 using v_scalar::full_engine;
 }  // namespace anyseq
 #endif  // scalar exports

@@ -116,14 +116,6 @@ class hirschberg_engine {
     ws_ = nullptr;
   }
 
-  /// One-shot convenience over a member workspace.
-  [[nodiscard]] alignment_result align(stage::seq_view q, stage::seq_view s) {
-    own_ws_.begin_pass();
-    alignment_result res;
-    align_into(q, s, own_ws_, res);
-    return res;
-  }
-
   /// Total DP cells relaxed by the last call (paper: at most doubled).
   [[nodiscard]] std::uint64_t cells() const noexcept { return cells_; }
 
@@ -295,28 +287,13 @@ class hirschberg_engine {
   config cfg_;
   std::uint64_t cells_ = 0;
   workspace* ws_ = nullptr;  ///< the pass's arena (set by align_into)
-  workspace own_ws_;         ///< backs the one-shot convenience overload
 };
-
-/// Convenience: serial linear-space global alignment.
-template <class Gap, class Scoring>
-[[nodiscard]] alignment_result hirschberg_align(stage::seq_view q,
-                                                stage::seq_view s,
-                                                const Gap& gap,
-                                                const Scoring& scoring,
-                                                index_t base_cells = 1 << 14) {
-  using lr = serial_last_row<Gap, Scoring>;
-  hirschberg_engine<Gap, Scoring, lr> eng(
-      gap, scoring, lr{gap, scoring}, {base_cells});
-  return eng.align(q, s);
-}
 
 }  // namespace ANYSEQ_TARGET_NS
 }  // namespace anyseq
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq {
-using v_scalar::hirschberg_align;
 using v_scalar::hirschberg_engine;
 using v_scalar::serial_last_row;
 }  // namespace anyseq

@@ -71,16 +71,6 @@ template <class Gap, class Scoring, stage::sequence_view QV,
   return best;
 }
 
-/// One-shot convenience with a private throwaway workspace.
-template <class Gap, class Scoring, stage::sequence_view QV,
-          stage::sequence_view SV>
-[[nodiscard]] score_result extension_border_score(const QV& q, const SV& s,
-                                                  const Gap& gap,
-                                                  const Scoring& scoring) {
-  workspace ws;
-  return extension_border_score(q, s, gap, scoring, ws);
-}
-
 /// Locate the aligned region of a local or semiglobal optimum and
 /// reconstruct it through `global_align_into(sub_q, sub_s, out)` (any
 /// callable writing a *global* alignment of the views into `out`,
@@ -91,7 +81,7 @@ void locate_align_into(stage::seq_view q, stage::seq_view s, const Gap& gap,
                        GlobalAlignInto&& global_align_into, workspace& ws,
                        alignment_result& out) {
   static_assert(K == align_kind::local || K == align_kind::semiglobal,
-                "locate_align handles local/semiglobal only");
+                "locate_align_into handles local/semiglobal only");
   const auto fwd = rolling_score<K>(q, s, gap, scoring, ws);
 
   if constexpr (K == align_kind::local) {
@@ -131,32 +121,12 @@ void locate_align_into(stage::seq_view q, stage::seq_view s, const Gap& gap,
   out.cells += fwd.cells + rev.cells;
 }
 
-/// Legacy convenience: reconstruct through a by-value `global_align`
-/// callable with a private throwaway workspace (simulator backends).
-template <align_kind K, class Gap, class Scoring, class GlobalAlign>
-[[nodiscard]] alignment_result locate_align(stage::seq_view q,
-                                            stage::seq_view s,
-                                            const Gap& gap,
-                                            const Scoring& scoring,
-                                            GlobalAlign&& global_align) {
-  workspace ws;
-  alignment_result out;
-  locate_align_into<K>(
-      q, s, gap, scoring,
-      [&](stage::seq_view subq, stage::seq_view subs, alignment_result& r) {
-        r = global_align(subq, subs);
-      },
-      ws, out);
-  return out;
-}
-
 }  // namespace ANYSEQ_TARGET_NS
 }  // namespace anyseq
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq {
 using v_scalar::extension_border_score;
-using v_scalar::locate_align;
 using v_scalar::locate_align_into;
 }  // namespace anyseq
 #endif  // scalar exports

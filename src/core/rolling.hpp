@@ -92,16 +92,6 @@ template <align_kind K, class Gap, class Scoring, stage::sequence_view QV,
   return best;
 }
 
-/// One-shot convenience: score with a private throwaway workspace.
-template <align_kind K, class Gap, class Scoring, stage::sequence_view QV,
-          stage::sequence_view SV>
-[[nodiscard]] score_result rolling_score(const QV& q, const SV& s,
-                                         const Gap& gap,
-                                         const Scoring& scoring) {
-  workspace ws;
-  return rolling_score<K>(q, s, gap, scoring, ws);
-}
-
 /// Global-alignment last-row pass with a parameterized vertical boundary
 /// (Myers–Miller): H(i,0) = tb + i*extend — `tb = gap.open()` for a fresh
 /// leading deletion, `tb = 0` when the deletion continues a gap opened by

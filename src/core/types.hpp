@@ -88,6 +88,14 @@ enum class score_precision : std::uint8_t {
   return 28000;
 }
 
+/// Same window for the int32 engines: every real score stays strictly
+/// above neg_inf() / 2, the sentinel test the engines apply, so neg_inf()
+/// keeps its headroom below every real score.  validate_shape() rejects
+/// a pair past it.
+[[nodiscard]] constexpr score_t int32_score_window() noexcept {
+  return -(neg_inf() / 2);
+}
+
 /// True if every entry of an (n x m) DP matrix provably stays within
 /// +-window for per-cell score deltas bounded by `unit`: the worst score
 /// magnitude along any path is at most (n + m + 2) * unit.  `unit` is

@@ -77,12 +77,15 @@ class gpu_engine {
   };
 
   /// Global alignment with traceback: D&C on the host, passes on the
-  /// device.
+  /// device.  The host's last-row rows come from one arena per call.
   [[nodiscard]] alignment_result align(stage::seq_view q, stage::seq_view s) {
     static_assert(K == align_kind::global);
     hirschberg_engine<Gap, Scoring, gpu_last_row> h(
         gap_, scoring_, gpu_last_row{this}, {1 << 14});
-    return h.align(q, s);
+    workspace ws;
+    alignment_result out;
+    h.align_into(q, s, ws, out);
+    return out;
   }
 
   /// Batch of short pairs: one thread block per pair, one launch per
@@ -91,6 +94,8 @@ class gpu_engine {
   [[nodiscard]] std::vector<alignment_result> batch(
       std::span<const tiled::pair_view> pairs, bool want_traceback) {
     std::vector<alignment_result> out(pairs.size());
+    workspace ws;  // every pair's matrix, in turn
+    full_engine<K, Gap, Scoring> eng(gap_, scoring_);
     ++const_cast<device_counters&>(dev_.counters()).kernel_launches;
     const_cast<device_counters&>(dev_.counters()).blocks += pairs.size();
     for (std::size_t p = 0; p < pairs.size(); ++p) {
@@ -100,8 +105,8 @@ class gpu_engine {
       // Sequence loads.
       dev_.log_range_access(0, static_cast<std::uint64_t>(n + m), 1, 1,
                             false);
-      full_engine<K, Gap, Scoring> eng(gap_, scoring_);
-      out[p] = eng.align(pv.q, pv.s, want_traceback);
+      ws.begin_pass();
+      eng.align_into(pv.q, pv.s, want_traceback, ws, out[p]);
       if (want_traceback) {
         // Pred byte per cell written + the traceback path re-read.
         dev_.log_range_access(0, static_cast<std::uint64_t>(n) * m, 1, 1,
@@ -137,7 +142,8 @@ class gpu_engine {
     }
 
     tiled::tile_geometry geom(n, m, cfg_.tile_h, cfg_.tile_w);
-    tiled::border_frontier fr(geom, Gap::kind == gap_kind::affine);
+    workspace ws;  // the device's global memory for this pass
+    tiled::border_frontier fr(geom, Gap::kind == gap_kind::affine, ws);
     const auto h_col0 = [&](index_t i) -> score_t {
       if constexpr (K == align_kind::global)
         return i == 0 ? 0 : static_cast<score_t>(tb + gap_.extend() * i);

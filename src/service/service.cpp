@@ -564,6 +564,11 @@ ticket aligner::submit_impl(stage::seq_view q, stage::seq_view s,
   // every matching emit below is then a no-op).
   const std::int64_t tr_submit = ANYSEQ_TRACE_NOW();
   validate(opt);  // same synchronous contract as anyseq::align
+  if (copy_strings)
+    validate_shape(static_cast<index_t>(q_chars.size()),
+                   static_cast<index_t>(s_chars.size()), opt);
+  else
+    validate_shape(q.size(), s.size(), opt);
   const auto ci = static_cast<std::size_t>(so.cls);
   if (ci >= n_cls)
     throw invalid_argument_error("service: invalid request_class");
@@ -1300,29 +1305,5 @@ std::size_t aligner::dump_metrics(char* buf, std::size_t cap) const {
   render_prometheus(stats(), out);
   return out.needed();
 }
-
-// ---------------------------------------------------------------------
-// Process-wide default service
-// ---------------------------------------------------------------------
-
-aligner& global() {
-  // aligner's constructor touches thread_pool::global() first, so the
-  // pool's function-local static completes construction earlier and is
-  // destroyed later than this one.
-  static aligner svc{config{}};
-  return svc;
-}
-
-ticket submit(stage::seq_view q, stage::seq_view s,
-              const align_options& opt) {
-  return global().submit(q, s, opt);
-}
-
-ticket submit_strings(std::string_view q, std::string_view s,
-                      const align_options& opt) {
-  return global().submit_strings(q, s, opt);
-}
-
-service_stats stats() { return global().stats(); }
 
 }  // namespace anyseq::service

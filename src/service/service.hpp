@@ -98,7 +98,7 @@
 ///
 /// Quickstart:
 /// ```
-///   anyseq::service::aligner svc;                // or service::submit(...)
+///   anyseq::service::aligner svc;
 ///   auto t = svc.submit(q_view, s_view, opt);    // non-blocking-ish
 ///   anyseq::alignment_result r = t.get();        // blocks until done
 ///   auto snap = svc.stats();                     // occupancy, p50/p99, ...
@@ -725,19 +725,5 @@ class aligner {
   // The thread last: it starts after all state above is ready.
   std::thread batcher_;
 };
-
-/// Process-wide default service (default config, created on first use).
-/// Drains at process exit; `parallel::thread_pool::global()` is
-/// guaranteed to outlive it.
-[[nodiscard]] aligner& global();
-
-/// Submit to the process-wide service.
-[[nodiscard]] ticket submit(stage::seq_view q, stage::seq_view s,
-                            const align_options& opt = {});
-[[nodiscard]] ticket submit_strings(std::string_view q, std::string_view s,
-                                    const align_options& opt = {});
-
-/// Stats of the process-wide service.
-[[nodiscard]] service_stats stats();
 
 }  // namespace anyseq::service

@@ -26,9 +26,9 @@
 /// rows come from the caller-owned workspace and the `*_into` entry
 /// points write into caller-sized storage — zero allocations after
 /// warm-up.  Multi-threaded runs (score and traceback alike) pull work
-/// off a shared atomic cursor and carve from pooled per-worker arenas
-/// (caller-provided through `batch_config::worker_ws`, or engine-owned),
-/// so the warm parallel fan-out allocates nothing either.
+/// off a shared atomic cursor and carve from the caller's per-worker
+/// arenas (`batch_config::worker_ws`), so the warm parallel fan-out
+/// allocates nothing either.
 ///
 /// The pair type is generic over anything with `.q`/`.s` views, so the
 /// public `seq_pair` batches dispatch straight through without being
@@ -51,7 +51,6 @@
 #include <atomic>
 #include <mutex>
 #include <type_traits>
-#include <vector>
 
 #include "core/errors.hpp"
 #include "core/init.hpp"
@@ -78,8 +77,9 @@ struct batch_config {
   /// The request's precision: auto_select resolves per chunk from the
   /// worst-case bound; int32 rolls every pair.
   score_precision precision = score_precision::auto_select;
-  /// Per-worker arenas for the multi-threaded fan-out (one per thread).
-  /// When empty (direct instantiation), the engine pools its own.
+  /// The caller's per-worker arenas for the multi-threaded fan-out: a
+  /// run on `threads > 1` needs one per worker it fans out to (at most
+  /// `threads`), else it throws before any pair runs.
   std::span<workspace> worker_ws{};
 };
 
@@ -389,7 +389,7 @@ class batch_engine {
                   std::span<Out> out) {
     ANYSEQ_CHECK(out.size() == pairs.size(),
                  "score_into: out must have one slot per pair");
-    run(pairs, &ws, [&out](std::size_t idx, const score_result& r) {
+    run(pairs, ws, [&out](std::size_t idx, const score_result& r) {
       put_score(out[idx], r);
     });
   }
@@ -401,7 +401,8 @@ class batch_engine {
   /// (extension past the bound) rejects the batch before any pair runs.
   /// `last_stats()` counts the band-doubled pairs and passes.
   /// Multi-threaded runs claim pairs off a shared cursor, each worker
-  /// carving from its pooled arena like the score path.
+  /// carving from its `batch_config::worker_ws` arena like the score
+  /// path.
   template <class Pair>
   void align_into(std::span<const Pair> pairs, workspace& ws,
                   std::span<alignment_result> out) {
@@ -454,39 +455,6 @@ class batch_engine {
       }
       align_from(w);
     });
-  }
-
-  /// Score every pair (order preserved).
-  [[nodiscard]] std::vector<score_t> scores(std::span<const pair_view> pairs) {
-    std::vector<score_t> out(pairs.size());
-    own_ws_.begin_pass();
-    run(pairs, &own_ws_, [&](std::size_t idx, const score_result& r) {
-      out[idx] = r.score;
-    });
-    return out;
-  }
-
-  /// Score every pair, keeping the full score_result — the optimum's end
-  /// cell and cell count included (order preserved).  This is what the
-  /// public `align_batch` score path uses so its results carry the same
-  /// end coordinates as a per-pair `align` call.
-  [[nodiscard]] std::vector<score_result> score_results(
-      std::span<const pair_view> pairs) {
-    std::vector<score_result> out(pairs.size());
-    own_ws_.begin_pass();
-    score_into(std::span<const pair_view>(pairs), own_ws_,
-               std::span<score_result>(out));
-    return out;
-  }
-
-  /// Align every pair with traceback (order preserved).
-  [[nodiscard]] std::vector<alignment_result> align_all(
-      std::span<const pair_view> pairs) {
-    std::vector<alignment_result> out(pairs.size());
-    own_ws_.begin_pass();
-    align_into(std::span<const pair_view>(pairs), own_ws_,
-               std::span<alignment_result>(out));
-    return out;
   }
 
   [[nodiscard]] batch_stats last_stats() const noexcept { return stats_; }
@@ -552,23 +520,21 @@ class batch_engine {
 
   /// Run `body(arena)` once on each of min(threads, want) workers — the
   /// calling thread and global-pool threads (`parallel_for` lets its
-  /// caller claim work) — every worker with its own pooled arena
-  /// (caller-provided or engine-owned), which regrows to its high-water
-  /// mark once and then stays warm.
+  /// caller claim work) — worker `t` on the caller's arena
+  /// `cfg_.worker_ws[t]`, which regrows to its high-water mark once and
+  /// then stays warm.  Too few arenas is a caller error, thrown before
+  /// any pair runs.
   template <class Body>
   void fan_out(std::size_t want, Body&& body) {
     const auto workers = static_cast<index_t>(
         std::min<std::size_t>(static_cast<std::size_t>(cfg_.threads), want));
-    std::span<workspace> pool_ws = cfg_.worker_ws;
-    if (pool_ws.size() < static_cast<std::size_t>(workers)) {
-      if (own_worker_ws_.size() < static_cast<std::size_t>(workers))
-        own_worker_ws_.resize(static_cast<std::size_t>(workers));
-      pool_ws = std::span<workspace>(own_worker_ws_);
-    }
+    if (cfg_.worker_ws.size() < static_cast<std::size_t>(workers))
+      throw invalid_argument_error(
+          "batch_config::worker_ws must hold one arena per worker");
     parallel::thread_pool::global().parallel_for(
         0, workers,
         [&](index_t t) {
-          workspace& wws = pool_ws[static_cast<std::size_t>(t)];
+          workspace& wws = cfg_.worker_ws[static_cast<std::size_t>(t)];
           wws.begin_pass();
           body(wws);
         },
@@ -576,7 +542,7 @@ class batch_engine {
   }
 
   template <class Pair, class Sink>
-  void run(std::span<const Pair> pairs, workspace* ws, Sink&& sink) {
+  void run(std::span<const Pair> pairs, workspace& ws, Sink&& sink) {
     stats_ = {};
     if (pairs.empty()) return;
     if (cfg_.threads <= 1 ||
@@ -606,7 +572,7 @@ class batch_engine {
         const chunk_plan g = group_plan(pairs, lo);
         if (cursor.compare_exchange_weak(lo, g.hi,
                                          std::memory_order_relaxed)) {
-          process_group(pairs, lo, g, &wws, sink, local);
+          process_group(pairs, lo, g, wws, sink, local);
           lo = g.hi;
         }
       }
@@ -631,20 +597,20 @@ class batch_engine {
 
   template <class Pair, class Sink>
   void process_group(std::span<const Pair> pairs, std::size_t lo,
-                     const chunk_plan& g, workspace* ws, Sink& sink,
+                     const chunk_plan& g, workspace& ws, Sink& sink,
                      batch_stats& stats) {
     if constexpr (Lanes > 1) {
       if (g.prec == score_precision::int8) {
-        padded_group<score8_t, kLanes8>(pairs, lo, g, *ws, sink, stats);
+        padded_group<score8_t, kLanes8>(pairs, lo, g, ws, sink, stats);
         return;
       }
       if (g.prec == score_precision::int16) {
-        padded_group<score16_t, Lanes>(pairs, lo, g, *ws, sink, stats);
+        padded_group<score16_t, Lanes>(pairs, lo, g, ws, sink, stats);
         return;
       }
     }
     for (std::size_t i = lo; i < g.hi; ++i)
-      lone_pair(pairs, i, *ws, sink, stats);
+      lone_pair(pairs, i, ws, sink, stats);
   }
 
   /// One admitted group through the padded kernel at (g.nbar x g.mbar);
@@ -700,11 +666,6 @@ class batch_engine {
   /// traceback run copies it with want_alignment set), on one thread.
   align_options lone_;
   batch_stats stats_{};
-  workspace own_ws_;  ///< backs the one-shot convenience overloads
-  /// Engine-pooled per-worker arenas for the multi-threaded fan-out when
-  /// the caller did not supply `batch_config::worker_ws`; grown once to
-  /// the worker count, then recycled across runs.
-  std::vector<workspace> own_worker_ws_;
 };
 
 }  // namespace tiled

@@ -32,8 +32,8 @@
 #define ANYSEQ_TILED_BORDERS_HPP_
 #endif
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "core/types.hpp"
 #include "core/workspace.hpp"
@@ -85,10 +85,9 @@ struct tile_geometry {
 /// are allocated (linear gaps drop them — the storage analogue of
 /// partial evaluation removing the E/F matrices).
 ///
-/// Storage comes either from a caller-owned `workspace` (the production
-/// path: carved per pass, released by the engine's frame, zero
-/// steady-state allocations) or, for tests and one-shot helpers, from an
-/// internal owning buffer.
+/// Storage is carved from a caller-owned `workspace` per pass and
+/// released by the caller's enclosing frame (zero steady-state
+/// allocations).
 class border_frontier {
  public:
   /// Arena bytes a workspace-backed frontier carves (the plan side):
@@ -101,26 +100,8 @@ class border_frontier {
            carve_bytes<score_t>(corner_count(g));
   }
 
-  /// Owning mode (tests / one-shot use): allocates its own storage.
-  border_frontier(const tile_geometry& g, bool affine)
-      : geom_(g), affine_(affine) {
-    const auto rows = static_cast<std::size_t>(g.m + 1);
-    const auto cols = static_cast<std::size_t>(g.n + 1);
-    const std::size_t planes = affine ? 2 : 1;
-    own_.assign(planes * (rows + cols) + corner_count(g), 0);
-    score_t* p = own_.data();
-    h_row_ = p;
-    h_col_ = p + rows;
-    corners_ = p + rows + cols;
-    if (affine) {
-      e_row_ = corners_ + corner_count(g);
-      f_col_ = e_row_ + rows;
-      std::fill(e_row_, e_row_ + rows + cols, neg_inf());
-    }
-  }
-
-  /// Workspace mode: carve every plane from `ws` (released when the
-  /// caller's enclosing frame unwinds).
+  /// Carve every plane from `ws` (released when the caller's enclosing
+  /// frame unwinds).
   border_frontier(const tile_geometry& g, bool affine, workspace& ws)
       : geom_(g), affine_(affine) {
     const auto rows = static_cast<std::size_t>(g.m + 1);
@@ -183,7 +164,6 @@ class border_frontier {
   score_t* h_col_ = nullptr;
   score_t* f_col_ = nullptr;
   score_t* corners_ = nullptr;
-  std::vector<score_t> own_;  ///< backs the owning mode only
 };
 
 }  // namespace tiled

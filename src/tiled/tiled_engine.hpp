@@ -89,13 +89,6 @@ class tiled_engine {
     return run_pass(q, s, gap_.open(), nullptr, nullptr, ws);
   }
 
-  /// One-shot convenience over a member workspace.
-  template <stage::sequence_view QV, stage::sequence_view SV>
-  [[nodiscard]] score_result score(const QV& q, const SV& s) {
-    own_ws_.begin_pass();
-    return score(q, s, own_ws_);
-  }
-
   /// Boundary-parameterized global last-row pass for the divide & conquer
   /// traceback (only meaningful when K == global).
   template <stage::sequence_view QV, stage::sequence_view SV>
@@ -105,14 +98,6 @@ class tiled_engine {
     static_assert(K == align_kind::global,
                   "last_row requires the global engine");
     run_pass(q, s, tb, &hh, &ee, ws);
-  }
-
-  /// One-shot convenience over a member workspace.
-  template <stage::sequence_view QV, stage::sequence_view SV>
-  void last_row(const QV& q, const SV& s, score_t tb,
-                std::span<score_t> hh, std::span<score_t> ee) {
-    own_ws_.begin_pass();
-    last_row(q, s, tb, hh, ee, own_ws_);
   }
 
   [[nodiscard]] const tiled_config& config() const noexcept { return cfg_; }
@@ -284,7 +269,6 @@ class tiled_engine {
   Scoring scoring_;
   tiled_config cfg_;
   parallel::wavefront_stats stats_{};
-  workspace own_ws_;  ///< backs the one-shot convenience overloads
 };
 
 /// The plan-time tile for an (n x m) problem when `opt.tile` is 0: the

@@ -32,16 +32,15 @@ namespace tiled {
 /// small, runs the wavefront (striped tiles inside the int16 window on
 /// the vector variants), so one last-row path serves every variant.
 ///
-/// When `ws` is set, the tiled engine carves its frontier and worker
-/// scratch from that workspace (nested inside the enclosing Hirschberg
-/// frame); otherwise each pass owns a throwaway engine workspace.  With
-/// `stats` set, every tiled pass adds its wavefront accounting there.
+/// The tiled engine carves its frontier and worker scratch from `ws`,
+/// nested inside the enclosing Hirschberg frame.  With `stats` set,
+/// every tiled pass adds its wavefront accounting there.
 template <class Gap, class Scoring, int Lanes>
 struct tiled_last_row {
   Gap gap;
   Scoring scoring;
   tiled_config cfg;
-  workspace* ws = nullptr;
+  workspace& ws;
   wavefront_stats* stats = nullptr;
 
   template <stage::sequence_view QV, stage::sequence_view SV>
@@ -49,10 +48,7 @@ struct tiled_last_row {
                   std::span<score_t> hh, std::span<score_t> ee) const {
     tiled_engine<align_kind::global, Gap, Scoring, Lanes> eng(gap, scoring,
                                                               cfg);
-    if (ws != nullptr)
-      eng.last_row(q, s, tb, hh, ee, *ws);
-    else
-      eng.last_row(q, s, tb, hh, ee);
+    eng.last_row(q, s, tb, hh, ee, ws);
     if (stats != nullptr) parallel::accumulate(*stats, eng.last_stats());
   }
 };
@@ -82,25 +78,9 @@ void tiled_hirschberg_align_into(stage::seq_view q, stage::seq_view s,
                                  workspace& ws, alignment_result& out,
                                  wavefront_stats* stats = nullptr) {
   using lr = tiled_last_row<Gap, Scoring, Lanes>;
-  lr last_row{gap, scoring, cfg};
-  last_row.ws = &ws;
-  last_row.stats = stats;
-  hirschberg_engine<Gap, Scoring, lr> eng(gap, scoring, last_row,
-                                          {base_cells});
+  hirschberg_engine<Gap, Scoring, lr> eng(
+      gap, scoring, lr{gap, scoring, cfg, ws, stats}, {base_cells});
   eng.align_into(q, s, ws, out);
-}
-
-/// One-shot convenience with a private throwaway workspace.
-template <int Lanes, class Gap, class Scoring>
-[[nodiscard]] alignment_result tiled_hirschberg_align(
-    stage::seq_view q, stage::seq_view s, const Gap& gap,
-    const Scoring& scoring, tiled_config cfg = {},
-    index_t base_cells = 1 << 14) {
-  workspace ws;
-  alignment_result out;
-  tiled_hirschberg_align_into<Lanes>(q, s, gap, scoring, cfg, base_cells, ws,
-                                     out);
-  return out;
 }
 
 /// Arena bytes of the traceback route `rt` (engine::classify_route's pick
@@ -179,7 +159,6 @@ void traceback_route(engine::route_kind rt, stage::seq_view q,
 
 #if ANYSEQ_TARGET == ANYSEQ_TARGET_SCALAR
 namespace anyseq::tiled {
-using v_scalar::tiled::tiled_hirschberg_align;
 using v_scalar::tiled::tiled_hirschberg_align_into;
 using v_scalar::tiled::tiled_hirschberg_plan_bytes;
 using v_scalar::tiled::tiled_last_row;

@@ -24,6 +24,7 @@ TEST_P(BackendSweep, ScoreOnlyMatchesReferenceAllKinds) {
     GTEST_SKIP() << "host cannot run " << to_string(GetParam());
   auto q = test::random_codes(260, 1);
   auto s = test::mutate(q, 2);
+  workspace ws;
   for (align_kind k : {align_kind::global, align_kind::local,
                        align_kind::semiglobal}) {
     for (score_t open : {score_t{0}, score_t{-2}}) {
@@ -39,16 +40,14 @@ TEST_P(BackendSweep, ScoreOnlyMatchesReferenceAllKinds) {
         auto w = [&] {
           switch (k) {
             case align_kind::local:
-              return rolling_score<align_kind::local>(view(q), view(s),
-                                                      linear_gap{-1},
-                                                      simple_scoring{2, -1});
+              return rolling_score<align_kind::local>(
+                  view(q), view(s), linear_gap{-1}, simple_scoring{2, -1}, ws);
             case align_kind::semiglobal:
               return rolling_score<align_kind::semiglobal>(
-                  view(q), view(s), linear_gap{-1}, simple_scoring{2, -1});
+                  view(q), view(s), linear_gap{-1}, simple_scoring{2, -1}, ws);
             default:
-              return rolling_score<align_kind::global>(view(q), view(s),
-                                                       linear_gap{-1},
-                                                       simple_scoring{2, -1});
+              return rolling_score<align_kind::global>(
+                  view(q), view(s), linear_gap{-1}, simple_scoring{2, -1}, ws);
           }
         }();
         want = w.score;
@@ -58,15 +57,15 @@ TEST_P(BackendSweep, ScoreOnlyMatchesReferenceAllKinds) {
             case align_kind::local:
               return rolling_score<align_kind::local>(
                   view(q), view(s), affine_gap{-2, -1},
-                  simple_scoring{2, -1});
+                  simple_scoring{2, -1}, ws);
             case align_kind::semiglobal:
               return rolling_score<align_kind::semiglobal>(
                   view(q), view(s), affine_gap{-2, -1},
-                  simple_scoring{2, -1});
+                  simple_scoring{2, -1}, ws);
             default:
               return rolling_score<align_kind::global>(
                   view(q), view(s), affine_gap{-2, -1},
-                  simple_scoring{2, -1});
+                  simple_scoring{2, -1}, ws);
           }
         }();
         want = w.score;
@@ -111,8 +110,9 @@ TEST(AlignApi, TracebackLongSequenceUsesLinearSpacePath) {
   opt.tile = 64;
   opt.threads = 2;
   const auto r = align(view(q), view(s), opt);
+  workspace ws;
   const auto want = rolling_score<align_kind::global>(
-      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1});
+      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1}, ws);
   EXPECT_EQ(r.score, want.score);
   const score_t re = rescore_alignment(
       r.q_aligned, r.s_aligned,
@@ -130,8 +130,9 @@ TEST(AlignApi, LocalTracebackViaLocate) {
   opt.full_matrix_cells = 1 << 10;
   opt.tile = 64;
   const auto r = align(view(q), view(s), opt);
+  workspace ws;
   const auto want = rolling_score<align_kind::local>(
-      view(q), view(s), affine_gap{-3, -1}, simple_scoring{2, -1});
+      view(q), view(s), affine_gap{-3, -1}, simple_scoring{2, -1}, ws);
   EXPECT_EQ(r.score, want.score);
   if (r.score > 0) {
     const score_t re = rescore_alignment(

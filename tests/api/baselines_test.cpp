@@ -15,13 +15,14 @@ TEST(SeqanLike, ScoresMatchReferenceLinearAndAffine) {
   auto s = test::mutate(q, 2);
   // Linear request -> affine(0, g) machinery, same scores.
   seqan_like<align_kind::global, 16> lin(2, -1, linear_gap{-1}, {2, 64});
+  workspace ws;
   const auto want_lin = rolling_score<align_kind::global>(
-      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1});
+      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1}, ws);
   EXPECT_EQ(lin.score(view(q), view(s)).score, want_lin.score);
 
   seqan_like<align_kind::global, 16> aff(2, -1, affine_gap{-2, -1}, {2, 64});
   const auto want_aff = rolling_score<align_kind::global>(
-      view(q), view(s), affine_gap{-2, -1}, simple_scoring{2, -1});
+      view(q), view(s), affine_gap{-2, -1}, simple_scoring{2, -1}, ws);
   EXPECT_EQ(aff.score(view(q), view(s)).score, want_aff.score);
 }
 
@@ -49,8 +50,9 @@ TEST(ParasailLike, ScoresMatchReference) {
   auto q = test::random_codes(250, 5);
   auto s = test::mutate(q, 6);
   parasail_like<align_kind::global, 16> eng(2, -1, linear_gap{-1}, {2, 64});
+  workspace ws;
   const auto want = rolling_score<align_kind::global>(
-      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1});
+      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1}, ws);
   EXPECT_EQ(eng.score(view(q), view(s)).score, want.score);
 }
 
@@ -59,8 +61,9 @@ TEST(ParasailLike, LocalScores) {
   auto s = test::random_codes(180, 8);
   parasail_like<align_kind::local, 16> eng(2, -1, affine_gap{-4, -1},
                                            {2, 64});
+  workspace ws;
   const auto want = rolling_score<align_kind::local>(
-      view(q), view(s), affine_gap{-4, -1}, simple_scoring{2, -1});
+      view(q), view(s), affine_gap{-4, -1}, simple_scoring{2, -1}, ws);
   EXPECT_EQ(eng.score(view(q), view(s)).score, want.score);
 }
 
@@ -81,8 +84,9 @@ TEST(NvbioLike, ScoresMatchReference) {
   auto s = test::mutate(q, 12);
   gpusim::device dev;
   nvbio_like<align_kind::global, linear_gap> eng(dev, 2, -1, linear_gap{-1});
+  workspace ws;
   const auto want = rolling_score<align_kind::global>(
-      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1});
+      view(q), view(s), linear_gap{-1}, simple_scoring{2, -1}, ws);
   EXPECT_EQ(eng.score(view(q), view(s)).score, want.score);
 }
 

@@ -101,6 +101,21 @@ TEST(CApi, ScoreMagnitudesAreBounded) {
   }
 }
 
+TEST(CApi, ShapesPastTheInt32BoundReturnError) {
+  // A^2100 against C^2100 at +-2^20 could reach |score| > 2^31: rejected
+  // like every other invalid input, synchronously and by the service.
+  const anyseq_score_t lim = ANYSEQ_MAX_ABS_SCORE;
+  const std::string q(2100, 'A'), s(2100, 'C');
+  EXPECT_EQ(anyseq_global_score(q.c_str(), s.c_str(), lim, -lim, -lim),
+            ANYSEQ_C_ERROR);
+  anyseq_service* svc = anyseq_service_create(0, 0, 0, 0);
+  ASSERT_NE(svc, nullptr);
+  EXPECT_EQ(anyseq_service_submit(svc, q.c_str(), s.c_str(),
+                                  ANYSEQ_ALIGN_GLOBAL, lim, -lim, 0, -lim, 0),
+            nullptr);
+  anyseq_service_destroy(svc);
+}
+
 TEST(CApi, Version) {
   EXPECT_STREQ(anyseq_version(), "1.0.0");
 }

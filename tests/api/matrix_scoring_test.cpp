@@ -42,7 +42,8 @@ TEST_P(MatrixKinds, TiledSimdMatchesOracle) {
     constexpr align_kind K = decltype(kc)::value;
     tiled::tiled_engine<K, affine_gap, dna_matrix_scoring, 16> eng(
         kGap, kMatrix, {48, 48, 2});
-    return eng.score(view(q), view(s)).score;
+    workspace ws;
+    return eng.score(view(q), view(s), ws).score;
   };
   score_t got = 0;
   switch (k) {
@@ -77,11 +78,15 @@ TEST(MatrixScoringBackends, BatchSimdGatherMatchesOracle) {
     ss.push_back(test::random_codes(70, 200 + i, 0.02));
   }
   for (int i = 0; i < 40; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
+  std::vector<workspace> workers(2);
   tiled::batch_engine<align_kind::global, affine_gap, dna_matrix_scoring, 16>
-      eng(kGap, kMatrix, {2});
-  const auto got = eng.scores(pairs);
+      eng(kGap, kMatrix, {2, score_precision::auto_select, workers});
+  workspace ws;
+  std::vector<score_result> got(pairs.size());
+  eng.score_into(std::span<const tiled::pair_view>(pairs), ws,
+                 std::span<score_result>(got));
   for (int i = 0; i < 40; ++i)
-    ASSERT_EQ(got[i], oracle(qs[i], ss[i], align_kind::global)) << i;
+    ASSERT_EQ(got[i].score, oracle(qs[i], ss[i], align_kind::global)) << i;
   EXPECT_GT(eng.last_stats().simd_pairs, 0u);  // the gather path ran
 }
 

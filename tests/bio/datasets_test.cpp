@@ -72,12 +72,14 @@ TEST(Datasets, MakePairSharesHomologousCore) {
   const index_t lo = std::max<index_t>(0, pos - 2000);
   const index_t hi = std::min(pr.b.size(), pos + w + 2000);
   auto sv = pr.b.view().sub(lo, hi);
-  auto hom = full_align<align_kind::semiglobal>(
-      qv, sv, linear_gap{-1}, simple_scoring{2, -1}, false);
+  full_engine<align_kind::semiglobal, linear_gap, simple_scoring> eng(
+      linear_gap{-1}, simple_scoring{2, -1});
+  workspace ws;
+  alignment_result hom, rnd;
+  eng.align_into(qv, sv, false, ws, hom);
   // Unrelated locus for comparison (same query, far-away subject window).
   auto far = pr.b.view().sub(0, hi - lo);
-  auto rnd = full_align<align_kind::semiglobal>(
-      qv, far, linear_gap{-1}, simple_scoring{2, -1}, false);
+  eng.align_into(qv, far, false, ws, rnd);
   EXPECT_GT(hom.score, w);          // > 50% of the all-match maximum (2w)
   EXPECT_GT(hom.score, rnd.score);  // and clearly better than background
 }

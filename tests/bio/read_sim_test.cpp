@@ -82,10 +82,12 @@ TEST(ReadSim, PairsAlignWellToEachOther) {
   read_sim_params p;
   auto pairs = simulate_read_pairs(ref, 10, p);
   ASSERT_EQ(pairs.size(), 10u);
+  full_engine<align_kind::global, linear_gap, simple_scoring> eng(
+      linear_gap{-1}, simple_scoring{2, -1});
+  workspace ws;
+  alignment_result r;
   for (const auto& pr : pairs) {
-    auto r = full_align<align_kind::global>(pr.first.view(), pr.second.view(),
-                                            linear_gap{-1},
-                                            simple_scoring{2, -1}, false);
+    eng.align_into(pr.first.view(), pr.second.view(), false, ws, r);
     EXPECT_GT(r.score, 2 * 150 * 3 / 4) << pr.first.name();
   }
 }

@@ -1,5 +1,5 @@
 // Band-doubling global traceback (core/banded.hpp: doubling_global_into):
-// a randomized oracle against full_align<global> through every public
+// a randomized oracle against the global full_engine through every public
 // traceback entry — align, aligner::align_into, align_batch at 1 and 2
 // threads — on every compiled variant, plus the hand-built tie case
 // that pins the bound's strictness.
@@ -55,11 +55,16 @@ std::vector<scheme> schemes() {
 alignment_result reference(const std::vector<char_t>& q,
                            const std::vector<char_t>& s,
                            const align_options& o) {
-  return with_gap(o, [&](auto gap) {
-    return with_scoring(o, [&](const auto& scoring) {
-      return full_align<align_kind::global>(view(q), view(s), gap, scoring);
+  workspace ws;
+  alignment_result out;
+  with_gap(o, [&](auto gap) {
+    with_scoring(o, [&](const auto& scoring) {
+      full_engine<align_kind::global, decltype(gap),
+                  std::decay_t<decltype(scoring)>>(gap, scoring)
+          .align_into(view(q), view(s), true, ws, out);
     });
   });
+  return out;
 }
 
 void expect_same(const alignment_result& got, const alignment_result& want,
@@ -297,14 +302,17 @@ TEST(BandDoubling, ExactTieWithAnOutOfBandPathDoesNotCertify) {
   const simple_scoring sc{1, -5};
   const linear_gap gap{-1};
 
-  const auto full = full_align<align_kind::global>(view(q), view(s), gap, sc);
+  workspace ws;
+  alignment_result full;
+  full_engine<align_kind::global, linear_gap, simple_scoring>(gap, sc)
+      .align_into(view(q), view(s), true, ws, full);
   ASSERT_EQ(full.score, 53);
   const band first = band::around_main(80, 80, kDoublingRadius);
-  ASSERT_EQ(banded_global_score(view(q), view(s), gap, sc, first), 53);
-  const auto in_band = banded_global(view(q), view(s), gap, sc, first);
+  alignment_result in_band;
+  banded_global_into(view(q), view(s), gap, sc, first, true, ws, in_band);
+  ASSERT_EQ(in_band.score, 53);
   ASSERT_NE(in_band.cigar, full.cigar) << "the tie must be observable";
 
-  workspace ws;
   alignment_result out;
   const doubling_result d =
       doubling_global_into(view(q), view(s), gap, sc, ws, out);

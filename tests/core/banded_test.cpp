@@ -14,18 +14,32 @@ namespace {
 
 using test::view;
 
+/// One banded pass carved from `ws`.
+template <class Gap>
+alignment_result banded_pass(workspace& ws, stage::seq_view q,
+                             stage::seq_view s, const Gap& gap,
+                             const simple_scoring& sc, band b,
+                             bool want_traceback = true) {
+  alignment_result r;
+  banded_global_into(q, s, gap, sc, b, want_traceback, ws, r);
+  return r;
+}
+
 TEST(Banded, WideBandEqualsFullDp) {
+  workspace ws;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     auto q = test::random_codes(40, seed);
     auto s = test::mutate(q, seed + 1);
     const simple_scoring sc{2, -1};
     const affine_gap gap{-2, -1};
-    const auto full = full_align<align_kind::global>(view(q), view(s), gap,
-                                                     sc, false);
+    alignment_result full;
+    full_engine<align_kind::global, affine_gap, simple_scoring>(gap, sc)
+        .align_into(view(q), view(s), false, ws, full);
     const band b = band::around_main(
         static_cast<index_t>(q.size()), static_cast<index_t>(s.size()),
         static_cast<index_t>(q.size() + s.size()));
-    EXPECT_EQ(banded_global_score(view(q), view(s), gap, sc, b), full.score)
+    EXPECT_EQ(banded_pass(ws, view(q), view(s), gap, sc, b, false).score,
+              full.score)
         << seed;
   }
 }
@@ -35,14 +49,17 @@ TEST(Banded, ConvergesToFullAsBandWidens) {
   auto s = test::mutate(q, 4, 0.05, 0.03);
   const simple_scoring sc{2, -1};
   const linear_gap gap{-1};
-  const auto full =
-      full_align<align_kind::global>(view(q), view(s), gap, sc, false);
+  workspace ws;
+  alignment_result full;
+  full_engine<align_kind::global, linear_gap, simple_scoring>(gap, sc)
+      .align_into(view(q), view(s), false, ws, full);
   score_t prev = neg_inf();
   bool reached = false;
   for (index_t radius : {2, 4, 8, 16, 32, 120}) {
     const band b = band::around_main(static_cast<index_t>(q.size()),
                                      static_cast<index_t>(s.size()), radius);
-    const score_t v = banded_global_score(view(q), view(s), gap, sc, b);
+    const score_t v =
+        banded_pass(ws, view(q), view(s), gap, sc, b, false).score;
     EXPECT_GE(v, prev);          // wider band can only help
     EXPECT_LE(v, full.score);    // and never beats the unrestricted DP
     prev = v;
@@ -58,7 +75,8 @@ TEST(Banded, TracebackRescoresAndStaysInBand) {
   const affine_gap gap{-3, -1};
   const band b = band::around_main(static_cast<index_t>(q.size()),
                                    static_cast<index_t>(s.size()), 12);
-  const auto r = banded_global(view(q), view(s), gap, sc, b);
+  workspace ws;
+  const auto r = banded_pass(ws, view(q), view(s), gap, sc, b);
   const score_t re = rescore_alignment(
       r.q_aligned, r.s_aligned,
       [](char a, char bch) { return a == bch ? 2 : -1; }, gap);
@@ -78,8 +96,9 @@ TEST(Banded, CellsScaleWithBandNotMatrix) {
   auto s = test::mutate(q, 8, 0.02, 0.01);
   const band b = band::around_main(static_cast<index_t>(q.size()),
                                    static_cast<index_t>(s.size()), 10);
-  const auto r = banded_global(view(q), view(s), linear_gap{-1},
-                               simple_scoring{2, -1}, b, false);
+  workspace ws;
+  const auto r = banded_pass(ws, view(q), view(s), linear_gap{-1},
+                             simple_scoring{2, -1}, b, false);
   EXPECT_LT(r.cells, static_cast<std::uint64_t>(q.size()) *
                          (2 * 10 + std::llabs(static_cast<long long>(
                                        s.size() - q.size())) + 3));
@@ -91,16 +110,17 @@ TEST(Banded, RejectsInfeasibleBands) {
   const simple_scoring sc{2, -1};
   const linear_gap gap{-1};
   // Band missing the end diagonal (m - n = 20).
+  workspace ws;
   EXPECT_THROW(
-      (void)banded_global_score(view(q), view(s), gap, sc, {-5, 5}),
+      (void)banded_pass(ws, view(q), view(s), gap, sc, {-5, 5}, false),
       invalid_argument_error);
   // Band missing diagonal 0.
   EXPECT_THROW(
-      (void)banded_global_score(view(q), view(s), gap, sc, {5, 25}),
+      (void)banded_pass(ws, view(q), view(s), gap, sc, {5, 25}, false),
       invalid_argument_error);
   // Inverted band.
   EXPECT_THROW(
-      (void)banded_global_score(view(q), view(s), gap, sc, {8, -8}),
+      (void)banded_pass(ws, view(q), view(s), gap, sc, {8, -8}, false),
       invalid_argument_error);
 }
 
@@ -112,9 +132,11 @@ TEST(Banded, AroundMainCoversSkewedProblems) {
 
 TEST(Banded, IdenticalSequencesNarrowestBand) {
   auto q = test::random_codes(100, 11);
+  workspace ws;
   const band b{0, 0};  // main diagonal only
-  const auto v = banded_global_score(view(q), view(q), linear_gap{-1},
-                                     simple_scoring{2, -1}, b);
+  const auto v = banded_pass(ws, view(q), view(q), linear_gap{-1},
+                             simple_scoring{2, -1}, b, false)
+                     .score;
   EXPECT_EQ(v, 200);  // all matches fit in the zero-width band
 }
 

@@ -12,10 +12,20 @@ using test::view;
 
 std::vector<char_t> enc(const std::string& s) { return dna_encode_all(s); }
 
+/// One full-matrix pass with traceback, carved from the test's arena.
+template <align_kind K, class Gap, class Scoring>
+alignment_result full_pass(workspace& ws, stage::seq_view q,
+                           stage::seq_view s, Gap gap, Scoring sc) {
+  alignment_result r;
+  full_engine<K, Gap, Scoring>(gap, sc).align_into(q, s, true, ws, r);
+  return r;
+}
+
 TEST(FullEngineGlobal, IdenticalSequences) {
   auto q = enc("ACGTACGT");
-  auto r = full_align<align_kind::global>(view(q), view(q), linear_gap{-1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(q), linear_gap{-1},
+                                         simple_scoring{2, -1});
   EXPECT_EQ(r.score, 16);
   EXPECT_EQ(r.q_aligned, "ACGTACGT");
   EXPECT_EQ(r.s_aligned, "ACGTACGT");
@@ -24,8 +34,9 @@ TEST(FullEngineGlobal, IdenticalSequences) {
 
 TEST(FullEngineGlobal, EmptyVsEmpty) {
   std::vector<char_t> q, s;
-  auto r = full_align<align_kind::global>(view(q), view(s), linear_gap{-1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s), linear_gap{-1},
+                                         simple_scoring{2, -1});
   EXPECT_EQ(r.score, 0);
   EXPECT_TRUE(r.q_aligned.empty());
 }
@@ -33,8 +44,9 @@ TEST(FullEngineGlobal, EmptyVsEmpty) {
 TEST(FullEngineGlobal, EmptyVsNonEmptyLinear) {
   std::vector<char_t> q;
   auto s = enc("ACGT");
-  auto r = full_align<align_kind::global>(view(q), view(s), linear_gap{-1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s), linear_gap{-1},
+                                         simple_scoring{2, -1});
   EXPECT_EQ(r.score, -4);
   EXPECT_EQ(r.q_aligned, "----");
   EXPECT_EQ(r.s_aligned, "ACGT");
@@ -43,23 +55,28 @@ TEST(FullEngineGlobal, EmptyVsNonEmptyLinear) {
 TEST(FullEngineGlobal, EmptyVsNonEmptyAffine) {
   std::vector<char_t> q;
   auto s = enc("ACGT");
-  auto r = full_align<align_kind::global>(view(q), view(s), affine_gap{-2, -1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s),
+                                         affine_gap{-2, -1},
+                                         simple_scoring{2, -1});
   EXPECT_EQ(r.score, -6);  // one open (-2) + 4 extends (-4)
 }
 
 TEST(FullEngineGlobal, SingleSubstitution) {
   auto q = enc("ACGT"), s = enc("AGGT");
-  auto r = full_align<align_kind::global>(view(q), view(s), linear_gap{-1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s), linear_gap{-1},
+                                         simple_scoring{2, -1});
   EXPECT_EQ(r.score, 5);  // 3 matches + 1 mismatch
   EXPECT_EQ(r.cigar, "1=1X2=");
 }
 
 TEST(FullEngineGlobal, SingleInsertionAffinePrefersOneGap) {
   auto q = enc("ACGT"), s = enc("ACGGT");
-  auto r = full_align<align_kind::global>(view(q), view(s), affine_gap{-2, -1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s),
+                                         affine_gap{-2, -1},
+                                         simple_scoring{2, -1});
   EXPECT_EQ(r.score, 8 - 3);  // 4 matches, one gap open+extend
   EXPECT_EQ(r.q_aligned.size(), 5u);
 }
@@ -68,11 +85,12 @@ TEST(FullEngineGlobal, AffineMergesGapsLinearSplitsThem) {
   // q has two separated deletions vs s; with a huge open cost the affine
   // optimum prefers one long gap even at the cost of mismatches.
   auto q = enc("AAAATTTTCCCC"), s = enc("AAAACCCC");
-  auto lin = full_align<align_kind::global>(view(q), view(s), linear_gap{-1},
-                                            simple_scoring{2, -1});
-  auto aff = full_align<align_kind::global>(view(q), view(s),
-                                            affine_gap{-10, -1},
-                                            simple_scoring{2, -1});
+  workspace ws;
+  auto lin = full_pass<align_kind::global>(ws, view(q), view(s), linear_gap{-1},
+                                           simple_scoring{2, -1});
+  auto aff = full_pass<align_kind::global>(ws, view(q), view(s),
+                                           affine_gap{-10, -1},
+                                           simple_scoring{2, -1});
   EXPECT_EQ(lin.score, 16 - 4);  // 8 matches, 4 gap symbols
   EXPECT_EQ(aff.score, 16 - 14); // 8 matches, one open + 4 extends
 }
@@ -80,8 +98,9 @@ TEST(FullEngineGlobal, AffineMergesGapsLinearSplitsThem) {
 TEST(FullEngineLocal, FindsEmbeddedMatch) {
   auto q = enc("TTTTACGTACGTTTTT");
   auto s = enc("GGGGACGTACGGGGGG");
-  auto r = full_align<align_kind::local>(view(q), view(s), linear_gap{-2},
-                                         simple_scoring{2, -2});
+  workspace ws;
+  auto r = full_pass<align_kind::local>(ws, view(q), view(s), linear_gap{-2},
+                                        simple_scoring{2, -2});
   EXPECT_EQ(r.score, 14);  // "ACGTACG" 7 matches
   EXPECT_EQ(r.q_aligned, "ACGTACG");
   EXPECT_EQ(r.s_aligned, "ACGTACG");
@@ -91,8 +110,9 @@ TEST(FullEngineLocal, FindsEmbeddedMatch) {
 
 TEST(FullEngineLocal, AllMismatchesGiveEmptyAlignment) {
   auto q = enc("AAAA"), s = enc("TTTT");
-  auto r = full_align<align_kind::local>(view(q), view(s), linear_gap{-1},
-                                         simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::local>(ws, view(q), view(s), linear_gap{-1},
+                                        simple_scoring{2, -1});
   EXPECT_EQ(r.score, 0);
   EXPECT_TRUE(r.q_aligned.empty());
 }
@@ -100,8 +120,9 @@ TEST(FullEngineLocal, AllMismatchesGiveEmptyAlignment) {
 TEST(FullEngineLocal, ScoreNeverNegative) {
   auto q = test::random_codes(40, 1);
   auto s = test::random_codes(35, 2);
-  auto r = full_align<align_kind::local>(view(q), view(s), linear_gap{-3},
-                                         simple_scoring{1, -3});
+  workspace ws;
+  auto r = full_pass<align_kind::local>(ws, view(q), view(s), linear_gap{-3},
+                                        simple_scoring{1, -3});
   EXPECT_GE(r.score, 0);
 }
 
@@ -109,9 +130,10 @@ TEST(FullEngineSemiglobal, FreeEndGaps) {
   // Read contained in a longer reference: all matches, no gap penalty.
   auto q = enc("ACGTAC");
   auto s = enc("TTTTACGTACTTTT");
-  auto r = full_align<align_kind::semiglobal>(view(q), view(s),
-                                              linear_gap{-1},
-                                              simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::semiglobal>(ws, view(q), view(s),
+                                             linear_gap{-1},
+                                             simple_scoring{2, -1});
   EXPECT_EQ(r.score, 12);
   EXPECT_EQ(r.q_aligned, "ACGTAC");
   EXPECT_EQ(r.s_begin, 4);
@@ -122,9 +144,10 @@ TEST(FullEngineSemiglobal, OverlapAlignment) {
   // Suffix of q overlaps prefix of s.
   auto q = enc("GGGGACGT");
   auto s = enc("ACGTCCCC");
-  auto r = full_align<align_kind::semiglobal>(view(q), view(s),
-                                              linear_gap{-1},
-                                              simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::semiglobal>(ws, view(q), view(s),
+                                             linear_gap{-1},
+                                             simple_scoring{2, -1});
   EXPECT_EQ(r.score, 8);
   EXPECT_EQ(r.q_begin, 4);
   EXPECT_EQ(r.s_begin, 0);
@@ -134,8 +157,10 @@ TEST(FullEngineExtension, AnchoredAtOrigin) {
   // Extension must start at (0,0): prefix match then it may stop.
   auto q = enc("ACGTTTTT");
   auto s = enc("ACGAAAA");
-  auto r = full_align<align_kind::extension>(view(q), view(s), linear_gap{-2},
-                                             simple_scoring{2, -2});
+  workspace ws;
+  auto r = full_pass<align_kind::extension>(ws, view(q), view(s),
+                                            linear_gap{-2},
+                                            simple_scoring{2, -2});
   EXPECT_EQ(r.score, 6);  // "ACG" prefix
   EXPECT_EQ(r.q_begin, 0);
   EXPECT_EQ(r.s_begin, 0);
@@ -144,11 +169,12 @@ TEST(FullEngineExtension, AnchoredAtOrigin) {
 }
 
 TEST(FullEngineTraceback, RescoreReproducesScoreLinear) {
+  workspace ws;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     auto q = test::random_codes(30 + seed, seed * 3 + 1);
     auto s = test::mutate(q, seed * 7 + 2);
-    auto r = full_align<align_kind::global>(view(q), view(s), linear_gap{-1},
-                                            simple_scoring{2, -1});
+    auto r = full_pass<align_kind::global>(ws, view(q), view(s), linear_gap{-1},
+                                           simple_scoring{2, -1});
     const score_t re = rescore_alignment(
         r.q_aligned, r.s_aligned,
         [](char a, char b) { return a == b ? 2 : -1; }, linear_gap{-1});
@@ -157,12 +183,13 @@ TEST(FullEngineTraceback, RescoreReproducesScoreLinear) {
 }
 
 TEST(FullEngineTraceback, RescoreReproducesScoreAffine) {
+  workspace ws;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     auto q = test::random_codes(25 + seed, seed + 11);
     auto s = test::mutate(q, seed + 12, 0.1, 0.08);
-    auto r = full_align<align_kind::global>(view(q), view(s),
-                                            affine_gap{-3, -1},
-                                            simple_scoring{2, -1});
+    auto r = full_pass<align_kind::global>(ws, view(q), view(s),
+                                           affine_gap{-3, -1},
+                                           simple_scoring{2, -1});
     const score_t re = rescore_alignment(
         r.q_aligned, r.s_aligned,
         [](char a, char b) { return a == b ? 2 : -1; }, affine_gap{-3, -1});
@@ -173,9 +200,10 @@ TEST(FullEngineTraceback, RescoreReproducesScoreAffine) {
 TEST(FullEngineTraceback, AlignedStringsConsistentWithInputs) {
   auto q = test::random_codes(40, 5);
   auto s = test::mutate(q, 6);
-  auto r = full_align<align_kind::global>(view(q), view(s),
-                                          affine_gap{-2, -1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s),
+                                         affine_gap{-2, -1},
+                                         simple_scoring{2, -1});
   // Stripping gaps must reproduce the inputs exactly.
   std::string q_plain, s_plain;
   for (char c : r.q_aligned)
@@ -187,12 +215,13 @@ TEST(FullEngineTraceback, AlignedStringsConsistentWithInputs) {
 }
 
 TEST(FullEngineTraceback, LocalRegionRescores) {
+  workspace ws;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     auto q = test::random_codes(50, seed + 100);
     auto s = test::random_codes(45, seed + 200);
-    auto r = full_align<align_kind::local>(view(q), view(s),
-                                           affine_gap{-4, -1},
-                                           simple_scoring{3, -2});
+    auto r = full_pass<align_kind::local>(ws, view(q), view(s),
+                                          affine_gap{-4, -1},
+                                          simple_scoring{3, -2});
     const score_t re = rescore_alignment(
         r.q_aligned, r.s_aligned,
         [](char a, char b) { return a == b ? 3 : -2; }, affine_gap{-4, -1});
@@ -210,15 +239,18 @@ TEST(FullEngineTraceback, LocalRegionRescores) {
 
 TEST(FullEngine, CellsCounterIsNM) {
   auto q = test::random_codes(13, 1), s = test::random_codes(17, 2);
-  auto r = full_align<align_kind::global>(view(q), view(s), linear_gap{-1},
-                                          simple_scoring{2, -1});
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s), linear_gap{-1},
+                                         simple_scoring{2, -1});
   EXPECT_EQ(r.cells, 13u * 17u);
 }
 
 TEST(FullEngine, MatrixScoringPath) {
   auto q = enc("ACGT"), s = enc("ACGT");
   const auto m = dna_matrix_scoring::uniform(2, -1);
-  auto r = full_align<align_kind::global>(view(q), view(s), linear_gap{-1}, m);
+  workspace ws;
+  auto r = full_pass<align_kind::global>(ws, view(q), view(s), linear_gap{-1},
+                                         m);
   EXPECT_EQ(r.score, 8);
 }
 

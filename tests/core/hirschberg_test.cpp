@@ -11,13 +11,30 @@ namespace {
 
 using test::view;
 
+/// The serial divide & conquer engine, carving from `ws`.
+template <class Gap>
+alignment_result hirschberg_pass(workspace& ws, stage::seq_view q,
+                                 stage::seq_view s, const Gap& gap,
+                                 const simple_scoring& sc,
+                                 index_t base_cells = 1 << 14) {
+  using lr = serial_last_row<Gap, simple_scoring>;
+  hirschberg_engine<Gap, simple_scoring, lr> eng(gap, sc, lr{gap, sc},
+                                                 {base_cells});
+  alignment_result r;
+  eng.align_into(q, s, ws, r);
+  return r;
+}
+
 template <class Gap>
 void check_hirschberg(const std::vector<char_t>& q,
                       const std::vector<char_t>& s, const Gap& gap,
                       index_t base_cells, const char* label) {
   const simple_scoring sc{2, -1};
-  auto full = full_align<align_kind::global>(view(q), view(s), gap, sc);
-  auto hir = hirschberg_align(view(q), view(s), gap, sc, base_cells);
+  workspace ws;
+  alignment_result full;
+  full_engine<align_kind::global, Gap, simple_scoring>(gap, sc).align_into(
+      view(q), view(s), true, ws, full);
+  auto hir = hirschberg_pass(ws, view(q), view(s), gap, sc, base_cells);
   EXPECT_EQ(hir.score, full.score) << label;
   // The alignment itself may differ (co-optimal paths) but must re-score
   // to the optimum and reproduce the inputs when gaps are stripped.
@@ -88,19 +105,20 @@ TEST(Hirschberg, DegenerateShapes) {
   std::vector<char_t> empty;
   auto a = dna_encode_all("ACGT");
   // empty vs empty
-  auto r0 = hirschberg_align(view(empty), view(empty), linear_gap{-1}, sc);
+  workspace ws;
+  auto r0 = hirschberg_pass(ws, view(empty), view(empty), linear_gap{-1}, sc);
   EXPECT_EQ(r0.score, 0);
   // empty vs s
-  auto r1 = hirschberg_align(view(empty), view(a), affine_gap{-2, -1}, sc);
+  auto r1 = hirschberg_pass(ws, view(empty), view(a), affine_gap{-2, -1}, sc);
   EXPECT_EQ(r1.score, -6);
   EXPECT_EQ(r1.s_aligned, "ACGT");
   EXPECT_EQ(r1.q_aligned, "----");
   // q vs empty
-  auto r2 = hirschberg_align(view(a), view(empty), affine_gap{-2, -1}, sc);
+  auto r2 = hirschberg_pass(ws, view(a), view(empty), affine_gap{-2, -1}, sc);
   EXPECT_EQ(r2.score, -6);
   // single characters
   auto c = dna_encode_all("A"), g = dna_encode_all("G");
-  auto r3 = hirschberg_align(view(c), view(g), linear_gap{-1}, sc);
+  auto r3 = hirschberg_pass(ws, view(c), view(g), linear_gap{-1}, sc);
   EXPECT_EQ(r3.score, -1);  // mismatch beats two gaps
 }
 
@@ -110,17 +128,21 @@ TEST(Hirschberg, SingleRowBaseCase) {
   auto q = dna_encode_all("G");
   auto s = dna_encode_all("AAGAA");
   const simple_scoring sc{2, -1};
-  auto r = hirschberg_align(view(q), view(s), affine_gap{-2, -1}, sc, 1);
-  auto ref = full_align<align_kind::global>(view(q), view(s),
-                                            affine_gap{-2, -1}, sc);
+  workspace ws;
+  auto r = hirschberg_pass(ws, view(q), view(s), affine_gap{-2, -1}, sc, 1);
+  alignment_result ref;
+  full_engine<align_kind::global, affine_gap, simple_scoring>(
+      affine_gap{-2, -1}, sc)
+      .align_into(view(q), view(s), true, ws, ref);
   EXPECT_EQ(r.score, ref.score);
 }
 
 TEST(Hirschberg, CellsAtMostDoubled) {
   auto q = test::random_codes(100, 9);
   auto s = test::random_codes(90, 10);
-  auto r = hirschberg_align(view(q), view(s), affine_gap{-2, -1},
-                            simple_scoring{2, -1}, 64);
+  workspace ws;
+  auto r = hirschberg_pass(ws, view(q), view(s), affine_gap{-2, -1},
+                           simple_scoring{2, -1}, 64);
   EXPECT_LE(r.cells, 2u * 100u * 90u + 100u + 90u);
   EXPECT_GE(r.cells, 100u * 90u);  // at least one full sweep
 }

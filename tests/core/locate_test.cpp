@@ -11,12 +11,22 @@ namespace {
 
 using test::view;
 
-/// Global aligner hook for locate_align: the serial D&C engine.
-template <class Gap>
-auto galign_of(const Gap& gap) {
-  return [gap](stage::seq_view q, stage::seq_view s) {
-    return hirschberg_align(q, s, gap, simple_scoring{2, -1});
-  };
+/// locate_align_into with the serial D&C engine as its global aligner,
+/// every pass carved from `ws`.
+template <align_kind K, class Gap>
+alignment_result locate_pass(workspace& ws, stage::seq_view q,
+                             stage::seq_view s, const Gap& gap) {
+  const simple_scoring sc{2, -1};
+  using lr = serial_last_row<Gap, simple_scoring>;
+  hirschberg_engine<Gap, simple_scoring, lr> hir(gap, sc, lr{gap, sc});
+  alignment_result out;
+  locate_align_into<K>(
+      q, s, gap, sc,
+      [&](stage::seq_view subq, stage::seq_view subs, alignment_result& r) {
+        hir.align_into(subq, subs, ws, r);
+      },
+      ws, out);
+  return out;
 }
 
 template <align_kind K, class Gap>
@@ -25,9 +35,11 @@ void locate_matches_full(std::uint64_t seed, index_t nq, index_t ns,
   auto q = test::random_codes(nq, seed);
   auto s = test::random_codes(ns, seed + 77);
   const simple_scoring sc{2, -1};
-  const auto want = full_align<K>(view(q), view(s), gap, sc, true);
-  const auto got =
-      locate_align<K>(view(q), view(s), gap, sc, galign_of(gap));
+  workspace ws;
+  alignment_result want;
+  full_engine<K, Gap, simple_scoring>(gap, sc).align_into(view(q), view(s),
+                                                          true, ws, want);
+  const auto got = locate_pass<K>(ws, view(q), view(s), gap);
   ASSERT_EQ(got.score, want.score) << to_string(K) << " seed " << seed;
   if (got.score > 0 || K == align_kind::semiglobal) {
     const score_t re = rescore_alignment(
@@ -64,8 +76,8 @@ TEST(Locate, LocalRegionCoordinatesConsistent) {
   auto q = test::random_codes(120, 5);
   auto s = test::mutate(q, 6);
   const affine_gap gap{-2, -1};
-  const auto r = locate_align<align_kind::local>(
-      view(q), view(s), gap, simple_scoring{2, -1}, galign_of(gap));
+  workspace ws;
+  const auto r = locate_pass<align_kind::local>(ws, view(q), view(s), gap);
   std::size_t q_chars = 0, s_chars = 0;
   for (char c : r.q_aligned)
     if (c != '-') ++q_chars;
@@ -79,8 +91,8 @@ TEST(Locate, EmptyLocalOptimalAlignment) {
   auto q = dna_encode_all("AAAA");
   auto s = dna_encode_all("TTTT");
   const linear_gap gap{-1};
-  const auto r = locate_align<align_kind::local>(
-      view(q), view(s), gap, simple_scoring{2, -1}, galign_of(gap));
+  workspace ws;
+  const auto r = locate_pass<align_kind::local>(ws, view(q), view(s), gap);
   EXPECT_EQ(r.score, 0);
   EXPECT_TRUE(r.q_aligned.empty());
 }
@@ -89,8 +101,9 @@ TEST(Locate, SemiglobalEmbeddedReadRecoversCoordinates) {
   auto ref = test::random_codes(500, 9);
   std::vector<char_t> read(ref.begin() + 100, ref.begin() + 250);
   const linear_gap gap{-1};
-  const auto r = locate_align<align_kind::semiglobal>(
-      view(read), view(ref), gap, simple_scoring{2, -1}, galign_of(gap));
+  workspace ws;
+  const auto r = locate_pass<align_kind::semiglobal>(ws, view(read), view(ref),
+                                                     gap);
   EXPECT_EQ(r.score, 300);
   EXPECT_EQ(r.s_begin, 100);
   EXPECT_EQ(r.s_end, 250);
@@ -104,11 +117,17 @@ TEST(ExtensionBorderScore, MatchesBruteForceBorderMax) {
   auto s = test::random_codes(17, 12);
   const affine_gap gap{-2, -1};
   const simple_scoring sc{2, -1};
-  const auto got = extension_border_score(view(q), view(s), gap, sc);
+  workspace ws;
+  const auto got = extension_border_score(view(q), view(s), gap, sc, ws);
 
   // Brute force via the full extension engine's H matrix.
-  full_engine<align_kind::extension, affine_gap, simple_scoring> eng(gap, sc);
-  (void)eng.align(view(q), view(s), false);
+  // (H is readable after the pass only from an arena reserved to it.)
+  using full_t = full_engine<align_kind::extension, affine_gap, simple_scoring>;
+  full_t eng(gap, sc);
+  ws.reserve_bytes(full_t::plan_bytes(static_cast<index_t>(q.size()),
+                                      static_cast<index_t>(s.size())));
+  alignment_result full;
+  eng.align_into(view(q), view(s), false, ws, full);
   auto hm = eng.h_matrix(static_cast<index_t>(q.size()),
                          static_cast<index_t>(s.size()));
   score_t want = neg_inf();

@@ -32,9 +32,11 @@ template <align_kind K>
 score_result run_rolling(const std::vector<char_t>& q,
                          const std::vector<char_t>& s, const grid_param& p) {
   const simple_scoring sc{p.match, p.mismatch};
+  workspace ws;
   if (p.open == 0)
-    return rolling_score<K>(view(q), view(s), linear_gap{p.extend}, sc);
-  return rolling_score<K>(view(q), view(s), affine_gap{p.open, p.extend}, sc);
+    return rolling_score<K>(view(q), view(s), linear_gap{p.extend}, sc, ws);
+  return rolling_score<K>(view(q), view(s), affine_gap{p.open, p.extend}, sc,
+                          ws);
 }
 
 score_result run_kind(const std::vector<char_t>& q,

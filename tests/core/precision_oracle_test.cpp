@@ -306,13 +306,16 @@ TEST(PrecisionWindow, BitparBatchCountsAndMatchesRolling) {
   const simple_scoring sc{0, -1};  // unit cost
   tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>
       eng(linear_gap{-1}, sc, {1});
-  const auto got = eng.scores(pairs);
+  workspace ws;
+  std::vector<score_result> got(pairs.size());
+  eng.score_into(std::span<const tiled::pair_view>(pairs), ws,
+                 std::span<score_result>(got));
   EXPECT_EQ(eng.last_stats().bitpar_pairs, 24u);
   for (int i = 0; i < 24; ++i) {
     const auto want =
         rolling_score<align_kind::global>(pairs[i].q, pairs[i].s,
-                                          linear_gap{-1}, sc);
-    EXPECT_EQ(got[i], want.score) << "pair " << i;
+                                          linear_gap{-1}, sc, ws);
+    EXPECT_EQ(got[i].score, want.score) << "pair " << i;
   }
 }
 
@@ -327,54 +330,62 @@ TEST_P(RaggedOracle, JitteredBatchesMatchInt32Rolling) {
   const auto p = GetParam();
   const baselines::naive_params np =
       test::oracle_affine(p.kind, p.match, p.mismatch, p.open, p.extend);
-  for (const std::uint64_t seed : {1, 2, 3}) {
-    // Near-shape run (what the service's shape sort produces): lengths
-    // jitter in [40, 50], so no chunk is uniform.
-    std::mt19937_64 rng(seed * 101);
-    std::uniform_int_distribution<int> len(40, 50);
-    std::vector<std::vector<char_t>> qs, ss;
-    std::vector<seq_pair> pairs;
-    for (int i = 0; i < 48; ++i) {
-      qs.push_back(test::random_codes(static_cast<std::size_t>(len(rng)),
-                                      seed * 977 + i));
-      ss.push_back(test::random_codes(static_cast<std::size_t>(len(rng)),
-                                      seed * 991 + i));
-    }
-    for (int i = 0; i < 48; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
-    align_options base;
-    base.kind = p.kind;
-    base.match = p.match;
-    base.mismatch = p.mismatch;
-    base.gap_open = p.open;
-    base.gap_extend = p.extend;
-    base.threads = 1;
-    for (backend b : runnable_backends()) {
-      base.exec = b;
-      SCOPED_TRACE(::testing::Message() << "seed " << seed << " backend "
-                                        << to_string(b));
-      align_options o = base;
-      o.precision = score_precision::int32;
-      aligner ref_a(o);
-      std::vector<alignment_result> ref;
-      ref_a.align_batch_into(pairs, ref);
-      o.precision = score_precision::auto_select;
-      aligner a(o);
-      std::vector<alignment_result> got;
-      a.align_batch_into(pairs, got);
+  // Near-shape runs (what the service's shape sort produces): lengths
+  // jitter in [40, 50] over three seeds, and in [280, 300] — chunks past
+  // 250 bp, where a chunk's rows outgrow L1 — over one, so no chunk is
+  // uniform.
+  struct jitter {
+    int lo, hi;
+    std::uint64_t seeds;
+  };
+  for (const jitter j : {jitter{40, 50, 3}, jitter{280, 300, 1}})
+    for (std::uint64_t seed = 1; seed <= j.seeds; ++seed) {
+      std::mt19937_64 rng(seed * 101);
+      std::uniform_int_distribution<int> len(j.lo, j.hi);
+      std::vector<std::vector<char_t>> qs, ss;
+      std::vector<seq_pair> pairs;
       for (int i = 0; i < 48; ++i) {
-        SCOPED_TRACE(::testing::Message() << "pair " << i);
-        ASSERT_EQ(got[i].score, baselines::naive_score(qs[i], ss[i], np));
-        ASSERT_EQ(got[i].score, ref[i].score);
-        ASSERT_EQ(got[i].q_end, ref[i].q_end);
-        ASSERT_EQ(got[i].s_end, ref[i].s_end);
+        qs.push_back(test::random_codes(static_cast<std::size_t>(len(rng)),
+                                        seed * 977 + i));
+        ss.push_back(test::random_codes(static_cast<std::size_t>(len(rng)),
+                                        seed * 991 + i));
       }
-      // Vector variants keep every pair on SIMD lanes (padded chunks or
-      // striped pairs).
-      if (b != backend::scalar) {
-        EXPECT_EQ(a.last_batch_stats().simd_pairs, 48u);
+      for (int i = 0; i < 48; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
+      align_options base;
+      base.kind = p.kind;
+      base.match = p.match;
+      base.mismatch = p.mismatch;
+      base.gap_open = p.open;
+      base.gap_extend = p.extend;
+      base.threads = 1;
+      for (backend b : runnable_backends()) {
+        base.exec = b;
+        SCOPED_TRACE(::testing::Message()
+                     << "lengths " << j.lo << ".." << j.hi << " seed " << seed
+                     << " backend " << to_string(b));
+        align_options o = base;
+        o.precision = score_precision::int32;
+        aligner ref_a(o);
+        std::vector<alignment_result> ref;
+        ref_a.align_batch_into(pairs, ref);
+        o.precision = score_precision::auto_select;
+        aligner a(o);
+        std::vector<alignment_result> got;
+        a.align_batch_into(pairs, got);
+        for (int i = 0; i < 48; ++i) {
+          SCOPED_TRACE(::testing::Message() << "pair " << i);
+          ASSERT_EQ(got[i].score, baselines::naive_score(qs[i], ss[i], np));
+          ASSERT_EQ(got[i].score, ref[i].score);
+          ASSERT_EQ(got[i].q_end, ref[i].q_end);
+          ASSERT_EQ(got[i].s_end, ref[i].s_end);
+        }
+        // Vector variants keep every pair on SIMD lanes (padded chunks or
+        // striped pairs).
+        if (b != backend::scalar) {
+          EXPECT_EQ(a.last_batch_stats().simd_pairs, 48u);
+        }
       }
     }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -428,7 +439,10 @@ TEST(RaggedOracle, MinLiveFloorSplitsOrAdmitsAtBoundary) {
     std::vector<tiled::pair_view> pairs;
     floor_window(kWidth, kFloor, short_by_one, qs, ss, pairs);
     engine eng(linear_gap{-1}, sc, {1});
-    const auto got = eng.score_results(pairs);
+    workspace ws;
+    std::vector<score_result> got(pairs.size());
+    eng.score_into(std::span<const tiled::pair_view>(pairs), ws,
+                   std::span<score_result>(got));
     const auto st = eng.last_stats();
     const auto w = static_cast<std::uint64_t>(kWidth);
     EXPECT_EQ(st.simd_pairs, w);
@@ -444,7 +458,7 @@ TEST(RaggedOracle, MinLiveFloorSplitsOrAdmitsAtBoundary) {
     }
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       const auto want = rolling_score<align_kind::global>(
-          pairs[i].q, pairs[i].s, linear_gap{-1}, sc);
+          pairs[i].q, pairs[i].s, linear_gap{-1}, sc, ws);
       EXPECT_EQ(got[i].score, want.score) << "lane " << i;
       EXPECT_EQ(got[i].end_i, want.end_i) << "lane " << i;
       EXPECT_EQ(got[i].end_j, want.end_j) << "lane " << i;

@@ -17,8 +17,11 @@ void expect_matches_full(std::uint64_t seed, index_t nq, index_t ns,
   auto q = test::random_codes(nq, seed);
   auto s = test::random_codes(ns, seed + 1000);
   const simple_scoring sc{2, -1};
-  auto full = full_align<K>(view(q), view(s), gap, sc, false);
-  auto roll = rolling_score<K>(view(q), view(s), gap, sc);
+  workspace ws;
+  alignment_result full;
+  full_engine<K, Gap, simple_scoring>(gap, sc).align_into(view(q), view(s),
+                                                          false, ws, full);
+  auto roll = rolling_score<K>(view(q), view(s), gap, sc, ws);
   EXPECT_EQ(roll.score, full.score)
       << to_string(K) << " seed " << seed << " " << nq << "x" << ns;
   EXPECT_EQ(roll.end_i, full.q_end);
@@ -61,19 +64,20 @@ TEST(RollingScore, MatchesFullEngineExtension) {
 
 TEST(RollingScore, EmptyInputs) {
   std::vector<char_t> q, s = dna_encode_all("ACG");
+  workspace ws;
   EXPECT_EQ((rolling_score<align_kind::global>(view(q), view(s),
                                                linear_gap{-1},
-                                               simple_scoring{2, -1})
+                                               simple_scoring{2, -1}, ws)
                  .score),
             -3);
   EXPECT_EQ((rolling_score<align_kind::local>(view(q), view(s),
                                               linear_gap{-1},
-                                              simple_scoring{2, -1})
+                                              simple_scoring{2, -1}, ws)
                  .score),
             0);
   EXPECT_EQ((rolling_score<align_kind::semiglobal>(view(q), view(s),
                                                    linear_gap{-1},
-                                                   simple_scoring{2, -1})
+                                                   simple_scoring{2, -1}, ws)
                  .score),
             0);
 }
@@ -83,9 +87,10 @@ TEST(RollingScore, ReversedViewsGiveSameGlobalScore) {
   auto q = test::random_codes(33, 7), s = test::mutate(q, 8);
   const simple_scoring sc{2, -1};
   const affine_gap gap{-2, -1};
-  auto fwd = rolling_score<align_kind::global>(view(q), view(s), gap, sc);
+  workspace ws;
+  auto fwd = rolling_score<align_kind::global>(view(q), view(s), gap, sc, ws);
   auto rev = rolling_score<align_kind::global>(
-      stage::rev_view(view(q)), stage::rev_view(view(s)), gap, sc);
+      stage::rev_view(view(q)), stage::rev_view(view(s)), gap, sc, ws);
   EXPECT_EQ(fwd.score, rev.score);
 }
 
@@ -96,7 +101,8 @@ TEST(NwLastRow, FinalEntryEqualsGlobalScore) {
   std::vector<score_t> hh(s.size() + 1), ee(s.size() + 1);
   nw_last_row(view(q), view(s), gap, sc, gap.open(), std::span(hh),
               std::span(ee));
-  auto ref = rolling_score<align_kind::global>(view(q), view(s), gap, sc);
+  workspace ws;
+  auto ref = rolling_score<align_kind::global>(view(q), view(s), gap, sc, ws);
   EXPECT_EQ(hh.back(), ref.score);
 }
 
@@ -107,9 +113,10 @@ TEST(NwLastRow, EveryEntryIsAPrefixGlobalScore) {
   std::vector<score_t> hh(s.size() + 1), ee(s.size() + 1);
   nw_last_row(view(q), view(s), gap, sc, gap.open(), std::span(hh),
               std::span(ee));
+  workspace ws;
   for (index_t j = 0; j <= static_cast<index_t>(s.size()); ++j) {
     auto ref = rolling_score<align_kind::global>(
-        view(q), view(s).sub(0, j), gap, sc);
+        view(q), view(s).sub(0, j), gap, sc, ws);
     EXPECT_EQ(hh[j], ref.score) << "prefix " << j;
   }
 }

@@ -18,7 +18,8 @@ void fpga_matches_reference(index_t n, index_t m, const Gap& gap,
   fpga_config cfg;
   cfg.kpe = kpe;
   const auto got = systolic_score<K>(view(q), view(s), gap, sc, cfg);
-  const auto want = rolling_score<K>(view(q), view(s), gap, sc);
+  workspace ws;
+  const auto want = rolling_score<K>(view(q), view(s), gap, sc, ws);
   ASSERT_EQ(got.score, want.score)
       << to_string(K) << " kpe " << kpe << " seed " << seed;
 }

@@ -19,7 +19,8 @@ void gpu_matches_reference(index_t n, index_t m, const Gap& gap,
   device dev;
   gpu_engine<K, Gap, simple_scoring> eng(dev, gap, sc, cfg);
   const auto got = eng.score(view(q), view(s));
-  const auto want = rolling_score<K>(view(q), view(s), gap, sc);
+  workspace ws;
+  const auto want = rolling_score<K>(view(q), view(s), gap, sc, ws);
   ASSERT_EQ(got.score, want.score) << to_string(K) << " seed " << seed;
 }
 
@@ -101,8 +102,11 @@ TEST(GpuEngine, AlignTracebackRescores) {
   gpu_engine<align_kind::global, affine_gap, simple_scoring> eng(
       dev, affine_gap{-2, -1}, sc, {64, 64, 16});
   auto r = eng.align(view(q), view(s));
-  auto want = full_align<align_kind::global>(view(q), view(s),
-                                             affine_gap{-2, -1}, sc, false);
+  workspace ws;
+  alignment_result want;
+  full_engine<align_kind::global, affine_gap, simple_scoring>(
+      affine_gap{-2, -1}, sc)
+      .align_into(view(q), view(s), false, ws, want);
   EXPECT_EQ(r.score, want.score);
   const score_t re = rescore_alignment(
       r.q_aligned, r.s_aligned,
@@ -124,9 +128,10 @@ TEST(GpuEngine, BatchScoresMatchScalar) {
       dev, linear_gap{-1}, sc);
   auto rs = eng.batch(pairs, true);
   ASSERT_EQ(rs.size(), 10u);
+  workspace ws;
   for (int i = 0; i < 10; ++i) {
     const auto want = rolling_score<align_kind::global>(
-        pairs[i].q, pairs[i].s, linear_gap{-1}, sc);
+        pairs[i].q, pairs[i].s, linear_gap{-1}, sc, ws);
     EXPECT_EQ(rs[i].score, want.score) << i;
     EXPECT_TRUE(rs[i].has_alignment);
   }

@@ -875,13 +875,39 @@ TEST(Service, RepeatOffendersAreQuarantinedAtSubmit) {
                    align(view(other), view(other)));
 }
 
-TEST(Service, GlobalServiceFreeFunctions) {
-  const auto q = random_codes(16, 19);
-  auto t = submit(view(q), view(q));
-  EXPECT_EQ(t.get().score, align(view(q), view(q)).score);
-  auto t2 = submit_strings("ACGT", "ACGT");
-  EXPECT_EQ(t2.get().score, align_strings("ACGT", "ACGT").score);
-  EXPECT_GE(stats().completed, 2u);
+/// `submit` checks a pair's shape next to its options: the int32
+/// overflow shapes (global A^n against C^n at +-2^20 for n = 2100 and
+/// 4000, and A^2,200,000 against "A" at gap -1000) throw
+/// score_overflow_error synchronously, by view and by string,
+/// score-only and with a traceback, and are never admitted.
+TEST(Service, SubmitRejectsShapesPastTheInt32Bound) {
+  align_options huge;
+  huge.match = max_abs_score;
+  huge.mismatch = -max_abs_score;
+  huge.gap_extend = -max_abs_score;
+  align_options gap1000;
+  gap1000.gap_extend = -1000;
+  struct shape {
+    std::size_t n, m;
+    char s_char;
+    align_options opt;
+  };
+  aligner svc;
+  for (const shape& sh : {shape{2100, 2100, 'C', huge},
+                          shape{4000, 4000, 'C', huge},
+                          shape{2200000, 1, 'A', gap1000}}) {
+    const std::string qs(sh.n, 'A'), ss(sh.m, sh.s_char);
+    const auto q = dna_encode_all(qs), s = dna_encode_all(ss);
+    for (const bool tb : {false, true}) {
+      align_options o = sh.opt;
+      o.want_alignment = tb;
+      EXPECT_THROW((void)svc.submit(view(q), view(s), o),
+                   score_overflow_error);
+      EXPECT_THROW((void)svc.submit_strings(qs, ss, o),
+                   score_overflow_error);
+    }
+  }
+  EXPECT_EQ(svc.stats().accepted, 0u);
 }
 
 }  // namespace

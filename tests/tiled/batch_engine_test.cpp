@@ -31,11 +31,15 @@ void batch_matches_scalar(std::size_t pairs_n, index_t len, const Gap& gap,
   for (std::size_t i = 0; i < pairs_n; ++i)
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
-  batch_engine<K, Gap, simple_scoring, Lanes> eng(gap, sc, {threads});
-  auto got = eng.score_results(pairs);
-  ASSERT_EQ(got.size(), pairs_n);
+  std::vector<workspace> workers(static_cast<std::size_t>(threads));
+  batch_engine<K, Gap, simple_scoring, Lanes> eng(
+      gap, sc, {threads, score_precision::auto_select, workers});
+  workspace ws;
+  std::vector<score_result> got(pairs_n);
+  eng.score_into(std::span<const pair_view>(pairs), ws,
+                 std::span<score_result>(got));
   for (std::size_t i = 0; i < pairs_n; ++i) {
-    const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc);
+    const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc, ws);
     ASSERT_EQ(got[i].score, want.score) << "pair " << i << " " << to_string(K);
     ASSERT_EQ(got[i].end_i, want.end_i) << "pair " << i << " " << to_string(K);
     ASSERT_EQ(got[i].end_j, want.end_j) << "pair " << i << " " << to_string(K);
@@ -90,15 +94,19 @@ TEST(BatchEngine, RaggedLengthsPadOrFallBackPerPair) {
   for (std::size_t i = 0; i < 40; ++i)
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
+  workspace ws;
+  std::vector<workspace> workers(2);
   for (const score_precision p :
        {score_precision::auto_select, score_precision::int32}) {
     batch_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
-        affine_gap{-2, -1}, sc, {2, p});
-    auto got = eng.scores(pairs);
+        affine_gap{-2, -1}, sc, {2, p, workers});
+    std::vector<score_result> got(pairs.size());
+    eng.score_into(std::span<const pair_view>(pairs), ws,
+                   std::span<score_result>(got));
     for (std::size_t i = 0; i < 40; ++i) {
       const auto want = rolling_score<align_kind::global>(
-          pairs[i].q, pairs[i].s, affine_gap{-2, -1}, sc);
-      ASSERT_EQ(got[i], want.score) << i;
+          pairs[i].q, pairs[i].s, affine_gap{-2, -1}, sc, ws);
+      ASSERT_EQ(got[i].score, want.score) << i;
     }
     const auto st = eng.last_stats();
     if (p == score_precision::auto_select) {
@@ -133,8 +141,9 @@ void few_ragged_pairs_match_rolling(const Gap& gap) {
         }
         for (std::size_t i = 0; i < count; ++i)
           pairs.push_back({view(qs[i]), view(ss[i])});
-        batch_engine<K, Gap, simple_scoring, Lanes> eng(gap, sc,
-                                                        {threads, p});
+        std::vector<workspace> workers(static_cast<std::size_t>(threads));
+        batch_engine<K, Gap, simple_scoring, Lanes> eng(
+            gap, sc, {threads, p, workers});
         workspace ws;
         std::vector<score_result> got(count);
         eng.score_into(std::span<const pair_view>(pairs), ws,
@@ -144,7 +153,8 @@ void few_ragged_pairs_match_rolling(const Gap& gap) {
                      << count << " threads " << threads << " "
                      << to_string(p));
         for (std::size_t i = 0; i < count; ++i) {
-          const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc);
+          const auto want =
+              rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc, ws);
           ASSERT_EQ(got[i].score, want.score) << "pair " << i;
           ASSERT_EQ(got[i].end_i, want.end_i) << "pair " << i;
           ASSERT_EQ(got[i].end_j, want.end_j) << "pair " << i;
@@ -180,9 +190,13 @@ TEST(BatchEngine, StatsCountSimdPath) {
   const simple_scoring sc{2, -1};
   batch_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
       linear_gap{-1}, sc, {1});
-  auto got = eng.scores(pairs);
+  workspace ws;
+  std::vector<score_result> got(pairs.size());
+  eng.score_into(std::span<const pair_view>(pairs), ws,
+                 std::span<score_result>(got));
   EXPECT_EQ(eng.last_stats().simd_pairs, 32u);
-  for (score_t v : got) EXPECT_EQ(v, 100);  // self-alignment, all matches
+  for (const score_result& r : got)
+    EXPECT_EQ(r.score, 100);  // self-alignment, all matches
 }
 
 // --- sub-width tails ---------------------------------------------------
@@ -221,10 +235,14 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
     pairs.push_back({view(qs[i]), view(ss[i])});
   const simple_scoring sc{2, -1};
   using engine = batch_engine<K, Gap, simple_scoring, Lanes>;
-  engine eng(gap, sc, {threads});
-  const auto got = eng.score_results(pairs);
+  std::vector<workspace> workers(static_cast<std::size_t>(threads));
+  engine eng(gap, sc, {threads, score_precision::auto_select, workers});
+  workspace ws;
+  std::vector<score_result> got(count);
+  eng.score_into(std::span<const pair_view>(pairs), ws,
+                 std::span<score_result>(got));
   for (std::size_t i = 0; i < count; ++i) {
-    const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc);
+    const auto want = rolling_score<K>(pairs[i].q, pairs[i].s, gap, sc, ws);
     ASSERT_EQ(got[i].score, want.score) << "pair " << i;
     ASSERT_EQ(got[i].end_i, want.end_i) << "pair " << i;
     ASSERT_EQ(got[i].end_j, want.end_j) << "pair " << i;
@@ -291,14 +309,20 @@ TEST(BatchEngine, AlignAllProducesValidTracebacks) {
   std::vector<pair_view> pairs;
   for (const auto& p : rp) pairs.push_back({p.first.view(), p.second.view()});
   const simple_scoring sc{2, -1};
+  std::vector<workspace> workers(2);
   batch_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
-      affine_gap{-2, -1}, sc, {2});
-  auto results = eng.align_all(pairs);
-  auto scores = eng.scores(pairs);
+      affine_gap{-2, -1}, sc, {2, score_precision::auto_select, workers});
+  workspace ws;
+  std::vector<alignment_result> results(pairs.size());
+  std::vector<score_result> scores(pairs.size());
+  eng.align_into(std::span<const pair_view>(pairs), ws,
+                 std::span<alignment_result>(results));
+  eng.score_into(std::span<const pair_view>(pairs), ws,
+                 std::span<score_result>(scores));
   ASSERT_EQ(results.size(), 20u);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_TRUE(results[i].has_alignment);
-    EXPECT_EQ(results[i].score, scores[i]) << i;
+    EXPECT_EQ(results[i].score, scores[i].score) << i;
     const score_t re = rescore_alignment(
         results[i].q_aligned, results[i].s_aligned,
         [](char a, char b) { return a == b ? 2 : -1; }, affine_gap{-2, -1});
@@ -310,8 +334,47 @@ TEST(BatchEngine, EmptyBatch) {
   const simple_scoring sc{2, -1};
   batch_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
       linear_gap{-1}, sc, {2});
-  EXPECT_TRUE(eng.scores({}).empty());
-  EXPECT_TRUE(eng.align_all({}).empty());
+  workspace ws;
+  EXPECT_NO_THROW(eng.score_into(std::span<const pair_view>(), ws,
+                                 std::span<score_result>()));
+  EXPECT_NO_THROW(eng.align_into(std::span<const pair_view>(), ws,
+                                 std::span<alignment_result>()));
+  EXPECT_EQ(eng.last_stats().simd_pairs, 0u);
+}
+
+/// A multi-threaded run carves each worker's scratch from the caller's
+/// `batch_config::worker_ws`.  Handed fewer arenas than it fans out to,
+/// it throws before any pair runs — nothing is scored and no arena
+/// grows — instead of allocating arenas of its own.
+TEST(BatchEngine, FanOutNeedsAnArenaPerWorker) {
+  auto qs = make_reads(64, 40, 11);
+  std::vector<pair_view> pairs;
+  for (const auto& q : qs) pairs.push_back({view(q), view(q)});
+  const simple_scoring sc{2, -1};
+  workspace ws;
+  std::vector<score_result> scores(pairs.size());
+  std::vector<alignment_result> tracebacks(pairs.size());
+  for (const std::size_t arenas : {0, 1}) {
+    std::vector<workspace> workers(arenas);
+    batch_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
+        linear_gap{-1}, sc, {2, score_precision::auto_select, workers});
+    EXPECT_THROW(eng.score_into(std::span<const pair_view>(pairs), ws,
+                                std::span<score_result>(scores)),
+                 invalid_argument_error);
+    EXPECT_THROW(eng.align_into(std::span<const pair_view>(pairs), ws,
+                                std::span<alignment_result>(tracebacks)),
+                 invalid_argument_error);
+    for (const workspace& w : workers) EXPECT_EQ(w.capacity_bytes(), 0u);
+  }
+  for (const score_result& r : scores) EXPECT_EQ(r.score, neg_inf());
+  for (const alignment_result& r : tracebacks) EXPECT_FALSE(r.has_alignment);
+
+  std::vector<workspace> workers(2);
+  batch_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
+      linear_gap{-1}, sc, {2, score_precision::auto_select, workers});
+  eng.score_into(std::span<const pair_view>(pairs), ws,
+                 std::span<score_result>(scores));
+  for (const score_result& r : scores) EXPECT_EQ(r.score, 80);
 }
 
 /// The pairs a batch does not put on lanes run the route `align` picks

@@ -56,7 +56,8 @@ void tiles_match(const Gap& gap, const Scoring& sc, const grid_shape& sh,
                  const std::vector<char_t>& q, const std::vector<char_t>& s) {
   const tile_geometry g(sh.n, sh.m, sh.tile_h, sh.tile_w);
   constexpr bool kAffine = Gap::kind == gap_kind::affine;
-  border_frontier ref(g, kAffine), got(g, kAffine);
+  workspace ws;
+  border_frontier ref(g, kAffine, ws), got(g, kAffine, ws);
   for (border_frontier* fr : {&ref, &got})
     fr->init([&](index_t j) { return init_h_row0<K>(j, gap); },
              [&](index_t i) { return init_h_col0<K>(i, gap); });

@@ -20,7 +20,8 @@ void grid_matches_full(index_t n, index_t m, index_t th, index_t tw,
   const simple_scoring sc{2, -1};
 
   tile_geometry geom(n, m, th, tw);
-  border_frontier fr(geom, Gap::kind == gap_kind::affine);
+  workspace ws;
+  border_frontier fr(geom, Gap::kind == gap_kind::affine, ws);
   fr.init([&](index_t j) { return init_h_row0<K>(j, gap); },
           [&](index_t i) { return init_h_col0<K>(i, gap); });
 
@@ -31,8 +32,13 @@ void grid_matches_full(index_t n, index_t m, index_t th, index_t tw,
       best.merge(relax_tile_scalar<K>(view(q), view(s), fr, ty, tx, gap, sc,
                                       h.data(), e.data()));
 
-  full_engine<K, Gap, simple_scoring> ref(gap, sc);
-  auto r = ref.align(view(q), view(s), false);
+  // H stays readable after the pass only on an arena reserved to it.
+  using full_t = full_engine<K, Gap, simple_scoring>;
+  full_t ref(gap, sc);
+  workspace full_ws;
+  full_ws.reserve_bytes(full_t::plan_bytes(n, m));
+  alignment_result r;
+  ref.align_into(view(q), view(s), false, full_ws, r);
   auto hm = ref.h_matrix(n, m);
 
   // The finished row frontier equals the full engine's last DP row.
@@ -113,7 +119,8 @@ TEST(TileGeometry, ClippingAndFullness) {
 
 TEST(BorderFrontier, AffineAllocatesPlanes) {
   tile_geometry g(100, 100, 10, 10);
-  border_frontier lin(g, false), aff(g, true);
+  workspace ws;
+  border_frontier lin(g, false, ws), aff(g, true, ws);
   EXPECT_FALSE(lin.affine());
   EXPECT_TRUE(aff.affine());
   EXPECT_GT(aff.bytes(), lin.bytes());
@@ -123,7 +130,8 @@ TEST(BorderFrontier, BordersDoNotGrowWithTheTileCount) {
   // One row and one column per plane, whatever the tile: only the
   // corner array (one score per grid point) depends on the tiling.
   const tile_geometry coarse(4000, 6000, 500, 500), fine(4000, 6000, 50, 50);
-  const border_frontier a(coarse, true), b(fine, true);
+  workspace ws;
+  const border_frontier a(coarse, true, ws), b(fine, true, ws);
   const auto corners = [](const tile_geometry& g) {
     return static_cast<std::size_t>((g.tiles_y + 1) * (g.tiles_x + 1)) *
            sizeof(score_t);

@@ -37,8 +37,9 @@ void check_scores(const engine_param& p, const Gap& gap, std::uint64_t seed,
   const simple_scoring sc{2, -1};
   tiled_config cfg{p.tile, p.tile, p.threads};
   tiled_engine<K, Gap, simple_scoring, Lanes> eng(gap, sc, cfg);
-  const auto got = eng.score(view(q), view(s));
-  const auto want = rolling_score<K>(view(q), view(s), gap, sc);
+  workspace ws;
+  const auto got = eng.score(view(q), view(s), ws);
+  const auto want = rolling_score<K>(view(q), view(s), gap, sc, ws);
   ASSERT_EQ(got.score, want.score)
       << to_string(K) << " lanes " << Lanes << " seed " << seed;
   EXPECT_EQ(got.end_i, want.end_i) << to_string(K) << " lanes " << Lanes;
@@ -114,9 +115,10 @@ TEST(TiledEngine, EmptyInputs) {
   tiled_engine<align_kind::global, linear_gap, simple_scoring, 1> eng(
       linear_gap{-1}, sc);
   std::vector<char_t> q, s = test::random_codes(10, 1);
-  EXPECT_EQ(eng.score(view(q), view(s)).score, -10);
-  EXPECT_EQ(eng.score(view(s), view(q)).score, -10);
-  EXPECT_EQ(eng.score(view(q), view(q)).score, 0);
+  workspace ws;
+  EXPECT_EQ(eng.score(view(q), view(s), ws).score, -10);
+  EXPECT_EQ(eng.score(view(s), view(q), ws).score, -10);
+  EXPECT_EQ(eng.score(view(q), view(q), ws).score, 0);
 }
 
 TEST(TiledEngine, RejectsBadConfig) {
@@ -143,9 +145,10 @@ TEST(TiledEngine, OversizeTilesRunAsExactInt32Singles) {
   tiled_engine<align_kind::local, linear_gap, simple_scoring, 16> eng(
       gap, sc, {256, 256, 2});
   EXPECT_FALSE(eng.striped());
-  const auto got = eng.score(view(q), view(s));
+  workspace ws;
+  const auto got = eng.score(view(q), view(s), ws);
   const auto want =
-      rolling_score<align_kind::local>(view(q), view(s), gap, sc);
+      rolling_score<align_kind::local>(view(q), view(s), gap, sc, ws);
   EXPECT_EQ(got.score, want.score);
   EXPECT_EQ(got.end_i, want.end_i);
   EXPECT_EQ(got.end_j, want.end_j);
@@ -161,13 +164,14 @@ TEST(TiledEngine, LastRowMatchesSerialPass) {
   auto s = test::random_codes(170, 32);
   const simple_scoring sc{2, -1};
   const affine_gap gap{-2, -1};
+  workspace ws;
   for (score_t tb : {gap.open(), score_t{0}}) {
     std::vector<score_t> hh_ref(171), ee_ref(171), hh(171), ee(171);
     nw_last_row(view(q), view(s), gap, sc, tb, std::span(hh_ref),
                 std::span(ee_ref));
     tiled_engine<align_kind::global, affine_gap, simple_scoring, 16> eng(
         gap, sc, {32, 32, 3});
-    eng.last_row(view(q), view(s), tb, std::span(hh), std::span(ee));
+    eng.last_row(view(q), view(s), tb, std::span(hh), std::span(ee), ws);
     EXPECT_EQ(hh, hh_ref) << "tb " << tb;
     EXPECT_EQ(ee, ee_ref) << "tb " << tb;
   }
@@ -182,7 +186,8 @@ TEST(TiledEngine, StripedTilesDoTheWork) {
   tiled_engine<align_kind::global, linear_gap, simple_scoring, 16> eng(
       linear_gap{-1}, sc, {64, 64, 2});
   EXPECT_TRUE(eng.striped());
-  (void)eng.score(view(q), view(s));
+  workspace ws;
+  (void)eng.score(view(q), view(s), ws);
   EXPECT_EQ(eng.last_stats().striped_tiles, 21u * 21u);
   EXPECT_EQ(eng.last_stats().int32_tiles, 0u);
   EXPECT_EQ(eng.last_stats().workers, 2u);
@@ -231,12 +236,13 @@ template <align_kind K, class Gap, int Lanes>
 void end_cells_match_rolling(const Gap& gap, const simple_scoring& sc) {
   const auto q = repeats(260, 4, 71);
   const auto s = repeats(291, 4, 71);
-  const auto want = rolling_score<K>(view(q), view(s), gap, sc);
+  workspace ws;
+  const auto want = rolling_score<K>(view(q), view(s), gap, sc, ws);
   for (int threads : {1, 2, 4})
     for (index_t tile : {16, 23, 64}) {
       tiled_engine<K, Gap, simple_scoring, Lanes> eng(
           gap, sc, {tile, tile, threads});
-      const auto got = eng.score(view(q), view(s));
+      const auto got = eng.score(view(q), view(s), ws);
       ASSERT_EQ(got.score, want.score) << to_string(K) << " lanes " << Lanes
                                        << " t" << threads << " tile " << tile;
       ASSERT_EQ(got.end_i, want.end_i) << to_string(K) << " lanes " << Lanes

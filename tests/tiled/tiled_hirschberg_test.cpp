@@ -16,9 +16,11 @@ void check(index_t n, const Gap& gap, std::uint64_t seed, tiled_config cfg,
   auto q = test::random_codes(n, seed);
   auto s = test::mutate(q, seed + 1, 0.08, 0.04);
   const simple_scoring sc{2, -1};
-  auto want = rolling_score<align_kind::global>(view(q), view(s), gap, sc);
-  auto got = tiled_hirschberg_align<Lanes>(view(q), view(s), gap, sc, cfg,
-                                           base_cells);
+  workspace ws;
+  auto want = rolling_score<align_kind::global>(view(q), view(s), gap, sc, ws);
+  alignment_result got;
+  tiled_hirschberg_align_into<Lanes>(view(q), view(s), gap, sc, cfg,
+                                     base_cells, ws, got);
   ASSERT_EQ(got.score, want.score);
   const score_t re = rescore_alignment(
       got.q_aligned, got.s_aligned,
@@ -55,8 +57,10 @@ TEST(TiledHirschberg, CellsStayLinearSpaceBounded) {
   auto q = test::random_codes(1000, 6);
   auto s = test::mutate(q, 7);
   const simple_scoring sc{2, -1};
-  auto r = tiled_hirschberg_align<16>(view(q), view(s), affine_gap{-2, -1},
-                                      sc, {64, 64, 2}, 1 << 12);
+  workspace ws;
+  alignment_result r;
+  tiled_hirschberg_align_into<16>(view(q), view(s), affine_gap{-2, -1}, sc,
+                                  {64, 64, 2}, 1 << 12, ws, r);
   const auto nm = static_cast<std::uint64_t>(q.size()) * s.size();
   EXPECT_LE(r.cells, 2 * nm + q.size() + s.size());
 }
