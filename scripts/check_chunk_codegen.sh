@@ -2,12 +2,16 @@
 # Codegen guard for the SIMD kernels' column loops (docs/DESIGN.md §8,
 # §10 and §11).
 #
-# Disassembles three AVX-512 kernels in libanyseq.a:
+# Disassembles five groups of AVX-512 kernels in libanyseq.a:
 #
 #   * chunk: ragged_chunk_score<global, short, 32, affine_gap,
 #     simple_scoring>, the inter-sequence chunk kernel;
+#   * chunk_local: the same kernel's local and extension instantiations;
 #   * striped: striped_pass<global, 32, affine_gap, simple_scoring,
 #     frontier_io>, the striped tile pass (both sequence views);
+#   * striped_local: striped_pass<local or extension, 32, affine_gap,
+#     simple_scoring, ...>, the local and extension striped passes
+#     (either boundary);
 #   * antidiag: antidiag_pass<ad_regs<pack<short, 32>>, affine_gap,
 #     simple_scoring>, the band pass's single-pack anti-diagonal sweep
 #     (its loops count as column loops here).
@@ -18,8 +22,8 @@
 #   1. loads a vector from the stack (a `v*` instruction reading an
 #      %rsp-relative operand): a loop-carried pack (F, H-left) or a
 #      relax temporary spilled and reloaded every cell; or
-#   2. (chunk and striped) contains vpmovm2w / vpmovw2m: a comparison's
-#      k-mask widened into a vector and narrowed back before its blend; or
+#   2. contains vpmovm2w / vpmovw2m: a comparison's k-mask widened into
+#      a vector and narrowed back before its blend; or
 #   3. (striped only) issues more zmm ALU instructions (a `v*` other than
 #      a move, with a zmm operand) per stripe vector than the row-biased
 #      frame needs: 8 in pass 1, the loop with the substitution compare
@@ -27,14 +31,15 @@
 #
 # Each costs the kernel its register-resident recurrence or its op
 # budget; the first two went unnoticed for many changes before this
-# guard existed.  The anti-diagonal sweep is held to rule 1 alone: its
-# predecessor bytes come from relax's vector masks, and its two previous
-# anti-diagonals must stay in registers — a version that reloaded the
-# previous anti-diagonal at a one-lane offset took ~16k cycles per
-# 150 bp pass against ~9k (store-forwarding stalls).  The report prints each loop's instruction count, zmm
-# ALU count and stack accesses (stores included) for each instantiation
-# found.  A loop the compiler unrolls counts its ALU instructions per
-# iteration, so an unrolled pass fails rule 3 until the limits follow.
+# guard existed.  Rule 3's budget holds the global striped pass alone.
+# The anti-diagonal sweep's two previous anti-diagonals must stay in
+# registers — a version that reloaded the previous anti-diagonal at a
+# one-lane offset took ~16k cycles per 150 bp pass against ~9k
+# (store-forwarding stalls).  The report prints each loop's instruction
+# count, zmm ALU count and stack accesses (stores included) for each
+# instantiation found.  A loop the compiler unrolls counts its ALU
+# instructions per iteration, so an unrolled pass fails rule 3 until the
+# limits follow.
 #
 # Usage: check_chunk_codegen.sh <path/to/libanyseq.a>
 #        check_chunk_codegen.sh --self-test
@@ -43,9 +48,9 @@
 # (sanitizer builds spill by design).
 #
 # --self-test feeds the audit canned listings: clean loops that must
-# pass, and loops with a stack reload, a mask round trip, an op over the
-# striped budget, or no kernel loop at all, each of which must fail (a
-# mask round trip passes in the anti-diagonal sweep).
+# pass, and loops with a stack reload, a mask round trip (in the chunk
+# kernel and in the anti-diagonal sweep), an op over the striped budget,
+# or no kernel loop at all, each of which must fail.
 
 set -euo pipefail
 
@@ -53,11 +58,14 @@ NM="${NM:-nm}"
 OBJDUMP="${OBJDUMP:-objdump}"
 
 CHUNK_RE='anyseq::v_avx512::tiled::ragged_chunk_score<\(anyseq::align_kind\)0, short, 32, anyseq::affine_gap, anyseq::simple_scoring,'
+CHUNK_LOCAL_RE='anyseq::v_avx512::tiled::ragged_chunk_score<\(anyseq::align_kind\)[13], short, 32, anyseq::affine_gap, anyseq::simple_scoring,'
 STRIPED_RE='anyseq::v_avx512::tiled::striped_detail::striped_pass<\(anyseq::align_kind\)0, 32, anyseq::affine_gap, anyseq::simple_scoring, anyseq::v_avx512::tiled::striped_detail::frontier_io<'
+STRIPED_LOCAL_RE='anyseq::v_avx512::tiled::striped_detail::striped_pass<\(anyseq::align_kind\)[13], 32, anyseq::affine_gap, anyseq::simple_scoring,'
 ANTIDIAG_RE='anyseq::v_avx512::detail::antidiag_pass<anyseq::v_avx512::detail::ad_regs<anyseq::v_avx512::simd::pack<short, 32> >, anyseq::affine_gap, anyseq::simple_scoring, short>'
 
 # The audit proper: reads `objdump -d --no-show-raw-insn` output on stdin;
-# $1 names the kernel (chunk, striped or antidiag).
+# $1 names the kernel (chunk, chunk_local, striped, striped_local or
+# antidiag).
 audit() {
   awk -v kernel="$1" '
   function hex(s,    i, c, v) {
@@ -108,7 +116,7 @@ audit() {
         printf "VIOLATION: %d %%rsp-relative vector load(s) in the column loop\n", loads
         bad++
       }
-      if (trips > 0 && kernel != "antidiag") {
+      if (trips > 0) {
         printf "VIOLATION: %d vpmovm2w/vpmovw2m in the column loop\n", trips
         bad++
       }
@@ -194,8 +202,8 @@ EOF
 }
 
 # The anti-diagonal sweep's loop, shaped like the real one: the shift,
-# relax with its k-mask round trips (allowed here), the predecessor
-# bytes' narrowing store.
+# relax with each compare fused into its blend through a k-mask, the
+# predecessor bytes' narrowing store.
 antidiag_listing() {
   cat <<'EOF'
 0000000000000000 <sweep>:
@@ -203,13 +211,11 @@ antidiag_listing() {
  7e7:	vpermt2w %zmm12,%zmm22,%zmm2
  7ed:	vpaddsw %zmm2,%zmm14,%zmm4
  7f3:	vpaddsw %zmm6,%zmm15,%zmm5
- 7f9:	vpcmpgtw %zmm4,%zmm5,%k1
  800:	vpmaxsw %zmm4,%zmm5,%zmm6
- 806:	vpmovm2w %k1,%zmm7
  80c:	vpcmpeqw (%rsi,%rax,2),%zmm3,%k2
  813:	vpblendmw %zmm9,%zmm10,%zmm8{%k2}
  819:	vpaddsw %zmm8,%zmm1,%zmm8
- 81f:	vpmovw2m %zmm7,%k3
+ 81f:	vpcmpnlew %zmm4,%zmm5,%k3
  825:	vpblendmw %zmm11,%zmm13,%zmm0{%k3}
  82b:	vpmovwb %zmm0,%ymm0
  831:	vmovdqu %ymm0,(%r8,%rcx,1)
@@ -292,6 +298,9 @@ self_test() {
   antidiag_listing |
     sed 's/^ 7ed:.*/ 7ed:\tvpaddsw 0x80(%rsp),%zmm14,%zmm4/' |
     expect fail "anti-diagonal sweep reloading H(r-1) from the stack" antidiag
+  antidiag_listing |
+    sed 's/^ 81f:.*/ 81f:\tvpcmpgtw %zmm4,%zmm5,%k1\n 820:\tvpmovm2w %k1,%zmm7\n 821:\tvpmovw2m %zmm7,%k3/' |
+    expect fail "anti-diagonal sweep with a mask round trip" antidiag
   antidiag_listing | grep -v vpmaxsw |
     expect fail "listing without the anti-diagonal sweep" antidiag
   echo "codegen self-test OK: violations are detected, clean loops pass"
@@ -332,8 +341,14 @@ status=0
 audit_lib chunk "$CHUNK_RE" \
   "ragged_chunk_score<global, short, 32, affine_gap, simple_scoring>" ||
   status=1
+audit_lib chunk_local "$CHUNK_LOCAL_RE" \
+  "ragged_chunk_score<local|extension, short, 32, affine_gap, simple_scoring>" ||
+  status=1
 audit_lib striped "$STRIPED_RE" \
   "striped_pass<global, 32, affine_gap, simple_scoring, frontier_io>" ||
+  status=1
+audit_lib striped_local "$STRIPED_LOCAL_RE" \
+  "striped_pass<local|extension, 32, affine_gap, simple_scoring>" ||
   status=1
 audit_lib antidiag "$ANTIDIAG_RE" \
   "antidiag_pass<ad_regs<pack<short, 32>>, affine_gap, simple_scoring>" ||

@@ -3,9 +3,9 @@
 /// configuration: 16-bit scores x 16 lanes = one 256-bit register).
 ///
 /// On x86-64 the build compiles this TU with -mavx2 (see
-/// src/CMakeLists.txt), which turns on the hand-written AVX2 intrinsic
-/// overloads in simd/pack.hpp and lets the auto-vectorizer lower the
-/// generic lane loops to VEX code.  On any other architecture — or with
+/// src/CMakeLists.txt), which turns on the few AVX2 intrinsic overloads
+/// in simd/pack.hpp and lets the compiler lower every other pack op to
+/// VEX code.  On any other architecture — or with
 /// -DANYSEQ_DISABLE_SIMD=ON — the exact same code compiles as portable
 /// fixed-width scalar loops, so the variant exists (and produces identical
 /// results) everywhere; the table's `native` flag reports which case this

@@ -3,10 +3,10 @@
 /// configuration: 16-bit scores x 32 lanes = one 512-bit register).
 ///
 /// On x86-64 the build compiles this TU with -mavx512bw (see
-/// src/CMakeLists.txt), which turns on the AVX-512BW intrinsic overloads
-/// for the 32 x int16 and 64 x int8 packs in simd/pack.hpp (GCC's own
-/// lowering of the generic saturating lane loops is ~6x slower) and lets
-/// the auto-vectorizer handle the remaining generic loops.  Elsewhere the
+/// src/CMakeLists.txt), which turns on the saturating-add intrinsics for
+/// the 32 x int16 and 64 x int8 packs in simd/pack.hpp (GCC's own
+/// lowering of the generic saturating lane loop is ~6x slower) and lets
+/// the compiler lower every other pack op to AVX-512 code.  Elsewhere the
 /// TU compiles as portable scalar loops — same results, no special
 /// hardware; the table's `native` flag reports which case this is.  Either way every symbol lives in
 /// `anyseq::v_avx512`, isolated from baseline and v_avx2 code.

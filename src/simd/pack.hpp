@@ -7,16 +7,20 @@
 /// recurrence itself (paper §IV-A: "A major advantage of our approach is
 /// that the vectorize generator supports several SIMD instruction sets").
 ///
-/// The generic implementation is a fixed-size loop the compiler's
-/// auto-vectorizer maps onto whatever ISA the TU's flags enable.  The
-/// auto-vectorizer is not enough for the saturating 16-bit lanes: GCC 12
-/// at -O3 -mavx512bw lowers the generic 32-lane `vadd` to a
-/// widen-to-int32 / clamp / narrow sequence, about 3x slower per cell
-/// than the AVX2 16-lane kernel.  So every configuration the engines
-/// run has hand-written intrinsic overloads: AVX2 for the paper's
-/// 16 x int16 variant (and 32 x int8), AVX-512BW for its 32 x int16
-/// AVX-512 variant (and 64 x int8).  The generic loops remain for the
-/// scalar variant and for builds without the ISA flags.
+/// Every op is one generic implementation, written with GCC/Clang
+/// vector-extension operators (`>`, `?:`, `&`, `__builtin_shufflevector`)
+/// that the compiler maps onto whatever ISA the TU's flags enable.  Three
+/// groups of intrinsic overloads remain, each where the generic form
+/// compiles worse:
+///   * the saturating `vadd` of the four int16/int8 shapes (s16x16, s8x32,
+///     s16x32, s8x64): GCC 12 has no generic saturating add, and lowers
+///     the lane loop to a widen / clamp / narrow sequence;
+///   * the AVX2 `vselect`s (s16x16, s8x32): one vpblendvb against three
+///     bitwise ops;
+///   * the AVX2 s16x16 `vshift_up` / `vshift_down`: vperm2i128 + vpalignr
+///     against up to 9 instructions for some shift counts.
+/// On AVX-512 the compiler keeps each comparison in a k-mask and fuses it
+/// into the blend that consumes it, so no op there needs an overload.
 ///
 /// Storage is a native GCC/Clang vector (`vector_size`), so a pack is a
 /// register value: kernels carry it across loop iterations without a
@@ -24,9 +28,9 @@
 /// are bit-casts, not loads and stores.
 ///
 /// Masks are packs of the same shape holding 0 / all-ones lanes, so
-/// `vselect` is a bitwise blend exactly as on real vector units.  Where a
-/// mask feeds one blend only, `vselect_eq(a, b, x, y)` fuses the compare
-/// and the blend: on AVX-512 the k-mask never widens into a vector.
+/// `vselect` is a bitwise blend exactly as on real vector units.
+/// `vselect_eq(a, b, x, y)` names the compare-and-blend of the
+/// substitution score as one operation.
 ///
 /// This is a *per-target* header: its content compiles into
 /// `anyseq::ANYSEQ_TARGET_NS::simd`, so the pack type — and every template
@@ -45,6 +49,8 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "core/macros.hpp"
 #include "core/ops.hpp"
@@ -69,10 +75,10 @@ struct alignas(sizeof(T) * W >= 64 ? 64 : sizeof(T) * W) pack {
   typedef T storage __attribute__((vector_size(sizeof(T) * W)));
   storage v;
 
+  /// A vector-scalar add is a splat (one vpbroadcast); a lane loop left
+  /// some AVX2 loops rebuilding a broadcast with a vpinsrw per lane.
   [[nodiscard]] static ANYSEQ_INLINE pack broadcast(T x) noexcept {
-    pack p;
-    for (int i = 0; i < W; ++i) p.v[i] = x;
-    return p;
+    return {storage{} + x};
   }
   [[nodiscard]] static ANYSEQ_INLINE pack load(const T* ptr) noexcept {
     pack p;
@@ -121,58 +127,52 @@ template <class P>
 concept any_pack = is_pack_v<P>;
 
 // ---------------------------------------------------------------------------
-// Generic lane-wise operations (overload set core::relax resolves via ADL).
+// Generic lane-wise operations (overload set core::relax resolves via ADL),
+// written as vector-extension operators on the `vector_size` storage.
 // ---------------------------------------------------------------------------
 
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack<T, W> vmax(pack<T, W> a, pack<T, W> b) noexcept {
-  pack<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-  return r;
+  return {a.v > b.v ? a.v : b.v};
 }
 
 /// Saturating add for 16-bit lanes (keeps the -inf sentinel pinned), plain
 /// add for 32-bit lanes (the headroom argument of core/types.hpp applies).
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack<T, W> vadd(pack<T, W> a, pack<T, W> b) noexcept {
-  pack<T, W> r;
   if constexpr (sizeof(T) <= 2) {
+    pack<T, W> r;
     for (int i = 0; i < W; ++i) {
       const int wide = static_cast<int>(a.v[i]) + static_cast<int>(b.v[i]);
       const int lo = std::numeric_limits<T>::min();
       const int hi = std::numeric_limits<T>::max();
       r.v[i] = static_cast<T>(wide < lo ? lo : (wide > hi ? hi : wide));
     }
+    return r;
   } else {
-    for (int i = 0; i < W; ++i) r.v[i] = static_cast<T>(a.v[i] + b.v[i]);
+    return {a.v + b.v};
   }
-  return r;
 }
 
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack_mask<T, W> vgt(pack<T, W> a,
                                                 pack<T, W> b) noexcept {
-  pack_mask<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = a.v[i] > b.v[i] ? static_cast<T>(-1) : 0;
-  return r;
+  // GCC and Clang type a comparison with the signed lanes of that width.
+  return {reinterpret_cast<typename pack<T, W>::storage>(a.v > b.v)};
 }
 
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack_mask<T, W> veq(pack<T, W> a,
                                                 pack<T, W> b) noexcept {
-  pack_mask<T, W> r;
-  for (int i = 0; i < W; ++i)
-    r.v[i] = a.v[i] == b.v[i] ? static_cast<T>(-1) : 0;
-  return r;
+  return {reinterpret_cast<typename pack<T, W>::storage>(a.v == b.v)};
 }
 
-/// Bitwise blend: lane from `a` where mask set, else from `b`.
+/// Bitwise blend: lane from `a` where mask set, else from `b`.  On
+/// AVX-512 the compiler folds a compare feeding it into one k-mask blend.
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack<T, W> vselect(pack_mask<T, W> m, pack<T, W> a,
                                                pack<T, W> b) noexcept {
-  pack<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = m.v[i] ? a.v[i] : b.v[i];
-  return r;
+  return {(m.v & a.v) | (~m.v & b.v)};
 }
 
 /// `a == b ? x : y` lane-wise — the substitution score's compare and
@@ -181,7 +181,7 @@ template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack<T, W> vselect_eq(pack<T, W> a, pack<T, W> b,
                                                   pack<T, W> x,
                                                   pack<T, W> y) noexcept {
-  return vselect(veq(a, b), x, y);
+  return {a.v == b.v ? x.v : y.v};
 }
 
 template <any_pack P>
@@ -192,9 +192,7 @@ template <any_pack P>
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack_mask<T, W> vand(pack_mask<T, W> a,
                                                  pack_mask<T, W> b) noexcept {
-  pack_mask<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = static_cast<T>(a.v[i] & b.v[i]);
-  return r;
+  return {a.v & b.v};
 }
 
 /// a & ~b — mask subtraction (one ANDN instruction on real vector
@@ -203,9 +201,7 @@ template <class T, int W>
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack_mask<T, W> vandnot(pack_mask<T, W> a,
                                                     pack_mask<T, W> b) noexcept {
-  pack_mask<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = static_cast<T>(a.v[i] & ~b.v[i]);
-  return r;
+  return {a.v & ~b.v};
 }
 
 /// Lane shift toward higher indices: lane i takes lane i - S, the S
@@ -215,9 +211,10 @@ template <int S, class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack<T, W> vshift_up(pack<T, W> a,
                                                  T fill) noexcept {
   static_assert(S > 0 && S < W, "shift must move lanes inside the pack");
-  pack<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = i < S ? fill : a.v[i - S];
-  return r;
+  const auto f = pack<T, W>::broadcast(fill).v;
+  return [&]<int... I>(std::integer_sequence<int, I...>) -> pack<T, W> {
+    return {__builtin_shufflevector(a.v, f, (I < S ? W : I - S)...)};
+  }(std::make_integer_sequence<int, W>{});
 }
 
 /// Lane shift toward lower indices: lane i takes lane i + S, the S
@@ -227,9 +224,10 @@ template <int S, class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack<T, W> vshift_down(pack<T, W> a,
                                                    T fill) noexcept {
   static_assert(S > 0 && S < W, "shift must move lanes inside the pack");
-  pack<T, W> r;
-  for (int i = 0; i < W; ++i) r.v[i] = i + S < W ? a.v[i + S] : fill;
-  return r;
+  const auto f = pack<T, W>::broadcast(fill).v;
+  return [&]<int... I>(std::integer_sequence<int, I...>) -> pack<T, W> {
+    return {__builtin_shufflevector(a.v, f, (I + S < W ? I + S : W)...)};
+  }(std::make_integer_sequence<int, W>{});
 }
 
 /// Per-lane substitution-table gather (paper: matrix scoring on SIMD).
@@ -245,12 +243,13 @@ template <any_pack P, class T, int W>
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 intrinsic overloads for the paper's CPU configuration:
-// 16 lanes x 16-bit scores (one 256-bit register).
+// AVX2 intrinsic overloads: 16 lanes x 16-bit scores (the paper's CPU
+// configuration) and 32 lanes x 8-bit scores (the int8 route).
 // ---------------------------------------------------------------------------
 #if defined(__AVX2__)
 
 using s16x16 = pack<score16_t, 16>;
+using s8x32 = pack<score8_t, 32>;
 
 [[nodiscard]] ANYSEQ_INLINE __m256i to_reg(const s16x16& p) noexcept {
   return std::bit_cast<__m256i>(p.v);
@@ -258,33 +257,34 @@ using s16x16 = pack<score16_t, 16>;
 [[nodiscard]] ANYSEQ_INLINE s16x16 from_reg(__m256i r) noexcept {
   return {std::bit_cast<s16x16::storage>(r)};
 }
+[[nodiscard]] ANYSEQ_INLINE __m256i to_reg(const s8x32& p) noexcept {
+  return std::bit_cast<__m256i>(p.v);
+}
+[[nodiscard]] ANYSEQ_INLINE s8x32 from_reg8(__m256i r) noexcept {
+  return {std::bit_cast<s8x32::storage>(r)};
+}
 
-[[nodiscard]] ANYSEQ_INLINE s16x16 vmax(s16x16 a, s16x16 b) noexcept {
-  return from_reg(_mm256_max_epi16(to_reg(a), to_reg(b)));
-}
+// GCC 12 has no generic saturating add: the lane loop widens and clamps.
 [[nodiscard]] ANYSEQ_INLINE s16x16 vadd(s16x16 a, s16x16 b) noexcept {
-  return from_reg(_mm256_adds_epi16(to_reg(a), to_reg(b)));  // saturating
+  return from_reg(_mm256_adds_epi16(to_reg(a), to_reg(b)));
 }
-[[nodiscard]] ANYSEQ_INLINE s16x16 vgt(s16x16 a, s16x16 b) noexcept {
-  return from_reg(_mm256_cmpgt_epi16(to_reg(a), to_reg(b)));
+[[nodiscard]] ANYSEQ_INLINE s8x32 vadd(s8x32 a, s8x32 b) noexcept {
+  return from_reg8(_mm256_adds_epi8(to_reg(a), to_reg(b)));
 }
-[[nodiscard]] ANYSEQ_INLINE s16x16 veq(s16x16 a, s16x16 b) noexcept {
-  return from_reg(_mm256_cmpeq_epi16(to_reg(a), to_reg(b)));
-}
+// One vpblendvb; the generic bitwise blend compiles to three ops.
 [[nodiscard]] ANYSEQ_INLINE s16x16 vselect(s16x16 m, s16x16 a,
                                            s16x16 b) noexcept {
   return from_reg(_mm256_blendv_epi8(to_reg(b), to_reg(a), to_reg(m)));
 }
-[[nodiscard]] ANYSEQ_INLINE s16x16 vand(s16x16 a, s16x16 b) noexcept {
-  return from_reg(_mm256_and_si256(to_reg(a), to_reg(b)));
+[[nodiscard]] ANYSEQ_INLINE s8x32 vselect(s8x32 m, s8x32 a,
+                                          s8x32 b) noexcept {
+  return from_reg8(_mm256_blendv_epi8(to_reg(b), to_reg(a), to_reg(m)));
 }
-[[nodiscard]] ANYSEQ_INLINE s16x16 vandnot(s16x16 a, s16x16 b) noexcept {
-  // _mm256_andnot_si256 computes ~first & second; vandnot is a & ~b.
-  return from_reg(_mm256_andnot_si256(to_reg(b), to_reg(a)));
-}
-/// vshift_up across the two 128-bit halves: `t` holds [fill | a.lo], and
-/// a per-half byte align pulls the low half's top lanes into the high
-/// half (and fill into the low half).
+
+// vperm2i128 + vpalignr; the generic shuffle takes up to 9 instructions for
+// some shift counts.  vshift_up across the two 128-bit halves: `t` holds
+// [fill | a.lo], and a per-half byte align pulls the low half's top lanes
+// into the high half (and fill into the low half).
 template <int S>
 [[nodiscard]] ANYSEQ_INLINE s16x16 vshift_up(s16x16 a,
                                              score16_t fill) noexcept {
@@ -321,168 +321,27 @@ template <int S>
   }
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 intrinsic overloads for the adaptive-precision configuration:
-// 32 lanes x 8-bit scores (one 256-bit register, double the pair
-// throughput of s16x16 when the score window fits int8).
-// ---------------------------------------------------------------------------
-
-using s8x32 = pack<score8_t, 32>;
-
-[[nodiscard]] ANYSEQ_INLINE __m256i to_reg(const s8x32& p) noexcept {
-  return std::bit_cast<__m256i>(p.v);
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 from_reg8(__m256i r) noexcept {
-  return {std::bit_cast<s8x32::storage>(r)};
-}
-
-[[nodiscard]] ANYSEQ_INLINE s8x32 vmax(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_max_epi8(to_reg(a), to_reg(b)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 vadd(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_adds_epi8(to_reg(a), to_reg(b)));  // saturating
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 vgt(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_cmpgt_epi8(to_reg(a), to_reg(b)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 veq(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_cmpeq_epi8(to_reg(a), to_reg(b)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 vselect(s8x32 m, s8x32 a,
-                                          s8x32 b) noexcept {
-  return from_reg8(_mm256_blendv_epi8(to_reg(b), to_reg(a), to_reg(m)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 vand(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_and_si256(to_reg(a), to_reg(b)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x32 vandnot(s8x32 a, s8x32 b) noexcept {
-  return from_reg8(_mm256_andnot_si256(to_reg(b), to_reg(a)));
-}
-
 #endif  // __AVX2__
 
 // ---------------------------------------------------------------------------
-// AVX-512BW intrinsic overloads for the paper's AVX-512 configuration:
-// 32 lanes x 16-bit scores, and the int8 route's 64 lanes x 8-bit scores
-// (one 512-bit register each).  Comparisons produce k-masks; they are
-// widened back to 0 / all-ones lanes (vpmovm2w / vpmovm2b) so masks keep
-// the pack representation every kernel already uses, and vselect turns
-// them back into a k-mask from the lane sign bits; vselect_eq keeps its
-// k-mask and skips both conversions.
+// AVX-512BW intrinsic overloads: 32 lanes x 16-bit scores (the paper's
+// AVX-512 configuration) and 64 lanes x 8-bit scores (the int8 route).
+// Only the saturating adds: every other op is the generic operator, whose
+// compares the compiler keeps in k-masks and fuses into their blends.
 // ---------------------------------------------------------------------------
 #if defined(__AVX512BW__)
 
 using s16x32 = pack<score16_t, 32>;
 using s8x64 = pack<score8_t, 64>;
 
-[[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s16x32& p) noexcept {
-  return std::bit_cast<__m512i>(p.v);
-}
-[[nodiscard]] ANYSEQ_INLINE s16x32 from_reg(__m512i r) noexcept {
-  return {std::bit_cast<s16x32::storage>(r)};
-}
-
-[[nodiscard]] ANYSEQ_INLINE s16x32 vmax(s16x32 a, s16x32 b) noexcept {
-  return from_reg(_mm512_max_epi16(to_reg(a), to_reg(b)));
-}
+// GCC 12 has no generic saturating add: the lane loop widens and clamps.
 [[nodiscard]] ANYSEQ_INLINE s16x32 vadd(s16x32 a, s16x32 b) noexcept {
-  return from_reg(_mm512_adds_epi16(to_reg(a), to_reg(b)));  // saturating
-}
-[[nodiscard]] ANYSEQ_INLINE s16x32 vgt(s16x32 a, s16x32 b) noexcept {
-  return from_reg(
-      _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(to_reg(a), to_reg(b))));
-}
-[[nodiscard]] ANYSEQ_INLINE s16x32 veq(s16x32 a, s16x32 b) noexcept {
-  return from_reg(
-      _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(to_reg(a), to_reg(b))));
-}
-[[nodiscard]] ANYSEQ_INLINE s16x32 vselect(s16x32 m, s16x32 a,
-                                           s16x32 b) noexcept {
-  // mask_blend takes its second operand where the k-bit is clear.
-  return from_reg(_mm512_mask_blend_epi16(_mm512_movepi16_mask(to_reg(m)),
-                                          to_reg(b), to_reg(a)));
-}
-/// The compare's k-mask drives the blend directly: no vpmovm2w /
-/// vpmovw2m round trip through a vector mask.
-[[nodiscard]] ANYSEQ_INLINE s16x32 vselect_eq(s16x32 a, s16x32 b, s16x32 x,
-                                              s16x32 y) noexcept {
-  return from_reg(_mm512_mask_blend_epi16(
-      _mm512_cmpeq_epi16_mask(to_reg(a), to_reg(b)), to_reg(y), to_reg(x)));
-}
-[[nodiscard]] ANYSEQ_INLINE s16x32 vand(s16x32 a, s16x32 b) noexcept {
-  return from_reg(_mm512_and_si512(to_reg(a), to_reg(b)));
-}
-/// a & ~b as one vpternlog (truth table 0x30 = A & ~B).  GCC 12's
-/// _mm512_andnot_si512 trips -Wmaybe-uninitialized inside its own header.
-[[nodiscard]] ANYSEQ_INLINE __m512i andnot512(__m512i a, __m512i b) noexcept {
-  return _mm512_ternarylogic_epi64(a, b, b, 0x30);
-}
-[[nodiscard]] ANYSEQ_INLINE s16x32 vandnot(s16x32 a, s16x32 b) noexcept {
-  return from_reg(andnot512(to_reg(a), to_reg(b)));
-}
-/// vshift_up as one two-table word permute (vpermt2w): lane i reads
-/// `a` lane i - S (table 2) or, below S, the broadcast fill (table 1).
-template <int S>
-[[nodiscard]] ANYSEQ_INLINE s16x32 vshift_up(s16x32 a,
-                                             score16_t fill) noexcept {
-  static_assert(S > 0 && S < 32, "shift must move lanes inside the pack");
-  alignas(64) static constexpr std::array<score16_t, 32> kIdx = [] {
-    std::array<score16_t, 32> idx{};
-    for (int i = 0; i < 32; ++i)
-      idx[i] = static_cast<score16_t>(i < S ? 0 : 32 + i - S);
-    return idx;
-  }();
-  return from_reg(_mm512_permutex2var_epi16(
-      _mm512_set1_epi16(fill), _mm512_load_si512(kIdx.data()), to_reg(a)));
-}
-
-/// vshift_down as the mirrored vpermt2w: lane i reads `a` lane i + S
-/// (table 1) or, from lane 32 - S up, the broadcast fill (table 2).
-template <int S>
-[[nodiscard]] ANYSEQ_INLINE s16x32 vshift_down(s16x32 a,
-                                               score16_t fill) noexcept {
-  static_assert(S > 0 && S < 32, "shift must move lanes inside the pack");
-  alignas(64) static constexpr std::array<score16_t, 32> kIdx = [] {
-    std::array<score16_t, 32> idx{};
-    for (int i = 0; i < 32; ++i)
-      idx[i] = static_cast<score16_t>(i + S < 32 ? i + S : 32);
-    return idx;
-  }();
-  return from_reg(_mm512_permutex2var_epi16(
-      to_reg(a), _mm512_load_si512(kIdx.data()), _mm512_set1_epi16(fill)));
-}
-
-[[nodiscard]] ANYSEQ_INLINE __m512i to_reg(const s8x64& p) noexcept {
-  return std::bit_cast<__m512i>(p.v);
-}
-[[nodiscard]] ANYSEQ_INLINE s8x64 from_reg8(__m512i r) noexcept {
-  return {std::bit_cast<s8x64::storage>(r)};
-}
-
-[[nodiscard]] ANYSEQ_INLINE s8x64 vmax(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(_mm512_max_epi8(to_reg(a), to_reg(b)));
+  return {std::bit_cast<s16x32::storage>(_mm512_adds_epi16(
+      std::bit_cast<__m512i>(a.v), std::bit_cast<__m512i>(b.v)))};
 }
 [[nodiscard]] ANYSEQ_INLINE s8x64 vadd(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(_mm512_adds_epi8(to_reg(a), to_reg(b)));  // saturating
-}
-[[nodiscard]] ANYSEQ_INLINE s8x64 vgt(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(
-      _mm512_movm_epi8(_mm512_cmpgt_epi8_mask(to_reg(a), to_reg(b))));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x64 veq(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(
-      _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(to_reg(a), to_reg(b))));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x64 vselect(s8x64 m, s8x64 a,
-                                          s8x64 b) noexcept {
-  return from_reg8(_mm512_mask_blend_epi8(_mm512_movepi8_mask(to_reg(m)),
-                                          to_reg(b), to_reg(a)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x64 vand(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(_mm512_and_si512(to_reg(a), to_reg(b)));
-}
-[[nodiscard]] ANYSEQ_INLINE s8x64 vandnot(s8x64 a, s8x64 b) noexcept {
-  return from_reg8(andnot512(to_reg(a), to_reg(b)));
+  return {std::bit_cast<s8x64::storage>(_mm512_adds_epi8(
+      std::bit_cast<__m512i>(a.v), std::bit_cast<__m512i>(b.v)))};
 }
 
 #endif  // __AVX512BW__

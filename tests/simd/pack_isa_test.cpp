@@ -1,12 +1,14 @@
 /// \file pack_isa_test.cpp
-/// The hand-written intrinsic pack overloads (simd/pack.hpp), lane by
-/// lane against a plain scalar reference: the AVX-512BW s16x32 / s8x64
-/// overloads the 32-lane engine runs, and the AVX2 s16x16 / s8x32 ones,
-/// plus the int16 lane shifts (vshift_up / vshift_down at every amount).
-/// Inputs are random lanes plus every pairing of the rail values — the
-/// type's min and max, the -inf sentinel, and sums that saturate both
-/// ways.  The overloads are compiled in pack_isa_kernels.cpp (the one
-/// ISA-flagged TU); this TU skips when the CPU lacks AVX-512BW.
+/// The vector variants' pack ops (simd/pack.hpp), lane by lane against a
+/// plain scalar reference: the AVX-512BW s16x32 / s8x64 packs the
+/// 32-lane engine runs and the AVX2 s16x16 / s8x32 ones, the int32 packs
+/// the band pass runs outside the int16 window (16 lanes under AVX-512BW,
+/// 8 under AVX2), and the int16 and int32 lane shifts (vshift_up /
+/// vshift_down at every amount).  Inputs are random lanes plus every
+/// pairing of the rail values — the type's min and max, the -inf
+/// sentinel, and sums that saturate both ways.  The ops are compiled in
+/// pack_isa_kernels.cpp (the ISA-flagged TUs); this TU skips when the
+/// CPU lacks AVX-512BW.
 
 #include <gtest/gtest.h>
 
@@ -113,6 +115,16 @@ void check_pack(const char* pack_name, T sentinel, Apply apply) {
       std::copy_n(in.m.begin() + static_cast<std::ptrdiff_t>(base), Lanes, m);
       std::copy_n(in.a.begin() + static_cast<std::ptrdiff_t>(base), Lanes, a);
       std::copy_n(in.b.begin() + static_cast<std::ptrdiff_t>(base), Lanes, b);
+      // int32 lanes add plainly: the headroom of core/types.hpp keeps
+      // every sum in range, so feed vadd only sums that fit (up to the
+      // rails themselves).
+      if constexpr (sizeof(T) == 4) {
+        constexpr T lo = std::numeric_limits<T>::min();
+        constexpr T hi = std::numeric_limits<T>::max();
+        for (int l = 0; o == op::add && l < Lanes; ++l)
+          b[l] = std::clamp<T>(b[l], lo - std::min<T>(a[l], 0),
+                               hi - std::max<T>(a[l], 0));
+      }
       apply(o, m, a, b, got);
       for (int l = 0; l < Lanes; ++l)
         ASSERT_EQ(static_cast<int>(got[l]),
@@ -124,15 +136,14 @@ void check_pack(const char* pack_name, T sentinel, Apply apply) {
   }
 }
 
-/// Every shift amount and direction of one int16 pack, lane by lane:
-/// lane i reads lane i - s (up) or i + s (down); vacated lanes read the
-/// fill — the rails, the -inf sentinel, 0 and -1 among them.
-template <int Lanes, class Shift>
-void check_shifts(const char* pack_name, Shift shift) {
-  using T = std::int16_t;
-  const operands<T> in = make_operands<T, Lanes>(neg_inf16());
+/// Every shift amount and direction of one int16 or int32 pack, lane by
+/// lane: lane i reads lane i - s (up) or i + s (down); vacated lanes read
+/// the fill — the rails, the -inf sentinel, 0 and -1 among them.
+template <class T, int Lanes, class Shift>
+void check_shifts(const char* pack_name, T sentinel, Shift shift) {
+  const operands<T> in = make_operands<T, Lanes>(sentinel);
   const T fills[] = {std::numeric_limits<T>::min(),
-                     std::numeric_limits<T>::max(), neg_inf16(), 0, -1, 7};
+                     std::numeric_limits<T>::max(), sentinel, 0, -1, 7};
   for (const bool down : {false, true})
     for (int s = 1; s < Lanes; ++s)
       for (const T fill : fills)
@@ -175,12 +186,28 @@ TEST_F(PackIsa, S8x32MatchesScalarReference) {
   check_pack<std::int8_t, 32>("s8x32", neg_inf8(), apply_s8x32);
 }
 
+TEST_F(PackIsa, S32x16MatchesScalarReference) {
+  check_pack<std::int32_t, 16>("s32x16", neg_inf(), apply_s32x16);
+}
+
+TEST_F(PackIsa, S32x8MatchesScalarReference) {
+  check_pack<std::int32_t, 8>("s32x8", neg_inf(), apply_s32x8);
+}
+
 TEST_F(PackIsa, S16x32ShiftsMatchScalarReference) {
-  check_shifts<32>("s16x32", shift_s16x32);
+  check_shifts<std::int16_t, 32>("s16x32", neg_inf16(), shift_s16x32);
 }
 
 TEST_F(PackIsa, S16x16ShiftsMatchScalarReference) {
-  check_shifts<16>("s16x16", shift_s16x16);
+  check_shifts<std::int16_t, 16>("s16x16", neg_inf16(), shift_s16x16);
+}
+
+TEST_F(PackIsa, S32x16ShiftsMatchScalarReference) {
+  check_shifts<std::int32_t, 16>("s32x16", neg_inf(), shift_s32x16);
+}
+
+TEST_F(PackIsa, S32x8ShiftsMatchScalarReference) {
+  check_shifts<std::int32_t, 8>("s32x8", neg_inf(), shift_s32x8);
 }
 
 }  // namespace
