@@ -532,18 +532,24 @@ void tb_panel(std::span<const seq_pair> reads,
 
 /// Wave panel: the long-genome wavefront's threads x tile sweep, global
 /// affine, score-only, through a reused aligner on each vector variant
-/// the host runs (the scalar one where none does).  Two shapes: `wave`
+/// the host runs (the scalar one where none does).  Three shapes: `wave`
 /// is the genome_long pair (Table I pair 0 at 1/512 scale, 8616 x 9065),
 /// `wave_small` the same pair at 1/2048 (2154 x 2266), where a 512 tile
-/// leaves a diagonal of 5.  Each row is one (variant, threads, tile)
-/// cell: median, min and max of process CPU and wall time per call.
-/// `planned` marks the tile the plan derives for that thread count;
-/// derive_tile and DESIGN.md §9 cite these rows.  At one thread the small
-/// pair fits the int16 window, so it runs the striped route and its t1
-/// rows time no wavefront.  Threads never exceed the cores.
+/// leaves a diagonal of 5, and `wave_large` the pair at 1/256
+/// (17232 x 18130) on one thread only, with gaps open -1, extend -1:
+/// there avx512's planned height is the int16 side clamp at its tallest
+/// for affine gaps at match 2 (6976 rows), where each stripe plane of a
+/// tile takes ~14 KB (avx2's tiles stop at 512).  Each row is one
+/// (variant, threads, tile) cell: median, min and max of process CPU and
+/// wall time per call.  `t<T>_tile<S>` rows run an explicit S x S tile;
+/// the `t<T>_planned` row runs the shape the plan derives (tile = 0),
+/// `tile_h` x `tile_w`.  derive_tile and DESIGN.md §9 cite these rows.
+/// At one thread the small pair fits the int16 window, so it runs the
+/// striped route and its t1 rows time no wavefront.  Threads never
+/// exceed the cores.
 void wave_panel(const args& a, int cores) {
   print_header("long-genome wavefront: threads x tile",
-               "genome_long pair at 1/512 and 1/2048, global affine, "
+               "genome_long pair at 1/512, 1/2048 and 1/256, global affine, "
                "score-only, each vector variant");
   std::vector<backend> variants;
   for (const int lanes : {16, 32})
@@ -552,30 +558,42 @@ void wave_panel(const args& a, int cores) {
   const auto ms = [](const std::vector<double>& v, std::size_t k) {
     return v[k] * 1e3;
   };
-  const std::pair<const char*, std::uint64_t> shapes[] = {{"wave", 512},
-                                                          {"wave_small",
-                                                           2048}};
-  for (const auto& [tag, scale] : shapes) {
+  struct wave_shape {
+    const char* tag;
+    std::uint64_t scale;
+    affine_gap gap;
+    int max_threads;
+    std::vector<index_t> tiles;  // 0 = the planned shape
+  };
+  const wave_shape shapes[] = {
+      {"wave", 512, affine_gap{-2, -1}, 4, {128, 256, 512, 0}},
+      {"wave_small", 2048, affine_gap{-2, -1}, 4, {128, 256, 512, 0}},
+      {"wave_large", 256, affine_gap{-1, -1}, 1, {512, 0}}};
+  for (const auto& [tag, scale, gap, max_threads, tiles] : shapes) {
     const auto pr = bio::make_pair(0, scale, 1);
     const stage::seq_view q = pr.a.view(), s = pr.b.view();
     const std::uint64_t cells = static_cast<std::uint64_t>(q.size()) *
                                 static_cast<std::uint64_t>(s.size());
-    align_options ref = paper_opts(affine_gap{-2, -1}, backend::scalar, 1,
-                                   false);
+    align_options ref = paper_opts(gap, backend::scalar, 1, false);
     ref.precision = score_precision::int32;
     const score_t want = align(q, s, ref).score;
     // About a second of calls per cell.
-    const int calls = std::max(9, 3 * a.repeats) * (scale == 512 ? 1 : 8);
+    const int calls = std::max(9, 3 * a.repeats) * (scale == 2048 ? 8 : 1);
     for (const backend exec : variants) {
       for (const int threads : {1, 2, 4}) {
-        if (threads > cores) continue;
-        align_options o = paper_opts(affine_gap{-2, -1}, exec, threads,
-                                     false);
-        const index_t planned = aligner(o).plan(q.size(), s.size()).tile;
-        for (const index_t tile : {index_t{128}, index_t{256}, index_t{512}}) {
+        if (threads > std::min(cores, max_threads)) continue;
+        align_options o = paper_opts(gap, exec, threads, false);
+        for (const index_t tile : tiles) {
           o.tile = tile;
           aligner al(o);
-          const std::string v = al.plan(q.size(), s.size()).variant;
+          const auto plan = al.plan(q.size(), s.size());
+          const std::string v = plan.variant;
+          char cell[32];
+          if (tile == 0)
+            std::snprintf(cell, sizeof cell, "t%d_planned", threads);
+          else
+            std::snprintf(cell, sizeof cell, "t%d_tile%lld", threads,
+                          static_cast<long long>(tile));
           alignment_result r;
           al.align_into(q, s, r);  // warm-up: sizes the workspace
           std::vector<double> cpu, wall;
@@ -587,8 +605,9 @@ void wave_panel(const args& a, int cores) {
             cpu.push_back(static_cast<double>(std::clock() - c0) /
                           CLOCKS_PER_SEC);
             if (r.score != want) {
-              std::fprintf(stderr, "bench_precision: %s score %lld != int32 "
-                           "%lld\n", tag, static_cast<long long>(r.score),
+              std::fprintf(stderr, "bench_precision: %s %s score %lld != "
+                           "int32 %lld\n", tag, cell,
+                           static_cast<long long>(r.score),
                            static_cast<long long>(want));
               std::exit(2);
             }
@@ -598,9 +617,7 @@ void wave_panel(const args& a, int cores) {
           const std::size_t mid = cpu.size() / 2, last = cpu.size() - 1;
           const wavefront_stats st = al.last_wavefront_stats();
           g_report->add(
-              std::string(tag) + "/" + v + "/t" + std::to_string(threads) +
-                  "_tile" + std::to_string(tile),
-              wall[mid], 1,
+              std::string(tag) + "/" + v + "/" + cell, wall[mid], 1,
               {{"cpu_ms", ms(cpu, mid)},
                {"cpu_ms_min", ms(cpu, 0)},
                {"cpu_ms_max", ms(cpu, last)},
@@ -609,16 +626,16 @@ void wave_panel(const args& a, int cores) {
                {"wall_ms_max", ms(wall, last)},
                {"cpu_gcups", gcups(cells, cpu[mid])},
                {"threads", threads},
-               {"tile", static_cast<double>(tile)},
-               {"planned", tile == planned ? 1.0 : 0.0},
+               {"tile_h", static_cast<double>(plan.tile)},
+               {"tile_w", static_cast<double>(plan.tile_w)},
                {"workers", static_cast<double>(st.workers)},
                {"striped_tiles", static_cast<double>(st.striped_tiles)},
                {"int32_tiles", static_cast<double>(st.int32_tiles)}},
               calls);
           char note[96];
-          std::snprintf(note, sizeof note, "%s t%d tile %lld%s: cpu %.2f ms",
-                        tag, threads, static_cast<long long>(tile),
-                        tile == planned ? " (planned)" : "", ms(cpu, mid));
+          std::snprintf(note, sizeof note, "%s %s %lldx%lld: cpu %.2f ms",
+                        tag, cell, static_cast<long long>(plan.tile),
+                        static_cast<long long>(plan.tile_w), ms(cpu, mid));
           print_row({"wave", v, gcups(cells, wall[mid]), -1.0, note});
         }
       }

@@ -471,7 +471,9 @@ aligner::plan_info aligner::plan(index_t n, index_t m) const {
       engine::to_string(engine::classify_route(n, m, opt_, ops_->lanes));
   p.workspace_bytes = ops_->plan_bytes(n, m, opt_);
   p.precision = engine::classify_plan_precision(n, m, opt_, ops_->lanes);
-  p.tile = ops_->plan_tile(n, m, opt_);
+  const engine::tile_shape tile = ops_->plan_tile(n, m, opt_);
+  p.tile = tile.h;
+  p.tile_w = tile.w;
   return p;
 }
 

@@ -72,9 +72,10 @@ struct align_options {
 
   backend exec = backend::auto_select;
   int threads = 0;          ///< 0 = hardware concurrency
-  /// Tile extent for the wavefront engines; 0 derives it at plan time
-  /// from the shape, the variant's lane count and the scores (see
-  /// `aligner::plan_info::tile`).
+  /// Tile extent for the wavefront engines: a `tile` x `tile` square;
+  /// 0 derives a height and a width at plan time from the shape, the
+  /// threads, the variant's lane count and the scores (see
+  /// `aligner::plan_info::tile` and `tile_w`).
   index_t tile = 0;
 
   /// Score precision for score-only routes (ignored with tracebacks,
@@ -229,9 +230,13 @@ class aligner {
     /// on the bit-parallel route, `int16` on the striped route, `int32`
     /// everywhere else (including tracebacks).
     score_precision precision;
-    /// Tile extent the wavefront routes use for this shape (`tile`, or
-    /// the plan-time derivation when it is 0); 0 for simulators.
+    /// Tile height (rows of the query) the wavefront routes use for this
+    /// shape: `tile`, or the plan-time derivation when it is 0; 0 for
+    /// simulators.
     index_t tile;
+    /// Tile width (columns of the subject): `tile` again when it is set,
+    /// else the plan-time derivation; 0 for simulators.
+    index_t tile_w;
   };
   [[nodiscard]] plan_info plan(index_t n, index_t m) const;
 

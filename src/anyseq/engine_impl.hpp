@@ -106,8 +106,10 @@ void ws_reserve_impl(void* ws, std::size_t bytes) {
   ws_of(ws).reserve_bytes(bytes);
 }
 
-index_t plan_tile_impl(index_t n, index_t m, const align_options& opt) {
-  return make_tiled_config<kLanes>(opt, n, m).tile_h;
+::anyseq::engine::tile_shape plan_tile_impl(index_t n, index_t m,
+                                            const align_options& opt) {
+  const tiled::tiled_config cfg = make_tiled_config<kLanes>(opt, n, m);
+  return {cfg.tile_h, cfg.tile_w};
 }
 
 /// Stamp the variant that actually produced a result; called from inside

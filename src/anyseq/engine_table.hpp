@@ -53,6 +53,12 @@ inline constexpr index_t kRollingScoreCells = 20 * 20;
 /// Default Hirschberg full-DP recursion cutoff (the engines' default).
 inline constexpr index_t kHirschbergBaseCells = index_t{1} << 14;
 
+/// Extents of the wavefront routes' tile: `h` rows by `w` columns.
+struct tile_shape {
+  index_t h = 0;
+  index_t w = 0;
+};
+
 /// The execution route a variant's `align` entry takes for an (n x m)
 /// problem.
 enum class route_kind : std::uint8_t {
@@ -120,9 +126,10 @@ struct ops {
   /// Exact arena footprint of the route `opt` selects for an (n x m)
   /// problem — what `aligner::reserve` feeds into ws_reserve.
   std::size_t (*plan_bytes)(index_t n, index_t m, const align_options& opt);
-  /// Tile extent the tiled routes use for an (n x m) problem under `opt`
-  /// (`opt.tile`, or the plan-time derivation when it is 0).
-  index_t (*plan_tile)(index_t n, index_t m, const align_options& opt);
+  /// Tile height and width the tiled routes use for an (n x m) problem
+  /// under `opt` (`opt.tile` squared, or the plan-time derivation when it
+  /// is 0).
+  tile_shape (*plan_tile)(index_t n, index_t m, const align_options& opt);
 
   // --- execute entries (all carve from `ws`, never allocate after
   //     warm-up; traceback results recycle `out`'s buffers) ----------

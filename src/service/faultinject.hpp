@@ -58,6 +58,10 @@
 ///     shedding is exercised against a lying clock (requests may be
 ///     shed early or late; liveness and survivor byte-identity must
 ///     hold either way).
+///   * `engine_hold`      — executor, before the engine, batched or
+///     solo: while the schedule is held (`config::hold`) the executing
+///     thread blocks until `release()`.  Lets a test keep a request
+///     pending for as long as it needs, at any kernel speed.
 ///
 /// Arming is process-global and test-only: `arm()` publishes a schedule
 /// to every service in the process, `disarm()` retracts it.  Callers
@@ -83,8 +87,9 @@ enum class point : std::uint8_t {
   kernel_exception,
   dispatch_failure,
   clock_skew,
+  engine_hold,
 };
-inline constexpr std::size_t n_fault_points = 4;
+inline constexpr std::size_t n_fault_points = 5;
 
 /// Seeded, deterministic fault schedule.  Thread-safe: hook points are
 /// evaluated from producer, batcher, and pool threads concurrently.
@@ -103,9 +108,12 @@ class schedule {
     /// Deadline clock skew is drawn uniformly from ±this bound (0 =
     /// honest clock).
     std::int64_t max_clock_skew_ns = 0;
+    /// Hold every request at `engine_hold` until release().
+    bool hold = false;
   };
 
-  explicit schedule(const config& cfg) noexcept : cfg_(cfg) {}
+  explicit schedule(const config& cfg) noexcept
+      : cfg_(cfg), held_(cfg.hold) {}
 
   /// Per-visit decision for `alloc_failure` / `dispatch_failure`: visit
   /// indices are assigned in arrival order per point, and the decision
@@ -141,10 +149,23 @@ class schedule {
            cfg_.max_clock_skew_ns;
   }
 
+  /// One visit of `engine_hold`: blocks while the schedule is held.
+  void await_release() noexcept {
+    visits_[static_cast<std::size_t>(point::engine_hold)].fetch_add(
+        1, std::memory_order_relaxed);
+    held_.wait(true, std::memory_order_acquire);
+  }
+
+  /// Lets every held and future `engine_hold` visit through.
+  void release() noexcept {
+    held_.store(false, std::memory_order_release);
+    held_.notify_all();
+  }
+
   [[nodiscard]] const config& settings() const noexcept { return cfg_; }
 
-  /// How many times per-visit point `p` has been visited so far (fire()
-  /// and skew_ns() count visits; poisoned() does not).
+  /// How many times per-visit point `p` has been visited so far (fire(),
+  /// skew_ns() and await_release() count visits; poisoned() does not).
   [[nodiscard]] std::uint64_t visits(point p) const noexcept {
     return visits_[static_cast<std::size_t>(p)].load(
         std::memory_order_relaxed);
@@ -171,6 +192,7 @@ class schedule {
   }
 
   config cfg_;
+  std::atomic<bool> held_;
   std::atomic<std::uint64_t> visits_[n_fault_points] = {};
 };
 
@@ -211,6 +233,11 @@ inline void disarm() noexcept {
   return s != nullptr ? s->skew_ns() : std::int64_t{0};
 }
 
+/// The `engine_hold` point: blocks while the armed schedule is held.
+inline void engine_hold() noexcept {
+  if (schedule* s = armed()) s->await_release();
+}
+
 }  // namespace anyseq::service::fault
 
 /// Hook-point predicates.  With hooks compiled in (default) each is one
@@ -225,7 +252,9 @@ inline void disarm() noexcept {
   (::anyseq::service::fault::fires(::anyseq::service::fault::point::p))
 #define ANYSEQ_FAULT_CLOCK_SKEW_NS() \
   (::anyseq::service::fault::clock_skew_ns())
+#define ANYSEQ_FAULT_HOLD() (::anyseq::service::fault::engine_hold())
 #else
 #define ANYSEQ_FAULT_POINT(p) (false)
 #define ANYSEQ_FAULT_CLOCK_SKEW_NS() (std::int64_t{0})
+#define ANYSEQ_FAULT_HOLD() ((void)0)
 #endif

@@ -1108,6 +1108,7 @@ void aligner::run_span(exec_unit& ws, std::size_t lo, std::size_t hi) {
               "service: injected kernel exception (batched)");
       }
     }
+    ANYSEQ_FAULT_HOLD();
     ws.pairs.clear();
     for (std::size_t i = lo; i < hi; ++i)
       ws.pairs.push_back({slots_[ws.items[i]].q, slots_[ws.items[i]].s});
@@ -1162,6 +1163,7 @@ void aligner::run_solo(exec_unit& ws, std::uint32_t idx) {
     if (ANYSEQ_FAULT_HOOKS && fault::armed() != nullptr &&
         fault::armed()->poisoned(sl.key_hash))
       throw fault::injected_fault("service: injected kernel exception");
+    ANYSEQ_FAULT_HOLD();
     ws.eng.set_options(sl.opt);
     const auto eng_t0 = clock::now();
     ws.eng.align_into(sl.q, sl.s, ws.scratch);

@@ -28,6 +28,7 @@
 #define ANYSEQ_TILED_TILED_ENGINE_HPP_
 #endif
 
+#include <limits>
 #include <mutex>
 
 #include "anyseq/engine_table.hpp"
@@ -79,7 +80,8 @@ class tiled_engine {
     const auto workers = static_cast<std::size_t>(
         parallel::wavefront_workers(cfg.threads, dims));
     return border_frontier::plan_bytes(geom, Gap::kind == gap_kind::affine) +
-           workers * per_worker_bytes(cfg) +
+           2 * carve_bytes<score_t>(workers * int32_pitch(cfg)) +
+           carve_bytes<stripe_t>(workers * stripe_pitch(cfg)) +
            parallel::dynamic_wavefront::plan_bytes(dims);
   }
 
@@ -133,10 +135,6 @@ class tiled_engine {
     const std::size_t packs =
         striped_packs<K, Lanes, Gap, Scoring>(cfg.tile_h);
     return (packs + kPage - 1) / kPage * kPage;
-  }
-  [[nodiscard]] static std::size_t per_worker_bytes(const tiled_config& cfg) {
-    return 2 * carve_bytes<score_t>(int32_pitch(cfg)) +
-           carve_bytes<stripe_t>(stripe_pitch(cfg));
   }
 
   // Kernel adapter satisfying the wavefront scheduler interface.  All
@@ -271,37 +269,65 @@ class tiled_engine {
   parallel::wavefront_stats stats_{};
 };
 
-/// The plan-time tile for an (n x m) problem when `opt.tile` is 0: the
-/// largest of 512, 256, 128 that runs striped (fits_striped_tile) and
-/// whose longest anti-diagonal holds two tiles per thread, else 128 when
-/// it still runs striped.  The scalar variant, and scores too large for
-/// any striped tile, keep 512.  From the `wave` rows of
-/// BENCH_precision.json (DESIGN.md §9).
+/// The largest lane-multiple side s for which an s x s tile runs striped
+/// (fits_striped_tile), 0 when none does.
 template <int Lanes>
-[[nodiscard]] index_t derive_tile(index_t n, index_t m, int threads,
-                                  score_t unit) {
-  constexpr index_t kMaxTile = 512, kMinTile = 128;
-  if (Lanes == 1) return kMaxTile;
-  for (index_t t = kMaxTile; t > kMinTile; t /= 2)
-    if (fits_striped_tile(t, t, unit) &&
-        std::min(stage::tile_count(n, t), stage::tile_count(m, t)) >=
-            2 * threads)
-      return t;
-  return fits_striped_tile(kMinTile, kMinTile, unit) ? kMinTile : kMaxTile;
+[[nodiscard]] constexpr index_t striped_side(score_t unit) noexcept {
+  index_t lo = 0, hi = std::numeric_limits<score16_t>::max() / Lanes;
+  while (lo < hi) {  // in lanes: lo fits (or is 0), hi + 1 does not
+    const index_t mid = (lo + hi + 1) / 2;
+    if (fits_striped_tile(mid * Lanes, mid * Lanes, unit))
+      lo = mid;
+    else
+      hi = mid - 1;
+  }
+  return lo * Lanes;
+}
+
+/// The plan-time tile shape for an (n x m) problem when `opt.tile` is 0.
+/// Each axis gets two tiles per thread (the feed rule), so the grid's
+/// longest anti-diagonal holds two tiles per worker: an axis of length
+/// `len` takes ceil(len / (2 threads)), rounded up to a lane multiple (a
+/// striped pass pads its rows to one anyway).  The height is clamped to
+/// the cap, the width to between 128 and min(1024, cap).  The cap is
+/// striped_side(unit), so every tile runs striped; unless `tall`, it is
+/// at most 512.  Tall tiles pay each column's fixed cost (the prefix
+/// scan) over more rows; past 1024 columns a wider tile saves no
+/// measurable border work.  They pay only where that cost is a large
+/// share of a column, on 32 lanes, and only when one pass covers the
+/// whole shape (DESIGN.md §9).
+/// The scalar variant, and scores whose striped side is under 128, keep
+/// 512 x 512.
+template <int Lanes>
+[[nodiscard]] tiled_config derive_tile(index_t n, index_t m, int threads,
+                                       score_t unit, bool tall) {
+  constexpr index_t kMaxWidth = 1024, kMinTile = 128, kSquare = 512;
+  const index_t side = striped_side<Lanes>(unit);
+  if (Lanes == 1 || side < kMinTile) return {kSquare, kSquare, threads};
+  const index_t cap = tall ? side : std::min(side, kSquare);
+  const index_t feed = 2 * static_cast<index_t>(threads);
+  const auto share = [&](index_t len) {
+    const index_t per = std::max<index_t>(1, stage::tile_count(len, feed));
+    return stage::tile_count(per, Lanes) * Lanes;
+  };
+  return {std::min(share(n), cap),
+          std::clamp(share(m), kMinTile, std::min(kMaxWidth, cap)), threads};
 }
 
 /// Wavefront configuration of one call under `opt`, derived once from
 /// the top-level (n x m) shape: the plan and every tiled route (tiled
-/// score, tiled Hirschberg, locate) use the same tile.
+/// score, tiled Hirschberg, locate) use the same tile.  An explicit
+/// `opt.tile` is an exact square.  Tall tiles go to score-only calls on
+/// 32 lanes: a traceback's Hirschberg passes shrink level by level, and a
+/// tile derived tall for the top-level shape would leave the deeper ones
+/// a single tile row, run by one thread.
 template <int Lanes>
 [[nodiscard]] tiled_config make_tiled_config(const align_options& opt,
                                              index_t n, index_t m) {
   const int threads = ::anyseq::parallel::resolve_threads(opt.threads);
-  const index_t tile =
-      opt.tile > 0 ? opt.tile
-                   : derive_tile<Lanes>(n, m, threads,
-                                        engine::score_unit(opt));
-  return {tile, tile, threads};
+  if (opt.tile > 0) return {opt.tile, opt.tile, threads};
+  return derive_tile<Lanes>(n, m, threads, engine::score_unit(opt),
+                            Lanes >= 32 && !opt.want_alignment);
 }
 
 /// One score-only pair on `rt`, the route engine::classify_route picked
@@ -345,6 +371,7 @@ template <align_kind K, int Lanes, class Gap, class Scoring>
 namespace anyseq::tiled {
 using v_scalar::tiled::tiled_config;
 using v_scalar::tiled::tiled_engine;
+using v_scalar::tiled::make_tiled_config;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
 

@@ -347,6 +347,56 @@ TEST(AlignApi, TilesAtTheInt16WindowEdgeEqualScalarInt32) {
   }
 }
 
+TEST(AlignApi, DerivedTilesAtTheInt16SideClampEqualScalarInt32) {
+  // unit 100 at the default tile: the feed rule's 400-row (16 lanes) or
+  // 416-row (32 lanes), 512-column shape is clamped to 128 x 128, the
+  // largest lane-multiple side that fits (138 does), so every tile still
+  // runs striped and the scores equal int32.
+  const auto head = test::random_codes(1200, 87);
+  auto q = head;
+  auto s = test::mutate(head, 88, 0.03, 0.01);
+  const auto q_tail = test::random_codes(400, 89);
+  const auto s_tail = test::random_codes(420, 90);
+  q.insert(q.end(), q_tail.begin(), q_tail.end());
+  s.insert(s.end(), s_tail.begin(), s_tail.end());
+  const auto n = static_cast<index_t>(q.size());
+  const auto m = static_cast<index_t>(s.size());
+  for (const align_kind k : {align_kind::global, align_kind::local}) {
+    align_options ref;
+    ref.kind = k;
+    ref.match = 100;
+    ref.mismatch = -100;
+    ref.gap_open = 0;
+    ref.gap_extend = -100;
+    ref.exec = backend::scalar;
+    ref.precision = score_precision::int32;
+    const auto want = align(view(q), view(s), ref);
+    for (backend b : {backend::simd_avx2, backend::simd_avx512}) {
+      if (!test::backend_runnable(b)) continue;
+      align_options opt = ref;
+      opt.exec = b;
+      opt.precision = score_precision::auto_select;
+      opt.threads = 2;
+      aligner a(opt);
+      const auto plan = a.plan(n, m);
+      ASSERT_STREQ(plan.route, "tiled_score");
+      EXPECT_EQ(plan.tile, 128);
+      EXPECT_EQ(plan.tile_w, 128);
+      const auto got = a.align(view(q), view(s));
+      SCOPED_TRACE(::testing::Message() << to_string(b) << " "
+                                        << to_string(k));
+      EXPECT_EQ(got.score, want.score);
+      EXPECT_EQ(got.q_end, want.q_end);
+      EXPECT_EQ(got.s_end, want.s_end);
+      const wavefront_stats st = a.last_wavefront_stats();
+      EXPECT_EQ(st.int32_tiles, 0u);
+      EXPECT_EQ(st.striped_tiles,
+                static_cast<std::uint64_t>(((n + 127) / 128) *
+                                           ((m + 127) / 128)));
+    }
+  }
+}
+
 TEST(AlignApi, BatchMatchesSingleAlignments) {
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<seq_pair> pairs;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "anyseq/anyseq.hpp"
+#include "service/faultinject.hpp"
 
 namespace {
 
@@ -184,11 +185,24 @@ TEST(CApiService, ManyRequestsMatchSynchronousScores) {
 }
 
 TEST(CApiService, TicketWaitForProbesWithoutConsuming) {
+  namespace fault = anyseq::service::fault;
+  // The held schedule stops the request before the engine until
+  // release(), so the instant and 1ms probes below observe TIMEOUT at
+  // any kernel speed, however long the test thread is descheduled.
+  fault::schedule::config cfg;
+  cfg.hold = true;
+  fault::schedule hold(cfg);
+  struct disarm_at_exit {
+    fault::schedule& s;
+    ~disarm_at_exit() {
+      s.release();
+      fault::disarm();
+    }
+  } guard{hold};
+  fault::arm(hold);
   anyseq_service* svc =
       anyseq_service_create(1, 0, 8, ANYSEQ_BACKPRESSURE_BLOCK);
   ASSERT_NE(svc, nullptr);
-  // A large pair keeps the ticket pending long enough that the instant
-  // and 1ms probes below reliably observe TIMEOUT.
   const std::string big_q(8000, 'A');
   std::string big_s;
   for (int i = 0; i < 8000; ++i) big_s.push_back("ACGT"[i % 4]);
@@ -200,6 +214,7 @@ TEST(CApiService, TicketWaitForProbesWithoutConsuming) {
   EXPECT_EQ(anyseq_ticket_wait_for(slow, 1000), ANYSEQ_WAIT_TIMEOUT);
   EXPECT_EQ(anyseq_ticket_wait_for(slow, -1), -1);  // negative timeout
   EXPECT_EQ(anyseq_ticket_wait_for(nullptr, 0), -1);
+  hold.release();
   // Bounded wait to completion; none of the probes consumed the ticket,
   // so redeeming it still returns the score.
   EXPECT_EQ(anyseq_ticket_wait_for(slow, 60000000), ANYSEQ_WAIT_READY);
@@ -207,6 +222,7 @@ TEST(CApiService, TicketWaitForProbesWithoutConsuming) {
   const auto want = anyseq::align_strings(big_q, big_s).score;
   EXPECT_EQ(anyseq_service_wait(slow, nullptr, nullptr), want);
   anyseq_service_destroy(svc);
+  EXPECT_EQ(hold.visits(fault::point::engine_hold), 1u);
 }
 
 TEST(CApiService, InvalidArgumentsReturnNullOrError) {

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -142,6 +143,23 @@ TEST(AllocSteadyState, TiledScoreRouteFourThreads) {
   o.tile = 128;
   aligner a(o);
   EXPECT_STREQ(a.plan(700, 650).route, "tiled_score");
+  expect_steady_state(a, view(q), view(s));
+}
+
+TEST(AllocSteadyState, TiledScoreRouteDerivedShapeFourThreads) {
+  // The plan-time tile (tile = 0): on the vector variants a tall
+  // band, 288 x 288 here, whose stripes each worker carves once.
+  const auto q = test::random_codes(2200, 12);
+  const auto s = test::mutate(q, 23);
+  align_options o = serial_opts();
+  o.threads = 4;
+  aligner a(o);
+  const auto plan = a.plan(2200, static_cast<index_t>(s.size()));
+  EXPECT_STREQ(plan.route, "tiled_score");
+  if (std::string_view(plan.variant) != "scalar") {
+    EXPECT_EQ(plan.tile, 288);
+    EXPECT_EQ(plan.tile_w, 288);
+  }
   expect_steady_state(a, view(q), view(s));
 }
 

@@ -7,7 +7,8 @@
 /// cell, rank) must be byte-identical.  All four kinds, linear and
 /// affine gaps, simple and matrix scoring, at 16 and 32 lanes (the
 /// scalar clone's packs); tiles of 1 x 1, shorter than a stripe, not a
-/// multiple of it, and 128 x 128, with clipped edge tiles and the first
+/// multiple of it, 128 x 128, the plan's tall 1088 x 1024 tile and a
+/// band at the int16 side limit, with clipped edge tiles and the first
 /// row and column of tiles (whose E/F borders are -inf) on every grid.
 
 #include <gtest/gtest.h>
@@ -149,6 +150,37 @@ TEST(StripedTile, LargestRowBiasEqualsScalarTile) {
   largest_row_bias<32, align_kind::local>();
   largest_row_bias<32, align_kind::semiglobal>();
   largest_row_bias<32, align_kind::extension>();
+}
+
+template <int W, align_kind K>
+void tall_tiles() {
+  // The plan's derived shapes at paper scores (2/-1, gaps -2/-1 or -3:
+  // unit 3).  A 1088 x 1024 grid, the genome_long tile at 4 threads,
+  // with clipped edges on both axes; and one band of the tallest tile
+  // the int16 window allows, 4665 rows ((2 * 4665 + 2) * 3 = 27996 <
+  // 28000): 146 stripes on 32 lanes, 292 on 16, not a lane multiple.
+  const simple_scoring sc{2, -1};
+  const grid_shape grids[] = {{2 * 1088 + 41, 1024 + 97, 1088, 1024},
+                              {4665, 2 * 512 + 77, 4665, 512}};
+  for (const grid_shape& sh : grids) {
+    const auto [q, s] = related_pair(sh.n, sh.m, 50);
+    tiles_match<W, K>(linear_gap{-3}, sc, sh, q, s);
+    tiles_match<W, K>(affine_gap{-2, -1}, sc, sh, q, s);
+  }
+}
+
+TEST(StripedTile, TallTilesEqualScalarTileAt16Lanes) {
+  tall_tiles<16, align_kind::global>();
+  tall_tiles<16, align_kind::local>();
+  tall_tiles<16, align_kind::semiglobal>();
+  tall_tiles<16, align_kind::extension>();
+}
+
+TEST(StripedTile, TallTilesEqualScalarTileAt32Lanes) {
+  tall_tiles<32, align_kind::global>();
+  tall_tiles<32, align_kind::local>();
+  tall_tiles<32, align_kind::semiglobal>();
+  tall_tiles<32, align_kind::extension>();
 }
 
 template <align_kind K>

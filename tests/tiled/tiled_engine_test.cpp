@@ -193,8 +193,8 @@ TEST(TiledEngine, StripedTilesDoTheWork) {
   EXPECT_EQ(eng.last_stats().workers, 2u);
 
   // A genome-shaped pair through the public API at default options: the
-  // plan-time tile gives each of the 4 workers two tiles of the longest
-  // diagonal, and the vector variants run every tile striped.
+  // plan-time tile gives each of the 4 workers two tiles on each axis,
+  // and the vector variants run every tile striped.
   q = test::random_codes(4300, 43);
   s = test::mutate(q, 44);
   align_options opt;
@@ -210,16 +210,126 @@ TEST(TiledEngine, StripedTilesDoTheWork) {
   const wavefront_stats st = a.last_wavefront_stats();
   const std::uint64_t tiles =
       static_cast<std::uint64_t>(stage::tile_count(plan_n(q), plan.tile) *
-                                 stage::tile_count(plan_n(s), plan.tile));
+                                 stage::tile_count(plan_n(s), plan.tile_w));
   EXPECT_EQ(st.striped_tiles + st.int32_tiles, tiles);
   EXPECT_EQ(st.workers, 4u);
   if (std::string_view(plan.variant) == "scalar") {
     EXPECT_EQ(plan.tile, 512);
+    EXPECT_EQ(plan.tile_w, 512);
     EXPECT_EQ(st.striped_tiles, 0u);
   } else {
-    EXPECT_EQ(plan.tile, 512);  // 9 tiles a diagonal: 2 per worker
+    // ceil(4300 / 8) = 538 rounded up to a lane multiple: 8 tile rows;
+    // the width takes the same rule on the subject.  Below 32 lanes both
+    // are capped at 512.
+    const bool wide = std::string_view(plan.variant) == "avx512";
+    const index_t w = stage::tile_count(stage::tile_count(plan_n(s), 8),
+                                        wide ? 32 : 16) *
+                      (wide ? 32 : 16);
+    EXPECT_EQ(plan.tile, wide ? 544 : 512);
+    EXPECT_EQ(plan.tile_w, wide ? w : std::min<index_t>(w, 512));
     EXPECT_EQ(st.int32_tiles, 0u);
   }
+}
+
+/// Options whose per-cell score step (engine::score_unit) is `unit`.
+align_options unit_opts(score_t unit, int threads) {
+  align_options o;
+  o.match = unit;
+  o.mismatch = -unit;
+  o.gap_extend = -unit;
+  o.threads = threads;
+  return o;
+}
+
+template <int Lanes>
+void derived_shape_properties() {
+  for (const index_t n : {300, 2154, 8616, 40000})
+    for (const int threads : {1, 2, 4, 8})
+      for (const score_t unit : {1, 3, 20, 100, 1000}) {
+        const index_t m = n + n / 20;
+        const align_options opt = unit_opts(unit, threads);
+        ASSERT_EQ(engine::score_unit(opt), unit);
+        const tiled_config cfg = make_tiled_config<Lanes>(opt, n, m);
+        SCOPED_TRACE(::testing::Message()
+                     << "lanes " << Lanes << " " << n << "x" << m << " t"
+                     << threads << " unit " << unit << ": " << cfg.tile_h
+                     << "x" << cfg.tile_w);
+        EXPECT_EQ(cfg.threads, threads);
+        const index_t feed = 2 * threads;
+        const index_t tiles_y = stage::tile_count(n, cfg.tile_h);
+        const index_t tiles_x = stage::tile_count(m, cfg.tile_w);
+        if (!fits_striped_tile(128, 128, unit)) {
+          // No 128 x 128 tile runs striped: 512 x 512, int32.
+          EXPECT_EQ(cfg.tile_h, 512);
+          EXPECT_EQ(cfg.tile_w, 512);
+          if (std::min(n, m) >= feed * 512) {
+            EXPECT_GE(std::min(tiles_y, tiles_x), feed);
+          }
+          continue;
+        }
+        EXPECT_TRUE(fits_striped_tile(cfg.tile_h, cfg.tile_w, unit));
+        EXPECT_EQ(cfg.tile_h % Lanes, 0);
+        EXPECT_GE(cfg.tile_w, 128);
+        EXPECT_LE(cfg.tile_w, Lanes < 32 ? 512 : 1024);
+        EXPECT_LE(cfg.tile_h, Lanes < 32 ? 512 : 1 << 15);
+        // Rounding an axis up by under a lane loses no tile once its
+        // length is >= feed * (feed - 1) * Lanes; the width stops at 128.
+        if (n >= feed * (feed - 1) * Lanes && m >= feed * 128) {
+          EXPECT_GE(std::min(tiles_y, tiles_x), feed);
+        }
+        // The plan's footprint is the pass's live peak, to the byte
+        // (run where the pair is small enough to score here).
+        if (n > 2154) continue;
+        using eng_t =
+            tiled_engine<align_kind::global, linear_gap, simple_scoring,
+                         Lanes>;
+        const auto q = test::random_codes(static_cast<std::size_t>(n), 5);
+        const auto s = test::random_codes(static_cast<std::size_t>(m), 6);
+        eng_t eng(linear_gap{-unit}, simple_scoring{unit, -unit}, cfg);
+        workspace ws;
+        (void)eng.score(view(q), view(s), ws);
+        EXPECT_EQ(ws.high_water_bytes(), eng_t::plan_bytes(n, m, cfg));
+        EXPECT_EQ(eng.last_stats().int32_tiles, 0u);
+      }
+}
+
+TEST(TiledEngine, DerivedTileShapeFeedsEveryThreadOnEachAxis) {
+  derived_shape_properties<16>();
+  derived_shape_properties<32>();
+}
+
+TEST(TiledEngine, ScalarVariantAndExplicitTilesKeepSquares) {
+  const align_options derived = unit_opts(3, 4);
+  const tiled_config scalar = make_tiled_config<1>(derived, 8616, 9065);
+  EXPECT_EQ(scalar.tile_h, 512);
+  EXPECT_EQ(scalar.tile_w, 512);
+  align_options fixed = derived;
+  fixed.tile = 200;
+  for (const tiled_config& cfg : {make_tiled_config<16>(fixed, 8616, 9065),
+                                  make_tiled_config<32>(fixed, 8616, 9065)}) {
+    EXPECT_EQ(cfg.tile_h, 200);
+    EXPECT_EQ(cfg.tile_w, 200);
+  }
+}
+
+TEST(TiledEngine, TallTilesOnlyForScoreOnlyCallsOn32Lanes) {
+  const align_options score = unit_opts(3, 4);
+  align_options traceback = score;
+  traceback.want_alignment = true;
+  const tiled_config tall = make_tiled_config<32>(score, 8616, 9065);
+  EXPECT_EQ(tall.tile_h, 1088);
+  EXPECT_EQ(tall.tile_w, 1024);
+  for (const tiled_config& cfg :
+       {make_tiled_config<32>(traceback, 8616, 9065),
+        make_tiled_config<16>(score, 8616, 9065),
+        make_tiled_config<16>(traceback, 8616, 9065)}) {
+    EXPECT_EQ(cfg.tile_h, 512);
+    EXPECT_EQ(cfg.tile_w, 512);
+  }
+  // Under the 512 cap the feed rule still sets both axes.
+  const tiled_config small = make_tiled_config<16>(traceback, 2154, 2266);
+  EXPECT_EQ(small.tile_h, 272);
+  EXPECT_EQ(small.tile_w, 288);
 }
 
 /// Tie-heavy input: a short motif repeated, so many cells share the
