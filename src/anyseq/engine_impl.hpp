@@ -1,7 +1,8 @@
+#pragma once
 /// \file engine_impl.hpp
-/// Implementation of one engine variant.  Included ONLY through
-/// simd/foreach_target.hpp by the three variant TUs
-/// (src/simd/engines_{scalar,avx2,avx512}.cpp); never by baseline code.
+/// Implementation of one engine variant.  Included ONLY by the three
+/// variant TUs (src/simd/engines_{scalar,avx2,avx512}.cpp), each right
+/// after it defines `ANYSEQ_TARGET`; never by baseline code.
 ///
 /// Everything here — and the whole engine stack it pulls in (tiled
 /// engines, SIMD packs, full-matrix/rolling/Hirschberg/banded/locate
@@ -25,13 +26,6 @@
 /// that even the first call never allocates.
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_ANYSEQ_ENGINE_IMPL_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_ANYSEQ_ENGINE_IMPL_HPP_
-#undef ANYSEQ_ANYSEQ_ENGINE_IMPL_HPP_
-#else
-#define ANYSEQ_ANYSEQ_ENGINE_IMPL_HPP_
-#endif
 
 #include "anyseq/engine_table.hpp"
 #include "anyseq/option_dispatch.hpp"
@@ -254,5 +248,3 @@ void banded_align_impl(stage::seq_view q, stage::seq_view s, band b,
 }  // namespace engine
 }  // namespace ANYSEQ_TARGET_NS
 }  // namespace anyseq
-
-#endif  // per-target include guard

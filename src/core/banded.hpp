@@ -1,3 +1,4 @@
+#pragma once
 /// \file banded.hpp
 /// Banded global alignment: restrict the DP to diagonals
 /// lo <= j - i <= hi (an extension beyond the paper's evaluation; listed
@@ -18,18 +19,11 @@
 /// band doubling with a strict out-of-band score bound (DESIGN.md §11).
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS`, once per
-/// engine variant — see simd/foreach_target.hpp)
+/// engine variant — see simd/targets.hpp)
 /// The `band` parameter type is shared (core/types.hpp): it crosses the
 /// `engine::ops` dispatch boundary.
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_BANDED_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_BANDED_HPP_
-#undef ANYSEQ_CORE_BANDED_HPP_
-#else
-#define ANYSEQ_CORE_BANDED_HPP_
-#endif
 
 #include <algorithm>
 #include <array>
@@ -579,5 +573,3 @@ using v_scalar::kDoublingRadius;
 using v_scalar::banded_global_into;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

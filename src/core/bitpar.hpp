@@ -1,3 +1,4 @@
+#pragma once
 /// \file bitpar.hpp
 /// Myers bit-parallel global alignment for unit-cost option sets
 /// (match = 0, mismatch = gap = g < 0): the score of the optimal global
@@ -19,13 +20,6 @@
 /// symbol-isolation audit).
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_BITPAR_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_BITPAR_HPP_
-#undef ANYSEQ_CORE_BITPAR_HPP_
-#else
-#define ANYSEQ_CORE_BITPAR_HPP_
-#endif
 
 #include <algorithm>
 #include <cstdint>
@@ -143,5 +137,3 @@ using v_scalar::bitpar_score;
 using v_scalar::kBitparMaxCode;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file full_engine.hpp
 /// Full-matrix DP engine: O(n*m) memory, stores H and predecessor codes,
 /// supports traceback for all alignment kinds and gap models.
@@ -17,13 +18,6 @@
 /// never a COMDAT shared with baseline code.
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_FULL_ENGINE_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_FULL_ENGINE_HPP_
-#undef ANYSEQ_CORE_FULL_ENGINE_HPP_
-#else
-#define ANYSEQ_CORE_FULL_ENGINE_HPP_
-#endif
 
 #include "core/init.hpp"
 #include "core/relax.hpp"
@@ -164,5 +158,3 @@ using v_scalar::dp_optimum;
 using v_scalar::full_engine;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file hirschberg.hpp
 /// Linear-space traceback by divide & conquer (paper §III-A, citing
 /// Hirschberg [24]; affine gaps handled in the Myers–Miller fashion).
@@ -18,16 +19,9 @@
 /// already opened.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS`, once per
-/// engine variant — see simd/foreach_target.hpp)
+/// engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_HIRSCHBERG_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_HIRSCHBERG_HPP_
-#undef ANYSEQ_CORE_HIRSCHBERG_HPP_
-#else
-#define ANYSEQ_CORE_HIRSCHBERG_HPP_
-#endif
 
 #include <functional>
 
@@ -298,5 +292,3 @@ using v_scalar::hirschberg_engine;
 using v_scalar::serial_last_row;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file locate.hpp
 /// Linear-space traceback for local and semi-global alignments.
 ///
@@ -13,16 +14,9 @@
 /// argument, as everywhere in this library.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS`, once per
-/// engine variant — see simd/foreach_target.hpp)
+/// engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_LOCATE_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_LOCATE_HPP_
-#undef ANYSEQ_CORE_LOCATE_HPP_
-#else
-#define ANYSEQ_CORE_LOCATE_HPP_
-#endif
 
 #include "core/rolling.hpp"
 #include "core/traceback.hpp"
@@ -130,5 +124,3 @@ using v_scalar::extension_border_score;
 using v_scalar::locate_align_into;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file rolling.hpp
 /// Linear-space score-only engine (paper Fig. 1, right: only one row of H
 /// plus the running E row and F scalar are stored), and the boundary-
@@ -9,13 +10,6 @@
 /// with baseline code.
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_ROLLING_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_ROLLING_HPP_
-#undef ANYSEQ_CORE_ROLLING_HPP_
-#else
-#define ANYSEQ_CORE_ROLLING_HPP_
-#endif
 
 #include <span>
 
@@ -145,5 +139,3 @@ using v_scalar::rolling_plan_bytes;
 using v_scalar::rolling_score;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file traceback.hpp
 /// Predecessor-byte traceback shared by every engine that stores a
 /// predecessor matrix (full engine, banded engine, batch engine, gpusim).
@@ -12,13 +13,6 @@
 /// per engine variant inside `anyseq::ANYSEQ_TARGET_NS`.
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_TRACEBACK_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_TRACEBACK_HPP_
-#undef ANYSEQ_CORE_TRACEBACK_HPP_
-#else
-#define ANYSEQ_CORE_TRACEBACK_HPP_
-#endif
 
 #include <algorithm>
 #include <string>
@@ -175,5 +169,3 @@ using v_scalar::tb_state;
 using v_scalar::traceback_walk;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

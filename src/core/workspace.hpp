@@ -1,3 +1,4 @@
+#pragma once
 /// \file workspace.hpp
 /// Caller-owned reusable memory arena for the plan/execute split.
 ///
@@ -36,13 +37,6 @@
 /// boundary as opaque `void*` handles only.
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_CORE_WORKSPACE_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_CORE_WORKSPACE_HPP_
-#undef ANYSEQ_CORE_WORKSPACE_HPP_
-#else
-#define ANYSEQ_CORE_WORKSPACE_HPP_
-#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -271,5 +265,3 @@ using v_scalar::carve_bytes;
 using v_scalar::workspace;
 }  // namespace anyseq
 #endif  // scalar exports
-
-#endif  // per-target include guard

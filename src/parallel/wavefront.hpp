@@ -1,3 +1,4 @@
+#pragma once
 /// \file wavefront.hpp
 /// The dynamic wavefront scheduler of the CPU backend (paper §IV-A).
 ///
@@ -24,13 +25,6 @@
 /// inside the variant TU and must not share COMDATs with baseline code)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_PARALLEL_WAVEFRONT_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_PARALLEL_WAVEFRONT_HPP_
-#undef ANYSEQ_PARALLEL_WAVEFRONT_HPP_
-#else
-#define ANYSEQ_PARALLEL_WAVEFRONT_HPP_
-#endif
 
 #include <algorithm>
 #include <atomic>
@@ -218,5 +212,3 @@ using v_scalar::parallel::tile_coord;
 using v_scalar::parallel::wavefront_workers;
 }  // namespace anyseq::parallel
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file work_queue.hpp
 /// The thread-safe ready queue of the dynamic wavefront scheduler (paper
 /// §IV-A: "submatrices are scheduled in a thread-safe queue which allows
@@ -8,13 +9,6 @@
 /// inside the variant TU and must not share COMDATs with baseline code)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_PARALLEL_WORK_QUEUE_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_PARALLEL_WORK_QUEUE_HPP_
-#undef ANYSEQ_PARALLEL_WORK_QUEUE_HPP_
-#else
-#define ANYSEQ_PARALLEL_WORK_QUEUE_HPP_
-#endif
 
 #include <algorithm>
 #include <condition_variable>
@@ -141,5 +135,3 @@ namespace anyseq::parallel {
 using v_scalar::parallel::mpmc_queue;
 }  // namespace anyseq::parallel
 #endif  // scalar exports
-
-#endif  // per-target include guard

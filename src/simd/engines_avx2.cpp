@@ -14,9 +14,8 @@
 
 #include "simd/targets.hpp"
 
-#define ANYSEQ_STATIC_TARGET ANYSEQ_TARGET_AVX2
-#define ANYSEQ_TARGET_INCLUDE "anyseq/engine_impl.hpp"
-#include "simd/foreach_target.hpp"
+#define ANYSEQ_TARGET ANYSEQ_TARGET_AVX2
+#include "anyseq/engine_impl.hpp"
 
 namespace anyseq::engine {
 

@@ -6,9 +6,8 @@
 
 #include "simd/targets.hpp"
 
-#define ANYSEQ_STATIC_TARGET ANYSEQ_TARGET_SCALAR
-#define ANYSEQ_TARGET_INCLUDE "anyseq/engine_impl.hpp"
-#include "simd/foreach_target.hpp"
+#define ANYSEQ_TARGET ANYSEQ_TARGET_SCALAR
+#include "anyseq/engine_impl.hpp"
 
 namespace anyseq::engine {
 

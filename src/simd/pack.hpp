@@ -1,3 +1,4 @@
+#pragma once
 /// \file pack.hpp
 /// Portable fixed-width SIMD value type (per-target header).
 ///
@@ -38,13 +39,6 @@
 /// symbol name and can never share a COMDAT with another variant's code.
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_SIMD_PACK_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_SIMD_PACK_HPP_
-#undef ANYSEQ_SIMD_PACK_HPP_
-#else
-#define ANYSEQ_SIMD_PACK_HPP_
-#endif
 
 #include <array>
 #include <bit>
@@ -375,5 +369,3 @@ using v_scalar::simd::s8x32;
 #endif
 }  // namespace anyseq::simd
 #endif  // scalar exports
-
-#endif  // per-target include guard

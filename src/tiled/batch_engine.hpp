@@ -1,3 +1,4 @@
+#pragma once
 /// \file batch_engine.hpp
 /// Inter-sequence SIMD alignment of many short pairs (the paper's second
 /// use case: millions of Illumina read pairs).  Lane `l` of every vector
@@ -35,16 +36,9 @@
 /// copied into per-target `pair_view` vectors first.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
-/// once per engine variant — see simd/foreach_target.hpp)
+/// once per engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_TILED_BATCH_ENGINE_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_TILED_BATCH_ENGINE_HPP_
-#undef ANYSEQ_TILED_BATCH_ENGINE_HPP_
-#else
-#define ANYSEQ_TILED_BATCH_ENGINE_HPP_
-#endif
 
 #include <algorithm>
 #include <array>
@@ -682,5 +676,3 @@ using v_scalar::tiled::ragged_chunk_plan_bytes;
 using v_scalar::tiled::ragged_chunk_score;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file borders.hpp
 /// Border frontier for tiled DP (paper Fig. 2): instead of the full DP
 /// matrix, only the tile borders the wavefront still needs are
@@ -21,16 +22,9 @@
 /// the corner array, where every grid point is written exactly once.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
-/// once per engine variant — see simd/foreach_target.hpp)
+/// once per engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_TILED_BORDERS_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_TILED_BORDERS_HPP_
-#undef ANYSEQ_TILED_BORDERS_HPP_
-#else
-#define ANYSEQ_TILED_BORDERS_HPP_
-#endif
 
 #include <algorithm>
 #include <cstdint>
@@ -176,5 +170,3 @@ using v_scalar::tiled::border_frontier;
 using v_scalar::tiled::tile_geometry;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
-
-#endif  // per-target include guard

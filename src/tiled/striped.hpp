@@ -1,3 +1,4 @@
+#pragma once
 /// \file striped.hpp
 /// Intra-pair SIMD: the striped int16 kernel of Farrar (Bioinformatics
 /// 23(2):156, 2007) in the prefix-scan form of parasail (Daily, BMC
@@ -63,16 +64,9 @@
 /// the same way.  Global reads H(n, m), the corner the last pass closes.
 ///
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
-/// once per engine variant — see simd/foreach_target.hpp)
+/// once per engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_TILED_STRIPED_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_TILED_STRIPED_HPP_
-#undef ANYSEQ_TILED_STRIPED_HPP_
-#else
-#define ANYSEQ_TILED_STRIPED_HPP_
-#endif
 
 #include <bit>
 #include <limits>
@@ -518,5 +512,3 @@ using v_scalar::tiled::striped_score;
 using v_scalar::tiled::striped_tile;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
-
-#endif  // per-target include guard

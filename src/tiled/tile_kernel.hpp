@@ -1,19 +1,13 @@
+#pragma once
 /// \file tile_kernel.hpp
 /// Scalar relaxation of one DP tile against the border frontier
 /// (paper §IV-A: "In the non-vectorized version, cells within a submatrix
 /// will be relaxed in row-major order").
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
-/// once per engine variant — see simd/foreach_target.hpp)
+/// once per engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_TILED_TILE_KERNEL_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_TILED_TILE_KERNEL_HPP_
-#undef ANYSEQ_TILED_TILE_KERNEL_HPP_
-#else
-#define ANYSEQ_TILED_TILE_KERNEL_HPP_
-#endif
 
 #include <limits>
 
@@ -171,5 +165,3 @@ using v_scalar::tiled::tile_best;
 using v_scalar::tiled::unit_step;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
-
-#endif  // per-target include guard

@@ -1,3 +1,4 @@
+#pragma once
 /// \file tiled_engine.hpp
 /// Multi-threaded tiled score engine for long sequences — the paper's CPU
 /// backend: dynamic wavefront over the tile grid, border-frontier storage
@@ -17,16 +18,9 @@
 /// starts — workers only index their pre-carved slice.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
-/// once per engine variant — see simd/foreach_target.hpp)
+/// once per engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_TILED_TILED_ENGINE_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_TILED_TILED_ENGINE_HPP_
-#undef ANYSEQ_TILED_TILED_ENGINE_HPP_
-#else
-#define ANYSEQ_TILED_TILED_ENGINE_HPP_
-#endif
 
 #include <limits>
 #include <mutex>
@@ -55,8 +49,8 @@ struct tiled_config {
 
 template <align_kind K, class Gap, class Scoring, int Lanes>
 class tiled_engine {
-  static_assert(Lanes == 1 || Lanes == 8 || Lanes == 16 || Lanes == 32,
-                "supported lane counts: 1 (scalar), 8/16/32 (SIMD)");
+  static_assert(Lanes == 1 || Lanes == 16 || Lanes == 32,
+                "supported lane counts: 1 (scalar), 16/32 (SIMD)");
 
  public:
   tiled_engine(Gap gap, Scoring scoring, tiled_config cfg = {})
@@ -374,5 +368,3 @@ using v_scalar::tiled::tiled_engine;
 using v_scalar::tiled::make_tiled_config;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
-
-#endif  // per-target include guard

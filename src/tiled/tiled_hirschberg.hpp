@@ -1,3 +1,4 @@
+#pragma once
 /// \file tiled_hirschberg.hpp
 /// Long-sequence traceback: the core divide & conquer engine driven by the
 /// multi-threaded tiled last-row passes — the composition the paper
@@ -7,16 +8,9 @@
 /// `align` and a batch's traceback pairs alike.
 
 /// (per-target header: compiled into `anyseq::ANYSEQ_TARGET_NS::tiled`,
-/// once per engine variant — see simd/foreach_target.hpp)
+/// once per engine variant — see simd/targets.hpp)
 
 #include "simd/set_target.hpp"
-
-#if defined(ANYSEQ_TILED_TILED_HIRSCHBERG_HPP_) == defined(ANYSEQ_TARGET_TOGGLE)
-#ifdef ANYSEQ_TILED_TILED_HIRSCHBERG_HPP_
-#undef ANYSEQ_TILED_TILED_HIRSCHBERG_HPP_
-#else
-#define ANYSEQ_TILED_TILED_HIRSCHBERG_HPP_
-#endif
 
 #include "core/banded.hpp"
 #include "core/full_engine.hpp"
@@ -164,5 +158,3 @@ using v_scalar::tiled::tiled_hirschberg_plan_bytes;
 using v_scalar::tiled::tiled_last_row;
 }  // namespace anyseq::tiled
 #endif  // scalar exports
-
-#endif  // per-target include guard

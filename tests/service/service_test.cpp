@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "service/faultinject.hpp"
 #include "testutil.hpp"
 
 namespace anyseq::service {
@@ -312,11 +313,23 @@ TEST(Service, BlockPolicyEventuallyAdmitsEverything) {
   EXPECT_EQ(snap.outstanding_tickets, 0u);
 }
 
-/// Fixture that wedges the service: one slow request occupies the only
+/// Fixture that wedges the service: one held request occupies the only
 /// workspace, a second batch blocks waiting for it, so everything else
-/// piles up in the admission queue — deterministic backpressure.
+/// piles up in the admission queue — deterministic backpressure.  The
+/// wedge stops at the `engine_hold` fault point until `unwedge()`, so it
+/// stays pending for as long as a test needs, at any kernel speed.
 class ServiceBackpressure : public ::testing::Test {
  protected:
+  ~ServiceBackpressure() override { fault::disarm(); }
+
+  /// Releases the hold when a test body leaves scope, before its aligner
+  /// is torn down: a failed assertion or a throw cannot leave the wedge
+  /// blocked and the process hung.
+  struct unwedge_at_exit {
+    ServiceBackpressure& f;
+    ~unwedge_at_exit() { f.unwedge(); }
+  };
+
   static config wedged_config(backpressure policy) {
     config cfg;
     cfg.max_batch = 1;
@@ -328,28 +341,48 @@ class ServiceBackpressure : public ::testing::Test {
     return cfg;
   }
 
-  /// Submit the wedge (a large, slow alignment) and wait until it is
-  /// executing and the next batch is parked on the workspace gate.  It
-  /// must outlast the 20 ms deadline below with room to spare: 48000 x
-  /// 48000 takes ~250 ms per test with striped tiles on one AVX-512
-  /// core (~13 s in the scalar-only build) — the batch runs on a pool
-  /// worker, so its wavefront runs inline there (24000 x 24000 had
-  /// fallen to ~16 ms on four cores, inside the deadline).
+  /// Submit the wedge and wait until it is in flight, held before the
+  /// engine.  It has more than `inline_cell_bound` cells, so it runs on
+  /// a pool worker and the batcher stays free to park the next batch on
+  /// the workspace gate.
   ticket wedge(aligner& svc) {
-    slow_q = random_codes(48000, 14);
-    slow_s = random_codes(48000, 15);
+    static_assert(std::uint64_t{1024} * 1024 > aligner::inline_cell_bound);
+    fault::arm(hold);
     auto t = svc.submit(view(slow_q), view(slow_s));
     EXPECT_TRUE(stats_become(
         svc, [](const service_stats& s) { return s.in_flight_batches == 1; }));
     return t;
   }
 
-  std::vector<char_t> slow_q, slow_s, small = random_codes(8, 16);
+  void unwedge() noexcept { hold.release(); }
+
+  /// No-drain shutdown of a wedged service.  shutdown() fails the queued
+  /// requests first, then joins the batcher, whose parked batch waits for
+  /// the wedge: so it runs on a helper thread, and the wedge is released
+  /// once the queue is empty.  Returns after shutdown() has.
+  void shutdown_no_drain(aligner& svc) {
+    std::jthread shutter([&] { svc.shutdown(/*drain=*/false); });
+    EXPECT_TRUE(stats_become(
+        svc, [](const service_stats& s) { return s.queue_depth == 0; }));
+    unwedge();
+  }
+
+  static fault::schedule::config held() {
+    fault::schedule::config cfg;
+    cfg.hold = true;
+    return cfg;
+  }
+
+  fault::schedule hold{held()};
+  std::vector<char_t> slow_q = random_codes(1024, 14),
+                      slow_s = random_codes(1024, 15),
+                      small = random_codes(8, 16);
 };
 
 TEST_F(ServiceBackpressure, RejectPolicyThrowsWhenQueueIsFull) {
   aligner svc(wedged_config(backpressure::reject));
   auto slow = wedge(svc);
+  const unwedge_at_exit guard{*this};
   // One more request gets popped into the parked second batch; then the
   // queue (capacity 2) fills, and further submissions must reject.
   std::vector<ticket> tickets;
@@ -363,6 +396,7 @@ TEST_F(ServiceBackpressure, RejectPolicyThrowsWhenQueueIsFull) {
   }
   EXPECT_GT(rejected, 0);
   EXPECT_EQ(svc.stats().rejected, static_cast<std::uint64_t>(rejected));
+  unwedge();
   (void)slow.get();
   for (auto& t : tickets) (void)t.get();
 }
@@ -370,9 +404,11 @@ TEST_F(ServiceBackpressure, RejectPolicyThrowsWhenQueueIsFull) {
 TEST_F(ServiceBackpressure, ShedOldestDropsQueuedRequests) {
   aligner svc(wedged_config(backpressure::shed_oldest));
   auto slow = wedge(svc);
+  const unwedge_at_exit guard{*this};
   std::vector<ticket> tickets;
   for (int i = 0; i < 16; ++i)
     tickets.push_back(svc.submit(view(small), view(small)));
+  unwedge();
   (void)slow.get();
   int ok = 0, shed = 0;
   for (auto& t : tickets) {
@@ -394,13 +430,14 @@ TEST_F(ServiceBackpressure, ShedOldestDropsQueuedRequests) {
 TEST_F(ServiceBackpressure, NoDrainShutdownFailsQueuedRequests) {
   aligner svc(wedged_config(backpressure::block));
   auto slow = wedge(svc);
+  const unwedge_at_exit guard{*this};
   // One request is absorbed into the parked batch; two sit in the queue.
   std::vector<ticket> tickets;
   for (int i = 0; i < 3; ++i)
     tickets.push_back(svc.submit(view(small), view(small)));
   EXPECT_TRUE(stats_become(
       svc, [](const service_stats& s) { return s.queue_depth == 2; }));
-  svc.shutdown(/*drain=*/false);
+  shutdown_no_drain(svc);
   int ok = 0, failed = 0;
   (void)slow.get();  // the wedge itself always completes
   for (auto& t : tickets) {
@@ -476,8 +513,10 @@ TEST(Service, ValidationErrorRejectsBeforeAnyCapacityIsConsumed) {
 TEST_F(ServiceBackpressure, TicketWaitForTimesOutThenCompletes) {
   aligner svc(wedged_config(backpressure::block));
   auto slow = wedge(svc);
-  EXPECT_FALSE(slow.wait_for(1ms));  // the wedge is nowhere near done
+  const unwedge_at_exit guard{*this};
+  EXPECT_FALSE(slow.wait_for(1ms));  // the wedge is held
   EXPECT_TRUE(slow.valid());         // a timed-out wait consumes nothing
+  unwedge();
   EXPECT_TRUE(slow.wait_for(60s));   // converts a hang into a failure
   EXPECT_TRUE(slow.ready());
   (void)slow.get();
@@ -515,11 +554,14 @@ TEST_F(ServiceBackpressure, QueuedRequestsShedWhenDeadlinePasses) {
   // queue behind it and expire before the batcher can collect them.
   aligner svc(wedged_config(backpressure::block));
   auto slow = wedge(svc);
+  const unwedge_at_exit guard{*this};
   submit_options so;
   so.cls = request_class::bulk;  // separate ring: not absorbed early
   so.deadline = std::chrono::steady_clock::now() + 20ms;
   ticket t1 = svc.submit(view(small), view(small), {}, so);
   ticket t2 = svc.submit(view(small), view(small), {}, so);
+  std::this_thread::sleep_until(so.deadline);  // both expire held
+  unwedge();
   (void)slow.get();
   EXPECT_THROW((void)t1.get(), deadline_error);
   EXPECT_THROW((void)t2.get(), deadline_error);
@@ -788,17 +830,18 @@ TEST(Service, BlockedSubmittersWakeALingeringBatcherAtQueueCapacity) {
 }
 
 TEST_F(ServiceBackpressure, NoDrainShutdownFailsPendingTicketsPromptly) {
-  // Satellite: shutdown-with-inflight — the wedge is mid-execution when
-  // shutdown lands; queued tickets must fail by the time it returns,
+  // Shutdown with a request in flight: the wedge is held when shutdown
+  // lands; queued tickets must fail by the time it returns,
   // and the inflight request still delivers.
   aligner svc(wedged_config(backpressure::block));
   auto slow = wedge(svc);
+  const unwedge_at_exit guard{*this};
   std::vector<ticket> tickets;
   for (int i = 0; i < 3; ++i)
     tickets.push_back(svc.submit(view(small), view(small)));
   EXPECT_TRUE(stats_become(
       svc, [](const service_stats& s) { return s.queue_depth == 2; }));
-  svc.shutdown(/*drain=*/false);
+  shutdown_no_drain(svc);
   // Queued requests were failed synchronously inside shutdown: their
   // tickets are ready the moment it returns, no grace period needed.
   int ready_now = 0;

@@ -1,13 +1,14 @@
 /// Tests for the per-variant engine namespaces (docs/DESIGN.md §5).
 ///
 /// The build compiles the whole lane-dependent engine stack once per
-/// variant inside anyseq::v_scalar / v_avx2 / v_avx512 (see
-/// simd/foreach_target.hpp); the `engine::ops` tables are the only
-/// boundary.  These tests assert the tables report the expected
-/// {lanes, native, name} triple, that the three variants are physically
-/// distinct code (no shared entry points), and — via the `variant` stamp
-/// written *inside* each namespace — that dispatch, including the
-/// align_batch traceback path, really executes the selected variant.
+/// variant inside anyseq::v_scalar / v_avx2 / v_avx512 (one
+/// `ANYSEQ_TARGET` per variant TU, simd/targets.hpp); the `engine::ops`
+/// tables are the only boundary.  These tests assert the tables report
+/// the expected {lanes, native, name} triple, that the three variants are
+/// physically distinct code (no shared entry points), and — via the
+/// `variant` stamp written *inside* each namespace — that dispatch,
+/// including the align_batch traceback path, really executes the
+/// selected variant.
 /// The archive-level half of the contract (no engine symbol outside its
 /// variant namespace) is checked by scripts/check_symbol_isolation.sh,
 /// registered as the `symbol_isolation` ctest.
