@@ -10,7 +10,7 @@
 ///   --kind global|local|semiglobal   (default global)
 ///   --match N --mismatch N           (default 2 / -1)
 ///   --gap-open N --gap-extend N      (default 0 / -1; open != 0 -> affine)
-///   --backend scalar|avx2|avx512|gpu_sim|fpga_sim|auto
+///   --backend scalar|avx2|avx512|auto
 ///   --threads N                      (default hardware)
 ///   --score-only                     skip traceback
 ///   --show-alignment                 print the gapped strings
@@ -67,8 +67,6 @@ int main(int argc, char** argv) {
       if (std::strcmp(v, "scalar") == 0) opt.exec = anyseq::backend::scalar;
       else if (std::strcmp(v, "avx2") == 0) opt.exec = anyseq::backend::simd_avx2;
       else if (std::strcmp(v, "avx512") == 0) opt.exec = anyseq::backend::simd_avx512;
-      else if (std::strcmp(v, "gpu_sim") == 0) opt.exec = anyseq::backend::gpu_sim;
-      else if (std::strcmp(v, "fpga_sim") == 0) opt.exec = anyseq::backend::fpga_sim;
       else if (std::strcmp(v, "auto") == 0) opt.exec = anyseq::backend::auto_select;
       else return usage();
     } else if (a == "--score-only") {

@@ -25,16 +25,22 @@
 #      shared-name weak symbol (a header drifting out of the per-target
 #      set, a std:: container of a new shared type with real loops)
 #      fails the audit here.
+#   5. The dispatcher (align.cpp.o) defines no symbol in any
+#      `anyseq::v_*` namespace and none in `anyseq::gpusim::` or
+#      `anyseq::fpgasim::`: it reaches the engines only through the
+#      `engine::ops` tables, so an engine or simulator template
+#      instantiated there again fails the audit.
 #
 # Usage: check_symbol_isolation.sh <path/to/libanyseq.a>
 #        check_symbol_isolation.sh --self-test
 # Honors $NM (default: nm).
 #
-# --self-test feeds the audit two synthetic symbol tables: a clean one
-# that must pass, and one with a deliberately-misplaced engine symbol (a
+# --self-test feeds the audit synthetic symbol tables: a clean one that
+# must pass, one with a deliberately-misplaced engine symbol (a
 # per-target `workspace` method emitted un-namespaced, weak, by the AVX2
 # TU — exactly what a header escaping the per-target set would produce)
-# that must fail.  This keeps the audit itself honest: a regex edit that
+# and two with an engine or a simulator symbol defined by the dispatcher
+# (rule 5), each of which must fail.  This keeps the audit itself honest: a regex edit that
 # silently stops matching cannot go unnoticed.
 
 set -euo pipefail
@@ -113,6 +119,17 @@ audit() {
       bad++
     }
 
+    # Rule 5: the dispatcher instantiates no engine and no simulator.
+    if (member == "align.cpp.o") {
+      seen_dispatcher = 1
+      if (index(name, "anyseq::v_") > 0 || index(name, "anyseq::gpusim::") > 0 \
+          || index(name, "anyseq::fpgasim::") > 0) {
+        printf "VIOLATION [%s]: engine or simulator symbol in the dispatcher: %s\n", \
+               member, name
+        bad++
+      }
+    }
+
     if (in_avx2) n_avx2++
     if (in_avx512) n_avx512++
     if (in_scalar) n_scalar++
@@ -123,6 +140,10 @@ audit() {
            total, n_scalar, n_avx2, n_avx512
     if (n_avx2 == 0 || n_avx512 == 0 || n_scalar == 0) {
       print "VIOLATION: a variant namespace is empty - audit regex or build broken"
+      bad++
+    }
+    if (!seen_dispatcher) {
+      print "VIOLATION: align.cpp.o defines no symbol - rule 5 cannot see the dispatcher"
       bad++
     }
     if (bad > 0) {
@@ -146,7 +167,21 @@ engines_avx2.cpp.o:
 engines_avx512.cpp.o:
 0000000000000000 W anyseq::v_avx512::tiled::tiled_engine<(anyseq::align_kind)0, anyseq::linear_gap, anyseq::simple_scoring, 32>::score()
 0000000000000010 W anyseq::v_avx512::workspace::begin_pass()
+align.cpp.o:
+0000000000000000 T anyseq::aligner::align_into(anyseq::stage::seq_view, anyseq::stage::seq_view, anyseq::alignment_result&)
 EOF
+}
+
+# Feeds the clean listing plus the extra lines on stdin to the audit;
+# exits the self-test if the audit accepts them.
+expect_rejected() {
+  local what="$1" extra
+  extra="$(cat)"
+  echo "audit self-test: $what must fail"
+  if { clean_listing; printf '%s\n' "$extra"; } | audit; then
+    echo "audit SELF-TEST FAILED: $what was NOT caught" >&2
+    exit 1
+  fi
 }
 
 self_test() {
@@ -156,18 +191,23 @@ self_test() {
     exit 1
   fi
 
-  echo "audit self-test: misplaced inline engine symbol must fail"
   # A per-target workspace method emitted OUTSIDE any anyseq::v_*
   # namespace, weak, by the AVX2 TU — the signature of an inline
   # definition leaking from the per-target header set into shared code.
-  if { clean_listing; cat <<'EOF'
+  expect_rejected "misplaced inline engine symbol" <<'EOF'
 engines_avx2.cpp.o:
 0000000000000020 W anyseq::workspace::begin_pass()
 EOF
-  } | audit; then
-    echo "audit SELF-TEST FAILED: misplaced engine symbol was NOT caught" >&2
-    exit 1
-  fi
+  # The dispatcher instantiating the scalar full engine, or a simulator
+  # kernel: legal everywhere else, so only rule 5 catches them.
+  expect_rejected "engine symbol in the dispatcher" <<'EOF'
+align.cpp.o:
+0000000000000020 W anyseq::v_scalar::full_engine<(anyseq::align_kind)0, anyseq::linear_gap, anyseq::simple_scoring>::align_into()
+EOF
+  expect_rejected "simulator symbol in the dispatcher" <<'EOF'
+align.cpp.o:
+0000000000000030 W anyseq::fpgasim::finish_model(anyseq::fpgasim::fpga_result&, anyseq::fpgasim::fpga_config const&)
+EOF
   echo "audit self-test OK: violations are detected, clean tables pass"
 }
 

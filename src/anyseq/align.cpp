@@ -1,16 +1,15 @@
 /// \file align.cpp
-/// The specialization table: maps runtime align_options onto the
-/// compile-time engine instantiations — and the public `aligner` handle
-/// that makes the plan/execute split reusable.
+/// The dispatcher: maps runtime align_options onto one engine variant's
+/// `engine::ops` table — and the public `aligner` handle that makes the
+/// plan/execute split reusable.
 ///
-/// Lane-dependent (SIMD) engine code is NOT instantiated here: this TU is
-/// compiled with baseline flags and reaches the engine variants only
-/// through the function tables of engine_table.hpp, whose implementations
-/// live in the per-variant namespaces `anyseq::v_*`, each compiled by its
-/// own ISA-flagged translation unit.  simd::detect() gates every entry,
+/// No engine template is instantiated here: this TU is compiled with
+/// baseline flags and reaches the engine variants only through the
+/// function tables of engine_table.hpp, whose implementations live in
+/// the per-variant namespaces `anyseq::v_*`, each compiled by its own
+/// ISA-flagged translation unit.  simd::detect() gates every entry,
 /// so a binary with native AVX2/AVX-512 kernels never executes them on a
-/// CPU that lacks the ISA.  The simulator backends (gpu_sim, fpga_sim)
-/// are baseline code and run here directly.
+/// CPU that lacks the ISA.
 ///
 /// The one-shot `align()` family is a thin wrapper over a thread-local
 /// `aligner`, so even fire-and-forget callers reuse a warm workspace;
@@ -20,21 +19,11 @@
 #include "anyseq/anyseq.hpp"
 
 #include "anyseq/engine_table.hpp"
-#include "anyseq/option_dispatch.hpp"
-#include "core/full_engine.hpp"
-#include "core/locate.hpp"
-#include "fpgasim/systolic.hpp"
-#include "gpusim/gpu_engine.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/detect.hpp"
 
 namespace anyseq {
 namespace {
-
-// The with_kind/with_gap/with_scoring specialization steps live in
-// anyseq/option_dispatch.hpp; this TU uses them only for the *simulator*
-// backends (the CPU variants re-dispatch inside their own namespace; see
-// engine_impl.hpp).
 
 /// Resolve auto_select against the running CPU and reject forced SIMD
 /// backends the binary/CPU combination cannot run (the dispatch contract
@@ -59,12 +48,7 @@ backend resolve_backend(backend b) {
   return b;
 }
 
-[[nodiscard]] bool is_cpu(backend b) noexcept {
-  return b == backend::scalar || b == backend::simd_avx2 ||
-         b == backend::simd_avx512;
-}
-
-/// The function table of a resolved CPU backend.
+/// The function table of a resolved backend.
 const engine::ops& ops_for(backend b) {
   switch (b) {
     case backend::scalar: return engine::ops_x1();
@@ -72,10 +56,10 @@ const engine::ops& ops_for(backend b) {
     case backend::simd_avx512: return engine::ops_x32();
     default: break;
   }
-  throw invalid_argument_error("ops_for: not a CPU backend");
+  throw invalid_argument_error("unknown backend");
 }
 
-/// Workspace slot of a resolved CPU backend inside an aligner.
+/// Workspace slot of a resolved backend inside an aligner.
 [[nodiscard]] int ws_slot(backend b) noexcept {
   switch (b) {
     case backend::simd_avx2: return 1;
@@ -92,93 +76,6 @@ const engine::ops& ops_of_slot(int i) {
     case 2: return engine::ops_x32();
     default: return engine::ops_x1();
   }
-}
-
-// ---------------------------------------------------------------------
-// Simulator backends (baseline code; exempt from the zero-allocation
-// contract).
-// ---------------------------------------------------------------------
-
-template <align_kind K, class Gap, class Scoring>
-alignment_result gpu_align(stage::seq_view q, stage::seq_view s,
-                           const Gap& gap, const Scoring& scoring,
-                           const align_options& opt) {
-  static gpusim::device dev;  // process-wide simulated device
-  gpusim::gpu_engine<K, Gap, Scoring> eng(dev, gap, scoring);
-  alignment_result out;
-  out.variant = "gpu_sim";
-  if (!opt.want_alignment) {
-    const auto r = eng.score(q, s);
-    out.score = r.score;
-    out.q_end = r.end_i;
-    out.s_end = r.end_j;
-    out.cells = r.cells;
-    return out;
-  }
-  workspace ws;
-  if (q.size() * s.size() <= opt.full_matrix_cells) {
-    full_engine<K, Gap, Scoring>(gap, scoring).align_into(q, s, true, ws, out);
-    out.variant = "gpu_sim";
-    return out;
-  }
-  if constexpr (K == align_kind::global) {
-    out = eng.align(q, s);
-    out.variant = "gpu_sim";
-    return out;
-  } else if constexpr (K == align_kind::local ||
-                       K == align_kind::semiglobal) {
-    gpusim::gpu_engine<align_kind::global, Gap, Scoring> geng(dev, gap,
-                                                              scoring);
-    locate_align_into<K>(
-        q, s, gap, scoring,
-        [&](stage::seq_view subq, stage::seq_view subs, alignment_result& r) {
-          r = geng.align(subq, subs);
-        },
-        ws, out);
-    out.variant = "gpu_sim";
-    return out;
-  } else {
-    throw invalid_argument_error(
-        "extension traceback beyond full_matrix_cells is not supported");
-  }
-}
-
-template <align_kind K, class Gap, class Scoring>
-alignment_result fpga_align(stage::seq_view q, stage::seq_view s,
-                            const Gap& gap, const Scoring& scoring,
-                            const align_options& opt) {
-  if (opt.want_alignment)
-    throw invalid_argument_error(
-        "the fpga_sim backend is score-only (paper §V: the FPGA "
-        "implementation supports score-only alignment)");
-  const auto r = fpgasim::systolic_score<K>(q, s, gap, scoring);
-  alignment_result out;
-  out.score = r.score;
-  out.cells = r.cells;
-  out.q_end = q.size();
-  out.s_end = s.size();
-  out.variant = "fpga_sim";
-  return out;
-}
-
-alignment_result simulator_align(stage::seq_view q, stage::seq_view s,
-                                 const align_options& opt, backend exec) {
-  return with_kind(opt.kind, [&](auto kc) {
-    constexpr align_kind K = decltype(kc)::value;
-    return with_gap(opt, [&](auto gap) {
-      return with_scoring(opt, [&](const auto& scoring) {
-        switch (exec) {
-          case backend::gpu_sim:
-            return gpu_align<K>(q, s, gap, scoring, opt);
-          case backend::fpga_sim:
-            return fpga_align<K>(q, s, gap, scoring, opt);
-          default:
-            break;
-        }
-        throw invalid_argument_error("unresolved backend");
-      });
-    });
-  });
 }
 
 /// The thread-local handle behind the one-shot `align()` family.  Each
@@ -374,9 +271,10 @@ void aligner::destroy_workspaces() noexcept {
 void aligner::set_options(const align_options& opt) {
   validate(opt);
   const backend exec = resolve_backend(opt.exec);
+  const engine::ops& ops = ops_for(exec);
   opt_ = opt;
   exec_ = exec;
-  ops_ = is_cpu(exec) ? &ops_for(exec) : nullptr;
+  ops_ = &ops;
 }
 
 void* aligner::workspace_handle() {
@@ -390,10 +288,6 @@ void aligner::align_into(stage::seq_view q, stage::seq_view s,
   last_batch_stats_ = {};
   last_wavefront_stats_ = {};
   validate_shape(q.size(), s.size(), opt_);
-  if (!is_cpu(exec_)) {
-    out = simulator_align(q, s, opt_, exec_);
-    return;
-  }
   ops_->align(q, s, opt_, workspace_handle(), out, &last_batch_stats_,
               &last_wavefront_stats_);
 }
@@ -415,15 +309,6 @@ void aligner::align_batch_into(std::span<const seq_pair> pairs,
   }
   // Every shape before any pair runs: a batch throws as a whole.
   for (const seq_pair& p : pairs) validate_shape(p.q.size(), p.s.size(), opt_);
-  if (!is_cpu(exec_)) {
-    // Pair by pair through the simulator's own align: a batch returns
-    // (and throws) exactly what its pairs' align calls would.
-    out.resize(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-      out[i] = simulator_align(pairs[i].q, pairs[i].s, opt_, exec_);
-    return;
-  }
-
   out.resize(pairs.size());  // reused elements keep their capacity
   ops_->align_batch(pairs, opt_, workspace_handle(),
                     std::span<alignment_result>(out), &last_batch_stats_);
@@ -443,9 +328,6 @@ void aligner::align_banded_into(stage::seq_view q, stage::seq_view s,
   if (opt_.kind != align_kind::global)
     throw invalid_argument_error(
         "align_banded supports global alignment only");
-  if (!is_cpu(exec_))
-    throw invalid_argument_error(
-        "align_banded is implemented by the CPU engine variants only");
   validate_shape(q.size(), s.size(), opt_);
   ops_->banded_align(q, s, b, opt_, workspace_handle(), out);
 }
@@ -459,13 +341,6 @@ alignment_result aligner::align_banded(stage::seq_view q, stage::seq_view s,
 
 aligner::plan_info aligner::plan(index_t n, index_t m) const {
   plan_info p{};
-  p.precision = score_precision::int32;  // simulators / traceback routes
-  if (!is_cpu(exec_)) {
-    p.variant = exec_ == backend::gpu_sim ? "gpu_sim" : "fpga_sim";
-    p.route = "simulator";
-    p.workspace_bytes = 0;
-    return p;
-  }
   p.variant = ops_->name;
   p.route =
       engine::to_string(engine::classify_route(n, m, opt_, ops_->lanes));
@@ -478,7 +353,6 @@ aligner::plan_info aligner::plan(index_t n, index_t m) const {
 }
 
 void aligner::reserve(index_t n, index_t m) {
-  if (!is_cpu(exec_)) return;  // simulators own their storage
   ops_->ws_reserve(workspace_handle(), ops_->plan_bytes(n, m, opt_));
 }
 
@@ -517,7 +391,7 @@ alignment_result align_strings(std::string_view q, std::string_view s,
 alignment_result align_banded(stage::seq_view q, stage::seq_view s, band b,
                               const align_options& opt) {
   aligner& a = thread_aligner();
-  a.set_options(opt);  // validates; align_banded checks kind/backend
+  a.set_options(opt);  // validates; align_banded checks the kind
   return a.align_banded(q, s, b);
 }
 
@@ -529,12 +403,7 @@ std::vector<alignment_result> align_batch(std::span<const seq_pair> pairs,
 }
 
 const char* backend_name(const align_options& opt) {
-  const backend exec = resolve_backend(opt.exec);
-  switch (exec) {
-    case backend::gpu_sim: return "gpu_sim";
-    case backend::fpga_sim: return "fpga_sim";
-    default: return ops_for(exec).name;
-  }
+  return ops_for(resolve_backend(opt.exec)).name;
 }
 
 const char* version() noexcept { return "1.0.0"; }

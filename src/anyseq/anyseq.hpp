@@ -31,14 +31,15 @@
 
 namespace anyseq {
 
-/// Execution backend (paper §IV: CPU, CPU-SIMD, GPU, FPGA).
+/// Execution backend: one of the CPU engine variants (paper §IV's CPU
+/// and CPU-SIMD targets).  The paper's GPU and FPGA targets are modelled
+/// by `gpusim` and `fpgasim`, which the figure benches drive directly
+/// (DESIGN.md §3).
 enum class backend : std::uint8_t {
   auto_select,  ///< widest SIMD the binary and CPU support
   scalar,       ///< multithreaded scalar CPU
   simd_avx2,    ///< 16-bit x 16 lanes (AVX2-shaped)
   simd_avx512,  ///< 16-bit x 32 lanes (AVX-512-shaped)
-  gpu_sim,      ///< simulated CUDA-like device (DESIGN.md §3)
-  fpga_sim,     ///< simulated systolic array (score-only)
 };
 
 [[nodiscard]] constexpr const char* to_string(backend b) noexcept {
@@ -47,8 +48,6 @@ enum class backend : std::uint8_t {
     case backend::scalar: return "scalar";
     case backend::simd_avx2: return "avx2";
     case backend::simd_avx512: return "avx512";
-    case backend::gpu_sim: return "gpu_sim";
-    case backend::fpga_sim: return "fpga_sim";
   }
   return "?";
 }
@@ -132,7 +131,7 @@ struct ops;  // internal per-variant function table (engine_table.hpp)
 /// runs entirely inside a per-variant workspace arena the handle owns
 /// and reuses.  After warm-up — once the arena and the recycled result
 /// buffers have grown to the working set — repeated `align_into` calls
-/// perform ZERO heap allocations on every CPU route (score, full-matrix
+/// perform ZERO heap allocations on every route (score, full-matrix
 /// traceback, Hirschberg, locate, banded; enforced by
 /// tests/core/alloc_steady_state_test.cpp), at any `threads`: the
 /// wavefront's workers are jobs on the global pool, not threads spawned
@@ -150,9 +149,7 @@ struct ops;  // internal per-variant function table (engine_table.hpp)
 ///
 /// Thread-safety: an aligner serves one call at a time; use one handle
 /// per thread (the one-shot `align()` wrapper does exactly that with a
-/// thread-local instance).  Simulator backends (gpu_sim / fpga_sim)
-/// execute through their legacy paths and are exempt from the
-/// allocation contract.
+/// thread-local instance).
 class aligner {
  public:
   /// Plan for default options.
@@ -196,8 +193,7 @@ class aligner {
   /// bit-parallel; for traceback batches and solo full-matrix tracebacks,
   /// how many global pairs a band pass certified (`banded_pairs`) and
   /// how many band passes ran (`band_passes`).  Zeroed at the start of
-  /// every align, batch and banded call; zero for other solo routes and
-  /// for simulator backends.
+  /// every align, batch and banded call; zero for other solo routes.
   [[nodiscard]] batch_stats last_batch_stats() const noexcept {
     return last_batch_stats_;
   }
@@ -206,7 +202,7 @@ class aligner {
   /// this handle: striped and int32 tiles, the workers run and the peak
   /// ready queue, summed over a traceback's tiled passes.  Zero for
   /// routes that run no wavefront (small/bitpar/striped scores,
-  /// full-matrix tracebacks, simulators) and for batch calls.
+  /// full-matrix tracebacks) and for batch calls.
   [[nodiscard]] wavefront_stats last_wavefront_stats() const noexcept {
     return last_wavefront_stats_;
   }
@@ -221,7 +217,7 @@ class aligner {
   /// options: the dispatched variant, the execution route, and the exact
   /// arena footprint the route carves.
   struct plan_info {
-    const char* variant;  ///< "scalar" / "avx2" / "avx512" / simulator
+    const char* variant;  ///< "scalar", "avx2" or "avx512"
     const char* route;    ///< "tiled_score", "small_score", "full_matrix",
                           ///< "hirschberg", "locate", "bitpar_score",
                           ///< "striped_score", or "unsupported"
@@ -231,11 +227,10 @@ class aligner {
     /// everywhere else (including tracebacks).
     score_precision precision;
     /// Tile height (rows of the query) the wavefront routes use for this
-    /// shape: `tile`, or the plan-time derivation when it is 0; 0 for
-    /// simulators.
+    /// shape: `tile`, or the plan-time derivation when it is 0.
     index_t tile;
     /// Tile width (columns of the subject): `tile` again when it is set,
-    /// else the plan-time derivation; 0 for simulators.
+    /// else the plan-time derivation.
     index_t tile_w;
   };
   [[nodiscard]] plan_info plan(index_t n, index_t m) const;
@@ -258,7 +253,7 @@ class aligner {
 
   align_options opt_{};
   backend exec_ = backend::scalar;          ///< resolved backend
-  const engine::ops* ops_ = nullptr;        ///< CPU variants only
+  const engine::ops* ops_ = nullptr;        ///< the resolved variant's table
   void* ws_[3] = {nullptr, nullptr, nullptr};  ///< one arena per variant
   batch_stats last_batch_stats_{};  ///< filled by batch and full-matrix calls
   wavefront_stats last_wavefront_stats_{};  ///< filled by tiled routes
@@ -292,15 +287,15 @@ class aligner {
     std::span<const seq_pair> pairs, const align_options& opt = {});
 
 /// Banded global alignment restricted to diagonals b.lo <= j - i <= b.hi
-/// (resequencing-style workloads).  Requires opt.kind == global and a CPU
-/// backend; score-only unless opt.want_alignment.  The band must contain
+/// (resequencing-style workloads).  Requires opt.kind == global;
+/// score-only unless opt.want_alignment.  The band must contain
 /// diagonals 0 and m - n or invalid_argument_error is thrown.
 [[nodiscard]] alignment_result align_banded(stage::seq_view q,
                                             stage::seq_view s, band b,
                                             const align_options& opt = {});
 
 /// Name of the engine variant the given options dispatch to on this host
-/// ("scalar", "avx2", "avx512", "gpu_sim", "fpga_sim"); static storage.
+/// ("scalar", "avx2", "avx512"); static storage.
 /// With default options this is the auto_select resolution.  Throws
 /// unsupported_backend_error for a forced SIMD backend the binary/CPU
 /// combination cannot run — exactly like align().

@@ -1,14 +1,15 @@
 #pragma once
 /// \file option_dispatch.hpp
-/// The runtime-option -> compile-time-policy dispatch steps shared by the
-/// baseline dispatcher (align.cpp, for the simulator backends) and every
-/// per-variant engine clone (engine_impl.hpp).
+/// The runtime-option -> compile-time-policy dispatch steps every
+/// per-variant engine clone runs (engine_impl.hpp); the dispatcher
+/// (align.cpp) picks the clone and includes none of this.
 ///
-/// Safe to share across baseline and ISA-flagged TUs: each helper is a
-/// function template whose only instantiations take TU-local lambda
-/// types, so no two translation units can ever emit the same symbol —
-/// and inside a variant TU the lambda's enclosing `anyseq::v_*` scope
-/// tags the instantiation's name, which the symbol audit checks.
+/// Safe to share across baseline and ISA-flagged TUs (tests include it
+/// too): each helper is a function template whose only instantiations
+/// take TU-local lambda types, so no two translation units can ever emit
+/// the same symbol — and inside a variant TU the lambda's enclosing
+/// `anyseq::v_*` scope tags the instantiation's name, which the symbol
+/// audit checks.
 
 #include <type_traits>
 

@@ -75,7 +75,7 @@ anyseq_score_t guarded(const char* q, const char* s,
       if (s_begin != nullptr) *s_begin = r.s_begin;
     }
     return r.score;
-  } catch (const anyseq::error&) {
+  } catch (...) {  // anyseq::error, or std::bad_alloc
     return ANYSEQ_C_ERROR;
   }
 }
@@ -208,7 +208,7 @@ anyseq_score_t aligner_guarded(anyseq_aligner* a, const char* q,
       }
     }
     return a->out.score;
-  } catch (const anyseq::error&) {
+  } catch (...) {  // anyseq::error, or std::bad_alloc
     return ANYSEQ_C_ERROR;
   }
 }
@@ -321,7 +321,7 @@ int anyseq_aligner_plan(anyseq_aligner* a, int64_t query_len,
     out->precision = anyseq::to_string(p.precision);
     out->workspace_bytes = p.workspace_bytes;
     return 0;
-  } catch (const anyseq::error&) {
+  } catch (...) {
     return -1;
   }
 }
@@ -523,7 +523,11 @@ int anyseq_service_get_stats(const anyseq_service* svc,
 int64_t anyseq_service_dump_metrics(const anyseq_service* svc, char* buf,
                                     size_t cap) {
   if (svc == nullptr) return -1;
-  return static_cast<int64_t>(svc->impl.dump_metrics(buf, cap));
+  try {
+    return static_cast<int64_t>(svc->impl.dump_metrics(buf, cap));
+  } catch (...) {  // the per-shard snapshot could not be allocated
+    return -1;
+  }
 }
 
 int anyseq_tracing_start(int64_t events_per_thread) {

@@ -18,8 +18,10 @@
  * a score argument past ::ANYSEQ_MAX_ABS_SCORE in magnitude, a pair so
  * long that its worst-case score could leave the int32 range, ...) they
  * return ::ANYSEQ_C_ERROR and write no output.  No other error
- * channel exists: the C API never throws and never aborts on bad
- * parameters.  See docs/C_API.md for a worked error-handling example.
+ * channel exists: the C API never throws and never aborts, on bad
+ * parameters or when memory runs out (an allocation failure returns
+ * ::ANYSEQ_C_ERROR, -1 or NULL like any other error).  See
+ * docs/C_API.md for a worked error-handling example.
  *
  * Thread safety: all functions are stateless and may be called
  * concurrently from any number of threads.
@@ -671,7 +673,8 @@ int anyseq_service_get_stats(const anyseq_service* svc,
  * \param svc Service handle.
  * \param buf Output buffer (may be NULL when \p cap is 0).
  * \param cap Capacity of \p buf in bytes.
- * \return Bytes required excluding the NUL, or -1 when \p svc is NULL.
+ * \return Bytes required excluding the NUL, or -1 when \p svc is NULL
+ *         or the per-shard snapshot could not be allocated.
  */
 int64_t anyseq_service_dump_metrics(const anyseq_service* svc, char* buf,
                                     size_t cap);

@@ -7,9 +7,9 @@
 /// partial evaluator specializes away.  Here the same role is played by this
 /// tiny overload set: `core::relax` is written against `vmax`/`vadd`/
 /// `vselect`/... and instantiates to straight-line scalar code for
-/// `score_t`, to saturating 16-bit SIMD code for `simd::pack<int16_t,W>`
-/// (which supplies its own overloads, found via ADL), and to whatever a
-/// simulator backend plugs in.
+/// `score_t`, and to saturating 16-bit SIMD code for `simd::pack<int16_t,W>`
+/// (which supplies its own overloads, found via ADL).  The gpusim and
+/// fpgasim models relax their cells through the same `score_t` path.
 
 #include <type_traits>
 

@@ -33,10 +33,10 @@ struct alignment_result {
   std::uint64_t cells = 0;
 
   /// Name of the engine variant that produced this result ("scalar",
-  /// "avx2", "avx512", "gpu_sim", "fpga_sim"); static storage, never
-  /// freed.  CPU results are stamped *inside* the dispatched
-  /// `anyseq::v_*` namespace, so tests can assert which variant actually
-  /// executed.  nullptr for results built outside the dispatcher.
+  /// "avx2" or "avx512"); static storage, never freed.  Results are
+  /// stamped *inside* the dispatched `anyseq::v_*` namespace, so tests
+  /// can assert which variant actually executed.  nullptr for results
+  /// built outside the dispatcher.
   const char* variant = nullptr;
 
   /// Reset to the default state while KEEPING the string capacity — the

@@ -7,12 +7,11 @@
 /// The service promises that every request produces a result
 /// *byte-identical* to a synchronous `anyseq::align` call with the same
 /// inputs.  `align_batch` keeps that promise on every backend, for any
-/// mix of kinds, sizes and empty sequences: on a CPU backend the SIMD
-/// lanes return the score and end cell `align` does, and every other
-/// pair runs the route `align` picks for it, on one thread
-/// (`tiled::score_route`, `tiled::traceback_route`); a simulator backend
-/// runs each pair through its own `align`.  `classify` therefore only
-/// names the call a request executes through:
+/// mix of kinds, sizes and empty sequences: the SIMD lanes return the
+/// score and end cell `align` does, and every other pair runs the route
+/// `align` picks for it, on one thread (`tiled::score_route`,
+/// `tiled::traceback_route`).  `classify` therefore only names the call
+/// a request executes through:
 ///
 ///   * batch_score     — score only.
 ///   * batch_traceback — traceback requested.

@@ -147,8 +147,9 @@ inline std::uint64_t histogram_snapshot::quantile_ns(
 
 /// Execution accounting axes.  Routes mirror `service::route`
 /// (batch_score, batch_traceback, solo); variants are the engine names
-/// stamped into `alignment_result::variant`, with one spill cell for
-/// anything unrecognised (simulator backends and future engines).
+/// stamped into `alignment_result::variant`, with one spill cell that
+/// only an unknown name lands in (a result built outside the
+/// dispatcher, or a future engine).
 inline constexpr std::size_t n_exec_routes = 3;
 inline constexpr std::size_t n_exec_variants = 4;
 

@@ -14,8 +14,7 @@ namespace {
 using test::view;
 
 const backend kAllBackends[] = {backend::scalar, backend::simd_avx2,
-                                backend::simd_avx512, backend::gpu_sim,
-                                backend::fpga_sim};
+                                backend::simd_avx512};
 
 class BackendSweep : public ::testing::TestWithParam<backend> {};
 
@@ -169,14 +168,6 @@ TEST(AlignApi, ExtensionKindScoreOnly) {
   opt.match = 2;
   auto r = align_strings("ACGTTTT", "ACGAAAA", opt);
   EXPECT_EQ(r.score, 6);  // the "ACG" prefix (3 matches), then stop
-}
-
-TEST(AlignApi, FpgaBackendRejectsTraceback) {
-  align_options opt;
-  opt.exec = backend::fpga_sim;
-  opt.want_alignment = true;
-  EXPECT_THROW((void)align_strings("ACGT", "ACGT", opt),
-               invalid_argument_error);
 }
 
 TEST(AlignApi, ValidatesOptions) {

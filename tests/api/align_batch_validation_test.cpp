@@ -120,64 +120,5 @@ TEST(AlignBatchValidation, MixedLengthBatchMatchesPerPairAlign) {
   }
 }
 
-TEST(AlignBatchValidation, SimulatorBatchesMatchPerPairAlign) {
-  // Each simulator's align_batch returns, pair by pair, what its align
-  // returns, for every kind: the score, the end cell and the cell count,
-  // and gpu_sim's tracebacks (fpga_sim is score-only: both reject one).
-  // Past full_matrix_cells gpu_sim's align takes Hirschberg or locate,
-  // whose CIGARs the 700 x 700 pair tells from the full matrix's, and an
-  // extension traceback throws from both calls.
-  std::vector<std::vector<char_t>> store;
-  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{40, 44},
-                             {16, 16}, {0, 16}, {90, 100}}) {
-    store.push_back(random_codes(n, 300 + n));
-    store.push_back(test::mutate(random_codes(m, 400 + m), 500 + m));
-  }
-  store.push_back(random_codes(700, 700));
-  store.push_back(test::mutate(store.back(), 701, 0.10, 0.0));
-  std::vector<seq_pair> pairs;
-  for (std::size_t i = 0; i < store.size(); i += 2)
-    pairs.push_back({view(store[i]), view(store[i + 1])});
-  const seq_pair& over = pairs.back();
-  for (const backend b : {backend::gpu_sim, backend::fpga_sim})
-    for (const index_t bound : {align_options{}.full_matrix_cells,
-                                index_t{1000}})
-      for (const align_kind k : test::all_kinds)
-        for (const bool traceback : {false, true}) {
-          align_options opt;
-          opt.exec = b;
-          opt.kind = k;
-          opt.gap_open = -2;
-          opt.full_matrix_cells = bound;
-          opt.want_alignment = traceback;
-          if (traceback &&
-              (b == backend::fpga_sim ||
-               (k == align_kind::extension &&
-                over.q.size() * over.s.size() > bound))) {
-            EXPECT_THROW((void)align(over.q, over.s, opt),
-                         invalid_argument_error);
-            EXPECT_THROW((void)align_batch(pairs, opt),
-                         invalid_argument_error);
-            continue;
-          }
-          const auto rs = align_batch(pairs, opt);
-          ASSERT_EQ(rs.size(), pairs.size());
-          for (std::size_t i = 0; i < pairs.size(); ++i) {
-            SCOPED_TRACE(::testing::Message()
-                         << to_string(b) << " " << to_string(k) << " bound "
-                         << bound << " pair " << i);
-            const auto want = align(pairs[i].q, pairs[i].s, opt);
-            EXPECT_EQ(rs[i].score, want.score);
-            EXPECT_EQ(rs[i].q_end, want.q_end);
-            EXPECT_EQ(rs[i].s_end, want.s_end);
-            EXPECT_EQ(rs[i].cells, want.cells);
-            EXPECT_EQ(rs[i].q_begin, want.q_begin);
-            EXPECT_EQ(rs[i].s_begin, want.s_begin);
-            EXPECT_EQ(rs[i].cigar, want.cigar);
-            EXPECT_STREQ(rs[i].variant, want.variant);
-          }
-        }
-}
-
 }  // namespace
 }  // namespace anyseq

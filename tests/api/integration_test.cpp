@@ -22,9 +22,8 @@ TEST(Integration, Table1PairThroughAllCpuBackends) {
   opt.tile = 128;
   score_t reference = 0;
   bool first = true;
-  for (backend b : {backend::scalar, backend::simd_avx2,
-                    backend::simd_avx512, backend::gpu_sim,
-                    backend::fpga_sim}) {
+  for (backend b :
+       {backend::scalar, backend::simd_avx2, backend::simd_avx512}) {
     if (!test::backend_runnable(b)) continue;
     opt.exec = b;
     const auto r = align(pr.a.view(), pr.b.view(), opt);
@@ -84,7 +83,7 @@ TEST(Integration, BatchPipelineAcrossBackends) {
   opt.threads = 2;
   std::vector<score_t> reference;
   for (backend b :
-       {backend::scalar, backend::simd_avx2, backend::gpu_sim}) {
+       {backend::scalar, backend::simd_avx2, backend::simd_avx512}) {
     if (!test::backend_runnable(b)) continue;
     opt.exec = b;
     const auto rs = align_batch(pairs, opt);

@@ -43,14 +43,12 @@ fuzz_case make_case(std::uint64_t seed) {
   c.opt.mismatch = pick(-1, -3);
   c.opt.gap_open = pick(0, 0, -2, -5);  // 0 twice: linear is common
   c.opt.gap_extend = pick(-1, -2);
-  c.opt.exec = pick(backend::scalar, backend::simd_avx2,
-                    backend::simd_avx512, backend::gpu_sim,
-                    backend::fpga_sim);
+  c.opt.exec =
+      pick(backend::scalar, backend::simd_avx2, backend::simd_avx512);
   if (!test::backend_runnable(c.opt.exec)) c.opt.exec = backend::scalar;
   c.opt.threads = static_cast<int>(1 + rng() % 3);
   c.opt.tile = pick(index_t{0}, index_t{16}, index_t{64}, index_t{200});
-  c.opt.want_alignment =
-      c.opt.exec != backend::fpga_sim && (rng() % 2 == 0);
+  c.opt.want_alignment = rng() % 2 == 0;
   // Sometimes force the linear-space D&C path for tracebacks.
   if (c.opt.want_alignment && rng() % 3 == 0) c.opt.full_matrix_cells = 64;
   // Both requestable precisions: the planned accumulator and the int32

@@ -58,9 +58,8 @@ uniform_pair at(align_kind k, index_t n) {
 
 std::vector<backend> runnable_backends() {
   std::vector<backend> out;
-  for (const backend b : {backend::scalar, backend::simd_avx2,
-                          backend::simd_avx512, backend::gpu_sim,
-                          backend::fpga_sim})
+  for (const backend b :
+       {backend::scalar, backend::simd_avx2, backend::simd_avx512})
     if (test::backend_runnable(b)) out.push_back(b);
   return out;
 }
@@ -69,8 +68,6 @@ TEST(ScoreBound, LastShapeInsideTheWindowIsExactAndTheNextThrows) {
   for (const backend b : runnable_backends())
     for (const align_kind k : test::all_kinds)
       for (const bool tb : {false, true}) {
-        // The FPGA simulator is score-only (paper section V).
-        if (tb && b == backend::fpga_sim) continue;
         SCOPED_TRACE(::testing::Message()
                      << to_string(b) << " " << to_string(k)
                      << (tb ? " traceback" : " score-only"));
@@ -132,7 +129,6 @@ TEST(ScoreBound, OverflowReprosThrowTheTypedError) {
     const auto s = dna_encode_all(std::string(r.m, r.s_char));
     for (const backend b : runnable_backends())
       for (const bool tb : {false, true}) {
-        if (tb && b == backend::fpga_sim) continue;
         SCOPED_TRACE(::testing::Message() << to_string(b) << " n " << r.n
                                           << (tb ? " traceback" : ""));
         align_options o = r.opt;

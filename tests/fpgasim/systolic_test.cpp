@@ -48,6 +48,46 @@ TEST(Systolic, SemiglobalBitExact) {
                                                    4, kpe);
 }
 
+/// Score of one kind x gap x scoring against rolling_score, on a
+/// homologous pair (even seeds) or an unrelated one (odd seeds), with a
+/// K_PE that splits the query into stripes.
+/// (The array reports no end cell: `fpga_result` is score-only.)
+template <align_kind K, class Gap, class Scoring>
+void fpga_matches_rolling(const Gap& gap, const Scoring& sc,
+                          std::uint64_t seed, double n_rate = 0.0) {
+  const auto q = test::random_codes(150, seed, n_rate);
+  const auto s = seed % 2 == 0 ? test::mutate(q, seed + 1)
+                                : test::random_codes(170, seed + 1, n_rate);
+  fpga_config cfg;
+  cfg.kpe = 48;
+  const auto got = systolic_score<K>(view(q), view(s), gap, sc, cfg);
+  workspace ws;
+  const auto want = rolling_score<K>(view(q), view(s), gap, sc, ws);
+  EXPECT_EQ(got.score, want.score) << to_string(K) << " seed " << seed;
+}
+
+template <align_kind K>
+void fpga_matches_rolling_both_gaps(std::uint64_t seed) {
+  fpga_matches_rolling<K>(linear_gap{-1}, simple_scoring{2, -1}, seed);
+  fpga_matches_rolling<K>(affine_gap{-2, -1}, simple_scoring{2, -1}, seed);
+}
+
+TEST(Systolic, EveryKindAndGapModelMatchesRolling) {
+  for (const std::uint64_t seed : {21, 22, 23}) {
+    fpga_matches_rolling_both_gaps<align_kind::global>(seed);
+    fpga_matches_rolling_both_gaps<align_kind::local>(seed);
+    fpga_matches_rolling_both_gaps<align_kind::semiglobal>(seed);
+  }
+}
+
+TEST(Systolic, DefaultMatrixMatchesRolling) {
+  constexpr auto matrix = dna_default_matrix();
+  const affine_gap gap{-4, -1};
+  fpga_matches_rolling<align_kind::global>(gap, matrix, 31, 0.05);
+  fpga_matches_rolling<align_kind::local>(gap, matrix, 32, 0.05);
+  fpga_matches_rolling<align_kind::semiglobal>(gap, matrix, 33, 0.05);
+}
+
 TEST(Systolic, QueryShorterThanArray) {
   fpga_matches_reference<align_kind::global>(10, 200, affine_gap{-2, -1}, 5,
                                              128);

@@ -44,6 +44,46 @@ TEST(GpuEngine, SemiglobalLinearBitExact) {
                                                 {64, 32, 16});
 }
 
+/// Score and end cell of one kind x gap x scoring against rolling_score,
+/// on a homologous pair (even seeds) or an unrelated one (odd seeds).
+template <align_kind K, class Gap, class Scoring>
+void gpu_matches_rolling(const Gap& gap, const Scoring& sc,
+                         std::uint64_t seed, double n_rate = 0.0) {
+  const auto q = test::random_codes(170, seed, n_rate);
+  const auto s = seed % 2 == 0 ? test::mutate(q, seed + 1)
+                                : test::random_codes(190, seed + 1, n_rate);
+  device dev;
+  gpu_engine<K, Gap, Scoring> eng(dev, gap, sc, {64, 48, 16});
+  const auto got = eng.score(view(q), view(s));
+  workspace ws;
+  const auto want = rolling_score<K>(view(q), view(s), gap, sc, ws);
+  EXPECT_EQ(got.score, want.score) << to_string(K) << " seed " << seed;
+  EXPECT_EQ(got.end_i, want.end_i) << to_string(K) << " seed " << seed;
+  EXPECT_EQ(got.end_j, want.end_j) << to_string(K) << " seed " << seed;
+}
+
+template <align_kind K>
+void gpu_matches_rolling_both_gaps(std::uint64_t seed) {
+  gpu_matches_rolling<K>(linear_gap{-1}, simple_scoring{2, -1}, seed);
+  gpu_matches_rolling<K>(affine_gap{-2, -1}, simple_scoring{2, -1}, seed);
+}
+
+TEST(GpuEngine, EveryKindAndGapModelMatchesRollingEndCell) {
+  for (const std::uint64_t seed : {21, 22, 23}) {
+    gpu_matches_rolling_both_gaps<align_kind::global>(seed);
+    gpu_matches_rolling_both_gaps<align_kind::local>(seed);
+    gpu_matches_rolling_both_gaps<align_kind::semiglobal>(seed);
+  }
+}
+
+TEST(GpuEngine, DefaultMatrixMatchesRollingEndCell) {
+  constexpr auto matrix = dna_default_matrix();
+  const affine_gap gap{-4, -1};
+  gpu_matches_rolling<align_kind::global>(gap, matrix, 31, 0.05);
+  gpu_matches_rolling<align_kind::local>(gap, matrix, 32, 0.05);
+  gpu_matches_rolling<align_kind::semiglobal>(gap, matrix, 33, 0.05);
+}
+
 TEST(GpuEngine, StripeHeightDoesNotChangeScores) {
   auto q = test::random_codes(180, 5);
   auto s = test::random_codes(175, 6);

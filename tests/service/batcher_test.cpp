@@ -47,20 +47,6 @@ TEST(BatcherRoutes, CpuRequestsClassifyByWantAlignmentAlone) {
           }
 }
 
-TEST(BatcherRoutes, SimulatorBackendsBatch) {
-  // A simulator's align_batch runs each pair through its own align, so
-  // its requests share batches like any CPU backend's.
-  align_options opt;
-  for (const backend exec : {backend::gpu_sim, backend::fpga_sim})
-    for (const bool traceback : {false, true}) {
-      opt.exec = exec;
-      opt.want_alignment = traceback;
-      EXPECT_EQ(classify(opt), traceback ? route::batch_traceback
-                                         : route::batch_score)
-          << to_string(exec);
-    }
-}
-
 TEST(BatcherRoutes, ForcedCpuBackendsBatch) {
   align_options opt;
   for (const backend exec : {backend::scalar, backend::simd_avx2,

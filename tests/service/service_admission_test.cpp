@@ -9,7 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "service/faultinject.hpp"
 #include "service/service.hpp"
+#include "service_waits.hpp"
 #include "testutil.hpp"
 
 namespace anyseq::service {
@@ -19,15 +21,59 @@ using test::random_codes;
 using test::view;
 using namespace std::chrono_literals;
 
-/// Poll the service until `pred(stats())` holds or ~2s elapse.
-template <class Pred>
-bool stats_become(const aligner& svc, Pred&& pred) {
-  for (int i = 0; i < 2000; ++i) {
-    if (pred(svc.stats())) return true;
-    std::this_thread::sleep_for(1ms);
+/// Holds batches before the engine (the `engine_hold` fault point) and
+/// lets them through one at a time, at any kernel speed: batches stop at
+/// the chain's first link, and `pass()` arms the next link before it
+/// releases the current one, so exactly the batch held there runs and
+/// the batch after it stops at the next link.  Declare the chain before
+/// the service, so it disarms once the service is gone, and a
+/// `release_at_exit` guard after the service.
+class hold_chain {
+ public:
+  hold_chain() { fault::arm(links_[0]); }
+  ~hold_chain() { fault::disarm(); }
+  hold_chain(const hold_chain&) = delete;
+  hold_chain& operator=(const hold_chain&) = delete;
+
+  /// True once a batch is held at the current link (polls ~2 s).
+  [[nodiscard]] bool batch_held() const {
+    for (int i = 0; i < 2000; ++i) {
+      if (links_[cur_].visits(fault::point::engine_hold) > 0) return true;
+      std::this_thread::sleep_for(1ms);
+    }
+    return false;
   }
-  return false;
-}
+
+  void pass() {
+    ASSERT_LT(cur_ + 1, std::size(links_));
+    fault::arm(links_[cur_ + 1]);
+    links_[cur_++].release();
+  }
+
+  void release_all() noexcept {
+    for (fault::schedule& l : links_) l.release();
+  }
+
+ private:
+  static fault::schedule::config held() {
+    fault::schedule::config cfg;
+    cfg.hold = true;
+    return cfg;
+  }
+
+  fault::schedule links_[3] = {fault::schedule{held()},
+                               fault::schedule{held()},
+                               fault::schedule{held()}};
+  std::size_t cur_ = 0;
+};
+
+/// Releases every held batch when a test body leaves scope, before its
+/// service is torn down: a failed assertion cannot leave a batch held
+/// and the process hung.
+struct release_at_exit {
+  hold_chain& holds;
+  ~release_at_exit() { holds.release_all(); }
+};
 
 /// A bulk flood must not starve interactive traffic: with a deep bulk
 /// backlog queued first, a later interactive request completes while
@@ -40,7 +86,9 @@ TEST(ServiceAdmission, InteractiveCompletesWhileBulkBacklogRemains) {
   cfg.max_linger = 50us;
   cfg.queue_capacity = 1024;
   cfg.max_inflight_batches = 1;  // serialize: backlog must actually wait
+  hold_chain holds;
   aligner svc(cfg);
+  const release_at_exit guard{holds};
 
   const auto q = random_codes(256, 11);
   const auto s = random_codes(256, 12);
@@ -50,12 +98,28 @@ TEST(ServiceAdmission, InteractiveCompletesWhileBulkBacklogRemains) {
   bulk.reserve(n_bulk);
   submit_options bulk_so;
   bulk_so.cls = request_class::bulk;
-  for (int i = 0; i < n_bulk; ++i)
+  // The first bulk request is alone in the queue, within
+  // inline_cell_bound, so it runs on the batcher itself: while it is
+  // held the batcher collects nothing, and the rest of the backlog and
+  // the interactive request all queue behind it.
+  static_assert(std::uint64_t{256} * 256 <= aligner::inline_cell_bound);
+  bulk.push_back(svc.submit(view(q), view(s), {}, bulk_so));
+  ASSERT_TRUE(holds.batch_held());
+  for (int i = 1; i < n_bulk; ++i)
     bulk.push_back(svc.submit(view(q), view(s), {}, bulk_so));
 
   submit_options ia_so;  // interactive is the default, but be explicit
   ia_so.cls = request_class::interactive;
   auto t = svc.submit(view(q), view(s), {}, ia_so);
+  // Let the first batch run.  Strict priority makes the next batch the
+  // interactive request's; let it run too, and hold the bulk batch that
+  // follows it, so the backlog cannot drain while this thread reads the
+  // stats below.
+  holds.pass();
+  ASSERT_TRUE(holds.batch_held());
+  holds.pass();
+  ASSERT_TRUE(t.wait_for(5s)) << "the interactive request is held behind "
+                                 "the bulk backlog";
   (void)t.get();
 
   // The moment the interactive request completed, the bulk backlog must
@@ -66,6 +130,7 @@ TEST(ServiceAdmission, InteractiveCompletesWhileBulkBacklogRemains) {
       << "interactive request waited for the whole bulk backlog";
   EXPECT_EQ(st.of(request_class::interactive).completed, 1u);
 
+  holds.release_all();
   for (auto& b : bulk) (void)b.get();
 }
 
@@ -85,8 +150,7 @@ TEST(ServiceAdmission, InteractiveArrivalCutsBulkLingerShort) {
   const auto t0 = std::chrono::steady_clock::now();
   submit_options bulk_so;
   bulk_so.cls = request_class::bulk;
-  auto b = svc.submit(view(q), view(s), {}, bulk_so);
-  std::this_thread::sleep_for(5ms);  // let the bulk batch start lingering
+  auto b = submit_lingering_lead(svc, q, {}, bulk_so);
 
   // Eight interactive requests: they preempt the bulk linger, then fill
   // a full batch themselves (max_batch == 8), so nothing here waits for

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "service/faultinject.hpp"
+#include "service_waits.hpp"
 #include "testutil.hpp"
 
 namespace anyseq::service {
@@ -40,16 +41,6 @@ void expect_identical(const alignment_result& got,
   ASSERT_NE(got.variant, nullptr);
   ASSERT_NE(want.variant, nullptr);
   EXPECT_STREQ(got.variant, want.variant);
-}
-
-/// Poll the service until `pred(stats())` holds or ~2s elapse.
-template <class Pred>
-bool stats_become(const aligner& svc, Pred&& pred) {
-  for (int i = 0; i < 2000; ++i) {
-    if (pred(svc.stats())) return true;
-    std::this_thread::sleep_for(1ms);
-  }
-  return false;
 }
 
 TEST(Service, SingleRequestMatchesSynchronousAlign) {
@@ -592,19 +583,8 @@ TEST(Service, LingerNeverPassesTheEarliestDeadline) {
 
 // A lingering batcher is woken only by an arrival that changes what its
 // forming batch does (DESIGN.md §12, "When the batcher wakes").  Each test
-// below lingers 10 s and would wait it out if its wake-up were lost.
-
-/// Submit one request and return once the batcher has pulled it: the
-/// batcher holds the service lock from the pop until its linger wait, so
-/// an empty queue seen under that lock means the lead is lingering.
-ticket submit_lingering_lead(aligner& svc, const std::vector<char_t>& q,
-                             const align_options& opt = {},
-                             const submit_options& so = {}) {
-  auto t = svc.submit(view(q), view(q), opt, so);
-  EXPECT_TRUE(stats_become(
-      svc, [](const service_stats& s) { return s.queue_depth == 0; }));
-  return t;
-}
+// below lingers 10 s and would wait it out if its wake-up were lost; its
+// lead lingers when `submit_lingering_lead` (service_waits.hpp) returns.
 
 TEST(Service, LingeringBatchRunsOnceItReachesMaxBatch) {
   config cfg;
@@ -704,59 +684,6 @@ TEST(Service, EveryKindAndSizeCoalescesAndMatchesSync) {
   const auto snap = svc.stats();
   EXPECT_LT(snap.batches, tickets.size());
   EXPECT_EQ(snap.failed, 1u);
-}
-
-TEST(Service, SimulatorRequestsShareBatchesAndMatchSync) {
-  // A simulator's align_batch runs each pair through its own align, so
-  // gpu_sim requests coalesce like CPU ones, each result equal to
-  // gpu_sim's align, tracebacks past full_matrix_cells included.  An
-  // extension traceback past the bound fails its batch, and bisection
-  // isolates it, so only its ticket fails.
-  config cfg;
-  cfg.max_batch = 64;
-  cfg.max_linger = 10s;
-  aligner svc(cfg);
-  std::vector<std::vector<char_t>> qs, ss;
-  for (const auto& [n, m] : {std::pair<std::size_t, std::size_t>{40, 44},
-                             {16, 16}, {0, 16}, {90, 100}}) {
-    qs.push_back(random_codes(n, 80 + n));
-    ss.push_back(test::mutate(random_codes(m, 90 + m), 100 + m));
-  }
-  constexpr std::size_t kOverBound = 3;  // 90 x ~100 > 2000 cells
-  align_options score;
-  score.exec = backend::gpu_sim;
-  align_options tb = score;
-  tb.want_alignment = true;
-  tb.full_matrix_cells = 2000;
-  align_options ext = tb;
-  ext.kind = align_kind::extension;
-  const std::vector<align_options> groups{score, tb, ext};
-  std::vector<ticket> tickets;
-  for (const align_options& o : groups)
-    for (std::size_t i = 0; i < qs.size(); ++i)
-      tickets.push_back(svc.submit(view(qs[i]), view(ss[i]), o));
-  svc.shutdown(true);
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    for (std::size_t i = 0; i < qs.size(); ++i) {
-      SCOPED_TRACE(::testing::Message() << "group " << g << " pair " << i);
-      ticket& t = tickets[g * qs.size() + i];
-      if (g + 1 == groups.size() && i == kOverBound) {
-        EXPECT_THROW((void)align(view(qs[i]), view(ss[i]), groups[g]),
-                     invalid_argument_error);
-        EXPECT_THROW((void)t.get(), invalid_argument_error);
-        continue;
-      }
-      expect_identical(t.get(), align(view(qs[i]), view(ss[i]), groups[g]));
-    }
-  const auto snap = svc.stats();
-  EXPECT_LT(snap.batches, tickets.size());
-  EXPECT_EQ(snap.failed, 1u);
-  // Simulator variants land in the exec table's "other" column (3).
-  const auto batched = [&](route r) {
-    return snap.exec.at[static_cast<std::size_t>(r)][3].requests;
-  };
-  EXPECT_EQ(batched(route::batch_score), qs.size());
-  EXPECT_GE(batched(route::batch_traceback), qs.size());
 }
 
 TEST(Service, InteractiveArrivalFlushesALingeringBulkBatch) {
