@@ -1,8 +1,8 @@
 /// Precision-route benchmark: the adaptive-precision batch kernels
 /// (int8/int16 chunks and striped pairs, as auto plans them) and the
 /// Myers bit-parallel route against the int32 rolling baseline, on the
-/// fig5b-style 150 bp read-pair workload (plus a short-read panel where
-/// the int8 window admits the whole batch), and the global traceback
+/// fig5b-style 150 bp read-pair workload (plus a 20 bp short-read
+/// panel), and the global traceback
 /// route (band doubling) on ragged and divergent pairs, and the
 /// long-genome wavefront's threads x tile sweep.  Emits BENCH_precision.json
 /// with per-row GCUPS and speedup-vs-int32 so CI can watch the narrow
@@ -132,7 +132,7 @@ align_options unit_opts(backend exec, int threads, score_precision p) {
 /// baseline, the auto route and the bit-parallel route.  Returns the
 /// auto route's GCUPS on the vector variants.
 vector_gcups panel(const char* title, const char* tag,
-                   std::span<const seq_pair> pairs, bool int8_admissible,
+                   std::span<const seq_pair> pairs,
                    const args& a) {
   vector_gcups auto_gcups;
   g_tag = tag;
@@ -151,14 +151,15 @@ vector_gcups panel(const char* title, const char* tag,
         a.repeats, 0.0, nullptr);
     print_row({"int32 rolling", v, g32, -1.0, "baseline"});
 
-    // Auto: plan-time bounds pick the widest window that fits (int16 for
-    // 150 bp at match 2, int8 for the short-read panel).
+    // Auto: both panels are global at the paper's scores, which fit the
+    // difference window at any length, so their chunks run int8
+    // difference lanes (the scalar variant runs pair by pair).
     const double gauto = run_route(
         v + "/auto", pairs,
         scored_opts(exec, a.threads, score_precision::auto_select), a.repeats,
         g32, &ref);
     print_row({"auto narrow", v, gauto, -1.0,
-               int8_admissible ? "selects int8" : "selects int16"});
+               lanes > 1 ? "int8 differences" : "lone pairs"});
     if (lanes > 1) auto_gcups.set(lanes, gauto);
 
     // Bit-parallel edit distance: its own unit-cost option set, so it
@@ -667,7 +668,7 @@ int main(int argc, char** argv) {
 
   // Fig. 5b-style panel: 150 bp Illumina pairs.  Worst-case bound at
   // match 2 is (150+150+2)*2 = 604 — inside the int16 window, outside
-  // int8's, so auto selects int16 here.
+  // the absolute int8 one; global chunks run int8 difference lanes.
   const auto data150 = bio::simulate_read_pairs(ref, a.pairs, {});
   std::vector<seq_pair> pairs150;
   pairs150.reserve(data150.size());
@@ -675,13 +676,13 @@ int main(int argc, char** argv) {
     pairs150.push_back({p.first.view(), p.second.view()});
   require_avx512_not_slower(
       "reads150",
-      panel("150 bp read pairs (fig5b workload)", "reads150", pairs150,
-            false, a));
+      panel("150 bp read pairs (fig5b workload)", "reads150", pairs150, a));
   require_avx512_not_slower("tail150", tail_panel(pairs150, a));
   kinds_panel(pairs150, a);
 
   // Short-read panel: 20 bp, bound (20+20+2)*2 = 84 < 96 — the whole
-  // batch fits the int8 window.
+  // batch fits the absolute int8 window too, which only local and
+  // extension chunks use now.
   bio::read_sim_params sp;
   sp.read_length = 20;
   const auto data20 = bio::simulate_read_pairs(ref, a.pairs, sp);
@@ -689,7 +690,7 @@ int main(int argc, char** argv) {
   pairs20.reserve(data20.size());
   for (const auto& p : data20)
     pairs20.push_back({p.first.view(), p.second.view()});
-  panel("20 bp read pairs (int8 window)", "reads20", pairs20, true, a);
+  panel("20 bp read pairs (int8 window)", "reads20", pairs20, a);
 
   // Jitter panel: simulate at the max length (165 bp) and trim each
   // mate to an independent uniform length in [135, 165], so the batch

@@ -2,11 +2,13 @@
 # Codegen guard for the SIMD kernels' column loops (docs/DESIGN.md §8,
 # §10 and §11).
 #
-# Disassembles five groups of AVX-512 kernels in libanyseq.a:
+# Disassembles six groups of AVX-512 kernels in libanyseq.a:
 #
 #   * chunk: ragged_chunk_score<global, short, 32, affine_gap,
 #     simple_scoring>, the inter-sequence chunk kernel;
 #   * chunk_local: the same kernel's local and extension instantiations;
+#   * chunk_diff: diff_chunk_score<global or semiglobal, 64, affine_gap,
+#     simple_scoring>, the int8 difference chunk kernel;
 #   * striped: striped_pass<global, 32, affine_gap, simple_scoring,
 #     frontier_io>, the striped tile pass (both sequence views);
 #   * striped_local: striped_pass<local or extension, 32, affine_gap,
@@ -17,13 +19,14 @@
 #     (its loops count as column loops here).
 #
 # In each it finds the column loops — the innermost loops that run a max
-# chain (vpmaxsw) — and fails if a loop
+# chain (vpmaxsw; vpmaxsb in chunk_diff) — and fails if a loop
 #
 #   1. loads a vector from the stack (a `v*` instruction reading an
-#      %rsp-relative operand): a loop-carried pack (F, H-left) or a
+#      %rsp-relative operand): a loop-carried pack (F, H-left; u, y) or a
 #      relax temporary spilled and reloaded every cell; or
-#   2. contains vpmovm2w / vpmovw2m: a comparison's k-mask widened into
-#      a vector and narrowed back before its blend; or
+#   2. contains vpmovm2w / vpmovw2m (vpmovm2b / vpmovb2m in chunk_diff):
+#      a comparison's k-mask widened into a vector and narrowed back
+#      before its blend; or
 #   3. (striped only) issues more zmm ALU instructions (a `v*` other than
 #      a move, with a zmm operand) per stripe vector than the row-biased
 #      frame needs: 8 in pass 1, the loop with the substitution compare
@@ -49,7 +52,7 @@
 #
 # --self-test feeds the audit canned listings: clean loops that must
 # pass, and loops with a stack reload, a mask round trip (in the chunk
-# kernel and in the anti-diagonal sweep), an op over the striped budget,
+# kernels and in the anti-diagonal sweep), an op over the striped budget,
 # or no kernel loop at all, each of which must fail.
 
 set -euo pipefail
@@ -61,13 +64,16 @@ CHUNK_RE='anyseq::v_avx512::tiled::ragged_chunk_score<\(anyseq::align_kind\)0, s
 CHUNK_LOCAL_RE='anyseq::v_avx512::tiled::ragged_chunk_score<\(anyseq::align_kind\)[13], short, 32, anyseq::affine_gap, anyseq::simple_scoring,'
 STRIPED_RE='anyseq::v_avx512::tiled::striped_detail::striped_pass<\(anyseq::align_kind\)0, 32, anyseq::affine_gap, anyseq::simple_scoring, anyseq::v_avx512::tiled::striped_detail::frontier_io<'
 STRIPED_LOCAL_RE='anyseq::v_avx512::tiled::striped_detail::striped_pass<\(anyseq::align_kind\)[13], 32, anyseq::affine_gap, anyseq::simple_scoring,'
+CHUNK_DIFF_RE='anyseq::v_avx512::tiled::diff_chunk_score<\(anyseq::align_kind\)[02], 64, anyseq::affine_gap, anyseq::simple_scoring,'
 ANTIDIAG_RE='anyseq::v_avx512::detail::antidiag_pass<anyseq::v_avx512::detail::ad_regs<anyseq::v_avx512::simd::pack<short, 32> >, anyseq::affine_gap, anyseq::simple_scoring, short>'
 
 # The audit proper: reads `objdump -d --no-show-raw-insn` output on stdin;
-# $1 names the kernel (chunk, chunk_local, striped, striped_local or
-# antidiag).
+# $1 names the kernel (chunk, chunk_local, chunk_diff, striped,
+# striped_local or antidiag).
 audit() {
-  awk -v kernel="$1" '
+  local w=w
+  [ "$1" = chunk_diff ] && w=b
+  awk -v kernel="$1" -v maxop="vpmaxs$w" -v m2v="vpmovm2$w" -v v2m="vpmov${w}2m" '
   function hex(s,    i, c, v) {
     v = 0
     s = tolower(s)
@@ -78,7 +84,7 @@ audit() {
     }
     return v
   }
-  # Check the finished function: its innermost loops that carry vpmaxsw.
+  # Check the finished function: its innermost loops that carry maxop.
   function flush(    a, b, k, t, s, inner, found, insns, loads, stores,
                      trips, ops, store, alu, pass1, limit) {
     if (n == 0) return
@@ -96,9 +102,9 @@ audit() {
       for (k = 1; k <= n; k++) {
         if (addr[k] < t || addr[k] > s) continue
         insns++
-        if (mnem[k] == "vpmaxsw") kernel_loop = 1
+        if (mnem[k] == maxop) kernel_loop = 1
         if (mnem[k] == "vpcmpeqw") pass1 = 1
-        if (mnem[k] == "vpmovm2w" || mnem[k] == "vpmovw2m") trips++
+        if (mnem[k] == m2v || mnem[k] == v2m) trips++
         if (mnem[k] ~ /^v/ && mnem[k] !~ /^vmov/ && opnd[k] ~ /%zmm/) alu++
         ops = opnd[k]
         gsub(/\{[^}]*\}/, "", ops)
@@ -117,7 +123,7 @@ audit() {
         bad++
       }
       if (trips > 0) {
-        printf "VIOLATION: %d vpmovm2w/vpmovw2m in the column loop\n", trips
+        printf "VIOLATION: %d %s/%s in the column loop\n", trips, m2v, v2m
         bad++
       }
       if (kernel == "striped") {
@@ -130,7 +136,7 @@ audit() {
       }
     }
     if (found == 0) {
-      printf "VIOLATION: no column loop (innermost loop with vpmaxsw) in %s\n", fn
+      printf "VIOLATION: no column loop (innermost loop with %s) in %s\n", maxop, fn
       bad++
     }
     if (kernel == "striped" && (passes1 == 0 || passes2 == 0)) {
@@ -226,6 +232,36 @@ antidiag_listing() {
 EOF
 }
 
+# The difference chunk's column loop, shaped like the real one: the
+# substitution compare fused into its blend, the int8 max chain, the
+# u / v / x / y updates and the stores of v and x.
+diff_listing() {
+  cat <<'EOF'
+0000000000000000 <diff>:
+ 378:	vpcmpeqb (%r8,%r9,1),%zmm16,%k2
+ 37f:	vmovdqa64 (%rdx,%r9,1),%zmm3
+ 386:	vpaddsb (%r12,%r9,1),%zmm3,%zmm8
+ 38d:	vpaddsb %zmm2,%zmm0,%zmm0
+ 393:	vmovdqa64 %zmm2,%zmm10
+ 399:	vpmaxsb %zmm8,%zmm0,%zmm2
+ 39f:	vpblendmb %zmm14,%zmm15,%zmm9{%k2}
+ 3a5:	vpmaxsb %zmm2,%zmm9,%zmm9
+ 3ab:	vpsubb (%r12,%r9,1),%zmm9,%zmm2
+ 3b2:	vpsubb %zmm9,%zmm8,%zmm8
+ 3b8:	vpsubb %zmm10,%zmm9,%zmm10
+ 3be:	vpmaxsb %zmm13,%zmm8,%zmm8
+ 3c4:	vpsubb %zmm9,%zmm0,%zmm0
+ 3ca:	vmovdqa64 %zmm10,(%r12,%r9,1)
+ 3d1:	vpaddsb %zmm12,%zmm8,%zmm8
+ 3d7:	vpmaxsb %zmm13,%zmm0,%zmm0
+ 3dd:	vmovdqa64 %zmm8,(%rdx,%r9,1)
+ 3e4:	add    $0x40,%r9
+ 3e8:	vpaddsb %zmm12,%zmm0,%zmm0
+ 3ee:	cmp    %r9,%rdi
+ 3f2:	jne    378 <diff+0x378>
+EOF
+}
+
 # The striped pass's two column loops within budget: pass 1 with 8 zmm
 # ALU instructions (the substitution compare among them), pass 2 with 3.
 striped_listing() {
@@ -294,6 +330,16 @@ self_test() {
     expect fail "stack reload in pass 2" striped
   striped_listing | sed '/^ 6a1:/,/^ 6da:/d' |
     expect fail "listing without pass 2" striped
+  diff_listing | expect pass "difference chunk loop in registers" chunk_diff
+  diff_listing |
+    sed 's/^ 38d:.*/ 38d:\tvpaddsb 0x240(%rsp),%zmm0,%zmm0/' |
+    expect fail "difference chunk reloading u from the stack" chunk_diff
+  diff_listing |
+    sed 's/^ 378:.*/ 378:\tvpcmpeqb (%r8,%r9,1),%zmm16,%k2\n 379:\tvpmovm2b %k2,%zmm7\n 37a:\tvpmovb2m %zmm7,%k2/' |
+    expect fail "difference chunk with a mask round trip" chunk_diff
+  diff_listing | grep -v vpmaxsb |
+    expect fail "listing without the difference chunk loop" chunk_diff
+  clean_listing | expect fail "int16 chunk loop audited as a difference loop" chunk_diff
   antidiag_listing | expect pass "anti-diagonal sweep in registers" antidiag
   antidiag_listing |
     sed 's/^ 7ed:.*/ 7ed:\tvpaddsw 0x80(%rsp),%zmm14,%zmm4/' |
@@ -349,6 +395,9 @@ audit_lib striped "$STRIPED_RE" \
   status=1
 audit_lib striped_local "$STRIPED_LOCAL_RE" \
   "striped_pass<local|extension, 32, affine_gap, simple_scoring>" ||
+  status=1
+audit_lib chunk_diff "$CHUNK_DIFF_RE" \
+  "diff_chunk_score<global|semiglobal, 64, affine_gap, simple_scoring>" ||
   status=1
 audit_lib antidiag "$ANTIDIAG_RE" \
   "antidiag_pass<ad_regs<pack<short, 32>>, affine_gap, simple_scoring>" ||

@@ -54,6 +54,13 @@ template <arithmetic_scalar T>
   }
 }
 
+/// Wrapping subtraction: the difference recurrences (relax_diff) only
+/// subtract where the true result is proven to fit T.
+template <arithmetic_scalar T>
+[[nodiscard]] ANYSEQ_INLINE T vsub(T a, T b) noexcept {
+  return static_cast<T>(a - b);
+}
+
 template <arithmetic_scalar T>
 [[nodiscard]] ANYSEQ_INLINE bool vgt(T a, T b) noexcept {
   return a > b;

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "core/gap.hpp"
 #include "core/ops.hpp"
@@ -147,6 +148,86 @@ template <align_kind K, bool Track, class S, class P, class C, class Gap,
                                                   C sc, const Gap& gap,
                                                   const Scoring& scoring) noexcept {
   return relax<K, Track, S, P, C>(p, qc, sc, gap, scoring, vbroadcast<S>(0));
+}
+
+// ---------------------------------------------------------------------------
+// relax_diff: the same cell in difference form
+// ---------------------------------------------------------------------------
+
+/// One cell's state in difference form (Suzuki & Kasahara, BMC
+/// Bioinformatics 19(S1):45, 2018; minimap2's ksw2 uses the same
+/// recurrences).  For cell (i, j):
+///   u = H(i,j) - H(i-1,j)      v = H(i,j) - H(i,j-1)
+///   x = E(i+1,j) - H(i,j)      y = F(i,j+1) - H(i,j)   (affine only)
+/// Every one of them is bounded by the scoring parameters alone, never by
+/// the problem's length (fits_diff_window).  As relax_diff's input the
+/// bundle holds the neighbours' values: u and y of the cell to the left,
+/// v and x of the cell above.
+template <class S>
+struct diff_cell {
+  S u;
+  S v;
+  S x;
+  S y;
+};
+
+/// Relax one DP cell in difference form:
+///   a = x_up + v_up,  b = y_left + u_left,  z = max(s, a, b)
+///   u = z - v_up,     v = z - u_left
+///   x = max(a - z, open) + extend,  y = max(b - z, open) + extend
+/// where z = H(i,j) - H(i-1,j-1) and open = (open + extend) - extend.  For
+/// linear gaps x and y are the constant gap and drop out.  The arithmetic
+/// is exact wherever fits_diff_window holds for S's range: the sums that
+/// feed a max (a, b, a - z, b - z) stay inside it, and u and v are exact
+/// under wrapping subtraction because their true values do.
+template <class S, class C, class Gap, class Scoring>
+[[nodiscard]] ANYSEQ_INLINE diff_cell<S> relax_diff(const diff_cell<S>& in,
+                                                    C qc, C sc,
+                                                    const Gap& gap,
+                                                    const Scoring& scoring) noexcept {
+  S a, b;
+  if constexpr (Gap::kind == gap_kind::affine) {
+    a = vadd(in.x, in.v);
+    b = vadd(in.y, in.u);
+  } else {
+    a = vadd(in.v, vbroadcast<S>(gap.gap));
+    b = vadd(in.u, vbroadcast<S>(gap.gap));
+  }
+  const S z = vmax(scoring.template subst<S>(qc, sc), vmax(a, b));
+  diff_cell<S> out{vsub(z, in.v), vsub(z, in.u), in.x, in.y};
+  if constexpr (Gap::kind == gap_kind::affine) {
+    const S open = vbroadcast<S>(gap.open());
+    const S extend = vbroadcast<S>(gap.extend());
+    out.x = vadd(vmax(vsub(a, z), open), extend);
+    out.y = vadd(vmax(vsub(b, z), open), extend);
+  }
+  return out;
+}
+
+/// True if every value relax_diff stores or compares fits int8 under
+/// (gap, scoring), at any problem length.  With S = the largest
+/// |substitution score|, G = -(open + extend) and g = -extend (gaps <= 0):
+///   u, v in [-G, S + G]      x, y in [-G, -g]
+///   a, b in [-2G, S + G - g]  z in [-S, S + G - g]
+///   a - z, b - z in [-(3G + S - g), 0]
+/// (linear gaps: G = g, and a, b, z <= S with no a - z).  u's upper bound
+/// follows by induction over the cells: each of z's three terms minus
+/// H(i-1,j) is at most S + G, because H(i-1,j) >= F(i-1,j).  The
+/// boundary differences (gap.total steps, 0 on free ends, and x = y =
+/// open + extend against the -inf gap borders) sit inside the same
+/// ranges.  Positive gap scores are never admitted.
+template <class Gap, class Scoring>
+[[nodiscard]] constexpr bool fits_diff_window(const Gap& gap,
+                                              const Scoring& scoring) noexcept {
+  if (gap.open() > 0 || gap.extend() > 0) return false;
+  const std::int64_t s = scoring.max_abs_unit();
+  const std::int64_t big = -static_cast<std::int64_t>(gap.open_extend());
+  const std::int64_t small = -static_cast<std::int64_t>(gap.extend());
+  const std::int64_t low = Gap::kind == gap_kind::affine
+                               ? 3 * big + s - small
+                               : 2 * big;
+  return s + big <= std::numeric_limits<score8_t>::max() &&
+         -low >= std::numeric_limits<score8_t>::min();
 }
 
 /// Worst per-cell score delta of one relax step under (gap, scoring) —

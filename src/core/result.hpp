@@ -68,7 +68,8 @@ struct score_result {
 /// Batch-engine path accounting: how much of a batch took which kernel.
 /// `simd_pairs` counts the narrow pairs scored on vector lanes (int8 +
 /// int16 chunks: uniform, sub-width tail and lane-padded ragged, plus
-/// striped single pairs).  A pair off lanes counts by its one-thread
+/// striped single pairs; global and semiglobal int8 chunks are the
+/// difference kernel's).  A pair off lanes counts by its one-thread
 /// `plan_info::precision`: int16 (striped) in `striped_pairs`, bitpar in
 /// `bitpar_pairs`, int32 (rolling or tiled) in `scalar_pairs`.
 /// Traceback batches fill only `banded_pairs` and `band_passes`.

@@ -10,7 +10,7 @@
 ///
 /// Every op is one generic implementation, written with GCC/Clang
 /// vector-extension operators (`>`, `?:`, `&`, `__builtin_shufflevector`)
-/// that the compiler maps onto whatever ISA the TU's flags enable.  Three
+/// that the compiler maps onto whatever ISA the TU's flags enable.  Four
 /// groups of intrinsic overloads remain, each where the generic form
 /// compiles worse:
 ///   * the saturating `vadd` of the four int16/int8 shapes (s16x16, s8x32,
@@ -20,6 +20,8 @@
 ///     bitwise ops;
 ///   * the AVX2 s16x16 `vshift_up` / `vshift_down`: vperm2i128 + vpalignr
 ///     against up to 9 instructions for some shift counts.
+///   * `widen_quarter` on s8x32 and s8x64: an extract and a vpmovsxbd
+///     against one byte extract per lane.
 /// On AVX-512 the compiler keeps each comparison in a k-mask and fuses it
 /// into the blend that consumes it, so no op there needs an overload.
 ///
@@ -148,6 +150,13 @@ template <class T, int W>
   }
 }
 
+/// Plain subtraction (vpsub): relax_diff subtracts only where the true
+/// result fits the lane type.
+template <class T, int W>
+[[nodiscard]] ANYSEQ_INLINE pack<T, W> vsub(pack<T, W> a, pack<T, W> b) noexcept {
+  return {a.v - b.v};
+}
+
 template <class T, int W>
 [[nodiscard]] ANYSEQ_INLINE pack_mask<T, W> vgt(pack<T, W> a,
                                                 pack<T, W> b) noexcept {
@@ -222,6 +231,40 @@ template <int S, class T, int W>
   return [&]<int... I>(std::integer_sequence<int, I...>) -> pack<T, W> {
     return {__builtin_shufflevector(a.v, f, (I + S < W ? I + S : W)...)};
   }(std::make_integer_sequence<int, W>{});
+}
+
+/// Quarter `Q` of an 8-bit pack — lanes [Q·W/4, (Q+1)·W/4) — sign-extended
+/// to 32 bits, in a pack of the same byte width.  The difference chunk
+/// kernel folds its 8-bit lanes into per-lane int32 scores this way.
+/// One extract and one vpmovsxbd on the two vector shapes: GCC 12 lowers
+/// the generic shuffle-and-convert of an upper quarter to one byte
+/// extract per lane.
+template <int Q, int W>
+[[nodiscard]] ANYSEQ_INLINE pack<std::int32_t, W / 4> widen_quarter(
+    pack<std::int8_t, W> a) noexcept {
+  static_assert(Q >= 0 && Q < 4 && W >= 4, "a quarter of the lanes");
+  using R = pack<std::int32_t, W / 4>;
+#if defined(__AVX512BW__)
+  if constexpr (W == 64) {
+    // The zero-masking forms: GCC 12's unmasked ones start from an
+    // "undefined" vector that trips -Wmaybe-uninitialized.
+    const __m128i q = _mm512_maskz_extracti32x4_epi32(
+        0xF, std::bit_cast<__m512i>(a.v), Q);
+    return {std::bit_cast<typename R::storage>(
+        _mm512_maskz_cvtepi8_epi32(0xFFFF, q))};
+  }
+#endif
+#if defined(__AVX2__)
+  if constexpr (W == 32) {
+    __m128i half =
+        _mm256_extracti128_si256(std::bit_cast<__m256i>(a.v), Q / 2);
+    if constexpr (Q % 2 == 1) half = _mm_srli_si128(half, 8);
+    return {std::bit_cast<typename R::storage>(_mm256_cvtepi8_epi32(half))};
+  }
+#endif
+  R r;
+  for (int i = 0; i < W / 4; ++i) r.v[i] = a.v[Q * (W / 4) + i];
+  return r;
 }
 
 /// Per-lane substitution-table gather (paper: matrix scoring on SIMD).

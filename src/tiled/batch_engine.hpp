@@ -5,16 +5,22 @@
 /// instruction processes pair `l` of a chunk; chunks run in parallel on
 /// the thread pool.
 ///
-/// One kernel serves every chunk: `ragged_chunk_score` pads each lane to
-/// the chunk-max shape (nbar x mbar) and captures every lane's result at
-/// its own (n_l, m_l) boundary through per-lane retirement — a uniform
-/// chunk is the zero-waste case, a sub-width tail a chunk with dead
-/// lanes.  `group_plan` admits a window of pairs as one chunk by a single
+/// Two kernels serve every chunk, with one lane layout: each pads its
+/// lanes to the chunk-max shape (nbar x mbar) and captures every lane's
+/// result at its own (n_l, m_l) boundary through per-lane retirement — a
+/// uniform chunk is the zero-waste case, a sub-width tail a chunk with
+/// dead lanes.  `diff_chunk_score` runs global and semiglobal chunks on
+/// int8 lanes in difference form, at twice the int16 lane count;
+/// `ragged_chunk_score` stores absolute scores and runs every other
+/// chunk.  `group_plan` admits a window of pairs as one chunk by a single
 /// rule: the padded shape's worst-case bound (n + m + 2) * unit fits the
-/// element type (int8 at twice the lane count when |score| <= 96, else
-/// int16 below 28000) and the window's cells fill at least `kMinLive`
-/// full-shape pairs.  The scalar variant, the int32 reference and
-/// unit-cost option sets put no pair on lanes.  Every other pair runs on
+/// int16 window (28000), the window's cells fill the chunk's floor in
+/// full-shape pairs, and the lanes are int8 when the kind allows it —
+/// global and semiglobal whenever the parameters fit the difference
+/// window (`fits_diff_window`, any length), local and extension only
+/// while |score| <= 96 (`int8_score_window`) — else int16.  The scalar
+/// variant, the int32 reference and unit-cost option sets put no pair on
+/// lanes.  Every other pair runs on
 /// its own, on the route `engine::classify_route` picks for it at
 /// `threads = 1` — the route a one-thread `align` call takes
 /// (`score_route`): a batch parallelizes across pairs, never inside one.
@@ -308,6 +314,210 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
   }
 }
 
+/// Arena bytes one difference chunk pass carves: the v, x (affine only)
+/// and subject-char rows plus the per-column end masks.
+template <class Gap, int W>
+[[nodiscard]] inline std::size_t diff_chunk_plan_bytes(index_t m) noexcept {
+  const std::size_t rows = Gap::kind == gap_kind::affine ? 4 : 3;
+  return rows * carve_bytes<simd::pack<score8_t, W>>(
+                    static_cast<std::size_t>(m + 1));
+}
+
+/// Global or semiglobal chunk of `live <= W` non-empty pairs [lo, lo +
+/// live) on W int8 lanes, in difference form (relax_diff): the rows hold
+/// v = H(i,j) - H(i,j-1) and x = E(i+1,j) - H(i,j) per column, and u and y
+/// ride in registers along the row.  Lane layout, padding, dead-lane
+/// replay and retirement are ragged_chunk_score's.  The caller has proven
+/// fits_diff_window(gap, scoring), so every stored value and every
+/// intermediate is exact in int8 at any length; padded cells are real DP
+/// cells over padded characters, so the same bounds hold there.
+///
+/// Scores are recovered in per-lane int32, in the order rolling_score
+/// visits its candidates:
+///   * every row adds u(i, m_l) — one masked blend per column in
+///     [min m_l, m̄] under colend — to acc = H(0, m_l) + sum of u, so after
+///     row i acc holds H(i, m_l).  Global reads it at retirement.
+///   * semiglobal offers acc as row i's last-column candidate (strict >),
+///     seeded at (0, m_l), and at retirement prefix-sums the lane's final
+///     row of v from H(n_l, 0), j ascending with strict >.
+template <align_kind K, int W, class Gap, class Scoring, class Pair,
+          class Sink>
+ANYSEQ_NOCLONE void diff_chunk_score(std::span<const Pair> pairs,
+                                     std::size_t lo, index_t nbar,
+                                     index_t mbar, const Gap& gap,
+                                     const Scoring& scoring, workspace& ws,
+                                     Sink&& sink, int live = W) {
+  static_assert(K == align_kind::global || K == align_kind::semiglobal,
+                "differences carry no running max: global/semiglobal only");
+  using P = simd::pack<score8_t, W>;
+  using Q = simd::pack<score_t, W / 4>;  // a quarter of the lanes, in int32
+  constexpr bool kAffine = Gap::kind == gap_kind::affine;
+  ANYSEQ_ASSERT(fits_diff_window(gap, scoring),
+                "diff_chunk_score: the parameters must fit the int8 window");
+
+  const char_t* qp[W];
+  const char_t* sp[W];
+  index_t nl[W], ml[W];
+  index_t nmin = nbar, mmin = mbar;
+  for (int l = 0; l < W; ++l) {
+    const auto& p =
+        pairs[lo + static_cast<std::size_t>(std::min(l, live - 1))];
+    qp[l] = p.q.data();
+    sp[l] = p.s.data();
+    nl[l] = p.q.size();
+    ml[l] = p.s.size();
+    nmin = std::min(nmin, nl[l]);
+    mmin = std::min(mmin, ml[l]);
+  }
+
+  const P oe = P::broadcast(static_cast<score8_t>(gap.open_extend()));
+  workspace::frame fr(ws);
+  auto v = ws.make<P>(static_cast<std::size_t>(mbar + 1));
+  std::span<P> x;
+  if constexpr (kAffine) x = ws.make<P>(static_cast<std::size_t>(mbar + 1));
+  auto schars = ws.make<P>(static_cast<std::size_t>(mbar + 1));
+  auto colend = ws.make<P>(static_cast<std::size_t>(mbar + 1));
+  for (index_t j = 0; j <= mbar; ++j) {
+    // Row 0: v(0, j) steps along the boundary; x(0, j) = open + extend,
+    // since E(0, j) is -inf.
+    v[j] = P::broadcast(static_cast<score8_t>(
+        j == 0 ? 0 : init_h_row0<K>(j, gap) - init_h_row0<K>(j - 1, gap)));
+    if constexpr (kAffine) x[j] = oe;
+    P sv = P::broadcast(0);
+    P ce = P::broadcast(0);
+    for (int l = 0; l < W; ++l) {
+      if (j > 0 && j <= ml[l]) sv.v[l] = static_cast<score8_t>(sp[l][j - 1]);
+      if (j == ml[l]) ce.v[l] = -1;
+    }
+    schars[j] = sv;
+    colend[j] = ce;
+  }
+
+  // Per-lane int32 state, a quarter of the lanes per Q (lane l in
+  // quarter l / (W/4)): acc = H(i, m_l) after row i, and semiglobal's best
+  // candidate and its cell, seeded at (0, m_l).
+  using quarters = std::array<Q, 4>;
+  quarters acc, best_v, best_i, best_j, mq;
+  {
+    alignas(64) score_t h0[W], m0[W];
+    for (int l = 0; l < W; ++l) {
+      h0[l] = init_h_row0<K>(ml[l], gap);
+      m0[l] = static_cast<score_t>(ml[l]);
+    }
+    for (int k = 0; k < 4; ++k) {
+      acc[k] = Q::load(h0 + k * (W / 4));
+      mq[k] = Q::load(m0 + k * (W / 4));
+      best_v[k] = acc[k];
+      best_i[k] = Q::broadcast(0);
+      best_j[k] = mq[k];
+    }
+  }
+  // Adds d's lanes to the int32 quarters `to`.
+  const auto add_widened = [](quarters& to, P d) ANYSEQ_INLINE_LAMBDA {
+    to[0] = vadd(to[0], simd::widen_quarter<0>(d));
+    to[1] = vadd(to[1], simd::widen_quarter<1>(d));
+    to[2] = vadd(to[2], simd::widen_quarter<2>(d));
+    to[3] = vadd(to[3], simd::widen_quarter<3>(d));
+  };
+  // Offers h at (row, col) to the lanes of `valid`, strict >.
+  const auto offer = [&](const quarters& h, const quarters& valid, Q row,
+                         const quarters& col) ANYSEQ_INLINE_LAMBDA {
+    for (int k = 0; k < 4; ++k) {
+      const auto better = vand(vgt(h[k], best_v[k]), valid[k]);
+      best_v[k] = vselect(better, h[k], best_v[k]);
+      best_i[k] = vselect(better, row, best_i[k]);
+      best_j[k] = vselect(better, col[k], best_j[k]);
+    }
+  };
+  const quarters all = {Q::broadcast(-1), Q::broadcast(-1),
+                        Q::broadcast(-1), Q::broadcast(-1)};
+
+  for (index_t i = 1; i <= nbar; ++i) {
+    P qc;
+    for (int l = 0; l < W; ++l)
+      qc.v[l] = static_cast<score8_t>(qp[l][std::min(i, nl[l]) - 1]);
+    // Column 0: u(i, 0) steps down the boundary; y(i, 0) = open + extend,
+    // since F(i, 0) is -inf.
+    P u = P::broadcast(static_cast<score8_t>(init_h_col0<K>(i, gap) -
+                                             init_h_col0<K>(i - 1, gap)));
+    P y = oe;
+    P ucap = u;
+    const auto cell = [&](index_t j) ANYSEQ_INLINE_LAMBDA {
+      diff_cell<P> in{u, v[j], oe, y};
+      if constexpr (kAffine) in.x = x[j];
+      const diff_cell<P> out =
+          relax_diff<P, P>(in, qc, schars[j], gap, scoring);
+      // Member by member into locals before the stores, as in
+      // ragged_chunk_score: storing out's members straight into the rows
+      // keeps `out` itself in memory (two dead stack stores a cell).
+      u = out.u;
+      y = out.y;
+      const P vn = out.v, xn = out.x;
+      v[j] = vn;
+      if constexpr (kAffine) x[j] = xn;
+    };
+    // Columns below min m_l end no lane; from there on each column
+    // captures u(i, m_l) for the lanes whose subject ends at it.
+    index_t j = 1;
+    for (; j < mmin; ++j) cell(j);
+    for (; j <= mbar; ++j) {
+      cell(j);
+      ucap = vselect(colend[j], u, ucap);
+    }
+    add_widened(acc, ucap);
+    const Q row_i = Q::broadcast(static_cast<score_t>(i));
+    // Last-column candidate H(i, m_l): rolling_score's per-row check.
+    if constexpr (K == align_kind::semiglobal) offer(acc, all, row_i, mq);
+    if (i < nmin) continue;
+
+    // Retirement: live lanes whose query ends at this row.
+    alignas(64) score_t ret[W] = {};
+    index_t mret = 0;
+    for (int l = 0; l < live; ++l) {
+      if (nl[l] != i) continue;
+      ret[l] = -1;
+      mret = std::max(mret, ml[l]);
+    }
+    if (mret == 0) continue;
+    if constexpr (K == align_kind::semiglobal) {
+      // Final-row sweep of the retiring lanes, j ascending with strict >:
+      // H(i, j) is H(i, 0) plus the row's horizontal differences.
+      quarters h, retiring;
+      for (int k = 0; k < 4; ++k) {
+        h[k] = Q::broadcast(init_h_col0<K>(i, gap));
+        retiring[k] = Q::load(ret + k * (W / 4));
+      }
+      for (index_t c = 0; c <= mret; ++c) {
+        if (c > 0) add_widened(h, v[c]);
+        const Q col = Q::broadcast(static_cast<score_t>(c));
+        const Q before = Q::broadcast(static_cast<score_t>(c - 1));
+        quarters valid;  // retiring, and c <= m_l
+        for (int k = 0; k < 4; ++k)
+          valid[k] = vand(retiring[k], vgt(mq[k], before));
+        offer(h, valid, row_i, {col, col, col, col});
+      }
+    }
+    // Global ends at (n_l, m_l) with acc; semiglobal at its best.
+    const quarters& score = K == align_kind::global ? acc : best_v;
+    std::array<score_t, W> bv, bi, bj;
+    for (int k = 0; k < 4; ++k) {
+      score[k].store(bv.data() + k * (W / 4));
+      best_i[k].store(bi.data() + k * (W / 4));
+      best_j[k].store(bj.data() + k * (W / 4));
+    }
+    for (int l = 0; l < live; ++l) {
+      if (nl[l] != i) continue;
+      score_result r;
+      r.cells = static_cast<std::uint64_t>(nl[l]) *
+                static_cast<std::uint64_t>(ml[l]);
+      r.score = bv[l];
+      r.end_i = K == align_kind::global ? nl[l] : bi[l];
+      r.end_j = K == align_kind::global ? ml[l] : bj[l];
+      sink(lo + static_cast<std::size_t>(l), r);
+    }
+  }
+}
+
 /// Write a score pass's outcome into a batch slot.  An alignment_result
 /// slot is reset (keeping its string capacity) and gets the score, the
 /// optimum's end cell and the cell count — exactly what a solo score-only
@@ -353,6 +563,38 @@ class batch_engine {
   static constexpr int kMinLive =
       Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 14 : 10)
                   : (Gap::kind == gap_kind::affine ? 9 : 7);
+
+  /// Global and semiglobal chunks run on kLanes8 int8 lanes in difference
+  /// form (diff_chunk_score) whenever the parameters fit its window
+  /// (fits_diff_window); local and extension keep absolute scores, whose
+  /// running max differences do not carry.
+  static constexpr bool kDiffKind =
+      K == align_kind::global || K == align_kind::semiglobal;
+
+  /// Admission floor of a difference chunk, in full-shape pairs.  It
+  /// replaces a window that would otherwise run as up to two Lanes-lane
+  /// int16 groups, and costs more than one int16 chunk, so it pays only
+  /// once its window holds more than Lanes full-shape pairs: the
+  /// break-even is Lanes + (difference chunk - int16 chunk) / striped
+  /// pair.  Below it the window falls back to the int16 rule (kMinLive).
+  /// That is a CPU break-even.  On `threads` > 1 workers the int16 route
+  /// runs its two groups concurrently, so group_plan admits difference
+  /// chunks only for batches of at least threads * kLanes8 pairs, which
+  /// keep every worker busy with them.
+  /// Measured as kMinLive was (one thread, the same Xeon and scores), the
+  /// median of four runs for each of global and semiglobal, shown as the
+  /// range over the two; the floor is the largest 150 bp break-even,
+  /// rounded down (DESIGN.md section 8):
+  ///
+  ///   | lanes (int8) | gaps   | break-even (100/150/250 bp)       | floor |
+  ///   |--------------|--------|-----------------------------------|-------|
+  ///   | 64           | linear | 34.8-35.5 / 34.1-35.0 / 23.0-26.1 | 35    |
+  ///   | 64           | affine | 34.5-35.0 / 34.1-34.2 / 34.9-35.0 | 34    |
+  ///   | 32           | linear | 17.8-18.5 / 18.1-18.4 / 17.2-17.7 | 18    |
+  ///   | 32           | affine | 19.1-19.9 / 19.2-20.1 / 19.2-20.6 | 20    |
+  static constexpr int kMinLiveDiff =
+      Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 34 : 35)
+                  : (Gap::kind == gap_kind::affine ? 20 : 18);
 
   /// `full_matrix_cells` is the request's traceback bound: a traceback
   /// pair past it runs Hirschberg or locate, as under `align`.
@@ -467,8 +709,13 @@ class batch_engine {
   /// min(width, left) pairs — int8 at kLanes8 first, then int16 at Lanes
   /// — and admit them as one padded chunk iff every pair is non-empty,
   /// the bound fits the padded (nbar x mbar) shape (so the kernel stays
-  /// exact for every lane), and the fill reaches kMinLive.  Otherwise the
-  /// next min(Lanes, left) pairs run one at a time (`lone_pair`).
+  /// exact for every lane), and the fill reaches the chunk's floor.  The
+  /// int8 window is a difference chunk for global and semiglobal (the
+  /// parameters fit fits_diff_window, the int16 shape bound, kMinLiveDiff,
+  /// and on more than one thread a batch of threads * kLanes8 pairs) and
+  /// an absolute one otherwise (the int8 shape bound, kMinLive).
+  /// Otherwise the next min(Lanes, left) pairs run one at a time
+  /// (`lone_pair`).
   /// Deterministic in (pairs, lo) alone — the MT fan-out relies on
   /// workers re-deriving identical boundaries.
   template <class Pair>
@@ -484,8 +731,8 @@ class batch_engine {
         engine::bitpar_admissible(lone_))
       return singles;
     const score_t unit = unit_step(gap_, scoring_);
-    const auto fill = [&](int width, score_t window, score_precision p,
-                          chunk_plan& g) {
+    const auto fill = [&](int width, score_t window, int floor,
+                          score_precision p, chunk_plan& g) {
       const std::size_t w = std::min(left, static_cast<std::size_t>(width));
       index_t nb = 0, mb = 0;
       std::uint64_t used = 0;
@@ -498,16 +745,29 @@ class batch_engine {
                 static_cast<std::uint64_t>(mi);
       }
       if (!fits_score_window(nb, mb, unit, window)) return false;
-      if (used < static_cast<std::uint64_t>(kMinLive) *
+      if (used < static_cast<std::uint64_t>(floor) *
                      static_cast<std::uint64_t>(nb) *
                      static_cast<std::uint64_t>(mb))
         return false;
       g = {lo + w, p, nb, mb};
       return true;
     };
+    // On more than one thread a difference chunk pays only when the
+    // batch keeps every worker busy with them: it runs as one chunk what
+    // the int16 route runs as two concurrent groups.
+    const bool diff =
+        fits_diff_window(gap_, scoring_) &&
+        (cfg_.threads <= 1 ||
+         pairs.size() >= static_cast<std::size_t>(cfg_.threads) *
+                             static_cast<std::size_t>(kLanes8));
     chunk_plan g = singles;
-    if (fill(kLanes8, int8_score_window(), score_precision::int8, g) ||
-        fill(Lanes, int16_score_window(), score_precision::int16, g))
+    const bool int8 =
+        kDiffKind ? diff && fill(kLanes8, int16_score_window(), kMinLiveDiff,
+                                 score_precision::int8, g)
+                  : fill(kLanes8, int8_score_window(), kMinLive,
+                         score_precision::int8, g);
+    if (int8 || fill(Lanes, int16_score_window(), kMinLive,
+                     score_precision::int16, g))
       return g;
     return singles;
   }
@@ -617,8 +877,12 @@ class batch_engine {
                     const chunk_plan& g, workspace& ws, Sink& sink,
                     batch_stats& stats) {
     const auto live = static_cast<std::uint64_t>(g.hi - lo);
-    ragged_chunk_score<K, E, W>(pairs, lo, g.nbar, g.mbar, gap_, scoring_,
-                                ws, sink, static_cast<int>(live));
+    if constexpr (sizeof(E) == 1 && kDiffKind)
+      diff_chunk_score<K, W>(pairs, lo, g.nbar, g.mbar, gap_, scoring_, ws,
+                             sink, static_cast<int>(live));
+    else
+      ragged_chunk_score<K, E, W>(pairs, lo, g.nbar, g.mbar, gap_, scoring_,
+                                  ws, sink, static_cast<int>(live));
     const std::uint64_t shape = static_cast<std::uint64_t>(g.nbar) *
                                 static_cast<std::uint64_t>(g.mbar);
     std::uint64_t used = 0;
@@ -671,6 +935,8 @@ namespace anyseq::tiled {
 using v_scalar::tiled::batch_config;
 using v_scalar::tiled::batch_engine;
 using v_scalar::tiled::batch_stats;
+using v_scalar::tiled::diff_chunk_plan_bytes;
+using v_scalar::tiled::diff_chunk_score;
 using v_scalar::tiled::pair_view;
 using v_scalar::tiled::ragged_chunk_plan_bytes;
 using v_scalar::tiled::ragged_chunk_score;

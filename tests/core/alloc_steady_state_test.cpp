@@ -256,9 +256,9 @@ TEST(AllocSteadyState, BatchMultiThreadedPooledWorkersSteadyState) {
 TEST(AllocSteadyState, BatchRaggedSteadyState) {
   // Single-threaded mixed-length batch through the public API: the
   // lane-padded chunks carve from the handle's arena like every other
-  // route — warm passes allocate nothing.  At (20+20+2)*2 = 84 < 96 these
-  // windows run int8, whose fill floor admits them as ragged chunks on
-  // every vector variant.
+  // route — warm passes allocate nothing.  The 32 pairs fill a 32-lane
+  // window on avx2 (one difference chunk) and fall short of the 64-lane
+  // difference floor on avx512, where they run as a ragged int16 chunk.
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<seq_pair> pairs;
   for (int i = 0; i < 32; ++i) {
@@ -278,13 +278,13 @@ TEST(AllocSteadyState, BatchRaggedSteadyState) {
 }
 
 TEST(AllocSteadyState, BatchTailSteadyState) {
-  // 53 uniform pairs on 32 lanes: one full chunk plus a 21-pair tail (at
-  // least the linear-gap floor, kMinLive) the planner runs as one
-  // lane-padded chunk.  The tail carves the same arena rows as a full
-  // chunk, so warm passes allocate nothing.
+  // 53 uniform pairs on 32 lanes: past the difference floor
+  // (kMinLiveDiff), so the planner runs them as one 64-lane difference
+  // chunk with 11 dead lanes.  Its rows are carved once per pass, so warm
+  // passes allocate nothing.
   using engine =
       tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 32>;
-  static_assert(engine::kMinLive <= 21);
+  static_assert(engine::kMinLiveDiff <= 53);
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<tiled::pair_view> pairs;
   for (int i = 0; i < 53; ++i) {
@@ -307,6 +307,33 @@ TEST(AllocSteadyState, BatchTailSteadyState) {
     for (int i = 0; i < 5; ++i) pass();
   });
   EXPECT_EQ(n, 0u) << "tail batch allocated in steady state";
+}
+
+TEST(AllocSteadyState, BatchDifferenceChunkSteadyState) {
+  // 64 global 150 bp pairs through the public API run as difference
+  // chunks (one on avx512, two on avx2); each chunk's v, x, character
+  // and end-mask rows come from the handle's arena, and its int32 score
+  // state lives on the stack, so warm passes allocate nothing.
+  std::vector<std::vector<char_t>> qs, ss;
+  std::vector<seq_pair> pairs;
+  for (int i = 0; i < 64; ++i) {
+    qs.push_back(test::random_codes(150, 1500 + i));
+    ss.push_back(test::mutate(qs.back(), 1600 + i));
+  }
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  align_options o = serial_opts();
+  o.gap_open = -2;
+  aligner a(o);
+  std::vector<alignment_result> out;
+  for (int i = 0; i < 3; ++i) a.align_batch_into(pairs, out);
+  if (std::string_view(a.plan(150, 150).variant) != "scalar") {
+    ASSERT_EQ(a.last_batch_stats().int8_pairs, 64u);
+  }
+  const auto n = allocs_during([&] {
+    for (int i = 0; i < 5; ++i) a.align_batch_into(pairs, out);
+  });
+  EXPECT_EQ(n, 0u) << "difference chunk batch allocated in steady state";
 }
 
 /// Runnable vector backends (generic lane loops on builds without ISA
@@ -991,8 +1018,22 @@ TEST(AllocSteadyState, ThreadPoolJobRingSteadyState) {
     for (int i = 0; i < 64; ++i) pool.run([&count] { ++count; });
     pool.wait_idle();
   };
-  burst();  // ring grows to the 64-job backlog
+  // Warm-up burst at its peak by construction: the first job holds the
+  // only worker until the producer has issued all 64 runs, so at least
+  // 63 jobs sit in the ring at once and it grows to the 64 slots any
+  // 64-job burst needs.  A worker that kept pace with the producer used
+  // to leave the ring smaller, and a later burst grew it while measured.
+  std::atomic<bool> all_queued{false};
+  pool.run([&] {
+    while (!all_queued.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    ++count;
+  });
+  for (int i = 1; i < 64; ++i) pool.run([&count] { ++count; });
+  all_queued.store(true, std::memory_order_release);
+  pool.wait_idle();
   const auto cap = pool.ring_capacity();
+  ASSERT_EQ(cap, 64u);
   const auto n = allocs_during([&] {
     for (int i = 0; i < 5; ++i) burst();
   });

@@ -80,7 +80,8 @@ TEST(BatchEngine, RaggedLengthsPadOrFallBackPerPair) {
   // 40 ragged pairs on 16 lanes.  Under auto each full window fills
   // about 14 full-shape pairs, above the 16-lane affine floor
   // (kMinLive), so the first 32 pairs run as two lane-padded chunks; the
-  // 8-pair tail falls below it and runs striped pair by pair.  The int32
+  // 8-pair tail falls below it and runs striped pair by pair.  (At two
+  // threads 40 pairs are too few for difference chunks.)  The int32
   // hint rolls everything.
   static_assert(
       batch_engine<align_kind::global, affine_gap, simple_scoring,
@@ -204,10 +205,13 @@ TEST(BatchEngine, StatsCountSimdPath) {
 /// `Lanes + t` pairs: Lanes at the (n x m) shape, then a t-pair
 /// remainder, uniform or — `ragged_tail` — mixed (n - k % 3, m - 2 (k % 2))
 /// for its k-th pair.  One rule decides every window: it runs as one
-/// padded chunk iff its cells fill kMinLive full-shape pairs.  At an int8
-/// shape the whole batch is one 2*Lanes-lane int8 window; at an int16
-/// shape a full chunk runs first and the remainder pads once it clears
-/// the floor, else runs pair by pair through the striped kernel.  Score
+/// padded chunk iff its cells fill the chunk's floor in full-shape pairs.
+/// The whole batch is one 2*Lanes-lane int8 window first — for global and
+/// semiglobal a difference chunk under kMinLiveDiff (on one thread: on
+/// more, a batch this small keeps int16), for local and extension an
+/// absolute one at an int8 shape under kMinLive; otherwise
+/// a full int16 chunk runs first and the remainder pads once it clears
+/// kMinLive, else runs pair by pair through the striped kernel.  Score
 /// and end cell must equal the int32 rolling engine's and the path
 /// accounting must be exact.
 template <align_kind K, class Gap, int Lanes>
@@ -254,7 +258,13 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
   const auto st = eng.last_stats();
   EXPECT_EQ(st.simd_pairs, lanes + t);
   EXPECT_EQ(st.scalar_pairs, 0u);
-  if (fits_score_window(n, m, unit_step(gap, sc), int8_score_window())) {
+  const bool int8 =
+      engine::kDiffKind
+          ? fits_diff_window(gap, sc) && threads == 1 &&
+                lanes * full + tail_cells >=
+                    static_cast<std::uint64_t>(engine::kMinLiveDiff) * full
+          : fits_score_window(n, m, unit_step(gap, sc), int8_score_window());
+  if (int8) {
     EXPECT_EQ(st.int8_pairs, lanes + t);
     EXPECT_EQ(st.striped_pairs, 0u);
     EXPECT_EQ(st.ragged_pairs, mixed ? lanes + t : 0);
@@ -270,17 +280,21 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
 
 /// Batch sizes Lanes+1, Lanes+floor-1, Lanes+floor and 2*Lanes-1 (floor
 /// = kMinLive against striped pairs; sizes of 2*Lanes or more are no
-/// tails) at an int16 shape and an int8 shape, uniform and ragged
-/// remainders, 1 and 2 threads.
+/// tails), and the two sizes either side of the difference floor
+/// (kMinLiveDiff - 1 and kMinLiveDiff pairs), at an int16 shape and an
+/// int8 shape, uniform and ragged remainders, 1 and 2 threads.
 template <align_kind K, class Gap, int Lanes>
 void tail_sweep(const Gap& gap) {
   using engine = batch_engine<K, Gap, simple_scoring, Lanes>;
   constexpr auto min_live = static_cast<std::size_t>(engine::kMinLive);
+  constexpr auto diff_t =
+      static_cast<std::size_t>(engine::kMinLiveDiff - Lanes);
   for (const std::size_t t :
-       {std::size_t{1}, min_live - 1, min_live, std::size_t{Lanes - 1}})
+       {std::size_t{1}, min_live - 1, min_live, std::size_t{Lanes - 1},
+        diff_t - 1, diff_t})
     for (const bool ragged : {false, true})
       for (const int threads : {1, 2}) {
-        if (t >= static_cast<std::size_t>(Lanes)) continue;
+        if (t == 0 || t >= static_cast<std::size_t>(Lanes)) continue;
         tail_matches_rolling<K, Gap, Lanes>(t, 30, 34, ragged, gap, threads);
         tail_matches_rolling<K, Gap, Lanes>(t, 12, 14, ragged, gap, threads);
       }
@@ -298,6 +312,47 @@ TEST(BatchEngineTail, Lanes16MatchesRollingWithExactStats) {
 
 TEST(BatchEngineTail, Lanes32MatchesRollingWithExactStats) {
   tail_sweep<align_kind::global, affine_gap, 32>(affine_gap{-2, -1});
+}
+
+/// Both chunk kernels carve exactly their plan: a pass on a fresh arena
+/// peaks at ragged_chunk_plan_bytes / diff_chunk_plan_bytes of its
+/// padded width, to the byte.
+template <class Gap>
+void chunk_plans_are_exact(const Gap& gap) {
+  const simple_scoring sc{2, -1};
+  auto qs = make_reads(40, 60, 31);
+  auto ss = make_reads(40, 70, 32);
+  std::vector<pair_view> pairs;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    qs[i].resize(60 - i % 5);
+    ss[i].resize(70 - i % 7);
+    pairs.push_back({view(qs[i]), view(ss[i])});
+  }
+  const std::span<const pair_view> all(pairs);
+  const auto sink = [](std::size_t, const score_result&) {};
+  {
+    workspace ws;
+    ragged_chunk_score<align_kind::global, score16_t, 16>(
+        all, 0, 60, 70, gap, sc, ws, sink, 16);
+    EXPECT_EQ(ws.high_water_bytes(),
+              (ragged_chunk_plan_bytes<score16_t, 16>(70)));
+  }
+  for (const align_kind k : {align_kind::global, align_kind::semiglobal}) {
+    workspace ws;
+    if (k == align_kind::global)
+      diff_chunk_score<align_kind::global, 32>(all, 0, 60, 70, gap, sc, ws,
+                                               sink, 32);
+    else
+      diff_chunk_score<align_kind::semiglobal, 32>(all, 0, 60, 70, gap, sc,
+                                                   ws, sink, 32);
+    EXPECT_EQ(ws.high_water_bytes(), (diff_chunk_plan_bytes<Gap, 32>(70)))
+        << to_string(k);
+  }
+}
+
+TEST(BatchEngine, ChunkPlanBytesAreTheKernelsLivePeak) {
+  chunk_plans_are_exact(linear_gap{-1});
+  chunk_plans_are_exact(affine_gap{-2, -1});
 }
 
 TEST(BatchEngine, AlignAllProducesValidTracebacks) {
