@@ -681,8 +681,8 @@ int main(int argc, char** argv) {
   kinds_panel(pairs150, a);
 
   // Short-read panel: 20 bp, bound (20+20+2)*2 = 84 < 96 — the whole
-  // batch fits the absolute int8 window too, which only local and
-  // extension chunks use now.
+  // batch fits the absolute int8 window, whose chunks global runs in
+  // difference form under that window's plan.
   bio::read_sim_params sp;
   sp.read_length = 20;
   const auto data20 = bio::simulate_read_pairs(ref, a.pairs, sp);

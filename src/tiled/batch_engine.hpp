@@ -9,18 +9,21 @@
 /// lanes to the chunk-max shape (nbar x mbar) and captures every lane's
 /// result at its own (n_l, m_l) boundary through per-lane retirement — a
 /// uniform chunk is the zero-waste case, a sub-width tail a chunk with
-/// dead lanes.  `diff_chunk_score` runs global and semiglobal chunks on
-/// int8 lanes in difference form, at twice the int16 lane count;
+/// dead lanes.  `diff_chunk_score` runs global and semiglobal int8 chunks
+/// in difference form, at twice the int16 lane count;
 /// `ragged_chunk_score` stores absolute scores and runs every other
 /// chunk.  `group_plan` admits a window of pairs as one chunk by a single
 /// rule: the padded shape's worst-case bound (n + m + 2) * unit fits the
-/// int16 window (28000), the window's cells fill the chunk's floor in
-/// full-shape pairs, and the lanes are int8 when the kind allows it —
-/// global and semiglobal whenever the parameters fit the difference
-/// window (`fits_diff_window`, any length), local and extension only
-/// while |score| <= 96 (`int8_score_window`) — else int16.  The scalar
-/// variant, the int32 reference and unit-cost option sets put no pair on
-/// lanes.  Every other pair runs on
+/// element type and the window's cells fill the chunk's floor in
+/// full-shape pairs.  Every kind runs int8 lanes at twice the int16
+/// lane count while |score| <= 96 (`int8_score_window`).  Past that
+/// window a global or semiglobal chunk stays on int8 lanes when the
+/// parameters fit the difference window (`fits_diff_window`, any length)
+/// and, on more than one thread, the batch holds more than threads x
+/// int16-lane-count pairs (`diff_batch`); every other chunk runs int16
+/// below 28000.  The scalar variant, the
+/// int32 reference and unit-cost option sets put no pair on lanes.  Every
+/// other pair runs on
 /// its own, on the route `engine::classify_route` picks for it at
 /// `threads = 1` — the route a one-thread `align` call takes
 /// (`score_route`): a batch parallelizes across pairs, never inside one.
@@ -95,6 +98,104 @@ template <class E, int W>
   return 5 * carve_bytes<simd::pack<E, W>>(static_cast<std::size_t>(m + 1));
 }
 
+/// The lane layout both chunk kernels share.  Lane l < live holds pair
+/// lo + l; a sub-width tail's dead lanes l >= live replay the last live
+/// pair and never reach the sink.  Every lane is padded to the chunk-max
+/// shape (nbar x mbar) and retires after row n_l, at its own (n_l, m_l).
+template <int W>
+struct chunk_lanes {
+  const char_t* qp[W];
+  const char_t* sp[W];
+  index_t nl[W], ml[W];
+  index_t nmin, mmin;  ///< the shortest query and subject on the lanes
+  std::size_t lo;
+  int live;
+
+  template <class Pair>
+  chunk_lanes(std::span<const Pair> pairs, std::size_t first, index_t nbar,
+              index_t mbar, int live_lanes)
+      : nmin(nbar), mmin(mbar), lo(first), live(live_lanes) {
+    for (int l = 0; l < W; ++l) {
+      const auto& p =
+          pairs[lo + static_cast<std::size_t>(std::min(l, live - 1))];
+      qp[l] = p.q.data();
+      sp[l] = p.s.data();
+      nl[l] = p.q.size();
+      ml[l] = p.s.size();
+      nmin = std::min(nmin, nl[l]);
+      mmin = std::min(mmin, ml[l]);
+    }
+  }
+
+  /// Column j's subject characters (s_l[j - 1] in the lanes with
+  /// 0 < j <= m_l, 0 elsewhere) and the all-ones mask of the lanes whose
+  /// subject reaches column j (j <= m_l).
+  template <class P>
+  void column(index_t j, P& chars, P& covers) const {
+    using E = typename P::value_type;
+    P sv = P::broadcast(0);
+    P cm = P::broadcast(0);
+    for (int l = 0; l < W; ++l) {
+      if (j <= ml[l]) {
+        cm.v[l] = static_cast<E>(-1);
+        if (j > 0) sv.v[l] = static_cast<E>(sp[l][j - 1]);
+      }
+    }
+    chars = sv;
+    covers = cm;
+  }
+
+  /// The lanes whose subject ends exactly at column j — the column-side
+  /// retirement boundary — from column's `covers` rows; `ends` may be
+  /// `covers` itself.
+  template <class P>
+  static void ends_of(std::span<const P> covers, std::span<P> ends) {
+    const std::size_t last = covers.size() - 1;
+    for (std::size_t j = 0; j < last; ++j)
+      ends[j] = vandnot(covers[j], covers[j + 1]);
+    ends[last] = covers[last];
+  }
+
+  /// Row i's query characters, gathered branch-free: a lane past its own
+  /// query re-reads its last character — padded rows are garbage either
+  /// way.
+  template <class P>
+  [[nodiscard]] P query_row(index_t i) const {
+    P qc;
+    for (int l = 0; l < W; ++l)
+      qc.v[l] = static_cast<typename P::value_type>(
+          qp[l][std::min(i, nl[l]) - 1]);
+    return qc;
+  }
+
+  /// Calls `mark(l)` for every live lane whose query ends at row i and
+  /// returns the widest subject among them (0: no lane retires).
+  template <class Mark>
+  index_t retiring(index_t i, Mark&& mark) const {
+    index_t widest = 0;
+    for (int l = 0; l < live; ++l) {
+      if (nl[l] != i) continue;
+      mark(l);
+      widest = std::max(widest, ml[l]);
+    }
+    return widest;
+  }
+
+  /// Hands every live lane retiring at row i to `sink` with its cell
+  /// count; `fill(l, r)` sets the lane's score and end cell.
+  template <class Sink, class Fill>
+  void retire(index_t i, Sink& sink, Fill&& fill) const {
+    for (int l = 0; l < live; ++l) {
+      if (nl[l] != i) continue;
+      score_result r;
+      r.cells = static_cast<std::uint64_t>(nl[l]) *
+                static_cast<std::uint64_t>(ml[l]);
+      fill(l, r);
+      sink(lo + static_cast<std::size_t>(l), r);
+    }
+  }
+};
+
 /// Relax one chunk of `live <= W` non-empty pairs [lo, lo + live) with
 /// score element type E, every lane padded to the chunk-max shape
 /// (nbar x mbar) and each lane's true shape (n_l, m_l) read from its
@@ -145,20 +246,9 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
                                   kWindow),
                 "ragged_chunk_score: the padded shape must fit E's window");
 
-  const char_t* qp[W];
-  const char_t* sp[W];
-  index_t nl[W], ml[W];
-  index_t nmin = nbar, mmin = mbar;
-  for (int l = 0; l < W; ++l) {
-    const auto& p =
-        pairs[lo + static_cast<std::size_t>(std::min(l, live - 1))];
-    qp[l] = p.q.data();
-    sp[l] = p.s.data();
-    nl[l] = p.q.size();
-    ml[l] = p.s.size();
-    nmin = std::min(nmin, nl[l]);
-    mmin = std::min(mmin, ml[l]);
-  }
+  const chunk_lanes<W> lanes(pairs, lo, nbar, mbar, live);
+  const auto& ml = lanes.ml;
+  const index_t nmin = lanes.nmin, mmin = lanes.mmin;
 
   workspace::frame fr(ws);
   auto h = ws.make<P>(static_cast<std::size_t>(mbar + 1));
@@ -170,22 +260,9 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
 
   for (index_t j = 0; j <= mbar; ++j) {
     h[j] = P::broadcast(static_cast<E>(init_h_row0<K>(j, gap)));
-    P sv = P::broadcast(0);
-    P cm = P::broadcast(0);
-    for (int l = 0; l < W; ++l) {
-      if (j <= ml[l]) {
-        cm.v[l] = static_cast<E>(-1);
-        if (j > 0) sv.v[l] = static_cast<E>(sp[l][j - 1]);
-      }
-    }
-    schars[j] = sv;
-    colmask[j] = cm;
+    lanes.column(j, schars[j], colmask[j]);
   }
-  // colend[j]: lanes whose subject ends exactly at column j (the
-  // column-side retirement boundary).
-  for (index_t j = 0; j < mbar; ++j)
-    colend[j] = vandnot(colmask[j], colmask[j + 1]);
-  colend[mbar] = colmask[mbar];
+  chunk_lanes<W>::ends_of(std::span<const P>(colmask), colend);
 
   // The distinct subject lengths, for the semiglobal last-column checks.
   index_t mdist[W];
@@ -214,11 +291,7 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
   }
 
   for (index_t i = 1; i <= nbar; ++i) {
-    // Branch-free gather: a lane past its own query re-reads its last
-    // character — padded rows are garbage either way.
-    P qc;
-    for (int l = 0; l < W; ++l)
-      qc.v[l] = static_cast<E>(qp[l][std::min(i, nl[l]) - 1]);
+    const P qc = lanes.template query_row<P>(i);
     // The row's loop-carried state — H(i, j - 1), H(i - 1, j - 1) and F —
     // stays in registers: each cell reads h[j] and e[j] once, writes them
     // once, and never re-reads the row it just stored.
@@ -272,13 +345,7 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
     // Retirement: live lanes whose query ends at this row capture their
     // result before the padded rows beyond n_l can touch anything.
     P retiring = P::broadcast(0);
-    bool any = false;
-    for (int l = 0; l < live; ++l) {
-      if (nl[l] != i) continue;
-      retiring.v[l] = static_cast<E>(-1);
-      any = true;
-    }
-    if (!any) continue;
+    if (lanes.retiring(i, [&](int l) { retiring.v[l] = -1; }) == 0) continue;
     if constexpr (K == align_kind::semiglobal) {
       // Final-row sweep of the retiring lanes, j ascending with strict >,
       // exactly as rolling_score orders its last-row candidates.
@@ -295,22 +362,17 @@ ANYSEQ_NOCLONE void ragged_chunk_score(std::span<const Pair> pairs,
     [[maybe_unused]] const auto bv = best_v.to_array();
     [[maybe_unused]] const auto bi = best_i.to_array();
     [[maybe_unused]] const auto bj = best_j.to_array();
-    for (int l = 0; l < live; ++l) {
-      if (nl[l] != i) continue;
-      score_result r;
-      r.cells = static_cast<std::uint64_t>(nl[l]) *
-                static_cast<std::uint64_t>(ml[l]);
+    lanes.retire(i, sink, [&](int l, score_result& r) {
       if constexpr (K == align_kind::global) {
         r.score = h[ml[l]].v[l];
-        r.end_i = nl[l];
+        r.end_i = i;
         r.end_j = ml[l];
       } else {
         r.score = bv[l];
         r.end_i = bi[l];
         r.end_j = bj[l];
       }
-      sink(lo + static_cast<std::size_t>(l), r);
-    }
+    });
   }
 }
 
@@ -355,20 +417,9 @@ ANYSEQ_NOCLONE void diff_chunk_score(std::span<const Pair> pairs,
   ANYSEQ_ASSERT(fits_diff_window(gap, scoring),
                 "diff_chunk_score: the parameters must fit the int8 window");
 
-  const char_t* qp[W];
-  const char_t* sp[W];
-  index_t nl[W], ml[W];
-  index_t nmin = nbar, mmin = mbar;
-  for (int l = 0; l < W; ++l) {
-    const auto& p =
-        pairs[lo + static_cast<std::size_t>(std::min(l, live - 1))];
-    qp[l] = p.q.data();
-    sp[l] = p.s.data();
-    nl[l] = p.q.size();
-    ml[l] = p.s.size();
-    nmin = std::min(nmin, nl[l]);
-    mmin = std::min(mmin, ml[l]);
-  }
+  const chunk_lanes<W> lanes(pairs, lo, nbar, mbar, live);
+  const auto& ml = lanes.ml;
+  const index_t nmin = lanes.nmin, mmin = lanes.mmin;
 
   const P oe = P::broadcast(static_cast<score8_t>(gap.open_extend()));
   workspace::frame fr(ws);
@@ -383,15 +434,9 @@ ANYSEQ_NOCLONE void diff_chunk_score(std::span<const Pair> pairs,
     v[j] = P::broadcast(static_cast<score8_t>(
         j == 0 ? 0 : init_h_row0<K>(j, gap) - init_h_row0<K>(j - 1, gap)));
     if constexpr (kAffine) x[j] = oe;
-    P sv = P::broadcast(0);
-    P ce = P::broadcast(0);
-    for (int l = 0; l < W; ++l) {
-      if (j > 0 && j <= ml[l]) sv.v[l] = static_cast<score8_t>(sp[l][j - 1]);
-      if (j == ml[l]) ce.v[l] = -1;
-    }
-    schars[j] = sv;
-    colend[j] = ce;
+    lanes.column(j, schars[j], colend[j]);  // covers, until ends_of
   }
+  chunk_lanes<W>::ends_of(std::span<const P>(colend), colend);
 
   // Per-lane int32 state, a quarter of the lanes per Q (lane l in
   // quarter l / (W/4)): acc = H(i, m_l) after row i, and semiglobal's best
@@ -433,9 +478,7 @@ ANYSEQ_NOCLONE void diff_chunk_score(std::span<const Pair> pairs,
                         Q::broadcast(-1), Q::broadcast(-1)};
 
   for (index_t i = 1; i <= nbar; ++i) {
-    P qc;
-    for (int l = 0; l < W; ++l)
-      qc.v[l] = static_cast<score8_t>(qp[l][std::min(i, nl[l]) - 1]);
+    const P qc = lanes.template query_row<P>(i);
     // Column 0: u(i, 0) steps down the boundary; y(i, 0) = open + extend,
     // since F(i, 0) is -inf.
     P u = P::broadcast(static_cast<score8_t>(init_h_col0<K>(i, gap) -
@@ -472,12 +515,7 @@ ANYSEQ_NOCLONE void diff_chunk_score(std::span<const Pair> pairs,
 
     // Retirement: live lanes whose query ends at this row.
     alignas(64) score_t ret[W] = {};
-    index_t mret = 0;
-    for (int l = 0; l < live; ++l) {
-      if (nl[l] != i) continue;
-      ret[l] = -1;
-      mret = std::max(mret, ml[l]);
-    }
+    const index_t mret = lanes.retiring(i, [&](int l) { ret[l] = -1; });
     if (mret == 0) continue;
     if constexpr (K == align_kind::semiglobal) {
       // Final-row sweep of the retiring lanes, j ascending with strict >:
@@ -505,16 +543,11 @@ ANYSEQ_NOCLONE void diff_chunk_score(std::span<const Pair> pairs,
       best_i[k].store(bi.data() + k * (W / 4));
       best_j[k].store(bj.data() + k * (W / 4));
     }
-    for (int l = 0; l < live; ++l) {
-      if (nl[l] != i) continue;
-      score_result r;
-      r.cells = static_cast<std::uint64_t>(nl[l]) *
-                static_cast<std::uint64_t>(ml[l]);
+    lanes.retire(i, sink, [&](int l, score_result& r) {
       r.score = bv[l];
-      r.end_i = K == align_kind::global ? nl[l] : bi[l];
+      r.end_i = K == align_kind::global ? i : bi[l];
       r.end_j = K == align_kind::global ? ml[l] : bj[l];
-      sink(lo + static_cast<std::size_t>(l), r);
-    }
+    });
   }
 }
 
@@ -564,10 +597,10 @@ class batch_engine {
       Lanes >= 32 ? (Gap::kind == gap_kind::affine ? 14 : 10)
                   : (Gap::kind == gap_kind::affine ? 9 : 7);
 
-  /// Global and semiglobal chunks run on kLanes8 int8 lanes in difference
-  /// form (diff_chunk_score) whenever the parameters fit its window
-  /// (fits_diff_window); local and extension keep absolute scores, whose
-  /// running max differences do not carry.
+  /// Global and semiglobal int8 chunks run in difference form
+  /// (diff_chunk_score), also past the absolute int8 window when the
+  /// parameters fit its window (fits_diff_window); local and extension
+  /// keep absolute scores, whose running max differences do not carry.
   static constexpr bool kDiffKind =
       K == align_kind::global || K == align_kind::semiglobal;
 
@@ -577,10 +610,8 @@ class batch_engine {
   /// once its window holds more than Lanes full-shape pairs: the
   /// break-even is Lanes + (difference chunk - int16 chunk) / striped
   /// pair.  Below it the window falls back to the int16 rule (kMinLive).
-  /// That is a CPU break-even.  On `threads` > 1 workers the int16 route
-  /// runs its two groups concurrently, so group_plan admits difference
-  /// chunks only for batches of at least threads * kLanes8 pairs, which
-  /// keep every worker busy with them.
+  /// That is a CPU break-even; group_plan adds the wall-clock one for
+  /// `threads` > 1 (diff_batch).
   /// Measured as kMinLive was (one thread, the same Xeon and scores), the
   /// median of four runs for each of global and semiglobal, shown as the
   /// range over the two; the floor is the largest 150 bp break-even,
@@ -704,18 +735,38 @@ class batch_engine {
     index_t nbar = 0, mbar = 0;  ///< padded chunk-max shape
   };
 
+  /// Whether a batch of `pairs` on cfg_.threads workers may run difference
+  /// chunks past the absolute int8 window, where they replace int16
+  /// chunks (inside it they replace absolute int8 chunks one for one).  A
+  /// difference chunk costs about 1.25 int16 chunks and does the work of
+  /// two, so it saves CPU at any batch size (kMinLiveDiff).
+  /// On more than one worker it also saves wall-clock time only once the
+  /// int16 route's ceil(pairs / Lanes) chunks outnumber the workers: while
+  /// they all run in one concurrent round, halving the chunk count
+  /// lengthens that round instead of removing one.  Measured across the
+  /// crossover (DESIGN.md section 8, "Batches on more than one thread";
+  /// 36-256 read pairs at 2 and 4 threads on avx2 and avx512): the
+  /// difference route ran up to 1.3x slower in wall time at or below
+  /// threads * Lanes pairs, and faster above it.
+  [[nodiscard]] bool diff_batch(std::size_t pairs) const noexcept {
+    return cfg_.threads <= 1 ||
+           pairs > static_cast<std::size_t>(cfg_.threads) *
+                       static_cast<std::size_t>(Lanes);
+  }
+
   /// Decide how the group starting at `lo` runs.  One rule covers full
   /// chunks, ragged windows and sub-width tails: take the next
-  /// min(width, left) pairs — int8 at kLanes8 first, then int16 at Lanes
-  /// — and admit them as one padded chunk iff every pair is non-empty,
-  /// the bound fits the padded (nbar x mbar) shape (so the kernel stays
-  /// exact for every lane), and the fill reaches the chunk's floor.  The
-  /// int8 window is a difference chunk for global and semiglobal (the
-  /// parameters fit fits_diff_window, the int16 shape bound, kMinLiveDiff,
-  /// and on more than one thread a batch of threads * kLanes8 pairs) and
-  /// an absolute one otherwise (the int8 shape bound, kMinLive).
-  /// Otherwise the next min(Lanes, left) pairs run one at a time
-  /// (`lone_pair`).
+  /// min(width, left) pairs and admit them as one padded chunk iff every
+  /// pair is non-empty, the bound fits the padded (nbar x mbar) shape in
+  /// the chunk's window (so the kernel stays exact for every lane), and
+  /// the fill reaches the chunk's floor.  The chunks are tried in order:
+  /// int8 at kLanes8 inside the absolute int8 window (int8 shape bound,
+  /// kMinLive); then, for global and semiglobal, int8 at kLanes8 past it
+  /// (parameters in fits_diff_window, int16 shape bound, kMinLiveDiff,
+  /// diff_batch); then int16 at Lanes (kMinLive).  Global and semiglobal
+  /// int8 chunks run the difference kernel, every other int8 chunk the
+  /// absolute one.  Otherwise the next min(Lanes, left) pairs run one at
+  /// a time (`lone_pair`).
   /// Deterministic in (pairs, lo) alone — the MT fan-out relies on
   /// workers re-deriving identical boundaries.
   template <class Pair>
@@ -752,22 +803,17 @@ class batch_engine {
       g = {lo + w, p, nb, mb};
       return true;
     };
-    // On more than one thread a difference chunk pays only when the
-    // batch keeps every worker busy with them: it runs as one chunk what
-    // the int16 route runs as two concurrent groups.
-    const bool diff =
-        fits_diff_window(gap_, scoring_) &&
-        (cfg_.threads <= 1 ||
-         pairs.size() >= static_cast<std::size_t>(cfg_.threads) *
-                             static_cast<std::size_t>(kLanes8));
+    // A set outside fits_diff_window has unit >= 33, so its absolute int8
+    // window is empty: global and semiglobal lose no int8 chunk to it.
+    const bool int8 = !kDiffKind || fits_diff_window(gap_, scoring_);
     chunk_plan g = singles;
-    const bool int8 =
-        kDiffKind ? diff && fill(kLanes8, int16_score_window(), kMinLiveDiff,
-                                 score_precision::int8, g)
-                  : fill(kLanes8, int8_score_window(), kMinLive,
-                         score_precision::int8, g);
-    if (int8 || fill(Lanes, int16_score_window(), kMinLive,
-                     score_precision::int16, g))
+    if ((int8 && fill(kLanes8, int8_score_window(), kMinLive,
+                      score_precision::int8, g)) ||
+        (int8 && kDiffKind && diff_batch(pairs.size()) &&
+         fill(kLanes8, int16_score_window(), kMinLiveDiff,
+              score_precision::int8, g)) ||
+        fill(Lanes, int16_score_window(), kMinLive, score_precision::int16,
+             g))
       return g;
     return singles;
   }

@@ -277,14 +277,12 @@ TEST(AllocSteadyState, BatchRaggedSteadyState) {
   EXPECT_EQ(n, 0u) << "ragged batch allocated in steady state";
 }
 
-TEST(AllocSteadyState, BatchTailSteadyState) {
-  // 53 uniform pairs on 32 lanes: past the difference floor
-  // (kMinLiveDiff), so the planner runs them as one 64-lane difference
-  // chunk with 11 dead lanes.  Its rows are carved once per pass, so warm
-  // passes allocate nothing.
-  using engine =
-      tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 32>;
-  static_assert(engine::kMinLiveDiff <= 53);
+/// 53 uniform (90, 96) pairs through a 32-lane engine of kind K on one
+/// thread; its chunk rows are carved once per pass, so warm passes
+/// allocate nothing.  Checks the path by `int8` or int16 pair counts.
+template <align_kind K>
+void tail_steady_state(bool int8) {
+  using engine = tiled::batch_engine<K, linear_gap, simple_scoring, 32>;
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<tiled::pair_view> pairs;
   for (int i = 0; i < 53; ++i) {
@@ -302,11 +300,27 @@ TEST(AllocSteadyState, BatchTailSteadyState) {
   };
   for (int i = 0; i < 3; ++i) pass();
   ASSERT_EQ(eng.last_stats().simd_pairs, 53u);
+  ASSERT_EQ(int8 ? eng.last_stats().int8_pairs : eng.last_stats().int16_pairs,
+            53u);
   ASSERT_EQ(eng.last_stats().padded_cells, 11u * 90u * 96u);
   const auto n = allocs_during([&] {
     for (int i = 0; i < 5; ++i) pass();
   });
   EXPECT_EQ(n, 0u) << "tail batch allocated in steady state";
+}
+
+TEST(AllocSteadyState, BatchTailSteadyState) {
+  // Global: past the difference floor (kMinLiveDiff), so the planner runs
+  // the 53 pairs as one 64-lane difference chunk with 11 dead lanes.
+  static_assert(tiled::batch_engine<align_kind::global, linear_gap,
+                                    simple_scoring, 32>::kMinLiveDiff <= 53);
+  tail_steady_state<align_kind::global>(true);
+  // Local keeps absolute scores: one full int16 chunk plus a 21-pair tail
+  // (at least the linear-gap floor, kMinLive) that runs as one
+  // lane-padded int16 chunk, carving the same rows as a full chunk.
+  static_assert(tiled::batch_engine<align_kind::local, linear_gap,
+                                    simple_scoring, 32>::kMinLive <= 21);
+  tail_steady_state<align_kind::local>(false);
 }
 
 TEST(AllocSteadyState, BatchDifferenceChunkSteadyState) {

@@ -9,9 +9,10 @@
 /// The window suite pins the plan-time bound: shapes whose worst case
 /// (n + m + 2) * unit sits one below each window take that window's lane
 /// type, shapes at the window take the next one, and every result stays
-/// identical to int32 rolling.  Global and semiglobal chunks take int8
-/// lanes by a test on the parameters instead (fits_diff_window, the
-/// difference chunk); the difference suite pins that edge.
+/// identical to int32 rolling.  Past the int8 window, global and
+/// semiglobal chunks take int8 lanes by a test on the parameters instead
+/// (fits_diff_window, the difference chunk); the difference suite pins
+/// that edge.
 
 #include <gtest/gtest.h>
 
@@ -277,8 +278,9 @@ TEST(PrecisionWindow, EdgeShapesPickTheirLaneTypeAndMatchInt32) {
         }
         const batch_stats st = a.last_batch_stats();
         const bool rolled = c.chunk == score_precision::int32;
-        // Global and semiglobal chunks inside the int16 shape bound run
-        // int8 difference lanes whenever the parameters fit their window.
+        // Past the int8 window, global and semiglobal chunks inside the
+        // int16 shape bound run int8 difference lanes (one thread)
+        // whenever the parameters fit their window.
         const bool diff_kind = c.kind == align_kind::global ||
                                c.kind == align_kind::semiglobal;
         const score_precision chunk =
@@ -560,40 +562,42 @@ TEST(PrecisionWindow, DifferenceWindowEdgeParametersPickTheirLaneType) {
     }
 }
 
-/// `width` pairs whose cells fill exactly `floor` full (20, 20) shapes:
-/// `full` lanes at (20, 20), the last lane at (1 + extra, 20) and the rest
-/// at (1, 20) — every lane holds 20 cells, each full lane 380 more, the
-/// last lane the remaining 20 * extra — or one column short of that last
-/// lane when `short_by_one`, which leaves the window just under the floor.
-void floor_window(int width, int floor, bool short_by_one,
+/// `width` pairs whose cells fill exactly `floor` full (s, s) shapes:
+/// `full` lanes at (s, s), the last lane at (1 + extra, s) and the rest
+/// at (1, s) — every lane holds s cells, each full lane s (s - 1) more,
+/// the last lane the remaining s * extra — or one column short of that
+/// last lane when `short_by_one`, which leaves the window just under the
+/// floor.
+void floor_window(int width, int floor, int s, bool short_by_one,
                   std::vector<std::vector<char_t>>& qs,
                   std::vector<std::vector<char_t>>& ss,
                   std::vector<tiled::pair_view>& pairs) {
-  const int rows = 20 * floor - width;  // (floor * 400 - width * 20) / 20
-  const int full = rows / 19, extra = rows % 19;
-  ASSERT_GE(full, 1) << "the window needs one (20, 20) lane";
+  const int rows = s * floor - width;  // (floor * s^2 - width * s) / s
+  const int full = rows / (s - 1), extra = rows % (s - 1);
+  ASSERT_GE(full, 1) << "the window needs one (s, s) lane";
   ASSERT_LT(full, width) << "the floor must leave a lane short of full";
   for (int i = 0; i < width; ++i) {
     const bool last = i == width - 1;
-    const std::size_t n = i < full ? 20 : last ? 1 + extra : 1;
-    const std::size_t m = last && short_by_one ? 19 : 20;
+    const auto side = static_cast<std::size_t>(s);
+    const std::size_t n = i < full ? side : last ? 1 + extra : 1;
+    const std::size_t m = last && short_by_one ? side - 1 : side;
     qs.push_back(test::random_codes(n, 5100 + i));
     ss.push_back(test::random_codes(m, 6100 + i));
   }
   for (int i = 0; i < width; ++i) pairs.push_back({view(qs[i]), view(ss[i])});
 }
 
-/// One floor_window batch of `width` pairs filled to `floor` full (20, 20)
+/// One floor_window batch of `width` pairs filled to `floor` full (s, s)
 /// shapes (one column short of it when `short_by_one`) through a
 /// 16-lane engine of kind K with linear gaps; results byte-identical to
 /// rolling.  Returns the run's stats.
 template <align_kind K>
-batch_stats run_floor_window(int width, int floor, bool short_by_one) {
+batch_stats run_floor_window(int width, int floor, int s, bool short_by_one) {
   using engine = tiled::batch_engine<K, linear_gap, simple_scoring, 16>;
   const simple_scoring sc{2, -1};
   std::vector<std::vector<char_t>> qs, ss;
   std::vector<tiled::pair_view> pairs;
-  floor_window(width, floor, short_by_one, qs, ss, pairs);
+  floor_window(width, floor, s, short_by_one, qs, ss, pairs);
   engine eng(linear_gap{-1}, sc, {1});
   workspace ws;
   std::vector<score_result> got(pairs.size());
@@ -615,56 +619,67 @@ TEST(RaggedOracle, MinLiveFloorSplitsOrAdmitsAtBoundary) {
   // splits.  Results are byte-identical to rolling on both sides of the
   // boundary.
   //
-  // Local keeps absolute int8 chunks under kMinLive: (20+20+2)*2 = 84 <
-  // 96.  Short of the floor the window splits into single pairs, which
-  // run striped.
+  // Every kind runs absolute int8 chunks under kMinLive at (20+20+2)*2 =
+  // 84 < 96.  Short of the floor the window splits into single pairs,
+  // which run striped.
   using engine =
       tiled::batch_engine<align_kind::local, linear_gap, simple_scoring, 16>;
+  static_assert(
+      tiled::batch_engine<align_kind::global, linear_gap, simple_scoring,
+                          16>::kMinLive == engine::kMinLive);
   constexpr int kWidth = engine::kLanes8;
   constexpr int kFloor = engine::kMinLive;
   const auto w = static_cast<std::uint64_t>(kWidth);
-  for (const bool short_by_one : {false, true}) {
-    SCOPED_TRACE(::testing::Message()
-                 << (short_by_one ? "short by one" : "at the floor"));
-    const auto st =
-        run_floor_window<align_kind::local>(kWidth, kFloor, short_by_one);
-    EXPECT_EQ(st.simd_pairs, w);
-    if (!short_by_one) {
-      EXPECT_EQ(st.int8_pairs, w);
-      EXPECT_EQ(st.ragged_pairs, w);
-      EXPECT_EQ(st.padded_cells,
-                w * 400u - static_cast<std::uint64_t>(kFloor) * 400u);
-    } else {
-      EXPECT_EQ(st.ragged_pairs, 0u);
-      EXPECT_EQ(st.padded_cells, 0u);
-      EXPECT_EQ(st.striped_pairs, w);
+  for (const bool short_by_one : {false, true})
+    for (const bool global : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (short_by_one ? "short by one" : "at the floor")
+                   << (global ? " global" : " local"));
+      const auto st =
+          global ? run_floor_window<align_kind::global>(kWidth, kFloor, 20,
+                                                        short_by_one)
+                 : run_floor_window<align_kind::local>(kWidth, kFloor, 20,
+                                                       short_by_one);
+      EXPECT_EQ(st.simd_pairs, w);
+      if (!short_by_one) {
+        EXPECT_EQ(st.int8_pairs, w);
+        EXPECT_EQ(st.ragged_pairs, w);
+        EXPECT_EQ(st.padded_cells,
+                  w * 400u - static_cast<std::uint64_t>(kFloor) * 400u);
+      } else {
+        EXPECT_EQ(st.ragged_pairs, 0u);
+        EXPECT_EQ(st.padded_cells, 0u);
+        EXPECT_EQ(st.striped_pairs, w);
+      }
     }
-  }
 }
 
 TEST(RaggedOracle, MinLiveDiffFloorSplitsOrAdmitsAtBoundary) {
-  // Global runs int8 difference chunks under kMinLiveDiff.  Short of the
-  // floor the window falls back to the int16 rule: its first 16 lanes
-  // are all full (20, 20) pairs and run as one uniform int16 chunk, the
-  // other 16 fill less than kMinLive and run striped.
+  // Past the absolute int8 window, (30+30+2)*2 = 124 > 96, global runs
+  // int8 difference chunks under kMinLiveDiff.  Short of the floor the
+  // window falls back to the int16 rule: its first 16 lanes are all full
+  // (30, 30) pairs and run as one uniform int16 chunk, the other 16 fill
+  // less than kMinLive and run striped.
   using engine =
       tiled::batch_engine<align_kind::global, linear_gap, simple_scoring, 16>;
   constexpr int kWidth = engine::kLanes8;
   constexpr int kFloor = engine::kMinLiveDiff;
-  static_assert((20 * kFloor - kWidth) / 19 >= 16,
+  constexpr int kSide = 30;
+  static_assert((kSide * kFloor - kWidth) / (kSide - 1) >= 16,
                 "the fallback's first int16 chunk must be all full lanes");
   const auto w = static_cast<std::uint64_t>(kWidth);
   for (const bool short_by_one : {false, true}) {
     SCOPED_TRACE(::testing::Message()
                  << (short_by_one ? "short by one" : "at the floor"));
-    const auto st =
-        run_floor_window<align_kind::global>(kWidth, kFloor, short_by_one);
+    const auto st = run_floor_window<align_kind::global>(kWidth, kFloor,
+                                                         kSide, short_by_one);
+    constexpr auto cells = static_cast<std::uint64_t>(kSide * kSide);
     EXPECT_EQ(st.simd_pairs, w);
     if (!short_by_one) {
       EXPECT_EQ(st.int8_pairs, w);
       EXPECT_EQ(st.ragged_pairs, w);
       EXPECT_EQ(st.padded_cells,
-                w * 400u - static_cast<std::uint64_t>(kFloor) * 400u);
+                w * cells - static_cast<std::uint64_t>(kFloor) * cells);
     } else {
       EXPECT_EQ(st.int8_pairs, 0u);
       EXPECT_EQ(st.int16_pairs, w);

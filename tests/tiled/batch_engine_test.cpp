@@ -81,8 +81,9 @@ TEST(BatchEngine, RaggedLengthsPadOrFallBackPerPair) {
   // about 14 full-shape pairs, above the 16-lane affine floor
   // (kMinLive), so the first 32 pairs run as two lane-padded chunks; the
   // 8-pair tail falls below it and runs striped pair by pair.  (At two
-  // threads 40 pairs are too few for difference chunks.)  The int32
-  // hint rolls everything.
+  // threads 40 > 2 x 16 pairs admit difference chunks, and the first 32
+  // fill the 32-lane difference floor: they run as one padded chunk
+  // instead, with the same counts.)  The int32 hint rolls everything.
   static_assert(
       batch_engine<align_kind::global, affine_gap, simple_scoring,
                    16>::kMinLive > 8);
@@ -206,10 +207,10 @@ TEST(BatchEngine, StatsCountSimdPath) {
 /// remainder, uniform or — `ragged_tail` — mixed (n - k % 3, m - 2 (k % 2))
 /// for its k-th pair.  One rule decides every window: it runs as one
 /// padded chunk iff its cells fill the chunk's floor in full-shape pairs.
-/// The whole batch is one 2*Lanes-lane int8 window first — for global and
-/// semiglobal a difference chunk under kMinLiveDiff (on one thread: on
-/// more, a batch this small keeps int16), for local and extension an
-/// absolute one at an int8 shape under kMinLive; otherwise
+/// The whole batch is one 2*Lanes-lane int8 window first — an absolute
+/// chunk at an int8 shape under kMinLive, else for global and semiglobal
+/// a difference chunk under kMinLiveDiff (on one thread: on two, a batch
+/// of at most 2*Lanes pairs keeps int16, diff_batch); otherwise
 /// a full int16 chunk runs first and the remainder pads once it clears
 /// kMinLive, else runs pair by pair through the striped kernel.  Score
 /// and end cell must equal the int32 rolling engine's and the path
@@ -258,13 +259,13 @@ void tail_matches_rolling(std::size_t t, index_t n, index_t m,
   const auto st = eng.last_stats();
   EXPECT_EQ(st.simd_pairs, lanes + t);
   EXPECT_EQ(st.scalar_pairs, 0u);
-  const bool int8 =
-      engine::kDiffKind
-          ? fits_diff_window(gap, sc) && threads == 1 &&
-                lanes * full + tail_cells >=
-                    static_cast<std::uint64_t>(engine::kMinLiveDiff) * full
-          : fits_score_window(n, m, unit_step(gap, sc), int8_score_window());
-  if (int8) {
+  const bool diff =
+      engine::kDiffKind && fits_diff_window(gap, sc) &&
+      (threads == 1 || count > static_cast<std::size_t>(threads * Lanes)) &&
+      lanes * full + tail_cells >=
+          static_cast<std::uint64_t>(engine::kMinLiveDiff) * full;
+  if (fits_score_window(n, m, unit_step(gap, sc), int8_score_window()) ||
+      diff) {
     EXPECT_EQ(st.int8_pairs, lanes + t);
     EXPECT_EQ(st.striped_pairs, 0u);
     EXPECT_EQ(st.ragged_pairs, mixed ? lanes + t : 0);
@@ -312,6 +313,53 @@ TEST(BatchEngineTail, Lanes16MatchesRollingWithExactStats) {
 
 TEST(BatchEngineTail, Lanes32MatchesRollingWithExactStats) {
   tail_sweep<align_kind::global, affine_gap, 32>(affine_gap{-2, -1});
+}
+
+/// On more than one thread a batch of at most threads x Lanes pairs keeps
+/// the int16 route, whose chunks all run in one concurrent round; one
+/// pair more admits difference chunks (diff_batch).  One thread admits
+/// them at any batch size.  Scores and end cells equal rolling's either
+/// way.
+TEST(BatchEngineDiffBatch, MoreThanOneRoundOfInt16ChunksAdmitsThem) {
+  using engine =
+      batch_engine<align_kind::global, linear_gap, simple_scoring, 16>;
+  const simple_scoring sc{2, -1};
+  std::vector<std::vector<char_t>> qs, ss;
+  std::vector<pair_view> all;
+  for (std::size_t i = 0; i < 49; ++i) {  // (30+34+2)*2 > 96: not int8
+    qs.push_back(test::random_codes(30, 700 + i));
+    ss.push_back(test::random_codes(34, 800 + i));
+  }
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    all.push_back({view(qs[i]), view(ss[i])});
+  struct batch {
+    int threads;
+    std::size_t count;
+    bool diff;
+  };
+  workspace ws;
+  for (const batch b : {batch{1, 32, true}, batch{2, 32, false},
+                        batch{2, 33, true}, batch{3, 48, false},
+                        batch{3, 49, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "threads " << b.threads << " count " << b.count);
+    std::vector<workspace> workers(static_cast<std::size_t>(b.threads));
+    engine eng(linear_gap{-1}, sc,
+               {b.threads, score_precision::auto_select, workers});
+    const std::span<const pair_view> pairs(all.data(), b.count);
+    std::vector<score_result> got(b.count);
+    eng.score_into(pairs, ws, std::span<score_result>(got));
+    for (std::size_t i = 0; i < b.count; ++i) {
+      const auto want = rolling_score<align_kind::global>(
+          pairs[i].q, pairs[i].s, linear_gap{-1}, sc, ws);
+      ASSERT_EQ(got[i].score, want.score) << "pair " << i;
+      ASSERT_EQ(got[i].end_i, want.end_i) << "pair " << i;
+      ASSERT_EQ(got[i].end_j, want.end_j) << "pair " << i;
+    }
+    const auto st = eng.last_stats();
+    EXPECT_EQ(st.simd_pairs, b.count);
+    EXPECT_EQ(st.int8_pairs, b.diff ? 32u : 0u);
+  }
 }
 
 /// Both chunk kernels carve exactly their plan: a pass on a fresh arena
